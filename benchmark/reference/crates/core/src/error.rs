@@ -1,0 +1,94 @@
+//! [`TrainError`]: the error type of the recovery subsystem.
+//!
+//! Checkpoint I/O, restore-time validation and supervisor outcomes all
+//! surface through one typed error instead of `unwrap()` calls, so the
+//! bench binaries (and any embedding program) can report failures and
+//! decide whether to retry.
+
+use std::fmt;
+use std::io;
+
+/// Errors produced while checkpointing, restoring or supervising training.
+#[derive(Debug)]
+pub enum TrainError {
+    /// Filesystem or wire-format failure (checkpoint read/write/parse).
+    Io(io::Error),
+    /// A checkpoint parsed fine but does not match the run it is being
+    /// restored into (missing section, wrong length, wrong worker count…).
+    Checkpoint(String),
+    /// The health monitor declared divergence and no recovery was possible.
+    Diverged {
+        /// Iteration the divergence was detected at.
+        iter: u64,
+        /// Stable verdict label (see `md_nn::HealthVerdict::as_str`).
+        reason: String,
+    },
+    /// The supervisor exhausted its retry budget.
+    RetriesExhausted {
+        /// Rollbacks attempted before giving up.
+        attempts: u32,
+        /// The last failure.
+        last: String,
+    },
+}
+
+impl fmt::Display for TrainError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrainError::Io(e) => write!(f, "checkpoint i/o: {e}"),
+            TrainError::Checkpoint(msg) => write!(f, "checkpoint mismatch: {msg}"),
+            TrainError::Diverged { iter, reason } => {
+                write!(f, "training diverged at iteration {iter}: {reason}")
+            }
+            TrainError::RetriesExhausted { attempts, last } => {
+                write!(f, "recovery gave up after {attempts} rollbacks: {last}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TrainError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            TrainError::Io(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<io::Error> for TrainError {
+    fn from(e: io::Error) -> Self {
+        TrainError::Io(e)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_is_informative() {
+        let e = TrainError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
+        assert!(e.to_string().contains("gone"));
+        let e = TrainError::Checkpoint("disc_3 missing".into());
+        assert!(e.to_string().contains("disc_3"));
+        let e = TrainError::Diverged {
+            iter: 42,
+            reason: "non_finite_loss".into(),
+        };
+        assert!(e.to_string().contains("42") && e.to_string().contains("non_finite_loss"));
+        let e = TrainError::RetriesExhausted {
+            attempts: 3,
+            last: "still NaN".into(),
+        };
+        assert!(e.to_string().contains('3'));
+    }
+
+    #[test]
+    fn io_source_is_preserved() {
+        use std::error::Error as _;
+        let e = TrainError::from(io::Error::other("disk"));
+        assert!(e.source().is_some());
+        assert!(TrainError::Checkpoint("x".into()).source().is_none());
+    }
+}

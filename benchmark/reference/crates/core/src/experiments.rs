@@ -1,0 +1,1728 @@
+//! Reusable experiment runners — one per figure of §V.
+//!
+//! The `md-bench` binaries are thin CLI wrappers around these functions;
+//! integration tests run them at reduced scale. Every runner is fully
+//! deterministic given its [`ExperimentScale::seed`].
+
+use crate::arch::{ArchKind, ArchSpec};
+use crate::byzantine::Attack;
+use crate::checkpoint::Checkpoint;
+use crate::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
+use crate::error::TrainError;
+use crate::eval::{Evaluator, ScoreTimeline};
+use crate::flgan::FlGan;
+use crate::mdgan::trainer::MdGan;
+use crate::standalone::StandaloneGan;
+use crate::supervisor::Recoverable;
+use md_data::synthetic::{DataSpec, Family};
+use md_data::Dataset;
+use md_metrics::scores::GanScores;
+use md_nn::gan::Generator;
+use md_nn::optim::AdamConfig;
+use md_nn::{HealthConfig, HealthMonitor};
+use md_simnet::{CrashSchedule, TrafficReport};
+use md_telemetry::{Event, Phase, Recorder};
+use md_tensor::rng::Rng64;
+use serde::{Deserialize, Serialize};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// Knobs that scale an experiment between "CI seconds" and "paper scale".
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+pub struct ExperimentScale {
+    /// Square image side.
+    pub img: usize,
+    /// Training-set size (before sharding).
+    pub train_n: usize,
+    /// Test-set size.
+    pub test_n: usize,
+    /// Total (generator) iterations `I`.
+    pub iters: usize,
+    /// Score every this many iterations.
+    pub eval_every: usize,
+    /// Generated/real sample size per evaluation (paper: 500).
+    pub eval_samples: usize,
+    /// Master seed.
+    pub seed: u64,
+}
+
+impl ExperimentScale {
+    /// Seconds-scale configuration for tests.
+    pub fn quick() -> Self {
+        ExperimentScale {
+            img: 12,
+            train_n: 512,
+            test_n: 128,
+            iters: 30,
+            eval_every: 15,
+            eval_samples: 64,
+            seed: 42,
+        }
+    }
+
+    /// The default scaled-down experiment (minutes on a laptop).
+    pub fn scaled() -> Self {
+        ExperimentScale {
+            img: 16,
+            train_n: 4096,
+            test_n: 512,
+            iters: 2000,
+            eval_every: 100,
+            eval_samples: 256,
+            seed: 42,
+        }
+    }
+}
+
+/// One labelled curve of a figure.
+pub struct CurveResult {
+    /// Legend label, e.g. `"MD-GAN k=log(N)"`.
+    pub label: String,
+    /// The scored timeline.
+    pub timeline: ScoreTimeline,
+    /// Traffic moved during training (distributed competitors only).
+    pub traffic: Option<TrafficReport>,
+}
+
+impl CurveResult {
+    /// CSV rows `label,iter,is,fid`.
+    pub fn to_csv(&self) -> String {
+        self.timeline.to_csv(&self.label)
+    }
+}
+
+fn make_dataset(family: Family, scale: &ExperimentScale) -> (Dataset, Dataset) {
+    let spec = match family {
+        Family::MnistLike => DataSpec::mnist(scale.img, scale.train_n + scale.test_n, scale.seed),
+        Family::CifarLike => DataSpec::cifar(scale.img, scale.train_n + scale.test_n, scale.seed),
+        Family::CelebaLike => DataSpec::celeba(scale.img, scale.train_n + scale.test_n, scale.seed),
+    };
+    spec.generate().split_test(scale.test_n)
+}
+
+fn arch_for(family: Family, kind: ArchKind, img: usize) -> ArchSpec {
+    match (family, kind) {
+        (Family::MnistLike, ArchKind::Mlp) => ArchSpec::mlp_mnist_scaled(img),
+        (Family::MnistLike, ArchKind::Cnn) => ArchSpec::cnn_mnist_scaled(img),
+        (Family::CifarLike, ArchKind::Mlp) => ArchSpec {
+            channels: 3,
+            ..ArchSpec::mlp_mnist_scaled(img)
+        },
+        (Family::CifarLike, ArchKind::Cnn) => ArchSpec::cnn_cifar_scaled(img),
+        (Family::CelebaLike, _) => ArchSpec::cnn_celeba_scaled(img),
+    }
+}
+
+/// Configuration of the Figure 3 convergence comparison.
+#[derive(Clone, Copy, Debug)]
+pub struct ConvergenceConfig {
+    /// Dataset family (MNIST-like or CIFAR-like in the paper's Figure 3).
+    pub family: Family,
+    /// MLP or CNN.
+    pub arch: ArchKind,
+    /// Scale knobs.
+    pub scale: ExperimentScale,
+    /// Number of workers `N` (paper: 10).
+    pub workers: usize,
+    /// The paper's small batch size (10).
+    pub b_small: usize,
+    /// The paper's large batch size (100).
+    pub b_large: usize,
+}
+
+impl ConvergenceConfig {
+    /// Paper-shaped defaults at the given scale.
+    pub fn new(family: Family, arch: ArchKind, scale: ExperimentScale) -> Self {
+        ConvergenceConfig {
+            family,
+            arch,
+            scale,
+            workers: 10,
+            b_small: 10,
+            b_large: 100,
+        }
+    }
+}
+
+/// Figure 3: standalone (b small/large), FL-GAN (b small/large) and
+/// MD-GAN (k=1 / k=⌊log N⌋), all scored on the same test sample with the
+/// same scorer.
+pub fn run_convergence(cfg: ConvergenceConfig) -> Vec<CurveResult> {
+    run_convergence_with(cfg, &Arc::new(Recorder::disabled()))
+}
+
+/// [`run_convergence`] with every competitor attached to `telemetry`, so
+/// phase histograms and per-worker tallies aggregate over the whole figure.
+pub fn run_convergence_with(cfg: ConvergenceConfig, telemetry: &Arc<Recorder>) -> Vec<CurveResult> {
+    let (train, test) = make_dataset(cfg.family, &cfg.scale);
+    let spec = arch_for(cfg.family, cfg.arch, cfg.scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, cfg.scale.eval_samples, cfg.scale.seed);
+    let mut results = Vec::new();
+
+    // Standalone, both batch sizes.
+    for b in [cfg.b_small, cfg.b_large] {
+        let hyper = GanHyper {
+            batch: b,
+            ..GanHyper::default()
+        };
+        let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x57D);
+        let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
+            .with_telemetry(Arc::clone(telemetry));
+        let timeline = gan.train(cfg.scale.iters, cfg.scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("standalone b={b}"),
+            timeline,
+            traffic: None,
+        });
+    }
+
+    // FL-GAN, both batch sizes (E = 1, as in the paper).
+    for b in [cfg.b_small, cfg.b_large] {
+        let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0xF1);
+        let shards = train.shard_iid(cfg.workers, &mut rng);
+        let fl_cfg = FlGanConfig {
+            workers: cfg.workers,
+            epochs_per_round: 1.0,
+            hyper: GanHyper {
+                batch: b,
+                ..GanHyper::default()
+            },
+            iterations: cfg.scale.iters,
+            seed: cfg.scale.seed ^ 0xF1F1,
+        };
+        let mut fl = FlGan::new(&spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry));
+        let timeline = fl.train(cfg.scale.iters, cfg.scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("FL-GAN b={b}"),
+            timeline,
+            traffic: Some(fl.traffic()),
+        });
+    }
+
+    // MD-GAN, k = 1 and k = ⌊log N⌋ (b = b_small, as in the paper).
+    for (k, klabel) in [(KPolicy::One, "k=1"), (KPolicy::LogN, "k=log(N)")] {
+        let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x3D);
+        let shards = train.shard_iid(cfg.workers, &mut rng);
+        let md_cfg = MdGanConfig {
+            workers: cfg.workers,
+            k,
+            epochs_per_swap: 1.0,
+            swap: SwapPolicy::Derangement,
+            hyper: GanHyper {
+                batch: cfg.b_small,
+                ..GanHyper::default()
+            },
+            iterations: cfg.scale.iters,
+            seed: cfg.scale.seed ^ 0x3D3D,
+            crash: CrashSchedule::none(),
+            ..MdGanConfig::default()
+        };
+        let mut md = MdGan::new(&spec, shards, md_cfg).with_telemetry(Arc::clone(telemetry));
+        let timeline = md.train(cfg.scale.iters, cfg.scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("MD-GAN {klabel} b={}", cfg.b_small),
+            timeline,
+            traffic: Some(md.traffic()),
+        });
+    }
+    results
+}
+
+/// Recovery policy for [`run_convergence_resumable`]: where to persist
+/// progress, how often, and how to react to numeric divergence.
+#[derive(Clone, Debug)]
+pub struct RecoveryConfig {
+    /// Directory holding `current.ckpt` plus one `curve_<idx>.jsonl` per
+    /// completed curve.
+    pub dir: PathBuf,
+    /// Checkpoint the in-progress curve every this many iterations
+    /// (`0` = resume-only: read existing state, never write checkpoints).
+    pub every: usize,
+    /// Divergence thresholds for the per-step health check.
+    pub health: HealthConfig,
+    /// Rollbacks allowed per curve before giving up with
+    /// [`TrainError::RetriesExhausted`].
+    pub max_rollbacks: u32,
+    /// Learning-rate factor applied after each rollback (`1.0` = keep LR).
+    pub lr_drop: f32,
+}
+
+impl RecoveryConfig {
+    /// Defaults: checkpoint every 50 iterations, default health
+    /// thresholds, 3 rollbacks, no LR drop.
+    pub fn new(dir: impl Into<PathBuf>) -> Self {
+        RecoveryConfig {
+            dir: dir.into(),
+            every: 50,
+            health: HealthConfig::default(),
+            max_rollbacks: 3,
+            lr_drop: 1.0,
+        }
+    }
+}
+
+/// Checkpoint sections the experiment layer adds on top of a competitor's
+/// own [`Recoverable::capture`] state. Restore paths ignore unknown
+/// sections, so the extras are invisible to the competitor itself.
+const SEC_CURVE: &str = "exp_curve";
+const SEC_EVAL_RNG: &str = "exp_eval_rng";
+const SEC_TIMELINE: &str = "exp_timeline";
+
+fn ckerr(e: std::io::Error) -> TrainError {
+    TrainError::Checkpoint(e.to_string())
+}
+
+/// Crash-consistent small-file write: temp file + fsync + atomic rename.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let tmp = path.with_extension("tmp");
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    std::fs::rename(&tmp, path)
+}
+
+/// A completed curve on disk: the exact-roundtrip JSONL timeline plus one
+/// trailing metadata line with the evaluator's RNG position *after* the
+/// curve — the next curve must resume the shared evaluator stream there.
+/// [`ScoreTimeline::from_jsonl`] skips the metadata line (no score fields).
+fn curve_doc(label: &str, timeline: &ScoreTimeline, evaluator: &Evaluator) -> String {
+    let words = evaluator
+        .rng_state_words()
+        .iter()
+        .map(u64::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    format!("{}{{\"eval_rng\":\"{words}\"}}\n", timeline.to_jsonl(label))
+}
+
+fn parse_eval_rng(text: &str) -> Option<[u64; Rng64::STATE_WORDS]> {
+    let tag = "\"eval_rng\":\"";
+    let start = text.rfind(tag)? + tag.len();
+    let end = text[start..].find('"')? + start;
+    let mut out = [0u64; Rng64::STATE_WORDS];
+    let mut n = 0;
+    for (i, part) in text[start..end].split(',').enumerate() {
+        if i >= out.len() {
+            return None;
+        }
+        out[i] = part.parse().ok()?;
+        n = i + 1;
+    }
+    (n == out.len()).then_some(out)
+}
+
+fn capture_curve_state<G: Recoverable>(
+    gan: &G,
+    evaluator: &Evaluator,
+    timeline: &ScoreTimeline,
+    label: &str,
+    curve_idx: usize,
+) -> Checkpoint {
+    let mut ck = gan.capture();
+    ck.push_u64(SEC_CURVE, vec![curve_idx as u64]);
+    ck.push_u64(SEC_EVAL_RNG, evaluator.rng_state_words().to_vec());
+    ck.push_bytes(SEC_TIMELINE, timeline.to_jsonl(label).into_bytes());
+    ck
+}
+
+/// Restores gan + evaluator RNG + partial timeline from a curve
+/// checkpoint (used both for cross-process resume and in-memory rollback).
+fn restore_curve_state<G: Recoverable>(
+    gan: &mut G,
+    evaluator: &mut Evaluator,
+    timeline: &mut ScoreTimeline,
+    ck: &Checkpoint,
+) -> Result<(), TrainError> {
+    gan.restore(ck)?;
+    let words = ck
+        .require_u64_len(SEC_EVAL_RNG, Rng64::STATE_WORDS)
+        .map_err(ckerr)?;
+    evaluator.set_rng_state_words(std::array::from_fn(|i| words[i]));
+    let text = ck.require_bytes(SEC_TIMELINE).map_err(ckerr)?;
+    let text = std::str::from_utf8(text)
+        .map_err(|e| TrainError::Checkpoint(format!("{SEC_TIMELINE} is not UTF-8: {e}")))?;
+    *timeline = ScoreTimeline::from_jsonl(text);
+    Ok(())
+}
+
+/// Drives one curve to completion under checkpointing and health
+/// supervision, mirroring the competitors' `train()` schedule exactly
+/// (initial eval, then eval at `i % eval_every == 0 || i == iters`) so a
+/// resumed run stays bit-identical to an uninterrupted one.
+#[allow(clippy::too_many_arguments)]
+fn drive_curve_resumable<G: Recoverable>(
+    gan: &mut G,
+    gen_of: fn(&mut G) -> &mut Generator,
+    label: &str,
+    curve_idx: usize,
+    pending: Option<&Checkpoint>,
+    evaluator: &mut Evaluator,
+    iters: usize,
+    eval_every: usize,
+    telemetry: &Arc<Recorder>,
+    rec: &RecoveryConfig,
+) -> Result<ScoreTimeline, TrainError> {
+    let current = rec.dir.join("current.ckpt");
+    let mut timeline = ScoreTimeline::new();
+
+    if let Some(ck) = pending {
+        restore_curve_state(gan, evaluator, &mut timeline, ck)?;
+        telemetry.event(Event::Resumed {
+            iter: gan.iteration() as usize,
+        });
+    } else {
+        let span = telemetry.span(Phase::Eval);
+        let s = evaluator.evaluate(gen_of(gan));
+        drop(span);
+        telemetry.event(Event::EvalDone {
+            iter: gan.iteration() as usize,
+            is_score: s.inception_score,
+            fid: s.fid,
+        });
+        timeline.push(gan.iteration() as usize, s);
+    }
+
+    let mut monitor = HealthMonitor::new(rec.health);
+    let mut rollbacks = 0u32;
+    let mut last_good = capture_curve_state(gan, evaluator, &timeline, label, curve_idx);
+
+    while (gan.iteration() as usize) < iters {
+        let losses = gan.step_once();
+        let verdict = monitor.check_step(&losses, &gan.health_nets());
+        if verdict.is_diverged() {
+            let from = gan.iteration() as usize;
+            telemetry.event(Event::NanDetected {
+                iter: from,
+                verdict: verdict.as_str(),
+            });
+            if rollbacks >= rec.max_rollbacks {
+                return Err(TrainError::RetriesExhausted {
+                    attempts: rollbacks,
+                    last: verdict.as_str().to_string(),
+                });
+            }
+            restore_curve_state(gan, evaluator, &mut timeline, &last_good)?;
+            if rec.lr_drop != 1.0 {
+                gan.scale_lr(rec.lr_drop);
+            }
+            rollbacks += 1;
+            telemetry.event(Event::Rollback {
+                iter: from,
+                to_iter: gan.iteration() as usize,
+            });
+            continue;
+        }
+
+        let i = gan.iteration() as usize;
+        if i.is_multiple_of(eval_every.max(1)) || i == iters {
+            let span = telemetry.span(Phase::Eval);
+            let s = evaluator.evaluate(gen_of(gan));
+            drop(span);
+            telemetry.event(Event::EvalDone {
+                iter: i,
+                is_score: s.inception_score,
+                fid: s.fid,
+            });
+            timeline.push(i, s);
+        }
+
+        if rec.every > 0 && i.is_multiple_of(rec.every) {
+            let ck = capture_curve_state(gan, evaluator, &timeline, label, curve_idx);
+            // Only persisted state is a rollback target: rolling back to an
+            // unpersisted iteration would diverge from a crash+resume replay.
+            ck.save_atomic(&current)?;
+            telemetry.event(Event::CheckpointWritten {
+                iter: i,
+                bytes: ck.byte_size() as u64,
+            });
+            last_good = ck;
+        }
+    }
+    Ok(timeline)
+}
+
+/// Seals a completed curve: writes its JSONL (with the evaluator RNG
+/// trailer) atomically, then drops the in-progress checkpoint. A crash
+/// between the two writes leaves both files; resume prefers the sealed
+/// curve and discards the stale checkpoint.
+fn finish_curve(
+    dir: &Path,
+    curve_idx: usize,
+    label: &str,
+    timeline: &ScoreTimeline,
+    evaluator: &Evaluator,
+) -> Result<(), TrainError> {
+    let doc = curve_doc(label, timeline, evaluator);
+    write_atomic(
+        &dir.join(format!("curve_{curve_idx}.jsonl")),
+        doc.as_bytes(),
+    )?;
+    match std::fs::remove_file(dir.join("current.ckpt")) {
+        Ok(()) => Ok(()),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
+        Err(e) => Err(TrainError::Io(e)),
+    }
+}
+
+/// [`run_convergence_with`] under crash-consistent checkpointing: progress
+/// persists in `rec.dir` and a re-invocation after a crash (or SIGKILL)
+/// resumes where it stopped, producing **bit-identical** timelines to the
+/// uninterrupted run. Numeric divergence rolls the in-progress curve back
+/// to its last persisted checkpoint (at most `rec.max_rollbacks` times).
+///
+/// Curves completed in an earlier process are reloaded from their exact
+/// JSONL and carry `traffic: None` — byte accounting does not survive the
+/// process boundary.
+pub fn run_convergence_resumable(
+    cfg: ConvergenceConfig,
+    telemetry: &Arc<Recorder>,
+    rec: &RecoveryConfig,
+) -> Result<Vec<CurveResult>, TrainError> {
+    std::fs::create_dir_all(&rec.dir)?;
+    let (train, test) = make_dataset(cfg.family, &cfg.scale);
+    let spec = arch_for(cfg.family, cfg.arch, cfg.scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, cfg.scale.eval_samples, cfg.scale.seed);
+
+    let current = rec.dir.join("current.ckpt");
+    let mut pending = if current.exists() {
+        Some(Checkpoint::load(&current)?)
+    } else {
+        None
+    };
+    let pending_curve = pending
+        .as_ref()
+        .and_then(|ck| ck.get_u64(SEC_CURVE))
+        .and_then(|w| w.first().copied())
+        .map(|w| w as usize);
+
+    let mut results: Vec<CurveResult> = Vec::new();
+    let mut curve_idx = 0usize;
+
+    // Reloads a completed curve from disk (restoring the evaluator RNG to
+    // its post-curve position) or reports that the curve must be trained.
+    let load_done = |curve_idx: usize,
+                     label: &str,
+                     evaluator: &mut Evaluator,
+                     pending: &mut Option<Checkpoint>|
+     -> Result<Option<CurveResult>, TrainError> {
+        let file = rec.dir.join(format!("curve_{curve_idx}.jsonl"));
+        if !file.exists() {
+            return Ok(None);
+        }
+        let text = std::fs::read_to_string(&file)?;
+        let words = parse_eval_rng(&text).ok_or_else(|| {
+            TrainError::Checkpoint(format!("{} has no eval_rng trailer", file.display()))
+        })?;
+        evaluator.set_rng_state_words(words);
+        if pending_curve == Some(curve_idx) {
+            // Crash hit between sealing this curve and dropping its
+            // checkpoint — the sealed curve wins.
+            *pending = None;
+        }
+        Ok(Some(CurveResult {
+            label: label.to_string(),
+            timeline: ScoreTimeline::from_jsonl(&text),
+            traffic: None,
+        }))
+    };
+
+    // Standalone, both batch sizes.
+    for b in [cfg.b_small, cfg.b_large] {
+        let label = format!("standalone b={b}");
+        if let Some(done) = load_done(curve_idx, &label, &mut evaluator, &mut pending)? {
+            results.push(done);
+        } else {
+            let hyper = GanHyper {
+                batch: b,
+                ..GanHyper::default()
+            };
+            let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x57D);
+            let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
+                .with_telemetry(Arc::clone(telemetry));
+            let this_pending = (pending_curve == Some(curve_idx))
+                .then(|| pending.take())
+                .flatten();
+            let timeline = drive_curve_resumable(
+                &mut gan,
+                |g: &mut StandaloneGan| &mut g.gen,
+                &label,
+                curve_idx,
+                this_pending.as_ref(),
+                &mut evaluator,
+                cfg.scale.iters,
+                cfg.scale.eval_every,
+                telemetry,
+                rec,
+            )?;
+            finish_curve(&rec.dir, curve_idx, &label, &timeline, &evaluator)?;
+            results.push(CurveResult {
+                label,
+                timeline,
+                traffic: None,
+            });
+        }
+        curve_idx += 1;
+    }
+
+    // FL-GAN, both batch sizes (E = 1, as in the paper).
+    for b in [cfg.b_small, cfg.b_large] {
+        let label = format!("FL-GAN b={b}");
+        if let Some(done) = load_done(curve_idx, &label, &mut evaluator, &mut pending)? {
+            results.push(done);
+        } else {
+            let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0xF1);
+            let shards = train.shard_iid(cfg.workers, &mut rng);
+            let fl_cfg = FlGanConfig {
+                workers: cfg.workers,
+                epochs_per_round: 1.0,
+                hyper: GanHyper {
+                    batch: b,
+                    ..GanHyper::default()
+                },
+                iterations: cfg.scale.iters,
+                seed: cfg.scale.seed ^ 0xF1F1,
+            };
+            let mut fl = FlGan::new(&spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry));
+            let this_pending = (pending_curve == Some(curve_idx))
+                .then(|| pending.take())
+                .flatten();
+            let timeline = drive_curve_resumable(
+                &mut fl,
+                |g: &mut FlGan| &mut g.server_gen,
+                &label,
+                curve_idx,
+                this_pending.as_ref(),
+                &mut evaluator,
+                cfg.scale.iters,
+                cfg.scale.eval_every,
+                telemetry,
+                rec,
+            )?;
+            finish_curve(&rec.dir, curve_idx, &label, &timeline, &evaluator)?;
+            results.push(CurveResult {
+                label,
+                timeline,
+                traffic: Some(fl.traffic()),
+            });
+        }
+        curve_idx += 1;
+    }
+
+    // MD-GAN, k = 1 and k = ⌊log N⌋ (b = b_small, as in the paper).
+    for (k, klabel) in [(KPolicy::One, "k=1"), (KPolicy::LogN, "k=log(N)")] {
+        let label = format!("MD-GAN {klabel} b={}", cfg.b_small);
+        if let Some(done) = load_done(curve_idx, &label, &mut evaluator, &mut pending)? {
+            results.push(done);
+        } else {
+            let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x3D);
+            let shards = train.shard_iid(cfg.workers, &mut rng);
+            let md_cfg = MdGanConfig {
+                workers: cfg.workers,
+                k,
+                epochs_per_swap: 1.0,
+                swap: SwapPolicy::Derangement,
+                hyper: GanHyper {
+                    batch: cfg.b_small,
+                    ..GanHyper::default()
+                },
+                iterations: cfg.scale.iters,
+                seed: cfg.scale.seed ^ 0x3D3D,
+                crash: CrashSchedule::none(),
+                ..MdGanConfig::default()
+            };
+            let mut md = MdGan::new(&spec, shards, md_cfg).with_telemetry(Arc::clone(telemetry));
+            let this_pending = (pending_curve == Some(curve_idx))
+                .then(|| pending.take())
+                .flatten();
+            let timeline = drive_curve_resumable(
+                &mut md,
+                |g: &mut MdGan| g.generator_mut(),
+                &label,
+                curve_idx,
+                this_pending.as_ref(),
+                &mut evaluator,
+                cfg.scale.iters,
+                cfg.scale.eval_every,
+                telemetry,
+                rec,
+            )?;
+            finish_curve(&rec.dir, curve_idx, &label, &timeline, &evaluator)?;
+            results.push(CurveResult {
+                label,
+                timeline,
+                traffic: Some(md.traffic()),
+            });
+        }
+        curve_idx += 1;
+    }
+    Ok(results)
+}
+
+/// Which quantity Figure 4 holds constant while `N` grows.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WorkloadMode {
+    /// Per-worker batch size fixed (server load grows with N).
+    ConstantWorker,
+    /// Server load fixed: `b = base_b · base_n / N`.
+    ConstantServer,
+}
+
+/// One point of the Figure 4 scalability study.
+#[derive(Clone, Debug)]
+pub struct ScalabilityPoint {
+    /// Number of workers.
+    pub n: usize,
+    /// Swapping enabled?
+    pub swap: bool,
+    /// Which workload was held constant.
+    pub mode: WorkloadMode,
+    /// Effective batch size used.
+    pub batch: usize,
+    /// Smoothed final scores.
+    pub final_scores: GanScores,
+}
+
+/// Figure 4: final MD-GAN scores as a function of `N`, with/without
+/// swapping, under both workload regimes. The dataset is fixed, so local
+/// shards shrink as `|B|/N`.
+pub fn run_scalability(
+    family: Family,
+    scale: ExperimentScale,
+    ns: &[usize],
+    base_b: usize,
+) -> Vec<ScalabilityPoint> {
+    run_scalability_with(family, scale, ns, base_b, &Arc::new(Recorder::disabled()))
+}
+
+/// [`run_scalability`] with every MD-GAN run attached to `telemetry`.
+pub fn run_scalability_with(
+    family: Family,
+    scale: ExperimentScale,
+    ns: &[usize],
+    base_b: usize,
+    telemetry: &Arc<Recorder>,
+) -> Vec<ScalabilityPoint> {
+    let (train, test) = make_dataset(family, &scale);
+    let spec = arch_for(family, ArchKind::Mlp, scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let base_n = ns.first().copied().unwrap_or(1).max(1);
+    let mut out = Vec::new();
+    for &n in ns {
+        for mode in [WorkloadMode::ConstantWorker, WorkloadMode::ConstantServer] {
+            for swap in [true, false] {
+                let b = match mode {
+                    WorkloadMode::ConstantWorker => base_b,
+                    WorkloadMode::ConstantServer => (base_b * base_n / n).max(1),
+                };
+                let mut rng = Rng64::seed_from_u64(scale.seed ^ (n as u64) << 8);
+                let shards = train.shard_iid(n, &mut rng);
+                let cfg = MdGanConfig {
+                    workers: n,
+                    k: KPolicy::LogN,
+                    epochs_per_swap: 1.0,
+                    swap: if swap {
+                        SwapPolicy::Derangement
+                    } else {
+                        SwapPolicy::Disabled
+                    },
+                    hyper: GanHyper {
+                        batch: b,
+                        ..GanHyper::default()
+                    },
+                    iterations: scale.iters,
+                    seed: scale.seed ^ 0x4F1,
+                    crash: CrashSchedule::none(),
+                    ..MdGanConfig::default()
+                };
+                let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
+                let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+                out.push(ScalabilityPoint {
+                    n,
+                    swap,
+                    mode,
+                    batch: b,
+                    final_scores: timeline.final_scores(3).expect("timeline has points"),
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Figure 5: MD-GAN under the crash pattern (one worker every `I/N`
+/// iterations) vs the non-crashing run vs the standalone baselines.
+pub fn run_faults(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: usize,
+) -> Vec<CurveResult> {
+    run_faults_with(
+        family,
+        arch,
+        scale,
+        workers,
+        &Arc::new(Recorder::disabled()),
+    )
+}
+
+/// [`run_faults`] with every competitor attached to `telemetry` — the
+/// recorder's fault tallies then mirror the crash schedule.
+pub fn run_faults_with(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: usize,
+    telemetry: &Arc<Recorder>,
+) -> Vec<CurveResult> {
+    let (train, test) = make_dataset(family, &scale);
+    let spec = arch_for(family, arch, scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let mut results = Vec::new();
+
+    for b in [10usize, 100] {
+        let hyper = GanHyper {
+            batch: b,
+            ..GanHyper::default()
+        };
+        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x57D);
+        let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
+            .with_telemetry(Arc::clone(telemetry));
+        let timeline = gan.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("standalone b={b}"),
+            timeline,
+            traffic: None,
+        });
+    }
+
+    for crash in [false, true] {
+        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0xC4A5);
+        let shards = train.shard_iid(workers, &mut rng);
+        let schedule = if crash {
+            CrashSchedule::every_quantile(scale.iters, workers, &mut rng)
+        } else {
+            CrashSchedule::none()
+        };
+        let cfg = MdGanConfig {
+            workers,
+            k: KPolicy::LogN,
+            epochs_per_swap: 1.0,
+            swap: SwapPolicy::Derangement,
+            hyper: GanHyper {
+                batch: 10,
+                ..GanHyper::default()
+            },
+            iterations: scale.iters,
+            seed: scale.seed ^ 0xC4,
+            crash: schedule,
+            ..MdGanConfig::default()
+        };
+        let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
+        let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: if crash {
+                "MD-GAN with crashes".into()
+            } else {
+                "MD-GAN no crash".into()
+            },
+            timeline,
+            traffic: Some(md.traffic()),
+        });
+    }
+    results
+}
+
+/// One point of the lossy-network degradation sweep.
+#[derive(Clone, Debug)]
+pub struct LossyPoint {
+    /// Per-attempt drop probability the run was subjected to.
+    pub drop: f32,
+    /// Smoothed final scores.
+    pub final_scores: GanScores,
+    /// Traffic moved (including dropped/duplicated/retried bytes).
+    pub traffic: TrafficReport,
+    /// Workers the failure detector suspected during this run.
+    pub suspected: u64,
+    /// Recorder-clock window `(start_ns, end_ns)` this point's run occupied.
+    /// When the shared recorder captures traces for a whole sweep, filtering
+    /// spans to this window isolates the point's own trace (trace ids are
+    /// per-iteration and repeat across the sweep's runs).
+    pub trace_window: (u64, u64),
+}
+
+impl LossyPoint {
+    /// CSV row `drop,is,fid,bytes_sent,bytes_dropped,retries,suspected`.
+    pub fn to_csv_row(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{}\n",
+            self.drop,
+            self.final_scores.inception_score,
+            self.final_scores.fid,
+            self.traffic.bytes_sent(),
+            self.traffic.dropped_bytes,
+            self.traffic.retries,
+            self.suspected
+        )
+    }
+
+    /// CSV header matching [`to_csv_row`](Self::to_csv_row).
+    pub fn csv_header() -> &'static str {
+        "drop,is,fid,bytes_sent,bytes_dropped,retries,suspected\n"
+    }
+}
+
+/// Figure 5 extension: MD-GAN on the robust (oracle-free) runtime under a
+/// seeded lossy network, one run per drop rate, each with one mid-run
+/// worker crash. Returns the degradation curve (final scores vs drop rate).
+pub fn run_lossy_faults(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: usize,
+    drops: &[f32],
+    fault_seed: u64,
+) -> Vec<LossyPoint> {
+    run_lossy_faults_with(
+        family,
+        arch,
+        scale,
+        workers,
+        drops,
+        fault_seed,
+        &Arc::new(Recorder::disabled()),
+    )
+}
+
+/// [`run_lossy_faults`] with every run attached to `telemetry`; the
+/// recorder then accumulates drop/duplicate/retry/suspect counters across
+/// the whole sweep.
+#[allow(clippy::too_many_arguments)]
+pub fn run_lossy_faults_with(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: usize,
+    drops: &[f32],
+    fault_seed: u64,
+    telemetry: &Arc<Recorder>,
+) -> Vec<LossyPoint> {
+    use md_simnet::FaultPlan;
+    let (train, test) = make_dataset(family, &scale);
+    let spec = arch_for(family, arch, scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let mut out = Vec::new();
+    for &drop in drops {
+        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x10551);
+        let shards = train.shard_iid(workers, &mut rng);
+        let mut cfg = MdGanConfig {
+            workers,
+            k: KPolicy::LogN,
+            epochs_per_swap: 1.0,
+            swap: SwapPolicy::Derangement,
+            hyper: GanHyper {
+                batch: 10,
+                ..GanHyper::default()
+            },
+            iterations: scale.iters,
+            seed: scale.seed ^ 0x105,
+            // One mid-run crash the robust server must *notice* (silent
+            // fail-stop, no oracle).
+            crash: CrashSchedule::new(vec![((scale.iters / 2).max(1), 1)]),
+            fault: FaultPlan::lossy(fault_seed, drop),
+            ..MdGanConfig::default()
+        };
+        cfg.robust.enabled = true;
+        let suspected_before = telemetry.counter(md_telemetry::Counter::WorkersSuspected);
+        let window_start = telemetry.elapsed_ns();
+        let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
+        let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        out.push(LossyPoint {
+            drop,
+            final_scores: timeline.final_scores(3).expect("timeline has points"),
+            traffic: md.traffic(),
+            suspected: telemetry.counter(md_telemetry::Counter::WorkersSuspected)
+                - suspected_before,
+            trace_window: (window_start, telemetry.elapsed_ns()),
+        });
+    }
+    out
+}
+
+/// One point of the elastic-membership degradation sweep.
+#[derive(Clone, Debug)]
+pub struct ElasticPoint {
+    /// Initial cluster size `N` the run started with.
+    pub workers: usize,
+    /// Per-iteration per-kind churn probability the plan was seeded with.
+    pub churn_rate: f64,
+    /// Join events the plan fired.
+    pub joins: usize,
+    /// Graceful-leave events the plan fired.
+    pub leaves: usize,
+    /// Crash events the plan fired.
+    pub crashes: usize,
+    /// Workers alive when the run ended.
+    pub final_alive: usize,
+    /// Smoothed final scores.
+    pub final_scores: GanScores,
+    /// Traffic moved (bootstrap transfers included).
+    pub traffic: TrafficReport,
+}
+
+impl ElasticPoint {
+    /// CSV row
+    /// `workers,churn_rate,joins,leaves,crashes,final_alive,is,fid,bytes_sent`.
+    pub fn to_csv_row(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{}\n",
+            self.workers,
+            self.churn_rate,
+            self.joins,
+            self.leaves,
+            self.crashes,
+            self.final_alive,
+            self.final_scores.inception_score,
+            self.final_scores.fid,
+            self.traffic.bytes_sent(),
+        )
+    }
+
+    /// CSV header matching [`to_csv_row`](Self::to_csv_row).
+    pub fn csv_header() -> &'static str {
+        "workers,churn_rate,joins,leaves,crashes,final_alive,is,fid,bytes_sent\n"
+    }
+}
+
+/// Elastic-membership sweep: MD-GAN (sequential runtime, oracle mode)
+/// under seeded churn, one run per (cluster size × churn rate) cell. Each
+/// run draws its own [`ChurnPlan`](md_simnet::ChurnPlan) from `churn_seed`
+/// with equal join/leave/crash rates; the returned degradation grid shows
+/// final scores against how much of the cluster turned over.
+pub fn run_elastic(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: &[usize],
+    churn_rates: &[f64],
+    churn_seed: u64,
+) -> Vec<ElasticPoint> {
+    run_elastic_with(
+        family,
+        arch,
+        scale,
+        workers,
+        churn_rates,
+        churn_seed,
+        &Arc::new(Recorder::disabled()),
+    )
+}
+
+/// [`run_elastic`] with every run attached to `telemetry`; the recorder
+/// then accumulates join/leave/eviction/bootstrap counters across the
+/// whole sweep.
+#[allow(clippy::too_many_arguments)]
+pub fn run_elastic_with(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: &[usize],
+    churn_rates: &[f64],
+    churn_seed: u64,
+    telemetry: &Arc<Recorder>,
+) -> Vec<ElasticPoint> {
+    use md_simnet::{ChurnKind, ChurnPlan};
+    let (train, test) = make_dataset(family, &scale);
+    let spec = arch_for(family, arch, scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let mut out = Vec::new();
+    for &n in workers {
+        for &rate in churn_rates {
+            let churn = ChurnPlan::seeded(churn_seed, n, scale.iters, rate, rate, rate);
+            let (joins, leaves, crashes) = (
+                churn.joins(),
+                churn.count(ChurnKind::Leave),
+                churn.count(ChurnKind::Crash),
+            );
+            let total = churn.max_workers(n);
+            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0xE1A57);
+            let shards = train.shard_iid(total, &mut rng);
+            let cfg = MdGanConfig {
+                workers: n,
+                k: KPolicy::LogN,
+                epochs_per_swap: 1.0,
+                swap: SwapPolicy::Derangement,
+                hyper: GanHyper {
+                    batch: 10,
+                    ..GanHyper::default()
+                },
+                iterations: scale.iters,
+                seed: scale.seed ^ 0xE1A,
+                churn,
+                ..MdGanConfig::default()
+            };
+            let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
+            let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+            out.push(ElasticPoint {
+                workers: n,
+                churn_rate: rate,
+                joins,
+                leaves,
+                crashes,
+                final_alive: md.membership().alive_count(),
+                final_scores: timeline.final_scores(3).expect("timeline has points"),
+                traffic: md.traffic(),
+            });
+        }
+    }
+    out
+}
+
+/// Figure 6: the CelebA-like validation. Standalone and FL-GAN use
+/// `b_large` with the paper's baseline Adam settings; MD-GAN uses
+/// `b_large / 5` with its own settings (the paper's 200 vs 40), over
+/// `N ∈ {1, 5}`.
+pub fn run_celeba(scale: ExperimentScale, b_large: usize) -> Vec<CurveResult> {
+    run_celeba_with(scale, b_large, &Arc::new(Recorder::disabled()))
+}
+
+/// [`run_celeba`] with every competitor attached to `telemetry`.
+pub fn run_celeba_with(
+    scale: ExperimentScale,
+    b_large: usize,
+    telemetry: &Arc<Recorder>,
+) -> Vec<CurveResult> {
+    let (train, test) = make_dataset(Family::CelebaLike, &scale);
+    let spec = arch_for(Family::CelebaLike, ArchKind::Cnn, scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let mut results = Vec::new();
+    let b_md = (b_large / 5).max(1);
+
+    // CelebA GANs are unconditional in the paper.
+    let base_hyper = GanHyper {
+        batch: b_large,
+        aux_weight: 0.0,
+        adam_g: AdamConfig::baseline_celeba_generator(),
+        adam_d: AdamConfig::baseline_celeba_discriminator(),
+        ..GanHyper::default()
+    };
+
+    {
+        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6A);
+        let mut gan = StandaloneGan::new(&spec, train.clone(), base_hyper, &mut rng)
+            .with_telemetry(Arc::clone(telemetry));
+        let timeline = gan.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("standalone b={b_large}"),
+            timeline,
+            traffic: None,
+        });
+    }
+
+    for n in [1usize, 5] {
+        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6B ^ (n as u64));
+        let shards = train.shard_iid(n, &mut rng);
+        let fl_cfg = FlGanConfig {
+            workers: n,
+            epochs_per_round: 1.0,
+            hyper: base_hyper,
+            iterations: scale.iters,
+            seed: scale.seed ^ 0x6B0 ^ (n as u64),
+        };
+        let mut fl = FlGan::new(&spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry));
+        let timeline = fl.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("FL-GAN N={n} b={b_large}"),
+            timeline,
+            traffic: Some(fl.traffic()),
+        });
+    }
+
+    for n in [1usize, 5] {
+        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6C ^ (n as u64));
+        let shards = train.shard_iid(n, &mut rng);
+        let md_hyper = GanHyper {
+            batch: b_md,
+            aux_weight: 0.0,
+            adam_g: AdamConfig::mdgan_celeba_generator(),
+            adam_d: AdamConfig::mdgan_celeba_discriminator(),
+            ..GanHyper::default()
+        };
+        let cfg = MdGanConfig {
+            workers: n,
+            k: KPolicy::LogN,
+            epochs_per_swap: 1.0,
+            swap: SwapPolicy::Derangement,
+            hyper: md_hyper,
+            iterations: scale.iters,
+            seed: scale.seed ^ 0x6C0 ^ (n as u64),
+            crash: CrashSchedule::none(),
+            ..MdGanConfig::default()
+        };
+        let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
+        let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        results.push(CurveResult {
+            label: format!("MD-GAN N={n} b={b_md}"),
+            timeline,
+            traffic: Some(md.traffic()),
+        });
+    }
+    results
+}
+
+/// One cell of the free-rider degradation/defense grid.
+#[derive(Clone, Debug)]
+pub struct FreeriderPoint {
+    /// Cluster size `N` the run started with.
+    pub workers: usize,
+    /// Attack strategy name (`noise`, `echo`, or `mimic`).
+    pub strategy: String,
+    /// Fraction of workers running the attack (first `round(frac·N)` slots).
+    pub frac: f32,
+    /// Whether the server-side feedback-forensics defense was enabled.
+    pub defended: bool,
+    /// Workers the forensics flagged during this run (counter delta).
+    pub flagged: u64,
+    /// Free-riders permanently evicted during this run (counter delta).
+    pub evicted: u64,
+    /// Workers alive when the run ended.
+    pub final_alive: usize,
+    /// Smoothed final scores.
+    pub final_scores: GanScores,
+}
+
+impl FreeriderPoint {
+    /// CSV row
+    /// `workers,strategy,frac,defended,flagged,evicted,final_alive,is,fid`.
+    pub fn to_csv_row(&self) -> String {
+        format!(
+            "{},{},{},{},{},{},{},{},{}\n",
+            self.workers,
+            self.strategy,
+            self.frac,
+            self.defended,
+            self.flagged,
+            self.evicted,
+            self.final_alive,
+            self.final_scores.inception_score,
+            self.final_scores.fid,
+        )
+    }
+
+    /// CSV header matching [`to_csv_row`](Self::to_csv_row).
+    pub fn csv_header() -> &'static str {
+        "workers,strategy,frac,defended,flagged,evicted,final_alive,is,fid\n"
+    }
+}
+
+/// Maps a sweep strategy name to its [`Attack`]. Panics on unknown names so
+/// CLI typos fail loudly instead of silently running an honest baseline.
+pub fn freerider_attack(strategy: &str) -> Attack {
+    match strategy {
+        "noise" => Attack::PureNoise { std: 5.0 },
+        "echo" => Attack::DelayedEcho,
+        "mimic" => Attack::PretrainedMimic,
+        other => panic!("unknown free-rider strategy {other:?} (want noise|echo|mimic)"),
+    }
+}
+
+/// Free-rider sweep: MD-GAN under data-free workers, one run per
+/// (strategy × fraction × defense on/off) cell. The first `round(frac·N)`
+/// slots run the attack; defended cells route feedbacks through the
+/// forensics so flagged free-riders graduate into membership eviction,
+/// undefended cells take the attack at face value.
+pub fn run_freerider(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: usize,
+    fracs: &[f32],
+    strategies: &[&str],
+) -> Vec<FreeriderPoint> {
+    run_freerider_with(
+        family,
+        arch,
+        scale,
+        workers,
+        fracs,
+        strategies,
+        &Arc::new(Recorder::disabled()),
+    )
+}
+
+/// [`run_freerider`] with every run attached to `telemetry`; the recorder
+/// then accumulates flag/clear/eviction counters across the whole sweep.
+#[allow(clippy::too_many_arguments)]
+pub fn run_freerider_with(
+    family: Family,
+    arch: ArchKind,
+    scale: ExperimentScale,
+    workers: usize,
+    fracs: &[f32],
+    strategies: &[&str],
+    telemetry: &Arc<Recorder>,
+) -> Vec<FreeriderPoint> {
+    use md_telemetry::Counter;
+    let (train, test) = make_dataset(family, &scale);
+    let spec = arch_for(family, arch, scale.img);
+    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let mut out = Vec::new();
+    for &strategy in strategies {
+        let attack = freerider_attack(strategy);
+        for &frac in fracs {
+            // Round (not ceil): the forensics' population medians break
+            // down at 50% contamination, and ceil would turn "30% of 4"
+            // into half the cluster.
+            let n_attackers = ((frac * workers as f32).round() as usize).min(workers);
+            for defended in [false, true] {
+                let mut rng = Rng64::seed_from_u64(scale.seed ^ 0xF12E);
+                let shards = train.shard_iid(workers, &mut rng);
+                let mut cfg = MdGanConfig {
+                    workers,
+                    // One shared noise batch per iteration so the forensics'
+                    // peer-cosine signal sees a single comparable group.
+                    k: KPolicy::One,
+                    epochs_per_swap: 1.0,
+                    swap: SwapPolicy::Disabled,
+                    hyper: GanHyper {
+                        batch: 10,
+                        ..GanHyper::default()
+                    },
+                    iterations: scale.iters,
+                    seed: scale.seed ^ 0xF12,
+                    attacks: vec![attack; n_attackers],
+                    ..MdGanConfig::default()
+                };
+                cfg.defense.enabled = defended;
+                cfg.robust.suspect_after = 2;
+                cfg.robust.evict_after = 2;
+                cfg.robust.probe_period = 1;
+                let flagged_before = telemetry.counter(Counter::WorkersFlagged);
+                let evicted_before = telemetry.counter(Counter::FreeridersEvicted);
+                let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
+                let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+                out.push(FreeriderPoint {
+                    workers,
+                    strategy: strategy.to_string(),
+                    frac,
+                    defended,
+                    flagged: telemetry.counter(Counter::WorkersFlagged) - flagged_before,
+                    evicted: telemetry.counter(Counter::FreeridersEvicted) - evicted_before,
+                    final_alive: md.membership().alive_count(),
+                    final_scores: timeline.final_scores(3).expect("timeline has points"),
+                });
+            }
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn convergence_produces_six_curves() {
+        let cfg = ConvergenceConfig {
+            workers: 4,
+            b_small: 4,
+            b_large: 8,
+            ..ConvergenceConfig::new(Family::MnistLike, ArchKind::Mlp, ExperimentScale::quick())
+        };
+        let curves = run_convergence(cfg);
+        assert_eq!(curves.len(), 6);
+        for c in &curves {
+            assert!(!c.timeline.is_empty(), "{} has no points", c.label);
+            let (_, s) = c.timeline.last().unwrap();
+            assert!(
+                s.fid.is_finite() && s.inception_score.is_finite(),
+                "{}",
+                c.label
+            );
+        }
+        assert!(curves.iter().any(|c| c.label.contains("MD-GAN k=1")));
+        assert!(curves.iter().any(|c| c.label.contains("FL-GAN")));
+        // Distributed curves carry traffic reports.
+        assert!(curves.iter().filter(|c| c.traffic.is_some()).count() == 4);
+    }
+
+    fn tiny_convergence() -> ConvergenceConfig {
+        let mut scale = ExperimentScale::quick();
+        scale.iters = 6;
+        scale.eval_every = 3;
+        scale.train_n = 256;
+        scale.test_n = 64;
+        scale.eval_samples = 32;
+        ConvergenceConfig {
+            workers: 3,
+            b_small: 4,
+            b_large: 8,
+            ..ConvergenceConfig::new(Family::MnistLike, ArchKind::Mlp, scale)
+        }
+    }
+
+    fn fresh_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mdgan-exp-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn csvs(curves: &[CurveResult]) -> Vec<String> {
+        curves.iter().map(|c| c.to_csv()).collect()
+    }
+
+    #[test]
+    fn resumable_runner_matches_plain_run_convergence() {
+        let cfg = tiny_convergence();
+        let plain = run_convergence(cfg);
+
+        let dir = fresh_dir("plain-vs-resumable");
+        let rec = RecoveryConfig {
+            every: 2,
+            ..RecoveryConfig::new(&dir)
+        };
+        let tel = Arc::new(Recorder::enabled());
+        let resumable = run_convergence_resumable(cfg, &tel, &rec).unwrap();
+
+        assert_eq!(csvs(&plain), csvs(&resumable));
+        assert!(tel.counter(md_telemetry::Counter::CheckpointsWritten) > 0);
+        assert_eq!(tel.counter(md_telemetry::Counter::ResumeCount), 0);
+        // All six curves sealed, nothing left in flight.
+        for i in 0..6 {
+            assert!(dir.join(format!("curve_{i}.jsonl")).exists());
+        }
+        assert!(!dir.join("current.ckpt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn resumable_runner_resumes_between_curves_bit_identically() {
+        let cfg = tiny_convergence();
+        let dir = fresh_dir("between-curves");
+        let rec = RecoveryConfig {
+            every: 2,
+            ..RecoveryConfig::new(&dir)
+        };
+        let tel = Arc::new(Recorder::disabled());
+        let reference = run_convergence_resumable(cfg, &tel, &rec).unwrap();
+
+        // Simulate a crash after curve 2 completed: later curves vanish,
+        // the rerun must retrain 3..5 with the evaluator RNG restored from
+        // curve 2's trailer.
+        for i in 3..6 {
+            std::fs::remove_file(dir.join(format!("curve_{i}.jsonl"))).unwrap();
+        }
+        let resumed = run_convergence_resumable(cfg, &tel, &rec).unwrap();
+        assert_eq!(csvs(&reference), csvs(&resumed));
+        // Reloaded completed curves drop their traffic reports.
+        assert!(resumed[2].traffic.is_none());
+        assert!(
+            resumed[4].traffic.is_some(),
+            "retrained curve keeps traffic"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drive_curve_resumes_mid_curve_bit_identically() {
+        let scale = ExperimentScale {
+            iters: 10,
+            eval_every: 5,
+            train_n: 256,
+            test_n: 64,
+            eval_samples: 32,
+            ..ExperimentScale::quick()
+        };
+        let (train, test) = make_dataset(Family::MnistLike, &scale);
+        let spec = arch_for(Family::MnistLike, ArchKind::Mlp, scale.img);
+        let hyper = GanHyper {
+            batch: 4,
+            ..GanHyper::default()
+        };
+        let tel = Arc::new(Recorder::enabled());
+        let make_gan = || {
+            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x57D);
+            StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
+        };
+        let gen_of: fn(&mut StandaloneGan) -> &mut Generator = |g| &mut g.gen;
+
+        // Uninterrupted reference: 10 iterations in one process.
+        let full_dir = fresh_dir("drive-full");
+        let full_rec = RecoveryConfig {
+            every: 3,
+            ..RecoveryConfig::new(&full_dir)
+        };
+        let mut full_ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+        let mut full_gan = make_gan();
+        let full_tl = drive_curve_resumable(
+            &mut full_gan,
+            gen_of,
+            "s",
+            0,
+            None,
+            &mut full_ev,
+            10,
+            5,
+            &tel,
+            &full_rec,
+        )
+        .unwrap();
+
+        // "Killed" run: stops after iteration 7; the last durable
+        // checkpoint is at iteration 6, so the resume replays 7..10.
+        let dir = fresh_dir("drive-killed");
+        let rec = RecoveryConfig {
+            every: 3,
+            ..RecoveryConfig::new(&dir)
+        };
+        let mut ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+        let mut gan = make_gan();
+        drive_curve_resumable(&mut gan, gen_of, "s", 0, None, &mut ev, 7, 5, &tel, &rec).unwrap();
+        let pending = Checkpoint::load(dir.join("current.ckpt")).unwrap();
+        assert_eq!(pending.iteration, 6);
+
+        let mut ev2 = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+        let mut gan2 = make_gan();
+        let resumed_tl = drive_curve_resumable(
+            &mut gan2,
+            gen_of,
+            "s",
+            0,
+            Some(&pending),
+            &mut ev2,
+            10,
+            5,
+            &tel,
+            &rec,
+        )
+        .unwrap();
+
+        assert_eq!(full_tl.to_jsonl("s"), resumed_tl.to_jsonl("s"));
+        assert_eq!(full_gan.params(), gan2.params());
+        assert_eq!(full_ev.rng_state_words(), ev2.rng_state_words());
+        assert!(tel.counter(md_telemetry::Counter::ResumeCount) >= 1);
+        let _ = std::fs::remove_dir_all(&full_dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drive_curve_rolls_back_then_exhausts_retries() {
+        let scale = ExperimentScale {
+            iters: 6,
+            eval_every: 3,
+            train_n: 256,
+            test_n: 64,
+            eval_samples: 32,
+            ..ExperimentScale::quick()
+        };
+        let (train, test) = make_dataset(Family::MnistLike, &scale);
+        let spec = arch_for(Family::MnistLike, ArchKind::Mlp, scale.img);
+        let dir = fresh_dir("drive-diverge");
+        // A loss threshold of 0 makes every step count as exploded.
+        let rec = RecoveryConfig {
+            every: 2,
+            health: md_nn::HealthConfig {
+                max_abs_loss: 0.0,
+                ..md_nn::HealthConfig::default()
+            },
+            max_rollbacks: 2,
+            lr_drop: 0.5,
+            ..RecoveryConfig::new(&dir)
+        };
+        let tel = Arc::new(Recorder::enabled());
+        let mut ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+        let mut rng = Rng64::seed_from_u64(scale.seed);
+        let mut gan = StandaloneGan::new(
+            &spec,
+            train.clone(),
+            GanHyper {
+                batch: 4,
+                ..GanHyper::default()
+            },
+            &mut rng,
+        );
+        let err = drive_curve_resumable(
+            &mut gan,
+            |g: &mut StandaloneGan| &mut g.gen,
+            "s",
+            0,
+            None,
+            &mut ev,
+            6,
+            3,
+            &tel,
+            &rec,
+        )
+        .unwrap_err();
+        assert!(matches!(
+            err,
+            TrainError::RetriesExhausted { attempts: 2, .. }
+        ));
+        assert_eq!(tel.counter(md_telemetry::Counter::NanDetected), 3);
+        assert_eq!(tel.counter(md_telemetry::Counter::Rollbacks), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scalability_covers_modes_and_swap() {
+        let mut scale = ExperimentScale::quick();
+        scale.iters = 10;
+        scale.eval_every = 5;
+        let points = run_scalability(Family::MnistLike, scale, &[2, 4], 4);
+        assert_eq!(points.len(), 8); // 2 n × 2 modes × 2 swap
+                                     // Constant-server mode shrinks b as N grows.
+        let cs4 = points
+            .iter()
+            .find(|p| p.n == 4 && p.mode == WorkloadMode::ConstantServer)
+            .unwrap();
+        assert_eq!(cs4.batch, 2);
+        let cw4 = points
+            .iter()
+            .find(|p| p.n == 4 && p.mode == WorkloadMode::ConstantWorker)
+            .unwrap();
+        assert_eq!(cw4.batch, 4);
+    }
+
+    #[test]
+    fn faults_runner_crashes_everyone() {
+        let mut scale = ExperimentScale::quick();
+        // 13 iterations with 3 workers puts the crash quantiles at 4, 8 and
+        // 12 — all strictly inside the run, so every crash is observed.
+        scale.iters = 13;
+        scale.eval_every = 6;
+        let rec = Arc::new(Recorder::enabled());
+        let curves = run_faults_with(Family::MnistLike, ArchKind::Mlp, scale, 3, &rec);
+        assert_eq!(curves.len(), 4);
+        let crash_curve = curves.iter().find(|c| c.label.contains("crashes")).unwrap();
+        assert!(!crash_curve.timeline.is_empty());
+        // The shared recorder saw every competitor: the crash run killed all
+        // 3 workers, the two MD-GAN runs each did 13 generator iterations
+        // and the standalone baselines trained locally.
+        assert_eq!(rec.counter(md_telemetry::Counter::Faults), 3);
+        assert!(rec.phase_stats(md_telemetry::Phase::GenForward).count >= 13);
+        assert!(rec.phase_stats(md_telemetry::Phase::LocalTrain).count >= 24);
+        assert!(rec.phase_stats(md_telemetry::Phase::Eval).count > 0);
+    }
+
+    #[test]
+    fn lossy_sweep_produces_degradation_curve() {
+        let mut scale = ExperimentScale::quick();
+        scale.iters = 8;
+        scale.eval_every = 4;
+        let rec = Arc::new(Recorder::enabled());
+        let points = run_lossy_faults_with(
+            Family::MnistLike,
+            ArchKind::Mlp,
+            scale,
+            3,
+            &[0.0, 0.3],
+            7,
+            &rec,
+        );
+        assert_eq!(points.len(), 2);
+        for p in &points {
+            assert!(p.final_scores.fid.is_finite(), "drop {}", p.drop);
+            assert_eq!(
+                p.traffic.bytes_sent(),
+                p.traffic.bytes_delivered() + p.traffic.dropped_bytes,
+                "conservation at drop {}",
+                p.drop
+            );
+            // The silent mid-run crash was detected by missed deadlines.
+            assert!(p.suspected >= 1, "drop {}", p.drop);
+            assert!(p.to_csv_row().split(',').count() == 7);
+        }
+        assert_eq!(points[0].traffic.dropped_bytes, 0, "perfect network");
+        assert!(points[1].traffic.dropped_bytes > 0, "30% drop run");
+        assert!(rec.counter(md_telemetry::Counter::MsgsDropped) > 0);
+        assert!(rec.counter(md_telemetry::Counter::Retries) > 0);
+    }
+
+    #[test]
+    fn elastic_sweep_produces_degradation_grid() {
+        let mut scale = ExperimentScale::quick();
+        scale.iters = 10;
+        scale.eval_every = 5;
+        let rec = Arc::new(Recorder::enabled());
+        let points = run_elastic_with(
+            Family::MnistLike,
+            ArchKind::Mlp,
+            scale,
+            &[3, 4],
+            &[0.0, 0.25],
+            7,
+            &rec,
+        );
+        assert_eq!(points.len(), 4);
+        for p in &points {
+            assert!(
+                p.final_scores.fid.is_finite(),
+                "cell ({}, {})",
+                p.workers,
+                p.churn_rate
+            );
+            assert_eq!(p.to_csv_row().split(',').count(), 9);
+            if p.churn_rate == 0.0 {
+                assert_eq!((p.joins, p.leaves, p.crashes), (0, 0, 0));
+                assert_eq!(p.final_alive, p.workers);
+            } else {
+                assert_eq!(p.final_alive, p.workers + p.joins - p.leaves - p.crashes);
+            }
+        }
+        // The 25%-per-kind cells actually churned and telemetry saw it.
+        assert!(points.iter().any(|p| p.joins > 0));
+        assert_eq!(
+            rec.counter(md_telemetry::Counter::WorkersJoined),
+            points.iter().map(|p| p.joins as u64).sum::<u64>()
+        );
+        assert_eq!(
+            rec.counter(md_telemetry::Counter::Bootstraps),
+            rec.counter(md_telemetry::Counter::WorkersJoined),
+            "every joiner found an alive bootstrap source"
+        );
+    }
+
+    #[test]
+    fn freerider_sweep_defends_and_exports_counters() {
+        let mut scale = ExperimentScale::quick();
+        scale.iters = 20;
+        scale.eval_every = 10;
+        let rec = Arc::new(Recorder::enabled());
+        let points = run_freerider_with(
+            Family::MnistLike,
+            ArchKind::Mlp,
+            scale,
+            4,
+            &[0.25],
+            &["noise"],
+            &rec,
+        );
+        assert_eq!(points.len(), 2, "defended off/on for one cell");
+        let undefended = &points[0];
+        let defended = &points[1];
+        assert!(!undefended.defended && defended.defended);
+        assert_eq!(undefended.evicted, 0, "no forensics, no eviction");
+        assert_eq!(undefended.final_alive, 4);
+        assert_eq!(defended.evicted, 1, "the lone free-rider was evicted");
+        assert!(defended.flagged >= 1);
+        assert_eq!(defended.final_alive, 3);
+        for p in &points {
+            assert!(p.final_scores.fid.is_finite());
+            assert_eq!(p.to_csv_row().split(',').count(), 9);
+        }
+        assert_eq!(
+            rec.counter(md_telemetry::Counter::FreeridersEvicted),
+            points.iter().map(|p| p.evicted).sum::<u64>()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown free-rider strategy")]
+    fn freerider_attack_rejects_typos() {
+        freerider_attack("nois");
+    }
+}

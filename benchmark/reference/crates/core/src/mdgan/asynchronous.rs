@@ -1,0 +1,1283 @@
+//! Asynchronous MD-GAN — the paper's §VII.1 perspective, implemented.
+//!
+//! > "Instead \[of\] waiting \[for\] all F every global iteration, the server
+//! > may compute a gradient Δw and apply it each time it receives a single
+//! > F_n. Fresh batches of data can be generated frequently, so that they
+//! > can be sent to idle workers. [...] because of asynchronous updates,
+//! > there is no guarantee that the parameters w of a worker n at time t
+//! > (used to generate X_g^n) are the same at time t+Δt when it sends its
+//! > F_n to the server. [...] the training task nevertheless works well if
+//! > the learning rate is adapted in consequence \[14\], \[31\]."
+//!
+//! Design:
+//! * The server keeps a ring of pending generated batches, each stamped
+//!   with the generator *version* (number of Adam steps) it was produced
+//!   by. A worker gets fresh batches the moment it reports in.
+//! * Each incoming feedback is applied immediately: one backward pass over
+//!   its (possibly stale) pending batch and one Adam step, scaled by a
+//!   staleness-aware factor `1/(1 + staleness)^damping` (the standard
+//!   staleness-aware async-SGD rule of Zhang et al. \[14\]).
+//! * The sequential runtime simulates asynchrony deterministically: worker
+//!   completion order is drawn from a seeded RNG with a configurable
+//!   "speed" skew, so slow-worker staleness patterns are reproducible.
+
+use crate::arch::ArchSpec;
+use crate::byzantine::{resolve_attacks, Attack, AttackState};
+use crate::checkpoint::Checkpoint;
+use crate::config::{MdGanConfig, SwapPolicy};
+use crate::defense::FeedbackForensics;
+use crate::error::TrainError;
+use crate::eval::{Evaluator, ScoreTimeline};
+use crate::mdgan::server::MdServer;
+use crate::mdgan::trainer::{build_parts, swap_permutation};
+use crate::mdgan::worker::MdWorker;
+use md_data::Dataset;
+use md_nn::layer::Layer;
+use md_nn::param::{batch_bytes, param_bytes};
+use md_simnet::{ChurnKind, ChurnPlan, FaultState, Membership, TrafficReport, TrafficStats};
+use md_telemetry::{Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_tensor::rng::Rng64;
+use md_tensor::Tensor;
+use std::sync::Arc;
+
+/// Configuration of the asynchronous runtime.
+#[derive(Clone, Copy, Debug)]
+pub struct AsyncConfig {
+    /// Staleness damping exponent: the effective update scale is
+    /// `1/(1+staleness)^damping`. `0.0` disables staleness awareness.
+    pub staleness_damping: f32,
+    /// Per-worker relative speed skew in `[0, 1)`: `0` makes all workers
+    /// equally fast (uniform completion order), larger values make low-id
+    /// workers increasingly likely to report first, creating persistent
+    /// staleness for the others.
+    pub speed_skew: f32,
+}
+
+impl Default for AsyncConfig {
+    fn default() -> Self {
+        AsyncConfig {
+            staleness_damping: 0.5,
+            speed_skew: 0.3,
+        }
+    }
+}
+
+/// One worker's in-flight work unit.
+struct InFlight {
+    /// Generator version that produced the batches.
+    version: u64,
+    xg: Tensor,
+    xg_labels: Vec<usize>,
+    xd: Tensor,
+    xd_labels: Vec<usize>,
+    /// Noise that produced `xg` (for the server-side replay).
+    zg: Tensor,
+    /// Trace context of the dispatch that produced this unit: the worker's
+    /// later compute + feedback hang off it, so staleness is visible as a
+    /// cross-event causal edge in the exported trace. Not checkpointed
+    /// (trace ids are transient per-process); restored units are untraced.
+    ctx: TraceCtx,
+}
+
+/// Statistics of an asynchronous run.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct AsyncStats {
+    /// Total feedbacks applied (= generator updates).
+    pub updates: u64,
+    /// Sum of observed staleness values.
+    pub staleness_sum: u64,
+    /// Maximum observed staleness.
+    pub staleness_max: u64,
+}
+
+impl AsyncStats {
+    /// Mean staleness per update.
+    pub fn mean_staleness(&self) -> f64 {
+        if self.updates == 0 {
+            0.0
+        } else {
+            self.staleness_sum as f64 / self.updates as f64
+        }
+    }
+}
+
+/// The asynchronous MD-GAN system (deterministic simulation).
+pub struct AsyncMdGan {
+    server: MdServer,
+    workers: Vec<Option<MdWorker>>,
+    in_flight: Vec<Option<InFlight>>,
+    cfg: MdGanConfig,
+    acfg: AsyncConfig,
+    stats: TrafficStats,
+    sched_rng: Rng64,
+    swap_rng: Rng64,
+    version: u64,
+    updates: u64,
+    async_stats: AsyncStats,
+    swap_interval: usize,
+    object_size: usize,
+    telemetry: Arc<Recorder>,
+    /// Instantiated fault plan (robust configs only). The async virtual
+    /// tick is the applied-update count.
+    fault_state: Option<FaultState>,
+    /// Epoch-numbered cluster view. Churn-plan iterations are interpreted
+    /// in *update* time (the async notion of a tick): an event with
+    /// `iter = t` fires before the event that applies update `t`.
+    membership: Membership,
+    /// Index of the next unapplied churn event (events are kept sorted).
+    churn_cursor: usize,
+    /// Stateful per-worker attack execution (free-rider strategies).
+    attack_states: Vec<AttackState>,
+    /// Server-side free-rider forensics. The async runtime has no failure
+    /// detector, so a freshly flagged worker is evicted immediately.
+    forensics: FeedbackForensics,
+}
+
+impl AsyncMdGan {
+    /// Builds the system; seeds/shards exactly like the synchronous runtime.
+    pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: MdGanConfig, acfg: AsyncConfig) -> Self {
+        let object_size = shards[0].object_size();
+        let shard_size = shards[0].len();
+        if !cfg.churn.is_none() {
+            ChurnPlan::from_events(cfg.workers, cfg.churn.events().to_vec())
+                .expect("invalid churn plan");
+        }
+        let total = cfg.total_workers();
+        let (server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
+        let sched_rng = swap_rng.fork(0xA51C);
+        let stats = TrafficStats::new(1 + total);
+        let swap_interval = cfg.swap_interval(shard_size);
+        let fault_state = cfg
+            .is_robust()
+            .then(|| FaultState::new(cfg.fault.clone(), 1 + total));
+        let membership = Membership::new(cfg.workers, total);
+        let attacks = resolve_attacks(&cfg.attacks, total);
+        let attack_states: Vec<AttackState> = attacks
+            .iter()
+            .enumerate()
+            .map(|(wi, &a)| {
+                let snap = matches!(a, Attack::PretrainedMimic).then(|| workers[wi].disc_params());
+                AttackState::new(a, cfg.seed, wi, snap)
+            })
+            .collect();
+        let forensics = FeedbackForensics::new(cfg.defense, total);
+        AsyncMdGan {
+            server,
+            workers: workers.into_iter().map(Some).collect(),
+            in_flight: (0..total).map(|_| None).collect(),
+            cfg,
+            acfg,
+            stats,
+            sched_rng,
+            swap_rng,
+            version: 0,
+            updates: 0,
+            async_stats: AsyncStats::default(),
+            swap_interval,
+            object_size,
+            telemetry: Arc::new(Recorder::disabled()),
+            fault_state,
+            membership,
+            churn_cursor: 0,
+            attack_states,
+            forensics,
+        }
+    }
+
+    /// The current membership view (epoch-numbered).
+    pub fn membership(&self) -> &Membership {
+        &self.membership
+    }
+
+    /// Attaches a telemetry recorder (the default is a disabled no-op one).
+    pub fn with_telemetry(mut self, recorder: Arc<Recorder>) -> Self {
+        self.telemetry = recorder;
+        self
+    }
+
+    /// The attached telemetry recorder.
+    pub fn telemetry(&self) -> &Arc<Recorder> {
+        &self.telemetry
+    }
+
+    /// Generator updates applied so far.
+    pub fn updates(&self) -> u64 {
+        self.updates
+    }
+
+    /// Async-specific statistics.
+    pub fn async_stats(&self) -> AsyncStats {
+        self.async_stats
+    }
+
+    /// The server generator.
+    pub fn generator_mut(&mut self) -> &mut md_nn::gan::Generator {
+        &mut self.server.gen
+    }
+
+    /// Flat generator parameters.
+    pub fn gen_params(&self) -> Vec<f32> {
+        self.server.gen_params()
+    }
+
+    /// Traffic snapshot.
+    pub fn traffic(&self) -> TrafficReport {
+        self.stats.report()
+    }
+
+    /// Dispatches fresh batches to a worker with no in-flight work. The
+    /// dispatched unit is stamped with `ctx` so the worker's eventual
+    /// compute links back to this dispatch.
+    fn dispatch(&mut self, wi: usize, ctx: TraceCtx) {
+        let wtrack = Track::Worker((wi + 1) as u32);
+        let tick = self.updates;
+        let _span = self
+            .telemetry
+            .span_at(Phase::GenForward, Track::Server, ctx, tick);
+        let b = self.cfg.hyper.batch;
+        let zg = self.server.gen.sample_z(b, &mut self.sched_rng);
+        let lg = self.server.gen.sample_labels(b, &mut self.sched_rng);
+        let xg = self.server.gen.generate(&zg, &lg, true);
+        let zd = self.server.gen.sample_z(b, &mut self.sched_rng);
+        let ld = self.server.gen.sample_labels(b, &mut self.sched_rng);
+        let xd = self.server.gen.generate(&zd, &ld, true);
+        let down_bytes = 2 * batch_bytes(b, self.object_size);
+        let mut down_recv = 0u64;
+        if let Some(fs) = &self.fault_state {
+            let telemetry = &self.telemetry;
+            let del = fs.transmit(
+                0,
+                wi + 1,
+                tick,
+                down_bytes,
+                self.cfg.robust.retries,
+                &self.stats,
+                Some(telemetry),
+                ctx,
+                |dup, sent| {
+                    if !dup && sent != 0 {
+                        down_recv = telemetry.trace_instant(
+                            SpanKind::Recv {
+                                from: 0,
+                                bytes: down_bytes,
+                            },
+                            wtrack,
+                            TraceCtx {
+                                trace: ctx.trace,
+                                span: sent,
+                            },
+                            tick,
+                        );
+                    }
+                },
+            );
+            if !del.delivered {
+                // The batches were lost; the worker sits idle until the
+                // next event re-dispatches fresh ones.
+                return;
+            }
+        } else {
+            self.stats.record(0, wi + 1, down_bytes);
+            let sent = self.telemetry.trace_instant(
+                SpanKind::Send {
+                    to: (wi + 1) as u32,
+                    bytes: down_bytes,
+                    attempt: 1,
+                },
+                Track::Server,
+                ctx,
+                tick,
+            );
+            down_recv = self.telemetry.trace_instant(
+                SpanKind::Recv {
+                    from: 0,
+                    bytes: down_bytes,
+                },
+                wtrack,
+                TraceCtx {
+                    trace: ctx.trace,
+                    span: sent,
+                },
+                tick,
+            );
+        }
+        self.in_flight[wi] = Some(InFlight {
+            version: self.version,
+            xg,
+            xg_labels: lg,
+            xd,
+            xd_labels: ld,
+            zg,
+            ctx: TraceCtx {
+                trace: ctx.trace,
+                span: down_recv,
+            },
+        });
+    }
+
+    /// Bootstraps a joining worker from the lowest-id alive worker, with
+    /// the same byte charges as the synchronous runtimes: the snapshot
+    /// travels W→C at full parameter cost, then C→W as a checkpoint-v2
+    /// blob. The transfer is control-plane reliable (never dropped), even
+    /// on a lossy data network.
+    fn bootstrap_joiner(&mut self, t: usize, slot: usize) {
+        let src = self
+            .membership
+            .alive()
+            .into_iter()
+            .find(|&s| s != slot && self.workers[s].is_some());
+        let Some(src) = src else { return };
+        let params = self.workers[src].as_ref().unwrap().disc_params();
+        self.stats.record(src + 1, 0, param_bytes(params.len()));
+        let blob = crate::mdgan::bootstrap_blob(t as u64, &params);
+        let blob_len = blob.len() as u64;
+        self.stats.record(0, slot + 1, blob_len);
+        let disc = crate::mdgan::bootstrap_disc(&blob).expect("fresh blob decodes");
+        if let Some(w) = self.workers[slot].as_mut() {
+            w.set_disc_params(&disc);
+        }
+        self.telemetry.event(Event::BootstrapDone {
+            iter: t,
+            worker: slot + 1,
+            bytes: blob_len,
+        });
+    }
+
+    /// Picks which alive worker reports next. With `speed_skew = s`, the
+    /// weight of the j-th alive worker is `(1-s)^j` — low ids finish first
+    /// in expectation, so high ids accumulate staleness.
+    fn next_reporter(&mut self, alive: &[usize]) -> usize {
+        debug_assert!(!alive.is_empty());
+        let s = self.acfg.speed_skew.clamp(0.0, 0.95);
+        if s == 0.0 || alive.len() == 1 {
+            return alive[self.sched_rng.below(alive.len())];
+        }
+        let weights: Vec<f32> = (0..alive.len()).map(|j| (1.0 - s).powi(j as i32)).collect();
+        let total: f32 = weights.iter().sum();
+        let mut draw = self.sched_rng.uniform() * total;
+        for (j, &w) in weights.iter().enumerate() {
+            if draw < w {
+                return alive[j];
+            }
+            draw -= w;
+        }
+        *alive.last().unwrap()
+    }
+
+    /// One asynchronous event: a worker completes its local work, its
+    /// feedback is applied immediately (one Adam step), and it is handed
+    /// fresh batches. Returns the worker that reported, or `None` if all
+    /// workers have crashed.
+    pub fn step_event(&mut self) -> Option<usize> {
+        // Crashes keyed on update count (the async notion of time).
+        let t = self.updates as usize;
+        for idx in 0..self.workers.len() {
+            if self.workers[idx].is_some() && self.cfg.crash.is_crashed(idx + 1, t) {
+                self.workers[idx] = None;
+                self.in_flight[idx] = None;
+                self.membership.crash(idx);
+                self.telemetry.event(Event::WorkerFault {
+                    iter: t,
+                    worker: idx + 1,
+                });
+            }
+        }
+        // Churn events fire once their update-time tick is reached. There
+        // is no synchronous iteration to drain through, so a graceful
+        // leave takes effect at the event boundary: the leaver's pending
+        // work is released and its traffic counters freeze.
+        let events: Vec<md_simnet::ChurnEvent> = self.cfg.churn.events().to_vec();
+        while self.churn_cursor < events.len() && events[self.churn_cursor].iter <= t {
+            let ev = events[self.churn_cursor];
+            self.churn_cursor += 1;
+            let slot = ev.worker - 1;
+            match ev.kind {
+                ChurnKind::Crash => {
+                    if self.membership.apply(&ev).is_ok() {
+                        self.workers[slot] = None;
+                        self.in_flight[slot] = None;
+                        self.telemetry.event(Event::WorkerFault {
+                            iter: t,
+                            worker: ev.worker,
+                        });
+                    }
+                }
+                ChurnKind::Join => {
+                    self.membership.apply(&ev).expect("validated churn plan");
+                    self.telemetry.event(Event::WorkerJoined {
+                        iter: t,
+                        worker: ev.worker,
+                    });
+                    self.bootstrap_joiner(t, slot);
+                }
+                ChurnKind::Leave => {
+                    if self.membership.apply(&ev).is_ok() {
+                        self.workers[slot] = None;
+                        self.in_flight[slot] = None;
+                        self.stats.retire(slot + 1);
+                        self.telemetry.event(Event::WorkerLeft {
+                            iter: t,
+                            worker: ev.worker,
+                        });
+                    }
+                }
+            }
+        }
+        let alive: Vec<usize> = (0..self.workers.len())
+            .filter(|&w| self.workers[w].is_some() && self.membership.is_alive(w))
+            .collect();
+        if alive.is_empty() {
+            return None;
+        }
+
+        // Root the event's trace on the applied-update count (the async
+        // virtual tick). A local Arc clone keeps `self` free for the
+        // `&mut self` helpers below.
+        let telemetry = Arc::clone(&self.telemetry);
+        let root = telemetry.trace_root(self.updates);
+        let rctx = root.ctx();
+
+        // Fill idle workers (on a lossy network a dispatch may be dropped,
+        // leaving the worker idle for this event).
+        for &wi in &alive {
+            if self.in_flight[wi].is_none() {
+                self.dispatch(wi, rctx);
+            }
+        }
+        let ready: Vec<usize> = alive
+            .iter()
+            .copied()
+            .filter(|&w| self.in_flight[w].is_some())
+            .collect();
+        if ready.is_empty() {
+            // Every dispatch this round was lost. The event passes with no
+            // progress; the next one re-dispatches.
+            self.telemetry.event(Event::Custom {
+                name: "async_starved",
+                value: t as f64,
+            });
+            return Some(alive[0]);
+        }
+
+        let wi = self.next_reporter(&ready);
+        let wtrack = Track::Worker((wi + 1) as u32);
+        let fl = self.in_flight[wi].take().expect("reporter had work");
+        let worker = self.workers[wi].as_mut().expect("reporter alive");
+        // The compute hangs off the dispatch that produced the unit
+        // (possibly a previous event — staleness as a causal edge).
+        let fb_span = self
+            .telemetry
+            .span_at(Phase::DFeedback, wtrack, fl.ctx, self.updates);
+        let fctx = fb_span.ctx();
+        let feedback = worker.process(&fl.xd, &fl.xd_labels, &fl.xg, &fl.xg_labels);
+        let feedback = self.attack_states[wi].apply(worker, &feedback, &fl.xg, &fl.xg_labels);
+        drop(fb_span);
+        self.telemetry.worker_feedback(wi + 1);
+        let up_bytes = batch_bytes(self.cfg.hyper.batch, self.object_size);
+        if let Some(fs) = &self.fault_state {
+            let telemetry = &self.telemetry;
+            let tick = self.updates;
+            let up = fs.transmit(
+                wi + 1,
+                0,
+                tick,
+                up_bytes,
+                self.cfg.robust.retries,
+                &self.stats,
+                Some(telemetry),
+                fctx,
+                |dup, sent| {
+                    if !dup && sent != 0 {
+                        telemetry.trace_instant(
+                            SpanKind::Recv {
+                                from: (wi + 1) as u32,
+                                bytes: up_bytes,
+                            },
+                            Track::Server,
+                            TraceCtx {
+                                trace: fctx.trace,
+                                span: sent,
+                            },
+                            tick,
+                        );
+                    }
+                },
+            );
+            if !up.delivered {
+                // The feedback was lost on the wire: the local work is
+                // wasted and the generator never sees it.
+                return Some(wi);
+            }
+        } else {
+            self.stats.record(wi + 1, 0, up_bytes);
+            let sent = self.telemetry.trace_instant(
+                SpanKind::Send {
+                    to: 0,
+                    bytes: up_bytes,
+                    attempt: 1,
+                },
+                wtrack,
+                fctx,
+                self.updates,
+            );
+            self.telemetry.trace_instant(
+                SpanKind::Recv {
+                    from: (wi + 1) as u32,
+                    bytes: up_bytes,
+                },
+                Track::Server,
+                TraceCtx {
+                    trace: fctx.trace,
+                    span: sent,
+                },
+                self.updates,
+            );
+        }
+
+        // Feedback forensics on the single delivered feedback: the async
+        // server scores each arrival against the running population norms
+        // and the sender's own history (no same-iteration peer group
+        // exists, so the peer-cosine signal stays unscored). There is no
+        // failure detector on this path, so a freshly flagged worker is
+        // evicted on the spot — the membership view drops it and its
+        // pending work is released.
+        if self.cfg.defense.enabled {
+            let verdict = self.forensics.observe(&[(wi, 0, &feedback)])[0];
+            if verdict.newly_flagged {
+                self.telemetry.event(Event::WorkerFlagged {
+                    iter: t,
+                    worker: wi + 1,
+                    norm_score: f64::from(verdict.norm_score),
+                    self_cos: f64::from(verdict.self_cos),
+                    peer_cos: f64::from(verdict.peer_cos),
+                });
+                self.membership.evict(wi);
+                self.stats.retire(wi + 1);
+                self.forensics.retire(wi);
+                self.in_flight[wi] = None;
+                self.telemetry.event(Event::FreeriderEvicted {
+                    iter: t,
+                    worker: wi + 1,
+                });
+                self.telemetry.event(Event::WorkerEvicted {
+                    iter: t,
+                    worker: wi + 1,
+                });
+                return Some(wi);
+            }
+            if verdict.quarantined {
+                // The feedback was delivered (bytes charged) but is not
+                // allowed to touch the generator.
+                return Some(wi);
+            }
+        }
+
+        // Staleness-aware immediate update: replay the stale batch's
+        // forward pass, then apply a damped gradient.
+        let staleness = self.version - fl.version;
+        self.async_stats.updates += 1;
+        self.async_stats.staleness_sum += staleness;
+        self.async_stats.staleness_max = self.async_stats.staleness_max.max(staleness);
+        let scale = if self.acfg.staleness_damping > 0.0 {
+            (1.0 / (1.0 + staleness as f32)).powf(self.acfg.staleness_damping)
+        } else {
+            1.0
+        };
+
+        if staleness > 0 {
+            self.telemetry.event(Event::StaleUpdate {
+                iter: t,
+                worker: wi + 1,
+                staleness: staleness as usize,
+            });
+        }
+        let upd_span = self
+            .telemetry
+            .span_at(Phase::GUpdate, Track::Server, rctx, self.updates);
+        self.server.gen.net.zero_grad();
+        let _ = self.server.gen.generate(&fl.zg, &fl.xg_labels, true);
+        self.server.gen.backward(&feedback.scale(scale));
+        self.server.apply_external_step();
+        drop(upd_span);
+        self.version += 1;
+        self.updates += 1;
+
+        // Gossip swap on the same cadence as the synchronous runtime:
+        // N applied updates ≈ one synchronous global iteration.
+        if self.cfg.swap != SwapPolicy::Disabled
+            && (self.updates as usize).is_multiple_of(self.swap_interval * self.cfg.workers.max(1))
+        {
+            let swap_span = self
+                .telemetry
+                .span_at(Phase::Swap, Track::Server, rctx, self.updates);
+            let sctx = swap_span.ctx();
+            if let Some(perm) = swap_permutation(self.cfg.swap, alive.len(), &mut self.swap_rng) {
+                let params: Vec<Vec<f32>> = alive
+                    .iter()
+                    .map(|&w| self.workers[w].as_ref().unwrap().disc_params())
+                    .collect();
+                for (j, &src) in alive.iter().enumerate() {
+                    let dst = alive[perm[j]];
+                    if let Some(fs) = &self.fault_state {
+                        let telemetry = &self.telemetry;
+                        let swap_bytes = param_bytes(params[j].len());
+                        let tick = self.updates;
+                        let del = fs.transmit(
+                            src + 1,
+                            dst + 1,
+                            tick,
+                            swap_bytes,
+                            self.cfg.robust.retries,
+                            &self.stats,
+                            Some(telemetry),
+                            sctx,
+                            |dup, sent| {
+                                if !dup && sent != 0 {
+                                    telemetry.trace_instant(
+                                        SpanKind::Recv {
+                                            from: (src + 1) as u32,
+                                            bytes: swap_bytes,
+                                        },
+                                        Track::Worker((dst + 1) as u32),
+                                        TraceCtx {
+                                            trace: sctx.trace,
+                                            span: sent,
+                                        },
+                                        tick,
+                                    );
+                                }
+                            },
+                        );
+                        if !del.delivered {
+                            // Lost transfer: the destination keeps its old
+                            // discriminator.
+                            continue;
+                        }
+                    } else {
+                        self.stats
+                            .record(src + 1, dst + 1, param_bytes(params[j].len()));
+                    }
+                    self.workers[dst]
+                        .as_mut()
+                        .unwrap()
+                        .set_disc_params(&params[j]);
+                    self.telemetry.worker_swap_in(dst + 1);
+                }
+                self.telemetry.event(Event::SwapDone {
+                    iter: t,
+                    moved: alive.len(),
+                });
+            }
+            drop(swap_span);
+        }
+        self.telemetry.event(Event::IterDone {
+            iter: t,
+            alive: alive.len(),
+        });
+        Some(wi)
+    }
+
+    /// Runs until `n_updates` generator updates have been applied, scoring
+    /// every `eval_every` updates.
+    pub fn train(
+        &mut self,
+        n_updates: usize,
+        eval_every: usize,
+        mut evaluator: Option<&mut Evaluator>,
+    ) -> ScoreTimeline {
+        let mut timeline = ScoreTimeline::new();
+        if let Some(ev) = evaluator.as_deref_mut() {
+            let span = self.telemetry.span(Phase::Eval);
+            let s = ev.evaluate(&mut self.server.gen);
+            drop(span);
+            self.telemetry.event(Event::EvalDone {
+                iter: 0,
+                is_score: s.inception_score,
+                fid: s.fid,
+            });
+            timeline.push(0, s);
+        }
+        for u in 1..=n_updates {
+            if self.step_event().is_none() {
+                break;
+            }
+            if let Some(ev) = evaluator.as_deref_mut() {
+                if u % eval_every.max(1) == 0 || u == n_updates {
+                    let span = self.telemetry.span(Phase::Eval);
+                    let s = ev.evaluate(&mut self.server.gen);
+                    drop(span);
+                    self.telemetry.event(Event::EvalDone {
+                        iter: u,
+                        is_score: s.inception_score,
+                        fid: s.fid,
+                    });
+                    timeline.push(u, s);
+                }
+            }
+        }
+        timeline
+    }
+
+    /// Captures the full asynchronous state — including every worker's
+    /// *in-flight* batch (its tensors, labels and generator version), since
+    /// a dispatched batch has already consumed scheduler-RNG draws and
+    /// dropping it would desynchronize the resumed run.
+    ///
+    /// Robust-mode state (per-link fault RNG) is *not* captured; resuming
+    /// a lossy run restarts the link fates cold (see DESIGN.md §10).
+    pub fn checkpoint(&self) -> Checkpoint {
+        let n = self.workers.len();
+        let mut ck = Checkpoint::new(self.updates);
+        ck.push("generator", self.server.gen_params());
+        let g_opt = self.server.opt_state();
+        ck.push("opt_g_m", g_opt.m);
+        ck.push("opt_g_v", g_opt.v);
+        let mut adam_t = vec![0u64; 1 + n];
+        adam_t[0] = g_opt.t;
+        ck.push_u64("rng_server", self.server.rng_state_words().to_vec());
+        ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
+        ck.push_u64("rng_sched", self.sched_rng.state_words().to_vec());
+        let alive: Vec<u64> = self
+            .workers
+            .iter()
+            .map(|w| u64::from(w.is_some()))
+            .collect();
+        for (i, w) in self.workers.iter().enumerate() {
+            let Some(w) = w else { continue };
+            let id = i + 1;
+            ck.push(format!("disc_{id}"), w.disc_params());
+            let d_opt = w.opt_state();
+            adam_t[id] = d_opt.t;
+            ck.push(format!("opt_d_{id}_m"), d_opt.m);
+            ck.push(format!("opt_d_{id}_v"), d_opt.v);
+            ck.push_u64(
+                format!("rng_sampler_{id}"),
+                w.sampler_state_words().to_vec(),
+            );
+        }
+        ck.push_u64("adam_t", adam_t);
+        ck.push_u64("alive", alive);
+        let in_flight: Vec<u64> = self
+            .in_flight
+            .iter()
+            .map(|f| u64::from(f.is_some()))
+            .collect();
+        for (i, fl) in self.in_flight.iter().enumerate() {
+            let Some(fl) = fl else { continue };
+            push_tensor(&mut ck, &format!("fl_{i}_xg"), &fl.xg);
+            push_tensor(&mut ck, &format!("fl_{i}_xd"), &fl.xd);
+            push_tensor(&mut ck, &format!("fl_{i}_zg"), &fl.zg);
+            ck.push_u64(
+                format!("fl_{i}_lg"),
+                fl.xg_labels.iter().map(|&l| l as u64).collect(),
+            );
+            ck.push_u64(
+                format!("fl_{i}_ld"),
+                fl.xd_labels.iter().map(|&l| l as u64).collect(),
+            );
+            ck.push_u64(format!("fl_{i}_ver"), vec![fl.version]);
+        }
+        ck.push_u64("in_flight", in_flight);
+        ck.push_u64(
+            "counters",
+            vec![
+                self.version,
+                self.updates,
+                self.async_stats.updates,
+                self.async_stats.staleness_sum,
+                self.async_stats.staleness_max,
+            ],
+        );
+        ck.push_u64("traffic", self.stats.state_words());
+        // Only churn-enabled runs carry membership state, keeping the
+        // default-path checkpoint format byte-identical.
+        if !self.cfg.churn.is_none() {
+            ck.push_u64("membership", self.membership.state_words());
+            ck.push_u64("churn_cursor", vec![self.churn_cursor as u64]);
+        }
+        ck
+    }
+
+    /// Restores a checkpoint taken on an identically configured system.
+    /// Missing or length-mismatched sections are errors, not silent skips.
+    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
+        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
+        let n = self.workers.len();
+        let gen = ck
+            .require_len("generator", self.server.gen_params_len())
+            .map_err(ckerr)?;
+        self.server.set_gen_params(gen);
+        let alive = ck.require_u64_len("alive", n).map_err(ckerr)?.to_vec();
+        let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?.to_vec();
+        let g_state = md_nn::optim::AdamState {
+            t: adam_t[0],
+            m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
+            v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
+        };
+        self.server
+            .import_opt_state(&g_state)
+            .map_err(TrainError::Checkpoint)?;
+        let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
+            let w = ck
+                .require_u64_len(name, Rng64::STATE_WORDS)
+                .map_err(ckerr)?;
+            Ok(std::array::from_fn(|i| w[i]))
+        };
+        self.server.set_rng_state_words(words("rng_server")?);
+        self.swap_rng = Rng64::from_state_words(words("rng_swap")?);
+        self.sched_rng = Rng64::from_state_words(words("rng_sched")?);
+
+        // Index drives three things at once: the alive bitmap, the worker
+        // slot, and the 1-based section names.
+        #[allow(clippy::needless_range_loop)]
+        for i in 0..n {
+            let id = i + 1;
+            if alive[i] == 0 {
+                self.workers[i] = None;
+                continue;
+            }
+            let Some(w) = self.workers[i].as_mut() else {
+                return Err(TrainError::Checkpoint(format!(
+                    "checkpoint has worker {id} alive but it already crashed here"
+                )));
+            };
+            let disc = ck
+                .require_len(&format!("disc_{id}"), w.disc_params_len())
+                .map_err(ckerr)?;
+            w.set_disc_params(disc);
+            let d_state = md_nn::optim::AdamState {
+                t: adam_t[id],
+                m: ck
+                    .require(&format!("opt_d_{id}_m"))
+                    .map_err(ckerr)?
+                    .to_vec(),
+                v: ck
+                    .require(&format!("opt_d_{id}_v"))
+                    .map_err(ckerr)?
+                    .to_vec(),
+            };
+            w.import_opt_state(&d_state)
+                .map_err(TrainError::Checkpoint)?;
+            let sw = ck
+                .require_u64_len(&format!("rng_sampler_{id}"), Rng64::STATE_WORDS)
+                .map_err(ckerr)?;
+            w.set_sampler_state_words(std::array::from_fn(|j| sw[j]));
+        }
+
+        let mask = ck.require_u64_len("in_flight", n).map_err(ckerr)?.to_vec();
+        for (i, &present) in mask.iter().enumerate() {
+            if present == 0 {
+                self.in_flight[i] = None;
+                continue;
+            }
+            let labels = |name: &str| -> Result<Vec<usize>, TrainError> {
+                Ok(ck
+                    .require_u64(name)
+                    .map_err(ckerr)?
+                    .iter()
+                    .map(|&l| l as usize)
+                    .collect())
+            };
+            self.in_flight[i] = Some(InFlight {
+                version: ck
+                    .require_u64_len(&format!("fl_{i}_ver"), 1)
+                    .map_err(ckerr)?[0],
+                xg: read_tensor(ck, &format!("fl_{i}_xg"))?,
+                xg_labels: labels(&format!("fl_{i}_lg"))?,
+                xd: read_tensor(ck, &format!("fl_{i}_xd"))?,
+                xd_labels: labels(&format!("fl_{i}_ld"))?,
+                zg: read_tensor(ck, &format!("fl_{i}_zg"))?,
+                ctx: TraceCtx::NONE,
+            });
+        }
+
+        let counters = ck.require_u64_len("counters", 5).map_err(ckerr)?;
+        self.version = counters[0];
+        self.updates = counters[1];
+        self.async_stats = AsyncStats {
+            updates: counters[2],
+            staleness_sum: counters[3],
+            staleness_max: counters[4],
+        };
+        self.stats
+            .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
+            .map_err(TrainError::Checkpoint)?;
+        if !self.cfg.churn.is_none() {
+            self.membership
+                .load_state_words(ck.require_u64("membership").map_err(ckerr)?)
+                .map_err(TrainError::Checkpoint)?;
+            self.churn_cursor = ck.require_u64_len("churn_cursor", 1).map_err(ckerr)?[0] as usize;
+            for slot in 0..self.membership.len() {
+                if self.membership.status(slot) == md_simnet::MemberStatus::Left {
+                    self.stats.retire(slot + 1);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Stores a tensor as a data section plus a `{name}_shape` companion.
+fn push_tensor(ck: &mut Checkpoint, name: &str, t: &Tensor) {
+    ck.push(name.to_string(), t.data().to_vec());
+    ck.push_u64(
+        format!("{name}_shape"),
+        t.shape().iter().map(|&d| d as u64).collect(),
+    );
+}
+
+/// Reads a tensor stored by [`push_tensor`], validating the element count
+/// against the recorded shape.
+fn read_tensor(ck: &Checkpoint, name: &str) -> Result<Tensor, TrainError> {
+    let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
+    let shape: Vec<usize> = ck
+        .require_u64(&format!("{name}_shape"))
+        .map_err(ckerr)?
+        .iter()
+        .map(|&d| d as usize)
+        .collect();
+    let expect: usize = shape.iter().product();
+    let data = ck.require_len(name, expect).map_err(ckerr)?;
+    Ok(Tensor::new(&shape, data.to_vec()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{GanHyper, KPolicy};
+    use md_data::synthetic::mnist_like;
+
+    fn build(acfg: AsyncConfig) -> AsyncMdGan {
+        let data = mnist_like(12, 4 * 32, 1, 0.08);
+        let mut rng = Rng64::seed_from_u64(4);
+        let shards = data.shard_iid(4, &mut rng);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let cfg = MdGanConfig {
+            workers: 4,
+            k: KPolicy::One,
+            epochs_per_swap: 1.0,
+            swap: SwapPolicy::Derangement,
+            hyper: GanHyper {
+                batch: 4,
+                ..GanHyper::default()
+            },
+            iterations: 100,
+            seed: 7,
+            crash: Default::default(),
+            ..MdGanConfig::default()
+        };
+        AsyncMdGan::new(&spec, shards, cfg, acfg)
+    }
+
+    fn build_lossy(drop: f32, seed: u64) -> AsyncMdGan {
+        let mut md = build(AsyncConfig::default());
+        let plan = md_simnet::FaultPlan::lossy(seed, drop);
+        md.cfg.fault = plan.clone();
+        md.fault_state = Some(FaultState::new(plan, 1 + md.cfg.workers));
+        md
+    }
+
+    #[test]
+    fn every_event_updates_the_generator() {
+        let mut md = build(AsyncConfig::default());
+        let before = md.gen_params();
+        md.step_event();
+        assert_ne!(before, md.gen_params());
+        assert_eq!(md.updates(), 1);
+    }
+
+    #[test]
+    fn staleness_accumulates_under_skew() {
+        let mut md = build(AsyncConfig {
+            staleness_damping: 0.5,
+            speed_skew: 0.8,
+        });
+        for _ in 0..60 {
+            md.step_event();
+        }
+        let s = md.async_stats();
+        assert_eq!(s.updates, 60);
+        assert!(
+            s.staleness_max >= 1,
+            "skewed scheduling must create staleness"
+        );
+        assert!(s.mean_staleness() > 0.0);
+    }
+
+    #[test]
+    fn uniform_speed_still_has_bounded_staleness() {
+        let mut md = build(AsyncConfig {
+            staleness_damping: 0.0,
+            speed_skew: 0.0,
+        });
+        for _ in 0..60 {
+            md.step_event();
+        }
+        // With N workers the staleness cannot exceed the in-flight window.
+        assert!(md.async_stats().staleness_max <= 60);
+        assert!(md.gen_params().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn deterministic_given_seed() {
+        let run = || {
+            let mut md = build(AsyncConfig::default());
+            for _ in 0..25 {
+                md.step_event();
+            }
+            md.gen_params()
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn params_stay_finite_with_damping() {
+        let mut md = build(AsyncConfig {
+            staleness_damping: 1.0,
+            speed_skew: 0.9,
+        });
+        for _ in 0..100 {
+            md.step_event();
+        }
+        assert!(md.gen_params().iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn telemetry_records_stale_updates_and_phases() {
+        use md_telemetry::Counter;
+        let rec = Arc::new(Recorder::enabled());
+        let mut md = build(AsyncConfig {
+            staleness_damping: 0.5,
+            speed_skew: 0.8,
+        })
+        .with_telemetry(Arc::clone(&rec));
+        for _ in 0..60 {
+            md.step_event();
+        }
+        // One d_feedback + one g_update span per applied event.
+        assert_eq!(rec.phase_stats(Phase::DFeedback).count, 60);
+        assert_eq!(rec.phase_stats(Phase::GUpdate).count, 60);
+        // Dispatches refill idle workers: at least one per event.
+        assert!(rec.phase_stats(Phase::GenForward).count >= 60);
+        assert_eq!(rec.counter(Counter::Iterations), 60);
+        // Telemetry's stale-update counter mirrors AsyncStats exactly.
+        let observed_stale = rec.counter(Counter::StaleUpdates);
+        assert!(
+            observed_stale > 0,
+            "skewed scheduling must create staleness"
+        );
+        let feedbacks: u64 = rec.worker_stats().iter().map(|w| w.feedbacks).sum();
+        assert_eq!(feedbacks, 60);
+    }
+
+    #[test]
+    fn resume_from_checkpoint_is_bit_identical() {
+        // In-flight batches consumed scheduler-RNG draws before the cut,
+        // so this passes only if they are captured and restored exactly.
+        let mut full = build(AsyncConfig::default());
+        for _ in 0..20 {
+            full.step_event();
+        }
+
+        let mut first = build(AsyncConfig::default());
+        for _ in 0..12 {
+            first.step_event();
+        }
+        let bytes = first.checkpoint().to_bytes();
+        drop(first);
+
+        let mut resumed = build(AsyncConfig::default());
+        resumed
+            .restore(&Checkpoint::from_bytes(&bytes).unwrap())
+            .unwrap();
+        assert_eq!(resumed.updates(), 12);
+        for _ in 0..8 {
+            resumed.step_event();
+        }
+        assert_eq!(resumed.gen_params(), full.gen_params());
+        assert_eq!(resumed.traffic(), full.traffic());
+        let (a, b) = (resumed.async_stats(), full.async_stats());
+        assert_eq!(a.updates, b.updates);
+        assert_eq!(a.staleness_sum, b.staleness_sum);
+    }
+
+    #[test]
+    fn restore_rejects_missing_in_flight_tensor() {
+        let mut md = build(AsyncConfig::default());
+        md.step_event();
+        let err = md.restore(&Checkpoint::new(1)).unwrap_err();
+        assert!(err.to_string().contains("generator"), "got: {err}");
+    }
+
+    #[test]
+    fn lossy_async_is_seed_deterministic_and_drops_traffic() {
+        let run = || {
+            let mut md = build_lossy(0.25, 9);
+            for _ in 0..40 {
+                md.step_event();
+            }
+            (md.gen_params(), md.traffic())
+        };
+        let (p1, t1) = run();
+        let (p2, t2) = run();
+        assert_eq!(p1, p2, "same fault seed must replay identically");
+        assert_eq!(t1.dropped_bytes, t2.dropped_bytes);
+        assert!(t1.dropped_msgs > 0, "25% drop must lose messages");
+        assert_eq!(
+            t1.bytes_sent(),
+            t1.bytes_delivered() + t1.dropped_bytes,
+            "conservation"
+        );
+        assert!(p1.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn total_loss_starves_but_terminates() {
+        let mut md = build_lossy(1.0, 3);
+        md.cfg.robust.retries = 0;
+        let before = md.gen_params();
+        for _ in 0..20 {
+            assert!(md.step_event().is_some(), "alive workers keep the run up");
+        }
+        // Nothing ever arrived: the generator never moved.
+        assert_eq!(md.gen_params(), before);
+        assert_eq!(md.updates(), 0);
+        assert_eq!(md.traffic().bytes_delivered(), 0);
+    }
+
+    fn build_churn() -> AsyncMdGan {
+        use md_simnet::ChurnEvent;
+        let events = vec![
+            ChurnEvent {
+                iter: 5,
+                worker: 5,
+                kind: ChurnKind::Join,
+            },
+            ChurnEvent {
+                iter: 10,
+                worker: 2,
+                kind: ChurnKind::Crash,
+            },
+            ChurnEvent {
+                iter: 15,
+                worker: 1,
+                kind: ChurnKind::Leave,
+            },
+        ];
+        let churn = ChurnPlan::from_events(4, events).unwrap();
+        let total = churn.max_workers(4);
+        let data = mnist_like(12, total * 32, 1, 0.08);
+        let mut rng = Rng64::seed_from_u64(4);
+        let shards = data.shard_iid(total, &mut rng);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let cfg = MdGanConfig {
+            workers: 4,
+            k: KPolicy::One,
+            epochs_per_swap: 1.0,
+            swap: SwapPolicy::Derangement,
+            hyper: GanHyper {
+                batch: 4,
+                ..GanHyper::default()
+            },
+            iterations: 100,
+            seed: 7,
+            crash: Default::default(),
+            churn,
+            ..MdGanConfig::default()
+        };
+        AsyncMdGan::new(&spec, shards, cfg, AsyncConfig::default())
+    }
+
+    #[test]
+    fn churn_evolves_view_and_stays_deterministic() {
+        let run = || {
+            let mut md = build_churn();
+            for _ in 0..25 {
+                md.step_event();
+            }
+            (md.gen_params(), md.membership().clone(), md.traffic())
+        };
+        let (p1, m1, t1) = run();
+        let (p2, m2, t2) = run();
+        assert_eq!(p1, p2, "churned async run must be seed-deterministic");
+        assert_eq!(m1, m2);
+        assert_eq!(t1, t2);
+        // 4 initial → join (5) → crash (4) → leave (3).
+        assert_eq!(m1.alive_count(), 3);
+        assert_eq!(m1.epoch(), 3);
+        assert!(p1.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn churn_resume_is_bit_identical() {
+        let mut full = build_churn();
+        for _ in 0..20 {
+            full.step_event();
+        }
+        let mut first = build_churn();
+        for _ in 0..12 {
+            first.step_event();
+        }
+        let ck = first.checkpoint();
+        assert!(ck.get_u64("membership").is_some());
+        let bytes = ck.to_bytes();
+        drop(first);
+        let mut resumed = build_churn();
+        resumed
+            .restore(&Checkpoint::from_bytes(&bytes).unwrap())
+            .unwrap();
+        for _ in 0..8 {
+            resumed.step_event();
+        }
+        assert_eq!(resumed.gen_params(), full.gen_params());
+        assert_eq!(resumed.traffic(), full.traffic());
+        assert_eq!(resumed.membership(), full.membership());
+    }
+
+    #[test]
+    fn traffic_is_charged_per_event() {
+        let mut md = build(AsyncConfig::default());
+        for _ in 0..10 {
+            md.step_event();
+        }
+        let r = md.traffic();
+        // Every applied feedback cost bd upward.
+        let d = (12 * 12) as u64;
+        assert_eq!(
+            r.bytes(md_simnet::LinkClass::WorkerToServer),
+            10 * 4 * d * 4
+        );
+        // Dispatches: ≥ one 2bd send per applied event (idle refills).
+        assert!(r.bytes(md_simnet::LinkClass::ServerToWorker) >= 10 * 2 * 4 * d * 4);
+    }
+
+    #[test]
+    fn async_defense_evicts_a_freerider_immediately_on_flag() {
+        use md_telemetry::Counter;
+        let rec = Arc::new(Recorder::enabled());
+        let mut md = build(AsyncConfig::default());
+        md.cfg.attacks = vec![Attack::PureNoise { std: 5.0 }];
+        md.cfg.defense.enabled = true;
+        md.attack_states = resolve_attacks(&md.cfg.attacks, 4)
+            .iter()
+            .enumerate()
+            .map(|(wi, &a)| AttackState::new(a, md.cfg.seed, wi, None))
+            .collect();
+        md.forensics = FeedbackForensics::new(md.cfg.defense, 4);
+        md = md.with_telemetry(Arc::clone(&rec));
+        for _ in 0..80 {
+            if md.step_event().is_none() {
+                break;
+            }
+        }
+        // The noise fabricator was flagged and evicted on the spot (the
+        // async path has no failure detector to graduate through).
+        assert_eq!(rec.counter(Counter::WorkersFlagged), 1);
+        assert_eq!(rec.counter(Counter::FreeridersEvicted), 1);
+        assert_eq!(md.membership().status(0), md_simnet::MemberStatus::Evicted);
+        for w in 1..4 {
+            assert_eq!(md.membership().status(w), md_simnet::MemberStatus::Alive);
+        }
+        assert!(md.gen_params().iter().all(|v| v.is_finite()));
+    }
+}

@@ -1,0 +1,125 @@
+//! MD-GAN (Algorithm 1): one generator on the server, one discriminator
+//! per worker, peer-to-peer discriminator swaps.
+//!
+//! * [`server`] — the generator-learning procedure (§IV-B): k-batch
+//!   generation, SPLIT distribution, feedback aggregation and Adam update.
+//! * [`worker`] — the discriminator-learning procedure (§IV-C): L local
+//!   steps on `(X_r, X_d)` and the error feedback `F_n = ∂B̃(X_g)/∂x`.
+//! * [`trainer`] — the deterministic sequential runtime (used by all
+//!   experiments; interaction order preserved exactly as in the paper's
+//!   emulation).
+//! * [`threaded`] — one-thread-per-node runtime over `md-simnet`, bit-for-
+//!   bit equivalent to the sequential runtime given the same seed.
+
+pub mod asynchronous;
+pub mod server;
+pub mod threaded;
+pub mod trainer;
+pub mod worker;
+
+use md_tensor::Tensor;
+
+/// Messages exchanged in the threaded runtime.
+#[derive(Clone, Debug)]
+pub enum MdMsg {
+    /// Server → worker: the two generated batches of a global iteration
+    /// (`X_g` trains the generator via feedback, `X_d` trains D).
+    Batches {
+        /// Global iteration these batches belong to (robust mode tags every
+        /// data message so late deliveries are detectable).
+        iter: usize,
+        /// Which generated batch `X_g` came from (for feedback grouping).
+        g_id: usize,
+        /// Generated batch used for the error feedback.
+        xg: Tensor,
+        /// Labels the generator was conditioned on for `xg`.
+        xg_labels: Vec<usize>,
+        /// Generated batch used for discriminator training.
+        xd: Tensor,
+        /// Labels for `xd`.
+        xd_labels: Vec<usize>,
+    },
+    /// Worker → server: the error feedback `F_n` on `X_g`.
+    Feedback {
+        /// Global iteration the feedback answers (echoed from `Batches`).
+        iter: usize,
+        /// Generated-batch id this feedback refers to.
+        g_id: usize,
+        /// `∂B̃/∂x` for every element of the batch.
+        grad: Tensor,
+    },
+    /// Server → worker: swap your discriminator to worker `to`.
+    SwapTo {
+        /// Destination worker id (1-based node id).
+        to: usize,
+        /// Global iteration the swap fires at (the sender's virtual tick
+        /// for the discriminator transfer).
+        iter: usize,
+    },
+    /// Worker → worker: discriminator parameters (the gossip swap).
+    Disc {
+        /// Flat parameter vector `θ`.
+        params: Vec<f32>,
+    },
+    /// Server → worker: ship your full training state (checkpoint gather).
+    ///
+    /// A control message outside the simulated network model: checkpoint
+    /// persistence must not perturb traffic accounting, or a resumed run
+    /// would stop being bit-identical to an uninterrupted one.
+    StateRequest,
+    /// Worker → server: the complete worker state answering a
+    /// [`StateRequest`](MdMsg::StateRequest).
+    WorkerState {
+        /// 1-based worker id.
+        id: usize,
+        /// Flat discriminator parameters `θ`.
+        disc: Vec<f32>,
+        /// Adam step count of the discriminator optimizer.
+        adam_t: u64,
+        /// Adam first moments.
+        opt_m: Vec<f32>,
+        /// Adam second moments.
+        opt_v: Vec<f32>,
+        /// Shard-sampler RNG stream position.
+        sampler: Vec<u64>,
+    },
+    /// Server → worker: crash silently (robust mode's fail-stop injection).
+    ///
+    /// Unlike [`Stop`](MdMsg::Stop) the worker keeps draining its queue
+    /// without answering, so its death is observable only through missed
+    /// deadlines — exactly what the failure detector must infer.
+    Crash,
+    /// Server → worker: ship your discriminator parameters so a joining
+    /// worker can bootstrap from them. The worker answers with
+    /// [`Disc`](MdMsg::Disc) charged at full parameter cost — unlike
+    /// [`StateRequest`](MdMsg::StateRequest) this *is* part of the
+    /// simulated network (a join really moves a snapshot over the wire).
+    DiscPull {
+        /// Global iteration of the join (the reply's virtual tick).
+        iter: usize,
+    },
+    /// Server → joining worker: a discriminator snapshot serialized as a
+    /// checkpoint-v2 blob (see [`bootstrap_blob`]). The joiner installs it
+    /// before processing its first batches.
+    Bootstrap {
+        /// Checkpoint-v2 bytes holding one `disc` section.
+        blob: Vec<u8>,
+    },
+    /// Server → worker: terminate (end of training or simulated crash).
+    Stop,
+}
+
+/// Serializes a discriminator snapshot for bootstrap-on-join, reusing the
+/// checkpoint-v2 section format (CRC-protected, versioned) so the wire
+/// blob and the on-disk format stay one codebase.
+pub fn bootstrap_blob(iter: u64, disc: &[f32]) -> Vec<u8> {
+    let mut ck = crate::checkpoint::Checkpoint::new(iter);
+    ck.push("disc", disc.to_vec());
+    ck.to_bytes().to_vec()
+}
+
+/// Decodes a [`bootstrap_blob`] back into flat discriminator parameters.
+pub fn bootstrap_disc(blob: &[u8]) -> std::io::Result<Vec<f32>> {
+    let ck = crate::checkpoint::Checkpoint::from_bytes(blob)?;
+    Ok(ck.require("disc")?.to_vec())
+}

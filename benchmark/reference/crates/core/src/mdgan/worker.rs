@@ -1,0 +1,294 @@
+//! The MD-GAN worker: hosts `D_n` and its local shard `B_n` (§IV-C).
+
+use crate::arch::ArchSpec;
+use crate::config::GanHyper;
+use md_data::{BatchSampler, Dataset};
+use md_nn::gan::{disc_loss_fake, disc_loss_real, gen_loss, Discriminator};
+use md_nn::layer::Layer;
+use md_nn::optim::{Adam, AdamState};
+use md_tensor::rng::Rng64;
+use md_tensor::Tensor;
+
+/// One worker's state: discriminator, optimizer, shard and sampler.
+pub struct MdWorker {
+    /// 1-based worker id (node id in the simulated cluster).
+    pub id: usize,
+    disc: Discriminator,
+    opt_d: Adam,
+    sampler: BatchSampler,
+    shard: Dataset,
+    hyper: GanHyper,
+}
+
+impl MdWorker {
+    /// Builds worker `id` with its own discriminator initialization.
+    ///
+    /// The paper notes architectures/initializations *could* differ per
+    /// worker but uses identical architectures; we initialize each D_n
+    /// independently (`Initialize θ_n for D_n`, Algorithm 1 line 2).
+    pub fn new(
+        id: usize,
+        spec: &ArchSpec,
+        shard: Dataset,
+        hyper: GanHyper,
+        rng: &mut Rng64,
+    ) -> Self {
+        let disc = spec.build_discriminator(rng);
+        let sampler = BatchSampler::new(rng);
+        MdWorker {
+            id,
+            disc,
+            opt_d: Adam::new(hyper.adam_d),
+            sampler,
+            shard,
+            hyper,
+        }
+    }
+
+    /// Local shard size `m`.
+    pub fn shard_size(&self) -> usize {
+        self.shard.len()
+    }
+
+    /// Discriminator parameter count `|θ|`.
+    pub fn disc_params_len(&self) -> usize {
+        self.disc.num_params()
+    }
+
+    /// One global iteration's worker-side work (Algorithm 1 lines 4-10):
+    /// `L` discriminator learning steps on `(X_r, X_d)`, then the error
+    /// feedback `F_n = ∂B̃(X_g)/∂x_i`.
+    pub fn process(
+        &mut self,
+        xd: &Tensor,
+        xd_labels: &[usize],
+        xg: &Tensor,
+        xg_labels: &[usize],
+    ) -> Tensor {
+        let b = self.hyper.batch;
+        let classes = self.disc.num_classes;
+        let aux = self.hyper.aux_weight;
+
+        // X(r) <- SAMPLES(B_n, b)
+        let (x_real, y_real) = self.sampler.sample(&self.shard, b);
+
+        for _ in 0..self.hyper.disc_steps.max(1) {
+            self.disc.net.zero_grad();
+            let logits_r = self.disc.forward(&x_real, true);
+            let (_, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
+            self.disc.backward(&gr);
+            let logits_f = self.disc.forward(xd, true);
+            let (_, gf) = disc_loss_fake(&logits_f, xd_labels, classes, aux);
+            self.disc.backward(&gf);
+            if self.hyper.clip_grad_norm > 0.0 {
+                self.disc
+                    .net
+                    .clip_grad_norm_per_layer(self.hyper.clip_grad_norm);
+            }
+            self.opt_d.step(&mut self.disc.net);
+        }
+
+        // F_n <- ∂B̃(X_g)/∂x: backprop the generator objective through D_n
+        // down to the *input images*; parameter gradients accumulated on
+        // the way are discarded (the worker does not train on X_g).
+        let logits_g = self.disc.forward(xg, true);
+        let (_, glogits) = gen_loss(&logits_g, xg_labels, classes, aux, self.hyper.gen_loss);
+        self.disc.net.zero_grad();
+        let feedback = self.disc.backward(&glogits);
+        self.disc.net.zero_grad();
+        feedback
+    }
+
+    /// Flat discriminator parameters (what a swap ships).
+    pub fn disc_params(&self) -> Vec<f32> {
+        self.disc.net.get_params_flat()
+    }
+
+    /// The feedback a *stale* discriminator snapshot would produce on
+    /// `xg` — the pre-trained-mimicry free-rider strategy (§VII.3 /
+    /// arXiv:2201.09967). The worker's live parameters are swapped out,
+    /// the generator objective is backpropagated to the input images on
+    /// the frozen snapshot, and the live parameters are restored; neither
+    /// the discriminator nor its optimizer state moves.
+    pub fn stale_feedback(&mut self, stale: &[f32], xg: &Tensor, xg_labels: &[usize]) -> Tensor {
+        let live = self.disc.net.get_params_flat();
+        self.disc.net.set_params_flat(stale);
+        let logits = self.disc.forward(xg, true);
+        let (_, glogits) = gen_loss(
+            &logits,
+            xg_labels,
+            self.disc.num_classes,
+            self.hyper.aux_weight,
+            self.hyper.gen_loss,
+        );
+        self.disc.net.zero_grad();
+        let feedback = self.disc.backward(&glogits);
+        self.disc.net.zero_grad();
+        self.disc.net.set_params_flat(&live);
+        feedback
+    }
+
+    /// Installs received discriminator parameters (swap receive side).
+    ///
+    /// Only the parameters move, not the Adam moments — the optimizer
+    /// state stays with the worker (see DESIGN.md §2).
+    pub fn set_disc_params(&mut self, params: &[f32]) {
+        self.disc.net.set_params_flat(params);
+    }
+
+    /// Adam moments of the discriminator optimizer (checkpointing).
+    pub fn opt_state(&self) -> AdamState {
+        self.opt_d.export_state()
+    }
+
+    /// Restores the discriminator optimizer's Adam moments.
+    pub fn import_opt_state(&mut self, state: &AdamState) -> Result<(), String> {
+        self.opt_d.import_state(state, &self.disc.net)
+    }
+
+    /// Serializable shard-sampler RNG stream position (checkpointing).
+    pub fn sampler_state_words(&self) -> [u64; Rng64::STATE_WORDS] {
+        self.sampler.rng_state_words()
+    }
+
+    /// Restores the shard-sampler RNG stream position.
+    pub fn set_sampler_state_words(&mut self, words: [u64; Rng64::STATE_WORDS]) {
+        self.sampler.set_rng_state_words(words);
+    }
+
+    /// The discriminator network (health scans read parameter norms).
+    pub(crate) fn disc_net(&self) -> &md_nn::layers::Sequential {
+        &self.disc.net
+    }
+
+    /// Scales the discriminator learning rate by `factor` (supervisor
+    /// LR-drop after a rollback).
+    pub fn scale_lr(&mut self, factor: f32) {
+        let lr = self.opt_d.lr();
+        self.opt_d.set_lr(lr * factor);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_data::synthetic::mnist_like;
+
+    fn worker() -> MdWorker {
+        let shard = mnist_like(12, 64, 1, 0.08);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let mut rng = Rng64::seed_from_u64(2);
+        MdWorker::new(
+            1,
+            &spec,
+            shard,
+            GanHyper {
+                batch: 6,
+                ..GanHyper::default()
+            },
+            &mut rng,
+        )
+    }
+
+    fn fake_batch(b: usize, rng: &mut Rng64) -> (Tensor, Vec<usize>) {
+        (
+            Tensor::randn(&[b, 1, 12, 12], rng).clamp(-1.0, 1.0),
+            (0..b).map(|i| i % 10).collect(),
+        )
+    }
+
+    #[test]
+    fn process_returns_image_shaped_feedback() {
+        let mut w = worker();
+        let mut rng = Rng64::seed_from_u64(3);
+        let (xd, yd) = fake_batch(6, &mut rng);
+        let (xg, yg) = fake_batch(6, &mut rng);
+        let f = w.process(&xd, &yd, &xg, &yg);
+        assert_eq!(f.shape(), &[6, 1, 12, 12]);
+        assert!(f.data().iter().any(|&v| v != 0.0));
+        assert!(f.all_finite());
+    }
+
+    #[test]
+    fn process_trains_the_discriminator() {
+        let mut w = worker();
+        let before = w.disc_params();
+        let mut rng = Rng64::seed_from_u64(4);
+        let (xd, yd) = fake_batch(6, &mut rng);
+        let (xg, yg) = fake_batch(6, &mut rng);
+        w.process(&xd, &yd, &xg, &yg);
+        assert_ne!(
+            before,
+            w.disc_params(),
+            "D_n must move during a global iteration"
+        );
+    }
+
+    #[test]
+    fn feedback_leaves_no_residual_gradients() {
+        let mut w = worker();
+        let mut rng = Rng64::seed_from_u64(5);
+        let (xd, yd) = fake_batch(6, &mut rng);
+        let (xg, yg) = fake_batch(6, &mut rng);
+        w.process(&xd, &yd, &xg, &yg);
+        assert!(w.disc.net.get_grads_flat().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn swap_roundtrip_moves_parameters() {
+        let mut a = worker();
+        let shard = mnist_like(12, 64, 9, 0.08);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let mut rng = Rng64::seed_from_u64(7);
+        let mut b = MdWorker::new(
+            2,
+            &spec,
+            shard,
+            GanHyper {
+                batch: 6,
+                ..GanHyper::default()
+            },
+            &mut rng,
+        );
+        let pa = a.disc_params();
+        let pb = b.disc_params();
+        assert_ne!(pa, pb);
+        // Swap.
+        a.set_disc_params(&pb);
+        b.set_disc_params(&pa);
+        assert_eq!(a.disc_params(), pb);
+        assert_eq!(b.disc_params(), pa);
+    }
+
+    #[test]
+    fn stale_feedback_uses_snapshot_and_restores_live_params() {
+        let mut w = worker();
+        let snapshot = w.disc_params();
+        let mut rng = Rng64::seed_from_u64(6);
+        let (xd, yd) = fake_batch(6, &mut rng);
+        let (xg, yg) = fake_batch(6, &mut rng);
+        w.process(&xd, &yd, &xg, &yg); // live D moves off the snapshot
+        let live = w.disc_params();
+        assert_ne!(live, snapshot);
+        let f_stale = w.stale_feedback(&snapshot, &xg, &yg);
+        assert_eq!(w.disc_params(), live, "live parameters must be restored");
+        assert_eq!(f_stale.shape(), &[6, 1, 12, 12]);
+        assert!(f_stale.all_finite());
+        // The frozen snapshot answers differently than the live model.
+        let f_live = w.stale_feedback(&live, &xg, &yg);
+        assert_ne!(f_stale.data(), f_live.data());
+        assert!(w.disc.net.get_grads_flat().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn process_is_deterministic() {
+        let run = || {
+            let mut w = worker();
+            let mut rng = Rng64::seed_from_u64(11);
+            let (xd, yd) = fake_batch(6, &mut rng);
+            let (xg, yg) = fake_batch(6, &mut rng);
+            w.process(&xd, &yd, &xg, &yg).into_data()
+        };
+        assert_eq!(run(), run());
+    }
+}

@@ -1,0 +1,490 @@
+//! The standalone (single-server) GAN baseline of §V-A.d: a classical
+//! ACGAN training loop with access to the whole dataset.
+//!
+//! This type doubles as the *local* trainer inside each FL-GAN worker —
+//! federated learning treats the worker's `(G, D)` pair "as one
+//! computational object" trained exactly like a standalone GAN on the
+//! local shard.
+
+use crate::arch::ArchSpec;
+use crate::checkpoint::Checkpoint;
+use crate::config::GanHyper;
+use crate::error::TrainError;
+use crate::eval::{Evaluator, ScoreTimeline};
+use md_data::{BatchSampler, Dataset};
+use md_nn::gan::{disc_loss_fake, disc_loss_real, gen_loss, Discriminator, Generator};
+use md_nn::layer::Layer;
+use md_nn::optim::{Adam, AdamState};
+use md_telemetry::{Event, Phase, Recorder, Track};
+use md_tensor::rng::Rng64;
+use std::sync::Arc;
+
+/// Losses of one training step (for monitoring/tests).
+#[derive(Clone, Copy, Debug)]
+pub struct StepLosses {
+    /// Mean discriminator loss over the L local iterations.
+    pub disc: f32,
+    /// Generator loss.
+    pub gen: f32,
+}
+
+/// A complete single-node GAN trainer.
+pub struct StandaloneGan {
+    /// The generator.
+    pub gen: Generator,
+    /// The discriminator.
+    pub disc: Discriminator,
+    opt_g: Adam,
+    opt_d: Adam,
+    sampler: BatchSampler,
+    hyper: GanHyper,
+    rng: Rng64,
+    data: Dataset,
+    iter: usize,
+    telemetry: Arc<Recorder>,
+}
+
+impl StandaloneGan {
+    /// Builds generator, discriminator and optimizers from a spec.
+    ///
+    /// All randomness (init, batch sampling, noise) derives from `rng`.
+    pub fn new(spec: &ArchSpec, data: Dataset, hyper: GanHyper, rng: &mut Rng64) -> Self {
+        let gen = spec.build_generator(rng);
+        let disc = spec.build_discriminator(rng);
+        let sampler = BatchSampler::new(rng);
+        StandaloneGan {
+            gen,
+            disc,
+            opt_g: Adam::new(hyper.adam_g),
+            opt_d: Adam::new(hyper.adam_d),
+            sampler,
+            hyper,
+            rng: rng.fork(0x57A2),
+            data,
+            iter: 0,
+            telemetry: Arc::new(Recorder::disabled()),
+        }
+    }
+
+    /// Attaches a telemetry recorder (the default is a disabled no-op one).
+    pub fn with_telemetry(mut self, recorder: Arc<Recorder>) -> Self {
+        self.telemetry = recorder;
+        self
+    }
+
+    /// The attached telemetry recorder.
+    pub fn telemetry(&self) -> &Arc<Recorder> {
+        &self.telemetry
+    }
+
+    /// Number of iterations performed.
+    pub fn iterations(&self) -> usize {
+        self.iter
+    }
+
+    /// Size of the local dataset (`m`).
+    pub fn shard_size(&self) -> usize {
+        self.data.len()
+    }
+
+    /// One global iteration: `L` discriminator learning steps followed by
+    /// one generator learning step (§II).
+    pub fn step(&mut self) -> StepLosses {
+        let tick = self.iter as u64;
+        let telemetry = Arc::clone(&self.telemetry);
+        let _root = telemetry.trace_root(tick);
+        let _span = telemetry.span_at(Phase::LocalTrain, Track::Server, _root.ctx(), tick);
+        let b = self.hyper.batch;
+        let classes = self.gen.num_classes;
+        let aux = self.hyper.aux_weight;
+
+        // Fixed batches for the L discriminator iterations (Algorithm 1
+        // reuses X(d) and X(r) across the L local steps).
+        let (x_real, y_real) = self.sampler.sample(&self.data, b);
+        let z = self.gen.sample_z(b, &mut self.rng);
+        let y_fake = self.gen.sample_labels(b, &mut self.rng);
+        let x_fake = self.gen.generate(&z, &y_fake, true);
+
+        let mut disc_loss_acc = 0.0;
+        for _ in 0..self.hyper.disc_steps.max(1) {
+            self.disc.net.zero_grad();
+            let logits_r = self.disc.forward(&x_real, true);
+            let (lr, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
+            self.disc.backward(&gr);
+            let logits_f = self.disc.forward(&x_fake, true);
+            let (lf, gf) = disc_loss_fake(&logits_f, &y_fake, classes, aux);
+            self.disc.backward(&gf);
+            if self.hyper.clip_grad_norm > 0.0 {
+                self.disc
+                    .net
+                    .clip_grad_norm_per_layer(self.hyper.clip_grad_norm);
+            }
+            self.opt_d.step(&mut self.disc.net);
+            disc_loss_acc += lr + lf;
+        }
+
+        // Generator learning step: fresh forward through the updated D.
+        // (x_fake was produced by the generator's still-cached forward
+        // pass, so backprop through G is valid.)
+        let logits_f = self.disc.forward(&x_fake, true);
+        let (lg, glogits) = gen_loss(&logits_f, &y_fake, classes, aux, self.hyper.gen_loss);
+        self.disc.net.zero_grad();
+        let grad_images = self.disc.backward(&glogits);
+        self.disc.net.zero_grad(); // discard D's params grads from this pass
+        self.gen.net.zero_grad();
+        self.gen.backward(&grad_images);
+        if self.hyper.clip_grad_norm > 0.0 {
+            self.gen
+                .net
+                .clip_grad_norm_per_layer(self.hyper.clip_grad_norm);
+        }
+        self.opt_g.step(&mut self.gen.net);
+
+        self.iter += 1;
+        self.telemetry.event(Event::IterDone {
+            iter: self.iter - 1,
+            alive: 1,
+        });
+        StepLosses {
+            disc: disc_loss_acc / self.hyper.disc_steps.max(1) as f32,
+            gen: lg,
+        }
+    }
+
+    /// Runs `iters` iterations, scoring every `eval_every` (when an
+    /// evaluator is supplied; iteration 0 is also scored).
+    pub fn train(
+        &mut self,
+        iters: usize,
+        eval_every: usize,
+        mut evaluator: Option<&mut Evaluator>,
+    ) -> ScoreTimeline {
+        let mut timeline = ScoreTimeline::new();
+        if let Some(ev) = evaluator.as_deref_mut() {
+            let span = self.telemetry.span(Phase::Eval);
+            let s = ev.evaluate(&mut self.gen);
+            drop(span);
+            self.telemetry.event(Event::EvalDone {
+                iter: self.iter,
+                is_score: s.inception_score,
+                fid: s.fid,
+            });
+            timeline.push(self.iter, s);
+        }
+        for i in 1..=iters {
+            self.step();
+            if let Some(ev) = evaluator.as_deref_mut() {
+                if i % eval_every.max(1) == 0 || i == iters {
+                    let span = self.telemetry.span(Phase::Eval);
+                    let s = ev.evaluate(&mut self.gen);
+                    drop(span);
+                    self.telemetry.event(Event::EvalDone {
+                        iter: self.iter,
+                        is_score: s.inception_score,
+                        fid: s.fid,
+                    });
+                    timeline.push(self.iter, s);
+                }
+            }
+        }
+        timeline
+    }
+
+    /// Flat parameters of both networks, for FL-GAN averaging:
+    /// `(generator, discriminator)`.
+    pub fn params(&self) -> (Vec<f32>, Vec<f32>) {
+        (
+            self.gen.net.get_params_flat(),
+            self.disc.net.get_params_flat(),
+        )
+    }
+
+    /// Overwrites both networks' parameters (FL-GAN broadcast).
+    pub fn set_params(&mut self, gen: &[f32], disc: &[f32]) {
+        self.gen.net.set_params_flat(gen);
+        self.disc.net.set_params_flat(disc);
+    }
+
+    /// Captures a full training checkpoint (format v2): both networks,
+    /// both optimizers' Adam moments and both RNG stream positions, so a
+    /// resumed run replays bit-for-bit.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let mut ck = Checkpoint::new(self.iter as u64);
+        let (g, d) = self.params();
+        ck.push("gen", g);
+        ck.push("disc", d);
+        let go = self.opt_g.export_state();
+        let dopt = self.opt_d.export_state();
+        ck.push_u64("adam_t", vec![go.t, dopt.t]);
+        ck.push("opt_g_m", go.m);
+        ck.push("opt_g_v", go.v);
+        ck.push("opt_d_m", dopt.m);
+        ck.push("opt_d_v", dopt.v);
+        ck.push_u64("rng", self.rng.state_words().to_vec());
+        ck.push_u64("rng_sampler", self.sampler.rng_state_words().to_vec());
+        ck
+    }
+
+    /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint).
+    /// Missing or length-mismatched sections are errors, not silent skips.
+    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
+        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
+        let gen = ck
+            .require_len("gen", self.gen.num_params())
+            .map_err(ckerr)?;
+        let disc = ck
+            .require_len("disc", self.disc.num_params())
+            .map_err(ckerr)?;
+        self.gen.net.set_params_flat(gen);
+        self.disc.net.set_params_flat(disc);
+        let adam_t = ck.require_u64_len("adam_t", 2).map_err(ckerr)?.to_vec();
+        let go = AdamState {
+            t: adam_t[0],
+            m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
+            v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
+        };
+        self.opt_g
+            .import_state(&go, &self.gen.net)
+            .map_err(TrainError::Checkpoint)?;
+        let dopt = AdamState {
+            t: adam_t[1],
+            m: ck.require("opt_d_m").map_err(ckerr)?.to_vec(),
+            v: ck.require("opt_d_v").map_err(ckerr)?.to_vec(),
+        };
+        self.opt_d
+            .import_state(&dopt, &self.disc.net)
+            .map_err(TrainError::Checkpoint)?;
+        let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
+            let w = ck
+                .require_u64_len(name, Rng64::STATE_WORDS)
+                .map_err(ckerr)?;
+            Ok(std::array::from_fn(|i| w[i]))
+        };
+        self.rng = Rng64::from_state_words(words("rng")?);
+        self.sampler.set_rng_state_words(words("rng_sampler")?);
+        self.iter = ck.iteration as usize;
+        Ok(())
+    }
+
+    /// Scales both learning rates by `factor` (supervisor rollback policy).
+    pub fn scale_lr(&mut self, factor: f32) {
+        self.opt_g.set_lr(self.opt_g.lr() * factor);
+        self.opt_d.set_lr(self.opt_d.lr() * factor);
+    }
+}
+
+impl crate::supervisor::Recoverable for StandaloneGan {
+    fn iteration(&self) -> u64 {
+        self.iter as u64
+    }
+
+    fn capture(&self) -> Checkpoint {
+        self.checkpoint()
+    }
+
+    fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
+        StandaloneGan::restore(self, ck)
+    }
+
+    fn step_once(&mut self) -> Vec<f32> {
+        let losses = self.step();
+        vec![losses.disc, losses.gen]
+    }
+
+    fn health_nets(&self) -> Vec<&md_nn::layers::Sequential> {
+        vec![&self.gen.net, &self.disc.net]
+    }
+
+    fn scale_lr(&mut self, factor: f32) {
+        StandaloneGan::scale_lr(self, factor)
+    }
+
+    /// Corrupts one generator weight (test hook for the detection →
+    /// rollback path); replaying from the last checkpoint without
+    /// re-poisoning stays healthy.
+    fn poison(&mut self) {
+        self.gen.net.params_mut()[0].data_mut()[0] = f32::NAN;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_data::synthetic::mnist_like;
+    use md_nn::gan::GenLossMode;
+
+    fn tiny() -> StandaloneGan {
+        let data = mnist_like(12, 256, 1, 0.08);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let mut rng = Rng64::seed_from_u64(3);
+        StandaloneGan::new(
+            &spec,
+            data,
+            GanHyper {
+                batch: 8,
+                ..GanHyper::default()
+            },
+            &mut rng,
+        )
+    }
+
+    #[test]
+    fn step_updates_both_networks() {
+        let mut gan = tiny();
+        let (g0, d0) = gan.params();
+        let losses = gan.step();
+        let (g1, d1) = gan.params();
+        assert_ne!(g0, g1, "generator did not move");
+        assert_ne!(d0, d1, "discriminator did not move");
+        assert!(losses.disc.is_finite() && losses.gen.is_finite());
+        assert_eq!(gan.iterations(), 1);
+    }
+
+    #[test]
+    fn training_is_seed_deterministic() {
+        let run = || {
+            let mut gan = tiny();
+            for _ in 0..5 {
+                gan.step();
+            }
+            gan.params()
+        };
+        let (g1, d1) = run();
+        let (g2, d2) = run();
+        assert_eq!(g1, g2);
+        assert_eq!(d1, d2);
+    }
+
+    #[test]
+    fn params_stay_finite_over_many_steps() {
+        let mut gan = tiny();
+        for _ in 0..50 {
+            gan.step();
+        }
+        let (g, d) = gan.params();
+        assert!(g.iter().all(|v| v.is_finite()));
+        assert!(d.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn disc_steps_l_runs_l_optimizer_updates() {
+        let data = mnist_like(12, 64, 2, 0.08);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let mut rng = Rng64::seed_from_u64(4);
+        let hyper = GanHyper {
+            batch: 4,
+            disc_steps: 3,
+            ..GanHyper::default()
+        };
+        let mut gan = StandaloneGan::new(&spec, data, hyper, &mut rng);
+        gan.step();
+        // Not directly observable, but the run must stay healthy.
+        assert!(gan.params().1.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn telemetry_counts_local_steps() {
+        let rec = Arc::new(Recorder::enabled());
+        let mut gan = tiny().with_telemetry(Arc::clone(&rec));
+        for _ in 0..5 {
+            gan.step();
+        }
+        assert_eq!(rec.phase_stats(Phase::LocalTrain).count, 5);
+        assert_eq!(rec.counter(md_telemetry::Counter::Iterations), 5);
+    }
+
+    #[test]
+    fn set_params_roundtrip() {
+        let mut a = tiny();
+        let mut b = tiny();
+        a.step();
+        let (g, d) = a.params();
+        b.set_params(&g, &d);
+        assert_eq!(b.params().0, g);
+        assert_eq!(b.params().1, d);
+    }
+
+    #[test]
+    fn resume_from_checkpoint_is_bit_identical() {
+        let mut full = tiny();
+        for _ in 0..7 {
+            full.step();
+        }
+
+        let mut first = tiny();
+        for _ in 0..4 {
+            first.step();
+        }
+        let bytes = first.checkpoint().to_bytes();
+        drop(first);
+
+        let ck = Checkpoint::from_bytes(&bytes).unwrap();
+        let mut resumed = tiny();
+        resumed.restore(&ck).unwrap();
+        assert_eq!(resumed.iterations(), 4);
+        for _ in 0..3 {
+            resumed.step();
+        }
+        assert_eq!(resumed.params(), full.params());
+    }
+
+    #[test]
+    fn restore_rejects_missing_sections() {
+        let mut gan = tiny();
+        gan.step();
+        let empty = Checkpoint::new(1);
+        let err = gan.restore(&empty).unwrap_err();
+        assert!(err.to_string().contains("gen"), "got: {err}");
+    }
+
+    #[test]
+    fn scale_lr_halves_both_rates() {
+        let mut gan = tiny();
+        let g0 = gan.opt_g.lr();
+        let d0 = gan.opt_d.lr();
+        gan.scale_lr(0.5);
+        assert_eq!(gan.opt_g.lr(), g0 * 0.5);
+        assert_eq!(gan.opt_d.lr(), d0 * 0.5);
+    }
+
+    #[test]
+    fn supervised_nan_injection_recovers_bit_identically() {
+        use crate::supervisor::{SupervisorConfig, TrainSupervisor};
+        let mut clean = tiny();
+        TrainSupervisor::new(SupervisorConfig {
+            ckpt_every: 2,
+            ..SupervisorConfig::default()
+        })
+        .run(&mut clean, 6)
+        .unwrap();
+
+        let mut faulty = tiny();
+        let mut sup = TrainSupervisor::new(SupervisorConfig {
+            ckpt_every: 2,
+            ..SupervisorConfig::default()
+        });
+        sup.inject_nan_at = Some(3);
+        let report = sup.run(&mut faulty, 6).unwrap();
+        assert_eq!(report.rollbacks, 1);
+        assert_eq!(faulty.params(), clean.params());
+    }
+
+    #[test]
+    fn minimax_mode_also_trains() {
+        let data = mnist_like(12, 128, 5, 0.08);
+        let spec = ArchSpec::mlp_mnist_scaled(12);
+        let mut rng = Rng64::seed_from_u64(6);
+        let hyper = GanHyper {
+            batch: 8,
+            gen_loss: GenLossMode::Minimax,
+            ..GanHyper::default()
+        };
+        let mut gan = StandaloneGan::new(&spec, data, hyper, &mut rng);
+        let (g0, _) = gan.params();
+        for _ in 0..3 {
+            gan.step();
+        }
+        let (g1, _) = gan.params();
+        assert_ne!(g0, g1);
+    }
+}

@@ -1,0 +1,250 @@
+//! Parameter-free activation layers: ReLU, LeakyReLU, Tanh, Sigmoid.
+
+use crate::layer::Layer;
+use md_tensor::Tensor;
+
+macro_rules! no_params {
+    () => {
+        fn params(&self) -> Vec<&Tensor> {
+            vec![]
+        }
+        fn params_mut(&mut self) -> Vec<&mut Tensor> {
+            vec![]
+        }
+        fn grads(&self) -> Vec<&Tensor> {
+            vec![]
+        }
+        fn zero_grad(&mut self) {}
+    };
+}
+
+/// Rectified linear unit: `max(0, x)`.
+#[derive(Default)]
+pub struct Relu {
+    cached_input: Option<Tensor>,
+}
+
+impl Relu {
+    /// Creates a ReLU layer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Layer for Relu {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        self.cached_input = Some(x.clone());
+        x.map(|v| v.max(0.0))
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("Relu::backward before forward");
+        assert_eq!(grad_out.shape(), x.shape());
+        let mut g = grad_out.clone();
+        for (gv, &xv) in g.data_mut().iter_mut().zip(x.data()) {
+            if xv <= 0.0 {
+                *gv = 0.0;
+            }
+        }
+        g
+    }
+
+    no_params!();
+
+    fn name(&self) -> String {
+        "ReLU".into()
+    }
+}
+
+/// Leaky ReLU: `x` if `x > 0`, else `alpha * x`. The paper's discriminators
+/// (DCGAN-style) conventionally use `alpha = 0.2`.
+pub struct LeakyRelu {
+    alpha: f32,
+    cached_input: Option<Tensor>,
+}
+
+impl LeakyRelu {
+    /// Creates a LeakyReLU with the given negative slope.
+    pub fn new(alpha: f32) -> Self {
+        LeakyRelu {
+            alpha,
+            cached_input: None,
+        }
+    }
+}
+
+impl Layer for LeakyRelu {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        self.cached_input = Some(x.clone());
+        let a = self.alpha;
+        x.map(|v| if v > 0.0 { v } else { a * v })
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let x = self
+            .cached_input
+            .as_ref()
+            .expect("LeakyRelu::backward before forward");
+        assert_eq!(grad_out.shape(), x.shape());
+        let a = self.alpha;
+        let mut g = grad_out.clone();
+        for (gv, &xv) in g.data_mut().iter_mut().zip(x.data()) {
+            if xv <= 0.0 {
+                *gv *= a;
+            }
+        }
+        g
+    }
+
+    no_params!();
+
+    fn name(&self) -> String {
+        format!("LeakyReLU({})", self.alpha)
+    }
+}
+
+/// Hyperbolic tangent — the canonical output activation of DCGAN generators
+/// (images normalized to `[-1, 1]`).
+#[derive(Default)]
+pub struct Tanh {
+    cached_output: Option<Tensor>,
+}
+
+impl Tanh {
+    /// Creates a Tanh layer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl Layer for Tanh {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        let y = x.map(f32::tanh);
+        self.cached_output = Some(y.clone());
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let y = self
+            .cached_output
+            .as_ref()
+            .expect("Tanh::backward before forward");
+        assert_eq!(grad_out.shape(), y.shape());
+        let mut g = grad_out.clone();
+        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+            *gv *= 1.0 - yv * yv;
+        }
+        g
+    }
+
+    no_params!();
+
+    fn name(&self) -> String {
+        "Tanh".into()
+    }
+}
+
+/// Logistic sigmoid. GAN losses in this workspace operate on logits, so this
+/// layer appears mainly in tests and in the scorer classifier.
+#[derive(Default)]
+pub struct Sigmoid {
+    cached_output: Option<Tensor>,
+}
+
+impl Sigmoid {
+    /// Creates a Sigmoid layer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+/// Numerically stable scalar sigmoid.
+#[inline]
+pub fn sigmoid(x: f32) -> f32 {
+    if x >= 0.0 {
+        let e = (-x).exp();
+        1.0 / (1.0 + e)
+    } else {
+        let e = x.exp();
+        e / (1.0 + e)
+    }
+}
+
+impl Layer for Sigmoid {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        let y = x.map(sigmoid);
+        self.cached_output = Some(y.clone());
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let y = self
+            .cached_output
+            .as_ref()
+            .expect("Sigmoid::backward before forward");
+        assert_eq!(grad_out.shape(), y.shape());
+        let mut g = grad_out.clone();
+        for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
+            *gv *= yv * (1.0 - yv);
+        }
+        g
+    }
+
+    no_params!();
+
+    fn name(&self) -> String {
+        "Sigmoid".into()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_tensor::assert_close;
+
+    #[test]
+    fn relu_clips_negatives() {
+        let mut l = Relu::new();
+        let y = l.forward(&Tensor::new(&[4], vec![-1.0, 0.0, 0.5, 2.0]), true);
+        assert_eq!(y.data(), &[0.0, 0.0, 0.5, 2.0]);
+        let g = l.backward(&Tensor::ones(&[4]));
+        assert_eq!(g.data(), &[0.0, 0.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn leaky_relu_scales_negatives() {
+        let mut l = LeakyRelu::new(0.2);
+        let y = l.forward(&Tensor::new(&[3], vec![-1.0, 0.0, 2.0]), true);
+        assert_close(y.data(), &[-0.2, 0.0, 2.0], 1e-6);
+        let g = l.backward(&Tensor::ones(&[3]));
+        assert_close(g.data(), &[0.2, 0.2, 1.0], 1e-6);
+    }
+
+    #[test]
+    fn tanh_saturates() {
+        let mut l = Tanh::new();
+        let y = l.forward(&Tensor::new(&[3], vec![-10.0, 0.0, 10.0]), true);
+        assert!((y.data()[0] + 1.0).abs() < 1e-4);
+        assert_eq!(y.data()[1], 0.0);
+        assert!((y.data()[2] - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn sigmoid_stable_extremes() {
+        assert!((sigmoid(100.0) - 1.0).abs() < 1e-6);
+        assert!(sigmoid(-100.0) < 1e-6);
+        assert!(sigmoid(-100.0).is_finite());
+        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
+    }
+
+    #[test]
+    fn gradcheck_relu_like() {
+        // LeakyReLU is differentiable almost everywhere; randn inputs avoid 0.
+        crate::gradcheck::check_layer(|_| Box::new(LeakyRelu::new(0.2)), &[2, 5], 1e-3, 2e-2);
+        crate::gradcheck::check_layer(|_| Box::new(Tanh::new()), &[2, 5], 1e-3, 2e-2);
+        crate::gradcheck::check_layer(|_| Box::new(Sigmoid::new()), &[2, 5], 1e-3, 2e-2);
+    }
+}

@@ -1,0 +1,300 @@
+//! Batch normalization for dense `(B, F)` and convolutional `(B, C, H, W)`
+//! activations (per-feature / per-channel statistics).
+
+use crate::layer::Layer;
+use md_tensor::Tensor;
+
+/// Batch normalization (Ioffe & Szegedy) with learnable scale/shift and
+/// running statistics for inference.
+///
+/// DCGAN-style generators (the paper's CNN generators) interleave these with
+/// transposed convolutions.
+pub struct BatchNorm {
+    gamma: Tensor,
+    beta: Tensor,
+    grad_gamma: Tensor,
+    grad_beta: Tensor,
+    running_mean: Vec<f32>,
+    running_var: Vec<f32>,
+    momentum: f32,
+    eps: f32,
+    features: usize,
+    // Caches for backward.
+    cache: Option<BnCache>,
+}
+
+struct BnCache {
+    xhat: Tensor,
+    inv_std: Vec<f32>,
+    mean: Vec<f32>,
+    input_shape: Vec<usize>,
+    train: bool,
+}
+
+impl BatchNorm {
+    /// Creates a batch-norm layer over `features` channels.
+    pub fn new(features: usize) -> Self {
+        BatchNorm {
+            gamma: Tensor::ones(&[features]),
+            beta: Tensor::zeros(&[features]),
+            grad_gamma: Tensor::zeros(&[features]),
+            grad_beta: Tensor::zeros(&[features]),
+            running_mean: vec![0.0; features],
+            running_var: vec![1.0; features],
+            momentum: 0.9,
+            eps: 1e-5,
+            features,
+            cache: None,
+        }
+    }
+
+    /// Number of normalized features/channels.
+    pub fn features(&self) -> usize {
+        self.features
+    }
+
+    /// (channel index, per-channel group size, iterator plan) for the input.
+    /// Returns (num_groups_per_channel_element = B*H*W).
+    fn check_shape(&self, x: &Tensor) -> (usize, usize) {
+        match x.ndim() {
+            2 => {
+                assert_eq!(x.shape()[1], self.features, "BatchNorm feature mismatch");
+                (x.shape()[0], 1)
+            }
+            4 => {
+                assert_eq!(x.shape()[1], self.features, "BatchNorm channel mismatch");
+                (x.shape()[0], x.shape()[2] * x.shape()[3])
+            }
+            _ => panic!("BatchNorm expects (B,F) or (B,C,H,W), got {:?}", x.shape()),
+        }
+    }
+
+    /// Iterates channel `c`'s elements of a `(B,F)` or `(B,C,H,W)` tensor.
+    fn for_channel(b: usize, c_total: usize, hw: usize, c: usize, mut f: impl FnMut(usize)) {
+        if hw == 1 {
+            for bi in 0..b {
+                f(bi * c_total + c);
+            }
+        } else {
+            for bi in 0..b {
+                let base = (bi * c_total + c) * hw;
+                for i in 0..hw {
+                    f(base + i);
+                }
+            }
+        }
+    }
+}
+
+impl Layer for BatchNorm {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let (b, hw) = self.check_shape(x);
+        let c_total = self.features;
+        let m = (b * hw) as f32;
+        let mut y = x.clone();
+        let mut xhat = x.clone();
+        let mut means = vec![0.0f32; c_total];
+        let mut inv_stds = vec![0.0f32; c_total];
+
+        for c in 0..c_total {
+            let (mean, var) = if train {
+                let mut sum = 0.0f32;
+                Self::for_channel(b, c_total, hw, c, |i| sum += x.data()[i]);
+                let mean = sum / m;
+                let mut sq = 0.0f32;
+                Self::for_channel(b, c_total, hw, c, |i| {
+                    let d = x.data()[i] - mean;
+                    sq += d * d;
+                });
+                let var = sq / m;
+                self.running_mean[c] =
+                    self.momentum * self.running_mean[c] + (1.0 - self.momentum) * mean;
+                self.running_var[c] =
+                    self.momentum * self.running_var[c] + (1.0 - self.momentum) * var;
+                (mean, var)
+            } else {
+                (self.running_mean[c], self.running_var[c])
+            };
+            let inv_std = 1.0 / (var + self.eps).sqrt();
+            means[c] = mean;
+            inv_stds[c] = inv_std;
+            let g = self.gamma.data()[c];
+            let be = self.beta.data()[c];
+            let xd = x.data();
+            let xh = xhat.data_mut();
+            Self::for_channel(b, c_total, hw, c, |i| {
+                xh[i] = (xd[i] - mean) * inv_std;
+            });
+            let xh = xhat.data();
+            let yd = y.data_mut();
+            Self::for_channel(b, c_total, hw, c, |i| {
+                yd[i] = g * xh[i] + be;
+            });
+        }
+        self.cache = Some(BnCache {
+            xhat,
+            inv_std: inv_stds,
+            mean: means,
+            input_shape: x.shape().to_vec(),
+            train,
+        });
+        y
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("BatchNorm::backward before forward");
+        assert_eq!(
+            grad_out.shape(),
+            &cache.input_shape[..],
+            "BatchNorm grad shape mismatch"
+        );
+        let x_ndim = cache.input_shape.len();
+        let b = cache.input_shape[0];
+        let hw = if x_ndim == 4 {
+            cache.input_shape[2] * cache.input_shape[3]
+        } else {
+            1
+        };
+        let c_total = self.features;
+        let m = (b * hw) as f32;
+        let mut gx = grad_out.clone();
+
+        for c in 0..c_total {
+            let g = self.gamma.data()[c];
+            let inv_std = cache.inv_std[c];
+            let dy = grad_out.data();
+            let xh = cache.xhat.data();
+
+            let mut sum_dy = 0.0f32;
+            let mut sum_dy_xhat = 0.0f32;
+            Self::for_channel(b, c_total, hw, c, |i| {
+                sum_dy += dy[i];
+                sum_dy_xhat += dy[i] * xh[i];
+            });
+            self.grad_gamma.data_mut()[c] += sum_dy_xhat;
+            self.grad_beta.data_mut()[c] += sum_dy;
+
+            let gxd = gx.data_mut();
+            if cache.train {
+                // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
+                Self::for_channel(b, c_total, hw, c, |i| {
+                    gxd[i] = (g * inv_std / m) * (m * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
+                });
+            } else {
+                // Eval mode: running stats are constants.
+                Self::for_channel(b, c_total, hw, c, |i| {
+                    gxd[i] = g * inv_std * dy[i];
+                });
+            }
+        }
+        let _ = &cache.mean; // mean only needed to rebuild xhat; kept for clarity
+        gx
+    }
+
+    fn params(&self) -> Vec<&Tensor> {
+        vec![&self.gamma, &self.beta]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.gamma, &mut self.beta]
+    }
+
+    fn grads(&self) -> Vec<&Tensor> {
+        vec![&self.grad_gamma, &self.grad_beta]
+    }
+
+    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.grad_gamma, &mut self.grad_beta]
+    }
+
+    fn zero_grad(&mut self) {
+        self.grad_gamma.fill(0.0);
+        self.grad_beta.fill(0.0);
+    }
+
+    fn name(&self) -> String {
+        format!("BatchNorm({})", self.features)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use md_tensor::rng::Rng64;
+
+    #[test]
+    fn normalizes_batch_statistics() {
+        let mut rng = Rng64::seed_from_u64(1);
+        let mut bn = BatchNorm::new(3);
+        let x = Tensor::randn(&[64, 3], &mut rng).scale(5.0).add_scalar(2.0);
+        let y = bn.forward(&x, true);
+        // Each output column should be ~N(0,1) (gamma=1, beta=0 initially).
+        for c in 0..3 {
+            let col: Vec<f32> = (0..64).map(|i| y.at(&[i, c])).collect();
+            let mean: f32 = col.iter().sum::<f32>() / 64.0;
+            let var: f32 = col.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / 64.0;
+            assert!(mean.abs() < 1e-4, "mean {mean}");
+            assert!((var - 1.0).abs() < 1e-2, "var {var}");
+        }
+    }
+
+    #[test]
+    fn conv_mode_normalizes_per_channel() {
+        let mut rng = Rng64::seed_from_u64(2);
+        let mut bn = BatchNorm::new(2);
+        let x = Tensor::randn(&[8, 2, 4, 4], &mut rng).scale(3.0);
+        let y = bn.forward(&x, true);
+        assert_eq!(y.shape(), x.shape());
+        // Channel 0 stats over batch+space:
+        let mut vals = Vec::new();
+        for bi in 0..8 {
+            for i in 0..4 {
+                for j in 0..4 {
+                    vals.push(y.at(&[bi, 0, i, j]));
+                }
+            }
+        }
+        let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
+        assert!(mean.abs() < 1e-4);
+    }
+
+    #[test]
+    fn running_stats_track_batches() {
+        let mut rng = Rng64::seed_from_u64(3);
+        let mut bn = BatchNorm::new(1);
+        // Feed constant-distribution batches; running mean should approach 4.
+        for _ in 0..60 {
+            let x = Tensor::randn(&[32, 1], &mut rng).add_scalar(4.0);
+            bn.forward(&x, true);
+        }
+        assert!(
+            (bn.running_mean[0] - 4.0).abs() < 0.3,
+            "running mean {}",
+            bn.running_mean[0]
+        );
+        // Eval mode should now roughly standardize using running stats.
+        let x = Tensor::randn(&[32, 1], &mut rng).add_scalar(4.0);
+        let y = bn.forward(&x, false);
+        assert!(y.mean().abs() < 0.5);
+    }
+
+    #[test]
+    fn gradcheck_train_mode() {
+        crate::gradcheck::check_layer(|_| Box::new(BatchNorm::new(3)), &[6, 3], 1e-2, 3e-2);
+    }
+
+    #[test]
+    fn gradcheck_conv_mode() {
+        crate::gradcheck::check_layer(|_| Box::new(BatchNorm::new(2)), &[3, 2, 3, 3], 1e-2, 3e-2);
+    }
+
+    #[test]
+    #[should_panic(expected = "feature mismatch")]
+    fn rejects_wrong_features() {
+        let mut bn = BatchNorm::new(3);
+        bn.forward(&Tensor::zeros(&[2, 4]), true);
+    }
+}

@@ -1,0 +1,245 @@
+//! Minibatch discrimination (Salimans et al., "Improved Techniques for
+//! Training GANs" — reference \[20\] of the paper).
+//!
+//! The paper's CNN discriminators include one of these layers: it lets the
+//! discriminator look at relationships *between* samples in a batch, a
+//! standard counter-measure to generator mode collapse.
+//!
+//! Given input `x: (B, A)` and a learned tensor `T: (A, nb*nc)`, compute
+//! `M = x·T` reshaped to `(B, nb, nc)`. For each pair of samples `(i, j)`
+//! and each feature `f`, `c_ijf = exp(-||M_if - M_jf||_1)`. The layer output
+//! appends `o_if = Σ_{j≠i} c_ijf` to the input: `(B, A + nb)`.
+
+use crate::init::Init;
+use crate::layer::Layer;
+use md_tensor::rng::Rng64;
+use md_tensor::Tensor;
+
+/// The minibatch-discrimination layer.
+pub struct MinibatchDiscrimination {
+    t: Tensor, // (A, nb*nc)
+    grad_t: Tensor,
+    in_features: usize,
+    nb: usize,
+    nc: usize,
+    cache: Option<Cache>,
+}
+
+struct Cache {
+    x: Tensor,
+    m: Tensor,   // (B, nb*nc)
+    c: Vec<f32>, // c[i*b*nb + j*nb + f]
+}
+
+impl MinibatchDiscrimination {
+    /// Creates the layer with `nb` output features of `nc` kernel dims each.
+    pub fn new(in_features: usize, nb: usize, nc: usize, rng: &mut Rng64) -> Self {
+        MinibatchDiscrimination {
+            t: Init::XavierUniform.sample(&[in_features, nb * nc], in_features, nb * nc, rng),
+            grad_t: Tensor::zeros(&[in_features, nb * nc]),
+            in_features,
+            nb,
+            nc,
+            cache: None,
+        }
+    }
+
+    /// Output width = input width + `nb`.
+    pub fn out_features(&self) -> usize {
+        self.in_features + self.nb
+    }
+}
+
+impl Layer for MinibatchDiscrimination {
+    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+        assert_eq!(x.ndim(), 2, "MinibatchDiscrimination expects (B, A)");
+        assert_eq!(
+            x.shape()[1],
+            self.in_features,
+            "MinibatchDiscrimination width mismatch"
+        );
+        let b = x.shape()[0];
+        let (nb, nc) = (self.nb, self.nc);
+        let m = x.matmul(&self.t); // (B, nb*nc)
+
+        // c_ijf = exp(-L1(M_if, M_jf)); o_if = sum_{j != i} c_ijf
+        let mut c = vec![0.0f32; b * b * nb];
+        let mut o = vec![0.0f32; b * nb];
+        for i in 0..b {
+            for j in 0..b {
+                if i == j {
+                    continue;
+                }
+                for f in 0..nb {
+                    let mi = &m.data()[i * nb * nc + f * nc..i * nb * nc + (f + 1) * nc];
+                    let mj = &m.data()[j * nb * nc + f * nc..j * nb * nc + (f + 1) * nc];
+                    let l1: f32 = mi.iter().zip(mj).map(|(a, b)| (a - b).abs()).sum();
+                    let cv = (-l1).exp();
+                    c[(i * b + j) * nb + f] = cv;
+                    o[i * nb + f] += cv;
+                }
+            }
+        }
+
+        // Output = concat(x, o) along features.
+        let mut out = Vec::with_capacity(b * (self.in_features + nb));
+        for i in 0..b {
+            out.extend_from_slice(x.row(i));
+            out.extend_from_slice(&o[i * nb..(i + 1) * nb]);
+        }
+        self.cache = Some(Cache { x: x.clone(), m, c });
+        Tensor::new(&[b, self.in_features + nb], out)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("MinibatchDiscrimination::backward before forward");
+        let b = cache.x.shape()[0];
+        let (a, nb, nc) = (self.in_features, self.nb, self.nc);
+        assert_eq!(
+            grad_out.shape(),
+            &[b, a + nb],
+            "MinibatchDiscrimination grad shape mismatch"
+        );
+
+        // Split incoming gradient.
+        let mut gx_direct = vec![0.0f32; b * a];
+        let mut go = vec![0.0f32; b * nb];
+        for i in 0..b {
+            let row = grad_out.row(i);
+            gx_direct[i * a..(i + 1) * a].copy_from_slice(&row[..a]);
+            go[i * nb..(i + 1) * nb].copy_from_slice(&row[a..]);
+        }
+
+        // dL/dM: for every unordered pair contribution.
+        let mut gm = vec![0.0f32; b * nb * nc];
+        let md = cache.m.data();
+        for i in 0..b {
+            for j in 0..b {
+                if i == j {
+                    continue;
+                }
+                for f in 0..nb {
+                    let cv = cache.c[(i * b + j) * nb + f];
+                    if cv == 0.0 {
+                        continue;
+                    }
+                    // dL/do_if and dL/do_jf both touch c_ijf; iterate ordered
+                    // pairs and attribute only the o_if term to avoid double
+                    // counting (the (j,i) iteration handles o_jf).
+                    let w = go[i * nb + f] * cv;
+                    for cdim in 0..nc {
+                        let mi = md[i * nb * nc + f * nc + cdim];
+                        let mj = md[j * nb * nc + f * nc + cdim];
+                        let s = if mi > mj {
+                            1.0
+                        } else if mi < mj {
+                            -1.0
+                        } else {
+                            0.0
+                        };
+                        // d c_ijf / d M_i = -c * s ; d c_ijf / d M_j = +c * s
+                        gm[i * nb * nc + f * nc + cdim] -= w * s;
+                        gm[j * nb * nc + f * nc + cdim] += w * s;
+                    }
+                }
+            }
+        }
+        let gm = Tensor::new(&[b, nb * nc], gm);
+
+        // dL/dT = x^T · gm ; dL/dx = gx_direct + gm · T^T
+        self.grad_t.add_assign(&cache.x.matmul_tn(&gm));
+        let gx_m = gm.matmul_nt(&self.t);
+        let mut gx = Tensor::new(&[b, a], gx_direct);
+        gx.add_assign(&gx_m);
+        gx
+    }
+
+    fn params(&self) -> Vec<&Tensor> {
+        vec![&self.t]
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.t]
+    }
+
+    fn grads(&self) -> Vec<&Tensor> {
+        vec![&self.grad_t]
+    }
+
+    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![&mut self.grad_t]
+    }
+
+    fn zero_grad(&mut self) {
+        self.grad_t.fill(0.0);
+    }
+
+    fn name(&self) -> String {
+        format!(
+            "MinibatchDisc(A={}, nb={}, nc={})",
+            self.in_features, self.nb, self.nc
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn output_concatenates_similarity_features() {
+        let mut rng = Rng64::seed_from_u64(1);
+        let mut l = MinibatchDiscrimination::new(4, 3, 2, &mut rng);
+        let x = Tensor::randn(&[5, 4], &mut rng);
+        let y = l.forward(&x, true);
+        assert_eq!(y.shape(), &[5, 7]);
+        // First 4 features are passed through unchanged.
+        for i in 0..5 {
+            assert_eq!(&y.row(i)[..4], x.row(i));
+        }
+        // Similarity features are positive and bounded by B-1.
+        for i in 0..5 {
+            for f in 4..7 {
+                let v = y.row(i)[f];
+                assert!((0.0..=4.0).contains(&v), "o value {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn identical_samples_have_max_similarity() {
+        let mut rng = Rng64::seed_from_u64(2);
+        let mut l = MinibatchDiscrimination::new(3, 2, 2, &mut rng);
+        let row = [0.3f32, -0.7, 1.1];
+        let x = Tensor::new(&[2, 3], [row, row].concat());
+        let y = l.forward(&x, true);
+        // L1 distance 0 => c = exp(0) = 1 for the single other sample.
+        for f in 3..5 {
+            assert!((y.row(0)[f] - 1.0).abs() < 1e-5);
+            assert!((y.row(1)[f] - 1.0).abs() < 1e-5);
+        }
+    }
+
+    #[test]
+    fn gradcheck() {
+        crate::gradcheck::check_layer(
+            |rng| Box::new(MinibatchDiscrimination::new(3, 2, 2, rng)),
+            &[4, 3],
+            1e-3,
+            5e-2,
+        );
+    }
+
+    #[test]
+    fn batch_of_one_has_zero_similarity() {
+        let mut rng = Rng64::seed_from_u64(3);
+        let mut l = MinibatchDiscrimination::new(2, 2, 2, &mut rng);
+        let x = Tensor::randn(&[1, 2], &mut rng);
+        let y = l.forward(&x, true);
+        assert_eq!(y.row(0)[2], 0.0);
+        assert_eq!(y.row(0)[3], 0.0);
+    }
+}

@@ -1,0 +1,362 @@
+//! The [`Sequential`] container: an ordered stack of layers that is itself a
+//! [`Layer`], plus the flat-parameter utilities that power MD-GAN's
+//! discriminator swap and FL-GAN's federated averaging.
+
+use crate::layer::Layer;
+use md_tensor::Tensor;
+
+/// An ordered stack of layers applied in sequence.
+pub struct Sequential {
+    layers: Vec<Box<dyn Layer>>,
+}
+
+impl Default for Sequential {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Sequential {
+    /// Creates an empty stack.
+    pub fn new() -> Self {
+        Sequential { layers: Vec::new() }
+    }
+
+    /// Appends a layer (builder style).
+    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
+        self.layers.push(Box::new(layer));
+        self
+    }
+
+    /// Appends a boxed layer.
+    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
+        self.layers.push(layer);
+    }
+
+    /// Number of layers.
+    pub fn len(&self) -> usize {
+        self.layers.len()
+    }
+
+    /// True iff the stack has no layers.
+    pub fn is_empty(&self) -> bool {
+        self.layers.is_empty()
+    }
+
+    /// A short human-readable summary: layer names and parameter count.
+    pub fn summary(&self) -> String {
+        let mut s = String::new();
+        for l in &self.layers {
+            s.push_str(&format!("{} [{} params]\n", l.name(), l.num_params()));
+        }
+        s.push_str(&format!("total parameters: {}", self.num_params()));
+        s
+    }
+
+    // ------------------------------------------------ flat parameter vector
+
+    /// Serializes all parameters into one flat `Vec<f32>` (layer order,
+    /// then parameter order within the layer).
+    ///
+    /// This is the unit that MD-GAN workers ship to each other during a
+    /// discriminator swap and that FL-GAN averages at the server; its byte
+    /// size (`4 * len`) is what the traffic accounting charges.
+    pub fn get_params_flat(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.num_params());
+        for l in &self.layers {
+            for p in l.params() {
+                out.extend_from_slice(p.data());
+            }
+        }
+        out
+    }
+
+    /// Loads parameters from a flat vector produced by
+    /// [`Sequential::get_params_flat`] on an identically-shaped network.
+    ///
+    /// # Panics
+    /// Panics if the length does not match.
+    pub fn set_params_flat(&mut self, flat: &[f32]) {
+        let expect = self.num_params();
+        assert_eq!(
+            flat.len(),
+            expect,
+            "flat parameter length {} != expected {}",
+            flat.len(),
+            expect
+        );
+        let mut off = 0;
+        for l in &mut self.layers {
+            for p in l.params_mut() {
+                let n = p.len();
+                p.data_mut().copy_from_slice(&flat[off..off + n]);
+                off += n;
+            }
+        }
+    }
+
+    /// Serializes all accumulated gradients into one flat vector, aligned
+    /// with [`Sequential::get_params_flat`].
+    pub fn get_grads_flat(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.num_params());
+        for l in &self.layers {
+            for g in l.grads() {
+                out.extend_from_slice(g.data());
+            }
+        }
+        out
+    }
+
+    /// Clips each layer's accumulated gradient to an L2 norm of at most
+    /// `max_norm` (per-layer, not global — a single exploding layer is
+    /// rescaled without muting the others). Returns how many layers were
+    /// clipped. Layers whose gradients contain NaN/Inf are left untouched
+    /// (rescaling cannot repair them; the health monitor must catch them).
+    pub fn clip_grad_norm_per_layer(&mut self, max_norm: f32) -> usize {
+        assert!(max_norm > 0.0, "clip_grad_norm_per_layer({max_norm})");
+        let mut clipped = 0;
+        for l in &mut self.layers {
+            let mut sq = 0.0f64;
+            let mut finite = true;
+            for g in l.grads() {
+                for &v in g.data() {
+                    if !v.is_finite() {
+                        finite = false;
+                    }
+                    sq += (v as f64) * (v as f64);
+                }
+            }
+            let norm = sq.sqrt() as f32;
+            if finite && norm > max_norm {
+                let scale = max_norm / norm;
+                for g in l.grads_mut() {
+                    for v in g.data_mut() {
+                        *v *= scale;
+                    }
+                }
+                clipped += 1;
+            }
+        }
+        clipped
+    }
+
+    /// Fused parameter-health probe: the maximum absolute parameter value,
+    /// or `None` if any parameter is NaN/Inf (see
+    /// [`Tensor::finite_max_abs`]).
+    pub fn params_finite_max_abs(&self) -> Option<f32> {
+        let mut mx = 0.0f32;
+        for l in &self.layers {
+            for p in l.params() {
+                mx = mx.max(p.finite_max_abs()?);
+            }
+        }
+        Some(mx)
+    }
+
+    /// Applies `update` to every (parameter, aligned flat-gradient slice)
+    /// pair — the bridge the optimizers use.
+    pub fn visit_params_and_grads(&mut self, mut update: impl FnMut(usize, &mut Tensor, &Tensor)) {
+        // Gradients are read before the mutable borrow of params.
+        let grads: Vec<Tensor> = self
+            .layers
+            .iter()
+            .flat_map(|l| l.grads().into_iter().cloned())
+            .collect();
+        let mut idx = 0;
+        for l in &mut self.layers {
+            let n = l.params().len();
+            for p in l.params_mut() {
+                update(idx, p, &grads[idx]);
+                idx += 1;
+            }
+            debug_assert!(n == 0 || idx >= n);
+        }
+    }
+}
+
+impl Layer for Sequential {
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        let mut h = x.clone();
+        for l in &mut self.layers {
+            h = l.forward(&h, train);
+        }
+        h
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let mut g = grad_out.clone();
+        for l in self.layers.iter_mut().rev() {
+            g = l.backward(&g);
+        }
+        g
+    }
+
+    fn params(&self) -> Vec<&Tensor> {
+        self.layers.iter().flat_map(|l| l.params()).collect()
+    }
+
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
+    }
+
+    fn grads(&self) -> Vec<&Tensor> {
+        self.layers.iter().flat_map(|l| l.grads()).collect()
+    }
+
+    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+        self.layers.iter_mut().flat_map(|l| l.grads_mut()).collect()
+    }
+
+    fn zero_grad(&mut self) {
+        for l in &mut self.layers {
+            l.zero_grad();
+        }
+    }
+
+    fn name(&self) -> String {
+        format!("Sequential[{} layers]", self.layers.len())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::init::Init;
+    use crate::layers::{Dense, LeakyRelu, Tanh};
+    use md_tensor::assert_close;
+    use md_tensor::rng::Rng64;
+
+    fn mlp(rng: &mut Rng64) -> Sequential {
+        Sequential::new()
+            .push(Dense::new(4, 8, Init::XavierUniform, rng))
+            .push(LeakyRelu::new(0.2))
+            .push(Dense::new(8, 3, Init::XavierUniform, rng))
+            .push(Tanh::new())
+    }
+
+    #[test]
+    fn forward_chains_layers() {
+        let mut rng = Rng64::seed_from_u64(1);
+        let mut net = mlp(&mut rng);
+        let x = Tensor::randn(&[2, 4], &mut rng);
+        let y = net.forward(&x, true);
+        assert_eq!(y.shape(), &[2, 3]);
+        assert!(y.data().iter().all(|&v| (-1.0..=1.0).contains(&v)));
+    }
+
+    #[test]
+    fn param_flat_roundtrip() {
+        let mut rng = Rng64::seed_from_u64(2);
+        let mut net = mlp(&mut rng);
+        let flat = net.get_params_flat();
+        assert_eq!(flat.len(), net.num_params());
+        assert_eq!(flat.len(), 4 * 8 + 8 + 8 * 3 + 3);
+
+        // Clone into a second identical-architecture net.
+        let mut rng2 = Rng64::seed_from_u64(99);
+        let mut net2 = mlp(&mut rng2);
+        assert_ne!(net2.get_params_flat(), flat);
+        net2.set_params_flat(&flat);
+        assert_eq!(net2.get_params_flat(), flat);
+
+        // Equal parameters => equal outputs.
+        let x = Tensor::randn(&[3, 4], &mut rng);
+        let y1 = net.forward(&x, false);
+        let y2 = net2.forward(&x, false);
+        assert_close(y1.data(), y2.data(), 1e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "flat parameter length")]
+    fn set_params_rejects_wrong_length() {
+        let mut rng = Rng64::seed_from_u64(3);
+        let mut net = mlp(&mut rng);
+        net.set_params_flat(&[0.0; 3]);
+    }
+
+    #[test]
+    fn gradcheck_whole_stack() {
+        crate::gradcheck::check_layer(
+            |rng| {
+                Box::new(
+                    Sequential::new()
+                        .push(Dense::new(3, 5, Init::XavierUniform, rng))
+                        .push(LeakyRelu::new(0.2))
+                        .push(Dense::new(5, 2, Init::XavierUniform, rng)),
+                )
+            },
+            &[2, 3],
+            1e-2,
+            2e-2,
+        );
+    }
+
+    #[test]
+    fn zero_grad_clears_all() {
+        let mut rng = Rng64::seed_from_u64(4);
+        let mut net = mlp(&mut rng);
+        let x = Tensor::randn(&[2, 4], &mut rng);
+        let y = net.forward(&x, true);
+        net.backward(&Tensor::ones(y.shape()));
+        assert!(net.get_grads_flat().iter().any(|&g| g != 0.0));
+        net.zero_grad();
+        assert!(net.get_grads_flat().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    fn per_layer_clipping_rescales_only_exploding_layers() {
+        let mut rng = Rng64::seed_from_u64(6);
+        let mut net = mlp(&mut rng);
+        let x = Tensor::randn(&[2, 4], &mut rng);
+        let y = net.forward(&x, true);
+        // A huge output gradient explodes every layer's grad norm.
+        net.backward(&Tensor::full(y.shape(), 1e6));
+        let clipped = net.clip_grad_norm_per_layer(1.0);
+        assert!(clipped >= 1, "nothing clipped");
+        // Each parameterized layer's grad norm now ≤ 1 (+ float fuzz).
+        for l in &net.layers {
+            let sq: f32 = l.grads().iter().flat_map(|g| g.data()).map(|v| v * v).sum();
+            assert!(sq.sqrt() <= 1.0 + 1e-4, "layer norm {}", sq.sqrt());
+        }
+        // Already-small gradients are untouched.
+        net.zero_grad();
+        let y = net.forward(&x, true);
+        net.backward(&Tensor::full(y.shape(), 1e-8));
+        let before = net.get_grads_flat();
+        assert_eq!(net.clip_grad_norm_per_layer(1.0), 0);
+        assert_eq!(net.get_grads_flat(), before);
+    }
+
+    #[test]
+    fn clipping_leaves_non_finite_grads_for_the_monitor() {
+        let mut rng = Rng64::seed_from_u64(7);
+        let mut net = mlp(&mut rng);
+        let x = Tensor::randn(&[2, 4], &mut rng);
+        let y = net.forward(&x, true);
+        net.backward(&Tensor::ones(y.shape()));
+        net.grads_mut()[0].data_mut()[0] = f32::NAN;
+        net.clip_grad_norm_per_layer(1.0);
+        assert!(net.get_grads_flat()[0].is_nan(), "NaN must survive clip");
+    }
+
+    #[test]
+    fn params_health_probe_detects_poison() {
+        let mut rng = Rng64::seed_from_u64(8);
+        let mut net = mlp(&mut rng);
+        assert!(net.params_finite_max_abs().is_some());
+        net.params_mut()[0].data_mut()[0] = f32::INFINITY;
+        assert_eq!(net.params_finite_max_abs(), None);
+    }
+
+    #[test]
+    fn summary_mentions_layers() {
+        let mut rng = Rng64::seed_from_u64(5);
+        let net = mlp(&mut rng);
+        let s = net.summary();
+        assert!(s.contains("Dense(4→8)"));
+        assert!(s.contains("total parameters"));
+    }
+}
