@@ -73,13 +73,15 @@ impl MdWorker {
         let (x_real, y_real) = self.sampler.sample(&self.shard, b);
 
         for _ in 0..self.hyper.disc_steps.max(1) {
+            // Nobody reads ∂L/∂image of a training batch: parameter
+            // gradients only.
             self.disc.net.zero_grad();
             let logits_r = self.disc.forward(&x_real, true);
             let (_, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
-            self.disc.backward(&gr);
+            self.disc.backward_params(&gr);
             let logits_f = self.disc.forward(xd, true);
             let (_, gf) = disc_loss_fake(&logits_f, xd_labels, classes, aux);
-            self.disc.backward(&gf);
+            self.disc.backward_params(&gf);
             if self.hyper.clip_grad_norm > 0.0 {
                 self.disc
                     .net
@@ -89,12 +91,12 @@ impl MdWorker {
         }
 
         // F_n <- ∂B̃(X_g)/∂x: backprop the generator objective through D_n
-        // down to the *input images*; parameter gradients accumulated on
-        // the way are discarded (the worker does not train on X_g).
+        // down to the *input images*. The worker does not train on X_g, so
+        // no parameter gradient is computed; the ones left over from the
+        // learning steps above are cleared so none outlive the iteration.
         let logits_g = self.disc.forward(xg, true);
         let (_, glogits) = gen_loss(&logits_g, xg_labels, classes, aux, self.hyper.gen_loss);
-        self.disc.net.zero_grad();
-        let feedback = self.disc.backward(&glogits);
+        let feedback = self.disc.backward_input(&glogits);
         self.disc.net.zero_grad();
         feedback
     }
@@ -121,9 +123,7 @@ impl MdWorker {
             self.hyper.aux_weight,
             self.hyper.gen_loss,
         );
-        self.disc.net.zero_grad();
-        let feedback = self.disc.backward(&glogits);
-        self.disc.net.zero_grad();
+        let feedback = self.disc.backward_input(&glogits);
         self.disc.net.set_params_flat(&live);
         feedback
     }
@@ -278,6 +278,105 @@ mod tests {
         let f_live = w.stale_feedback(&live, &xg, &yg);
         assert_ne!(f_stale.data(), f_live.data());
         assert!(w.disc.net.get_grads_flat().iter().all(|&g| g == 0.0));
+    }
+
+    /// The worker as it was before the backward pass became demand-driven:
+    /// every pass is a full `backward`, and the feedback pass is bracketed
+    /// by two `zero_grad()` sweeps that throw its parameter gradients away.
+    struct FullBackwardWorker(MdWorker);
+
+    impl FullBackwardWorker {
+        fn process(&mut self, xd: &Tensor, yd: &[usize], xg: &Tensor, yg: &[usize]) -> Tensor {
+            let w = &mut self.0;
+            let (classes, aux) = (w.disc.num_classes, w.hyper.aux_weight);
+            let (x_real, y_real) = w.sampler.sample(&w.shard, w.hyper.batch);
+            for _ in 0..w.hyper.disc_steps.max(1) {
+                w.disc.net.zero_grad();
+                let logits_r = w.disc.forward(&x_real, true);
+                w.disc
+                    .backward(&disc_loss_real(&logits_r, &y_real, classes, aux).1);
+                let logits_f = w.disc.forward(xd, true);
+                w.disc
+                    .backward(&disc_loss_fake(&logits_f, yd, classes, aux).1);
+                if w.hyper.clip_grad_norm > 0.0 {
+                    w.disc.net.clip_grad_norm_per_layer(w.hyper.clip_grad_norm);
+                }
+                w.opt_d.step(&mut w.disc.net);
+            }
+            self.feedback(xg, yg)
+        }
+
+        fn feedback(&mut self, xg: &Tensor, yg: &[usize]) -> Tensor {
+            let w = &mut self.0;
+            let logits = w.disc.forward(xg, true);
+            let (_, glogits) = gen_loss(
+                &logits,
+                yg,
+                w.disc.num_classes,
+                w.hyper.aux_weight,
+                w.hyper.gen_loss,
+            );
+            w.disc.net.zero_grad();
+            let feedback = w.disc.backward(&glogits);
+            w.disc.net.zero_grad();
+            feedback
+        }
+
+        fn stale_feedback(&mut self, stale: &[f32], xg: &Tensor, yg: &[usize]) -> Tensor {
+            let live = self.0.disc_params();
+            self.0.set_disc_params(stale);
+            let feedback = self.feedback(xg, yg);
+            self.0.set_disc_params(&live);
+            feedback
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn demand_driven_worker_matches_full_backward_worker_bit_for_bit() {
+        let hyper = GanHyper {
+            batch: 6,
+            disc_steps: 2,
+            clip_grad_norm: 0.5,
+            ..GanHyper::default()
+        };
+        for spec in [
+            ArchSpec::mlp_mnist_scaled(12),
+            ArchSpec::cnn_mnist_scaled(16),
+        ] {
+            let build = || {
+                let shard = mnist_like(spec.img, 64, 1, 0.08);
+                MdWorker::new(1, &spec, shard, hyper, &mut Rng64::seed_from_u64(2))
+            };
+            let (mut w, mut reference) = (build(), FullBackwardWorker(build()));
+            let snapshot = w.disc_params();
+            let mut rng = Rng64::seed_from_u64(3);
+            let mut batch = || {
+                (
+                    Tensor::randn(&[6, 1, spec.img, spec.img], &mut rng).clamp(-1.0, 1.0),
+                    (0..6).map(|i| i % 10).collect::<Vec<usize>>(),
+                )
+            };
+            for iter in 0..5 {
+                let ((xd, yd), (xg, yg)) = (batch(), batch());
+                let f = w.process(&xd, &yd, &xg, &yg);
+                let f_ref = reference.process(&xd, &yd, &xg, &yg);
+                assert_eq!(bits(f.data()), bits(f_ref.data()), "F_n at {iter}");
+                assert_eq!(
+                    bits(&w.disc_params()),
+                    bits(&reference.0.disc_params()),
+                    "θ_n after {iter}"
+                );
+
+                let s = w.stale_feedback(&snapshot, &xg, &yg);
+                let s_ref = reference.stale_feedback(&snapshot, &xg, &yg);
+                assert_eq!(bits(s.data()), bits(s_ref.data()), "stale F_n at {iter}");
+                assert_eq!(bits(&w.disc_params()), bits(&reference.0.disc_params()));
+            }
+        }
     }
 
     #[test]

@@ -110,10 +110,10 @@ impl StandaloneGan {
             self.disc.net.zero_grad();
             let logits_r = self.disc.forward(&x_real, true);
             let (lr, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
-            self.disc.backward(&gr);
+            self.disc.backward_params(&gr);
             let logits_f = self.disc.forward(&x_fake, true);
             let (lf, gf) = disc_loss_fake(&logits_f, &y_fake, classes, aux);
-            self.disc.backward(&gf);
+            self.disc.backward_params(&gf);
             if self.hyper.clip_grad_norm > 0.0 {
                 self.disc
                     .net
@@ -128,9 +128,8 @@ impl StandaloneGan {
         // pass, so backprop through G is valid.)
         let logits_f = self.disc.forward(&x_fake, true);
         let (lg, glogits) = gen_loss(&logits_f, &y_fake, classes, aux, self.hyper.gen_loss);
-        self.disc.net.zero_grad();
-        let grad_images = self.disc.backward(&glogits);
-        self.disc.net.zero_grad(); // discard D's params grads from this pass
+        // D is not trained on this pass: image gradients only.
+        let grad_images = self.disc.backward_input(&glogits);
         self.gen.net.zero_grad();
         self.gen.backward(&grad_images);
         if self.hyper.clip_grad_norm > 0.0 {

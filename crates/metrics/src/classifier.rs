@@ -84,7 +84,7 @@ impl Scorer {
             trunk.zero_grad();
             head.zero_grad();
             let grad_feats = head.backward(&grad_logits);
-            trunk.backward(&grad_feats);
+            trunk.backward_params(&grad_feats);
             opt_h.step(&mut head);
             opt_t.step(&mut trunk);
         }

@@ -112,8 +112,10 @@ impl Generator {
     /// Backpropagates a gradient w.r.t. the generated data, accumulating
     /// parameter gradients. This is the server-side half of the MD-GAN
     /// update: the incoming `grad_data` is (an average of) worker feedbacks.
+    /// Nobody reads `∂L/∂z`, so the first layer's input gradient is not
+    /// computed.
     pub fn backward(&mut self, grad_data: &Tensor) {
-        self.net.backward(grad_data);
+        self.net.backward_params(grad_data);
     }
 }
 
@@ -151,6 +153,20 @@ impl Discriminator {
     /// parameter gradients.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Tensor {
         self.net.backward(grad_logits)
+    }
+
+    /// Data gradients alone — the error feedback `F_n = ∂B̃/∂x` of
+    /// Algorithm 1 line 9 (and the gradient a generator step pushes into
+    /// `G`). No weight-gradient product runs and the accumulated parameter
+    /// gradients are left as they are.
+    pub fn backward_input(&mut self, grad_logits: &Tensor) -> Tensor {
+        self.net.backward_input(grad_logits)
+    }
+
+    /// Parameter gradients alone — a learning step on a batch whose image
+    /// gradient nobody reads (`X_r`, `X_d`).
+    pub fn backward_params(&mut self, grad_logits: &Tensor) {
+        self.net.backward_params(grad_logits);
     }
 }
 

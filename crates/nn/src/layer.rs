@@ -1,26 +1,60 @@
 //! The [`Layer`] trait: the unit of composition for all networks.
 
+pub use md_tensor::ops::Need;
 use md_tensor::Tensor;
 
 /// A differentiable module with owned parameters and cached activations.
 ///
 /// Contract:
 /// * [`Layer::forward`] caches whatever the backward pass needs, so a
-///   `backward` call must always follow the `forward` call whose gradient it
+///   gradient call must always follow the `forward` call whose gradient it
 ///   computes (the usual training-step discipline).
-/// * [`Layer::backward`] *accumulates* into the layer's parameter gradients
-///   (callers reset them with [`Layer::zero_grad`]) and returns `∂L/∂input`.
+/// * [`Layer::backprop`] is the layer's one gradient implementation. The
+///   caller says what it will read with a [`Need`]:
+///   - [`Need::All`] *accumulates* into the layer's parameter gradients
+///     (callers reset them with [`Layer::zero_grad`]) and returns
+///     `∂L/∂input`;
+///   - [`Need::Input`] returns `∂L/∂input` and neither reads nor writes the
+///     parameter gradients;
+///   - [`Need::Params`] accumulates the parameter gradients and returns
+///     `None` — no input gradient is computed.
+///
+///   Whatever a need computes is bit-for-bit what `Need::All` computes for
+///   it. [`Layer::backward`], [`Layer::backward_input`] and
+///   [`Layer::backward_params`] are the three needs spelled as calls.
 /// * `train` distinguishes training-mode statistics (BatchNorm, Dropout)
 ///   from inference mode.
 ///
 /// Layers are `Send` so whole networks can be moved between simulated
 /// cluster nodes (the discriminator swap).
 pub trait Layer: Send {
-    /// Computes the layer output, caching intermediates for `backward`.
+    /// Computes the layer output, caching intermediates for the gradient.
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
 
-    /// Propagates `∂L/∂output` to `∂L/∂input`, accumulating parameter grads.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+    /// Propagates `∂L/∂output`, computing only what `need` names: the
+    /// return value is `Some(∂L/∂input)` iff `need.input()`, and parameter
+    /// gradients are accumulated iff `need.params()`.
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor>;
+
+    /// Propagates `∂L/∂output` to `∂L/∂input`, accumulating parameter grads
+    /// ([`Need::All`]).
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop(grad_out, Need::All)
+            .expect("Need::All produces an input gradient")
+    }
+
+    /// `∂L/∂input` alone; parameter gradients stay untouched
+    /// ([`Need::Input`]) — the MD-GAN error feedback `F_n`.
+    fn backward_input(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop(grad_out, Need::Input)
+            .expect("Need::Input produces an input gradient")
+    }
+
+    /// Accumulates parameter gradients alone ([`Need::Params`]) — a training
+    /// step on a batch whose own gradient nobody reads.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop(grad_out, Need::Params);
+    }
 
     /// Immutable views of the parameter tensors (possibly empty).
     fn params(&self) -> Vec<&Tensor>;
@@ -36,6 +70,13 @@ pub trait Layer: Send {
     /// [`Layer::grads`] — used by gradient clipping. Parameter-free layers
     /// keep the empty default.
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+        vec![]
+    }
+
+    /// Each parameter (mutable) next to its accumulated gradient, in
+    /// [`Layer::params`] order — what an optimizer step walks, with no copy
+    /// of either. Parameter-free layers keep the empty default.
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
         vec![]
     }
 

@@ -1,6 +1,6 @@
 //! Parameter-free activation layers: ReLU, LeakyReLU, Tanh, Sigmoid.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::Tensor;
 
 macro_rules! no_params {
@@ -37,7 +37,10 @@ impl Layer for Relu {
         x.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
         let x = self
             .cached_input
             .as_ref()
@@ -49,7 +52,7 @@ impl Layer for Relu {
                 *gv = 0.0;
             }
         }
-        g
+        Some(g)
     }
 
     no_params!();
@@ -83,7 +86,10 @@ impl Layer for LeakyRelu {
         x.map(|v| if v > 0.0 { v } else { a * v })
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
         let x = self
             .cached_input
             .as_ref()
@@ -96,7 +102,7 @@ impl Layer for LeakyRelu {
                 *gv *= a;
             }
         }
-        g
+        Some(g)
     }
 
     no_params!();
@@ -127,7 +133,10 @@ impl Layer for Tanh {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
         let y = self
             .cached_output
             .as_ref()
@@ -137,7 +146,7 @@ impl Layer for Tanh {
         for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
             *gv *= 1.0 - yv * yv;
         }
-        g
+        Some(g)
     }
 
     no_params!();
@@ -180,7 +189,10 @@ impl Layer for Sigmoid {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
         let y = self
             .cached_output
             .as_ref()
@@ -190,7 +202,7 @@ impl Layer for Sigmoid {
         for (gv, &yv) in g.data_mut().iter_mut().zip(y.data()) {
             *gv *= yv * (1.0 - yv);
         }
-        g
+        Some(g)
     }
 
     no_params!();

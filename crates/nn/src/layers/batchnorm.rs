@@ -1,7 +1,7 @@
 //! Batch normalization for dense `(B, F)` and convolutional `(B, C, H, W)`
 //! activations (per-feature / per-channel statistics).
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::Tensor;
 
 /// Batch normalization (Ioffe & Szegedy) with learnable scale/shift and
@@ -141,7 +141,7 @@ impl Layer for BatchNorm {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
         let cache = self
             .cache
             .as_ref()
@@ -160,7 +160,7 @@ impl Layer for BatchNorm {
         };
         let c_total = self.features;
         let m = (b * hw) as f32;
-        let mut gx = grad_out.clone();
+        let mut gx = need.input().then(|| grad_out.clone());
 
         for c in 0..c_total {
             let g = self.gamma.data()[c];
@@ -168,15 +168,22 @@ impl Layer for BatchNorm {
             let dy = grad_out.data();
             let xh = cache.xhat.data();
 
+            // The two sums are the parameter gradients and, in training
+            // mode, also terms of dx; eval-mode dx alone needs neither.
             let mut sum_dy = 0.0f32;
             let mut sum_dy_xhat = 0.0f32;
-            Self::for_channel(b, c_total, hw, c, |i| {
-                sum_dy += dy[i];
-                sum_dy_xhat += dy[i] * xh[i];
-            });
-            self.grad_gamma.data_mut()[c] += sum_dy_xhat;
-            self.grad_beta.data_mut()[c] += sum_dy;
+            if need.params() || cache.train {
+                Self::for_channel(b, c_total, hw, c, |i| {
+                    sum_dy += dy[i];
+                    sum_dy_xhat += dy[i] * xh[i];
+                });
+            }
+            if need.params() {
+                self.grad_gamma.data_mut()[c] += sum_dy_xhat;
+                self.grad_beta.data_mut()[c] += sum_dy;
+            }
 
+            let Some(gx) = &mut gx else { continue };
             let gxd = gx.data_mut();
             if cache.train {
                 // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
@@ -208,6 +215,13 @@ impl Layer for BatchNorm {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_gamma, &mut self.grad_beta]
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![
+            (&mut self.gamma, &self.grad_gamma),
+            (&mut self.beta, &self.grad_beta),
+        ]
     }
 
     fn zero_grad(&mut self) {

@@ -1,9 +1,9 @@
 //! Convolution layers wrapping the `md-tensor` kernels.
 
 use crate::init::{conv_fans, Init};
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::ops::conv::{
-    conv2d_backward_acc, conv2d_forward, conv_out_dim, conv_transpose2d_backward_acc,
+    conv2d_backward_need, conv2d_forward, conv_out_dim, conv_transpose2d_backward_need,
     conv_transpose2d_forward, conv_transpose_out_dim,
 };
 use md_tensor::rng::Rng64;
@@ -70,19 +70,20 @@ impl Layer for Conv2d {
         conv2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
             .expect("Conv2d::backward before forward");
         // Accumulates straight into the layer's gradient tensors — no
         // per-step gradient allocation or extra add pass.
-        conv2d_backward_acc(
+        conv2d_backward_need(
             x,
             &self.weight,
             grad_out,
             self.stride,
             self.pad,
+            need,
             &mut self.grad_weight,
             &mut self.grad_bias,
         )
@@ -102,6 +103,13 @@ impl Layer for Conv2d {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_weight, &mut self.grad_bias]
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![
+            (&mut self.weight, &self.grad_weight),
+            (&mut self.bias, &self.grad_bias),
+        ]
     }
 
     fn zero_grad(&mut self) {
@@ -182,17 +190,18 @@ impl Layer for ConvTranspose2d {
         conv_transpose2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
             .expect("ConvTranspose2d::backward before forward");
-        conv_transpose2d_backward_acc(
+        conv_transpose2d_backward_need(
             x,
             &self.weight,
             grad_out,
             self.stride,
             self.pad,
+            need,
             &mut self.grad_weight,
             &mut self.grad_bias,
         )
@@ -212,6 +221,13 @@ impl Layer for ConvTranspose2d {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_weight, &mut self.grad_bias]
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![
+            (&mut self.weight, &self.grad_weight),
+            (&mut self.bias, &self.grad_bias),
+        ]
     }
 
     fn zero_grad(&mut self) {

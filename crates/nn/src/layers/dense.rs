@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::init::Init;
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::ops::matmul::matmul_tn_acc_into;
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -57,7 +57,7 @@ impl Layer for Dense {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
@@ -68,24 +68,27 @@ impl Layer for Dense {
             &[batch, self.out_features],
             "Dense grad shape mismatch"
         );
-        // dW += x^T · dy, straight into the gradient tensor (no temporary);
-        // db += sum_batch dy, accumulated row by row for the same reason;
-        // dx = dy · W^T.
-        matmul_tn_acc_into(
-            x.data(),
-            grad_out.data(),
-            self.grad_weight.data_mut(),
-            self.in_features,
-            batch,
-            self.out_features,
-        );
-        let gb = self.grad_bias.data_mut();
-        for row in grad_out.data().chunks_exact(self.out_features) {
-            for (b, &g) in gb.iter_mut().zip(row) {
-                *b += g;
+        if need.params() {
+            // dW += x^T · dy, straight into the gradient tensor (no
+            // temporary); db += sum_batch dy, accumulated row by row for
+            // the same reason.
+            matmul_tn_acc_into(
+                x.data(),
+                grad_out.data(),
+                self.grad_weight.data_mut(),
+                self.in_features,
+                batch,
+                self.out_features,
+            );
+            let gb = self.grad_bias.data_mut();
+            for row in grad_out.data().chunks_exact(self.out_features) {
+                for (b, &g) in gb.iter_mut().zip(row) {
+                    *b += g;
+                }
             }
         }
-        grad_out.matmul_nt(&self.weight)
+        // dx = dy · W^T.
+        need.input().then(|| grad_out.matmul_nt(&self.weight))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -102,6 +105,13 @@ impl Layer for Dense {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_weight, &mut self.grad_bias]
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![
+            (&mut self.weight, &self.grad_weight),
+            (&mut self.bias, &self.grad_bias),
+        ]
     }
 
     fn zero_grad(&mut self) {

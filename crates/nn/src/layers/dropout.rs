@@ -1,6 +1,6 @@
 //! Inverted dropout.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 
@@ -49,11 +49,14 @@ impl Layer for Dropout {
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
+        Some(match &self.mask {
             Some(mask) => grad_out.mul(mask),
             None => grad_out.clone(),
-        }
+        })
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -11,7 +11,7 @@
 //! appends `o_if = Σ_{j≠i} c_ijf` to the input: `(B, A + nb)`.
 
 use crate::init::Init;
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 
@@ -91,7 +91,7 @@ impl Layer for MinibatchDiscrimination {
         Tensor::new(&[b, self.in_features + nb], out)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
         let cache = self
             .cache
             .as_ref()
@@ -104,13 +104,10 @@ impl Layer for MinibatchDiscrimination {
             "MinibatchDiscrimination grad shape mismatch"
         );
 
-        // Split incoming gradient.
-        let mut gx_direct = vec![0.0f32; b * a];
+        // The similarity-feature half of the incoming gradient.
         let mut go = vec![0.0f32; b * nb];
         for i in 0..b {
-            let row = grad_out.row(i);
-            gx_direct[i * a..(i + 1) * a].copy_from_slice(&row[..a]);
-            go[i * nb..(i + 1) * nb].copy_from_slice(&row[a..]);
+            go[i * nb..(i + 1) * nb].copy_from_slice(&grad_out.row(i)[a..]);
         }
 
         // dL/dM: for every unordered pair contribution.
@@ -149,12 +146,20 @@ impl Layer for MinibatchDiscrimination {
         }
         let gm = Tensor::new(&[b, nb * nc], gm);
 
-        // dL/dT = x^T · gm ; dL/dx = gx_direct + gm · T^T
-        self.grad_t.add_assign(&cache.x.matmul_tn(&gm));
-        let gx_m = gm.matmul_nt(&self.t);
-        let mut gx = Tensor::new(&[b, a], gx_direct);
-        gx.add_assign(&gx_m);
-        gx
+        // dL/dT = x^T · gm
+        if need.params() {
+            self.grad_t.add_assign(&cache.x.matmul_tn(&gm));
+        }
+        // dL/dx = (pass-through half of grad_out) + gm · T^T
+        need.input().then(|| {
+            let mut gx_direct = vec![0.0f32; b * a];
+            for i in 0..b {
+                gx_direct[i * a..(i + 1) * a].copy_from_slice(&grad_out.row(i)[..a]);
+            }
+            let mut gx = Tensor::new(&[b, a], gx_direct);
+            gx.add_assign(&gm.matmul_nt(&self.t));
+            gx
+        })
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -171,6 +176,10 @@ impl Layer for MinibatchDiscrimination {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         vec![&mut self.grad_t]
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        vec![(&mut self.t, &self.grad_t)]
     }
 
     fn zero_grad(&mut self) {

@@ -1,6 +1,6 @@
 //! Shape-adapter layers: `Reshape` and `Flatten`.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::Tensor;
 
 /// Reshapes every sample: `(B, in...) -> (B, out...)`, where `out` is fixed
@@ -38,12 +38,15 @@ impl Layer for Reshape {
         x.reshape(&dims)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
         let shape = self
             .cached_shape
             .as_ref()
             .expect("Reshape::backward before forward");
-        grad_out.reshape(shape)
+        Some(grad_out.reshape(shape))
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -86,12 +89,15 @@ impl Layer for Flatten {
         x.reshape(&[b, x.len() / b])
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if !need.input() {
+            return None;
+        }
         let shape = self
             .cached_shape
             .as_ref()
             .expect("Flatten::backward before forward");
-        grad_out.reshape(shape)
+        Some(grad_out.reshape(shape))
     }
 
     fn params(&self) -> Vec<&Tensor> {

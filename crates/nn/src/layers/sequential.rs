@@ -2,8 +2,9 @@
 //! [`Layer`], plus the flat-parameter utilities that power MD-GAN's
 //! discriminator swap and FL-GAN's federated averaging.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use md_tensor::Tensor;
+use std::borrow::Cow;
 
 /// An ordered stack of layers applied in sequence.
 pub struct Sequential {
@@ -153,42 +154,53 @@ impl Sequential {
         Some(mx)
     }
 
-    /// Applies `update` to every (parameter, aligned flat-gradient slice)
-    /// pair — the bridge the optimizers use.
+    /// Applies `update` to every (index, parameter, its accumulated gradient)
+    /// triple in [`Layer::params`] order — the bridge the optimizers use.
+    /// Both tensors are borrowed in place from the layer that owns them.
     pub fn visit_params_and_grads(&mut self, mut update: impl FnMut(usize, &mut Tensor, &Tensor)) {
-        // Gradients are read before the mutable borrow of params.
-        let grads: Vec<Tensor> = self
-            .layers
-            .iter()
-            .flat_map(|l| l.grads().into_iter().cloned())
-            .collect();
-        let mut idx = 0;
-        for l in &mut self.layers {
-            let n = l.params().len();
-            for p in l.params_mut() {
-                update(idx, p, &grads[idx]);
-                idx += 1;
-            }
-            debug_assert!(n == 0 || idx >= n);
+        debug_assert_eq!(
+            self.params_and_grads().len(),
+            self.params().len(),
+            "a layer pairs up a different number of tensors than it owns"
+        );
+        for (idx, (p, g)) in self.params_and_grads().into_iter().enumerate() {
+            update(idx, p, g);
         }
     }
 }
 
 impl Layer for Sequential {
     fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = x.clone();
+        let mut h = Cow::Borrowed(x);
         for l in &mut self.layers {
-            h = l.forward(&h, train);
+            h = Cow::Owned(l.forward(&h, train));
         }
-        h
+        h.into_owned()
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for l in self.layers.iter_mut().rev() {
-            g = l.backward(&g);
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        // The chain ends at `first`. Under `Need::Params` that is the first
+        // layer owning parameters: nothing in front of it has a gradient
+        // anyone reads, so it is asked for its parameter gradients alone
+        // and the parameter-free layers before it are not visited. The
+        // layers behind it must still hand their input gradient down.
+        let (first, behind) = match need {
+            Need::Params => (
+                self.layers.iter().position(|l| !l.params().is_empty())?,
+                Need::All,
+            ),
+            Need::All | Need::Input => (0, need),
+        };
+        let mut g = Cow::Borrowed(grad_out);
+        for l in self.layers.iter_mut().skip(first + 1).rev() {
+            let gx = l.backprop(&g, behind);
+            g = Cow::Owned(gx.expect("a layer asked for its input gradient returns one"));
         }
-        g
+        match self.layers.get_mut(first) {
+            Some(l) => l.backprop(&g, need),
+            // The empty stack is the identity.
+            None => Some(g.into_owned()),
+        }
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -208,6 +220,13 @@ impl Layer for Sequential {
 
     fn grads_mut(&mut self) -> Vec<&mut Tensor> {
         self.layers.iter_mut().flat_map(|l| l.grads_mut()).collect()
+    }
+
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_and_grads())
+            .collect()
     }
 
     fn zero_grad(&mut self) {

@@ -19,9 +19,12 @@
 //! * optimizers: [`Sgd`](optim::Sgd) and [`Adam`](optim::Adam) (the paper
 //!   trains everything with Adam).
 //!
-//! Every layer's backward pass both accumulates parameter gradients *and*
-//! returns the gradient with respect to its input. The latter is what MD-GAN
-//! workers send to the server as the error feedback `F_n = ∂B̃/∂x`.
+//! Every layer has one gradient routine, [`Layer::backprop`](layer::Layer),
+//! which can accumulate parameter gradients *and* return the gradient with
+//! respect to its input — and is told by a [`Need`] which of the two its
+//! caller will read, so the other is never computed. The input gradient
+//! alone is what MD-GAN workers send to the server as the error feedback
+//! `F_n = ∂B̃/∂x`.
 
 pub mod gan;
 pub mod health;
@@ -33,7 +36,7 @@ pub mod optim;
 pub mod param;
 
 pub use health::{HealthConfig, HealthMonitor, HealthVerdict};
-pub use layer::Layer;
+pub use layer::{Layer, Need};
 pub use layers::Sequential;
 
 #[cfg(test)]

@@ -26,6 +26,7 @@
 //! a property the unit tests check.
 
 use crate::ops::gemm::{self, Lhs, PackRhs, SliceRhs, NR};
+use crate::ops::Need;
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace;
@@ -493,11 +494,8 @@ pub fn conv2d_backward(
 
 /// As [`conv2d_backward`], but **accumulates** the weight and bias gradients
 /// into caller-owned tensors (`grad_weight += …`, `grad_bias += …`) and
-/// returns only the freshly allocated input gradient.
-///
-/// This is the hot-path entry point for training layers: it avoids
-/// allocating per-call gradient tensors and the extra accumulation pass,
-/// and reuses thread-local scratch for the `im2col` column buffers.
+/// returns only the freshly allocated input gradient:
+/// [`conv2d_backward_need`] with [`Need::All`].
 pub fn conv2d_backward_acc(
     input: &Tensor,
     weight: &Tensor,
@@ -507,6 +505,41 @@ pub fn conv2d_backward_acc(
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) -> Tensor {
+    conv2d_backward_need(
+        input,
+        weight,
+        grad_out,
+        stride,
+        pad,
+        Need::All,
+        grad_weight,
+        grad_bias,
+    )
+    .expect("Need::All produces an input gradient")
+}
+
+/// The conv2d gradient, computing only what `need` names.
+///
+/// The weight/bias gradients are **accumulated** into the caller-owned
+/// tensors when `need.params()` and left untouched otherwise; the input
+/// gradient is returned when `need.input()` (`None` otherwise). The two are
+/// independent per-image GEMMs, so skipping one leaves the other
+/// bit-for-bit what [`Need::All`] computes.
+///
+/// This is the hot-path entry point for training layers: no per-call
+/// gradient tensors, no extra accumulation pass, and thread-local scratch
+/// for the packed panels.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_need(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    need: Need,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) -> Option<Tensor> {
     let (b, c, h, w) = dims4(input, "conv2d input");
     let wd = weight.shape();
     let (o, _, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
@@ -533,7 +566,7 @@ pub fn conv2d_backward_acc(
         oh,
         ow,
     };
-    let mut grad_input = workspace::take_zeroed(input.len());
+    let mut grad_input = need.input().then(|| workspace::take_zeroed(input.len()));
     // weight.data() is already the (o, ckk) row-major matrix; the grad-input
     // product needs its transpose, which Lhs::ColMajor reads in place — no
     // materialized `w^T` copy.
@@ -545,28 +578,32 @@ pub fn conv2d_backward_acc(
         let image = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
         let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
 
-        // grad_weight += g (o, ohw) x cols^T (ohw, ckk), with the
-        // transposed column matrix packed on the fly.
-        let cols_t = Im2colTRhs { image, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(g), &cols_t, gw, o, ohw, ckk, true);
+        if need.params() {
+            // grad_weight += g (o, ohw) x cols^T (ohw, ckk), with the
+            // transposed column matrix packed on the fly.
+            let cols_t = Im2colTRhs { image, g: geom };
+            gemm::gemm_with(Lhs::RowMajor(g), &cols_t, gw, o, ohw, ckk, true);
 
-        // grad_input = col2im(W^T (ckk, o) x g (o, ohw)), with col2im
-        // fused into the GEMM epilogue — grad_cols never materializes.
-        let gi = &mut grad_input[bi * c * h * w..(bi + 1) * c * h * w];
-        gemm::gemm_scatter(
-            Lhs::ColMajor(w2),
-            &SliceRhs::new(g, false, o, ohw),
-            ckk,
-            o,
-            ohw,
-            |tile, r0, rows| scatter_tile(tile, r0, rows, &geom, gi),
-        );
+            for oc in 0..o {
+                gbias[oc] += g[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
+            }
+        }
 
-        for oc in 0..o {
-            gbias[oc] += g[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
+        if let Some(grad_input) = &mut grad_input {
+            // grad_input = col2im(W^T (ckk, o) x g (o, ohw)), with col2im
+            // fused into the GEMM epilogue — grad_cols never materializes.
+            let gi = &mut grad_input[bi * c * h * w..(bi + 1) * c * h * w];
+            gemm::gemm_scatter(
+                Lhs::ColMajor(w2),
+                &SliceRhs::new(g, false, o, ohw),
+                ckk,
+                o,
+                ohw,
+                |tile, r0, rows| scatter_tile(tile, r0, rows, &geom, gi),
+            );
         }
     }
-    Tensor::new(input.shape(), grad_input)
+    grad_input.map(|gi| Tensor::new(input.shape(), gi))
 }
 
 /// Batched 2-D transposed convolution forward pass.
@@ -670,10 +707,8 @@ pub fn conv_transpose2d_backward(
 }
 
 /// As [`conv_transpose2d_backward`], but **accumulates** the weight and bias
-/// gradients into caller-owned tensors and returns only the input gradient.
-/// The training layers use this to cut per-step allocations; column buffers
-/// come from thread-local scratch and the input gradient is written in
-/// place, sample by sample.
+/// gradients into caller-owned tensors and returns only the input gradient:
+/// [`conv_transpose2d_backward_need`] with [`Need::All`].
 pub fn conv_transpose2d_backward_acc(
     input: &Tensor,
     weight: &Tensor,
@@ -683,6 +718,34 @@ pub fn conv_transpose2d_backward_acc(
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) -> Tensor {
+    conv_transpose2d_backward_need(
+        input,
+        weight,
+        grad_out,
+        stride,
+        pad,
+        Need::All,
+        grad_weight,
+        grad_bias,
+    )
+    .expect("Need::All produces an input gradient")
+}
+
+/// The transposed-convolution gradient, computing only what `need` names —
+/// the same contract as [`conv2d_backward_need`]. The training layers use
+/// this to cut per-step allocations; packed panels come from thread-local
+/// scratch and the input gradient is written in place, sample by sample.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_transpose2d_backward_need(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    need: Need,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) -> Option<Tensor> {
     let (b, cin, h, w) = dims4(input, "conv_t input");
     let wd = weight.shape();
     let (_, cout, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
@@ -712,7 +775,7 @@ pub fn conv_transpose2d_backward_acc(
         ow: w,
     };
     // Every sample's slice is fully overwritten by the grad-input GEMM.
-    let mut grad_input = workspace::take_uninit(input.len());
+    let mut grad_input = need.input().then(|| workspace::take_uninit(input.len()));
     let w2 = weight.data(); // (cin, ckk) row-major
     let gw = grad_weight.data_mut();
     let gbias = grad_bias.data_mut();
@@ -721,21 +784,25 @@ pub fn conv_transpose2d_backward_acc(
         let g = &grad_out.data()[bi * cout * oh * ow..(bi + 1) * cout * oh * ow];
         let x = &input.data()[bi * cin * hw..(bi + 1) * cin * hw];
 
-        // dL/dx = W2 (cin, ckk) x gcols (ckk, hw), straight into place.
-        let gi = &mut grad_input[bi * cin * hw..(bi + 1) * cin * hw];
-        let gcols = Im2colRhs { image: g, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(w2), &gcols, gi, cin, ckk, hw, false);
+        if let Some(grad_input) = &mut grad_input {
+            // dL/dx = W2 (cin, ckk) x gcols (ckk, hw), straight into place.
+            let gi = &mut grad_input[bi * cin * hw..(bi + 1) * cin * hw];
+            let gcols = Im2colRhs { image: g, g: geom };
+            gemm::gemm_with(Lhs::RowMajor(w2), &gcols, gi, cin, ckk, hw, false);
+        }
 
-        // dL/dW2 += x (cin, hw) x gcols^T (hw, ckk), directly into the
-        // caller's gradient.
-        let gcols_t = Im2colTRhs { image: g, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(x), &gcols_t, gw, cin, hw, ckk, true);
+        if need.params() {
+            // dL/dW2 += x (cin, hw) x gcols^T (hw, ckk), directly into the
+            // caller's gradient.
+            let gcols_t = Im2colTRhs { image: g, g: geom };
+            gemm::gemm_with(Lhs::RowMajor(x), &gcols_t, gw, cin, hw, ckk, true);
 
-        for oc in 0..cout {
-            gbias[oc] += g[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
+            for oc in 0..cout {
+                gbias[oc] += g[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
+            }
         }
     }
-    Tensor::new(input.shape(), grad_input)
+    grad_input.map(|gi| Tensor::new(input.shape(), gi))
 }
 
 fn dims4(t: &Tensor, what: &str) -> (usize, usize, usize, usize) {

@@ -75,9 +75,14 @@
 //!
 //! # Allocation
 //!
-//! Packing buffers come from [`crate::workspace::take_uninit`] — one
-//! buffer of `ceil(m/MC)` A slots and one of `ceil(n/NC)` B slots per
-//! call, recycled on return. After warmup every take is a pool hit
+//! Packing buffers come from [`crate::workspace::take_uninit`] — **one**
+//! buffer per call holding the `ceil(m/MC)` A slots followed by the
+//! `ceil(n/NC)` B slots (and, for [`gemm_scatter`], the row-block tile),
+//! recycled on return. One take per call means one shelf round trip, and
+//! a GEMM running inside a batch-parallel region asks the shelf for a
+//! single activation-sized buffer rather than for a small A panel whose
+//! number in flight depends on how the pool threads happen to overlap.
+//! After warmup every take is a pool hit
 //! (no memset, no malloc), so steady-state GEMM calls still perform zero
 //! heap allocation — now measurable through the `ws_misses` counter
 //! instead of hidden in thread-local statics. Output buffers are the
@@ -326,8 +331,8 @@ pub(crate) fn gemm_with<R: PackRhs>(
     let kc_max = KC.min(k);
     let a_slot = MC.div_ceil(MR) * MR * kc_max;
     let b_slot = NC.div_ceil(NR) * NR * kc_max;
-    let mut ap = workspace::take_uninit(nib * a_slot);
-    let mut bp = workspace::take_uninit(njb * b_slot);
+    let mut panels = workspace::take_uninit(nib * a_slot + njb * b_slot);
+    let (ap, bp) = panels.split_at_mut(nib * a_slot);
     let ap_addr = ap.as_mut_ptr() as usize;
     let bp_addr = bp.as_mut_ptr() as usize;
     let out_addr = out.as_mut_ptr() as usize;
@@ -409,8 +414,7 @@ pub(crate) fn gemm_with<R: PackRhs>(
         kb += kc;
         first = false;
     }
-    workspace::recycle(ap);
-    workspace::recycle(bp);
+    workspace::recycle(panels);
 }
 
 /// Fused-epilogue GEMM: computes `A x B` row block by row block and hands
@@ -448,7 +452,9 @@ pub(crate) fn gemm_scatter<R: PackRhs>(
     let a_slot = MC.div_ceil(MR) * MR * kc_max;
     let b_slot = NC.div_ceil(NR) * NR * kc_max;
 
-    let mut bp = workspace::take_uninit(nkb * njb * b_slot);
+    let mut scratch = workspace::take_uninit(nkb * njb * b_slot + nkb * a_slot + MC.min(m) * n);
+    let (bp, rest) = scratch.split_at_mut(nkb * njb * b_slot);
+    let (ap, tile) = rest.split_at_mut(nkb * a_slot);
     let bp_addr = bp.as_mut_ptr() as usize;
     let total = m.saturating_mul(k).saturating_mul(n);
     let pack_hint = (total / (nkb * njb)).max(1);
@@ -468,9 +474,7 @@ pub(crate) fn gemm_scatter<R: PackRhs>(
         rhs.pack_panel(slot, kb, kc, j0, nc);
     });
 
-    let mut ap = workspace::take_uninit(nkb * a_slot);
     let ap_addr = ap.as_mut_ptr() as usize;
-    let mut tile = workspace::take_uninit(MC.min(m) * n);
     let tile_addr = tile.as_mut_ptr() as usize;
     // Per column panel of one row block: rows * k * nc fused multiply-adds.
     let jb_hint = MC.min(m).saturating_mul(k).saturating_mul(NC.min(n)).max(1);
@@ -520,9 +524,7 @@ pub(crate) fn gemm_scatter<R: PackRhs>(
         });
         scatter(&tile[..rows * n], i0, rows);
     }
-    workspace::recycle(tile);
-    workspace::recycle(ap);
-    workspace::recycle(bp);
+    workspace::recycle(scratch);
 }
 
 /// Packs the `rows x kc` A panel [`MR`] rows at a time, interleaved so the

@@ -11,10 +11,12 @@
 //! materialized pipeline bit for bit.
 
 use md_tensor::ops::conv::{
-    col2im, conv2d_backward, conv2d_forward, conv_out_dim, conv_transpose2d_backward,
-    conv_transpose2d_forward, conv_transpose_out_dim, im2col,
+    col2im, conv2d_backward, conv2d_backward_need, conv2d_forward, conv_out_dim,
+    conv_transpose2d_backward, conv_transpose2d_backward_need, conv_transpose2d_forward,
+    conv_transpose_out_dim, im2col,
 };
 use md_tensor::ops::matmul::{matmul_into, matmul_nt_acc_into};
+use md_tensor::ops::Need;
 use md_tensor::rng::Rng64;
 use md_tensor::tensor::Tensor;
 use proptest::prelude::*;
@@ -299,5 +301,155 @@ fn conv_paths_bitwise_identical_across_thread_counts() {
                 );
             }
         }
+    }
+}
+
+/// Checks that `Need::Input` and `Need::Params` are bitwise projections of
+/// `Need::All` for one backward kernel. The gradient tensors start from a
+/// non-zero sentinel, so "left untouched" and "accumulated into" are both
+/// observable.
+fn assert_needs_project_the_full_pass(
+    kernel: impl Fn(Need, &mut Tensor, &mut Tensor) -> Option<Tensor>,
+    gw_shape: &[usize],
+    gb_len: usize,
+    what: &str,
+) {
+    let sentinel = || {
+        (
+            filled(gw_shape, 0x5E).add_scalar(0.375),
+            filled(&[gb_len], 0x5F).add_scalar(-1.25),
+        )
+    };
+    let (gw0, gb0) = sentinel();
+
+    let (mut gw_all, mut gb_all) = sentinel();
+    let gx_all = kernel(Need::All, &mut gw_all, &mut gb_all).expect("All returns dx");
+
+    let (mut gw, mut gb) = sentinel();
+    let gx = kernel(Need::Input, &mut gw, &mut gb).expect("Input returns dx");
+    assert_bits_eq(&gx, &gx_all, &format!("{what} input-only dx"));
+    assert_bits_eq(&gw, &gw0, &format!("{what} input-only grad_weight"));
+    assert_bits_eq(&gb, &gb0, &format!("{what} input-only grad_bias"));
+
+    let (mut gw, mut gb) = sentinel();
+    for round in 1..=2 {
+        if round == 2 {
+            kernel(Need::All, &mut gw_all, &mut gb_all);
+        }
+        assert!(kernel(Need::Params, &mut gw, &mut gb).is_none());
+        assert_bits_eq(
+            &gw,
+            &gw_all,
+            &format!("{what} params-only grad_weight x{round}"),
+        );
+        assert_bits_eq(
+            &gb,
+            &gb_all,
+            &format!("{what} params-only grad_bias x{round}"),
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// conv2d backward: each need computes its half of the full pass,
+    /// bitwise, and leaves the other half alone.
+    #[test]
+    fn conv2d_needs_project_the_full_pass(
+        b in 1usize..3,
+        c in 1usize..4,
+        o in 1usize..4,
+        h in 1usize..8,
+        w in 1usize..8,
+        kh in 1usize..4,
+        kw in 1usize..4,
+        s in 1usize..3,
+        p in 0usize..3,
+        seed in 0u64..1024,
+    ) {
+        let kh = kh.min(h + 2 * p);
+        let kw = kw.min(w + 2 * p);
+        let x = filled(&[b, c, h, w], seed);
+        let wt = filled(&[o, c, kh, kw], seed ^ 0x11);
+        let oh = conv_out_dim(h, kh, s, p);
+        let ow = conv_out_dim(w, kw, s, p);
+        let g = filled(&[b, o, oh, ow], seed ^ 0x33);
+        assert_needs_project_the_full_pass(
+            |need, gw, gb| conv2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+            wt.shape(),
+            o,
+            "conv2d",
+        );
+    }
+
+    /// The same for conv_transpose2d.
+    #[test]
+    fn conv_t_needs_project_the_full_pass(
+        b in 1usize..3,
+        cin in 1usize..4,
+        cout in 1usize..4,
+        h in 1usize..7,
+        w in 1usize..7,
+        kh in 1usize..5,
+        kw in 1usize..5,
+        s in 1usize..3,
+        p in 0usize..3,
+        seed in 0u64..1024,
+    ) {
+        let p = p
+            .min(((h - 1) * s + kh - 1) / 2)
+            .min(((w - 1) * s + kw - 1) / 2);
+        let x = filled(&[b, cin, h, w], seed);
+        let wt = filled(&[cin, cout, kh, kw], seed ^ 0x44);
+        let oh = conv_transpose_out_dim(h, kh, s, p);
+        let ow = conv_transpose_out_dim(w, kw, s, p);
+        let g = filled(&[b, cout, oh, ow], seed ^ 0x66);
+        assert_needs_project_the_full_pass(
+            |need, gw, gb| conv_transpose2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+            wt.shape(),
+            cout,
+            "conv_t",
+        );
+    }
+}
+
+/// The projections hold at every thread count, on odd shapes large enough
+/// to cross panel edges and the parallel gate.
+#[test]
+fn need_projections_hold_across_thread_counts() {
+    use md_tensor::parallel::scoped_max_threads;
+    let (b, c, o, s, p) = (3, 5, 7, 2, 1);
+    let x = filled(&[b, c, 13, 11], 7);
+    let wt = filled(&[o, c, 3, 3], 8);
+    let g = filled(
+        &[b, o, conv_out_dim(13, 3, s, p), conv_out_dim(11, 3, s, p)],
+        10,
+    );
+    let xt = filled(&[b, o, 6, 5], 11);
+    let wtt = filled(&[o, c, 4, 4], 12);
+    let gt = filled(
+        &[
+            b,
+            c,
+            conv_transpose_out_dim(6, 4, s, p),
+            conv_transpose_out_dim(5, 4, s, p),
+        ],
+        13,
+    );
+    for threads in [1, 2, 3] {
+        let _guard = scoped_max_threads(threads);
+        assert_needs_project_the_full_pass(
+            |need, gw, gb| conv2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+            wt.shape(),
+            o,
+            "conv2d",
+        );
+        assert_needs_project_the_full_pass(
+            |need, gw, gb| conv_transpose2d_backward_need(&xt, &wtt, &gt, s, p, need, gw, gb),
+            wtt.shape(),
+            c,
+            "conv_t",
+        );
     }
 }
