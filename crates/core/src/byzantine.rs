@@ -147,17 +147,17 @@ impl AttackState {
     pub fn apply(
         &mut self,
         worker: &mut crate::mdgan::worker::MdWorker,
-        honest: &Tensor,
+        honest: Tensor,
         xg: &Tensor,
         xg_labels: &[usize],
     ) -> Tensor {
         match self.attack {
-            Attack::None => honest.clone(),
+            Attack::None => honest,
             Attack::SignFlip { .. } | Attack::RandomNoise { .. } | Attack::Inflate { .. } => {
-                self.attack.apply(honest, &mut self.rng)
+                self.attack.apply(&honest, &mut self.rng)
             }
             Attack::PureNoise { std } => Tensor::randn(honest.shape(), &mut self.rng).scale(std),
-            Attack::DelayedEcho => self.echo.get_or_insert_with(|| honest.clone()).clone(),
+            Attack::DelayedEcho => self.echo.get_or_insert(honest).clone(),
             Attack::PretrainedMimic => {
                 let stale = self.stale_disc.as_ref().expect("mimic snapshot present");
                 worker.stale_feedback(stale, xg, xg_labels)

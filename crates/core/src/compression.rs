@@ -105,6 +105,20 @@ impl Codec {
         };
         Compressed { shape, payload }
     }
+
+    /// Sends `t` across one link: returns what the receiver trains on and
+    /// the bytes the wire is charged. The identity codec hands the tensor
+    /// through untouched at `4·len` bytes; lossy codecs return the
+    /// [`compress`](Self::compress) → [`decompress`](Compressed::decompress)
+    /// approximation at its compressed wire size.
+    pub fn transmit(self, t: Tensor) -> (Tensor, u64) {
+        if matches!(self, Codec::None) {
+            let bytes = 4 * t.len() as u64;
+            return (t, bytes);
+        }
+        let c = self.compress(&t);
+        (c.decompress(), c.wire_bytes())
+    }
 }
 
 impl Compressed {
@@ -284,6 +298,24 @@ mod tests {
         let t = Tensor::randn(&[64], &mut rng);
         let r = Codec::TopK { frac: 1.0 }.compress(&t).decompress();
         assert_eq!(r.data(), t.data());
+    }
+
+    #[test]
+    fn transmit_matches_the_compress_decompress_roundtrip() {
+        let mut rng = Rng64::seed_from_u64(6);
+        let t = Tensor::randn(&[5, 3, 4, 4], &mut rng);
+        for codec in [
+            Codec::None,
+            Codec::Quantize8,
+            Codec::TopK { frac: 0.3 },
+            Codec::TopKQuantize8 { frac: 0.3 },
+        ] {
+            let c = codec.compress(&t);
+            let (got, bytes) = codec.transmit(t.clone());
+            assert_eq!(got.shape(), t.shape(), "{codec:?}");
+            assert_eq!(got.data(), c.decompress().data(), "{codec:?}");
+            assert_eq!(bytes, c.wire_bytes(), "{codec:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,7 @@ use md_nn::gan::Generator;
 use md_nn::param::{average, param_bytes};
 use md_simnet::TrafficStats;
 use md_telemetry::{Counter, Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
 use md_tensor::rng::Rng64;
 use std::sync::Arc;
 
@@ -125,10 +126,11 @@ impl FlGan {
         let root = telemetry.trace_root(tick);
         let rctx = root.ctx();
         let span = telemetry.span_at(Phase::LocalTrain, Track::Server, rctx, tick);
-        for (i, w) in self.workers.iter_mut().enumerate() {
+        // The local steps share nothing, so they run side by side.
+        parallel_for_each_mut(&mut self.workers, PAR_THRESHOLD, |i, w| {
             w.step();
-            self.telemetry.worker_local_step(1 + i);
-        }
+            telemetry.worker_local_step(1 + i);
+        });
         drop(span);
         self.iter += 1;
         self.telemetry.event(Event::IterDone {

@@ -27,6 +27,7 @@ use md_simnet::{
     ChurnEvent, ChurnKind, ChurnPlan, MemberStatus, Membership, TrafficReport, TrafficStats,
 };
 use md_telemetry::{Counter, Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
 use md_tensor::rng::Rng64;
 use std::sync::Arc;
 
@@ -172,10 +173,18 @@ impl GossipGan {
             self.apply_churn(ev);
         }
         let span = telemetry.span_at(Phase::LocalTrain, Track::Server, rctx, tick);
-        for slot in self.membership.alive() {
-            self.workers[slot].step();
-            self.telemetry.worker_local_step(1 + slot);
-        }
+        // The local steps share nothing, so the alive workers run side by
+        // side.
+        let mut alive: Vec<(usize, &mut StandaloneGan)> = self
+            .workers
+            .iter_mut()
+            .enumerate()
+            .filter(|(slot, _)| self.membership.is_alive(*slot))
+            .collect();
+        parallel_for_each_mut(&mut alive, PAR_THRESHOLD, |_, (slot, w)| {
+            w.step();
+            telemetry.worker_local_step(1 + *slot);
+        });
         drop(span);
         self.iter += 1;
         self.telemetry.event(Event::IterDone {

@@ -470,7 +470,7 @@ impl AsyncMdGan {
             .span_at(Phase::DFeedback, wtrack, fl.ctx, self.updates);
         let fctx = fb_span.ctx();
         let feedback = worker.process(&fl.xd, &fl.xd_labels, &fl.xg, &fl.xg_labels);
-        let feedback = self.attack_states[wi].apply(worker, &feedback, &fl.xg, &fl.xg_labels);
+        let feedback = self.attack_states[wi].apply(worker, feedback, &fl.xg, &fl.xg_labels);
         drop(fb_span);
         self.telemetry.worker_feedback(wi + 1);
         let up_bytes = batch_bytes(self.cfg.hyper.batch, self.object_size);

@@ -52,7 +52,7 @@ impl MdServer {
             let labels = self.gen.sample_labels(self.hyper.batch, &mut self.rng);
             let imgs = self.gen.generate(&z, &labels, true);
             self.pending.push(PendingBatch {
-                z: z.clone(),
+                z,
                 labels: labels.clone(),
             });
             out.push((imgs, labels));

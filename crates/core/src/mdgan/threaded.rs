@@ -116,7 +116,7 @@ fn worker_loop(
                 // A byzantine worker manipulates its feedback before the
                 // send — the same per-worker attack stream the sequential
                 // runtime draws, so both stay bit-identical.
-                let grad = attack.apply(&mut worker, &grad, &xg, &xg_labels);
+                let grad = attack.apply(&mut worker, grad, &xg, &xg_labels);
                 drop(fb_span);
                 telemetry.worker_feedback(ep.id());
                 let bytes = (grad.len() * 4) as u64;

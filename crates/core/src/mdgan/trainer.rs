@@ -24,6 +24,7 @@ use md_simnet::{
     Membership, TrafficReport, TrafficStats,
 };
 use md_telemetry::{Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use std::sync::Arc;
@@ -74,6 +75,111 @@ pub(crate) fn swap_permutation(
         SwapPolicy::Derangement => Some(rng.derangement(n_alive)),
         SwapPolicy::Ring => Some((0..n_alive).map(|j| (j + 1) % n_alive).collect()),
     }
+}
+
+/// One participant's share of a synchronous iteration, between the
+/// server's SPLIT and its `Δw` merge. The server fills it in while it
+/// dispatches the downlinks; [`compute`](Self::compute) then touches only
+/// this worker's own state, so the turns of one iteration run side by side
+/// on the tensor pool and produce the same bits in any order.
+struct WorkerTurn<'a> {
+    /// 0-based worker slot.
+    wi: usize,
+    worker: &'a mut MdWorker,
+    attack: &'a mut AttackState,
+    /// SPLIT assignment: the batch the feedback answers (`X_g`) and the
+    /// batch the discriminator trains on (`X_d`).
+    g_id: usize,
+    d_id: usize,
+    /// The downlink `Recv` the compute span hangs off; after
+    /// [`compute`](Self::compute), the compute span the uplink hangs off.
+    ctx: TraceCtx,
+    /// What the server receives and the uplink bytes it is charged for.
+    reply: Option<(Tensor, u64)>,
+}
+
+impl<'a> WorkerTurn<'a> {
+    /// The turn of worker slot `wi`, whose downlink arrived as span `recv`
+    /// of `trace`, answering `X_g = split.0` after training on
+    /// `X_d = split.1`.
+    fn new(
+        wi: usize,
+        (worker, attack): (&'a mut MdWorker, &'a mut AttackState),
+        (g_id, d_id): (usize, usize),
+        trace: u64,
+        recv: u64,
+    ) -> Self {
+        WorkerTurn {
+            wi,
+            worker,
+            attack,
+            g_id,
+            d_id,
+            ctx: TraceCtx { trace, span: recv },
+            reply: None,
+        }
+    }
+
+    /// Algorithm 1 lines 4-10 for this worker, on whichever thread calls
+    /// it: `L` discriminator steps, the error feedback, the worker's
+    /// attack (honest workers pass through) and the feedback codec, all
+    /// under one `DFeedback` span on the worker's track.
+    fn compute(
+        &mut self,
+        batches: &[(Tensor, Vec<usize>)],
+        codec: Codec,
+        telemetry: &Recorder,
+        tick: u64,
+    ) {
+        let track = Track::Worker((self.wi + 1) as u32);
+        let span = telemetry.span_at(Phase::DFeedback, track, self.ctx, tick);
+        self.ctx = span.ctx();
+        let (xd, xd_labels) = &batches[self.d_id];
+        let (xg, xg_labels) = &batches[self.g_id];
+        let honest = self.worker.process(xd, xd_labels, xg, xg_labels);
+        let sent = self.attack.apply(self.worker, honest, xg, xg_labels);
+        self.reply = Some(codec.transmit(sent));
+    }
+
+    /// Stamps a reliable uplink: `Send` on the worker's track chained off
+    /// the compute span, `Recv` on the server's — what the critical-path
+    /// extractor gates on.
+    fn trace_reliable_uplink(&self, telemetry: &Recorder, tick: u64) {
+        let bytes = self.reply.as_ref().expect("compute ran").1;
+        let node = (self.wi + 1) as u32;
+        let sent = telemetry.trace_instant(
+            SpanKind::Send {
+                to: 0,
+                bytes,
+                attempt: 1,
+            },
+            Track::Worker(node),
+            self.ctx,
+            tick,
+        );
+        telemetry.trace_instant(
+            SpanKind::Recv { from: node, bytes },
+            Track::Server,
+            TraceCtx {
+                trace: self.ctx.trace,
+                span: sent,
+            },
+            tick,
+        );
+    }
+}
+
+/// Disjoint `&mut` handles on every present worker and its attack state,
+/// indexed by slot, for a dispatch loop to `take()` in participant order.
+fn worker_slots<'a>(
+    workers: &'a mut [Option<MdWorker>],
+    attack_states: &'a mut [AttackState],
+) -> Vec<Option<(&'a mut MdWorker, &'a mut AttackState)>> {
+    workers
+        .iter_mut()
+        .zip(attack_states)
+        .map(|(w, a)| w.as_mut().map(|w| (w, a)))
+        .collect()
 }
 
 /// The MD-GAN system (sequential runtime).
@@ -601,20 +707,21 @@ impl MdGan {
         let gen_span = self
             .telemetry
             .span_at(Phase::GenForward, Track::Server, rctx, tick);
-        let batches = self.server.generate_batches(k_now);
         // With the identity codec the charged sizes are exactly the paper's
         // 2bd down / bd up; lossy codecs shrink the wire and train on the
         // reconstructed approximations.
-        let wire: Vec<(Tensor, u64)> = batches
-            .iter()
-            .map(|(imgs, _)| {
-                let c = self.batch_codec.compress(imgs);
-                (c.decompress(), c.wire_bytes())
+        let (batches, wire_bytes): (Vec<(Tensor, Vec<usize>)>, Vec<u64>) = self
+            .server
+            .generate_batches(k_now)
+            .into_iter()
+            .map(|(imgs, labels)| {
+                let (imgs, bytes) = self.batch_codec.transmit(imgs);
+                ((imgs, labels), bytes)
             })
-            .collect();
+            .unzip();
         drop(gen_span);
         debug_assert!(
-            !matches!(self.batch_codec, Codec::None) || wire[0].1 == batch_bytes(b, d),
+            !matches!(self.batch_codec, Codec::None) || wire_bytes[0] == batch_bytes(b, d),
             "identity codec must charge bd per batch"
         );
         let participants = self.hosts(&alive);
@@ -622,9 +729,10 @@ impl MdGan {
             self.iter += 1;
             return;
         }
-        let mut feedbacks: Vec<(usize, Tensor)> = Vec::with_capacity(participants.len());
+        // Dispatch, in participant order: SPLIT and the downlinks.
+        let mut slots = worker_slots(&mut self.workers, &mut self.attack_states);
+        let mut turns: Vec<WorkerTurn> = Vec::with_capacity(participants.len());
         for (pos, &wi) in participants.iter().enumerate() {
-            let wtrack = Track::Worker((wi + 1) as u32);
             // With churn the SPLIT rebalances over the worker's *position*
             // in the alive view (same formula, dense index); without it the
             // absolute slot keeps the pre-elastic assignment bit-for-bit.
@@ -633,7 +741,7 @@ impl MdGan {
             } else {
                 MdServer::assign(wi, self.k)
             };
-            let down = wire[g_id].1 + wire[d_id].1;
+            let down = wire_bytes[g_id] + wire_bytes[d_id];
             self.stats.record(0, wi + 1, down);
             // Downlink: one reliable logical message, traced as a
             // send→recv pair so the worker's compute hangs off it.
@@ -652,61 +760,32 @@ impl MdGan {
                     from: 0,
                     bytes: down,
                 },
-                wtrack,
+                Track::Worker((wi + 1) as u32),
                 TraceCtx {
                     trace: rctx.trace,
                     span: sent,
                 },
                 tick,
             );
-            let fb_span = self.telemetry.span_at(
-                Phase::DFeedback,
-                wtrack,
-                TraceCtx {
-                    trace: rctx.trace,
-                    span: got,
-                },
-                tick,
-            );
-            let fctx = fb_span.ctx();
-            let worker = self.workers[wi].as_mut().expect("alive worker present");
-            let f = worker.process(
-                &wire[d_id].0,
-                &batches[d_id].1,
-                &wire[g_id].0,
-                &batches[g_id].1,
-            );
-            let f = self.attack_states[wi].apply(worker, &f, &wire[g_id].0, &batches[g_id].1);
-            let cf = self.feedback_codec.compress(&f);
-            let up = cf.wire_bytes();
-            self.stats.record(wi + 1, 0, up);
-            feedbacks.push((g_id, cf.decompress()));
-            drop(fb_span);
-            // Uplink feedback: send on the worker track, recv on the
-            // server track — what the critical-path extractor gates on.
-            let up_sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: 0,
-                    bytes: up,
-                    attempt: 1,
-                },
-                wtrack,
-                fctx,
-                tick,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: (wi + 1) as u32,
-                    bytes: up,
-                },
-                Track::Server,
-                TraceCtx {
-                    trace: rctx.trace,
-                    span: up_sent,
-                },
-                tick,
-            );
-            self.telemetry.worker_feedback(wi + 1);
+            let state = slots[wi].take().expect("alive worker present");
+            turns.push(WorkerTurn::new(wi, state, (g_id, d_id), rctx.trace, got));
+        }
+        // Compute, side by side. The uplink is reliable here, so its
+        // send→recv pair is stamped the moment each worker finishes: the
+        // latest server-side arrival names the worker that really gated
+        // the update.
+        let (telemetry, codec) = (&*self.telemetry, self.feedback_codec);
+        parallel_for_each_mut(&mut turns, PAR_THRESHOLD, |_, turn| {
+            turn.compute(&batches, codec, telemetry, tick);
+            turn.trace_reliable_uplink(telemetry, tick);
+        });
+        // Collect, in participant order: the uplinks.
+        let mut feedbacks: Vec<(usize, Tensor)> = Vec::with_capacity(turns.len());
+        for turn in turns {
+            let (feedback, up) = turn.reply.expect("compute ran for every turn");
+            self.stats.record(turn.wi + 1, 0, up);
+            feedbacks.push((turn.g_id, feedback));
+            self.telemetry.worker_feedback(turn.wi + 1);
         }
         let upd_span = self
             .telemetry
@@ -913,16 +992,15 @@ impl MdGan {
                 .as_ref()
                 .expect("robust mode instantiates a fault state");
 
-            // Downlink, worker compute, uplink — worker by worker in id
-            // order. Every link carries at most one logical message per
-            // iteration, so per-link fate draws happen in the same order
-            // as in the threaded runtime.
-            let mut feedbacks: Vec<(usize, Tensor)> = Vec::new();
-            let mut heard: Vec<usize> = Vec::new();
+            // Downlinks in id order, worker compute side by side, uplinks
+            // in id order. Every link carries at most one logical message
+            // per iteration and fates are drawn per link, so the draws match
+            // the threaded runtime's whatever the order across links.
+            let telemetry = &*self.telemetry;
+            let mut slots = worker_slots(&mut self.workers, &mut self.attack_states);
+            let mut turns: Vec<WorkerTurn> = Vec::with_capacity(expected.len());
             for &wi in &expected {
                 let wtrack = Track::Worker((wi + 1) as u32);
-                let telemetry = &self.telemetry;
-                let (g_id, d_id) = MdServer::assign(wi, self.k);
                 let down_bytes = 2 * batch_bytes(b, d);
                 // The sequential runtime has no real queues, so the
                 // receive instant is recorded inside the deliver hook —
@@ -960,30 +1038,21 @@ impl MdGan {
                 }
                 // A crashed worker still received the batches (the bytes
                 // moved) but computes and answers nothing.
-                let Some(worker) = self.workers[wi].as_mut() else {
+                let Some(state) = slots[wi].take() else {
                     continue;
                 };
-                let fb_span = self.telemetry.span_at(
-                    Phase::DFeedback,
-                    wtrack,
-                    TraceCtx {
-                        trace: rctx.trace,
-                        span: down_recv,
-                    },
-                    tick,
-                );
-                let fctx = fb_span.ctx();
-                let f = worker.process(
-                    &batches[d_id].0,
-                    &batches[d_id].1,
-                    &batches[g_id].0,
-                    &batches[g_id].1,
-                );
-                let f =
-                    self.attack_states[wi].apply(worker, &f, &batches[g_id].0, &batches[g_id].1);
-                drop(fb_span);
-                self.telemetry.worker_feedback(wi + 1);
-                let up_bytes = (f.len() * 4) as u64;
+                let split = MdServer::assign(wi, self.k);
+                turns.push(WorkerTurn::new(wi, state, split, rctx.trace, down_recv));
+            }
+            parallel_for_each_mut(&mut turns, PAR_THRESHOLD, |_, turn| {
+                turn.compute(&batches, Codec::None, telemetry, tick);
+            });
+            let mut feedbacks: Vec<(usize, Tensor)> = Vec::with_capacity(turns.len());
+            let mut heard: Vec<usize> = Vec::with_capacity(turns.len());
+            for turn in turns {
+                let (wi, fctx) = (turn.wi, turn.ctx);
+                let (f, up_bytes) = turn.reply.expect("compute ran for every turn");
+                telemetry.worker_feedback(wi + 1);
                 let up = fs.transmit(
                     wi + 1,
                     0,
@@ -1011,7 +1080,7 @@ impl MdGan {
                     },
                 );
                 if up.delivered {
-                    feedbacks.push((g_id, f));
+                    feedbacks.push((turn.g_id, f));
                     heard.push(wi);
                 }
             }

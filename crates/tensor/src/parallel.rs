@@ -6,7 +6,9 @@
 //! helpers here split an index range over a bounded number of long-lived
 //! pool workers (no OS thread is spawned in steady state) and are used by
 //! the batched convolution kernels, the matmul family and the transpose for
-//! large problem sizes.
+//! large problem sizes. One level up, [`parallel_for_each_mut`] runs the
+//! workers of a synchronous training iteration side by side on the same
+//! pool; kernels called from inside it run inline.
 //!
 //! # Determinism
 //!
@@ -176,9 +178,10 @@ where
 /// # Panics
 /// Panics if `out.len()` is not divisible by `n`, or if `n == 0` while
 /// `out` is non-empty.
-pub fn parallel_for_chunks<F>(out: &mut [f32], n: usize, work_hint: usize, body: F)
+pub fn parallel_for_chunks<T, F>(out: &mut [T], n: usize, work_hint: usize, body: F)
 where
-    F: Fn(usize, &mut [f32]) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     if n == 0 {
         assert!(
@@ -216,12 +219,36 @@ where
     let threads = threads.min(n);
     let base = out.as_mut_ptr() as usize;
     pool::run(threads, n, &|i| {
-        // SAFETY: chunk boundaries are disjoint per task index, each index
-        // is executed exactly once, and `out` outlives the blocking
-        // `pool::run` call.
-        let c = unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(i * chunk), chunk) };
+        // SAFETY: chunk `i` covers elements `i * chunk..(i + 1) * chunk` of
+        // `out`, so chunks of distinct task indices are disjoint; the pool
+        // executes each index exactly once, so no two `&mut` to the same
+        // element ever coexist; `out` is exclusively borrowed for this call
+        // and outlives the blocking `pool::run`; and `T: Send` is what lets
+        // another thread hold the `&mut [T]` (the pointer crosses threads
+        // as an integer, so the compiler cannot check that bound for us).
+        let c = unsafe { std::slice::from_raw_parts_mut((base as *mut T).add(i * chunk), chunk) };
         body(i, c);
     });
+}
+
+/// Runs `body(i, &mut items[i])` for every item, splitting the slice over
+/// up to [`max_threads`] pool slots: the outer, coarse-grained level of
+/// parallelism (one whole GAN worker per item), where [`parallel_for`] and
+/// friends are the inner, kernel level.
+///
+/// It is [`parallel_for_chunks`] at chunk length 1, so item `i` runs on
+/// slot `i % threads`, each slot visits its items in ascending order, and
+/// any `parallel_*` call made from inside `body` runs inline on that slot.
+/// With one thread, one item, or `items.len() * work_hint` below
+/// [`PAR_THRESHOLD`] it is the plain `for` loop. A panic in `body`
+/// re-raises on the caller once every slot has finished.
+pub fn parallel_for_each_mut<T, F>(items: &mut [T], work_hint: usize, body: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let n = items.len();
+    parallel_for_chunks(items, n, work_hint, |i, one| body(i, &mut one[0]));
 }
 
 #[cfg(test)]
@@ -366,6 +393,94 @@ mod tests {
         });
         assert_eq!(outer.load(Ordering::Relaxed), 8);
         assert_eq!(inner.load(Ordering::Relaxed), 32);
+    }
+
+    #[test]
+    fn each_mut_visits_every_item_once_with_its_own_index() {
+        for threads in [1, 2, 3, 8] {
+            let _guard = scoped_max_threads(threads);
+            let mut items = vec![(usize::MAX, 0u32); 11];
+            parallel_for_each_mut(&mut items, PAR_THRESHOLD, |i, item| {
+                item.0 = i;
+                item.1 += 1;
+            });
+            for (i, item) in items.iter().enumerate() {
+                assert_eq!(*item, (i, 1), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_mut_runs_item_i_on_slot_i_mod_threads() {
+        let _guard = scoped_max_threads(3);
+        let mut ran_on = vec![None; 8];
+        parallel_for_each_mut(&mut ran_on, PAR_THRESHOLD, |_, slot| {
+            *slot = Some(std::thread::current().id());
+        });
+        // Slot 0 is the caller; items of one residue class share a thread
+        // and distinct classes never do.
+        assert_eq!(ran_on[0], Some(std::thread::current().id()));
+        for i in 0..8 {
+            for j in 0..8 {
+                assert_eq!(ran_on[i] == ran_on[j], i % 3 == j % 3, "items {i}, {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn each_mut_inlines_kernels_issued_from_the_body() {
+        let _guard = scoped_max_threads(2);
+        let mut inner_threads = vec![Vec::new(); 4];
+        parallel_for_each_mut(&mut inner_threads, PAR_THRESHOLD, |_, seen| {
+            let outer = std::thread::current().id();
+            let inner = Mutex::new(Vec::new());
+            parallel_for(6, PAR_THRESHOLD, |_| {
+                inner
+                    .lock()
+                    .unwrap()
+                    .push(std::thread::current().id() == outer);
+            });
+            *seen = inner.into_inner().unwrap();
+        });
+        for seen in &inner_threads {
+            assert_eq!(seen, &vec![true; 6], "nested kernel left its slot");
+        }
+    }
+
+    #[test]
+    fn each_mut_handles_empty_single_and_zero_sized_items() {
+        let _guard = scoped_max_threads(4);
+        let mut none: Vec<u64> = Vec::new();
+        parallel_for_each_mut(&mut none, PAR_THRESHOLD, |_, _| panic!("must not run"));
+        let mut one = vec![0u64];
+        parallel_for_each_mut(&mut one, PAR_THRESHOLD, |i, v| *v = i as u64 + 7);
+        assert_eq!(one, vec![7]);
+        let hits: Vec<AtomicU64> = (0..9).map(|_| AtomicU64::new(0)).collect();
+        let mut units = [(); 9];
+        parallel_for_each_mut(&mut units, PAR_THRESHOLD, |i, _unit| {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        });
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn each_mut_reraises_a_panicking_item_and_the_pool_survives() {
+        let _guard = scoped_max_threads(2);
+        // Item 1 runs on a pool worker, item 2 on the caller: both routes
+        // must surface on the caller without hanging it.
+        for bad in [1usize, 2] {
+            let mut items = vec![0u32; 6];
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_for_each_mut(&mut items, PAR_THRESHOLD, |i, v| {
+                    assert!(i != bad, "boom");
+                    *v = 1;
+                });
+            }));
+            assert!(caught.is_err(), "panic in item {bad} was swallowed");
+        }
+        let mut items = vec![0u32; 6];
+        parallel_for_each_mut(&mut items, PAR_THRESHOLD, |_, v| *v = 1);
+        assert_eq!(items, vec![1; 6]);
     }
 
     #[test]
