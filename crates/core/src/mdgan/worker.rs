@@ -74,8 +74,8 @@ impl MdWorker {
 
         for _ in 0..self.hyper.disc_steps.max(1) {
             // Nobody reads ∂L/∂image of a training batch: parameter
-            // gradients only.
-            self.disc.net.zero_grad();
+            // gradients only. They accumulate into buffers that are
+            // all-zero on entry (construction, and the sweep below).
             let logits_r = self.disc.forward(&x_real, true);
             let (_, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
             self.disc.backward_params(&gr);
@@ -88,17 +88,17 @@ impl MdWorker {
                     .clip_grad_norm_per_layer(self.hyper.clip_grad_norm);
             }
             self.opt_d.step(&mut self.disc.net);
+            // The one gradient sweep of the step: nothing below writes a
+            // parameter gradient, so none outlives the iteration.
+            self.disc.net.zero_grad();
         }
 
         // F_n <- ∂B̃(X_g)/∂x: backprop the generator objective through D_n
         // down to the *input images*. The worker does not train on X_g, so
-        // no parameter gradient is computed; the ones left over from the
-        // learning steps above are cleared so none outlive the iteration.
+        // no parameter gradient is computed.
         let logits_g = self.disc.forward(xg, true);
         let (_, glogits) = gen_loss(&logits_g, xg_labels, classes, aux, self.hyper.gen_loss);
-        let feedback = self.disc.backward_input(&glogits);
-        self.disc.net.zero_grad();
-        feedback
+        self.disc.backward_input(&glogits)
     }
 
     /// Flat discriminator parameters (what a swap ships).

@@ -1,9 +1,17 @@
-//! The packed, cache-blocked GEMM micro-kernel every dense multiply in the
-//! workspace runs on: `matmul`, `matmul_nt`, `matmul_tn` and the implicit
-//! im2col GEMMs inside `conv2d` / `conv_transpose2d` all lower to
-//! [`gemm_into`] / [`gemm_acc_into`] with a [`Layout`] tag, or to the
-//! `pub(crate)` [`gemm_with`] / [`gemm_scatter`] drivers with a custom
-//! [`PackRhs`] operand.
+//! The GEMM kernels every dense multiply in the workspace runs on:
+//! `matmul`, `matmul_nt`, `matmul_tn` and the implicit im2col GEMMs inside
+//! `conv2d` / `conv_transpose2d` all lower to [`gemm_into`] /
+//! [`gemm_acc_into`] with a [`Layout`] tag, or to the `pub(crate)`
+//! [`gemm_with`] / [`gemm_scatter`] drivers with a custom [`PackRhs`]
+//! operand.
+//!
+//! The drivers run the packed, cache-blocked micro-kernel described below.
+//! The dense-slice entry points first check the shape: a product with a
+//! handful of rows (NN, NT) or a handful of shared-dimension steps (TN)
+//! reads its large operand once for very little arithmetic, so packing
+//! that operand costs as much as multiplying by it, and those shapes go to
+//! the no-pack kernels of the `skinny` submodule instead ([`SKINNY_M`],
+//! [`SKINNY_NT_M`], [`SKINNY_K`]; same accumulation chain, same bits).
 //!
 //! # Structure
 //!
@@ -92,6 +100,8 @@
 use crate::parallel;
 use crate::workspace;
 
+mod skinny;
+
 /// Rows per parallel row block (the packed A panel is `MC x KC`).
 pub const MC: usize = 32;
 /// Shared-dimension panel length.
@@ -112,6 +122,28 @@ pub const MR: usize = 8;
 /// Register-tile height (non-AVX-512 builds): see above.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
 pub const MR: usize = 4;
+
+/// NN products with at most this many rows skip the packed kernel: the
+/// no-pack kernel holds all `m` rows of a column strip in registers and
+/// streams `b` in place. 12 rows fill the register file on every build
+/// (12 x 2 zmm of 32, 12 x 1 ymm of 16); the crossover sweep in
+/// EXPERIMENTS.md has it ahead of the packed kernel at every `m` up to
+/// there.
+pub const SKINNY_M: usize = 12;
+/// NT products with at most this many rows skip the packed kernel: the
+/// no-pack kernel runs one vector lane per row, so the bound is the lane
+/// count.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
+pub const SKINNY_NT_M: usize = 16;
+/// NT row bound (non-AVX-512 builds): see above.
+#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
+pub const SKINNY_NT_M: usize = 8;
+/// TN products with at most this many shared-dimension steps (the rank-b
+/// update `dW += xᵀ·dy`) skip the packed kernel. The no-pack kernel still
+/// led at `k = 24` in the sweep; 16 keeps every shape it takes at the
+/// paper's layer sizes below [`parallel::PAR_THRESHOLD`], where the packed
+/// driver is serial too.
+pub const SKINNY_K: usize = 16;
 
 /// Storage layout of a GEMM's operands. The logical product is always
 /// `A (m,k) x B (k,n) -> out (m,n)`; the tag says how the operand slices
@@ -259,6 +291,10 @@ pub fn gemm_acc_into(
     gemm(layout, a, b, out, m, k, n, true);
 }
 
+/// The dense-slice entry: checks the operand lengths, then picks the
+/// kernel from `(layout, m, k)` alone — NN with `m <= SKINNY_M`, NT with
+/// `m <= SKINNY_NT_M` and TN with `k <= SKINNY_K` run the no-pack kernels,
+/// everything else (and every empty product) the packed driver.
 #[allow(clippy::too_many_arguments)]
 fn gemm(
     layout: Layout,
@@ -281,6 +317,20 @@ fn gemm(
     assert_eq!(a.len(), a_len, "gemm {layout:?}: a length mismatch");
     assert_eq!(b.len(), b_len, "gemm {layout:?}: b length mismatch");
     assert_eq!(out.len(), m * n, "gemm {layout:?}: out length mismatch");
+    if m > 0 && k > 0 && n > 0 {
+        let no_pack: Option<skinny::Kernel> = match layout {
+            Layout::NN if m <= SKINNY_M => Some(skinny::gemm_nn),
+            Layout::NT if m <= SKINNY_NT_M => Some(skinny::gemm_nt),
+            Layout::TN if k <= SKINNY_K => Some(skinny::gemm_tn),
+            _ => None,
+        };
+        if let Some(kernel) = no_pack {
+            // Serial by design: counted like a `parallel_*` call that ran
+            // inline, so `seq_jobs` keeps meaning "kernels off the pool".
+            crate::pool::note_sequential();
+            return kernel(a, b, out, m, k, n, acc);
+        }
+    }
     let lhs = match layout {
         Layout::NN | Layout::NT => Lhs::RowMajor(a),
         Layout::TN => Lhs::ColMajor(a),
@@ -860,6 +910,41 @@ mod tests {
                     s = a[i * k + p].mul_add(b[p * n + j], s);
                 }
                 assert_eq!(s.to_bits(), out[i * n + j].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn skinny_kernels_match_the_packed_driver() {
+        // The two paths are pinned to each other, not only to the
+        // reference: the same operands through `gemm()` (no-pack kernels at
+        // these shapes) and through `gemm_with` + `SliceRhs` (packed).
+        let mut rng = Rng64::seed_from_u64(16);
+        for (layout, m, k, n) in [
+            (Layout::NN, SKINNY_M, 784, 513),
+            (Layout::NT, SKINNY_NT_M, 512, 785),
+            (Layout::TN, 783, SKINNY_K, 513),
+        ] {
+            let a = randv(m * k, &mut rng);
+            let b = randv(k * n, &mut rng);
+            let seed_out = randv(m * n, &mut rng);
+            for acc in [false, true] {
+                let mut skinny = seed_out.clone();
+                gemm(layout, &a, &b, &mut skinny, m, k, n, acc);
+                let mut packed = seed_out.clone();
+                let lhs = match layout {
+                    Layout::TN => Lhs::ColMajor(&a),
+                    _ => Lhs::RowMajor(&a),
+                };
+                let rhs = SliceRhs::new(&b, layout == Layout::NT, k, n);
+                gemm_with(lhs, &rhs, &mut packed, m, k, n, acc);
+                for (i, (x, y)) in skinny.iter().zip(&packed).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{layout:?} acc={acc} element {i}: {x} vs {y}"
+                    );
+                }
             }
         }
     }

@@ -1,7 +1,8 @@
 //! 2-D matrix multiplication and transpose.
 //!
 //! All three multiply variants (`A·B`, `A·Bᵀ`, `Aᵀ·B`) lower to the shared
-//! packed, cache-blocked micro-kernel in [`super::gemm`]; this module owns
+//! kernels in [`super::gemm`] (packed and cache-blocked, or no-pack for
+//! skinny shapes — one accumulation chain either way); this module owns
 //! only the shape checking, the [`Layout`] mapping, and the output buffers
 //! (drawn from [`crate::workspace`]). The free `*_into` functions are the
 //! allocation-free entry points used by `conv2d` and the `md-nn` layers.
@@ -38,7 +39,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut out = workspace::take_filled(m * n, 0.0);
+        let mut out = workspace::take_uninit(m * n);
         gemm::gemm_into(Layout::NN, self.data(), other.data(), &mut out, m, k, n);
         Tensor::new(&[m, n], out)
     }
@@ -48,9 +49,9 @@ impl Tensor {
         assert_eq!(self.ndim(), 2, "t() requires a 2-D tensor");
         let (m, n) = (self.shape()[0], self.shape()[1]);
         let src = self.data();
-        let mut out = workspace::take_filled(m * n, 0.0);
-        // One output row (length m) per source column; a pure copy, so the
-        // result is thread-count independent.
+        let mut out = workspace::take_uninit(m * n);
+        // One output row (length m) per source column, each written in
+        // full; a pure copy, so the result is thread-count independent.
         parallel::parallel_for_chunks(&mut out, n, m, |j, orow| {
             for (i, o) in orow.iter_mut().enumerate() {
                 *o = src[i * n + j];
@@ -73,7 +74,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut out = workspace::take_filled(m * n, 0.0);
+        let mut out = workspace::take_uninit(m * n);
         gemm::gemm_into(Layout::NT, self.data(), other.data(), &mut out, m, k, n);
         Tensor::new(&[m, n], out)
     }
@@ -92,7 +93,7 @@ impl Tensor {
             self.shape(),
             other.shape()
         );
-        let mut out = workspace::take_filled(m * n, 0.0);
+        let mut out = workspace::take_uninit(m * n);
         gemm::gemm_into(Layout::TN, self.data(), other.data(), &mut out, m, k, n);
         Tensor::new(&[m, n], out)
     }

@@ -2,7 +2,7 @@
 //!
 //! * [`elementwise`] — broadcasting binary ops, unary maps, in-place updates.
 //! * [`gemm`] — the packed, cache-blocked GEMM micro-kernel shared by
-//!   matmul and conv.
+//!   matmul and conv, and the no-pack kernels for skinny dense shapes.
 //! * [`matmul`] — 2-D matrix multiply and transpose.
 //! * [`reduce`] — sums, means, maxima, argmax, per-axis reductions, softmax.
 //! * [`conv`] — im2col/col2im, conv2d and conv-transpose2d with gradients.

@@ -164,7 +164,9 @@ pub(crate) fn in_parallel_region() -> bool {
     IN_PARALLEL.with(Cell::get)
 }
 
-/// Tallies a `parallel_*` call that ran inline rather than on the pool.
+/// Tallies a kernel call that ran inline rather than on the pool: a
+/// `parallel_*` call below its gate, or a kernel that is serial by design
+/// (the no-pack GEMMs).
 pub(crate) fn note_sequential() {
     SEQ_JOBS.fetch_add(1, Ordering::Relaxed);
 }
