@@ -6,7 +6,11 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use md_nn::init::Init;
 use md_nn::layer::Layer;
 use md_nn::layers::MinibatchDiscrimination;
-use md_tensor::ops::conv::{conv2d_backward, conv2d_forward, conv_transpose2d_forward};
+use md_tensor::ops::conv::{
+    conv2d_backward, conv2d_backward_need, conv2d_forward, conv_transpose2d_backward_need,
+    conv_transpose2d_forward,
+};
+use md_tensor::ops::Need;
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use std::time::Duration;
@@ -95,6 +99,10 @@ fn bench_matmul_threads(c: &mut Criterion) {
     g.finish();
 }
 
+/// `conv2d_backward_need` / `conv_transpose2d_backward_need`.
+type BackwardNeed =
+    fn(&Tensor, &Tensor, &Tensor, usize, usize, Need, &mut Tensor, &mut Tensor) -> Option<Tensor>;
+
 fn bench_conv(c: &mut Criterion) {
     let mut g = c.benchmark_group("conv2d");
     g.sample_size(10)
@@ -120,6 +128,52 @@ fn bench_conv(c: &mut Criterion) {
     g.bench_function("transpose_forward_b10", |bench| {
         bench.iter(|| std::hint::black_box(conv_transpose2d_forward(&xt, &wt, &bt, 2, 1)));
     });
+
+    // Every conv the paper's CIFAR10 pair issues (`ArchSpec::cnn_cifar_scaled(32)`,
+    // b = 10): the discriminator's three 3x3 stride-2 convs halving 32² to
+    // 4², the generator's three 4x4 stride-2 transposed convs doubling 4²
+    // back to 32² — forward and the three gradient demands a training
+    // iteration makes. `(name, in channels, out channels, input side,
+    // transposed)`.
+    let need_modes = [
+        ("all", Need::All),
+        ("params", Need::Params),
+        ("input", Need::Input),
+    ];
+    for (name, cin, cout, side, transposed) in [
+        ("d1", 3, 16, 32, false),
+        ("d2", 16, 32, 16, false),
+        ("d3", 32, 64, 8, false),
+        ("g1", 64, 32, 4, true),
+        ("g2", 32, 16, 8, true),
+        ("g3", 16, 3, 16, true),
+    ] {
+        let (forward, backward_need, w_shape) = if transposed {
+            let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor =
+                conv_transpose2d_forward;
+            let bwd: BackwardNeed = conv_transpose2d_backward_need;
+            (fwd, bwd, [cin, cout, 4, 4])
+        } else {
+            let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor = conv2d_forward;
+            let bwd: BackwardNeed = conv2d_backward_need;
+            (fwd, bwd, [cout, cin, 3, 3])
+        };
+        let x = Tensor::randn(&[10, cin, side, side], &mut rng);
+        let w = Tensor::randn(&w_shape, &mut rng);
+        let bias = Tensor::randn(&[cout], &mut rng);
+        g.bench_function(format!("paper_{name}_forward"), |bench| {
+            bench.iter(|| std::hint::black_box(forward(&x, &w, &bias, 2, 1)));
+        });
+        let gy = Tensor::randn(forward(&x, &w, &bias, 2, 1).shape(), &mut rng);
+        let (mut gw, mut gb) = (Tensor::zeros(w.shape()), Tensor::zeros(&[cout]));
+        for (mode, need) in need_modes {
+            g.bench_function(format!("paper_{name}_{mode}"), |bench| {
+                bench.iter(|| {
+                    std::hint::black_box(backward_need(&x, &w, &gy, 2, 1, need, &mut gw, &mut gb))
+                });
+            });
+        }
+    }
     g.finish();
 }
 

@@ -26,6 +26,7 @@ use crate::layers::sigmoid;
 use crate::layers::Sequential;
 use crate::loss::softmax_cross_entropy;
 use md_tensor::rng::Rng64;
+use md_tensor::workspace;
 use md_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -93,7 +94,7 @@ impl Generator {
         let b = z.shape()[0];
         assert_eq!(labels.len(), b, "one label per noise vector required");
         let width = self.latent_dim + self.num_classes;
-        let mut data = vec![0.0f32; b * width];
+        let mut data = workspace::take_zeroed(b * width);
         for i in 0..b {
             data[i * width..i * width + self.latent_dim].copy_from_slice(z.row(i));
             assert!(labels[i] < self.num_classes, "label out of range");
@@ -180,7 +181,7 @@ fn split_logits(logits: &Tensor, num_classes: usize) -> (Vec<f32>, Option<Tensor
         src.push(logits.row(i)[0]);
     }
     let cls = if num_classes > 0 {
-        let mut data = Vec::with_capacity(b * num_classes);
+        let mut data = workspace::take_raw(b * num_classes);
         for i in 0..b {
             data.extend_from_slice(&logits.row(i)[1..]);
         }
@@ -195,7 +196,7 @@ fn split_logits(logits: &Tensor, num_classes: usize) -> (Vec<f32>, Option<Tensor
 fn merge_grads(src: &[f32], cls: Option<&Tensor>, num_classes: usize) -> Tensor {
     let b = src.len();
     let w = 1 + num_classes;
-    let mut data = vec![0.0f32; b * w];
+    let mut data = workspace::take_zeroed(b * w);
     for i in 0..b {
         data[i * w] = src[i];
         if let Some(c) = cls {

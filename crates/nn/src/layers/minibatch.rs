@@ -13,6 +13,7 @@
 use crate::init::Init;
 use crate::layer::{Layer, Need};
 use md_tensor::rng::Rng64;
+use md_tensor::workspace;
 use md_tensor::Tensor;
 
 /// The minibatch-discrimination layer.
@@ -82,7 +83,7 @@ impl Layer for MinibatchDiscrimination {
         }
 
         // Output = concat(x, o) along features.
-        let mut out = Vec::with_capacity(b * (self.in_features + nb));
+        let mut out = workspace::take_raw(b * (self.in_features + nb));
         for i in 0..b {
             out.extend_from_slice(x.row(i));
             out.extend_from_slice(&o[i * nb..(i + 1) * nb]);
@@ -111,7 +112,7 @@ impl Layer for MinibatchDiscrimination {
         }
 
         // dL/dM: for every unordered pair contribution.
-        let mut gm = vec![0.0f32; b * nb * nc];
+        let mut gm = workspace::take_zeroed(b * nb * nc);
         let md = cache.m.data();
         for i in 0..b {
             for j in 0..b {
@@ -152,9 +153,9 @@ impl Layer for MinibatchDiscrimination {
         }
         // dL/dx = (pass-through half of grad_out) + gm · T^T
         need.input().then(|| {
-            let mut gx_direct = vec![0.0f32; b * a];
+            let mut gx_direct = workspace::take_raw(b * a);
             for i in 0..b {
-                gx_direct[i * a..(i + 1) * a].copy_from_slice(&grad_out.row(i)[..a]);
+                gx_direct.extend_from_slice(&grad_out.row(i)[..a]);
             }
             let mut gx = Tensor::new(&[b, a], gx_direct);
             gx.add_assign(&gm.matmul_nt(&self.t));

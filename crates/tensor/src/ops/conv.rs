@@ -6,18 +6,43 @@
 //! * conv2d weights: `(O, C, KH, KW)` — `O` output channels
 //! * conv-transpose2d weights: `(C_in, C_out, KH, KW)` (PyTorch convention)
 //!
-//! Every path is an im2col-style GEMM, but the `(C*KH*KW, OH*OW)` column
+//! Every path is an im2col-style GEMM whose `(C*KH*KW, OH*OW)` column
 //! matrix is **never materialized**: the [`Im2colRhs`] / [`Im2colTRhs`]
-//! packers implement [`gemm::PackRhs`] and extract convolution patches on
-//! the fly straight into the GEMM's packed sliver format, and the
-//! transposed/grad-input paths fuse `col2im` into the GEMM epilogue via
-//! [`gemm::gemm_scatter`] (each finished row-block tile is scattered into
-//! the image and discarded). The reference [`im2col`] / [`col2im`]
-//! functions remain as the spec: every implicit path is bitwise identical
-//! to materialize-then-multiply (the packers read the exact same values
-//! and the GEMM's per-element `k`-order is unchanged; the tile scatter
-//! accumulates in the same ascending `(row, position)` order as
-//! [`col2im`]).
+//! packers implement [`gemm::PackRhs`] and write convolution patches
+//! straight into the GEMM's packed sliver format, and the transposed /
+//! grad-input paths fuse `col2im` into the GEMM epilogue via
+//! [`gemm::gemm_scatter`] (each finished row-block tile is accumulated and
+//! discarded). What a layer call does copy, once, is what every sample of
+//! the batch shares or what makes the packers' inner loops straight copies:
+//!
+//! * **the image operand, into phase planes** ([`ConvGeom`]): one pass over
+//!   the `(B, C, H, W)` tensor writes it zero-padded and split by stride
+//!   phase, so that the values one kernel tap contributes to a row of
+//!   output positions are a contiguous, always-in-bounds run. The packers
+//!   then move runs (`copy_from_slice`-style, no `iy`/`ix` arithmetic, no
+//!   bounds tests, any stride), and the scatter adds runs. The pass touches
+//!   about the image's size; the column matrix it serves is
+//!   `KH*KW / stride²` times larger (2.25x and 4x at the paper's layers)
+//!   and used to be gathered element by element;
+//! * **the weights, into packed panels** ([`PackedLhs`]): the per-sample
+//!   products of a call all multiply by the same weights, so their
+//!   `MR`-interleaved panels are built once and shared (read-only, also
+//!   across the threads of a batch-parallel forward) instead of once per
+//!   sample — at the 4x4 stage a sample has 16 columns, and packing the
+//!   weights cost as much as multiplying by them.
+//!
+//! Each layer call is then three kinds of product:
+//!
+//! | product | shape per call | shared across the batch | order kept |
+//! |---|---|---|---|
+//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` | packed `W` | `k` ascending inside each sample's GEMM |
+//! | conv grad-input, conv-transpose forward | `b` x `col2im(Wᵀ (ckk, o) · g_i (o, ohw))` | packed `Wᵀ` | tiles in row order; per pixel the adds arrive in `col2im`'s `(row, oy, ox)` order into zeroed planes, copied out exactly |
+//! | weight gradient (both) | **one** `gw (o, ckk) += G (o, b·ohw) · Cᵀ (b·ohw, ckk)`, `G` the samples' `g_i` side by side, `Cᵀ` their `cols_iᵀ` stacked | the gradient tile, loaded and stored once per `k` panel of the whole batch | seeded with `gw`, samples ascending, positions ascending — the chain of one accumulate product per sample |
+//!
+//! The reference [`im2col`] / [`col2im`] functions remain as the spec:
+//! every path is bitwise identical to materialize-then-multiply, for any
+//! thread count (the packers hold the exact same values, the GEMM's
+//! per-element chain is the one above, and copies are exact).
 //!
 //! The transposed convolution is implemented as the exact adjoint of the
 //! convolution: its forward pass is a `col2im` scatter, and its backward
@@ -25,7 +50,7 @@
 //! forward is literally the gradient of `conv` with respect to its input,
 //! a property the unit tests check.
 
-use crate::ops::gemm::{self, Lhs, PackRhs, SliceRhs, NR};
+use crate::ops::gemm::{self, Lhs, PackRhs, PackedLhs, SliceRhs, NR};
 use crate::ops::Need;
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -170,6 +195,25 @@ pub fn col2im(
 /// and the `(oh, ow)` output grid the column matrix ranges over. Shared by
 /// the implicit packers and the fused scatter so their index math cannot
 /// drift apart.
+///
+/// # Phase planes
+///
+/// The packers and the scatter never index the `(c, h, w)` image itself.
+/// Once per call the image operand is copied into (or, for the scatter
+/// paths, accumulated in and copied back out of) **zero-padded,
+/// stride-phase-split planes**: padded pixel `(iyp, ixp)` of channel `ci`
+/// (`iyp = iy + pad`, `ixp = ix + pad`) lives at element `ixp / stride` of
+/// the row `(ci, iyp, ixp % stride)`, rows being [`ConvGeom::wq`] long and
+/// laid out in that `(ci, iyp, phase)` order. Column-matrix element
+/// `cols[(ci, ki, kj)][(oy, ox)]` reads padded pixel
+/// `(oy*stride + ki, ox*stride + kj)`, which is element `kj/stride + ox`
+/// of row `(ci, oy*stride + ki, kj % stride)` — so for one kernel tap the
+/// values of consecutive `ox` are a **contiguous run**, always in bounds
+/// (the padding is part of the planes), at
+/// [`Taps::base`]` + oy * `[`ConvGeom::oy_stride`]` + ox`. The per-element
+/// `iy`/`ix` arithmetic and bounds tests of a direct gather become one
+/// layout pass over the image, which is about the image's size; the column
+/// matrix it feeds is `kh*kw / stride²` times larger.
 #[derive(Clone, Copy)]
 struct ConvGeom {
     c: usize,
@@ -194,173 +238,287 @@ impl ConvGeom {
         self.oh * self.ow
     }
 
-    /// Splits a column-matrix row index into `(ci, ki, kj, image base)`.
-    #[inline]
-    fn split_row(&self, row: usize) -> (usize, usize, usize) {
-        let kj = row % self.kw;
-        let ki = (row / self.kw) % self.kh;
-        let ci = row / (self.kw * self.kh);
-        (ci, ki, kj)
+    /// Padded rows per channel: the padded image, or the lowest row a tap
+    /// reaches if that is further.
+    fn hp(&self) -> usize {
+        (self.h + 2 * self.pad).max((self.oh * self.stride + self.kh).saturating_sub(self.stride))
+    }
+
+    /// Length of one phase row: every padded pixel of the phase, or the
+    /// furthest element a tap reaches if that is further.
+    fn wq(&self) -> usize {
+        (self.w + 2 * self.pad)
+            .div_ceil(self.stride)
+            .max(self.ow + self.kw.saturating_sub(1) / self.stride)
+    }
+
+    /// Elements of one sample's phase planes.
+    fn plane_len(&self) -> usize {
+        self.c * self.hp() * self.stride * self.wq()
+    }
+
+    /// Distance between the runs of output rows `oy` and `oy + 1` of one
+    /// tap: `stride` padded rows of `stride` phases each.
+    fn oy_stride(&self) -> usize {
+        self.stride * self.stride * self.wq()
+    }
+
+    /// Copies a batch of `(c, h, w)` images into freshly zeroed phase
+    /// planes, one [`ConvGeom::plane_len`] block per sample.
+    fn split_batch(&self, images: &[f32]) -> Vec<f32> {
+        let chw = self.c * self.h * self.w;
+        let b = images.len().checked_div(chw).unwrap_or(0);
+        let mut planes = workspace::take_zeroed(b * self.plane_len());
+        for (image, sample) in images
+            .chunks_exact(chw.max(1))
+            .zip(planes.chunks_exact_mut(self.plane_len().max(1)))
+        {
+            self.for_each_phase_run(|img, pl, len| {
+                let src = image[img..img + (len - 1) * self.stride + 1].chunks(self.stride);
+                for (d, px) in sample[pl..pl + len].iter_mut().zip(src) {
+                    *d = px[0];
+                }
+            });
+        }
+        planes
+    }
+
+    /// Adjoint of [`ConvGeom::split_batch`] for one sample: copies the
+    /// image pixels back out of the planes (the padding is dropped).
+    fn unsplit(&self, planes: &[f32], image: &mut [f32]) {
+        self.for_each_phase_run(|img, pl, len| {
+            let dst = image[img..img + (len - 1) * self.stride + 1].chunks_mut(self.stride);
+            for (px, &v) in dst.zip(&planes[pl..pl + len]) {
+                px[0] = v;
+            }
+        });
+    }
+
+    /// Calls `run(img, pl, len)` once per (phase, channel, image row): the
+    /// `len` pixels of that row and phase start at image offset `img`,
+    /// `stride` apart, and map to the `len` adjacent plane elements from
+    /// offset `pl`.
+    fn for_each_phase_run(&self, mut run: impl FnMut(usize, usize, usize)) {
+        let (s, wq, hp) = (self.stride, self.wq(), self.hp());
+        // The first `s` pixels of a row start one phase each.
+        for ix in 0..s.min(self.w) {
+            let ixp = ix + self.pad;
+            let (in_rows, len) = (ixp % s * wq + ixp / s, (self.w - ix).div_ceil(s));
+            for ci in 0..self.c {
+                for iy in 0..self.h {
+                    let img_row = (ci * self.h + iy) * self.w;
+                    let plane_rows = (ci * hp + iy + self.pad) * s * wq;
+                    run(img_row + ix, plane_rows + in_rows, len);
+                }
+            }
+        }
+    }
+
+    /// Starts a [`Taps`] walk at column-matrix row `row`.
+    fn taps_from(&self, row: usize) -> Taps<'_> {
+        let (kj, ki, ci) = (
+            row % self.kw,
+            row / self.kw % self.kh,
+            row / (self.kw * self.kh),
+        );
+        Taps {
+            g: self,
+            hp: self.hp(),
+            wq: self.wq(),
+            plane_row: ci * self.hp() + ki,
+            ki,
+            kj,
+            phase: kj % self.stride,
+            q: kj / self.stride,
+        }
+    }
+}
+
+/// Walks the column-matrix rows `(ci, ki, kj)` in ascending order as an
+/// odometer, so a packer pays the divisions of the row split once per
+/// panel, not once per row.
+struct Taps<'g> {
+    g: &'g ConvGeom,
+    hp: usize,
+    wq: usize,
+    /// `ci * hp + ki`: the padded row the tap reads for `oy = 0`.
+    plane_row: usize,
+    ki: usize,
+    kj: usize,
+    /// `kj % stride` and `kj / stride`.
+    phase: usize,
+    q: usize,
+}
+
+impl Taps<'_> {
+    /// Plane offset of the current tap's value for output position
+    /// `(0, 0)`; position `(oy, ox)` is `oy * oy_stride() + ox` further.
+    fn base(&self) -> usize {
+        (self.plane_row * self.g.stride + self.phase) * self.wq + self.q
+    }
+
+    /// Steps to the next column-matrix row.
+    fn advance(&mut self) {
+        let g = self.g;
+        self.kj += 1;
+        self.phase += 1;
+        if self.phase == g.stride {
+            self.phase = 0;
+            self.q += 1;
+        }
+        if self.kj == g.kw {
+            (self.kj, self.phase, self.q) = (0, 0, 0);
+            self.ki += 1;
+            self.plane_row += 1;
+            if self.ki == g.kh {
+                // From row `kh` of this channel to row 0 of the next.
+                self.ki = 0;
+                self.plane_row += self.hp - g.kh;
+            }
+        }
     }
 }
 
 /// Implicit im2col right-hand operand: the virtual `(c*kh*kw, oh*ow)`
-/// column matrix of one image, packed patch-by-patch on the fly. Reads the
-/// exact values [`im2col`] would have written
+/// column matrix of one image, packed from that image's phase planes. Holds
+/// the exact values [`im2col`] would have written
 /// (`cols[row][oy*ow + ox] = image[ci][oy*stride+ki-pad][ox*stride+kj-pad]`,
 /// zero outside the image), so a GEMM over this operand is bitwise
 /// identical to materialize-then-multiply.
 struct Im2colRhs<'a> {
-    image: &'a [f32],
+    planes: &'a [f32],
     g: ConvGeom,
 }
 
 impl PackRhs for Im2colRhs<'_> {
     fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let ConvGeom {
-            h,
-            w,
-            stride,
-            pad,
-            ow,
-            ..
-        } = self.g;
-        let n = self.g.ohw();
-        let nslivers = nc.div_ceil(NR);
-        for s in 0..nslivers {
+        let (n, ow, oy_stride) = (self.g.ohw(), self.g.ow, self.g.oy_stride());
+        // The panel's `kc` taps, shared by every sliver.
+        let mut bases = [0usize; gemm::KC];
+        let mut taps = self.g.taps_from(kb);
+        for base in &mut bases[..kc] {
+            *base = taps.base();
+            taps.advance();
+        }
+        for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
+            debug_assert!(s < nc.div_ceil(NR));
             let j0 = jb + s * NR;
             let jw = NR.min(n - j0);
-            let sliver = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-            for p in 0..kc {
-                let (ci, ki, kj) = self.g.split_row(kb + p);
-                let img_base = ci * h * w;
-                let dst = &mut sliver[p * NR..(p + 1) * NR];
-                dst[jw..].fill(0.0);
-                // Walk the jw output positions one oy-row at a time so the
-                // vertical bounds check hoists out of the inner loop and
-                // stride-1 interior segments become contiguous copies —
-                // same traffic as `im2col`, minus the materialized matrix.
-                let mut jj = 0;
-                let mut oy = j0 / ow;
-                let mut ox = j0 - oy * ow;
-                while jj < jw {
-                    let seg = (ow - ox).min(jw - jj);
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        dst[jj..jj + seg].fill(0.0);
-                    } else {
-                        let img_row = img_base + iy as usize * w;
-                        pack_row_taps(
-                            &mut dst[jj..jj + seg],
-                            &self.image[img_row..img_row + w],
-                            ox,
-                            stride,
-                            kj as isize - pad as isize,
-                        );
-                    }
-                    jj += seg;
-                    ox = 0;
-                    oy += 1;
+            // The sliver's `jw` output positions, one `oy` row segment at a
+            // time: for every tap a straight copy of its run.
+            let (mut jj, mut oy, mut ox) = (0, j0 / ow, j0 % ow);
+            while jj < jw {
+                let seg = (ow - ox).min(jw - jj);
+                let run = oy * oy_stride + ox;
+                for (dst, &base) in sliver.chunks_exact_mut(NR).zip(&bases[..kc]) {
+                    copy_run(&mut dst[jj..jj + seg], &self.planes[base + run..][..seg]);
+                }
+                jj += seg;
+                oy += 1;
+                ox = 0;
+            }
+            if jw < NR {
+                for dst in sliver.chunks_exact_mut(NR) {
+                    dst[jw..].fill(0.0);
                 }
             }
         }
     }
 }
 
-/// Packs `dst.len()` horizontal kernel taps `ix = (ox + i) * stride + off`
-/// from one in-bounds image row, writing zero wherever `ix` falls outside
-/// the row. At stride 1 the valid window is a single contiguous
-/// `copy_from_slice`; larger strides fall back to a per-tap gather with
-/// only the horizontal check left.
-fn pack_row_taps(dst: &mut [f32], row: &[f32], ox: usize, stride: usize, off: isize) {
-    let seg = dst.len() as isize;
-    let w = row.len() as isize;
-    if stride == 1 {
-        let base = ox as isize + off; // tap i reads row[base + i]
-        let lo = (-base).clamp(0, seg) as usize;
-        let hi = (w - base).clamp(0, seg) as usize;
-        dst[..lo].fill(0.0);
-        if hi > lo {
-            let start = (base + lo as isize) as usize;
-            dst[lo..hi].copy_from_slice(&row[start..start + (hi - lo)]);
-        }
-        dst[hi.max(lo)..].fill(0.0);
-    } else {
-        for (i, d) in dst.iter_mut().enumerate() {
-            let ix = ((ox + i) * stride) as isize + off;
-            *d = if ix < 0 || ix >= w {
-                0.0
-            } else {
-                row[ix as usize]
-            };
-        }
+/// `dst.copy_from_slice(src)` for the short runs of the packers (one output
+/// row of a tap: 4 to 16 values at the paper's shapes), where a `memcpy`
+/// call costs more than the copy: four values at a time, then the rest.
+#[inline(always)]
+fn copy_run(dst: &mut [f32], src: &[f32]) {
+    let mut d4 = dst.chunks_exact_mut(4);
+    let mut s4 = src.chunks_exact(4);
+    for (d, s) in (&mut d4).zip(&mut s4) {
+        d.copy_from_slice(s);
+    }
+    for (d, &v) in d4.into_remainder().iter_mut().zip(s4.remainder()) {
+        *d = v;
     }
 }
 
-/// Transposed implicit im2col operand: the virtual `(oh*ow, c*kh*kw)`
-/// matrix `cols^T`, for `grad_weight += g · cols^T` products. Packing
-/// element `[p][j]` reads `cols[j][p]` — the same image loads as
+/// `dst[i] += src[i]` over a short run, four values at a time like
+/// [`copy_run`] (each element is still one add, so the grouping is
+/// invisible in the result).
+#[inline(always)]
+fn add_run(dst: &mut [f32], src: &[f32]) {
+    let mut d4 = dst.chunks_exact_mut(4);
+    let mut s4 = src.chunks_exact(4);
+    for (d, s) in (&mut d4).zip(&mut s4) {
+        for (d, &v) in d.iter_mut().zip(s) {
+            *d += v;
+        }
+    }
+    for (d, &v) in d4.into_remainder().iter_mut().zip(s4.remainder()) {
+        *d += v;
+    }
+}
+
+/// Transposed implicit im2col operand over a whole batch: the virtual
+/// `(b*oh*ow, c*kh*kw)` matrix `[cols_0^T; cols_1^T; …]`, for the
+/// `grad_weight += [g_0 | g_1 | …] · [cols_0^T; …]` product
+/// ([`Lhs::BatchedRows`] on the other side). Packing element `[p][j]` reads
+/// `cols_bi[j][pos]` with `p = bi*oh*ow + pos` — the same values as
 /// [`Im2colRhs`], transposed, so the accumulated gradients stay bitwise
 /// equal to the materialized path.
 struct Im2colTRhs<'a> {
-    image: &'a [f32],
+    /// Phase planes of the whole batch ([`ConvGeom::split_batch`]).
+    planes: &'a [f32],
     g: ConvGeom,
 }
 
 impl PackRhs for Im2colTRhs<'_> {
     fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let ConvGeom {
-            h,
-            w,
-            stride,
-            pad,
-            ow,
-            ..
-        } = self.g;
-        let n = self.g.ckk();
-        let nslivers = nc.div_ceil(NR);
-        for s in 0..nslivers {
+        let (n, ohw, ow, oh) = (self.g.ckk(), self.g.ohw(), self.g.ow, self.g.oh);
+        let (oy_stride, plane_len) = (self.g.oy_stride(), self.g.plane_len());
+        // Where the panel's first `k` step sits: sample, then output row
+        // and column inside it.
+        let (bi0, pos0) = (kb / ohw, kb % ohw);
+        let start = (bi0 * plane_len, pos0 / ow, pos0 % ow);
+        for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
+            debug_assert!(s < nc.div_ceil(NR));
             let j0 = jb + s * NR;
             let jw = NR.min(n - j0);
-            let sliver = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-            for jj in 0..NR {
-                if jj >= jw {
-                    for p in 0..kc {
-                        sliver[p * NR + jj] = 0.0;
+            let mut bases = [0usize; NR];
+            let mut taps = self.g.taps_from(j0);
+            for base in &mut bases[..jw] {
+                *base = taps.base();
+                taps.advance();
+            }
+            // `k` runs over output positions, so one tap's values for a row
+            // of positions are a run of the planes. NR steps at a time:
+            // gather the NR taps' runs as the rows of a block, then store
+            // the block transposed — NR contiguous sliver rows.
+            let (mut sample, mut oy, mut ox) = start;
+            let mut blk = [[0.0f32; NR]; NR];
+            for dst in sliver.chunks_mut(NR * NR) {
+                let steps = dst.len() / NR;
+                let mut q = 0;
+                while q < steps {
+                    let seg = (ow - ox).min(steps - q);
+                    let run = sample + oy * oy_stride + ox;
+                    for (row, &base) in blk.iter_mut().zip(&bases[..jw]) {
+                        copy_run(&mut row[q..q + seg], &self.planes[run + base..][..seg]);
                     }
-                    continue;
+                    q += seg;
+                    ox += seg;
+                    if ox == ow {
+                        ox = 0;
+                        oy += 1;
+                        if oy == oh {
+                            oy = 0;
+                            sample += plane_len;
+                        }
+                    }
                 }
-                let (ci, ki, kj) = self.g.split_row(j0 + jj);
-                let img_base = ci * h * w;
-                let off = kj as isize - pad as isize;
-                // `k` runs over output positions here; walk them one
-                // oy-row segment at a time (vertical check hoisted), same
-                // as the untransposed packer. Writes stay NR-strided.
-                let mut p = 0;
-                let mut oy = kb / ow;
-                let mut ox = kb - oy * ow;
-                while p < kc {
-                    let seg = (ow - ox).min(kc - p);
-                    let iy = (oy * stride + ki) as isize - pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        for q in 0..seg {
-                            sliver[(p + q) * NR + jj] = 0.0;
-                        }
-                    } else {
-                        let row_base = img_base + iy as usize * w;
-                        let row = &self.image[row_base..row_base + w];
-                        for q in 0..seg {
-                            let ix = ((ox + q) * stride) as isize + off;
-                            sliver[(p + q) * NR + jj] = if ix < 0 || ix >= w as isize {
-                                0.0
-                            } else {
-                                row[ix as usize]
-                            };
-                        }
+                for (q, drow) in dst.chunks_exact_mut(NR).enumerate() {
+                    for (d, row) in drow.iter_mut().zip(&blk) {
+                        *d = row[q];
                     }
-                    p += seg;
-                    ox = 0;
-                    oy += 1;
                 }
             }
         }
@@ -368,40 +526,24 @@ impl PackRhs for Im2colTRhs<'_> {
 }
 
 /// Fused-col2im epilogue for [`gemm::gemm_scatter`]: accumulates `rows`
-/// finished column-matrix rows (starting at global row `r0`) into the
-/// image. Row blocks arrive in ascending order and each row scatters its
-/// positions in ascending order, so the element-wise `+=` order is exactly
-/// [`col2im`]'s `(row, oy, ox)` loop nest — bitwise identical to
-/// materializing the whole column matrix first.
-fn scatter_tile(tile: &[f32], r0: usize, rows: usize, g: &ConvGeom, image: &mut [f32]) {
-    let ConvGeom {
-        h,
-        w,
-        stride,
-        pad,
-        oh,
-        ow,
-        ..
-    } = *g;
-    let n = oh * ow;
-    for r in 0..rows {
-        let (ci, ki, kj) = g.split_row(r0 + r);
-        let img_base = ci * h * w;
-        let trow = r * n;
-        for oy in 0..oh {
-            let iy = (oy * stride + ki) as isize - pad as isize;
-            if iy < 0 || iy >= h as isize {
-                continue;
-            }
-            let img_row = img_base + iy as usize * w;
-            let col_base = trow + oy * ow;
-            for ox in 0..ow {
-                let ix = (ox * stride + kj) as isize - pad as isize;
-                if ix >= 0 && ix < w as isize {
-                    image[img_row + ix as usize] += tile[col_base + ox];
-                }
-            }
+/// finished column-matrix rows (starting at global row `r0`) into one
+/// sample's **zeroed phase planes**; [`ConvGeom::unsplit`] copies the image
+/// out once every row block has landed. Row blocks arrive in ascending
+/// order and each row adds its positions in ascending order, so every
+/// pixel receives its contributions in exactly [`col2im`]'s `(row, oy, ox)`
+/// order, starting from zero, and the final copy is exact — bitwise
+/// identical to materializing the whole column matrix and scattering it
+/// into a zeroed image. (Contributions col2im would drop land in the
+/// padding, which is never copied out.)
+fn scatter_tile(tile: &[f32], r0: usize, g: &ConvGeom, planes: &mut [f32]) {
+    let (ow, oy_stride) = (g.ow, g.oy_stride());
+    let mut taps = g.taps_from(r0);
+    for trow in tile.chunks_exact(g.ohw()) {
+        let base = taps.base();
+        for (oy, src) in trow.chunks_exact(ow).enumerate() {
+            add_run(&mut planes[base + oy * oy_stride..][..ow], src);
         }
+        taps.advance();
     }
 }
 
@@ -444,26 +586,33 @@ pub fn conv2d_forward(
         oh,
         ow,
     };
-    // Implicit GEMM per sample: out (o, ohw) = weight (o, ckk) x cols
-    // (ckk, ohw), with the column matrix packed on the fly — the GEMM
-    // fully overwrites every sample, so the buffer can start uninitialized.
+    // One implicit GEMM per sample, out (o, ohw) = weight (o, ckk) x cols
+    // (ckk, ohw): the weights are packed once for the whole batch, the
+    // column panels come straight from the phase planes. The GEMM fully
+    // overwrites every sample, so the buffer can start uninitialized.
+    let planes = geom.split_batch(input.data());
+    let packed_w = PackedLhs::new(Lhs::RowMajor(weight.data()), o, ckk);
     let mut out = workspace::take_uninit(b * o * ohw);
-    let in_data = input.data();
-    let w_data = weight.data();
     let b_data = bias.data();
     parallel::parallel_for_chunks(&mut out, b, ckk * o * ohw, |bi, out_sample| {
-        let image = &in_data[bi * c * h * w..(bi + 1) * c * h * w];
-        let cols = Im2colRhs { image, g: geom };
-        gemm::gemm_with(Lhs::RowMajor(w_data), &cols, out_sample, o, ckk, ohw, false);
+        let cols = Im2colRhs {
+            planes: &planes[bi * geom.plane_len()..][..geom.plane_len()],
+            g: geom,
+        };
+        gemm::gemm_with(
+            Lhs::Packed(&packed_w),
+            &cols,
+            out_sample,
+            o,
+            ckk,
+            ohw,
+            false,
+        );
         if has_bias {
-            for (oc, chunk) in out_sample.chunks_mut(ohw).enumerate() {
-                let bv = b_data[oc];
-                for v in chunk {
-                    *v += bv;
-                }
-            }
+            add_bias(out_sample, b_data);
         }
     });
+    workspace::recycle(planes);
     Tensor::new(&[b, o, oh, ow], out)
 }
 
@@ -523,12 +672,13 @@ pub fn conv2d_backward_acc(
 /// The weight/bias gradients are **accumulated** into the caller-owned
 /// tensors when `need.params()` and left untouched otherwise; the input
 /// gradient is returned when `need.input()` (`None` otherwise). The two are
-/// independent per-image GEMMs, so skipping one leaves the other
+/// independent products (one batch-wide GEMM for the weights, one scatter
+/// GEMM per image for the input), so skipping one leaves the other
 /// bit-for-bit what [`Need::All`] computes.
 ///
 /// This is the hot-path entry point for training layers: no per-call
-/// gradient tensors, no extra accumulation pass, and thread-local scratch
-/// for the packed panels.
+/// gradient tensors, no extra accumulation pass, and every scratch buffer
+/// (phase planes, packed panels) drawn from the workspace shelf.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_need(
     input: &Tensor,
@@ -566,44 +716,57 @@ pub fn conv2d_backward_need(
         oh,
         ow,
     };
-    let mut grad_input = need.input().then(|| workspace::take_zeroed(input.len()));
-    // weight.data() is already the (o, ckk) row-major matrix; the grad-input
-    // product needs its transpose, which Lhs::ColMajor reads in place — no
-    // materialized `w^T` copy.
-    let w2 = weight.data();
-    let gw = grad_weight.data_mut();
-    let gbias = grad_bias.data_mut();
+    if need.params() {
+        // grad_weight (o, ckk) += [g_0 | g_1 | …] (o, b*ohw) x
+        // [cols_0^T; cols_1^T; …] (b*ohw, ckk): the batch is folded into
+        // `k`, so the gradient tile is loaded and stored once per `k` panel
+        // of the whole batch instead of once per sample. Each element's
+        // chain is still "seeded with the gradient, samples ascending,
+        // positions ascending" — what one accumulate product per sample
+        // computed.
+        let planes = geom.split_batch(input.data());
+        let cols_t = Im2colTRhs {
+            planes: &planes,
+            g: geom,
+        };
+        let g_all = Lhs::BatchedRows {
+            a: grad_out.data(),
+            per: ohw,
+        };
+        let gw = grad_weight.data_mut();
+        gemm::gemm_with(g_all, &cols_t, gw, o, b * ohw, ckk, true);
+        workspace::recycle(planes);
+        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), ohw);
+    }
 
-    for bi in 0..b {
-        let image = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
-        let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
-
-        if need.params() {
-            // grad_weight += g (o, ohw) x cols^T (ohw, ckk), with the
-            // transposed column matrix packed on the fly.
-            let cols_t = Im2colTRhs { image, g: geom };
-            gemm::gemm_with(Lhs::RowMajor(g), &cols_t, gw, o, ohw, ckk, true);
-
-            for oc in 0..o {
-                gbias[oc] += g[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
-            }
-        }
-
-        if let Some(grad_input) = &mut grad_input {
-            // grad_input = col2im(W^T (ckk, o) x g (o, ohw)), with col2im
-            // fused into the GEMM epilogue — grad_cols never materializes.
-            let gi = &mut grad_input[bi * c * h * w..(bi + 1) * c * h * w];
+    need.input().then(|| {
+        // grad_input = col2im(W^T (ckk, o) x g (o, ohw)) per sample, with
+        // col2im fused into the GEMM epilogue — grad_cols never
+        // materializes. weight.data() is the (o, ckk) row-major matrix;
+        // Lhs::ColMajor reads its transpose in place, packed once for the
+        // whole batch.
+        let packed_wt = PackedLhs::new(Lhs::ColMajor(weight.data()), ckk, o);
+        let mut planes = workspace::take_zeroed(b * geom.plane_len());
+        let mut grad_input = workspace::take_uninit(input.len());
+        for (bi, (gi, sample)) in grad_input
+            .chunks_exact_mut((c * h * w).max(1))
+            .zip(planes.chunks_exact_mut(geom.plane_len().max(1)))
+            .enumerate()
+        {
+            let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
             gemm::gemm_scatter(
-                Lhs::ColMajor(w2),
+                Lhs::Packed(&packed_wt),
                 &SliceRhs::new(g, false, o, ohw),
                 ckk,
                 o,
                 ohw,
-                |tile, r0, rows| scatter_tile(tile, r0, rows, &geom, gi),
+                |tile, r0, _| scatter_tile(tile, r0, &geom, sample),
             );
+            geom.unsplit(sample, gi);
         }
-    }
-    grad_input.map(|gi| Tensor::new(input.shape(), gi))
+        workspace::recycle(planes);
+        Tensor::new(input.shape(), grad_input)
+    })
 }
 
 /// Batched 2-D transposed convolution forward pass.
@@ -650,35 +813,36 @@ pub fn conv_transpose2d_forward(
         oh: h,
         ow: w,
     };
-    // weight.data() is the (cin, ckk) row-major matrix; Lhs::ColMajor reads
-    // its transpose in place, so the old per-call `w2^T` copy is gone.
-    let w_data = weight.data();
-    let mut out = workspace::take_uninit(b * cout * oh * ow);
+    // Per sample, cols (ckk, hw) = W2^T (ckk, cin) x x (cin, hw), scattered
+    // tile by tile into the sample's phase planes — the column matrix never
+    // materializes. weight.data() is the (cin, ckk) row-major matrix;
+    // Lhs::ColMajor reads its transpose in place, packed once for the whole
+    // batch.
+    let packed_wt = PackedLhs::new(Lhs::ColMajor(weight.data()), ckk, cin);
+    let mut planes = workspace::take_zeroed(b * geom.plane_len());
     let in_data = input.data();
-    let b_data = bias.data();
-    parallel::parallel_for_chunks(&mut out, b, cin * ckk * hw, |bi, out_sample| {
+    parallel::parallel_for_chunks(&mut planes, b, cin * ckk * hw, |bi, sample| {
         let x = &in_data[bi * cin * hw..(bi + 1) * cin * hw];
-        // cols (ckk, hw) = W2^T (ckk, cin) x x (cin, hw), scattered into
-        // the output image tile by tile — the column matrix never
-        // materializes.
-        out_sample.fill(0.0);
         gemm::gemm_scatter(
-            Lhs::ColMajor(w_data),
+            Lhs::Packed(&packed_wt),
             &SliceRhs::new(x, false, cin, hw),
             ckk,
             cin,
             hw,
-            |tile, r0, rows| scatter_tile(tile, r0, rows, &geom, out_sample),
+            |tile, r0, _| scatter_tile(tile, r0, &geom, sample),
         );
-        if has_bias {
-            for (oc, chunk) in out_sample.chunks_mut(oh * ow).enumerate() {
-                let bv = b_data[oc];
-                for v in chunk {
-                    *v += bv;
-                }
-            }
-        }
     });
+    let mut out = workspace::take_uninit(b * cout * oh * ow);
+    for (out_sample, sample) in out
+        .chunks_exact_mut((cout * oh * ow).max(1))
+        .zip(planes.chunks_exact(geom.plane_len().max(1)))
+    {
+        geom.unsplit(sample, out_sample);
+        if has_bias {
+            add_bias(out_sample, bias.data());
+        }
+    }
+    workspace::recycle(planes);
     Tensor::new(&[b, cout, oh, ow], out)
 }
 
@@ -732,9 +896,9 @@ pub fn conv_transpose2d_backward_acc(
 }
 
 /// The transposed-convolution gradient, computing only what `need` names —
-/// the same contract as [`conv2d_backward_need`]. The training layers use
-/// this to cut per-step allocations; packed panels come from thread-local
-/// scratch and the input gradient is written in place, sample by sample.
+/// the same contract as [`conv2d_backward_need`]. Both products read the
+/// column matrix of `grad_out`, so its phase planes are built once; the
+/// input gradient is written in place, sample by sample.
 #[allow(clippy::too_many_arguments)]
 pub fn conv_transpose2d_backward_need(
     input: &Tensor,
@@ -774,35 +938,67 @@ pub fn conv_transpose2d_backward_need(
         oh: h,
         ow: w,
     };
-    // Every sample's slice is fully overwritten by the grad-input GEMM.
-    let mut grad_input = need.input().then(|| workspace::take_uninit(input.len()));
-    let w2 = weight.data(); // (cin, ckk) row-major
-    let gw = grad_weight.data_mut();
-    let gbias = grad_bias.data_mut();
+    // Both products read the column matrix of grad_out: one layout pass
+    // serves them.
+    let planes = geom.split_batch(grad_out.data());
 
-    for bi in 0..b {
-        let g = &grad_out.data()[bi * cout * oh * ow..(bi + 1) * cout * oh * ow];
-        let x = &input.data()[bi * cin * hw..(bi + 1) * cin * hw];
-
-        if let Some(grad_input) = &mut grad_input {
-            // dL/dx = W2 (cin, ckk) x gcols (ckk, hw), straight into place.
-            let gi = &mut grad_input[bi * cin * hw..(bi + 1) * cin * hw];
-            let gcols = Im2colRhs { image: g, g: geom };
-            gemm::gemm_with(Lhs::RowMajor(w2), &gcols, gi, cin, ckk, hw, false);
+    let grad_input = need.input().then(|| {
+        // dL/dx = W2 (cin, ckk) x gcols (ckk, hw) per sample, straight into
+        // place (fully overwritten), the weights packed once for the batch.
+        let packed_w = PackedLhs::new(Lhs::RowMajor(weight.data()), cin, ckk);
+        let mut grad_input = workspace::take_uninit(input.len());
+        for (gi, sample) in grad_input
+            .chunks_exact_mut((cin * hw).max(1))
+            .zip(planes.chunks_exact(geom.plane_len().max(1)))
+        {
+            let gcols = Im2colRhs {
+                planes: sample,
+                g: geom,
+            };
+            gemm::gemm_with(Lhs::Packed(&packed_w), &gcols, gi, cin, ckk, hw, false);
         }
+        Tensor::new(input.shape(), grad_input)
+    });
 
-        if need.params() {
-            // dL/dW2 += x (cin, hw) x gcols^T (hw, ckk), directly into the
-            // caller's gradient.
-            let gcols_t = Im2colTRhs { image: g, g: geom };
-            gemm::gemm_with(Lhs::RowMajor(x), &gcols_t, gw, cin, hw, ckk, true);
+    if need.params() {
+        // dL/dW2 (cin, ckk) += [x_0 | x_1 | …] (cin, b*hw) x
+        // [gcols_0^T; gcols_1^T; …] (b*hw, ckk), the batch folded into `k`
+        // as in `conv2d_backward_need`.
+        let gcols_t = Im2colTRhs {
+            planes: &planes,
+            g: geom,
+        };
+        let x_all = Lhs::BatchedRows {
+            a: input.data(),
+            per: hw,
+        };
+        let gw = grad_weight.data_mut();
+        gemm::gemm_with(x_all, &gcols_t, gw, cin, b * hw, ckk, true);
+        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), oh * ow);
+    }
+    workspace::recycle(planes);
+    grad_input
+}
 
-            for oc in 0..cout {
-                gbias[oc] += g[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
-            }
+/// `sample[oc][..] += bias[oc]` over one `(channels, positions)` sample.
+fn add_bias(sample: &mut [f32], bias: &[f32]) {
+    let positions = sample.len() / bias.len();
+    for (chunk, &bv) in sample.chunks_exact_mut(positions.max(1)).zip(bias) {
+        for v in chunk {
+            *v += bv;
         }
     }
-    grad_input.map(|gi| Tensor::new(input.shape(), gi))
+}
+
+/// `grad_bias[oc] += sum(g[bi][oc][..])`, samples ascending — one sum per
+/// (sample, channel), added in that order.
+fn accumulate_bias_grad(grad_bias: &mut [f32], grad_out: &[f32], positions: usize) {
+    let channels = grad_bias.len();
+    for g in grad_out.chunks_exact((channels * positions).max(1)) {
+        for (gb, row) in grad_bias.iter_mut().zip(g.chunks_exact(positions.max(1))) {
+            *gb += row.iter().sum::<f32>();
+        }
+    }
 }
 
 fn dims4(t: &Tensor, what: &str) -> (usize, usize, usize, usize) {

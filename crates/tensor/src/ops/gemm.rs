@@ -43,9 +43,19 @@
 //!
 //! The B-side pack is abstracted behind [`PackRhs`]: the dense slice
 //! packer ([`SliceRhs`]) is one implementation; `conv.rs` provides im2col
-//! packers that materialize convolution patches *on the fly* straight into
-//! the packed sliver format (implicit GEMM — the full column matrix never
-//! exists in memory).
+//! packers that write convolution patches straight into the packed sliver
+//! format (implicit GEMM — the full column matrix never exists in memory).
+//!
+//! The A side is an [`Lhs`]: a dense slice in either storage order, a
+//! batch of row blocks read as one wide matrix ([`Lhs::BatchedRows`] —
+//! conv's weight gradient with the batch folded into `k`), or panels
+//! packed ahead of the call ([`PackedLhs`] through [`Lhs::Packed`]). A
+//! caller that multiplies many right-hand sides by one left operand — a
+//! conv layer's weights against each sample of the batch — packs it once;
+//! the drivers then skip their A pack and read those panels in place. It
+//! is the same compute grid either way: only where a cell finds its A
+//! panel differs. The dense `matmul` family keeps packing per `k` panel
+//! inside the parallel pack phase.
 //!
 //! The micro-kernel computes an [`MR`]`x`[`NR`] register tile: 8 vector
 //! accumulators (AVX2 ymm) with one broadcast fused multiply-add per
@@ -86,10 +96,14 @@
 //! Packing buffers come from [`crate::workspace::take_uninit`] — **one**
 //! buffer per call holding the `ceil(m/MC)` A slots followed by the
 //! `ceil(n/NC)` B slots (and, for [`gemm_scatter`], the row-block tile),
-//! recycled on return. One take per call means one shelf round trip, and
-//! a GEMM running inside a batch-parallel region asks the shelf for a
-//! single activation-sized buffer rather than for a small A panel whose
-//! number in flight depends on how the pool threads happen to overlap.
+//! recycled on return. Slots are sized from the product, not from the
+//! blocking constants: `min(MC, m)` rows by `min(KC, k)` steps for A,
+//! `min(NC, n)` columns for B — a conv sample with 16 columns asks for a
+//! 16 KB panel, not the 256 KB a full `NC` panel takes. One take per call
+//! means one shelf round trip, and a GEMM running inside a batch-parallel
+//! region asks the shelf for a single activation-sized buffer rather than
+//! for a small A panel whose number in flight depends on how the pool
+//! threads happen to overlap.
 //! After warmup every take is a pool hit
 //! (no memset, no malloc), so steady-state GEMM calls still perform zero
 //! heap allocation — now measurable through the `ws_misses` counter
@@ -159,7 +173,7 @@ pub enum Layout {
 }
 
 /// The left operand of the packed drivers: a dense slice plus its storage
-/// order. The logical A is always `(m, k)`.
+/// order, or panels packed earlier. The logical A is always `(m, k)`.
 #[derive(Clone, Copy)]
 pub(crate) enum Lhs<'a> {
     /// Stored row-major `(m, k)`.
@@ -168,6 +182,91 @@ pub(crate) enum Lhs<'a> {
     /// how `w^T · x` products run without materializing the transpose: the
     /// packer reads the `(k, m)` slice directly.
     ColMajor(&'a [f32]),
+    /// `k / per` row-major `(m, per)` blocks stored one after the other,
+    /// standing side by side: `A = [a_0 | a_1 | …]`, so
+    /// `A[i][bi*per + p] = a[(bi*m + i)*per + p]`. This is a `(B, M, per)`
+    /// activation read as one matrix whose `k` runs over the whole batch —
+    /// conv's weight gradient as a single product.
+    BatchedRows { a: &'a [f32], per: usize },
+    /// Every panel already packed by [`PackedLhs::new`]: the drivers skip
+    /// their A pack and read the panels in place.
+    Packed(&'a PackedLhs),
+}
+
+/// Length of one packed A panel slot for an `(m, k)` operand: the rows of
+/// the tallest row block, rounded up to whole [`MR`] tiles, times the
+/// longest `k` panel.
+fn a_slot_len(m: usize, k: usize) -> usize {
+    MC.min(m).div_ceil(MR) * MR * KC.min(k)
+}
+
+/// Length of one packed B panel slot for a `(k, n)` operand, sized from the
+/// widest column panel the product actually has (`n` is 16–64 for conv's
+/// per-sample products, far below [`NC`]).
+fn b_slot_len(k: usize, n: usize) -> usize {
+    NC.min(n).div_ceil(NR) * NR * KC.min(k)
+}
+
+/// A left operand packed once — every (`k` panel, row block) pair in the
+/// layout [`pack_a`] writes — to be multiplied many times through
+/// [`Lhs::Packed`]: a conv layer's weights against each sample of the
+/// batch. One workspace buffer, recycled on drop.
+pub(crate) struct PackedLhs {
+    buf: Vec<f32>,
+    m: usize,
+    k: usize,
+}
+
+impl PackedLhs {
+    /// Packs the `(m, k)` operand `lhs` (any variant but `Packed`).
+    pub(crate) fn new(lhs: Lhs<'_>, m: usize, k: usize) -> Self {
+        let nib = m.div_ceil(MC);
+        let slot = a_slot_len(m, k);
+        let mut buf = workspace::take_uninit(k.div_ceil(KC) * nib * slot);
+        for (t, panel) in buf.chunks_exact_mut(slot.max(1)).enumerate() {
+            let (kb, i0) = (t / nib * KC, t % nib * MC);
+            let (kc, rows) = (KC.min(k - kb), MC.min(m - i0));
+            pack_a(
+                lhs,
+                &mut panel[..rows.div_ceil(MR) * MR * kc],
+                i0,
+                rows,
+                kb,
+                kc,
+                k,
+                m,
+            );
+        }
+        PackedLhs { buf, m, k }
+    }
+
+    /// The packed panel of `k` panel `kp`, row block `ib`.
+    fn panel(&self, kp: usize, ib: usize) -> &[f32] {
+        let slot = a_slot_len(self.m, self.k);
+        let kc = KC.min(self.k - kp * KC);
+        let rows = MC.min(self.m - ib * MC);
+        &self.buf[(kp * self.m.div_ceil(MC) + ib) * slot..][..rows.div_ceil(MR) * MR * kc]
+    }
+}
+
+impl Drop for PackedLhs {
+    fn drop(&mut self) {
+        workspace::recycle(std::mem::take(&mut self.buf));
+    }
+}
+
+impl<'a> Lhs<'a> {
+    /// The pre-packed panels, if that is what this operand is. Checks that
+    /// they were packed for this product's `(m, k)`.
+    fn packed(self, m: usize, k: usize) -> Option<&'a PackedLhs> {
+        match self {
+            Lhs::Packed(p) => {
+                assert_eq!((p.m, p.k), (m, k), "PackedLhs packed for another shape");
+                Some(p)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A right-hand operand that can pack any `kc x nc` panel of the logical
@@ -378,11 +477,14 @@ pub(crate) fn gemm_with<R: PackRhs>(
 
     let nib = m.div_ceil(MC);
     let njb = n.div_ceil(NC);
-    let kc_max = KC.min(k);
-    let a_slot = MC.div_ceil(MR) * MR * kc_max;
-    let b_slot = NC.div_ceil(NR) * NR * kc_max;
-    let mut panels = workspace::take_uninit(nib * a_slot + njb * b_slot);
-    let (ap, bp) = panels.split_at_mut(nib * a_slot);
+    // A panels come from the caller when it packed them ahead, else from
+    // this call's pack phase: `nib_pack` is how many this call packs.
+    let packed = lhs.packed(m, k);
+    let nib_pack = if packed.is_some() { 0 } else { nib };
+    let a_slot = a_slot_len(m, k);
+    let b_slot = b_slot_len(k, n);
+    let mut panels = workspace::take_uninit(nib_pack * a_slot + njb * b_slot);
+    let (ap, bp) = panels.split_at_mut(nib_pack * a_slot);
     let ap_addr = ap.as_mut_ptr() as usize;
     let bp_addr = bp.as_mut_ptr() as usize;
     let out_addr = out.as_mut_ptr() as usize;
@@ -393,15 +495,15 @@ pub(crate) fn gemm_with<R: PackRhs>(
     // per-row-block hint (`MC.min(m) * k * n`) overstated per-block work
     // by `n/NC` for multi-panel shapes.
     let total = m.saturating_mul(k).saturating_mul(n);
-    let pack_hint = (total / (nib + njb)).max(1);
+    let pack_hint = (total / (nib_pack + njb)).max(1);
     let cell_hint = (total / (nib * njb)).max(1);
 
-    let mut kb = 0usize;
-    let mut first = !acc;
-    while kb < k {
+    for kp in 0..k.div_ceil(KC) {
+        let kb = kp * KC;
         let kc = KC.min(k - kb);
-        parallel::parallel_for(nib + njb, pack_hint, |t| {
-            if t < nib {
+        let first = kp == 0 && !acc;
+        parallel::parallel_for(nib_pack + njb, pack_hint, |t| {
+            if t < nib_pack {
                 let i0 = t * MC;
                 let rows = MC.min(m - i0);
                 // SAFETY: slot `t` is written by task `t` alone (each index
@@ -414,7 +516,7 @@ pub(crate) fn gemm_with<R: PackRhs>(
                 };
                 pack_a(lhs, slot, i0, rows, kb, kc, k, m);
             } else {
-                let jp = t - nib;
+                let jp = t - nib_pack;
                 let j0 = jp * NC;
                 let nc = NC.min(n - j0);
                 // SAFETY: as above for B slot `jp`.
@@ -432,14 +534,18 @@ pub(crate) fn gemm_with<R: PackRhs>(
             let rows = MC.min(m - i0);
             let j0 = jp * NC;
             let nc = NC.min(n - j0);
-            // SAFETY: the pack phase above is a barrier, so the panels are
-            // fully written; they are only read from here on.
-            let apanel = unsafe {
-                std::slice::from_raw_parts(
-                    (ap_addr as *const f32).add(ib * a_slot),
-                    rows.div_ceil(MR) * MR * kc,
-                )
+            let apanel = match packed {
+                Some(p) => p.panel(kp, ib),
+                // SAFETY: the pack phase above is a barrier, so the panels
+                // are fully written; they are only read from here on.
+                None => unsafe {
+                    std::slice::from_raw_parts(
+                        (ap_addr as *const f32).add(ib * a_slot),
+                        rows.div_ceil(MR) * MR * kc,
+                    )
+                },
             };
+            // SAFETY: as for the A panel.
             let bpanel = unsafe {
                 std::slice::from_raw_parts(
                     (bp_addr as *const f32).add(jp * b_slot),
@@ -461,8 +567,6 @@ pub(crate) fn gemm_with<R: PackRhs>(
                 first,
             );
         });
-        kb += kc;
-        first = false;
     }
     workspace::recycle(panels);
 }
@@ -498,13 +602,16 @@ pub(crate) fn gemm_scatter<R: PackRhs>(
     let nib = m.div_ceil(MC);
     let njb = n.div_ceil(NC);
     let nkb = k.div_ceil(KC);
-    let kc_max = KC.min(k);
-    let a_slot = MC.div_ceil(MR) * MR * kc_max;
-    let b_slot = NC.div_ceil(NR) * NR * kc_max;
+    // As in `gemm_with`: a pre-packed A needs no panel slots here.
+    let packed = lhs.packed(m, k);
+    let nkb_pack = if packed.is_some() { 0 } else { nkb };
+    let a_slot = a_slot_len(m, k);
+    let b_slot = b_slot_len(k, n);
 
-    let mut scratch = workspace::take_uninit(nkb * njb * b_slot + nkb * a_slot + MC.min(m) * n);
+    let mut scratch =
+        workspace::take_uninit(nkb * njb * b_slot + nkb_pack * a_slot + MC.min(m) * n);
     let (bp, rest) = scratch.split_at_mut(nkb * njb * b_slot);
-    let (ap, tile) = rest.split_at_mut(nkb * a_slot);
+    let (ap, tile) = rest.split_at_mut(nkb_pack * a_slot);
     let bp_addr = bp.as_mut_ptr() as usize;
     let total = m.saturating_mul(k).saturating_mul(n);
     let pack_hint = (total / (nkb * njb)).max(1);
@@ -531,7 +638,7 @@ pub(crate) fn gemm_scatter<R: PackRhs>(
     for ib in 0..nib {
         let i0 = ib * MC;
         let rows = MC.min(m - i0);
-        for kp in 0..nkb {
+        for kp in 0..nkb_pack {
             let kb = kp * KC;
             let kc = KC.min(k - kb);
             let slot = &mut ap[kp * a_slot..kp * a_slot + rows.div_ceil(MR) * MR * kc];
@@ -541,17 +648,21 @@ pub(crate) fn gemm_scatter<R: PackRhs>(
             let j0 = jp * NC;
             let nc = NC.min(n - j0);
             for kp in 0..nkb {
-                let kb = kp * KC;
-                let kc = KC.min(k - kb);
-                // SAFETY: panels were fully written above (barriers); tasks
-                // write disjoint column ranges of the shared tile, which
-                // outlives the blocking call.
-                let apanel = unsafe {
-                    std::slice::from_raw_parts(
-                        (ap_addr as *const f32).add(kp * a_slot),
-                        rows.div_ceil(MR) * MR * kc,
-                    )
+                let kc = KC.min(k - kp * KC);
+                let apanel = match packed {
+                    Some(p) => p.panel(kp, ib),
+                    // SAFETY: the panels of this row block were fully
+                    // written just above and are only read from here on.
+                    None => unsafe {
+                        std::slice::from_raw_parts(
+                            (ap_addr as *const f32).add(kp * a_slot),
+                            rows.div_ceil(MR) * MR * kc,
+                        )
+                    },
                 };
+                // SAFETY: the B panels were fully written by the pack grid
+                // (a barrier); tasks write disjoint column ranges of the
+                // shared tile, which outlives the blocking call.
                 let bpanel = unsafe {
                     std::slice::from_raw_parts(
                         (bp_addr as *const f32).add((kp * njb + jp) * b_slot),
@@ -605,8 +716,8 @@ fn pack_a(
             Lhs::RowMajor(a) => {
                 for r in 0..rvalid {
                     let src = &a[(i0 + rp * MR + r) * k + kb..][..kc];
-                    for (p, &v) in src.iter().enumerate() {
-                        panel[p * MR + r] = v;
+                    for (d, &v) in panel[r..].iter_mut().step_by(MR).zip(src) {
+                        *d = v;
                     }
                 }
             }
@@ -618,6 +729,28 @@ fn pack_a(
                     dst[..rvalid].copy_from_slice(src);
                 }
             }
+            // Row `i` of A is the rows `i` of the `(m, per)` blocks laid end
+            // to end: walk the `kc` steps one block at a time (a `k` panel
+            // may start and end inside a block).
+            Lhs::BatchedRows { a, per } => {
+                for r in 0..rvalid {
+                    let i = i0 + rp * MR + r;
+                    let (mut bi, mut pos) = (kb / per, kb % per);
+                    let mut p = 0;
+                    while p < kc {
+                        let seg = (per - pos).min(kc - p);
+                        let src = &a[(bi * m + i) * per + pos..][..seg];
+                        let dst = panel[p * MR + r..].iter_mut().step_by(MR);
+                        for (d, &v) in dst.zip(src) {
+                            *d = v;
+                        }
+                        p += seg;
+                        pos = 0;
+                        bi += 1;
+                    }
+                }
+            }
+            Lhs::Packed(_) => unreachable!("a packed operand is never packed again"),
         }
     }
 }
@@ -1007,6 +1140,91 @@ mod tests {
             3,
             |_, _, _| panic!("must not run"),
         );
+    }
+
+    fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what} length");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} element {i}: {x} vs {y}");
+        }
+    }
+
+    /// All `n` rows of `A x B` as `gemm_scatter` hands them out.
+    fn scatter_rows(lhs: Lhs<'_>, rhs: &SliceRhs<'_>, m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut rows = Vec::with_capacity(m * n);
+        gemm_scatter(lhs, rhs, m, k, n, |tile, i0, _| {
+            assert_eq!(i0 * n, rows.len(), "row blocks must arrive in order");
+            rows.extend_from_slice(tile);
+        });
+        rows
+    }
+
+    #[test]
+    fn prepacked_lhs_matches_packing_per_call() {
+        // The same operands through `Lhs::Packed` and through the drivers'
+        // own pack phase: multi-MC, multi-KC, multi-NC, both storage
+        // orders, overwrite and accumulate, and the scatter driver.
+        let mut rng = Rng64::seed_from_u64(17);
+        let (m, k, n) = (70, 300, 300);
+        let a = randv(m * k, &mut rng);
+        let b = randv(k * n, &mut rng);
+        let seed_out = randv(m * n, &mut rng);
+        let rhs = SliceRhs::new(&b, false, k, n);
+        for lhs in [Lhs::RowMajor(&a), Lhs::ColMajor(&a)] {
+            let packed = PackedLhs::new(lhs, m, k);
+            for acc in [false, true] {
+                let mut want = seed_out.clone();
+                gemm_with(lhs, &rhs, &mut want, m, k, n, acc);
+                let mut got = seed_out.clone();
+                gemm_with(Lhs::Packed(&packed), &rhs, &mut got, m, k, n, acc);
+                assert_bits_eq(&got, &want, &format!("gemm_with acc={acc}"));
+            }
+            let want = scatter_rows(lhs, &rhs, m, k, n);
+            let got = scatter_rows(Lhs::Packed(&packed), &rhs, m, k, n);
+            assert_bits_eq(&got, &want, "gemm_scatter");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "packed for another shape")]
+    fn prepacked_lhs_rejects_another_shape() {
+        let a = vec![1.0f32; 6 * 4];
+        let packed = PackedLhs::new(Lhs::RowMajor(&a), 6, 4);
+        let b = vec![1.0f32; 4 * 5];
+        let mut out = vec![0.0f32; 4 * 5];
+        let rhs = SliceRhs::new(&b, false, 4, 5);
+        gemm_with(Lhs::Packed(&packed), &rhs, &mut out, 4, 4, 5, false);
+    }
+
+    #[test]
+    fn batched_rows_lhs_matches_concatenated_blocks() {
+        // Seven (m, per) blocks side by side against the same A
+        // materialized as one (m, 7*per) matrix: `per` = 100 does not divide
+        // KC, so the three k panels start and end inside blocks.
+        let mut rng = Rng64::seed_from_u64(18);
+        let (blocks, m, per, n) = (7, 37, 100, 45);
+        let k = blocks * per;
+        let a = randv(blocks * m * per, &mut rng); // stored (blocks, m, per)
+        let mut concat = vec![0.0f32; m * k];
+        for bi in 0..blocks {
+            for i in 0..m {
+                concat[i * k + bi * per..][..per].copy_from_slice(&a[(bi * m + i) * per..][..per]);
+            }
+        }
+        let b = randv(k * n, &mut rng);
+        let seed_out = randv(m * n, &mut rng);
+        let rhs = SliceRhs::new(&b, false, k, n);
+        let batched = Lhs::BatchedRows { a: &a, per };
+        let packed = PackedLhs::new(batched, m, k);
+        for acc in [false, true] {
+            let mut want = seed_out.clone();
+            gemm_with(Lhs::RowMajor(&concat), &rhs, &mut want, m, k, n, acc);
+            for (lhs, how) in [(batched, "per call"), (Lhs::Packed(&packed), "pre-packed")] {
+                let mut got = seed_out.clone();
+                gemm_with(lhs, &rhs, &mut got, m, k, n, acc);
+                assert_bits_eq(&got, &want, &format!("batched rows {how} acc={acc}"));
+            }
+        }
     }
 
     #[test]

@@ -453,3 +453,222 @@ fn need_projections_hold_across_thread_counts() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Edges of the phase-plane / packed-weight / batch-folded conv paths that the
+// random cases above (b < 3, h, w < 8, stride <= 2) never reach.
+// ---------------------------------------------------------------------------
+
+/// [`conv_ref_backward`] continuing from caller-supplied weight and bias
+/// gradients — what an accumulating kernel must produce from non-zero ones.
+fn conv_ref_backward_from(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    s: usize,
+    p: usize,
+    mut gw: Tensor,
+    mut gb: Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (b, c, h, w) = (
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    );
+    let (o, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
+    let (oh, ow) = (grad_out.shape()[2], grad_out.shape()[3]);
+    let (ckk, ohw) = (c * kh * kw, oh * ow);
+    let mut cols = vec![0.0f32; ckk * ohw];
+    for bi in 0..b {
+        let image = &input.data()[bi * c * h * w..(bi + 1) * c * h * w];
+        let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
+        im2col(image, c, h, w, kh, kw, s, p, oh, ow, &mut cols);
+        matmul_nt_acc_into(g, &cols, gw.data_mut(), o, ohw, ckk);
+        for oc in 0..o {
+            gb.data_mut()[oc] += g[oc * ohw..(oc + 1) * ohw].iter().sum::<f32>();
+        }
+    }
+    let (gx, _, _) = conv_ref_backward(input, weight, grad_out, s, p);
+    (gx, gw, gb)
+}
+
+/// The same for [`conv_t_ref_backward`].
+fn conv_t_ref_backward_from(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    s: usize,
+    p: usize,
+    mut gw: Tensor,
+    mut gb: Tensor,
+) -> (Tensor, Tensor, Tensor) {
+    let (b, cin, h, w) = (
+        input.shape()[0],
+        input.shape()[1],
+        input.shape()[2],
+        input.shape()[3],
+    );
+    let (cout, kh, kw) = (weight.shape()[1], weight.shape()[2], weight.shape()[3]);
+    let (oh, ow) = (grad_out.shape()[2], grad_out.shape()[3]);
+    let (ckk, hw) = (cout * kh * kw, h * w);
+    let mut gcols = vec![0.0f32; ckk * hw];
+    for bi in 0..b {
+        let g = &grad_out.data()[bi * cout * oh * ow..(bi + 1) * cout * oh * ow];
+        let x = &input.data()[bi * cin * hw..(bi + 1) * cin * hw];
+        im2col(g, cout, oh, ow, kh, kw, s, p, h, w, &mut gcols);
+        matmul_nt_acc_into(x, &gcols, gw.data_mut(), cin, hw, ckk);
+        for oc in 0..cout {
+            gb.data_mut()[oc] += g[oc * oh * ow..(oc + 1) * oh * ow].iter().sum::<f32>();
+        }
+    }
+    let (gx, _, _) = conv_t_ref_backward(input, weight, grad_out, s, p);
+    (gx, gw, gb)
+}
+
+/// Runs one backward kernel under each [`Need`] from non-zero gradient
+/// tensors and holds every output to the materialized reference: the
+/// gradients a need names continue the sentinel's chain bit for bit, the
+/// others keep the sentinel.
+fn assert_needs_match_reference(
+    kernel: impl Fn(Need, &mut Tensor, &mut Tensor) -> Option<Tensor>,
+    reference: impl Fn(Tensor, Tensor) -> (Tensor, Tensor, Tensor),
+    gw_shape: &[usize],
+    gb_len: usize,
+    what: &str,
+) {
+    let sentinel = || {
+        (
+            filled(gw_shape, 0x5E).add_scalar(0.375),
+            filled(&[gb_len], 0x5F).add_scalar(-1.25),
+        )
+    };
+    let (gw0, gb0) = sentinel();
+    let (gx_ref, gw_ref, gb_ref) = reference(sentinel().0, sentinel().1);
+    for need in [Need::All, Need::Input, Need::Params] {
+        let (mut gw, mut gb) = sentinel();
+        let gx = kernel(need, &mut gw, &mut gb);
+        match (&gx, need.input()) {
+            (Some(gx), true) => assert_bits_eq(gx, &gx_ref, &format!("{what} {need:?} dx")),
+            (None, false) => {}
+            _ => panic!("{what} {need:?}: input gradient presence does not match the need"),
+        }
+        let (gw_want, gb_want) = if need.params() {
+            (&gw_ref, &gb_ref)
+        } else {
+            (&gw0, &gb0)
+        };
+        assert_bits_eq(&gw, gw_want, &format!("{what} {need:?} grad_weight"));
+        assert_bits_eq(&gb, gb_want, &format!("{what} {need:?} grad_bias"));
+    }
+}
+
+/// `(b, c, o, h, w, kh, kw, stride, pad)`.
+type ConvCase = (
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+    usize,
+);
+
+/// conv2d cases: `c` input channels, `o` filters, `(h, w)` input.
+const CONV_EDGE_CASES: &[ConvCase] = &[
+    // Stride 3 under a 7x7 kernel: three phases, tap offsets kj/s up to 2,
+    // pad 2 not a multiple of the stride; 6x5 outputs.
+    (2, 2, 3, 20, 17, 7, 7, 3, 2),
+    // 5x3 kernel (kh > 2*stride) on a 9x14 image; ow = 7.
+    (2, 3, 4, 9, 14, 5, 3, 2, 1),
+    // No padding; ow = 20 straddles the first NR sliver edge.
+    (1, 2, 3, 11, 41, 3, 3, 2, 0),
+    // Even 2x4 kernel; ow = 12.
+    (1, 2, 2, 6, 24, 2, 4, 2, 1),
+    // Stride 1, pad 2.
+    (2, 2, 3, 6, 5, 5, 5, 1, 2),
+    // Stride 3, 4x8 kernel, pad 1; ow = 3.
+    (1, 1, 2, 10, 13, 4, 8, 3, 1),
+    // 10x10 outputs at b = 7: b*oh*ow = 700 > 2*KC and 100 does not divide
+    // KC, so the weight gradient's k panels cut through samples.
+    (7, 3, 5, 20, 20, 3, 3, 2, 1),
+    // The discriminator of `ArchSpec::cnn_cifar_scaled(32)` at b = 10.
+    (10, 3, 16, 32, 32, 3, 3, 2, 1),
+    (10, 16, 32, 16, 16, 3, 3, 2, 1),
+    (10, 32, 64, 8, 8, 3, 3, 2, 1),
+];
+
+/// conv_transpose2d cases: `c` input channels, `o` output channels, `(h, w)`
+/// input — the grid the column matrix ranges over, so `w` is the run length.
+const CONV_T_EDGE_CASES: &[ConvCase] = &[
+    (2, 3, 2, 6, 5, 7, 7, 3, 2),
+    (1, 2, 3, 4, 12, 5, 3, 2, 1),
+    (1, 2, 2, 3, 20, 3, 4, 2, 0),
+    (2, 2, 3, 5, 3, 4, 8, 3, 1),
+    (2, 3, 2, 6, 5, 5, 5, 1, 2),
+    (7, 5, 3, 10, 10, 4, 4, 2, 1),
+    // The generator of `ArchSpec::cnn_cifar_scaled(32)` at b = 10.
+    (10, 64, 32, 4, 4, 4, 4, 2, 1),
+    (10, 32, 16, 8, 8, 4, 4, 2, 1),
+    (10, 16, 3, 16, 16, 4, 4, 2, 1),
+];
+
+fn check_conv2d_case(&(b, c, o, h, w, kh, kw, s, p): &ConvCase, seed: u64) {
+    let what = format!("conv2d {:?}", (b, c, o, h, w, kh, kw, s, p));
+    let x = filled(&[b, c, h, w], seed);
+    let wt = filled(&[o, c, kh, kw], seed ^ 0x11);
+    let bias = filled(&[o], seed ^ 0x22);
+    let got = conv2d_forward(&x, &wt, &bias, s, p);
+    let want = conv_ref_forward(&x, &wt, &bias, s, p);
+    assert_bits_eq(&got, &want, &format!("{what} forward"));
+    let no_bias = Tensor::zeros(&[0]);
+    assert_bits_eq(
+        &conv2d_forward(&x, &wt, &no_bias, s, p),
+        &conv_ref_forward(&x, &wt, &no_bias, s, p),
+        &format!("{what} forward without bias"),
+    );
+    let g = filled(got.shape(), seed ^ 0x33);
+    assert_needs_match_reference(
+        |need, gw, gb| conv2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+        |gw, gb| conv_ref_backward_from(&x, &wt, &g, s, p, gw, gb),
+        wt.shape(),
+        o,
+        &what,
+    );
+}
+
+fn check_conv_t_case(&(b, cin, cout, h, w, kh, kw, s, p): &ConvCase, seed: u64) {
+    let what = format!("conv_t {:?}", (b, cin, cout, h, w, kh, kw, s, p));
+    let x = filled(&[b, cin, h, w], seed);
+    let wt = filled(&[cin, cout, kh, kw], seed ^ 0x44);
+    let bias = filled(&[cout], seed ^ 0x55);
+    let got = conv_transpose2d_forward(&x, &wt, &bias, s, p);
+    let want = conv_t_ref_forward(&x, &wt, &bias, s, p);
+    assert_bits_eq(&got, &want, &format!("{what} forward"));
+    let g = filled(got.shape(), seed ^ 0x66);
+    assert_needs_match_reference(
+        |need, gw, gb| conv_transpose2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+        |gw, gb| conv_t_ref_backward_from(&x, &wt, &g, s, p, gw, gb),
+        wt.shape(),
+        cout,
+        &what,
+    );
+}
+
+/// Every edge case, forward and all three needs, bitwise against the
+/// materialized reference — at every pool width.
+#[test]
+fn edge_shapes_match_materialized_bitwise_at_every_width() {
+    use md_tensor::parallel::scoped_max_threads;
+    for threads in [1, 2, 3, 8] {
+        let _guard = scoped_max_threads(threads);
+        for (i, case) in CONV_EDGE_CASES.iter().enumerate() {
+            check_conv2d_case(case, 40 + i as u64);
+        }
+        for (i, case) in CONV_T_EDGE_CASES.iter().enumerate() {
+            check_conv_t_case(case, 70 + i as u64);
+        }
+    }
+}
