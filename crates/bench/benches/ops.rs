@@ -55,15 +55,16 @@ fn bench_matmul_variants(c: &mut Criterion) {
 
     // The crossover sweep behind `SKINNY_M` / `SKINNY_NT_M` / `SKINNY_K`:
     // the MLP discriminator's first layer (784 -> 512) and the two layouts
-    // its backward pass issues, over the batch size — the no-pack kernels
-    // take the small batches, the packed kernel the rest. EXPERIMENTS.md
-    // has this table run once as shipped and once with the bounds at 0.
+    // its backward pass issues, over the row count — one b = 10 batch up to
+    // a few of them stacked. The no-pack kernels take the small counts, the
+    // packed kernel the rest. EXPERIMENTS.md has this table run once as
+    // shipped and once with the bounds at 0.
     let mut g = c.benchmark_group("matmul_paper_784x512");
     g.sample_size(10)
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
     let w = Tensor::randn(&[784, 512], &mut rng);
-    for &m in &[1usize, 2, 4, 8, 10, 12, 16, 24, 32] {
+    for &m in &[1usize, 2, 4, 8, 10, 12, 16, 20, 24, 30, 32, 36, 40, 48] {
         let x = Tensor::randn(&[m, 784], &mut rng);
         let gy = Tensor::randn(&[m, 512], &mut rng);
         g.bench_with_input(BenchmarkId::new("nn", m), &m, |bench, _| {

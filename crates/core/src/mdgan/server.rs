@@ -8,13 +8,6 @@ use md_nn::optim::{Adam, AdamState};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 
-/// One generated batch kept server-side: the noise (and labels) that
-/// produced it, so the backward pass can be replayed when feedbacks arrive.
-struct PendingBatch {
-    z: Tensor,
-    labels: Vec<usize>,
-}
-
 /// The server's generator-learning state.
 pub struct MdServer {
     /// The single generator `G` with parameters `w`.
@@ -22,7 +15,10 @@ pub struct MdServer {
     opt_g: Adam,
     hyper: GanHyper,
     rng: Rng64,
-    pending: Vec<PendingBatch>,
+    /// Batches in the stack the generator last ran forward on — the `k` of
+    /// the latest [`MdServer::generate_batches`], whose activations `gen`
+    /// still holds for the backward pass.
+    stacked: usize,
 }
 
 impl MdServer {
@@ -34,30 +30,30 @@ impl MdServer {
             opt_g: Adam::new(hyper.adam_g),
             hyper,
             rng: rng.fork(0x5E12),
-            pending: Vec::new(),
+            stacked: 0,
         }
     }
 
     /// Algorithm 1, server lines 27-32: generates `k` batches
-    /// `K = {X(1), ..., X(k)}` of size `b`, remembering the noise/labels.
+    /// `K = {X(1), ..., X(k)}` of size `b`. The noise and labels are drawn
+    /// batch by batch and run through the generator as one `k·b`-row stack,
+    /// whose activations stay in `gen` until the feedbacks arrive.
     ///
     /// Returns the generated images (and their conditioning labels) per
     /// batch.
     pub fn generate_batches(&mut self, k: usize) -> Vec<(Tensor, Vec<usize>)> {
         assert!(k >= 1, "k must be at least 1");
-        self.pending.clear();
-        let mut out = Vec::with_capacity(k);
-        for _ in 0..k {
-            let z = self.gen.sample_z(self.hyper.batch, &mut self.rng);
-            let labels = self.gen.sample_labels(self.hyper.batch, &mut self.rng);
-            let imgs = self.gen.generate(&z, &labels, true);
-            self.pending.push(PendingBatch {
-                z,
-                labels: labels.clone(),
-            });
-            out.push((imgs, labels));
-        }
-        out
+        let (zs, labels): (Vec<Tensor>, Vec<Vec<usize>>) = (0..k)
+            .map(|_| {
+                let z = self.gen.sample_z(self.hyper.batch, &mut self.rng);
+                (z, self.gen.sample_labels(self.hyper.batch, &mut self.rng))
+            })
+            .unzip();
+        let imgs = self
+            .gen
+            .generate_stacked(&Tensor::concat0(&zs), &labels.concat(), k, true);
+        self.stacked = k;
+        imgs.into_split0(k).into_iter().zip(labels).collect()
     }
 
     /// The paper's SPLIT: worker `n` (0-based) with `k` batches receives
@@ -93,28 +89,54 @@ impl MdServer {
             return;
         }
         let scale = 1.0 / n_alive as f32;
-
-        // Group the feedbacks by generated batch.
-        let k = self.pending.len();
-        let mut grouped: Vec<Option<Tensor>> = (0..k).map(|_| None).collect();
-        for (g_id, grad) in feedbacks {
-            assert!(*g_id < k, "feedback for unknown batch {g_id}");
-            match &mut grouped[*g_id] {
-                Some(acc) => acc.add_assign(grad),
-                slot => *slot = Some(grad.clone()),
+        // Each batch's rows: the sum of its feedbacks in arrival order.
+        let mut grad = self.zero_stack_like(&feedbacks[0].1);
+        let mut answered = vec![false; self.stacked];
+        for (g_id, feedback) in feedbacks {
+            let rows = self.batch_rows(&mut grad, *g_id, feedback);
+            if std::mem::replace(&mut answered[*g_id], true) {
+                for (r, &f) in rows.iter_mut().zip(feedback.data()) {
+                    *r += f;
+                }
+            } else {
+                rows.copy_from_slice(feedback.data());
             }
         }
+        grad.scale_inplace(scale);
+        self.step_on(&grad);
+    }
 
-        // Replay each batch's forward pass and backpropagate its merged
-        // gradient; parameter gradients accumulate across batches.
+    /// A zero gradient for the whole stack: `stacked` batches shaped like
+    /// `feedback`. A batch nobody answers keeps its zero rows, which add
+    /// nothing to any parameter gradient.
+    fn zero_stack_like(&self, feedback: &Tensor) -> Tensor {
+        let mut dims = feedback.shape().to_vec();
+        dims[0] *= self.stacked;
+        Tensor::zeros(&dims)
+    }
+
+    /// Batch `g_id`'s rows of the stacked gradient.
+    fn batch_rows<'a>(
+        &self,
+        grad: &'a mut Tensor,
+        g_id: usize,
+        feedback: &Tensor,
+    ) -> &'a mut [f32] {
+        assert!(g_id < self.stacked, "feedback for unknown batch {g_id}");
+        let (fs, gs) = (feedback.shape(), grad.shape());
+        assert!(
+            fs[0] * self.stacked == gs[0] && fs[1..] == gs[1..],
+            "feedback shape {fs:?} is not one batch of the {gs:?} stack"
+        );
+        let len = feedback.len();
+        &mut grad.data_mut()[g_id * len..(g_id + 1) * len]
+    }
+
+    /// One backward pass over the stack [`MdServer::generate_batches`] left
+    /// in the generator, then one Adam update.
+    fn step_on(&mut self, grad: &Tensor) {
         self.gen.net.zero_grad();
-        for (g_id, grad) in grouped.into_iter().enumerate() {
-            let Some(mut grad) = grad else { continue };
-            grad.scale_inplace(scale);
-            let p = &self.pending[g_id];
-            let _ = self.gen.generate(&p.z, &p.labels, true);
-            self.gen.backward(&grad);
-        }
+        self.gen.backward(grad);
         self.clip_and_step();
     }
 
@@ -149,24 +171,24 @@ impl MdServer {
         if feedbacks.is_empty() {
             return;
         }
-        let k = self.pending.len();
-        let mut groups: Vec<Vec<&Tensor>> = (0..k).map(|_| Vec::new()).collect();
+        let mut groups: Vec<Vec<&Tensor>> = vec![Vec::new(); self.stacked];
         for (g_id, grad) in feedbacks {
-            assert!(*g_id < k, "feedback for unknown batch {g_id}");
+            assert!(*g_id < self.stacked, "feedback for unknown batch {g_id}");
             groups[*g_id].push(grad);
         }
-        self.gen.net.zero_grad();
-        for (g_id, group) in groups.into_iter().enumerate() {
+        let mut grad = self.zero_stack_like(&feedbacks[0].1);
+        for (g_id, group) in groups.iter().enumerate() {
             if group.is_empty() {
                 continue;
             }
             let weight = group.len() as f32 / n_alive as f32;
-            let consensus = aggregation.aggregate(&group).scale(weight);
-            let p = &self.pending[g_id];
-            let _ = self.gen.generate(&p.z, &p.labels, true);
-            self.gen.backward(&consensus);
+            let consensus = aggregation.aggregate(group);
+            let rows = self.batch_rows(&mut grad, g_id, &consensus);
+            for (r, &c) in rows.iter_mut().zip(consensus.data()) {
+                *r = c * weight;
+            }
         }
-        self.clip_and_step();
+        self.step_on(&grad);
     }
 
     /// Applies one optimizer step using whatever gradients are currently
@@ -226,6 +248,8 @@ impl MdServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::Aggregation;
+    use md_tensor::parallel::scoped_max_threads;
 
     fn server() -> MdServer {
         let spec = ArchSpec::mlp_mnist_scaled(12);
@@ -393,5 +417,195 @@ mod tests {
         s.generate_batches(1);
         let f = Tensor::zeros(&[4, 1, 12, 12]);
         s.apply_feedbacks(&[(3, f)], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not one batch of the")]
+    fn rejects_feedback_of_another_shape() {
+        let mut s = server();
+        s.generate_batches(2);
+        let fs = [
+            (0, Tensor::zeros(&[4, 1, 12, 12])),
+            (1, Tensor::zeros(&[4, 1, 12, 6])),
+        ];
+        s.apply_feedbacks(&fs, 2);
+    }
+
+    // ------------------------------------------------------------------
+    // The stacked pass against the replay path it replaced.
+    // ------------------------------------------------------------------
+
+    /// The server as it ran before the stacked pass, kept as the reference:
+    /// every batch is generated by a forward pass of its own, and because a
+    /// layer caches one forward, replayed from its noise before its merged
+    /// gradient is backpropagated — `2k` forwards and up to `k` backwards
+    /// whose parameter gradients accumulate in batch order.
+    struct ReplayServer {
+        inner: MdServer,
+        /// Noise and labels of each generated batch.
+        pending: Vec<(Tensor, Vec<usize>)>,
+    }
+
+    impl ReplayServer {
+        fn generate_batches(&mut self, k: usize) -> Vec<(Tensor, Vec<usize>)> {
+            let s = &mut self.inner;
+            self.pending.clear();
+            let mut out = Vec::with_capacity(k);
+            for _ in 0..k {
+                let z = s.gen.sample_z(s.hyper.batch, &mut s.rng);
+                let labels = s.gen.sample_labels(s.hyper.batch, &mut s.rng);
+                let imgs = s.gen.generate(&z, &labels, true);
+                self.pending.push((z, labels.clone()));
+                out.push((imgs, labels));
+            }
+            out
+        }
+
+        fn apply_feedbacks_robust(
+            &mut self,
+            feedbacks: &[(usize, Tensor)],
+            n_alive: usize,
+            aggregation: Aggregation,
+        ) {
+            let s = &mut self.inner;
+            let mut groups: Vec<Vec<&Tensor>> = vec![Vec::new(); self.pending.len()];
+            for (g_id, grad) in feedbacks {
+                groups[*g_id].push(grad);
+            }
+            s.gen.net.zero_grad();
+            for (group, (z, labels)) in groups.iter().zip(&self.pending) {
+                let Some((first, rest)) = group.split_first() else {
+                    continue;
+                };
+                let merged = if matches!(aggregation, Aggregation::Mean) {
+                    let mut sum = (*first).clone();
+                    for grad in rest {
+                        sum.add_assign(grad);
+                    }
+                    sum.scale_inplace(1.0 / n_alive as f32);
+                    sum
+                } else {
+                    let weight = group.len() as f32 / n_alive as f32;
+                    aggregation.aggregate(group).scale(weight)
+                };
+                let _ = s.gen.generate(z, labels, true);
+                s.gen.backward(&merged);
+            }
+            s.clip_and_step();
+        }
+    }
+
+    /// A stacked server and its replay reference, same seed.
+    fn server_pair(spec: &ArchSpec, batch: usize) -> (MdServer, ReplayServer) {
+        let make = || {
+            let hyper = GanHyper {
+                batch,
+                ..GanHyper::default()
+            };
+            MdServer::new(spec, hyper, &mut Rng64::seed_from_u64(1))
+        };
+        let reference = ReplayServer {
+            inner: make(),
+            pending: Vec::new(),
+        };
+        (make(), reference)
+    }
+
+    /// One feedback per worker in `workers`, SPLIT over `k` batches.
+    fn feedbacks_from(
+        workers: &[usize],
+        k: usize,
+        batch_shape: &[usize],
+        rng: &mut Rng64,
+    ) -> Vec<(usize, Tensor)> {
+        workers
+            .iter()
+            .map(|&w| {
+                let f = Tensor::randn(batch_shape, rng).scale(0.01);
+                (MdServer::assign(w, k).0, f)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn stacked_pass_matches_the_replay_path_bitwise() {
+        let specs = [
+            ("mlp_mnist_scaled(12)", ArchSpec::mlp_mnist_scaled(12)),
+            ("paper_mnist_mlp()", ArchSpec::paper_mnist_mlp()),
+            ("cnn_mnist_scaled(16)", ArchSpec::cnn_mnist_scaled(16)),
+            ("cnn_cifar_scaled(32)", ArchSpec::cnn_cifar_scaled(32)),
+            ("cnn_celeba_scaled(8)", ArchSpec::cnn_celeba_scaled(8)),
+        ];
+        let aggregations = [
+            Aggregation::Mean,
+            Aggregation::CoordinateMedian,
+            Aggregation::TrimmedMean { trim: 1 },
+        ];
+        for width in [1, 2, 3] {
+            let _guard = scoped_max_threads(width);
+            for (name, spec) in &specs {
+                for (k, b) in [(1, 4), (2, 7), (3, 10), (5, 3)] {
+                    for aggregation in aggregations {
+                        let case = format!("{name} k={k} b={b} {aggregation:?} width {width}");
+                        let (mut stacked, mut replay) = server_pair(spec, b);
+                        let mut rng = Rng64::seed_from_u64(9);
+                        // Three workers per batch: the smallest group a
+                        // one-sided trim leaves something of.
+                        let workers: Vec<usize> = (0..3 * k).collect();
+                        for iter in 0..3 {
+                            let got = stacked.generate_batches(k);
+                            let want = replay.generate_batches(k);
+                            assert_eq!(got.len(), k, "{case}");
+                            for (j, ((gi, gl), (wi, wl))) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(gi.shape(), wi.shape(), "{case}: batch {j} shape");
+                                assert_eq!(
+                                    bits(gi.data()),
+                                    bits(wi.data()),
+                                    "{case}: images of batch {j}, iteration {iter}"
+                                );
+                                assert_eq!(gl, wl, "{case}: labels of batch {j}");
+                            }
+                            let fs = feedbacks_from(&workers, k, got[0].0.shape(), &mut rng);
+                            stacked.apply_feedbacks_robust(&fs, workers.len(), aggregation);
+                            replay.apply_feedbacks_robust(&fs, workers.len(), aggregation);
+                            assert_eq!(
+                                bits(&stacked.gen_params()),
+                                bits(&replay.inner.gen_params()),
+                                "{case}: gen_params after iteration {iter}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// N = 4, k = 2, workers 1 and 3 crashed: both survivors hold batch 0,
+    /// nobody answers batch 1. Its zero rows may turn a `-0.0` the replay
+    /// path left alone into `+0.0`; nothing else moves.
+    #[test]
+    fn a_batch_without_feedback_adds_nothing() {
+        for spec in [
+            ArchSpec::mlp_mnist_scaled(12),
+            ArchSpec::cnn_cifar_scaled(16),
+        ] {
+            let (mut stacked, mut replay) = server_pair(&spec, 4);
+            let mut rng = Rng64::seed_from_u64(9);
+            for _ in 0..3 {
+                let shape = stacked.generate_batches(2)[0].0.shape().to_vec();
+                replay.generate_batches(2);
+                let fs = feedbacks_from(&[0, 2], 2, &shape, &mut rng);
+                assert!(fs.iter().all(|(g_id, _)| *g_id == 0));
+                stacked.apply_feedbacks(&fs, 2);
+                replay.apply_feedbacks_robust(&fs, 2, Aggregation::Mean);
+                let got = stacked.gen_params();
+                assert!(got.iter().all(|v| v.is_finite()));
+                assert!(got == replay.inner.gen_params(), "update moved a value");
+            }
+        }
     }
 }

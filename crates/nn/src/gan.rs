@@ -106,8 +106,22 @@ impl Generator {
     /// Runs the generator forward, caching activations for
     /// [`Generator::backward`].
     pub fn generate(&mut self, z: &Tensor, labels: &[usize], train: bool) -> Tensor {
+        self.generate_stacked(z, labels, 1, train)
+    }
+
+    /// [`Generator::generate`] for `groups` equal batches whose noise rows
+    /// (and labels) are stacked in batch order: one pass whose output rows,
+    /// and whose one [`Generator::backward`], are bit-for-bit those of one
+    /// pass per batch (see [`Layer::forward_stacked`]).
+    pub fn generate_stacked(
+        &mut self,
+        z: &Tensor,
+        labels: &[usize],
+        groups: usize,
+        train: bool,
+    ) -> Tensor {
         let input = self.make_input(z, labels);
-        self.net.forward(&input, train)
+        self.net.forward_stacked(&input, groups, train)
     }
 
     /// Backpropagates a gradient w.r.t. the generated data, accumulating

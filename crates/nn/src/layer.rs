@@ -24,12 +24,33 @@ use md_tensor::Tensor;
 ///   [`Layer::backward_params`] are the three needs spelled as calls.
 /// * `train` distinguishes training-mode statistics (BatchNorm, Dropout)
 ///   from inference mode.
+/// * [`Layer::forward_stacked`] is the layer's one forward implementation.
+///   Its `groups` says that the rows of `x` are that many independent
+///   batches of equal size stacked along axis 0 (batch 0's rows first).
+///   The output, and everything a following gradient call returns or
+///   accumulates, is bit-for-bit what `groups` separate `forward` calls
+///   would produce, each followed by its own accumulating gradient call,
+///   in batch order. Most layers treat every row alone and ignore the
+///   argument; a layer that couples the rows of a batch (`BatchNorm`,
+///   `MinibatchDiscrimination`) must keep the groups apart, which is why
+///   the method has no default. [`Layer::forward`] is `groups = 1`.
 ///
 /// Layers are `Send` so whole networks can be moved between simulated
 /// cluster nodes (the discriminator swap).
 pub trait Layer: Send {
-    /// Computes the layer output, caching intermediates for the gradient.
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor;
+    /// Computes the layer output for `groups` equal batches stacked along
+    /// axis 0, caching intermediates for the gradient.
+    ///
+    /// # Panics
+    /// Row-coupled layers panic when the rows do not split into `groups`
+    /// equal batches.
+    fn forward_stacked(&mut self, x: &Tensor, groups: usize, train: bool) -> Tensor;
+
+    /// Computes the layer output for one batch ([`Layer::forward_stacked`]
+    /// with `groups = 1`).
+    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+        self.forward_stacked(x, 1, train)
+    }
 
     /// Propagates `∂L/∂output`, computing only what `need` names: the
     /// return value is `Some(∂L/∂input)` iff `need.input()`, and parameter

@@ -1,7 +1,13 @@
 //! Parameter-free activation layers: ReLU, LeakyReLU, Tanh, Sigmoid.
 
 use crate::layer::{Layer, Need};
+use md_tensor::parallel::parallel_for_chunks;
+use md_tensor::workspace;
 use md_tensor::Tensor;
+
+/// What one `tanhf` is worth in the multiply-adds
+/// [`md_tensor::parallel::PAR_THRESHOLD`] counts.
+const TANH_COST: usize = 64;
 
 macro_rules! no_params {
     () => {
@@ -32,7 +38,7 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         self.cached_input = Some(x.clone());
         x.map(|v| v.max(0.0))
     }
@@ -80,7 +86,7 @@ impl LeakyRelu {
 }
 
 impl Layer for LeakyRelu {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         self.cached_input = Some(x.clone());
         let a = self.alpha;
         x.map(|v| if v > 0.0 { v } else { a * v })
@@ -127,8 +133,18 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
-        let y = x.map(f32::tanh);
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
+        // One task per row: a `tanhf` costs tens of multiply-adds, so the
+        // generator's `(k·b, 784)` output at b = 100 is pool-sized work.
+        let rows = x.shape().first().copied().unwrap_or(1);
+        let row_len = x.len() / rows.max(1);
+        let mut data = workspace::take_uninit(x.len());
+        parallel_for_chunks(&mut data, rows, row_len * TANH_COST, |i, out| {
+            for (o, &v) in out.iter_mut().zip(&x.data()[i * row_len..]) {
+                *o = v.tanh();
+            }
+        });
+        let y = Tensor::new(x.shape(), data);
         self.cached_output = Some(y.clone());
         y
     }
@@ -183,7 +199,7 @@ pub fn sigmoid(x: f32) -> f32 {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         let y = x.map(sigmoid);
         self.cached_output = Some(y.clone());
         y

@@ -2,6 +2,7 @@
 //! activations (per-feature / per-channel statistics).
 
 use crate::layer::{Layer, Need};
+use md_tensor::workspace;
 use md_tensor::Tensor;
 
 /// Batch normalization (Ioffe & Szegedy) with learnable scale/shift and
@@ -25,9 +26,10 @@ pub struct BatchNorm {
 
 struct BnCache {
     xhat: Tensor,
+    /// `inv_std[g * features + c]` of batch `g`, channel `c`.
     inv_std: Vec<f32>,
-    mean: Vec<f32>,
     input_shape: Vec<usize>,
+    groups: usize,
     train: bool,
 }
 
@@ -53,8 +55,14 @@ impl BatchNorm {
         self.features
     }
 
-    /// (channel index, per-channel group size, iterator plan) for the input.
-    /// Returns (num_groups_per_channel_element = B*H*W).
+    /// Running mean and variance per channel: what inference mode
+    /// normalizes with, moved one EMA step per training-mode batch.
+    pub fn running_stats(&self) -> (&[f32], &[f32]) {
+        (&self.running_mean, &self.running_var)
+    }
+
+    /// `(rows, elements per row and channel)` of a `(B,F)` or `(B,C,H,W)`
+    /// input.
     fn check_shape(&self, x: &Tensor) -> (usize, usize) {
         match x.ndim() {
             2 => {
@@ -69,76 +77,82 @@ impl BatchNorm {
         }
     }
 
-    /// Iterates channel `c`'s elements of a `(B,F)` or `(B,C,H,W)` tensor.
-    fn for_channel(b: usize, c_total: usize, hw: usize, c: usize, mut f: impl FnMut(usize)) {
-        if hw == 1 {
-            for bi in 0..b {
-                f(bi * c_total + c);
-            }
-        } else {
-            for bi in 0..b {
-                let base = (bi * c_total + c) * hw;
-                for i in 0..hw {
-                    f(base + i);
-                }
+    /// Iterates channel `c`'s elements over `rows` of a `(B,F)` or
+    /// `(B,C,H,W)` tensor.
+    fn for_channel(
+        rows: std::ops::Range<usize>,
+        c_total: usize,
+        hw: usize,
+        c: usize,
+        mut f: impl FnMut(usize),
+    ) {
+        for bi in rows {
+            let base = (bi * c_total + c) * hw;
+            for i in base..base + hw {
+                f(i);
             }
         }
     }
 }
 
 impl Layer for BatchNorm {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let (b, hw) = self.check_shape(x);
+    /// Each of the `groups` stacked batches is normalized with its own
+    /// statistics, and the running statistics take one EMA step per batch,
+    /// in batch order.
+    fn forward_stacked(&mut self, x: &Tensor, groups: usize, train: bool) -> Tensor {
+        let (rows, hw) = self.check_shape(x);
+        assert!(
+            groups >= 1 && rows.is_multiple_of(groups),
+            "BatchNorm: {rows} rows do not split into {groups} equal batches"
+        );
+        let b = rows / groups;
         let c_total = self.features;
         let m = (b * hw) as f32;
-        let mut y = x.clone();
-        let mut xhat = x.clone();
-        let mut means = vec![0.0f32; c_total];
-        let mut inv_stds = vec![0.0f32; c_total];
+        // Every element of both is written below.
+        let mut y = workspace::take_uninit(x.len());
+        let mut xhat = workspace::take_uninit(x.len());
+        let mut inv_stds = vec![0.0f32; groups * c_total];
+        let xd = x.data();
 
-        for c in 0..c_total {
-            let (mean, var) = if train {
-                let mut sum = 0.0f32;
-                Self::for_channel(b, c_total, hw, c, |i| sum += x.data()[i]);
-                let mean = sum / m;
-                let mut sq = 0.0f32;
-                Self::for_channel(b, c_total, hw, c, |i| {
-                    let d = x.data()[i] - mean;
-                    sq += d * d;
+        for g in 0..groups {
+            let batch = g * b..(g + 1) * b;
+            for c in 0..c_total {
+                let (mean, var) = if train {
+                    let mut sum = 0.0f32;
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| sum += xd[i]);
+                    let mean = sum / m;
+                    let mut sq = 0.0f32;
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        let d = xd[i] - mean;
+                        sq += d * d;
+                    });
+                    let var = sq / m;
+                    self.running_mean[c] =
+                        self.momentum * self.running_mean[c] + (1.0 - self.momentum) * mean;
+                    self.running_var[c] =
+                        self.momentum * self.running_var[c] + (1.0 - self.momentum) * var;
+                    (mean, var)
+                } else {
+                    (self.running_mean[c], self.running_var[c])
+                };
+                let inv_std = 1.0 / (var + self.eps).sqrt();
+                inv_stds[g * c_total + c] = inv_std;
+                let ga = self.gamma.data()[c];
+                let be = self.beta.data()[c];
+                Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                    xhat[i] = (xd[i] - mean) * inv_std;
+                    y[i] = ga * xhat[i] + be;
                 });
-                let var = sq / m;
-                self.running_mean[c] =
-                    self.momentum * self.running_mean[c] + (1.0 - self.momentum) * mean;
-                self.running_var[c] =
-                    self.momentum * self.running_var[c] + (1.0 - self.momentum) * var;
-                (mean, var)
-            } else {
-                (self.running_mean[c], self.running_var[c])
-            };
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            means[c] = mean;
-            inv_stds[c] = inv_std;
-            let g = self.gamma.data()[c];
-            let be = self.beta.data()[c];
-            let xd = x.data();
-            let xh = xhat.data_mut();
-            Self::for_channel(b, c_total, hw, c, |i| {
-                xh[i] = (xd[i] - mean) * inv_std;
-            });
-            let xh = xhat.data();
-            let yd = y.data_mut();
-            Self::for_channel(b, c_total, hw, c, |i| {
-                yd[i] = g * xh[i] + be;
-            });
+            }
         }
         self.cache = Some(BnCache {
-            xhat,
+            xhat: Tensor::new(x.shape(), xhat),
             inv_std: inv_stds,
-            mean: means,
             input_shape: x.shape().to_vec(),
+            groups,
             train,
         });
-        y
+        Tensor::new(x.shape(), y)
     }
 
     fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
@@ -151,54 +165,55 @@ impl Layer for BatchNorm {
             &cache.input_shape[..],
             "BatchNorm grad shape mismatch"
         );
-        let x_ndim = cache.input_shape.len();
-        let b = cache.input_shape[0];
-        let hw = if x_ndim == 4 {
+        let hw = if cache.input_shape.len() == 4 {
             cache.input_shape[2] * cache.input_shape[3]
         } else {
             1
         };
+        let b = cache.input_shape[0] / cache.groups;
         let c_total = self.features;
         let m = (b * hw) as f32;
-        let mut gx = need.input().then(|| grad_out.clone());
+        // Every element is written below.
+        let mut gx = need.input().then(|| workspace::take_uninit(grad_out.len()));
+        let dy = grad_out.data();
+        let xh = cache.xhat.data();
 
-        for c in 0..c_total {
-            let g = self.gamma.data()[c];
-            let inv_std = cache.inv_std[c];
-            let dy = grad_out.data();
-            let xh = cache.xhat.data();
+        for g in 0..cache.groups {
+            let batch = g * b..(g + 1) * b;
+            for c in 0..c_total {
+                let ga = self.gamma.data()[c];
+                let inv_std = cache.inv_std[g * c_total + c];
 
-            // The two sums are the parameter gradients and, in training
-            // mode, also terms of dx; eval-mode dx alone needs neither.
-            let mut sum_dy = 0.0f32;
-            let mut sum_dy_xhat = 0.0f32;
-            if need.params() || cache.train {
-                Self::for_channel(b, c_total, hw, c, |i| {
-                    sum_dy += dy[i];
-                    sum_dy_xhat += dy[i] * xh[i];
-                });
-            }
-            if need.params() {
-                self.grad_gamma.data_mut()[c] += sum_dy_xhat;
-                self.grad_beta.data_mut()[c] += sum_dy;
-            }
+                // The two sums are the parameter gradients and, in training
+                // mode, also terms of dx; eval-mode dx alone needs neither.
+                let mut sum_dy = 0.0f32;
+                let mut sum_dy_xhat = 0.0f32;
+                if need.params() || cache.train {
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        sum_dy += dy[i];
+                        sum_dy_xhat += dy[i] * xh[i];
+                    });
+                }
+                if need.params() {
+                    self.grad_gamma.data_mut()[c] += sum_dy_xhat;
+                    self.grad_beta.data_mut()[c] += sum_dy;
+                }
 
-            let Some(gx) = &mut gx else { continue };
-            let gxd = gx.data_mut();
-            if cache.train {
-                // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
-                Self::for_channel(b, c_total, hw, c, |i| {
-                    gxd[i] = (g * inv_std / m) * (m * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
-                });
-            } else {
-                // Eval mode: running stats are constants.
-                Self::for_channel(b, c_total, hw, c, |i| {
-                    gxd[i] = g * inv_std * dy[i];
-                });
+                let Some(gxd) = &mut gx else { continue };
+                if cache.train {
+                    // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        gxd[i] = (ga * inv_std / m) * (m * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
+                    });
+                } else {
+                    // Eval mode: running stats are constants.
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        gxd[i] = ga * inv_std * dy[i];
+                    });
+                }
             }
         }
-        let _ = &cache.mean; // mean only needed to rebuild xhat; kept for clarity
-        gx
+        gx.map(|gx| Tensor::new(grad_out.shape(), gx))
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -59,7 +59,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         assert_eq!(x.ndim(), 4, "Conv2d expects (B,C,H,W)");
         assert_eq!(x.shape()[1], self.in_c, "Conv2d channel mismatch");
         // clone_from reuses the cached buffer across steps (zero-alloc warm path).
@@ -179,7 +179,7 @@ impl ConvTranspose2d {
 }
 
 impl Layer for ConvTranspose2d {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         assert_eq!(x.ndim(), 4, "ConvTranspose2d expects (B,C,H,W)");
         assert_eq!(x.shape()[1], self.in_c, "ConvTranspose2d channel mismatch");
         // clone_from reuses the cached buffer across steps (zero-alloc warm path).

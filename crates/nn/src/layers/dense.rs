@@ -44,10 +44,15 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         assert_eq!(x.ndim(), 2, "Dense expects (B, in), got {:?}", x.shape());
         assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
-        let y = x.matmul(&self.weight).add(&self.bias);
+        let mut y = x.matmul(&self.weight);
+        for row in y.data_mut().chunks_exact_mut(self.out_features) {
+            for (v, &b) in row.iter_mut().zip(self.bias.data()) {
+                *v += b;
+            }
+        }
         // clone_from reuses the cached buffer across steps (zero-alloc warm
         // path) instead of round-tripping a fresh tensor per iteration.
         match &mut self.cached_input {

@@ -31,13 +31,15 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, train: bool) -> Tensor {
         if !train || self.p == 0.0 {
             self.mask = None;
             return x.clone();
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
+        // Drawn in element order, so stacked batches read the stream the
+        // way one call per batch would.
         let mut mask = Tensor::zeros(x.shape());
         for m in mask.data_mut() {
             if self.rng.uniform() < keep {

@@ -52,7 +52,13 @@ impl MinibatchDiscrimination {
 }
 
 impl Layer for MinibatchDiscrimination {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, groups: usize, _train: bool) -> Tensor {
+        // `o_if` sums over the other rows of the batch, so stacked batches
+        // would see each other; nobody stacks a discriminator yet.
+        assert_eq!(
+            groups, 1,
+            "MinibatchDiscrimination couples the rows of a batch and cannot run {groups} stacked batches"
+        );
         assert_eq!(x.ndim(), 2, "MinibatchDiscrimination expects (B, A)");
         assert_eq!(
             x.shape()[1],

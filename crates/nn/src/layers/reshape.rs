@@ -22,7 +22,7 @@ impl Reshape {
 }
 
 impl Layer for Reshape {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         assert!(x.ndim() >= 1, "Reshape expects a batched input");
         let b = x.shape()[0];
         let per_sample: usize = x.shape()[1..].iter().product();
@@ -82,7 +82,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, x: &Tensor, _train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         assert!(x.ndim() >= 2, "Flatten expects at least (B, d)");
         self.cached_shape = Some(x.shape().to_vec());
         let b = x.shape()[0];

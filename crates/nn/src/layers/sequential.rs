@@ -170,10 +170,10 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
+    fn forward_stacked(&mut self, x: &Tensor, groups: usize, train: bool) -> Tensor {
         let mut h = Cow::Borrowed(x);
         for l in &mut self.layers {
-            h = Cow::Owned(l.forward(&h, train));
+            h = Cow::Owned(l.forward_stacked(&h, groups, train));
         }
         h.into_owned()
     }

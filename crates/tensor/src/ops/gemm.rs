@@ -138,26 +138,28 @@ pub const MR: usize = 8;
 pub const MR: usize = 4;
 
 /// NN products with at most this many rows skip the packed kernel: the
-/// no-pack kernel holds all `m` rows of a column strip in registers and
-/// streams `b` in place. 12 rows fill the register file on every build
-/// (12 x 2 zmm of 32, 12 x 1 ymm of 16); the crossover sweep in
+/// no-pack kernel holds up to 12 rows of a column strip in registers (12 x
+/// 2 zmm of 32, 12 x 1 ymm of 16) and streams `b` in place, and runs up to
+/// three such tiles over each 32-row panel of `b` while it is in cache. 36
+/// rows cover three stacked b = 10 batches; the crossover sweep in
 /// EXPERIMENTS.md has it ahead of the packed kernel at every `m` up to
 /// there.
-pub const SKINNY_M: usize = 12;
+pub const SKINNY_M: usize = 36;
 /// NT products with at most this many rows skip the packed kernel: the
-/// no-pack kernel runs one vector lane per row, so the bound is the lane
-/// count.
+/// no-pack kernel runs one vector lane per row, two lane blocks over each
+/// 16-row strip of `b`, so the bound is twice the lane count.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-pub const SKINNY_NT_M: usize = 16;
+pub const SKINNY_NT_M: usize = 32;
 /// NT row bound (non-AVX-512 builds): see above.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-pub const SKINNY_NT_M: usize = 8;
+pub const SKINNY_NT_M: usize = 16;
 /// TN products with at most this many shared-dimension steps (the rank-b
-/// update `dW += xᵀ·dy`) skip the packed kernel. The no-pack kernel still
-/// led at `k = 24` in the sweep; 16 keeps every shape it takes at the
-/// paper's layer sizes below [`parallel::PAR_THRESHOLD`], where the packed
-/// driver is serial too.
-pub const SKINNY_K: usize = 16;
+/// update `dW += xᵀ·dy`, b rows or a few stacked batches of them) skip the
+/// packed kernel; the no-pack kernel leads up to here in the sweep. It is
+/// serial, like every no-pack kernel: at the paper's layer sizes a shape
+/// above `k = 20` would cross [`parallel::PAR_THRESHOLD`] on the packed
+/// driver.
+pub const SKINNY_K: usize = 32;
 
 /// Storage layout of a GEMM's operands. The logical product is always
 /// `A (m,k) x B (k,n) -> out (m,n)`; the tag says how the operand slices
@@ -1050,33 +1052,45 @@ mod tests {
     #[test]
     fn skinny_kernels_match_the_packed_driver() {
         // The two paths are pinned to each other, not only to the
-        // reference: the same operands through `gemm()` (no-pack kernels at
-        // these shapes) and through `gemm_with` + `SliceRhs` (packed).
+        // reference: the same operands through `gemm()` and through
+        // `gemm_with` + `SliceRhs` (packed), with the selecting dimension
+        // on both sides of every register-tile edge inside the no-pack
+        // domain (12/24/36 rows NN, one or two lane blocks NT) and of the
+        // bounds themselves, at the paper's layer widths (784, 512,
+        // 110 = noise + one-hot, 11 logits) and one past them.
+        const WIDTHS: [(usize, usize); 4] = [(784, 513), (512, 785), (110, 512), (512, 11)];
+        let cases: [(Layout, &[usize]); 3] = [
+            (Layout::NN, &[12, 13, 24, 25, 30, 36, 37]),
+            (Layout::NT, &[16, 17, 30, 32, 33]),
+            (Layout::TN, &[16, 17, 30, 32, 33]),
+        ];
         let mut rng = Rng64::seed_from_u64(16);
-        for (layout, m, k, n) in [
-            (Layout::NN, SKINNY_M, 784, 513),
-            (Layout::NT, SKINNY_NT_M, 512, 785),
-            (Layout::TN, 783, SKINNY_K, 513),
-        ] {
-            let a = randv(m * k, &mut rng);
-            let b = randv(k * n, &mut rng);
-            let seed_out = randv(m * n, &mut rng);
-            for acc in [false, true] {
-                let mut skinny = seed_out.clone();
-                gemm(layout, &a, &b, &mut skinny, m, k, n, acc);
-                let mut packed = seed_out.clone();
-                let lhs = match layout {
-                    Layout::TN => Lhs::ColMajor(&a),
-                    _ => Lhs::RowMajor(&a),
-                };
-                let rhs = SliceRhs::new(&b, layout == Layout::NT, k, n);
-                gemm_with(lhs, &rhs, &mut packed, m, k, n, acc);
-                for (i, (x, y)) in skinny.iter().zip(&packed).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{layout:?} acc={acc} element {i}: {x} vs {y}"
-                    );
+        for (layout, selecting) in cases {
+            for &sel in selecting {
+                for (e1, e2) in WIDTHS {
+                    let (m, k, n) = match layout {
+                        Layout::NN | Layout::NT => (sel, e1, e2),
+                        Layout::TN => (e1, sel, e2),
+                    };
+                    let a = randv(m * k, &mut rng);
+                    let b = randv(k * n, &mut rng);
+                    let seed_out = randv(m * n, &mut rng);
+                    let lhs = match layout {
+                        Layout::TN => Lhs::ColMajor(&a),
+                        _ => Lhs::RowMajor(&a),
+                    };
+                    let rhs = SliceRhs::new(&b, layout == Layout::NT, k, n);
+                    for acc in [false, true] {
+                        let what = format!("{layout:?} ({m},{k},{n}) acc={acc}");
+                        let mut got = seed_out.clone();
+                        gemm(layout, &a, &b, &mut got, m, k, n, acc);
+                        let mut packed = seed_out.clone();
+                        gemm_with(lhs, &rhs, &mut packed, m, k, n, acc);
+                        assert_bits_eq(&got, &packed, &what);
+                        if !acc {
+                            assert_bits_eq(&got, &naive_gemm(layout, &a, &b, m, k, n), &what);
+                        }
+                    }
                 }
             }
         }

@@ -7,11 +7,16 @@
 //! slivers costs as much as the multiply. The three kernels here leave the
 //! large operand where it is:
 //!
-//! * [`gemm_nn`] interleaves only the tiny A and holds all `m` rows of a
-//!   column strip in registers while the rows of `b` stream past;
-//! * [`gemm_nt`] runs the vector lanes over the `m` rows and reads each
-//!   stored row of `b` contiguously, as broadcast scalars;
+//! * [`gemm_nn`] interleaves only the tiny A and holds up to [`NN_M`] rows
+//!   of a column strip in registers while the rows of `b` stream past;
+//! * [`gemm_nt`] runs the vector lanes over up to [`LANES`] rows and reads
+//!   each stored row of `b` contiguously, as broadcast scalars;
 //! * [`gemm_tn`] walks `out` tile by tile with `a` and `b` read in place.
+//!
+//! A few stacked batches (the server's `k·b` rows at b = 10) are more rows
+//! than one register tile holds. NN and NT then run two or three tiles
+//! over each piece of `b` while it is still in cache, so the large operand
+//! is still read from memory once; TN's tile never depended on `k`.
 //!
 //! All three keep the crate's accumulation contract: every output element
 //! is `fma(A[i][p], B[p][j], acc)` for `p` ascending, seeded with 0.0 or
@@ -34,12 +39,15 @@ const AVX512: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"
 /// `f32` lanes of the vector register the tile shapes are sized for.
 const LANES: usize = if AVX512 { 16 } else { 8 };
 
-/// Vectors of columns per NN register tile: all `m <= 12` rows x this many
+/// Rows per NN register tile: 12 fill the register file on every build
+/// (12 x 2 zmm of 32, 12 x 1 ymm of 16).
+const NN_M: usize = 12;
+/// Vectors of columns per NN register tile: up to [`NN_M`] rows x this many
 /// accumulators, beside the `b` vectors and one broadcast.
 const NN_VECS: usize = if AVX512 { 2 } else { 1 };
 /// Columns per NN strip.
 const NN_W: usize = NN_VECS * LANES;
-/// Rows of `b` per NN pass (see [`nn_panels`]).
+/// Rows of `b` per NN pass (see [`gemm_nn`]).
 const NN_KP: usize = 32;
 
 /// Stored rows of `b` (logical columns) in flight per NT strip.
@@ -50,8 +58,9 @@ const TN_R: usize = if AVX512 { 4 } else { 2 };
 /// Columns per TN register tile.
 const TN_W: usize = 4 * LANES;
 
-// The register tiles cover every shape the selection in `gemm()` sends here.
-const _: () = assert!(SKINNY_M == 12 && SKINNY_NT_M == LANES);
+// The kernels tile any row count; the bounds of the selection in `gemm()`
+// are whole tiles, so the last shape it sends here wastes no lane or row.
+const _: () = assert!(SKINNY_M.is_multiple_of(NN_M) && SKINNY_NT_M.is_multiple_of(LANES));
 
 /// `src` (at most `W` elements) as a `W`-array, zero-padded.
 #[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
@@ -74,11 +83,16 @@ fn lane_mask(w: usize) -> std::arch::x86_64::__mmask16 {
     ((1u32 << w.min(LANES)) - 1) as u16
 }
 
-/// `out (m,n) (+)= a (m,k) · b (k,n)` for `1 <= m <= SKINNY_M`.
+/// `out (m,n) (+)= a (m,k) · b (k,n)`, meant for `1 <= m <= SKINNY_M`.
 ///
-/// `a` is interleaved `p`-major into one `m·k` workspace buffer
-/// (`ap[p*m + i] = a[i*k + p]`); `b` is read in place, every element
-/// exactly once, [`NN_KP`] rows at a time.
+/// The rows are cut into `ceil(m / NN_M)` tiles of near-equal height. Each
+/// tile's rows of `a` are interleaved `p`-major into one `m·k` workspace
+/// buffer (`ap[r0*k + p*mt + i] = a[(r0+i)*k + p]` for the `mt`-row tile
+/// starting at row `r0`). `b` is walked [`NN_KP`] rows at a time with
+/// `out` carrying the partial sums from panel to panel (an exact `f32`
+/// round trip, so the chain of each element is still one in-order run over
+/// `k`); every tile multiplies a panel before the next panel is touched,
+/// so `b` comes from memory once however many tiles share it.
 pub(super) fn gemm_nn(
     a: &[f32],
     b: &[f32],
@@ -88,45 +102,59 @@ pub(super) fn gemm_nn(
     n: usize,
     acc: bool,
 ) {
+    let tiles = m.div_ceil(NN_M);
+    // (first row, rows) of tile `t`: the first `taller` tiles have one row
+    // more than the rest.
+    let (rows, taller) = (m / tiles, m % tiles);
+    let tile = |t: usize| (t * rows + t.min(taller), rows + usize::from(t < taller));
     let mut ap = workspace::take_uninit(m * k);
-    for (i, arow) in a.chunks_exact(k).enumerate() {
-        for (p, &v) in arow.iter().enumerate() {
-            ap[p * m + i] = v;
+    for t in 0..tiles {
+        let (r0, mt) = tile(t);
+        let (at, apt) = (&a[r0 * k..(r0 + mt) * k], &mut ap[r0 * k..(r0 + mt) * k]);
+        for (i, arow) in at.chunks_exact(k).enumerate() {
+            for (p, &v) in arow.iter().enumerate() {
+                apt[p * mt + i] = v;
+            }
         }
     }
-    let panels = match m {
-        1 => nn_panels::<1>,
-        2 => nn_panels::<2>,
-        3 => nn_panels::<3>,
-        4 => nn_panels::<4>,
-        5 => nn_panels::<5>,
-        6 => nn_panels::<6>,
-        7 => nn_panels::<7>,
-        8 => nn_panels::<8>,
-        9 => nn_panels::<9>,
-        10 => nn_panels::<10>,
-        11 => nn_panels::<11>,
-        12 => nn_panels::<12>,
-        _ => unreachable!("gemm_nn: m = {m} is outside 1..=SKINNY_M"),
-    };
-    panels(&ap, b, out, n, acc);
+    for p0 in (0..k).step_by(NN_KP) {
+        let kp = NN_KP.min(k - p0);
+        // The tile sees the rest of `b` so it can prefetch the next panel.
+        let brest = &b[p0 * n..];
+        for t in 0..tiles {
+            let (r0, mt) = tile(t);
+            let app = &ap[r0 * k + p0 * mt..r0 * k + (p0 + kp) * mt];
+            let out_t = &mut out[r0 * n..(r0 + mt) * n];
+            nn_panel_of(mt)(app, brest, out_t, n, acc || p0 > 0);
+        }
+    }
     workspace::recycle(ap);
 }
 
-/// An `M`-row NN product, one [`NN_KP`]-row panel of `b` after the other.
-/// Within a panel every column strip is one register tile; `out` carries
-/// the partial sums from panel to panel (an exact `f32` round trip, so the
-/// chain of each element is still one in-order run over `k`).
-fn nn_panels<const M: usize>(ap: &[f32], b: &[f32], out: &mut [f32], n: usize, acc: bool) {
-    let k = ap.len() / M;
-    for p0 in (0..k).step_by(NN_KP) {
-        let kp = NN_KP.min(k - p0);
-        let app = &ap[p0 * M..(p0 + kp) * M];
-        // The tile sees the rest of `b` so it can prefetch the next panel.
-        let brest = &b[p0 * n..];
-        for j0 in (0..n).step_by(NN_W) {
-            nn_tile::<M>(app, brest, out, n, j0, NN_W.min(n - j0), acc || p0 > 0);
-        }
+/// [`nn_panel`] for a tile of `mt` rows.
+fn nn_panel_of(mt: usize) -> fn(&[f32], &[f32], &mut [f32], usize, bool) {
+    match mt {
+        1 => nn_panel::<1>,
+        2 => nn_panel::<2>,
+        3 => nn_panel::<3>,
+        4 => nn_panel::<4>,
+        5 => nn_panel::<5>,
+        6 => nn_panel::<6>,
+        7 => nn_panel::<7>,
+        8 => nn_panel::<8>,
+        9 => nn_panel::<9>,
+        10 => nn_panel::<10>,
+        11 => nn_panel::<11>,
+        12 => nn_panel::<12>,
+        _ => unreachable!("gemm_nn: a tile of {mt} rows is outside 1..=NN_M"),
+    }
+}
+
+/// An `M`-row tile against the `ap.len() / M` leading rows of `b`: every
+/// column strip is one register tile.
+fn nn_panel<const M: usize>(ap: &[f32], b: &[f32], out: &mut [f32], n: usize, seeded: bool) {
+    for j0 in (0..n).step_by(NN_W) {
+        nn_tile::<M>(ap, b, out, n, j0, NN_W.min(n - j0), seeded);
     }
 }
 
@@ -228,12 +256,16 @@ fn nn_tile<const M: usize>(
     }
 }
 
-/// `out (m,n) (+)= a (m,k) · bᵀ` with `b` stored `(n,k)`, for
+/// `out (m,n) (+)= a (m,k) · bᵀ` with `b` stored `(n,k)`, meant for
 /// `1 <= m <= SKINNY_NT_M`.
 ///
-/// `a` is transposed into one `k·LANES` workspace buffer
-/// (`at[p*LANES + i] = a[i*k + p]`, lanes past `m` zero); lane `i` of
-/// every accumulator is output row `i`, pad lanes are never stored.
+/// The rows are cut into blocks of [`LANES`]. Each block of `a` is
+/// transposed into `k·LANES` elements of one workspace buffer
+/// (`at[(blk*k + p)*LANES + i] = a[(blk*LANES + i)*k + p]`, lanes past the
+/// block's rows zero); lane `i` of every accumulator is output row `i` of
+/// the block, pad lanes are never stored. Every block multiplies a strip
+/// of [`NT_COLS`] stored rows of `b` before the next strip is touched, so
+/// `b` comes from memory once however many blocks share it.
 pub(super) fn gemm_nt(
     a: &[f32],
     b: &[f32],
@@ -243,17 +275,24 @@ pub(super) fn gemm_nt(
     n: usize,
     acc: bool,
 ) {
-    let mut at = workspace::take_uninit(k * LANES);
-    if m < LANES {
-        at.fill(0.0);
+    let blocks = m.div_ceil(LANES);
+    let mut at = workspace::take_uninit(blocks * k * LANES);
+    if !m.is_multiple_of(LANES) {
+        at[(blocks - 1) * k * LANES..].fill(0.0);
     }
     for (i, arow) in a.chunks_exact(k).enumerate() {
+        let atb = &mut at[i / LANES * k * LANES..];
         for (p, &v) in arow.iter().enumerate() {
-            at[p * LANES + i] = v;
+            atb[p * LANES + i % LANES] = v;
         }
     }
     for j0 in (0..n).step_by(NT_COLS) {
-        nt_strip(&at, b, out, m, k, n, j0, NT_COLS.min(n - j0), acc);
+        let jw = NT_COLS.min(n - j0);
+        for (blk, atb) in at.chunks_exact(k * LANES).enumerate() {
+            let r0 = blk * LANES;
+            let rows = LANES.min(m - r0);
+            nt_strip(atb, b, &mut out[r0 * n..], rows, k, n, j0, jw, acc);
+        }
     }
     workspace::recycle(at);
 }
@@ -355,7 +394,7 @@ fn nt_k_loop(
 }
 
 /// `out (m,n) (+)= aᵀ · b` with `a` stored `(k,m)`, `b` stored `(k,n)`,
-/// for `1 <= k <= SKINNY_K` — the rank-`k` update. Nothing is packed and
+/// meant for `1 <= k <= SKINNY_K` — the rank-`k` update. Nothing is packed and
 /// no buffer is taken: `out` is read (when accumulating) and written once,
 /// tile by tile.
 pub(super) fn gemm_tn(

@@ -294,6 +294,34 @@ impl Tensor {
         Tensor::new(&dims, data)
     }
 
+    /// Splits the tensor into `parts` equal tensors along axis 0 — the
+    /// inverse of [`Tensor::concat0`] over equal shapes.
+    ///
+    /// # Panics
+    /// Panics if axis 0 does not divide into `parts`.
+    pub fn into_split0(self, parts: usize) -> Vec<Tensor> {
+        assert!(self.ndim() >= 1, "into_split0 requires rank >= 1");
+        let n0 = self.shape()[0];
+        assert!(
+            parts >= 1 && n0.is_multiple_of(parts),
+            "axis 0 of size {n0} does not split into {parts} equal parts"
+        );
+        if parts == 1 {
+            return vec![self];
+        }
+        let mut dims = self.shape().to_vec();
+        dims[0] = n0 / parts;
+        let len = self.len() / parts;
+        (0..parts)
+            .map(|i| {
+                Tensor::new(
+                    &dims,
+                    workspace::take_copy(&self.data[i * len..(i + 1) * len]),
+                )
+            })
+            .collect()
+    }
+
     /// Gathers rows (axis-0 slices) at the given indices into a new tensor.
     pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
         assert!(self.ndim() >= 1);
@@ -404,9 +432,18 @@ mod tests {
         let b = Tensor::full(&[2, 2], 9.0);
         let s = Tensor::stack(&[a.clone(), b.clone()]);
         assert_eq!(s.shape(), &[2, 2, 2]);
-        let c = Tensor::concat0(&[a, b]);
+        let c = Tensor::concat0(&[a.clone(), b.clone()]);
         assert_eq!(c.shape(), &[4, 2]);
         assert_eq!(c.row(3), &[9.0, 9.0]);
+        // Splitting undoes it; one part is the tensor itself.
+        assert_eq!(c.clone().into_split0(2), vec![a, b]);
+        assert_eq!(c.clone().into_split0(1), vec![c]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not split into 2 equal parts")]
+    fn split0_rejects_uneven_parts() {
+        Tensor::zeros(&[3, 2]).into_split0(2);
     }
 
     #[test]

@@ -110,8 +110,10 @@ proptest! {
 // ---------------------------------------------------------------------
 // The no-pack (skinny) kernels behind `gemm()`: NN with `m <= SKINNY_M`,
 // NT with `m <= SKINNY_NT_M`, TN with `k <= SKINNY_K`. Every case below
-// walks the selecting dimension across its bound, so both the no-pack
-// kernel and the packed kernel just past it are held to the same bits.
+// walks the selecting dimension from 1 across its bound — through every
+// count of register tiles (NN: 12 rows each, NT: one lane block each) the
+// no-pack kernels loop over — so they and the packed kernel just past
+// them are held to the same bits.
 // ---------------------------------------------------------------------
 
 use md_tensor::ops::gemm::{SKINNY_K, SKINNY_M, SKINNY_NT_M};
@@ -255,10 +257,12 @@ fn skinny_shapes_propagate_non_finite_operands() {
 #[test]
 fn skinny_shapes_are_bitwise_identical_across_thread_counts() {
     // The paper's first discriminator layer and its two backward layouts at
-    // b = 10, and the same just past each bound (the packed kernel, above
-    // the parallel gate for NT/TN): one set of bits at every pool width.
+    // b = 10, at three stacked b = 10 batches (two or three register tiles
+    // of the no-pack kernels, which stay serial above the parallel gate),
+    // and just past each bound (the packed kernel, split over the pool):
+    // one set of bits at every pool width.
     for layout in LAYOUTS {
-        for sel in [10, *selecting_range(layout).end()] {
+        for sel in [10, 30, *selecting_range(layout).end()] {
             let (m, k, n) = place(layout, sel, 784, 512);
             let (a, b) = operands(layout, m, k, n, 77);
             let reference = naive_gemm(layout, &a, &b, m, k, n);
