@@ -32,7 +32,6 @@ use crate::mdgan::server::MdServer;
 use crate::mdgan::trainer::{build_parts, swap_permutation};
 use crate::mdgan::worker::MdWorker;
 use md_data::Dataset;
-use md_nn::layer::Layer;
 use md_nn::param::{batch_bytes, param_bytes};
 use md_simnet::{ChurnKind, ChurnPlan, FaultState, Membership, TrafficReport, TrafficStats};
 use md_telemetry::{Event, Phase, Recorder, SpanKind, TraceCtx, Track};
@@ -594,9 +593,8 @@ impl AsyncMdGan {
         let upd_span = self
             .telemetry
             .span_at(Phase::GUpdate, Track::Server, rctx, self.updates);
-        self.server.gen.net.zero_grad();
         let _ = self.server.gen.generate(&fl.zg, &fl.xg_labels, true);
-        self.server.gen.backward(&feedback.scale(scale));
+        self.server.gen.backward_first(&feedback.scale(scale));
         self.server.apply_external_step();
         drop(upd_span);
         self.version += 1;

@@ -3,7 +3,6 @@
 use crate::arch::ArchSpec;
 use crate::config::GanHyper;
 use md_nn::gan::Generator;
-use md_nn::layer::Layer;
 use md_nn::optim::{Adam, AdamState};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -135,8 +134,7 @@ impl MdServer {
     /// One backward pass over the stack [`MdServer::generate_batches`] left
     /// in the generator, then one Adam update.
     fn step_on(&mut self, grad: &Tensor) {
-        self.gen.net.zero_grad();
-        self.gen.backward(grad);
+        self.gen.backward_first(grad);
         self.clip_and_step();
     }
 
@@ -249,6 +247,7 @@ impl MdServer {
 mod tests {
     use super::*;
     use crate::byzantine::Aggregation;
+    use md_nn::layer::Layer;
     use md_tensor::parallel::scoped_max_threads;
 
     fn server() -> MdServer {

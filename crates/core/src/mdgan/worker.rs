@@ -3,8 +3,7 @@
 use crate::arch::ArchSpec;
 use crate::config::GanHyper;
 use md_data::{BatchSampler, Dataset};
-use md_nn::gan::{disc_loss_fake, disc_loss_real, gen_loss, Discriminator};
-use md_nn::layer::Layer;
+use md_nn::gan::{gen_loss, Discriminator};
 use md_nn::optim::{Adam, AdamState};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -73,29 +72,21 @@ impl MdWorker {
         let (x_real, y_real) = self.sampler.sample(&self.shard, b);
 
         for _ in 0..self.hyper.disc_steps.max(1) {
-            // Nobody reads ∂L/∂image of a training batch: parameter
-            // gradients only. They accumulate into buffers that are
-            // all-zero on entry (construction, and the sweep below).
-            let logits_r = self.disc.forward(&x_real, true);
-            let (_, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
-            self.disc.backward_params(&gr);
-            let logits_f = self.disc.forward(xd, true);
-            let (_, gf) = disc_loss_fake(&logits_f, xd_labels, classes, aux);
-            self.disc.backward_params(&gf);
+            // Nobody reads ∂L/∂image of a training batch: one pass over
+            // (X_r; X_d) that writes the parameter gradients over the last
+            // step's, so no sweep brackets it.
+            self.disc.learn_step(&x_real, &y_real, xd, xd_labels, aux);
             if self.hyper.clip_grad_norm > 0.0 {
                 self.disc
                     .net
                     .clip_grad_norm_per_layer(self.hyper.clip_grad_norm);
             }
             self.opt_d.step(&mut self.disc.net);
-            // The one gradient sweep of the step: nothing below writes a
-            // parameter gradient, so none outlives the iteration.
-            self.disc.net.zero_grad();
         }
 
         // F_n <- ∂B̃(X_g)/∂x: backprop the generator objective through D_n
         // down to the *input images*. The worker does not train on X_g, so
-        // no parameter gradient is computed.
+        // no parameter gradient is computed or touched.
         let logits_g = self.disc.forward(xg, true);
         let (_, glogits) = gen_loss(&logits_g, xg_labels, classes, aux, self.hyper.gen_loss);
         self.disc.backward_input(&glogits)
@@ -173,6 +164,8 @@ impl MdWorker {
 mod tests {
     use super::*;
     use md_data::synthetic::mnist_like;
+    use md_nn::gan::{disc_loss_fake, disc_loss_real};
+    use md_nn::layer::Layer;
 
     fn worker() -> MdWorker {
         let shard = mnist_like(12, 64, 1, 0.08);
@@ -225,13 +218,22 @@ mod tests {
     }
 
     #[test]
-    fn feedback_leaves_no_residual_gradients() {
-        let mut w = worker();
+    fn feedback_leaves_the_step_gradient_as_the_d_step_left_it() {
+        let (mut w, mut reference) = (worker(), TwoPassWorker::new(worker()));
         let mut rng = Rng64::seed_from_u64(5);
         let (xd, yd) = fake_batch(6, &mut rng);
         let (xg, yg) = fake_batch(6, &mut rng);
         w.process(&xd, &yd, &xg, &yg);
-        assert!(w.disc.net.get_grads_flat().iter().all(|&g| g == 0.0));
+        reference.process(&xd, &yd, &xg, &yg);
+        // The buffers hold the D step's gradient, which the feedback pass of
+        // `process` did not touch...
+        let step_grads = bits(&w.disc.net.get_grads_flat());
+        assert_eq!(step_grads, bits(&reference.step_grads));
+        assert!(reference.step_grads.iter().any(|&g| g != 0.0));
+        // ... and neither does one more feedback pass.
+        let live = w.disc_params();
+        w.stale_feedback(&live, &xg, &yg);
+        assert_eq!(bits(&w.disc.net.get_grads_flat()), step_grads);
     }
 
     #[test]
@@ -275,9 +277,10 @@ mod tests {
         assert_eq!(f_stale.shape(), &[6, 1, 12, 12]);
         assert!(f_stale.all_finite());
         // The frozen snapshot answers differently than the live model.
+        let step_grads = bits(&w.disc.net.get_grads_flat());
         let f_live = w.stale_feedback(&live, &xg, &yg);
         assert_ne!(f_stale.data(), f_live.data());
-        assert!(w.disc.net.get_grads_flat().iter().all(|&g| g == 0.0));
+        assert_eq!(bits(&w.disc.net.get_grads_flat()), step_grads);
     }
 
     /// The worker as it was before the backward pass became demand-driven:
@@ -331,8 +334,104 @@ mod tests {
         }
     }
 
+    /// The worker as it was before the stacked, write-once D step: `X_r`
+    /// and `X_d` go through `D_n` one after the other, both accumulating
+    /// into gradients that are all-zero on entry because a sweep follows
+    /// every Adam update.
+    struct TwoPassWorker {
+        inner: MdWorker,
+        /// The gradient the last D step handed to Adam (after clipping).
+        step_grads: Vec<f32>,
+    }
+
+    impl TwoPassWorker {
+        fn new(inner: MdWorker) -> Self {
+            TwoPassWorker {
+                inner,
+                step_grads: Vec::new(),
+            }
+        }
+
+        fn process(&mut self, xd: &Tensor, yd: &[usize], xg: &Tensor, yg: &[usize]) -> Tensor {
+            let w = &mut self.inner;
+            let (classes, aux) = (w.disc.num_classes, w.hyper.aux_weight);
+            let (x_real, y_real) = w.sampler.sample(&w.shard, w.hyper.batch);
+            for _ in 0..w.hyper.disc_steps.max(1) {
+                let logits_r = w.disc.forward(&x_real, true);
+                w.disc
+                    .backward_params(&disc_loss_real(&logits_r, &y_real, classes, aux).1);
+                let logits_f = w.disc.forward(xd, true);
+                w.disc
+                    .backward_params(&disc_loss_fake(&logits_f, yd, classes, aux).1);
+                if w.hyper.clip_grad_norm > 0.0 {
+                    w.disc.net.clip_grad_norm_per_layer(w.hyper.clip_grad_norm);
+                }
+                w.opt_d.step(&mut w.disc.net);
+                self.step_grads = w.disc.net.get_grads_flat();
+                w.disc.net.zero_grad();
+            }
+            let logits = w.disc.forward(xg, true);
+            let (_, glogits) = gen_loss(&logits, yg, classes, aux, w.hyper.gen_loss);
+            w.disc.backward_input(&glogits)
+        }
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn stacked_write_once_worker_matches_two_pass_worker_bit_for_bit() {
+        let hyper = GanHyper {
+            batch: 6,
+            disc_steps: 2,
+            clip_grad_norm: 0.5,
+            ..GanHyper::default()
+        };
+        for spec in [
+            ArchSpec::mlp_mnist_scaled(12),
+            ArchSpec::cnn_mnist_scaled(16),
+        ] {
+            // A 3-image shard samples short: |X_r| = 3 against |X_d| = 6,
+            // the one case the D step cannot stack.
+            for shard_len in [64, 3] {
+                let build = || {
+                    let shard = mnist_like(spec.img, shard_len, 1, 0.08);
+                    MdWorker::new(1, &spec, shard, hyper, &mut Rng64::seed_from_u64(2))
+                };
+                let (mut w, mut reference) = (build(), TwoPassWorker::new(build()));
+                let snapshot = w.disc_params();
+                let mut rng = Rng64::seed_from_u64(3);
+                let mut batch = || {
+                    (
+                        Tensor::randn(&[6, 1, spec.img, spec.img], &mut rng).clamp(-1.0, 1.0),
+                        (0..6).map(|i| i % 10).collect::<Vec<usize>>(),
+                    )
+                };
+                for iter in 0..5 {
+                    let at = format!("iteration {iter}, shard of {shard_len}");
+                    let ((xd, yd), (xg, yg)) = (batch(), batch());
+                    let f = w.process(&xd, &yd, &xg, &yg);
+                    let f_ref = reference.process(&xd, &yd, &xg, &yg);
+                    assert_eq!(bits(f.data()), bits(f_ref.data()), "F_n at {at}");
+                    assert_eq!(
+                        bits(&w.disc_params()),
+                        bits(&reference.inner.disc_params()),
+                        "θ_n after {at}"
+                    );
+                    assert_eq!(
+                        bits(&w.disc.net.get_grads_flat()),
+                        bits(&reference.step_grads),
+                        "step gradient after {at}"
+                    );
+
+                    let s = w.stale_feedback(&snapshot, &xg, &yg);
+                    let s_ref = reference.inner.stale_feedback(&snapshot, &xg, &yg);
+                    assert_eq!(bits(s.data()), bits(s_ref.data()), "stale F_n at {at}");
+                    assert_eq!(bits(&w.disc_params()), bits(&reference.inner.disc_params()));
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::config::GanHyper;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
 use md_data::{BatchSampler, Dataset};
-use md_nn::gan::{disc_loss_fake, disc_loss_real, gen_loss, Discriminator, Generator};
+use md_nn::gan::{gen_loss, Discriminator, Generator};
 use md_nn::layer::Layer;
 use md_nn::optim::{Adam, AdamState};
 use md_telemetry::{Event, Phase, Recorder, Track};
@@ -107,13 +107,9 @@ impl StandaloneGan {
 
         let mut disc_loss_acc = 0.0;
         for _ in 0..self.hyper.disc_steps.max(1) {
-            self.disc.net.zero_grad();
-            let logits_r = self.disc.forward(&x_real, true);
-            let (lr, gr) = disc_loss_real(&logits_r, &y_real, classes, aux);
-            self.disc.backward_params(&gr);
-            let logits_f = self.disc.forward(&x_fake, true);
-            let (lf, gf) = disc_loss_fake(&logits_f, &y_fake, classes, aux);
-            self.disc.backward_params(&gf);
+            let (lr, lf) = self
+                .disc
+                .learn_step(&x_real, &y_real, &x_fake, &y_fake, aux);
             if self.hyper.clip_grad_norm > 0.0 {
                 self.disc
                     .net
@@ -130,8 +126,7 @@ impl StandaloneGan {
         let (lg, glogits) = gen_loss(&logits_f, &y_fake, classes, aux, self.hyper.gen_loss);
         // D is not trained on this pass: image gradients only.
         let grad_images = self.disc.backward_input(&glogits);
-        self.gen.net.zero_grad();
-        self.gen.backward(&grad_images);
+        self.gen.backward_first(&grad_images);
         if self.hyper.clip_grad_norm > 0.0 {
             self.gen
                 .net

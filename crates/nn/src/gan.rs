@@ -21,7 +21,7 @@
 //! *logits*) is what a worker backpropagates through its discriminator to
 //! produce the error feedback `F_n = ∂B̃/∂x` of Algorithm 1, line 9.
 
-use crate::layer::Layer;
+use crate::layer::{Layer, Need};
 use crate::layers::sigmoid;
 use crate::layers::Sequential;
 use crate::loss::softmax_cross_entropy;
@@ -132,6 +132,13 @@ impl Generator {
     pub fn backward(&mut self, grad_data: &Tensor) {
         self.net.backward_params(grad_data);
     }
+
+    /// [`Generator::backward`] as the first gradient call of a step: the
+    /// parameter gradients are written, not added to
+    /// ([`Layer::backprop_first`]).
+    pub fn backward_first(&mut self, grad_data: &Tensor) {
+        self.net.backprop_first(grad_data, Need::Params);
+    }
 }
 
 /// A (possibly auxiliary-classifying) discriminator.
@@ -182,6 +189,46 @@ impl Discriminator {
     /// gradient nobody reads (`X_r`, `X_d`).
     pub fn backward_params(&mut self, grad_logits: &Tensor) {
         self.net.backward_params(grad_logits);
+    }
+
+    /// The gradient of one discriminator learning step (Algorithm 1 lines
+    /// 5–8, before clipping and the optimizer): leaves
+    /// `∂(disc_loss_real(x_real) + disc_loss_fake(x_fake))/∂θ` in the
+    /// parameter gradients, **overwriting** them, and returns the two
+    /// losses `(real, fake)`.
+    ///
+    /// Batches of one shape run as a single pass over the stack
+    /// `(x_real; x_fake)` — one forward, the two losses on the two halves
+    /// of the logits, one gradient call. That is bit for bit the two passes
+    /// one after the other (see [`Layer::forward_stacked`]), which is what
+    /// runs when the shapes differ (a shard smaller than the batch size
+    /// samples short).
+    pub fn learn_step(
+        &mut self,
+        x_real: &Tensor,
+        y_real: &[usize],
+        x_fake: &Tensor,
+        y_fake: &[usize],
+        aux_weight: f32,
+    ) -> (f32, f32) {
+        let classes = self.num_classes;
+        if x_real.shape() == x_fake.shape() {
+            let stack = Tensor::concat0(&[x_real, x_fake]);
+            let logits = self.net.forward_stacked(&stack, 2, true).into_split0(2);
+            let (loss_r, grad_r) = disc_loss_real(&logits[0], y_real, classes, aux_weight);
+            let (loss_f, grad_f) = disc_loss_fake(&logits[1], y_fake, classes, aux_weight);
+            let grad = Tensor::concat0(&[grad_r, grad_f]);
+            self.net.backprop_first(&grad, Need::Params);
+            (loss_r, loss_f)
+        } else {
+            let logits = self.forward(x_real, true);
+            let (loss_r, grad_r) = disc_loss_real(&logits, y_real, classes, aux_weight);
+            self.net.backprop_first(&grad_r, Need::Params);
+            let logits = self.forward(x_fake, true);
+            let (loss_f, grad_f) = disc_loss_fake(&logits, y_fake, classes, aux_weight);
+            self.net.backprop(&grad_f, Need::Params);
+            (loss_r, loss_f)
+        }
     }
 }
 

@@ -22,6 +22,15 @@ use md_tensor::Tensor;
 ///   Whatever a need computes is bit-for-bit what `Need::All` computes for
 ///   it. [`Layer::backward`], [`Layer::backward_input`] and
 ///   [`Layer::backward_params`] are the three needs spelled as calls.
+/// * [`Layer::backprop_first`] is the first gradient call of a training
+///   step: bit for bit `zero_grad()` then `backprop`, but the parameter
+///   gradients are written, not swept and added to.
+/// * A forward's cache belongs to the gradient calls that follow it until
+///   [`Layer::release_cache`] hands it back to the workspace; a container
+///   releases each child as soon as its own gradient call has walked it, so
+///   one gradient call through a [`Sequential`](crate::Sequential) consumes
+///   the forward's cache and a second one panics with "before forward". A
+///   bare layer keeps its cache across gradient calls.
 /// * `train` distinguishes training-mode statistics (BatchNorm, Dropout)
 ///   from inference mode.
 /// * [`Layer::forward_stacked`] is the layer's one forward implementation.
@@ -56,6 +65,24 @@ pub trait Layer: Send {
     /// return value is `Some(∂L/∂input)` iff `need.input()`, and parameter
     /// gradients are accumulated iff `need.params()`.
     fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor>;
+
+    /// [`Layer::backprop`] as the first gradient call of a step: what
+    /// `need.params()` accumulates is **written** over whatever the
+    /// gradients held — bit for bit `zero_grad()` followed by `backprop`,
+    /// without the sweep and without reading the old gradient.
+    /// [`Need::Input`] leaves the gradients alone, as it does in `backprop`.
+    /// Parameter-free layers keep this default.
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        if need.params() {
+            self.zero_grad();
+        }
+        self.backprop(grad_out, need)
+    }
+
+    /// Hands the activations the last forward cached back to the workspace;
+    /// a gradient call after this panics like one before any forward.
+    /// Layers that cache no tensor keep the empty default.
+    fn release_cache(&mut self) {}
 
     /// Propagates `∂L/∂output` to `∂L/∂input`, accumulating parameter grads
     /// ([`Need::All`]).

@@ -61,6 +61,10 @@ impl Layer for Relu {
         Some(g)
     }
 
+    fn release_cache(&mut self) {
+        self.cached_input = None;
+    }
+
     no_params!();
 
     fn name(&self) -> String {
@@ -109,6 +113,10 @@ impl Layer for LeakyRelu {
             }
         }
         Some(g)
+    }
+
+    fn release_cache(&mut self) {
+        self.cached_input = None;
     }
 
     no_params!();
@@ -165,6 +173,10 @@ impl Layer for Tanh {
         Some(g)
     }
 
+    fn release_cache(&mut self) {
+        self.cached_output = None;
+    }
+
     no_params!();
 
     fn name(&self) -> String {
@@ -219,6 +231,10 @@ impl Layer for Sigmoid {
             *gv *= yv * (1.0 - yv);
         }
         Some(g)
+    }
+
+    fn release_cache(&mut self) {
+        self.cached_output = None;
     }
 
     no_params!();

@@ -93,6 +93,75 @@ impl BatchNorm {
             }
         }
     }
+
+    /// The one gradient body: `acc` adds the parameter gradients to what
+    /// the buffers hold, `!acc` adds them to zero.
+    fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("BatchNorm::backward before forward");
+        assert_eq!(
+            grad_out.shape(),
+            &cache.input_shape[..],
+            "BatchNorm grad shape mismatch"
+        );
+        let hw = if cache.input_shape.len() == 4 {
+            cache.input_shape[2] * cache.input_shape[3]
+        } else {
+            1
+        };
+        let b = cache.input_shape[0] / cache.groups;
+        let c_total = self.features;
+        let m = (b * hw) as f32;
+        // Every element is written below.
+        let mut gx = need.input().then(|| workspace::take_uninit(grad_out.len()));
+        let dy = grad_out.data();
+        let xh = cache.xhat.data();
+        if need.params() && !acc {
+            // `features` values each: filled, then accumulated group by
+            // group below, so a sum of -0.0 lands as it does after a sweep.
+            self.grad_gamma.fill(0.0);
+            self.grad_beta.fill(0.0);
+        }
+
+        for g in 0..cache.groups {
+            let batch = g * b..(g + 1) * b;
+            for c in 0..c_total {
+                let ga = self.gamma.data()[c];
+                let inv_std = cache.inv_std[g * c_total + c];
+
+                // The two sums are the parameter gradients and, in training
+                // mode, also terms of dx; eval-mode dx alone needs neither.
+                let mut sum_dy = 0.0f32;
+                let mut sum_dy_xhat = 0.0f32;
+                if need.params() || cache.train {
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        sum_dy += dy[i];
+                        sum_dy_xhat += dy[i] * xh[i];
+                    });
+                }
+                if need.params() {
+                    self.grad_gamma.data_mut()[c] += sum_dy_xhat;
+                    self.grad_beta.data_mut()[c] += sum_dy;
+                }
+
+                let Some(gxd) = &mut gx else { continue };
+                if cache.train {
+                    // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        gxd[i] = (ga * inv_std / m) * (m * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
+                    });
+                } else {
+                    // Eval mode: running stats are constants.
+                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
+                        gxd[i] = ga * inv_std * dy[i];
+                    });
+                }
+            }
+        }
+        gx.map(|gx| Tensor::new(grad_out.shape(), gx))
+    }
 }
 
 impl Layer for BatchNorm {
@@ -156,64 +225,15 @@ impl Layer for BatchNorm {
     }
 
     fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("BatchNorm::backward before forward");
-        assert_eq!(
-            grad_out.shape(),
-            &cache.input_shape[..],
-            "BatchNorm grad shape mismatch"
-        );
-        let hw = if cache.input_shape.len() == 4 {
-            cache.input_shape[2] * cache.input_shape[3]
-        } else {
-            1
-        };
-        let b = cache.input_shape[0] / cache.groups;
-        let c_total = self.features;
-        let m = (b * hw) as f32;
-        // Every element is written below.
-        let mut gx = need.input().then(|| workspace::take_uninit(grad_out.len()));
-        let dy = grad_out.data();
-        let xh = cache.xhat.data();
+        self.gradient(grad_out, need, true)
+    }
 
-        for g in 0..cache.groups {
-            let batch = g * b..(g + 1) * b;
-            for c in 0..c_total {
-                let ga = self.gamma.data()[c];
-                let inv_std = cache.inv_std[g * c_total + c];
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, false)
+    }
 
-                // The two sums are the parameter gradients and, in training
-                // mode, also terms of dx; eval-mode dx alone needs neither.
-                let mut sum_dy = 0.0f32;
-                let mut sum_dy_xhat = 0.0f32;
-                if need.params() || cache.train {
-                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
-                        sum_dy += dy[i];
-                        sum_dy_xhat += dy[i] * xh[i];
-                    });
-                }
-                if need.params() {
-                    self.grad_gamma.data_mut()[c] += sum_dy_xhat;
-                    self.grad_beta.data_mut()[c] += sum_dy;
-                }
-
-                let Some(gxd) = &mut gx else { continue };
-                if cache.train {
-                    // dx = (gamma * inv_std / m) * (m*dy - sum_dy - xhat * sum_dy_xhat)
-                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
-                        gxd[i] = (ga * inv_std / m) * (m * dy[i] - sum_dy - xh[i] * sum_dy_xhat);
-                    });
-                } else {
-                    // Eval mode: running stats are constants.
-                    Self::for_channel(batch.clone(), c_total, hw, c, |i| {
-                        gxd[i] = ga * inv_std * dy[i];
-                    });
-                }
-            }
-        }
-        gx.map(|gx| Tensor::new(grad_out.shape(), gx))
+    fn release_cache(&mut self) {
+        self.cache = None;
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -3,7 +3,7 @@
 use crate::init::{conv_fans, Init};
 use crate::layer::{Layer, Need};
 use md_tensor::ops::conv::{
-    conv2d_backward_need, conv2d_forward, conv_out_dim, conv_transpose2d_backward_need,
+    conv2d_backward_into, conv2d_forward, conv_out_dim, conv_transpose2d_backward_into,
     conv_transpose2d_forward, conv_transpose_out_dim,
 };
 use md_tensor::rng::Rng64;
@@ -56,37 +56,50 @@ impl Conv2d {
             conv_out_dim(w, self.kernel, self.stride, self.pad),
         )
     }
-}
 
-impl Layer for Conv2d {
-    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 4, "Conv2d expects (B,C,H,W)");
-        assert_eq!(x.shape()[1], self.in_c, "Conv2d channel mismatch");
-        // clone_from reuses the cached buffer across steps (zero-alloc warm path).
-        match &mut self.cached_input {
-            Some(c) => c.clone_from(x),
-            None => self.cached_input = Some(x.clone()),
-        }
-        conv2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
-    }
-
-    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+    /// The one gradient body: `acc` adds the parameter gradients to what
+    /// the buffers hold, `!acc` writes them.
+    fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
             .expect("Conv2d::backward before forward");
-        // Accumulates straight into the layer's gradient tensors — no
-        // per-step gradient allocation or extra add pass.
-        conv2d_backward_need(
+        // Straight into the layer's gradient tensors — no per-step gradient
+        // allocation or extra add pass.
+        conv2d_backward_into(
             x,
             &self.weight,
             grad_out,
             self.stride,
             self.pad,
             need,
+            acc,
             &mut self.grad_weight,
             &mut self.grad_bias,
         )
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
+        assert_eq!(x.ndim(), 4, "Conv2d expects (B,C,H,W)");
+        assert_eq!(x.shape()[1], self.in_c, "Conv2d channel mismatch");
+        // Cloned into a shelf buffer (a hit once warm), which goes back to
+        // the shelf when the cache is released.
+        self.cached_input = Some(x.clone());
+        conv2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
+    }
+
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, true)
+    }
+
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, false)
+    }
+
+    fn release_cache(&mut self) {
+        self.cached_input = None;
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -176,35 +189,48 @@ impl ConvTranspose2d {
             conv_transpose_out_dim(w, self.kernel, self.stride, self.pad),
         )
     }
-}
 
-impl Layer for ConvTranspose2d {
-    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 4, "ConvTranspose2d expects (B,C,H,W)");
-        assert_eq!(x.shape()[1], self.in_c, "ConvTranspose2d channel mismatch");
-        // clone_from reuses the cached buffer across steps (zero-alloc warm path).
-        match &mut self.cached_input {
-            Some(c) => c.clone_from(x),
-            None => self.cached_input = Some(x.clone()),
-        }
-        conv_transpose2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
-    }
-
-    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+    /// The one gradient body: `acc` adds the parameter gradients to what
+    /// the buffers hold, `!acc` writes them.
+    fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
             .expect("ConvTranspose2d::backward before forward");
-        conv_transpose2d_backward_need(
+        conv_transpose2d_backward_into(
             x,
             &self.weight,
             grad_out,
             self.stride,
             self.pad,
             need,
+            acc,
             &mut self.grad_weight,
             &mut self.grad_bias,
         )
+    }
+}
+
+impl Layer for ConvTranspose2d {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
+        assert_eq!(x.ndim(), 4, "ConvTranspose2d expects (B,C,H,W)");
+        assert_eq!(x.shape()[1], self.in_c, "ConvTranspose2d channel mismatch");
+        // Cloned into a shelf buffer (a hit once warm), which goes back to
+        // the shelf when the cache is released.
+        self.cached_input = Some(x.clone());
+        conv_transpose2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
+    }
+
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, true)
+    }
+
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, false)
+    }
+
+    fn release_cache(&mut self) {
+        self.cached_input = None;
     }
 
     fn params(&self) -> Vec<&Tensor> {

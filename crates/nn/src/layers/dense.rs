@@ -2,7 +2,7 @@
 
 use crate::init::Init;
 use crate::layer::{Layer, Need};
-use md_tensor::ops::matmul::matmul_tn_acc_into;
+use md_tensor::ops::matmul::{matmul_tn_acc_into, matmul_tn_into};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 
@@ -41,28 +41,10 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
-}
 
-impl Layer for Dense {
-    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
-        assert_eq!(x.ndim(), 2, "Dense expects (B, in), got {:?}", x.shape());
-        assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
-        let mut y = x.matmul(&self.weight);
-        for row in y.data_mut().chunks_exact_mut(self.out_features) {
-            for (v, &b) in row.iter_mut().zip(self.bias.data()) {
-                *v += b;
-            }
-        }
-        // clone_from reuses the cached buffer across steps (zero-alloc warm
-        // path) instead of round-tripping a fresh tensor per iteration.
-        match &mut self.cached_input {
-            Some(c) => c.clone_from(x),
-            None => self.cached_input = Some(x.clone()),
-        }
-        y
-    }
-
-    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+    /// The one gradient body: `acc` adds the parameter gradients to what
+    /// the buffers hold, `!acc` writes them.
+    fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
@@ -74,10 +56,19 @@ impl Layer for Dense {
             "Dense grad shape mismatch"
         );
         if need.params() {
-            // dW += x^T · dy, straight into the gradient tensor (no
-            // temporary); db += sum_batch dy, accumulated row by row for
-            // the same reason.
-            matmul_tn_acc_into(
+            // dW (+)= x^T · dy, straight into the gradient tensor (no
+            // temporary): one in-order chain per element, seeded with the
+            // old gradient or with 0.0. db (+)= sum_batch dy, accumulated
+            // row by row for the same reason.
+            let tn = if acc {
+                matmul_tn_acc_into
+            } else {
+                matmul_tn_into
+            };
+            if !acc {
+                self.grad_bias.fill(0.0);
+            }
+            tn(
                 x.data(),
                 grad_out.data(),
                 self.grad_weight.data_mut(),
@@ -94,6 +85,35 @@ impl Layer for Dense {
         }
         // dx = dy · W^T.
         need.input().then(|| grad_out.matmul_nt(&self.weight))
+    }
+}
+
+impl Layer for Dense {
+    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
+        assert_eq!(x.ndim(), 2, "Dense expects (B, in), got {:?}", x.shape());
+        assert_eq!(x.shape()[1], self.in_features, "Dense input width mismatch");
+        let mut y = x.matmul(&self.weight);
+        for row in y.data_mut().chunks_exact_mut(self.out_features) {
+            for (v, &b) in row.iter_mut().zip(self.bias.data()) {
+                *v += b;
+            }
+        }
+        // Cloned into a shelf buffer (a hit once warm), which goes back to
+        // the shelf when the cache is released.
+        self.cached_input = Some(x.clone());
+        y
+    }
+
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, true)
+    }
+
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, false)
+    }
+
+    fn release_cache(&mut self) {
+        self.cached_input = None;
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -8,10 +8,13 @@
 //! Given input `x: (B, A)` and a learned tensor `T: (A, nb*nc)`, compute
 //! `M = x·T` reshaped to `(B, nb, nc)`. For each pair of samples `(i, j)`
 //! and each feature `f`, `c_ijf = exp(-||M_if - M_jf||_1)`. The layer output
-//! appends `o_if = Σ_{j≠i} c_ijf` to the input: `(B, A + nb)`.
+//! appends `o_if = Σ_{j≠i} c_ijf` to the input: `(B, A + nb)`. Batches
+//! stacked along axis 0 ([`Layer::forward_stacked`]) are kept apart: a row
+//! is compared with the rows of its own batch only.
 
 use crate::init::Init;
 use crate::layer::{Layer, Need};
+use md_tensor::ops::matmul::matmul_tn_into;
 use md_tensor::rng::Rng64;
 use md_tensor::workspace;
 use md_tensor::Tensor;
@@ -28,8 +31,9 @@ pub struct MinibatchDiscrimination {
 
 struct Cache {
     x: Tensor,
-    m: Tensor,   // (B, nb*nc)
-    c: Vec<f32>, // c[i*b*nb + j*nb + f]
+    m: Tensor,   // (groups*B, nb*nc)
+    c: Vec<f32>, // batch g, rows i and j of it: c[((g*b + i)*b + j)*nb + f]
+    groups: usize,
 }
 
 impl MinibatchDiscrimination {
@@ -49,124 +53,171 @@ impl MinibatchDiscrimination {
     pub fn out_features(&self) -> usize {
         self.in_features + self.nb
     }
+
+    /// The one gradient body: `acc` adds the parameter gradient to what the
+    /// buffer holds, `!acc` writes it.
+    fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
+        let cache = self
+            .cache
+            .as_ref()
+            .expect("MinibatchDiscrimination::backward before forward");
+        let rows = cache.x.shape()[0];
+        let b = rows / cache.groups;
+        let (a, nb, nc) = (self.in_features, self.nb, self.nc);
+        assert_eq!(
+            grad_out.shape(),
+            &[rows, a + nb],
+            "MinibatchDiscrimination grad shape mismatch"
+        );
+
+        // The similarity-feature half of the incoming gradient.
+        let mut go = vec![0.0f32; rows * nb];
+        for i in 0..rows {
+            go[i * nb..(i + 1) * nb].copy_from_slice(&grad_out.row(i)[a..]);
+        }
+
+        // dL/dM: for every unordered pair contribution, batch by batch.
+        let mut gm = workspace::take_zeroed(rows * nb * nc);
+        for g in 0..cache.groups {
+            let md = &cache.m.data()[g * b * nb * nc..(g + 1) * b * nb * nc];
+            let c = &cache.c[g * b * b * nb..(g + 1) * b * b * nb];
+            let go = &go[g * b * nb..(g + 1) * b * nb];
+            let gm = &mut gm[g * b * nb * nc..(g + 1) * b * nb * nc];
+            for i in 0..b {
+                for j in 0..b {
+                    if i == j {
+                        continue;
+                    }
+                    for f in 0..nb {
+                        let cv = c[(i * b + j) * nb + f];
+                        if cv == 0.0 {
+                            continue;
+                        }
+                        // dL/do_if and dL/do_jf both touch c_ijf; iterate
+                        // ordered pairs and attribute only the o_if term to
+                        // avoid double counting (the (j,i) iteration handles
+                        // o_jf).
+                        let w = go[i * nb + f] * cv;
+                        for cdim in 0..nc {
+                            let mi = md[i * nb * nc + f * nc + cdim];
+                            let mj = md[j * nb * nc + f * nc + cdim];
+                            let s = if mi > mj {
+                                1.0
+                            } else if mi < mj {
+                                -1.0
+                            } else {
+                                0.0
+                            };
+                            // d c_ijf / d M_i = -c * s ; d c_ijf / d M_j = +c * s
+                            gm[i * nb * nc + f * nc + cdim] -= w * s;
+                            gm[j * nb * nc + f * nc + cdim] += w * s;
+                        }
+                    }
+                }
+            }
+        }
+        let gm = Tensor::new(&[rows, nb * nc], gm);
+
+        // dL/dT (+)= x^T · gm, one zero-seeded product per batch added in
+        // batch order — what one accumulating call per batch computes, not
+        // one chain over all the rows. A zero-seeded product holds no -0.0,
+        // so the first may be written in place of being added to zeros.
+        if need.params() {
+            for g in 0..cache.groups {
+                let xg = &cache.x.data()[g * b * a..(g + 1) * b * a];
+                let gmg = &gm.data()[g * b * nb * nc..(g + 1) * b * nb * nc];
+                if g == 0 && !acc {
+                    matmul_tn_into(xg, gmg, self.grad_t.data_mut(), a, b, nb * nc);
+                } else {
+                    let mut product =
+                        Tensor::new(self.grad_t.shape(), workspace::take_uninit(a * nb * nc));
+                    matmul_tn_into(xg, gmg, product.data_mut(), a, b, nb * nc);
+                    self.grad_t.add_assign(&product);
+                }
+            }
+        }
+        // dL/dx = (pass-through half of grad_out) + gm · T^T
+        need.input().then(|| {
+            let mut gx_direct = workspace::take_raw(rows * a);
+            for i in 0..rows {
+                gx_direct.extend_from_slice(&grad_out.row(i)[..a]);
+            }
+            let mut gx = Tensor::new(&[rows, a], gx_direct);
+            gx.add_assign(&gm.matmul_nt(&self.t));
+            gx
+        })
+    }
 }
 
 impl Layer for MinibatchDiscrimination {
+    /// `o_if` sums over the other rows of a sample's own batch: each of the
+    /// `groups` stacked batches gets its own similarities.
     fn forward_stacked(&mut self, x: &Tensor, groups: usize, _train: bool) -> Tensor {
-        // `o_if` sums over the other rows of the batch, so stacked batches
-        // would see each other; nobody stacks a discriminator yet.
-        assert_eq!(
-            groups, 1,
-            "MinibatchDiscrimination couples the rows of a batch and cannot run {groups} stacked batches"
-        );
         assert_eq!(x.ndim(), 2, "MinibatchDiscrimination expects (B, A)");
         assert_eq!(
             x.shape()[1],
             self.in_features,
             "MinibatchDiscrimination width mismatch"
         );
-        let b = x.shape()[0];
+        let rows = x.shape()[0];
+        assert!(
+            groups >= 1 && rows.is_multiple_of(groups),
+            "MinibatchDiscrimination: {rows} rows do not split into {groups} equal batches"
+        );
+        let b = rows / groups;
         let (nb, nc) = (self.nb, self.nc);
-        let m = x.matmul(&self.t); // (B, nb*nc)
+        let m = x.matmul(&self.t); // (rows, nb*nc)
 
-        // c_ijf = exp(-L1(M_if, M_jf)); o_if = sum_{j != i} c_ijf
-        let mut c = vec![0.0f32; b * b * nb];
-        let mut o = vec![0.0f32; b * nb];
-        for i in 0..b {
-            for j in 0..b {
-                if i == j {
-                    continue;
-                }
-                for f in 0..nb {
-                    let mi = &m.data()[i * nb * nc + f * nc..i * nb * nc + (f + 1) * nc];
-                    let mj = &m.data()[j * nb * nc + f * nc..j * nb * nc + (f + 1) * nc];
-                    let l1: f32 = mi.iter().zip(mj).map(|(a, b)| (a - b).abs()).sum();
-                    let cv = (-l1).exp();
-                    c[(i * b + j) * nb + f] = cv;
-                    o[i * nb + f] += cv;
+        // c_ijf = exp(-L1(M_if, M_jf)); o_if = sum_{j != i} c_ijf, `i` and
+        // `j` rows of the same batch.
+        let mut c = vec![0.0f32; groups * b * b * nb];
+        let mut o = vec![0.0f32; rows * nb];
+        for g in 0..groups {
+            let md = &m.data()[g * b * nb * nc..(g + 1) * b * nb * nc];
+            let c = &mut c[g * b * b * nb..(g + 1) * b * b * nb];
+            let o = &mut o[g * b * nb..(g + 1) * b * nb];
+            for i in 0..b {
+                for j in 0..b {
+                    if i == j {
+                        continue;
+                    }
+                    for f in 0..nb {
+                        let mi = &md[i * nb * nc + f * nc..i * nb * nc + (f + 1) * nc];
+                        let mj = &md[j * nb * nc + f * nc..j * nb * nc + (f + 1) * nc];
+                        let l1: f32 = mi.iter().zip(mj).map(|(a, b)| (a - b).abs()).sum();
+                        let cv = (-l1).exp();
+                        c[(i * b + j) * nb + f] = cv;
+                        o[i * nb + f] += cv;
+                    }
                 }
             }
         }
 
         // Output = concat(x, o) along features.
-        let mut out = workspace::take_raw(b * (self.in_features + nb));
-        for i in 0..b {
+        let mut out = workspace::take_raw(rows * (self.in_features + nb));
+        for i in 0..rows {
             out.extend_from_slice(x.row(i));
             out.extend_from_slice(&o[i * nb..(i + 1) * nb]);
         }
-        self.cache = Some(Cache { x: x.clone(), m, c });
-        Tensor::new(&[b, self.in_features + nb], out)
+        self.cache = Some(Cache {
+            x: x.clone(),
+            m,
+            c,
+            groups,
+        });
+        Tensor::new(&[rows, self.in_features + nb], out)
     }
 
     fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
-        let cache = self
-            .cache
-            .as_ref()
-            .expect("MinibatchDiscrimination::backward before forward");
-        let b = cache.x.shape()[0];
-        let (a, nb, nc) = (self.in_features, self.nb, self.nc);
-        assert_eq!(
-            grad_out.shape(),
-            &[b, a + nb],
-            "MinibatchDiscrimination grad shape mismatch"
-        );
+        self.gradient(grad_out, need, true)
+    }
 
-        // The similarity-feature half of the incoming gradient.
-        let mut go = vec![0.0f32; b * nb];
-        for i in 0..b {
-            go[i * nb..(i + 1) * nb].copy_from_slice(&grad_out.row(i)[a..]);
-        }
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, false)
+    }
 
-        // dL/dM: for every unordered pair contribution.
-        let mut gm = workspace::take_zeroed(b * nb * nc);
-        let md = cache.m.data();
-        for i in 0..b {
-            for j in 0..b {
-                if i == j {
-                    continue;
-                }
-                for f in 0..nb {
-                    let cv = cache.c[(i * b + j) * nb + f];
-                    if cv == 0.0 {
-                        continue;
-                    }
-                    // dL/do_if and dL/do_jf both touch c_ijf; iterate ordered
-                    // pairs and attribute only the o_if term to avoid double
-                    // counting (the (j,i) iteration handles o_jf).
-                    let w = go[i * nb + f] * cv;
-                    for cdim in 0..nc {
-                        let mi = md[i * nb * nc + f * nc + cdim];
-                        let mj = md[j * nb * nc + f * nc + cdim];
-                        let s = if mi > mj {
-                            1.0
-                        } else if mi < mj {
-                            -1.0
-                        } else {
-                            0.0
-                        };
-                        // d c_ijf / d M_i = -c * s ; d c_ijf / d M_j = +c * s
-                        gm[i * nb * nc + f * nc + cdim] -= w * s;
-                        gm[j * nb * nc + f * nc + cdim] += w * s;
-                    }
-                }
-            }
-        }
-        let gm = Tensor::new(&[b, nb * nc], gm);
-
-        // dL/dT = x^T · gm
-        if need.params() {
-            self.grad_t.add_assign(&cache.x.matmul_tn(&gm));
-        }
-        // dL/dx = (pass-through half of grad_out) + gm · T^T
-        need.input().then(|| {
-            let mut gx_direct = workspace::take_raw(b * a);
-            for i in 0..b {
-                gx_direct.extend_from_slice(&grad_out.row(i)[..a]);
-            }
-            let mut gx = Tensor::new(&[b, a], gx_direct);
-            gx.add_assign(&gm.matmul_nt(&self.t));
-            gx
-        })
+    fn release_cache(&mut self) {
+        self.cache = None;
     }
 
     fn params(&self) -> Vec<&Tensor> {

@@ -167,18 +167,11 @@ impl Sequential {
             update(idx, p, g);
         }
     }
-}
 
-impl Layer for Sequential {
-    fn forward_stacked(&mut self, x: &Tensor, groups: usize, train: bool) -> Tensor {
-        let mut h = Cow::Borrowed(x);
-        for l in &mut self.layers {
-            h = Cow::Owned(l.forward_stacked(&h, groups, train));
-        }
-        h.into_owned()
-    }
-
-    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+    /// The one gradient walk: every child gets `backprop` (`acc`) or
+    /// `backprop_first` (`!acc`), and hands its cache back to the workspace
+    /// as soon as its gradient call has used it.
+    fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         // The chain ends at `first`. Under `Need::Params` that is the first
         // layer owning parameters: nothing in front of it has a gradient
         // anyone reads, so it is asked for its parameter gradients alone
@@ -191,15 +184,51 @@ impl Layer for Sequential {
             ),
             Need::All | Need::Input => (0, need),
         };
+        let call = |l: &mut Box<dyn Layer>, g: &Tensor, need: Need| {
+            let gx = if acc {
+                l.backprop(g, need)
+            } else {
+                l.backprop_first(g, need)
+            };
+            l.release_cache();
+            gx
+        };
         let mut g = Cow::Borrowed(grad_out);
         for l in self.layers.iter_mut().skip(first + 1).rev() {
-            let gx = l.backprop(&g, behind);
+            let gx = call(l, &g, behind);
             g = Cow::Owned(gx.expect("a layer asked for its input gradient returns one"));
         }
+        for l in &mut self.layers[..first] {
+            l.release_cache();
+        }
         match self.layers.get_mut(first) {
-            Some(l) => l.backprop(&g, need),
+            Some(l) => call(l, &g, need),
             // The empty stack is the identity.
             None => Some(g.into_owned()),
+        }
+    }
+}
+
+impl Layer for Sequential {
+    fn forward_stacked(&mut self, x: &Tensor, groups: usize, train: bool) -> Tensor {
+        let mut h = Cow::Borrowed(x);
+        for l in &mut self.layers {
+            h = Cow::Owned(l.forward_stacked(&h, groups, train));
+        }
+        h.into_owned()
+    }
+
+    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, true)
+    }
+
+    fn backprop_first(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
+        self.gradient(grad_out, need, false)
+    }
+
+    fn release_cache(&mut self) {
+        for l in &mut self.layers {
+            l.release_cache();
         }
     }
 

@@ -7,6 +7,11 @@
 //! CNN discriminator and a CNN generator `Sequential`, under 1, 2 and 3
 //! tensor threads. Parameter gradients start from a non-zero sentinel, so
 //! "not written" and "accumulated into" are both observable.
+//!
+//! The same shapes check `backprop_first`: from the sentinel it is bit for
+//! bit `zero_grad()` followed by `backprop`. And who owns a forward's cache:
+//! a `Sequential` hands each child's back once its gradient call has used
+//! it, a bare layer keeps it.
 
 use md_nn::init::Init;
 use md_nn::layers::{
@@ -79,6 +84,38 @@ fn check(
             "{what}: params-only gradients, accumulated x{round}"
         );
     }
+
+    // The first gradient call of a step writes what a sweep followed by the
+    // accumulating call leaves, whatever the gradients held before.
+    for need in [Need::All, Need::Params] {
+        let (mut first, mut swept) = (fresh(), fresh());
+        first.forward(&x, train);
+        let dx_first = first.backprop_first(&r, need);
+        swept.forward(&x, train);
+        swept.zero_grad();
+        let dx_swept = swept.backprop(&r, need);
+        assert_eq!(
+            dx_first.as_ref().map(|dx| bits(&[dx])),
+            dx_swept.as_ref().map(|dx| bits(&[dx])),
+            "{what}: first-call dx under {need:?}"
+        );
+        assert_eq!(
+            bits(&first.grads()),
+            bits(&swept.grads()),
+            "{what}: first-call gradients under {need:?}"
+        );
+    }
+    let mut first = fresh();
+    first.forward(&x, train);
+    let dx = first
+        .backprop_first(&r, Need::Input)
+        .expect("Need::Input produces an input gradient");
+    assert_eq!(bits(&[&dx]), bits(&[&dx_full]), "{what}: first-call dx");
+    assert_eq!(
+        bits(&first.grads()),
+        sentinel,
+        "{what}: an input-only first call touched the parameter gradients"
+    );
 }
 
 fn mlp_discriminator(rng: &mut Rng64) -> Sequential {
@@ -232,4 +269,38 @@ fn parameter_free_stack_has_nothing_to_compute_under_params() {
     assert_eq!(empty.forward(&x, true).data(), x.data());
     assert_eq!(empty.backward(&x).data(), x.data());
     assert!(empty.backprop(&x, Need::Params).is_none());
+}
+
+/// One forward, two gradient calls through a `Sequential`.
+fn two_gradient_calls(layer: impl Layer + 'static, input_shape: &[usize]) {
+    let mut net = Sequential::new().push(layer);
+    let y = net.forward(&Tensor::ones(input_shape), true);
+    net.backward(&y);
+    net.backward(&y);
+}
+
+#[test]
+#[should_panic(expected = "Dense::backward before forward")]
+fn a_gradient_call_through_a_stack_consumes_the_dense_cache() {
+    let mut rng = Rng64::seed_from_u64(1);
+    two_gradient_calls(Dense::new(4, 3, Init::XavierUniform, &mut rng), &[2, 4]);
+}
+
+#[test]
+#[should_panic(expected = "Conv2d::backward before forward")]
+fn a_gradient_call_through_a_stack_consumes_the_conv_cache() {
+    let mut rng = Rng64::seed_from_u64(1);
+    let conv = Conv2d::new(2, 3, 3, 1, 1, Init::XavierUniform, &mut rng);
+    two_gradient_calls(conv, &[2, 2, 4, 4]);
+}
+
+/// A layer outside a container keeps its cache: its gradient call can be
+/// repeated (the repository benchmark times bare layers that way).
+#[test]
+fn a_bare_layer_keeps_its_cache_across_gradient_calls() {
+    let mut rng = Rng64::seed_from_u64(1);
+    let mut dense = Dense::new(4, 3, Init::XavierUniform, &mut rng);
+    let y = dense.forward(&Tensor::ones(&[2, 4]), true);
+    let dx = dense.backward(&y);
+    assert_eq!(bits(&[&dense.backward(&y)]), bits(&[&dx]));
 }

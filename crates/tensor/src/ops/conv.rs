@@ -667,10 +667,39 @@ pub fn conv2d_backward_acc(
     .expect("Need::All produces an input gradient")
 }
 
+/// The conv2d gradient, computing only what `need` names and
+/// **accumulating** the weight/bias gradients: [`conv2d_backward_into`]
+/// with `acc = true`.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_backward_need(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    need: Need,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) -> Option<Tensor> {
+    conv2d_backward_into(
+        input,
+        weight,
+        grad_out,
+        stride,
+        pad,
+        need,
+        true,
+        grad_weight,
+        grad_bias,
+    )
+}
+
 /// The conv2d gradient, computing only what `need` names.
 ///
-/// The weight/bias gradients are **accumulated** into the caller-owned
-/// tensors when `need.params()` and left untouched otherwise; the input
+/// When `need.params()` the weight/bias gradients are **accumulated** into
+/// the caller-owned tensors (`acc`) or **written** over them (`!acc`: the
+/// same chains seeded with 0.0, i.e. bit for bit zeroing the tensors first,
+/// without the sweep); otherwise they are left untouched. The input
 /// gradient is returned when `need.input()` (`None` otherwise). The two are
 /// independent products (one batch-wide GEMM for the weights, one scatter
 /// GEMM per image for the input), so skipping one leaves the other
@@ -680,13 +709,14 @@ pub fn conv2d_backward_acc(
 /// gradient tensors, no extra accumulation pass, and every scratch buffer
 /// (phase planes, packed panels) drawn from the workspace shelf.
 #[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_need(
+pub fn conv2d_backward_into(
     input: &Tensor,
     weight: &Tensor,
     grad_out: &Tensor,
     stride: usize,
     pad: usize,
     need: Need,
+    acc: bool,
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) -> Option<Tensor> {
@@ -717,7 +747,7 @@ pub fn conv2d_backward_need(
         ow,
     };
     if need.params() {
-        // grad_weight (o, ckk) += [g_0 | g_1 | …] (o, b*ohw) x
+        // grad_weight (o, ckk) (+)= [g_0 | g_1 | …] (o, b*ohw) x
         // [cols_0^T; cols_1^T; …] (b*ohw, ckk): the batch is folded into
         // `k`, so the gradient tile is loaded and stored once per `k` panel
         // of the whole batch instead of once per sample. Each element's
@@ -734,9 +764,9 @@ pub fn conv2d_backward_need(
             per: ohw,
         };
         let gw = grad_weight.data_mut();
-        gemm::gemm_with(g_all, &cols_t, gw, o, b * ohw, ckk, true);
+        gemm::gemm_with(g_all, &cols_t, gw, o, b * ohw, ckk, acc);
         workspace::recycle(planes);
-        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), ohw);
+        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), ohw, acc);
     }
 
     need.input().then(|| {
@@ -895,10 +925,9 @@ pub fn conv_transpose2d_backward_acc(
     .expect("Need::All produces an input gradient")
 }
 
-/// The transposed-convolution gradient, computing only what `need` names —
-/// the same contract as [`conv2d_backward_need`]. Both products read the
-/// column matrix of `grad_out`, so its phase planes are built once; the
-/// input gradient is written in place, sample by sample.
+/// The transposed-convolution gradient, computing only what `need` names
+/// and **accumulating** the weight/bias gradients:
+/// [`conv_transpose2d_backward_into`] with `acc = true`.
 #[allow(clippy::too_many_arguments)]
 pub fn conv_transpose2d_backward_need(
     input: &Tensor,
@@ -907,6 +936,35 @@ pub fn conv_transpose2d_backward_need(
     stride: usize,
     pad: usize,
     need: Need,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) -> Option<Tensor> {
+    conv_transpose2d_backward_into(
+        input,
+        weight,
+        grad_out,
+        stride,
+        pad,
+        need,
+        true,
+        grad_weight,
+        grad_bias,
+    )
+}
+
+/// The transposed-convolution gradient, computing only what `need` names —
+/// the same contract as [`conv2d_backward_into`]. Both products read the
+/// column matrix of `grad_out`, so its phase planes are built once; the
+/// input gradient is written in place, sample by sample.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_transpose2d_backward_into(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    need: Need,
+    acc: bool,
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) -> Option<Tensor> {
@@ -961,9 +1019,9 @@ pub fn conv_transpose2d_backward_need(
     });
 
     if need.params() {
-        // dL/dW2 (cin, ckk) += [x_0 | x_1 | …] (cin, b*hw) x
+        // dL/dW2 (cin, ckk) (+)= [x_0 | x_1 | …] (cin, b*hw) x
         // [gcols_0^T; gcols_1^T; …] (b*hw, ckk), the batch folded into `k`
-        // as in `conv2d_backward_need`.
+        // as in `conv2d_backward_into`.
         let gcols_t = Im2colTRhs {
             planes: &planes,
             g: geom,
@@ -973,8 +1031,8 @@ pub fn conv_transpose2d_backward_need(
             per: hw,
         };
         let gw = grad_weight.data_mut();
-        gemm::gemm_with(x_all, &gcols_t, gw, cin, b * hw, ckk, true);
-        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), oh * ow);
+        gemm::gemm_with(x_all, &gcols_t, gw, cin, b * hw, ckk, acc);
+        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), oh * ow, acc);
     }
     workspace::recycle(planes);
     grad_input
@@ -991,8 +1049,12 @@ fn add_bias(sample: &mut [f32], bias: &[f32]) {
 }
 
 /// `grad_bias[oc] += sum(g[bi][oc][..])`, samples ascending — one sum per
-/// (sample, channel), added in that order.
-fn accumulate_bias_grad(grad_bias: &mut [f32], grad_out: &[f32], positions: usize) {
+/// (sample, channel), added in that order to the old gradient (`acc`) or
+/// to 0.0.
+fn accumulate_bias_grad(grad_bias: &mut [f32], grad_out: &[f32], positions: usize, acc: bool) {
+    if !acc {
+        grad_bias.fill(0.0);
+    }
     let channels = grad_bias.len();
     for g in grad_out.chunks_exact((channels * positions).max(1)) {
         for (gb, row) in grad_bias.iter_mut().zip(g.chunks_exact(positions.max(1))) {

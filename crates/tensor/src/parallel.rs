@@ -350,24 +350,31 @@ mod tests {
         parallel_for_chunks(&mut out, 0, 1, |_, _| {});
     }
 
+    /// The override in force while no guard is held, read under the override
+    /// lock (a guard's `prev` is swapped out as the lock is taken) — a bare
+    /// `max_threads()` here could see another test's live override.
+    fn unguarded_override() -> usize {
+        scoped_max_threads(1).prev
+    }
+
     #[test]
     fn scoped_max_threads_forces_sequential_and_restores() {
-        let outer_before = max_threads();
-        {
-            let _guard = scoped_max_threads(1);
+        let before = {
+            let guard = scoped_max_threads(1);
             assert_eq!(max_threads(), 1);
             let count = AtomicUsize::new(0);
             parallel_for(1000, PAR_THRESHOLD, |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             });
             assert_eq!(count.load(Ordering::Relaxed), 1000);
-        }
-        assert_eq!(max_threads(), outer_before);
+            guard.prev
+        };
+        assert_eq!(unguarded_override(), before);
     }
 
     #[test]
     fn scoped_overrides_nest_by_serializing() {
-        let before = max_threads();
+        let before = unguarded_override();
         {
             let _g1 = scoped_max_threads(3);
             assert_eq!(max_threads(), 3);
@@ -376,7 +383,7 @@ mod tests {
             let _g2 = scoped_max_threads(5);
             assert_eq!(max_threads(), 5);
         }
-        assert_eq!(max_threads(), before);
+        assert_eq!(unguarded_override(), before);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::rng::Rng64;
 use crate::shape::Shape;
 use crate::workspace;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A dense n-dimensional array of `f32` stored contiguously in row-major
@@ -30,15 +31,6 @@ impl Clone for Tensor {
             shape: self.shape.clone(),
             data: workspace::take_copy(&self.data),
         }
-    }
-
-    /// Reuses `self`'s existing buffer when cloning into it (the layer
-    /// input-caching pattern `cached = Some(x.clone())` rewritten as
-    /// `cached.clone_from(x)` touches no allocator at all once warm).
-    fn clone_from(&mut self, source: &Self) {
-        self.shape = source.shape.clone();
-        self.data.clear();
-        self.data.extend_from_slice(&source.data);
     }
 }
 
@@ -274,13 +266,15 @@ impl Tensor {
         Tensor::new(&dims, data)
     }
 
-    /// Concatenates tensors along axis 0; trailing dims must match.
-    pub fn concat0(items: &[Tensor]) -> Tensor {
+    /// Concatenates tensors (owned or borrowed) along axis 0; trailing dims
+    /// must match.
+    pub fn concat0<T: Borrow<Tensor>>(items: &[T]) -> Tensor {
         assert!(!items.is_empty(), "concat of zero tensors");
-        let inner = items[0].shape()[1..].to_vec();
+        let inner = items[0].borrow().shape()[1..].to_vec();
         let mut total0 = 0usize;
-        let mut data = workspace::take_raw(items.iter().map(Tensor::len).sum());
+        let mut data = workspace::take_raw(items.iter().map(|t| t.borrow().len()).sum());
         for t in items {
+            let t = t.borrow();
             assert_eq!(
                 &t.shape()[1..],
                 &inner[..],
