@@ -5,7 +5,7 @@
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use md_nn::init::Init;
 use md_nn::layer::Layer;
-use md_nn::layers::MinibatchDiscrimination;
+use md_nn::layers::{Conv2d, MinibatchDiscrimination};
 use md_tensor::ops::conv::{
     conv2d_backward, conv2d_backward_need, conv2d_forward, conv_transpose2d_backward_need,
     conv_transpose2d_forward,
@@ -130,51 +130,76 @@ fn bench_conv(c: &mut Criterion) {
         bench.iter(|| std::hint::black_box(conv_transpose2d_forward(&xt, &wt, &bt, 2, 1)));
     });
 
-    // Every conv the paper's CIFAR10 pair issues (`ArchSpec::cnn_cifar_scaled(32)`,
-    // b = 10): the discriminator's three 3x3 stride-2 convs halving 32² to
-    // 4², the generator's three 4x4 stride-2 transposed convs doubling 4²
-    // back to 32² — forward and the three gradient demands a training
-    // iteration makes. `(name, in channels, out channels, input side,
-    // transposed)`.
+    // Every conv the paper's CIFAR10 pair issues (`ArchSpec::cnn_cifar_scaled(32)`):
+    // the discriminator's three 3x3 stride-2 convs halving 32² to 4², the
+    // generator's three 4x4 stride-2 transposed convs doubling 4² back to
+    // 32² — forward and the three gradient demands a training iteration
+    // makes, at b = 10 (`paper_*`) and at the paper's other batch size
+    // (`b100_*`: forward, params, input — the rows the direct weight
+    // gradient of `ops/conv/wgrad.rs` was held to before the packed
+    // product it replaced was deleted). `(name, in channels, out channels,
+    // input side, transposed)`.
     let need_modes = [
         ("all", Need::All),
         ("params", Need::Params),
         ("input", Need::Input),
     ];
-    for (name, cin, cout, side, transposed) in [
-        ("d1", 3, 16, 32, false),
-        ("d2", 16, 32, 16, false),
-        ("d3", 32, 64, 8, false),
-        ("g1", 64, 32, 4, true),
-        ("g2", 32, 16, 8, true),
-        ("g3", 16, 3, 16, true),
+    for (batch, prefix, modes) in [
+        (10, "paper", &need_modes[..]),
+        (100, "b100", &need_modes[1..]),
     ] {
-        let (forward, backward_need, w_shape) = if transposed {
-            let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor =
-                conv_transpose2d_forward;
-            let bwd: BackwardNeed = conv_transpose2d_backward_need;
-            (fwd, bwd, [cin, cout, 4, 4])
-        } else {
-            let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor = conv2d_forward;
-            let bwd: BackwardNeed = conv2d_backward_need;
-            (fwd, bwd, [cout, cin, 3, 3])
-        };
-        let x = Tensor::randn(&[10, cin, side, side], &mut rng);
-        let w = Tensor::randn(&w_shape, &mut rng);
-        let bias = Tensor::randn(&[cout], &mut rng);
-        g.bench_function(format!("paper_{name}_forward"), |bench| {
-            bench.iter(|| std::hint::black_box(forward(&x, &w, &bias, 2, 1)));
-        });
-        let gy = Tensor::randn(forward(&x, &w, &bias, 2, 1).shape(), &mut rng);
-        let (mut gw, mut gb) = (Tensor::zeros(w.shape()), Tensor::zeros(&[cout]));
-        for (mode, need) in need_modes {
-            g.bench_function(format!("paper_{name}_{mode}"), |bench| {
-                bench.iter(|| {
-                    std::hint::black_box(backward_need(&x, &w, &gy, 2, 1, need, &mut gw, &mut gb))
-                });
+        for (name, cin, cout, side, transposed) in [
+            ("d1", 3, 16, 32, false),
+            ("d2", 16, 32, 16, false),
+            ("d3", 32, 64, 8, false),
+            ("g1", 64, 32, 4, true),
+            ("g2", 32, 16, 8, true),
+            ("g3", 16, 3, 16, true),
+        ] {
+            let (forward, backward_need, w_shape) = if transposed {
+                let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor =
+                    conv_transpose2d_forward;
+                let bwd: BackwardNeed = conv_transpose2d_backward_need;
+                (fwd, bwd, [cin, cout, 4, 4])
+            } else {
+                let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor = conv2d_forward;
+                let bwd: BackwardNeed = conv2d_backward_need;
+                (fwd, bwd, [cout, cin, 3, 3])
+            };
+            let x = Tensor::randn(&[batch, cin, side, side], &mut rng);
+            let w = Tensor::randn(&w_shape, &mut rng);
+            let bias = Tensor::randn(&[cout], &mut rng);
+            g.bench_function(format!("{prefix}_{name}_forward"), |bench| {
+                bench.iter(|| std::hint::black_box(forward(&x, &w, &bias, 2, 1)));
             });
+            let gy = Tensor::randn(forward(&x, &w, &bias, 2, 1).shape(), &mut rng);
+            let (mut gw, mut gb) = (Tensor::zeros(w.shape()), Tensor::zeros(&[cout]));
+            for &(mode, need) in modes {
+                g.bench_function(format!("{prefix}_{name}_{mode}"), |bench| {
+                    bench.iter(|| {
+                        std::hint::black_box(backward_need(
+                            &x, &w, &gy, 2, 1, need, &mut gw, &mut gb,
+                        ))
+                    });
+                });
+            }
         }
     }
+
+    // The middle discriminator conv through the layer, on the learning
+    // step's 2b = 20 rows: forward keeps the phase planes it built and
+    // `backward_params` takes the weight gradient from them — the input is
+    // laid out once per step, where the tensor-level rows above pay for it
+    // in `forward` and again in `params`.
+    let mut layer = Conv2d::new(16, 32, 3, 2, 1, Init::Dcgan, &mut rng);
+    let x = Tensor::randn(&[20, 16, 16, 16], &mut rng);
+    let gy = Tensor::randn(layer.forward(&x, true).shape(), &mut rng);
+    g.bench_function("layer_d2_forward_backward_params", |bench| {
+        bench.iter(|| {
+            std::hint::black_box(layer.forward(&x, true));
+            layer.backward_params(&gy);
+        });
+    });
     g.finish();
 }
 

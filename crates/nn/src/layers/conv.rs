@@ -3,8 +3,8 @@
 use crate::init::{conv_fans, Init};
 use crate::layer::{Layer, Need};
 use md_tensor::ops::conv::{
-    conv2d_backward_into, conv2d_forward, conv_out_dim, conv_transpose2d_backward_into,
-    conv_transpose2d_forward, conv_transpose_out_dim,
+    conv2d_backward_planes, conv2d_forward_planes, conv_out_dim, conv_transpose2d_backward_into,
+    conv_transpose2d_forward, conv_transpose_out_dim, ConvPlanes,
 };
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -15,7 +15,9 @@ pub struct Conv2d {
     bias: Tensor,   // (out_c,)
     grad_weight: Tensor,
     grad_bias: Tensor,
-    cached_input: Option<Tensor>,
+    /// The input of the last forward pass as the kernels read it: the
+    /// phase planes that pass built, kept for the weight gradient.
+    planes: Option<ConvPlanes>,
     in_c: usize,
     out_c: usize,
     kernel: usize,
@@ -40,7 +42,7 @@ impl Conv2d {
             bias: Tensor::zeros(&[out_c]),
             grad_weight: Tensor::zeros(&[out_c, in_c, kernel, kernel]),
             grad_bias: Tensor::zeros(&[out_c]),
-            cached_input: None,
+            planes: None,
             in_c,
             out_c,
             kernel,
@@ -60,18 +62,16 @@ impl Conv2d {
     /// The one gradient body: `acc` adds the parameter gradients to what
     /// the buffers hold, `!acc` writes them.
     fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
-        let x = self
-            .cached_input
+        let planes = self
+            .planes
             .as_ref()
             .expect("Conv2d::backward before forward");
         // Straight into the layer's gradient tensors — no per-step gradient
         // allocation or extra add pass.
-        conv2d_backward_into(
-            x,
+        conv2d_backward_planes(
+            planes,
             &self.weight,
             grad_out,
-            self.stride,
-            self.pad,
             need,
             acc,
             &mut self.grad_weight,
@@ -84,10 +84,11 @@ impl Layer for Conv2d {
     fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         assert_eq!(x.ndim(), 4, "Conv2d expects (B,C,H,W)");
         assert_eq!(x.shape()[1], self.in_c, "Conv2d channel mismatch");
-        // Cloned into a shelf buffer (a hit once warm), which goes back to
-        // the shelf when the cache is released.
-        self.cached_input = Some(x.clone());
-        conv2d_forward(x, &self.weight, &self.bias, self.stride, self.pad)
+        // The planes live in a shelf buffer (a hit once warm), which goes
+        // back to the shelf when the cache is released.
+        let (y, planes) = conv2d_forward_planes(x, &self.weight, &self.bias, self.stride, self.pad);
+        self.planes = Some(planes);
+        y
     }
 
     fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
@@ -99,7 +100,7 @@ impl Layer for Conv2d {
     }
 
     fn release_cache(&mut self) {
-        self.cached_input = None;
+        self.planes = None;
     }
 
     fn params(&self) -> Vec<&Tensor> {

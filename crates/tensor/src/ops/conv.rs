@@ -6,24 +6,29 @@
 //! * conv2d weights: `(O, C, KH, KW)` — `O` output channels
 //! * conv-transpose2d weights: `(C_in, C_out, KH, KW)` (PyTorch convention)
 //!
-//! Every path is an im2col-style GEMM whose `(C*KH*KW, OH*OW)` column
-//! matrix is **never materialized**: the [`Im2colRhs`] / [`Im2colTRhs`]
-//! packers implement [`gemm::PackRhs`] and write convolution patches
-//! straight into the GEMM's packed sliver format, and the transposed /
-//! grad-input paths fuse `col2im` into the GEMM epilogue via
-//! [`gemm::gemm_scatter`] (each finished row-block tile is accumulated and
-//! discarded). What a layer call does copy, once, is what every sample of
-//! the batch shares or what makes the packers' inner loops straight copies:
+//! Every path is an im2col-style product whose `(C*KH*KW, OH*OW)` column
+//! matrix is **never materialized**: the [`Im2colRhs`] packer implements
+//! [`gemm::PackRhs`] and writes convolution patches straight into the
+//! GEMM's packed sliver format, the transposed / grad-input paths fuse
+//! `col2im` into the GEMM epilogue via [`gemm::gemm_scatter`] (each
+//! finished row-block tile is accumulated and discarded), and the weight
+//! gradient reads its column values in place (`wgrad`). What is copied,
+//! once, is what every sample of the batch shares or what turns the inner
+//! loops into straight copies and broadcasts:
 //!
-//! * **the image operand, into phase planes** ([`ConvGeom`]): one pass over
-//!   the `(B, C, H, W)` tensor writes it zero-padded and split by stride
-//!   phase, so that the values one kernel tap contributes to a row of
-//!   output positions are a contiguous, always-in-bounds run. The packers
-//!   then move runs (`copy_from_slice`-style, no `iy`/`ix` arithmetic, no
-//!   bounds tests, any stride), and the scatter adds runs. The pass touches
-//!   about the image's size; the column matrix it serves is
-//!   `KH*KW / stride²` times larger (2.25x and 4x at the paper's layers)
-//!   and used to be gathered element by element;
+//! * **the image operand, into phase planes** ([`ConvPlanes`], laid out by
+//!   [`ConvGeom`]): one pass over the `(B, C, H, W)` tensor — a row at a
+//!   time, a deinterleave at stride 2 — writes it zero-padded and split by
+//!   stride phase, so that the values one kernel tap contributes to a row
+//!   of output positions are a contiguous, always-in-bounds run. The packer
+//!   then moves runs (no `iy`/`ix` arithmetic, no bounds tests, any
+//!   stride), the scatter adds runs, the weight gradient broadcasts their
+//!   elements. The pass touches about the image's size; the column matrix
+//!   it serves is `KH*KW / stride²` times larger (2.25x and 4x at the
+//!   paper's layers). The planes are **once per training step, not per
+//!   call**: [`conv2d_forward_planes`] hands out the ones it built and
+//!   [`conv2d_backward_planes`] takes the weight gradient from them, so a
+//!   layer caches them in place of a clone of its input;
 //! * **the weights, into packed panels** ([`PackedLhs`]): the per-sample
 //!   products of a call all multiply by the same weights, so their
 //!   `MR`-interleaved panels are built once and shared (read-only, also
@@ -33,11 +38,11 @@
 //!
 //! Each layer call is then three kinds of product:
 //!
-//! | product | shape per call | shared across the batch | order kept |
+//! | product | shape per call | copied for it | order kept |
 //! |---|---|---|---|
-//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` | packed `W` | `k` ascending inside each sample's GEMM |
-//! | conv grad-input, conv-transpose forward | `b` x `col2im(Wᵀ (ckk, o) · g_i (o, ohw))` | packed `Wᵀ` | tiles in row order; per pixel the adds arrive in `col2im`'s `(row, oy, ox)` order into zeroed planes, copied out exactly |
-//! | weight gradient (both) | **one** `gw (o, ckk) += G (o, b·ohw) · Cᵀ (b·ohw, ckk)`, `G` the samples' `g_i` side by side, `Cᵀ` their `cols_iᵀ` stacked | the gradient tile, loaded and stored once per `k` panel of the whole batch | seeded with `gw`, samples ascending, positions ascending — the chain of one accumulate product per sample |
+//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` ([`gemm::gemm_with`]) | packed `W`; `cols_i` packed run by run from the planes | `k` ascending inside each sample's GEMM |
+//! | conv grad-input, conv-transpose forward | `b` x `col2im(Wᵀ (ckk, o) · g_i (o, ohw))` ([`gemm::gemm_scatter`]) | packed `Wᵀ` | tiles in row order; per pixel the adds arrive in `col2im`'s `(row, oy, ox)` order into zeroed planes, copied out exactly |
+//! | weight gradient (both) | **one** `gw (m, ckk) (+)= A (m, b·ohw) · Cᵀ (b·ohw, ckk)`, `A` the samples' gradients (conv) or inputs (conv-transpose) side by side, `Cᵀ` their `cols_iᵀ` stacked (`wgrad::weight_grad`) | `Aᵀ` as 16-channel slivers and `gwᵀ`, in 16x16 block transposes; `Cᵀ` is **not** copied — its elements are broadcast from the planes | seeded with `gw` or 0.0, samples ascending, positions ascending — the chain of one accumulate product per sample |
 //!
 //! The reference [`im2col`] / [`col2im`] functions remain as the spec:
 //! every path is bitwise identical to materialize-then-multiply, for any
@@ -55,6 +60,8 @@ use crate::ops::Need;
 use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace;
+
+mod wgrad;
 
 /// Spatial output size of a convolution along one axis.
 ///
@@ -198,13 +205,13 @@ pub fn col2im(
 ///
 /// # Phase planes
 ///
-/// The packers and the scatter never index the `(c, h, w)` image itself.
-/// Once per call the image operand is copied into (or, for the scatter
-/// paths, accumulated in and copied back out of) **zero-padded,
-/// stride-phase-split planes**: padded pixel `(iyp, ixp)` of channel `ci`
-/// (`iyp = iy + pad`, `ixp = ix + pad`) lives at element `ixp / stride` of
-/// the row `(ci, iyp, ixp % stride)`, rows being [`ConvGeom::wq`] long and
-/// laid out in that `(ci, iyp, phase)` order. Column-matrix element
+/// The products never index the `(c, h, w)` image itself. The image
+/// operand is copied once into (or, for the scatter paths, accumulated in
+/// and copied back out of) **zero-padded, stride-phase-split planes**:
+/// padded pixel `(iyp, ixp)` of channel `ci` (`iyp = iy + pad`,
+/// `ixp = ix + pad`) lives at element `ixp / stride` of the row
+/// `(ci, iyp, ixp % stride)`, rows being [`ConvGeom::wq`] long and laid
+/// out in that `(ci, iyp, phase)` order. Column-matrix element
 /// `cols[(ci, ki, kj)][(oy, ox)]` reads padded pixel
 /// `(oy*stride + ki, ox*stride + kj)`, which is element `kj/stride + ox`
 /// of row `(ci, oy*stride + ki, kj % stride)` — so for one kernel tap the
@@ -228,6 +235,49 @@ struct ConvGeom {
 }
 
 impl ConvGeom {
+    /// The geometry of a `kh x kw` convolution over `(c, h, w)` images.
+    ///
+    /// # Panics
+    /// Panics if the padded image is smaller than the kernel.
+    fn conv(c: usize, h: usize, w: usize, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
+        ConvGeom {
+            c,
+            h,
+            w,
+            kh,
+            kw,
+            stride,
+            pad,
+            oh: conv_out_dim(h, kh, stride, pad),
+            ow: conv_out_dim(w, kw, stride, pad),
+        }
+    }
+
+    /// The geometry of the convolution a transposed convolution is the
+    /// adjoint of: its `(cout, oh, ow)` *output* is the image, and the
+    /// column matrix ranges over the `(h, w)` grid of its input.
+    fn conv_transpose(
+        cout: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+        stride: usize,
+        pad: usize,
+    ) -> Self {
+        ConvGeom {
+            c: cout,
+            h: conv_transpose_out_dim(h, kh, stride, pad),
+            w: conv_transpose_out_dim(w, kw, stride, pad),
+            kh,
+            kw,
+            stride,
+            pad,
+            oh: h,
+            ow: w,
+        }
+    }
+
     /// Rows of the im2col column matrix: `c * kh * kw`.
     fn ckk(&self) -> usize {
         self.c * self.kh * self.kw
@@ -263,54 +313,57 @@ impl ConvGeom {
         self.stride * self.stride * self.wq()
     }
 
-    /// Copies a batch of `(c, h, w)` images into freshly zeroed phase
-    /// planes, one [`ConvGeom::plane_len`] block per sample.
-    fn split_batch(&self, images: &[f32]) -> Vec<f32> {
-        let chw = self.c * self.h * self.w;
-        let b = images.len().checked_div(chw).unwrap_or(0);
-        let mut planes = workspace::take_zeroed(b * self.plane_len());
-        for (image, sample) in images
-            .chunks_exact(chw.max(1))
-            .zip(planes.chunks_exact_mut(self.plane_len().max(1)))
-        {
-            self.for_each_phase_run(|img, pl, len| {
-                let src = image[img..img + (len - 1) * self.stride + 1].chunks(self.stride);
-                for (d, px) in sample[pl..pl + len].iter_mut().zip(src) {
-                    *d = px[0];
-                }
-            });
-        }
-        planes
-    }
-
-    /// Adjoint of [`ConvGeom::split_batch`] for one sample: copies the
-    /// image pixels back out of the planes (the padding is dropped).
-    fn unsplit(&self, planes: &[f32], image: &mut [f32]) {
-        self.for_each_phase_run(|img, pl, len| {
-            let dst = image[img..img + (len - 1) * self.stride + 1].chunks_mut(self.stride);
-            for (px, &v) in dst.zip(&planes[pl..pl + len]) {
-                px[0] = v;
+    /// Copies one `(c, h, w)` image into its (zeroed) phase planes.
+    fn split(&self, image: &[f32], planes: &mut [f32]) {
+        let map = self.row_map();
+        self.for_each_channel(|ci, rows| {
+            let channel = &image[ci * self.h * self.w..][..self.h * self.w];
+            let rows = planes[rows].chunks_exact_mut(map.len());
+            for (src, dst) in channel.chunks_exact(self.w).zip(rows) {
+                map.deal(src, dst);
             }
         });
     }
 
-    /// Calls `run(img, pl, len)` once per (phase, channel, image row): the
-    /// `len` pixels of that row and phase start at image offset `img`,
-    /// `stride` apart, and map to the `len` adjacent plane elements from
-    /// offset `pl`.
-    fn for_each_phase_run(&self, mut run: impl FnMut(usize, usize, usize)) {
-        let (s, wq, hp) = (self.stride, self.wq(), self.hp());
-        // The first `s` pixels of a row start one phase each.
-        for ix in 0..s.min(self.w) {
-            let ixp = ix + self.pad;
-            let (in_rows, len) = (ixp % s * wq + ixp / s, (self.w - ix).div_ceil(s));
-            for ci in 0..self.c {
-                for iy in 0..self.h {
-                    let img_row = (ci * self.h + iy) * self.w;
-                    let plane_rows = (ci * hp + iy + self.pad) * s * wq;
-                    run(img_row + ix, plane_rows + in_rows, len);
-                }
+    /// Adjoint of [`ConvGeom::split`]: copies the image pixels back out of
+    /// one sample's planes (the padding is dropped).
+    fn unsplit(&self, planes: &[f32], image: &mut [f32]) {
+        let map = self.row_map();
+        self.for_each_channel(|ci, rows| {
+            let channel = &mut image[ci * self.h * self.w..][..self.h * self.w];
+            let rows = planes[rows].chunks_exact(map.len());
+            for (dst, src) in channel.chunks_exact_mut(self.w).zip(rows) {
+                map.collect(src, dst);
             }
+        });
+    }
+
+    /// Calls `channel(ci, rows)` once per channel that has pixels: `rows`
+    /// is the plane range of the phase rows of its `h` image rows.
+    fn for_each_channel(&self, mut channel: impl FnMut(usize, std::ops::Range<usize>)) {
+        if self.h * self.w == 0 {
+            return;
+        }
+        let (hp, len) = (self.hp(), self.stride * self.wq());
+        for ci in 0..self.c {
+            let first = (ci * hp + self.pad) * len;
+            channel(ci, first..first + self.h * len);
+        }
+    }
+
+    /// How every image row maps onto its `stride` phase rows.
+    fn row_map(&self) -> RowMap {
+        let (s, wq) = (self.stride, self.wq());
+        let lead = ((s - self.pad % s) % s).min(self.w);
+        let groups = (self.w - lead) / s;
+        RowMap {
+            s,
+            wq,
+            lead,
+            groups,
+            rest: self.w - lead - groups * s,
+            q0: (self.pad + lead) / s,
+            head: self.pad % s * wq + self.pad / s,
         }
     }
 
@@ -330,6 +383,102 @@ impl ConvGeom {
             kj,
             phase: kj % self.stride,
             q: kj / self.stride,
+        }
+    }
+}
+
+/// The map between one image row and its `stride` phase rows (`wq` long
+/// each, one after the other), the same for every row of a [`ConvGeom`].
+/// The first `lead` pixels come before the first one that lands in phase
+/// 0: pixel `i` is element `head + i·wq`. Then `groups` whole groups of
+/// `stride` pixels deal one element to each phase — group `j` to element
+/// `q0 + j` of every phase row — and the `rest` (fewer than `stride`)
+/// pixels left over go to element `q0 + groups` of the first phase rows.
+struct RowMap {
+    s: usize,
+    wq: usize,
+    lead: usize,
+    groups: usize,
+    rest: usize,
+    q0: usize,
+    head: usize,
+}
+
+impl RowMap {
+    /// Elements of one image row's phase rows.
+    fn len(&self) -> usize {
+        self.s * self.wq
+    }
+
+    /// One image row into its phase rows. At stride 2 — every conv of the
+    /// paper's nets — the groups are a deinterleave of the row into two
+    /// runs; the general loop moves one phase's run at a time.
+    #[inline(always)]
+    fn deal(&self, src: &[f32], dst: &mut [f32]) {
+        let &RowMap {
+            s,
+            wq,
+            lead,
+            groups,
+            rest,
+            q0,
+            head,
+        } = self;
+        let (first, tail) = src.split_at(lead + groups * s);
+        let body = &first[lead..];
+        if s == 2 {
+            let (p0, p1) = dst.split_at_mut(wq);
+            let runs = p0[q0..].iter_mut().zip(&mut p1[q0..]);
+            for (px, (d0, d1)) in body.chunks_exact(2).zip(runs) {
+                (*d0, *d1) = (px[0], px[1]);
+            }
+        } else {
+            for (ph, run) in dst.chunks_exact_mut(wq).enumerate() {
+                for (d, px) in run[q0..].iter_mut().zip(body.chunks_exact(s)) {
+                    *d = px[ph];
+                }
+            }
+        }
+        for (i, &v) in first[..lead].iter().enumerate() {
+            dst[head + i * wq] = v;
+        }
+        for (i, &v) in tail[..rest].iter().enumerate() {
+            dst[i * wq + q0 + groups] = v;
+        }
+    }
+
+    /// Inverse of [`RowMap::deal`]: one image row back out of its phase
+    /// rows (an interleave of two runs at stride 2).
+    #[inline(always)]
+    fn collect(&self, src: &[f32], dst: &mut [f32]) {
+        let &RowMap {
+            s,
+            wq,
+            lead,
+            groups,
+            rest,
+            q0,
+            head,
+        } = self;
+        let (first, tail) = dst.split_at_mut(lead + groups * s);
+        let (first, body) = first.split_at_mut(lead);
+        if s == 2 {
+            let runs = src[q0..wq].iter().zip(&src[wq + q0..]);
+            for (px, (&v0, &v1)) in body.chunks_exact_mut(2).zip(runs) {
+                (px[0], px[1]) = (v0, v1);
+            }
+        } else {
+            for (ph, run) in src.chunks_exact(wq).enumerate() {
+                for (px, &v) in body.chunks_exact_mut(s).zip(&run[q0..]) {
+                    px[ph] = v;
+                }
+            }
+        }
+        for (i, d) in first.iter_mut().enumerate() {
+            *d = src[head + i * wq];
+        }
+        for (i, d) in tail[..rest].iter_mut().enumerate() {
+            *d = src[i * wq + q0 + groups];
         }
     }
 }
@@ -458,73 +607,6 @@ fn add_run(dst: &mut [f32], src: &[f32]) {
     }
 }
 
-/// Transposed implicit im2col operand over a whole batch: the virtual
-/// `(b*oh*ow, c*kh*kw)` matrix `[cols_0^T; cols_1^T; …]`, for the
-/// `grad_weight += [g_0 | g_1 | …] · [cols_0^T; …]` product
-/// ([`Lhs::BatchedRows`] on the other side). Packing element `[p][j]` reads
-/// `cols_bi[j][pos]` with `p = bi*oh*ow + pos` — the same values as
-/// [`Im2colRhs`], transposed, so the accumulated gradients stay bitwise
-/// equal to the materialized path.
-struct Im2colTRhs<'a> {
-    /// Phase planes of the whole batch ([`ConvGeom::split_batch`]).
-    planes: &'a [f32],
-    g: ConvGeom,
-}
-
-impl PackRhs for Im2colTRhs<'_> {
-    fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let (n, ohw, ow, oh) = (self.g.ckk(), self.g.ohw(), self.g.ow, self.g.oh);
-        let (oy_stride, plane_len) = (self.g.oy_stride(), self.g.plane_len());
-        // Where the panel's first `k` step sits: sample, then output row
-        // and column inside it.
-        let (bi0, pos0) = (kb / ohw, kb % ohw);
-        let start = (bi0 * plane_len, pos0 / ow, pos0 % ow);
-        for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
-            debug_assert!(s < nc.div_ceil(NR));
-            let j0 = jb + s * NR;
-            let jw = NR.min(n - j0);
-            let mut bases = [0usize; NR];
-            let mut taps = self.g.taps_from(j0);
-            for base in &mut bases[..jw] {
-                *base = taps.base();
-                taps.advance();
-            }
-            // `k` runs over output positions, so one tap's values for a row
-            // of positions are a run of the planes. NR steps at a time:
-            // gather the NR taps' runs as the rows of a block, then store
-            // the block transposed — NR contiguous sliver rows.
-            let (mut sample, mut oy, mut ox) = start;
-            let mut blk = [[0.0f32; NR]; NR];
-            for dst in sliver.chunks_mut(NR * NR) {
-                let steps = dst.len() / NR;
-                let mut q = 0;
-                while q < steps {
-                    let seg = (ow - ox).min(steps - q);
-                    let run = sample + oy * oy_stride + ox;
-                    for (row, &base) in blk.iter_mut().zip(&bases[..jw]) {
-                        copy_run(&mut row[q..q + seg], &self.planes[run + base..][..seg]);
-                    }
-                    q += seg;
-                    ox += seg;
-                    if ox == ow {
-                        ox = 0;
-                        oy += 1;
-                        if oy == oh {
-                            oy = 0;
-                            sample += plane_len;
-                        }
-                    }
-                }
-                for (q, drow) in dst.chunks_exact_mut(NR).enumerate() {
-                    for (d, row) in drow.iter_mut().zip(&blk) {
-                        *d = row[q];
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Fused-col2im epilogue for [`gemm::gemm_scatter`]: accumulates `rows`
 /// finished column-matrix rows (starting at global row `r0`) into one
 /// sample's **zeroed phase planes**; [`ConvGeom::unsplit`] copies the image
@@ -547,6 +629,93 @@ fn scatter_tile(tile: &[f32], r0: usize, g: &ConvGeom, planes: &mut [f32]) {
     }
 }
 
+/// The zero-padded stride-phase planes of a `(b, c, h, w)` activation (see
+/// [`ConvGeom`]'s "Phase planes"): the one copy of the image operand every
+/// product of a conv layer reads. [`conv2d_forward_planes`] builds them for
+/// its own GEMMs and hands them out, so a training layer keeps *them* —
+/// not a clone of its input — and [`conv2d_backward_planes`] takes the
+/// weight gradient's taps straight from them. The buffer goes back to the
+/// workspace shelf when the planes are dropped.
+pub struct ConvPlanes {
+    buf: Vec<f32>,
+    b: usize,
+    geom: ConvGeom,
+}
+
+impl ConvPlanes {
+    /// Lays `input` `(b, c, h, w)` out for a `kh x kw` convolution.
+    ///
+    /// # Panics
+    /// Panics if `input` is not 4-D or the padded image is smaller than the
+    /// kernel.
+    pub fn split(input: &Tensor, kh: usize, kw: usize, stride: usize, pad: usize) -> Self {
+        let (b, c, h, w) = dims4(input, "conv input");
+        let geom = ConvGeom::conv(c, h, w, kh, kw, stride, pad);
+        Self::of(geom, b, input.data())
+    }
+
+    /// One pass over a batch of `b` `(c, h, w)` images: freshly zeroed
+    /// planes, one [`ConvGeom::plane_len`] block per sample.
+    fn of(geom: ConvGeom, b: usize, images: &[f32]) -> Self {
+        let chw = geom.c * geom.h * geom.w;
+        assert_eq!(images.len(), b * chw, "conv planes: image batch size");
+        let mut buf = workspace::take_zeroed(b * geom.plane_len());
+        for (image, sample) in images
+            .chunks_exact(chw.max(1))
+            .zip(buf.chunks_exact_mut(geom.plane_len().max(1)))
+        {
+            geom.split(image, sample);
+        }
+        ConvPlanes { buf, b, geom }
+    }
+
+    /// The `(b, c, h, w)` shape of the activation the planes hold.
+    pub fn shape(&self) -> [usize; 4] {
+        [self.b, self.geom.c, self.geom.h, self.geom.w]
+    }
+
+    /// The planes of sample `bi`.
+    fn sample(&self, bi: usize) -> &[f32] {
+        &self.buf[bi * self.geom.plane_len()..][..self.geom.plane_len()]
+    }
+
+    /// The activation, copied back out of the planes — exactly what
+    /// [`ConvPlanes::split`] was given.
+    pub fn unsplit(&self) -> Tensor {
+        let g = &self.geom;
+        let mut out = workspace::take_uninit(self.b * g.c * g.h * g.w);
+        for (image, sample) in out
+            .chunks_exact_mut((g.c * g.h * g.w).max(1))
+            .zip(self.buf.chunks_exact(g.plane_len().max(1)))
+        {
+            g.unsplit(sample, image);
+        }
+        Tensor::new(&self.shape(), out)
+    }
+
+    /// Sample `bi`'s `(c*kh*kw, oh*ow)` column matrix read back from the
+    /// planes: element for element what the reference [`im2col`] unfolds
+    /// from the image, and what the implicit products read.
+    pub fn im2col(&self, bi: usize, cols: &mut [f32]) {
+        let g = &self.geom;
+        assert_eq!(cols.len(), g.ckk() * g.ohw(), "im2col cols size mismatch");
+        let sample = self.sample(bi);
+        let mut taps = g.taps_from(0);
+        for row in cols.chunks_exact_mut(g.ohw().max(1)) {
+            for (oy, run) in row.chunks_exact_mut(g.ow).enumerate() {
+                run.copy_from_slice(&sample[taps.base() + oy * g.oy_stride()..][..g.ow]);
+            }
+            taps.advance();
+        }
+    }
+}
+
+impl Drop for ConvPlanes {
+    fn drop(&mut self) {
+        workspace::recycle(std::mem::take(&mut self.buf));
+    }
+}
+
 /// Batched 2-D convolution forward pass.
 ///
 /// * `input`: `(B, C, H, W)`
@@ -561,7 +730,19 @@ pub fn conv2d_forward(
     stride: usize,
     pad: usize,
 ) -> Tensor {
-    let (b, c, h, w) = dims4(input, "conv2d input");
+    conv2d_forward_planes(input, weight, bias, stride, pad).0
+}
+
+/// [`conv2d_forward`] that also hands out the phase planes of `input` it
+/// built, for [`conv2d_backward_planes`].
+pub fn conv2d_forward_planes(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> (Tensor, ConvPlanes) {
+    let (b, c, _, _) = dims4(input, "conv2d input");
     let wd = weight.shape();
     assert_eq!(wd.len(), 4, "conv2d weight must be 4-D");
     let (o, wc, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
@@ -570,33 +751,19 @@ pub fn conv2d_forward(
     if has_bias {
         assert_eq!(bias.len(), o, "conv2d bias size mismatch");
     }
-    let oh = conv_out_dim(h, kh, stride, pad);
-    let ow = conv_out_dim(w, kw, stride, pad);
-    let ckk = c * kh * kw;
-    let ohw = oh * ow;
-
-    let geom = ConvGeom {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
     // One implicit GEMM per sample, out (o, ohw) = weight (o, ckk) x cols
     // (ckk, ohw): the weights are packed once for the whole batch, the
     // column panels come straight from the phase planes. The GEMM fully
     // overwrites every sample, so the buffer can start uninitialized.
-    let planes = geom.split_batch(input.data());
+    let planes = ConvPlanes::split(input, kh, kw, stride, pad);
+    let geom = planes.geom;
+    let (ckk, ohw) = (geom.ckk(), geom.ohw());
     let packed_w = PackedLhs::new(Lhs::RowMajor(weight.data()), o, ckk);
     let mut out = workspace::take_uninit(b * o * ohw);
     let b_data = bias.data();
     parallel::parallel_for_chunks(&mut out, b, ckk * o * ohw, |bi, out_sample| {
         let cols = Im2colRhs {
-            planes: &planes[bi * geom.plane_len()..][..geom.plane_len()],
+            planes: planes.sample(bi),
             g: geom,
         };
         gemm::gemm_with(
@@ -612,8 +779,7 @@ pub fn conv2d_forward(
             add_bias(out_sample, b_data);
         }
     });
-    workspace::recycle(planes);
-    Tensor::new(&[b, o, oh, ow], out)
+    (Tensor::new(&[b, o, geom.oh, geom.ow], out), planes)
 }
 
 /// Gradients of the batched conv2d.
@@ -701,13 +867,12 @@ pub fn conv2d_backward_need(
 /// same chains seeded with 0.0, i.e. bit for bit zeroing the tensors first,
 /// without the sweep); otherwise they are left untouched. The input
 /// gradient is returned when `need.input()` (`None` otherwise). The two are
-/// independent products (one batch-wide GEMM for the weights, one scatter
-/// GEMM per image for the input), so skipping one leaves the other
+/// independent products (one batch-wide product for the weights, one
+/// scatter GEMM per image for the input), so skipping one leaves the other
 /// bit-for-bit what [`Need::All`] computes.
 ///
-/// This is the hot-path entry point for training layers: no per-call
-/// gradient tensors, no extra accumulation pass, and every scratch buffer
-/// (phase planes, packed panels) drawn from the workspace shelf.
+/// This spelling lays `input` out again for the weight gradient; a layer
+/// that kept the forward's planes calls [`conv2d_backward_planes`].
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d_backward_into(
     input: &Tensor,
@@ -721,82 +886,108 @@ pub fn conv2d_backward_into(
     grad_bias: &mut Tensor,
 ) -> Option<Tensor> {
     let (b, c, h, w) = dims4(input, "conv2d input");
-    let wd = weight.shape();
-    let (o, _, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
+    let (_, _, kh, kw) = dims4(weight, "conv2d weight");
+    let geom = ConvGeom::conv(c, h, w, kh, kw, stride, pad);
+    check_conv2d_grads(&geom, b, weight, grad_out, grad_weight, grad_bias);
+    if need.params() {
+        let planes = ConvPlanes::of(geom, b, input.data());
+        conv2d_param_grads(&planes, grad_out, acc, grad_weight, grad_bias);
+    }
+    need.input()
+        .then(|| conv2d_input_grad(&geom, b, weight, grad_out))
+}
+
+/// [`conv2d_backward_into`] on the phase planes the forward pass handed out
+/// ([`conv2d_forward_planes`]) instead of the input tensor: nothing is laid
+/// out again, and every output is bit for bit the same. This is the
+/// hot-path entry point for training layers: no per-call gradient tensors,
+/// no extra accumulation pass, and every scratch buffer drawn from the
+/// workspace shelf.
+pub fn conv2d_backward_planes(
+    planes: &ConvPlanes,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    need: Need,
+    acc: bool,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) -> Option<Tensor> {
+    let geom = planes.geom;
+    check_conv2d_grads(&geom, planes.b, weight, grad_out, grad_weight, grad_bias);
+    if need.params() {
+        conv2d_param_grads(planes, grad_out, acc, grad_weight, grad_bias);
+    }
+    need.input()
+        .then(|| conv2d_input_grad(&geom, planes.b, weight, grad_out))
+}
+
+/// The shape contract of the conv2d gradient entry points.
+fn check_conv2d_grads(
+    geom: &ConvGeom,
+    b: usize,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    grad_weight: &Tensor,
+    grad_bias: &Tensor,
+) {
+    let (o, wc, kh, kw) = dims4(weight, "conv2d weight");
+    assert_eq!(geom.c, wc, "conv2d channel mismatch");
+    assert_eq!((geom.kh, geom.kw), (kh, kw), "conv2d kernel size mismatch");
     let (gb, go, oh, ow) = dims4(grad_out, "conv2d grad_out");
     assert_eq!(gb, b, "conv2d grad batch mismatch");
     assert_eq!(go, o, "conv2d grad channel mismatch");
+    assert_eq!((oh, ow), (geom.oh, geom.ow), "conv2d grad size mismatch");
     assert_eq!(
         grad_weight.shape(),
         weight.shape(),
         "conv2d grad_weight shape mismatch"
     );
     assert_eq!(grad_bias.len(), o, "conv2d grad_bias size mismatch");
-    let ckk = c * kh * kw;
-    let ohw = oh * ow;
+}
 
-    let geom = ConvGeom {
-        c,
-        h,
-        w,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh,
-        ow,
-    };
-    if need.params() {
-        // grad_weight (o, ckk) (+)= [g_0 | g_1 | …] (o, b*ohw) x
-        // [cols_0^T; cols_1^T; …] (b*ohw, ckk): the batch is folded into
-        // `k`, so the gradient tile is loaded and stored once per `k` panel
-        // of the whole batch instead of once per sample. Each element's
-        // chain is still "seeded with the gradient, samples ascending,
-        // positions ascending" — what one accumulate product per sample
-        // computed.
-        let planes = geom.split_batch(input.data());
-        let cols_t = Im2colTRhs {
-            planes: &planes,
-            g: geom,
-        };
-        let g_all = Lhs::BatchedRows {
-            a: grad_out.data(),
-            per: ohw,
-        };
-        let gw = grad_weight.data_mut();
-        gemm::gemm_with(g_all, &cols_t, gw, o, b * ohw, ckk, acc);
-        workspace::recycle(planes);
-        accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), ohw, acc);
+/// `grad_weight (o, ckk) (+)= [g_0 | g_1 | …] (o, b*ohw) x [cols_0^T;
+/// cols_1^T; …] (b*ohw, ckk)` with the column matrices read in place from
+/// `planes` ([`wgrad::weight_grad`]), and the bias gradient.
+fn conv2d_param_grads(
+    planes: &ConvPlanes,
+    grad_out: &Tensor,
+    acc: bool,
+    grad_weight: &mut Tensor,
+    grad_bias: &mut Tensor,
+) {
+    let (o, ohw) = (grad_bias.len(), planes.geom.ohw());
+    wgrad::weight_grad(planes, grad_out.data(), o, grad_weight.data_mut(), acc);
+    accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), ohw, acc);
+}
+
+/// `grad_input = col2im(W^T (ckk, o) x g (o, ohw))` per sample, with col2im
+/// fused into the GEMM epilogue — grad_cols never materializes.
+/// `weight.data()` is the `(o, ckk)` row-major matrix; `Lhs::ColMajor`
+/// reads its transpose in place, packed once for the whole batch.
+fn conv2d_input_grad(geom: &ConvGeom, b: usize, weight: &Tensor, grad_out: &Tensor) -> Tensor {
+    let (o, ckk, ohw) = (weight.shape()[0], geom.ckk(), geom.ohw());
+    let chw = geom.c * geom.h * geom.w;
+    let packed_wt = PackedLhs::new(Lhs::ColMajor(weight.data()), ckk, o);
+    let mut planes = workspace::take_zeroed(b * geom.plane_len());
+    let mut grad_input = workspace::take_uninit(b * chw);
+    for (bi, (gi, sample)) in grad_input
+        .chunks_exact_mut(chw.max(1))
+        .zip(planes.chunks_exact_mut(geom.plane_len().max(1)))
+        .enumerate()
+    {
+        let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
+        gemm::gemm_scatter(
+            Lhs::Packed(&packed_wt),
+            &SliceRhs::new(g, false, o, ohw),
+            ckk,
+            o,
+            ohw,
+            |tile, r0, _| scatter_tile(tile, r0, geom, sample),
+        );
+        geom.unsplit(sample, gi);
     }
-
-    need.input().then(|| {
-        // grad_input = col2im(W^T (ckk, o) x g (o, ohw)) per sample, with
-        // col2im fused into the GEMM epilogue — grad_cols never
-        // materializes. weight.data() is the (o, ckk) row-major matrix;
-        // Lhs::ColMajor reads its transpose in place, packed once for the
-        // whole batch.
-        let packed_wt = PackedLhs::new(Lhs::ColMajor(weight.data()), ckk, o);
-        let mut planes = workspace::take_zeroed(b * geom.plane_len());
-        let mut grad_input = workspace::take_uninit(input.len());
-        for (bi, (gi, sample)) in grad_input
-            .chunks_exact_mut((c * h * w).max(1))
-            .zip(planes.chunks_exact_mut(geom.plane_len().max(1)))
-            .enumerate()
-        {
-            let g = &grad_out.data()[bi * o * ohw..(bi + 1) * o * ohw];
-            gemm::gemm_scatter(
-                Lhs::Packed(&packed_wt),
-                &SliceRhs::new(g, false, o, ohw),
-                ckk,
-                o,
-                ohw,
-                |tile, r0, _| scatter_tile(tile, r0, &geom, sample),
-            );
-            geom.unsplit(sample, gi);
-        }
-        workspace::recycle(planes);
-        Tensor::new(input.shape(), grad_input)
-    })
+    workspace::recycle(planes);
+    Tensor::new(&[b, geom.c, geom.h, geom.w], grad_input)
 }
 
 /// Batched 2-D transposed convolution forward pass.
@@ -825,24 +1016,12 @@ pub fn conv_transpose2d_forward(
     if has_bias {
         assert_eq!(bias.len(), cout, "conv_t bias size mismatch");
     }
-    let oh = conv_transpose_out_dim(h, kh, stride, pad);
-    let ow = conv_transpose_out_dim(w, kw, stride, pad);
-    let ckk = cout * kh * kw;
-    let hw = h * w;
-
     // The conv whose adjoint we are: image (cout, oh, ow) -> columns over
     // the input's (h, w) grid.
-    let geom = ConvGeom {
-        c: cout,
-        h: oh,
-        w: ow,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh: h,
-        ow: w,
-    };
+    let geom = ConvGeom::conv_transpose(cout, h, w, kh, kw, stride, pad);
+    let (oh, ow) = (geom.h, geom.w);
+    let ckk = geom.ckk();
+    let hw = h * w;
     // Per sample, cols (ckk, hw) = W2^T (ckk, cin) x x (cin, hw), scattered
     // tile by tile into the sample's phase planes — the column matrix never
     // materializes. weight.data() is the (cin, ckk) row-major matrix;
@@ -969,8 +1148,7 @@ pub fn conv_transpose2d_backward_into(
     grad_bias: &mut Tensor,
 ) -> Option<Tensor> {
     let (b, cin, h, w) = dims4(input, "conv_t input");
-    let wd = weight.shape();
-    let (_, cout, kh, kw) = (wd[0], wd[1], wd[2], wd[3]);
+    let (_, cout, kh, kw) = dims4(weight, "conv_t weight");
     let (gb, gcout, oh, ow) = dims4(grad_out, "conv_t grad_out");
     assert_eq!(gb, b, "conv_t grad batch mismatch");
     assert_eq!(gcout, cout, "conv_t grad channel mismatch");
@@ -980,37 +1158,23 @@ pub fn conv_transpose2d_backward_into(
         "conv_t grad_weight shape mismatch"
     );
     assert_eq!(grad_bias.len(), cout, "conv_t grad_bias size mismatch");
-    let ckk = cout * kh * kw;
-    let hw = h * w;
 
-    // dL/dcols = im2col(dL/dout) over the adjoint conv geometry; packed on
-    // the fly below instead of materialized.
-    let geom = ConvGeom {
-        c: cout,
-        h: oh,
-        w: ow,
-        kh,
-        kw,
-        stride,
-        pad,
-        oh: h,
-        ow: w,
-    };
-    // Both products read the column matrix of grad_out: one layout pass
-    // serves them.
-    let planes = geom.split_batch(grad_out.data());
+    // dL/dcols = im2col(dL/dout) over the adjoint conv geometry, read from
+    // the planes of grad_out instead of materialized: one layout pass
+    // serves both products.
+    let geom = ConvGeom::conv_transpose(cout, h, w, kh, kw, stride, pad);
+    assert_eq!((oh, ow), (geom.h, geom.w), "conv_t grad size mismatch");
+    let (ckk, hw) = (geom.ckk(), h * w);
+    let planes = ConvPlanes::of(geom, b, grad_out.data());
 
     let grad_input = need.input().then(|| {
         // dL/dx = W2 (cin, ckk) x gcols (ckk, hw) per sample, straight into
         // place (fully overwritten), the weights packed once for the batch.
         let packed_w = PackedLhs::new(Lhs::RowMajor(weight.data()), cin, ckk);
         let mut grad_input = workspace::take_uninit(input.len());
-        for (gi, sample) in grad_input
-            .chunks_exact_mut((cin * hw).max(1))
-            .zip(planes.chunks_exact(geom.plane_len().max(1)))
-        {
+        for (bi, gi) in grad_input.chunks_exact_mut((cin * hw).max(1)).enumerate() {
             let gcols = Im2colRhs {
-                planes: sample,
+                planes: planes.sample(bi),
                 g: geom,
             };
             gemm::gemm_with(Lhs::Packed(&packed_w), &gcols, gi, cin, ckk, hw, false);
@@ -1020,21 +1184,10 @@ pub fn conv_transpose2d_backward_into(
 
     if need.params() {
         // dL/dW2 (cin, ckk) (+)= [x_0 | x_1 | …] (cin, b*hw) x
-        // [gcols_0^T; gcols_1^T; …] (b*hw, ckk), the batch folded into `k`
-        // as in `conv2d_backward_into`.
-        let gcols_t = Im2colTRhs {
-            planes: &planes,
-            g: geom,
-        };
-        let x_all = Lhs::BatchedRows {
-            a: input.data(),
-            per: hw,
-        };
-        let gw = grad_weight.data_mut();
-        gemm::gemm_with(x_all, &gcols_t, gw, cin, b * hw, ckk, acc);
+        // [gcols_0^T; gcols_1^T; …] (b*hw, ckk), as in `conv2d_param_grads`.
+        wgrad::weight_grad(&planes, input.data(), cin, grad_weight.data_mut(), acc);
         accumulate_bias_grad(grad_bias.data_mut(), grad_out.data(), oh * ow, acc);
     }
-    workspace::recycle(planes);
     grad_input
 }
 
@@ -1050,15 +1203,33 @@ fn add_bias(sample: &mut [f32], bias: &[f32]) {
 
 /// `grad_bias[oc] += sum(g[bi][oc][..])`, samples ascending — one sum per
 /// (sample, channel), added in that order to the old gradient (`acc`) or
-/// to 0.0.
+/// to 0.0. Each sum is the in-order chain `row.iter().sum()` runs; eight
+/// channels' chains advance side by side so the adds of one do not wait
+/// for the adds of another.
 fn accumulate_bias_grad(grad_bias: &mut [f32], grad_out: &[f32], positions: usize, acc: bool) {
+    const SIDE: usize = 8;
     if !acc {
         grad_bias.fill(0.0);
     }
     let channels = grad_bias.len();
+    // What `Iterator::sum` seeds an `f32` chain with.
+    let seed: f32 = [].iter().sum();
     for g in grad_out.chunks_exact((channels * positions).max(1)) {
-        for (gb, row) in grad_bias.iter_mut().zip(g.chunks_exact(positions.max(1))) {
-            *gb += row.iter().sum::<f32>();
+        for (gb, block) in grad_bias.chunks_mut(SIDE).zip(g.chunks(SIDE * positions)) {
+            // A short last block re-reads its final row in the unused
+            // slots and drops their sums.
+            let last = gb.len() - 1;
+            let rows: [&[f32]; SIDE] =
+                std::array::from_fn(|j| &block[j.min(last) * positions..][..positions]);
+            let mut sums = [seed; SIDE];
+            for p in 0..positions {
+                for (sum, row) in sums.iter_mut().zip(&rows) {
+                    *sum += row[p];
+                }
+            }
+            for (gb, sum) in gb.iter_mut().zip(sums) {
+                *gb += sum;
+            }
         }
     }
 }

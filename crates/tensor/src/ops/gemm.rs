@@ -3,7 +3,7 @@
 //! `conv2d` / `conv_transpose2d` all lower to [`gemm_into`] /
 //! [`gemm_acc_into`] with a [`Layout`] tag, or to the `pub(crate)`
 //! [`gemm_with`] / [`gemm_scatter`] drivers with a custom [`PackRhs`]
-//! operand.
+//! operand (conv forward and both input gradients).
 //!
 //! The drivers run the packed, cache-blocked micro-kernel described below.
 //! The dense-slice entry points first check the shape: a product with a
@@ -42,19 +42,20 @@
 //! operands at stride 1 regardless of the logical [`Layout`].
 //!
 //! The B-side pack is abstracted behind [`PackRhs`]: the dense slice
-//! packer ([`SliceRhs`]) is one implementation; `conv.rs` provides im2col
-//! packers that write convolution patches straight into the packed sliver
-//! format (implicit GEMM — the full column matrix never exists in memory).
+//! packer ([`SliceRhs`]) is one implementation; `conv.rs` provides an
+//! im2col packer that writes convolution patches straight into the packed
+//! sliver format (implicit GEMM — the full column matrix never exists in
+//! memory). The conv weight gradient, whose transposed column matrix cost
+//! more to pack than to multiply, no longer comes here: it is a direct
+//! product in `conv/wgrad.rs`.
 //!
-//! The A side is an [`Lhs`]: a dense slice in either storage order, a
-//! batch of row blocks read as one wide matrix ([`Lhs::BatchedRows`] —
-//! conv's weight gradient with the batch folded into `k`), or panels
-//! packed ahead of the call ([`PackedLhs`] through [`Lhs::Packed`]). A
-//! caller that multiplies many right-hand sides by one left operand — a
-//! conv layer's weights against each sample of the batch — packs it once;
-//! the drivers then skip their A pack and read those panels in place. It
-//! is the same compute grid either way: only where a cell finds its A
-//! panel differs. The dense `matmul` family keeps packing per `k` panel
+//! The A side is an [`Lhs`]: a dense slice in either storage order, or
+//! panels packed ahead of the call ([`PackedLhs`] through
+//! [`Lhs::Packed`]). A caller that multiplies many right-hand sides by one
+//! left operand — a conv layer's weights against each sample of the batch
+//! — packs it once; the drivers then skip their A pack and read those
+//! panels in place. It is the same compute grid either way: only where a
+//! cell finds its A panel differs. The dense `matmul` family keeps packing per `k` panel
 //! inside the parallel pack phase.
 //!
 //! The micro-kernel computes an [`MR`]`x`[`NR`] register tile: 8 vector
@@ -184,12 +185,6 @@ pub(crate) enum Lhs<'a> {
     /// how `w^T · x` products run without materializing the transpose: the
     /// packer reads the `(k, m)` slice directly.
     ColMajor(&'a [f32]),
-    /// `k / per` row-major `(m, per)` blocks stored one after the other,
-    /// standing side by side: `A = [a_0 | a_1 | …]`, so
-    /// `A[i][bi*per + p] = a[(bi*m + i)*per + p]`. This is a `(B, M, per)`
-    /// activation read as one matrix whose `k` runs over the whole batch —
-    /// conv's weight gradient as a single product.
-    BatchedRows { a: &'a [f32], per: usize },
     /// Every panel already packed by [`PackedLhs::new`]: the drivers skip
     /// their A pack and read the panels in place.
     Packed(&'a PackedLhs),
@@ -731,27 +726,6 @@ fn pack_a(
                     dst[..rvalid].copy_from_slice(src);
                 }
             }
-            // Row `i` of A is the rows `i` of the `(m, per)` blocks laid end
-            // to end: walk the `kc` steps one block at a time (a `k` panel
-            // may start and end inside a block).
-            Lhs::BatchedRows { a, per } => {
-                for r in 0..rvalid {
-                    let i = i0 + rp * MR + r;
-                    let (mut bi, mut pos) = (kb / per, kb % per);
-                    let mut p = 0;
-                    while p < kc {
-                        let seg = (per - pos).min(kc - p);
-                        let src = &a[(bi * m + i) * per + pos..][..seg];
-                        let dst = panel[p * MR + r..].iter_mut().step_by(MR);
-                        for (d, &v) in dst.zip(src) {
-                            *d = v;
-                        }
-                        p += seg;
-                        pos = 0;
-                        bi += 1;
-                    }
-                }
-            }
             Lhs::Packed(_) => unreachable!("a packed operand is never packed again"),
         }
     }
@@ -1208,37 +1182,6 @@ mod tests {
         let mut out = vec![0.0f32; 4 * 5];
         let rhs = SliceRhs::new(&b, false, 4, 5);
         gemm_with(Lhs::Packed(&packed), &rhs, &mut out, 4, 4, 5, false);
-    }
-
-    #[test]
-    fn batched_rows_lhs_matches_concatenated_blocks() {
-        // Seven (m, per) blocks side by side against the same A
-        // materialized as one (m, 7*per) matrix: `per` = 100 does not divide
-        // KC, so the three k panels start and end inside blocks.
-        let mut rng = Rng64::seed_from_u64(18);
-        let (blocks, m, per, n) = (7, 37, 100, 45);
-        let k = blocks * per;
-        let a = randv(blocks * m * per, &mut rng); // stored (blocks, m, per)
-        let mut concat = vec![0.0f32; m * k];
-        for bi in 0..blocks {
-            for i in 0..m {
-                concat[i * k + bi * per..][..per].copy_from_slice(&a[(bi * m + i) * per..][..per]);
-            }
-        }
-        let b = randv(k * n, &mut rng);
-        let seed_out = randv(m * n, &mut rng);
-        let rhs = SliceRhs::new(&b, false, k, n);
-        let batched = Lhs::BatchedRows { a: &a, per };
-        let packed = PackedLhs::new(batched, m, k);
-        for acc in [false, true] {
-            let mut want = seed_out.clone();
-            gemm_with(Lhs::RowMajor(&concat), &rhs, &mut want, m, k, n, acc);
-            for (lhs, how) in [(batched, "per call"), (Lhs::Packed(&packed), "pre-packed")] {
-                let mut got = seed_out.clone();
-                gemm_with(lhs, &rhs, &mut got, m, k, n, acc);
-                assert_bits_eq(&got, &want, &format!("batched rows {how} acc={acc}"));
-            }
-        }
     }
 
     #[test]

@@ -672,3 +672,257 @@ fn edge_shapes_match_materialized_bitwise_at_every_width() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The phase planes as a cached operand, and the direct weight gradient that
+// reads its taps from them (`ops/conv/wgrad.rs`).
+// ---------------------------------------------------------------------------
+
+use md_tensor::ops::conv::{
+    conv2d_backward_into, conv2d_backward_planes, conv2d_forward_planes,
+    conv_transpose2d_backward_into, ConvPlanes,
+};
+
+/// The planes hold the activation exactly (`unsplit(split(x)) == x`) and
+/// every column-matrix element read back from them is the one `im2col`
+/// unfolds from the image — strides 1 / 2 / 3, odd widths, widths below the
+/// stride, pads that are not multiples of the stride.
+#[test]
+fn planes_round_trip_and_hold_every_im2col_element() {
+    let mut cases = 0;
+    for s in 1..=3usize {
+        for p in 0..=4usize {
+            for (h, w) in [
+                (1, 1),
+                (2, 1),
+                (1, 2),
+                (3, 2),
+                (5, 7),
+                (4, 9),
+                (8, 8),
+                (6, 13),
+            ] {
+                for (kh, kw) in [(1, 1), (3, 3), (2, 4), (5, 3)] {
+                    if kh > h + 2 * p || kw > w + 2 * p {
+                        continue;
+                    }
+                    let what = format!("({h}x{w}, k {kh}x{kw}, s {s}, p {p})");
+                    let (b, c) = (3, 2);
+                    let x = filled(&[b, c, h, w], (cases + 1) as u64);
+                    let planes = ConvPlanes::split(&x, kh, kw, s, p);
+                    assert_eq!(planes.shape(), [b, c, h, w]);
+                    assert_bits_eq(&planes.unsplit(), &x, &format!("{what} round trip"));
+                    let oh = conv_out_dim(h, kh, s, p);
+                    let ow = conv_out_dim(w, kw, s, p);
+                    let len = c * kh * kw * oh * ow;
+                    let (mut want, mut got) = (vec![0.0f32; len], vec![f32::NAN; len]);
+                    for bi in 0..b {
+                        let image = &x.data()[bi * c * h * w..(bi + 1) * c * h * w];
+                        im2col(image, c, h, w, kh, kw, s, p, oh, ow, &mut want);
+                        planes.im2col(bi, &mut got);
+                        assert_bits_eq(
+                            &Tensor::new(&[len], got.clone()),
+                            &Tensor::new(&[len], want.clone()),
+                            &format!("{what} sample {bi} columns"),
+                        );
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases > 200, "only {cases} geometries were checked");
+}
+
+/// As [`assert_bits_eq`], but a NaN matches a NaN of any payload: which of
+/// two NaN multiplicands a fused multiply-add propagates depends on the
+/// operand order, and the direct weight gradient swaps it.
+fn assert_bits_eq_nan_any(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what} shape");
+    for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+        assert!(
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+            "{what} element {i}: direct {x} vs materialized {y}"
+        );
+    }
+}
+
+/// The gradient sentinels of [`assert_needs_match_reference`].
+fn sentinel_grads(gw_shape: &[usize], gb_len: usize) -> (Tensor, Tensor) {
+    (
+        filled(gw_shape, 0x5E).add_scalar(0.375),
+        filled(&[gb_len], 0x5F).add_scalar(-1.25),
+    )
+}
+
+/// conv2d weight/bias gradients, written (`acc = false`) and accumulated
+/// into sentinels, against the materialized reference.
+fn check_conv2d_weight_grad(&(b, c, o, h, w, kh, kw, s, p): &ConvCase, seed: u64) {
+    let what = format!("conv2d {:?}", (b, c, o, h, w, kh, kw, s, p));
+    let x = filled(&[b, c, h, w], seed);
+    let wt = filled(&[o, c, kh, kw], seed ^ 0x11);
+    let (oh, ow) = (conv_out_dim(h, kh, s, p), conv_out_dim(w, kw, s, p));
+    let g = filled(&[b, o, oh, ow], seed ^ 0x33);
+    for acc in [false, true] {
+        let (gw0, gb0) = if acc {
+            sentinel_grads(wt.shape(), o)
+        } else {
+            (Tensor::zeros(wt.shape()), Tensor::zeros(&[o]))
+        };
+        let (_, gw_ref, gb_ref) = conv_ref_backward_from(&x, &wt, &g, s, p, gw0, gb0);
+        // Written gradients must not depend on what the buffers held.
+        let (mut gw, mut gb) = sentinel_grads(wt.shape(), o);
+        let gx = conv2d_backward_into(&x, &wt, &g, s, p, Need::Params, acc, &mut gw, &mut gb);
+        assert!(gx.is_none());
+        assert_bits_eq(&gw, &gw_ref, &format!("{what} acc={acc} grad_weight"));
+        assert_bits_eq(&gb, &gb_ref, &format!("{what} acc={acc} grad_bias"));
+    }
+}
+
+/// The same for conv_transpose2d: `c` input channels (the rows of its
+/// weight gradient), `o` output channels.
+fn check_conv_t_weight_grad(&(b, cin, cout, h, w, kh, kw, s, p): &ConvCase, seed: u64) {
+    let what = format!("conv_t {:?}", (b, cin, cout, h, w, kh, kw, s, p));
+    let x = filled(&[b, cin, h, w], seed);
+    let wt = filled(&[cin, cout, kh, kw], seed ^ 0x44);
+    let oh = conv_transpose_out_dim(h, kh, s, p);
+    let ow = conv_transpose_out_dim(w, kw, s, p);
+    let g = filled(&[b, cout, oh, ow], seed ^ 0x66);
+    for acc in [false, true] {
+        let (gw0, gb0) = if acc {
+            sentinel_grads(wt.shape(), cout)
+        } else {
+            (Tensor::zeros(wt.shape()), Tensor::zeros(&[cout]))
+        };
+        let (_, gw_ref, gb_ref) = conv_t_ref_backward_from(&x, &wt, &g, s, p, gw0, gb0);
+        let (mut gw, mut gb) = sentinel_grads(wt.shape(), cout);
+        let need = Need::Params;
+        let gx = conv_transpose2d_backward_into(&x, &wt, &g, s, p, need, acc, &mut gw, &mut gb);
+        assert!(gx.is_none());
+        assert_bits_eq(&gw, &gw_ref, &format!("{what} acc={acc} grad_weight"));
+        assert_bits_eq(&gb, &gb_ref, &format!("{what} acc={acc} grad_bias"));
+    }
+}
+
+/// The direct weight gradient against `im2col` + `matmul_nt_acc_into`,
+/// bitwise, for both layers at every pool width: gradient rows on both
+/// sides of the 16-lane sliver and the sliver pair (1, 15, 16, 17, 33),
+/// `c·kh·kw` off the 8-tap tile (27, 18, 50, 48), `oh·ow` off 16, b = 7,
+/// one shape per layer whose 140 output rows outgrow a `k` panel (136 rows
+/// at 48 padded channels x 20 columns), so partial sums are carried, and
+/// one per layer large enough (`c·kh·kw · rows · b·oh·ow` > 2^23) for its
+/// tap tiles to be split across the pool.
+#[test]
+fn direct_weight_gradient_matches_materialized_bitwise() {
+    use md_tensor::parallel::scoped_max_threads;
+    let rows = [1usize, 15, 16, 17, 33];
+    for threads in [1, 2, 3, 8] {
+        let _guard = scoped_max_threads(threads);
+        for (i, &m) in rows.iter().enumerate() {
+            let seed = 100 + i as u64;
+            // 7x5 and 5x4 output grids; 27 and 18 column-matrix rows.
+            check_conv2d_weight_grad(&(7, 3, m, 13, 10, 3, 3, 2, 1), seed);
+            check_conv2d_weight_grad(&(7, 2, m, 9, 8, 3, 3, 2, 2), seed ^ 0x100);
+            // 5x3 and 4x5 input grids; 50 and 48 column-matrix rows.
+            check_conv_t_weight_grad(&(7, m, 2, 5, 3, 5, 5, 2, 2), seed ^ 0x200);
+            check_conv_t_weight_grad(&(7, m, 3, 4, 5, 4, 4, 3, 1), seed ^ 0x300);
+        }
+        check_conv2d_weight_grad(&(7, 3, 33, 40, 40, 3, 3, 2, 1), 120);
+        check_conv_t_weight_grad(&(7, 33, 2, 20, 20, 4, 4, 2, 1), 121);
+        check_conv2d_weight_grad(&(30, 16, 32, 16, 16, 3, 3, 2, 1), 122);
+        check_conv_t_weight_grad(&(30, 32, 16, 8, 8, 4, 4, 2, 1), 123);
+    }
+}
+
+/// ±0.0, NaN and ±Inf in both operands of the weight gradient: `0·NaN` and
+/// `0·Inf` must reach the gradient exactly as the reference chain carries
+/// them (no zero-skip, no pad lane or pad tap leaking in).
+#[test]
+fn direct_weight_gradient_propagates_specials() {
+    const SPECIALS: [f32; 6] = [0.0, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 1.0];
+    let sprinkle = |t: &mut Tensor, every: usize, at: usize| {
+        for (e, v) in t.data_mut().iter_mut().enumerate() {
+            if e % every == at {
+                *v = SPECIALS[(e / every) % SPECIALS.len()];
+            }
+        }
+    };
+    let (b, c, o, h, w, k, s, p) = (3, 3, 17, 9, 11, 3, 2, 1);
+    let mut x = filled(&[b, c, h, w], 130);
+    sprinkle(&mut x, 29, 2);
+    let wt = filled(&[o, c, k, k], 131);
+    let mut g = filled(
+        &[b, o, conv_out_dim(h, k, s, p), conv_out_dim(w, k, s, p)],
+        132,
+    );
+    sprinkle(&mut g, 31, 4);
+    let (_, gw_ref, _) = conv_ref_backward(&x, &wt, &g, s, p);
+    let (mut gw, mut gb) = sentinel_grads(wt.shape(), o);
+    conv2d_backward_into(&x, &wt, &g, s, p, Need::Params, false, &mut gw, &mut gb);
+    assert_bits_eq_nan_any(&gw, &gw_ref, "conv2d specials grad_weight");
+    let nans = gw_ref.data().iter().filter(|v| v.is_nan()).count();
+    assert!(
+        nans > 0 && nans < gw_ref.len(),
+        "the case must produce some NaNs"
+    );
+
+    let (cin, cout) = (17, 2);
+    let mut xt = filled(&[b, cin, 4, 5], 133);
+    sprinkle(&mut xt, 31, 4);
+    let wtt = filled(&[cin, cout, 4, 4], 134);
+    let (oh, ow) = (
+        conv_transpose_out_dim(4, 4, s, p),
+        conv_transpose_out_dim(5, 4, s, p),
+    );
+    let mut gt = filled(&[b, cout, oh, ow], 135);
+    sprinkle(&mut gt, 29, 2);
+    let (_, gw_ref, _) = conv_t_ref_backward(&xt, &wtt, &gt, s, p);
+    let (mut gw, mut gb) = sentinel_grads(wtt.shape(), cout);
+    conv_transpose2d_backward_into(&xt, &wtt, &gt, s, p, Need::Params, false, &mut gw, &mut gb);
+    assert_bits_eq_nan_any(&gw, &gw_ref, "conv_t specials grad_weight");
+    let nans = gw_ref.data().iter().filter(|v| v.is_nan()).count();
+    assert!(
+        nans > 0 && nans < gw_ref.len(),
+        "the case must produce some NaNs"
+    );
+}
+
+/// The gradient taken from the planes the forward pass handed out is the
+/// gradient taken from the raw input, under every [`Need`], written and
+/// accumulated — and a second call on the same planes repeats it.
+#[test]
+fn gradient_from_cached_planes_matches_the_raw_tensor() {
+    for (i, &(b, c, o, h, w, kh, kw, s, p)) in CONV_EDGE_CASES.iter().enumerate() {
+        let what = format!("conv2d {:?}", (b, c, o, h, w, kh, kw, s, p));
+        let seed = 140 + i as u64;
+        let x = filled(&[b, c, h, w], seed);
+        let wt = filled(&[o, c, kh, kw], seed ^ 0x11);
+        let bias = filled(&[o], seed ^ 0x22);
+        let (y, planes) = conv2d_forward_planes(&x, &wt, &bias, s, p);
+        assert_bits_eq(
+            &y,
+            &conv2d_forward(&x, &wt, &bias, s, p),
+            &format!("{what} forward"),
+        );
+        let g = filled(y.shape(), seed ^ 0x33);
+        for need in [Need::All, Need::Input, Need::Params] {
+            for acc in [false, true] {
+                let (mut gw_raw, mut gb_raw) = sentinel_grads(wt.shape(), o);
+                let gx_raw =
+                    conv2d_backward_into(&x, &wt, &g, s, p, need, acc, &mut gw_raw, &mut gb_raw);
+                for round in 1..=2 {
+                    let what = format!("{what} {need:?} acc={acc} x{round}");
+                    let (mut gw, mut gb) = sentinel_grads(wt.shape(), o);
+                    let gx = conv2d_backward_planes(&planes, &wt, &g, need, acc, &mut gw, &mut gb);
+                    match (&gx, &gx_raw) {
+                        (Some(gx), Some(gx_raw)) => assert_bits_eq(gx, gx_raw, &what),
+                        (None, None) => {}
+                        _ => panic!("{what}: input gradient presence differs"),
+                    }
+                    assert_bits_eq(&gw, &gw_raw, &format!("{what} grad_weight"));
+                    assert_bits_eq(&gb, &gb_raw, &format!("{what} grad_bias"));
+                }
+            }
+        }
+    }
+}
