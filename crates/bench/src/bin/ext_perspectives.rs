@@ -160,10 +160,12 @@ fn main() -> Result<(), mdgan_core::TrainError> {
         ("byz mean (undefended)", Aggregation::Mean),
         ("byz coordinate-median", Aggregation::CoordinateMedian),
     ] {
-        let mut md = MdGan::new(&spec, shards(2), cfg(2))
-            .with_attacks(attacks.clone())
-            .with_aggregation(agg)
-            .with_telemetry(Arc::clone(&recorder));
+        let byz_cfg = MdGanConfig {
+            attacks: attacks.clone(),
+            aggregation: agg,
+            ..cfg(2)
+        };
+        let mut md = MdGan::new(&spec, shards(2), byz_cfg).with_telemetry(Arc::clone(&recorder));
         let t = md.train(iters, eval_every, Some(&mut evaluator));
         record(&format!("{label} ({n_evil}/{workers} evil)"), &t, -1.0);
     }

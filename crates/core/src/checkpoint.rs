@@ -7,13 +7,12 @@
 //! a CRC32 so on-disk corruption is detected at load time, and
 //! [`Checkpoint::save_atomic`] writes crash-consistently (temp file +
 //! fsync + atomic rename), so a crash mid-write leaves the previous
-//! checkpoint intact. Version-1 files (f32 sections, no CRC) remain
-//! readable.
+//! checkpoint intact. Version-1 files (f32 sections, no CRC; no writer
+//! since PR 4) are rejected like any other unknown version.
 //!
 //! ```text
-//! magic "MDGANCKP" | version u32 | iteration u64 | n_sections u32
-//! v2 section: name_len u32 | name | kind u8 | data_len u32 | payload | crc32 u32
-//! v1 section: name_len u32 | name | data_len u32 | f32 LE...
+//! magic "MDGANCKP" | version u32 | iteration u64 | n_sections u32 | header crc32 u32
+//! section: name_len u32 | name | kind u8 | data_len u32 | payload | crc32 u32
 //! ```
 //! All integers little-endian; `data_len` counts *elements* (f32s, u64s or
 //! bytes, per the kind tag); the CRC covers name, kind, length and payload.
@@ -26,7 +25,6 @@ use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MDGANCKP";
 const VERSION: u32 = 2;
-const V1: u32 = 1;
 
 const KIND_F32: u8 = 0;
 const KIND_U64: u8 = 1;
@@ -247,6 +245,13 @@ impl Checkpoint {
         Ok(d)
     }
 
+    /// A u64 section that must exist with exactly `N` words, as an array
+    /// (an RNG stream position, say).
+    pub fn require_words<const N: usize>(&self, name: &str) -> io::Result<[u64; N]> {
+        let d = self.require_u64_len(name, N)?;
+        Ok(std::array::from_fn(|i| d[i]))
+    }
+
     /// A byte section that must exist.
     pub fn require_bytes(&self, name: &str) -> io::Result<&[u8]> {
         self.get_bytes(name).ok_or_else(|| Self::missing(name))
@@ -303,7 +308,7 @@ impl Checkpoint {
         buf.freeze()
     }
 
-    /// Parses the wire format (v2, or legacy v1).
+    /// Parses the wire format.
     ///
     /// # Errors
     /// Returns [`io::ErrorKind::InvalidData`] on magic/version mismatch,
@@ -314,7 +319,7 @@ impl Checkpoint {
         fn bad(msg: String) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, msg)
         }
-        if buf.len() < 8 + 4 + 8 + 4 {
+        if buf.len() < 8 + 4 + 8 + 4 + 4 {
             return Err(bad("checkpoint truncated (header)".into()));
         }
         let mut magic = [0u8; 8];
@@ -323,30 +328,25 @@ impl Checkpoint {
             return Err(bad(format!("bad magic {magic:?}")));
         }
         let version = buf.get_u32_le();
-        if version != VERSION && version != V1 {
+        if version != VERSION {
             return Err(bad(format!("unsupported checkpoint version {version}")));
         }
         let iteration = buf.get_u64_le();
         let n = buf.get_u32_le() as usize;
-        if version == VERSION {
-            if buf.remaining() < 4 {
-                return Err(bad("checkpoint truncated (header crc)".into()));
-            }
-            let stored = buf.get_u32_le();
-            let mut hcrc = Crc32::new();
-            hcrc.update(&iteration.to_le_bytes());
-            hcrc.update(&(n as u32).to_le_bytes());
-            let computed = hcrc.finish();
-            if stored != computed {
-                return Err(bad(format!(
-                    "crc mismatch in header: stored {stored:#010x}, computed {computed:#010x}"
-                )));
-            }
+        let stored = buf.get_u32_le();
+        let mut hcrc = Crc32::new();
+        hcrc.update(&iteration.to_le_bytes());
+        hcrc.update(&(n as u32).to_le_bytes());
+        let computed = hcrc.finish();
+        if stored != computed {
+            return Err(bad(format!(
+                "crc mismatch in header: stored {stored:#010x}, computed {computed:#010x}"
+            )));
         }
-        // Every section needs at least 8 bytes (v1: two length prefixes;
-        // v2 needs 13), so a count exceeding that bound is corrupt; reject
-        // before preallocating.
-        if n > buf.remaining() / 8 {
+        // Every section needs at least 13 bytes (two length prefixes, the
+        // kind tag and the CRC), so a count exceeding that bound is
+        // corrupt; reject before preallocating.
+        if n > buf.remaining() / 13 {
             return Err(bad(format!(
                 "section count {n} impossible for {} remaining bytes",
                 buf.remaining()
@@ -372,39 +372,13 @@ impl Checkpoint {
             if ck.get_section(&name).is_some() {
                 return Err(bad(format!("duplicate section name {name:?}")));
             }
-            let data = if version == V1 {
-                Self::parse_v1_body(&mut buf, &name)?
-            } else {
-                Self::parse_v2_body(&mut buf, &name)?
-            };
+            let data = Self::parse_body(&mut buf, &name)?;
             ck.sections.push((name, data));
         }
         Ok(ck)
     }
 
-    fn parse_v1_body(buf: &mut &[u8], name: &str) -> io::Result<SectionData> {
-        fn bad(msg: String) -> io::Error {
-            io::Error::new(io::ErrorKind::InvalidData, msg)
-        }
-        if buf.remaining() < 4 {
-            return Err(bad(format!(
-                "checkpoint truncated at section {name:?} data length"
-            )));
-        }
-        let data_len = buf.get_u32_le() as usize;
-        if buf.remaining() / 4 < data_len {
-            return Err(bad(format!(
-                "checkpoint truncated in section {name:?} data"
-            )));
-        }
-        let mut data = Vec::with_capacity(data_len);
-        for _ in 0..data_len {
-            data.push(buf.get_f32_le());
-        }
-        Ok(SectionData::F32(data))
-    }
-
-    fn parse_v2_body(buf: &mut &[u8], name: &str) -> io::Result<SectionData> {
+    fn parse_body(buf: &mut &[u8], name: &str) -> io::Result<SectionData> {
         fn bad(msg: String) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, msg)
         }
@@ -602,9 +576,9 @@ mod tests {
     }
 
     #[test]
-    fn reads_legacy_v1_files() {
-        // Hand-roll a v1 buffer: the old writer emitted
-        // name_len | name | data_len | f32s with no kind/crc.
+    fn rejects_a_version_1_header() {
+        // What the pre-v2 writer emitted: no header CRC, sections of
+        // name_len | name | data_len | f32s with no kind tag or CRC.
         let mut buf = Vec::new();
         buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&1u32.to_le_bytes());
@@ -615,26 +589,9 @@ mod tests {
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&1.5f32.to_le_bytes());
         buf.extend_from_slice(&(-2.0f32).to_le_bytes());
-        let c = Checkpoint::from_bytes(&buf).unwrap();
-        assert_eq!(c.iteration, 77);
-        assert_eq!(c.get("generator"), Some(&[1.5, -2.0][..]));
-        // Re-serializing upgrades to v2.
-        let again = Checkpoint::from_bytes(&c.to_bytes()).unwrap();
-        assert_eq!(again, c);
-    }
-
-    #[test]
-    fn v1_truncation_still_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        buf.extend_from_slice(b"g");
-        buf.extend_from_slice(&u32::MAX.to_le_bytes());
         let err = Checkpoint::from_bytes(&buf).unwrap_err();
-        assert!(err.to_string().contains("truncated in section"));
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("version 1"), "{err}");
     }
 
     #[test]

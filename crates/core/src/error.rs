@@ -62,6 +62,12 @@ impl From<io::Error> for TrainError {
     }
 }
 
+/// A section lookup that failed during restore: the file parsed, so this
+/// is a mismatch with the run, not an I/O failure.
+pub(crate) fn ckerr(e: io::Error) -> TrainError {
+    TrainError::Checkpoint(e.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -11,6 +11,7 @@ use md_data::Dataset;
 use md_metrics::classifier::{Scorer, ScorerConfig};
 use md_metrics::scores::{fid, inception_score, GanScores};
 use md_nn::gan::Generator;
+use md_telemetry::{Event, Phase, Recorder};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 
@@ -72,6 +73,27 @@ impl Evaluator {
             inception_score: inception_score(&fake_probs, 1),
             fid: fid(&self.real_features, &fake_feats),
         }
+    }
+
+    /// One point of a run's score timeline: scores `gen` under an `eval`
+    /// span, announces the result as `EvalDone` and appends it to
+    /// `timeline` at `iter`.
+    pub fn score_point(
+        &mut self,
+        gen: &mut Generator,
+        iter: usize,
+        telemetry: &Recorder,
+        timeline: &mut ScoreTimeline,
+    ) {
+        let span = telemetry.span(Phase::Eval);
+        let s = self.evaluate(gen);
+        drop(span);
+        telemetry.event(Event::EvalDone {
+            iter,
+            is_score: s.inception_score,
+            fid: s.fid,
+        });
+        timeline.push(iter, s);
     }
 
     /// Number of samples used per evaluation.

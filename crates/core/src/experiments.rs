@@ -8,7 +8,7 @@ use crate::arch::{ArchKind, ArchSpec};
 use crate::byzantine::Attack;
 use crate::checkpoint::Checkpoint;
 use crate::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
-use crate::error::TrainError;
+use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
 use crate::flgan::FlGan;
 use crate::mdgan::trainer::MdGan;
@@ -21,7 +21,7 @@ use md_nn::gan::Generator;
 use md_nn::optim::AdamConfig;
 use md_nn::{HealthConfig, HealthMonitor};
 use md_simnet::{CrashSchedule, TrafficReport};
-use md_telemetry::{Event, Phase, Recorder};
+use md_telemetry::{Event, Recorder};
 use md_tensor::rng::Rng64;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -268,10 +268,6 @@ const SEC_CURVE: &str = "exp_curve";
 const SEC_EVAL_RNG: &str = "exp_eval_rng";
 const SEC_TIMELINE: &str = "exp_timeline";
 
-fn ckerr(e: std::io::Error) -> TrainError {
-    TrainError::Checkpoint(e.to_string())
-}
-
 /// Crash-consistent small-file write: temp file + fsync + atomic rename.
 fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
@@ -337,10 +333,7 @@ fn restore_curve_state<G: Recoverable>(
     ck: &Checkpoint,
 ) -> Result<(), TrainError> {
     gan.restore(ck)?;
-    let words = ck
-        .require_u64_len(SEC_EVAL_RNG, Rng64::STATE_WORDS)
-        .map_err(ckerr)?;
-    evaluator.set_rng_state_words(std::array::from_fn(|i| words[i]));
+    evaluator.set_rng_state_words(ck.require_words(SEC_EVAL_RNG).map_err(ckerr)?);
     let text = ck.require_bytes(SEC_TIMELINE).map_err(ckerr)?;
     let text = std::str::from_utf8(text)
         .map_err(|e| TrainError::Checkpoint(format!("{SEC_TIMELINE} is not UTF-8: {e}")))?;
@@ -374,15 +367,8 @@ fn drive_curve_resumable<G: Recoverable>(
             iter: gan.iteration() as usize,
         });
     } else {
-        let span = telemetry.span(Phase::Eval);
-        let s = evaluator.evaluate(gen_of(gan));
-        drop(span);
-        telemetry.event(Event::EvalDone {
-            iter: gan.iteration() as usize,
-            is_score: s.inception_score,
-            fid: s.fid,
-        });
-        timeline.push(gan.iteration() as usize, s);
+        let at = gan.iteration() as usize;
+        evaluator.score_point(gen_of(gan), at, telemetry, &mut timeline);
     }
 
     let mut monitor = HealthMonitor::new(rec.health);
@@ -418,15 +404,7 @@ fn drive_curve_resumable<G: Recoverable>(
 
         let i = gan.iteration() as usize;
         if i.is_multiple_of(eval_every.max(1)) || i == iters {
-            let span = telemetry.span(Phase::Eval);
-            let s = evaluator.evaluate(gen_of(gan));
-            drop(span);
-            telemetry.event(Event::EvalDone {
-                iter: i,
-                is_score: s.inception_score,
-                fid: s.fid,
-            });
-            timeline.push(i, s);
+            evaluator.score_point(gen_of(gan), i, telemetry, &mut timeline);
         }
 
         if rec.every > 0 && i.is_multiple_of(rec.every) {

@@ -10,7 +10,7 @@
 use crate::arch::ArchSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
-use crate::error::TrainError;
+use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
 use crate::standalone::StandaloneGan;
 use md_data::Dataset;
@@ -229,30 +229,18 @@ impl FlGan {
         mut evaluator: Option<&mut Evaluator>,
     ) -> ScoreTimeline {
         let mut timeline = ScoreTimeline::new();
-        if let Some(ev) = evaluator.as_deref_mut() {
-            let span = self.telemetry.span(Phase::Eval);
-            let s = ev.evaluate(&mut self.server_gen);
-            drop(span);
-            self.telemetry.event(Event::EvalDone {
-                iter: self.iter,
-                is_score: s.inception_score,
-                fid: s.fid,
-            });
-            timeline.push(self.iter, s);
-        }
-        for i in 1..=iters {
-            self.step();
+        for i in 0..=iters {
+            if i > 0 {
+                self.step();
+            }
             if let Some(ev) = evaluator.as_deref_mut() {
                 if i % eval_every.max(1) == 0 || i == iters {
-                    let span = self.telemetry.span(Phase::Eval);
-                    let s = ev.evaluate(&mut self.server_gen);
-                    drop(span);
-                    self.telemetry.event(Event::EvalDone {
-                        iter: self.iter,
-                        is_score: s.inception_score,
-                        fid: s.fid,
-                    });
-                    timeline.push(self.iter, s);
+                    ev.score_point(
+                        &mut self.server_gen,
+                        self.iter,
+                        &self.telemetry,
+                        &mut timeline,
+                    );
                 }
             }
         }
@@ -277,7 +265,6 @@ impl FlGan {
     /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint).
     /// Missing or length-mismatched sections are errors, not silent skips.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
         let sg = ck
             .require_len("server_gen", self.server_gen.num_params())
             .map_err(ckerr)?;

@@ -17,7 +17,7 @@
 use crate::arch::ArchSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
-use crate::error::TrainError;
+use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
 use crate::standalone::StandaloneGan;
 use md_data::Dataset;
@@ -316,30 +316,14 @@ impl GossipGan {
     ) -> ScoreTimeline {
         let telemetry = Arc::clone(&self.telemetry);
         let mut timeline = ScoreTimeline::new();
-        if let Some(ev) = evaluator.as_deref_mut() {
-            let span = telemetry.span(Phase::Eval);
-            let scores = ev.evaluate(self.observer_generator());
-            drop(span);
-            telemetry.event(Event::EvalDone {
-                iter: self.iter,
-                is_score: scores.inception_score,
-                fid: scores.fid,
-            });
-            timeline.push(self.iter, scores);
-        }
-        for i in 1..=iters {
-            self.step();
+        for i in 0..=iters {
+            if i > 0 {
+                self.step();
+            }
             if let Some(ev) = evaluator.as_deref_mut() {
                 if i % eval_every.max(1) == 0 || i == iters {
-                    let span = telemetry.span(Phase::Eval);
-                    let scores = ev.evaluate(self.observer_generator());
-                    drop(span);
-                    telemetry.event(Event::EvalDone {
-                        iter: self.iter,
-                        is_score: scores.inception_score,
-                        fid: scores.fid,
-                    });
-                    timeline.push(self.iter, scores);
+                    let at = self.iter;
+                    ev.score_point(self.observer_generator(), at, &telemetry, &mut timeline);
                 }
             }
         }
@@ -370,7 +354,6 @@ impl GossipGan {
     /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint).
     /// Missing or length-mismatched sections are errors, not silent skips.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
         for (i, w) in self.workers.iter_mut().enumerate() {
             let raw = ck.require_bytes(&format!("worker_{i}")).map_err(ckerr)?;
             let inner = Checkpoint::from_bytes(raw)?;

@@ -22,19 +22,19 @@
 //!   "speed" skew, so slow-worker staleness patterns are reproducible.
 
 use crate::arch::ArchSpec;
-use crate::byzantine::{resolve_attacks, Attack, AttackState};
+use crate::byzantine::AttackState;
 use crate::checkpoint::Checkpoint;
 use crate::config::{MdGanConfig, SwapPolicy};
 use crate::defense::FeedbackForensics;
-use crate::error::TrainError;
+use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
+use crate::mdgan::round::{attack_states, build_parts, swap_permutation};
 use crate::mdgan::server::MdServer;
-use crate::mdgan::trainer::{build_parts, swap_permutation};
-use crate::mdgan::worker::MdWorker;
+use crate::mdgan::worker::{push_workers, restore_workers, states_of, MdWorker};
 use md_data::Dataset;
 use md_nn::param::{batch_bytes, param_bytes};
-use md_simnet::{ChurnKind, ChurnPlan, FaultState, Membership, TrafficReport, TrafficStats};
-use md_telemetry::{Event, Phase, Recorder, SpanKind, TraceCtx, Track};
+use md_simnet::{ChurnKind, FaultState, Membership, TrafficReport, TrafficStats, Wire};
+use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use std::sync::Arc;
@@ -137,10 +137,6 @@ impl AsyncMdGan {
     pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: MdGanConfig, acfg: AsyncConfig) -> Self {
         let object_size = shards[0].object_size();
         let shard_size = shards[0].len();
-        if !cfg.churn.is_none() {
-            ChurnPlan::from_events(cfg.workers, cfg.churn.events().to_vec())
-                .expect("invalid churn plan");
-        }
         let total = cfg.total_workers();
         let (server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
         let sched_rng = swap_rng.fork(0xA51C);
@@ -150,15 +146,7 @@ impl AsyncMdGan {
             .is_robust()
             .then(|| FaultState::new(cfg.fault.clone(), 1 + total));
         let membership = Membership::new(cfg.workers, total);
-        let attacks = resolve_attacks(&cfg.attacks, total);
-        let attack_states: Vec<AttackState> = attacks
-            .iter()
-            .enumerate()
-            .map(|(wi, &a)| {
-                let snap = matches!(a, Attack::PretrainedMimic).then(|| workers[wi].disc_params());
-                AttackState::new(a, cfg.seed, wi, snap)
-            })
-            .collect();
+        let attack_states = attack_states(&cfg, &workers);
         let forensics = FeedbackForensics::new(cfg.defense, total);
         AsyncMdGan {
             server,
@@ -228,7 +216,6 @@ impl AsyncMdGan {
     /// dispatched unit is stamped with `ctx` so the worker's eventual
     /// compute links back to this dispatch.
     fn dispatch(&mut self, wi: usize, ctx: TraceCtx) {
-        let wtrack = Track::Worker((wi + 1) as u32);
         let tick = self.updates;
         let _span = self
             .telemetry
@@ -241,65 +228,11 @@ impl AsyncMdGan {
         let ld = self.server.gen.sample_labels(b, &mut self.sched_rng);
         let xd = self.server.gen.generate(&zd, &ld, true);
         let down_bytes = 2 * batch_bytes(b, self.object_size);
-        let mut down_recv = 0u64;
-        if let Some(fs) = &self.fault_state {
-            let telemetry = &self.telemetry;
-            let del = fs.transmit(
-                0,
-                wi + 1,
-                tick,
-                down_bytes,
-                self.cfg.robust.retries,
-                &self.stats,
-                Some(telemetry),
-                ctx,
-                |dup, sent| {
-                    if !dup && sent != 0 {
-                        down_recv = telemetry.trace_instant(
-                            SpanKind::Recv {
-                                from: 0,
-                                bytes: down_bytes,
-                            },
-                            wtrack,
-                            TraceCtx {
-                                trace: ctx.trace,
-                                span: sent,
-                            },
-                            tick,
-                        );
-                    }
-                },
-            );
-            if !del.delivered {
-                // The batches were lost; the worker sits idle until the
-                // next event re-dispatches fresh ones.
-                return;
-            }
-        } else {
-            self.stats.record(0, wi + 1, down_bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: (wi + 1) as u32,
-                    bytes: down_bytes,
-                    attempt: 1,
-                },
-                Track::Server,
-                ctx,
-                tick,
-            );
-            down_recv = self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: 0,
-                    bytes: down_bytes,
-                },
-                wtrack,
-                TraceCtx {
-                    trace: ctx.trace,
-                    span: sent,
-                },
-                tick,
-            );
-        }
+        // A lost dispatch leaves the worker idle until the next event
+        // re-dispatches fresh batches.
+        let Some(ctx) = self.wire().carry(0, wi + 1, down_bytes, tick, ctx) else {
+            return;
+        };
         self.in_flight[wi] = Some(InFlight {
             version: self.version,
             xg,
@@ -307,11 +240,19 @@ impl AsyncMdGan {
             xd,
             xd_labels: ld,
             zg,
-            ctx: TraceCtx {
-                trace: ctx.trace,
-                span: down_recv,
-            },
+            ctx,
         });
+    }
+
+    /// The link every data message travels; the async virtual tick is the
+    /// applied-update count.
+    fn wire(&self) -> Wire<'_> {
+        Wire {
+            stats: &self.stats,
+            faults: self.fault_state.as_ref(),
+            retries: self.cfg.robust.retries,
+            telemetry: &self.telemetry,
+        }
     }
 
     /// Bootstraps a joining worker from the lowest-id alive worker, with
@@ -327,10 +268,11 @@ impl AsyncMdGan {
             .find(|&s| s != slot && self.workers[s].is_some());
         let Some(src) = src else { return };
         let params = self.workers[src].as_ref().unwrap().disc_params();
-        self.stats.record(src + 1, 0, param_bytes(params.len()));
+        let (wire, ctx) = (self.wire().reliable(), TraceCtx::NONE);
+        wire.carry(src + 1, 0, param_bytes(params.len()), t as u64, ctx);
         let blob = crate::mdgan::bootstrap_blob(t as u64, &params);
         let blob_len = blob.len() as u64;
-        self.stats.record(0, slot + 1, blob_len);
+        wire.carry(0, slot + 1, blob_len, t as u64, ctx);
         let disc = crate::mdgan::bootstrap_disc(&blob).expect("fresh blob decodes");
         if let Some(w) = self.workers[slot].as_mut() {
             w.set_disc_params(&disc);
@@ -473,64 +415,14 @@ impl AsyncMdGan {
         drop(fb_span);
         self.telemetry.worker_feedback(wi + 1);
         let up_bytes = batch_bytes(self.cfg.hyper.batch, self.object_size);
-        if let Some(fs) = &self.fault_state {
-            let telemetry = &self.telemetry;
-            let tick = self.updates;
-            let up = fs.transmit(
-                wi + 1,
-                0,
-                tick,
-                up_bytes,
-                self.cfg.robust.retries,
-                &self.stats,
-                Some(telemetry),
-                fctx,
-                |dup, sent| {
-                    if !dup && sent != 0 {
-                        telemetry.trace_instant(
-                            SpanKind::Recv {
-                                from: (wi + 1) as u32,
-                                bytes: up_bytes,
-                            },
-                            Track::Server,
-                            TraceCtx {
-                                trace: fctx.trace,
-                                span: sent,
-                            },
-                            tick,
-                        );
-                    }
-                },
-            );
-            if !up.delivered {
-                // The feedback was lost on the wire: the local work is
-                // wasted and the generator never sees it.
-                return Some(wi);
-            }
-        } else {
-            self.stats.record(wi + 1, 0, up_bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: 0,
-                    bytes: up_bytes,
-                    attempt: 1,
-                },
-                wtrack,
-                fctx,
-                self.updates,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: (wi + 1) as u32,
-                    bytes: up_bytes,
-                },
-                Track::Server,
-                TraceCtx {
-                    trace: fctx.trace,
-                    span: sent,
-                },
-                self.updates,
-            );
+        if self
+            .wire()
+            .carry(wi + 1, 0, up_bytes, self.updates, fctx)
+            .is_none()
+        {
+            // The feedback was lost on the wire: the local work is wasted
+            // and the generator never sees it.
+            return Some(wi);
         }
 
         // Feedback forensics on the single delivered feedback: the async
@@ -616,44 +508,14 @@ impl AsyncMdGan {
                     .collect();
                 for (j, &src) in alive.iter().enumerate() {
                     let dst = alive[perm[j]];
-                    if let Some(fs) = &self.fault_state {
-                        let telemetry = &self.telemetry;
-                        let swap_bytes = param_bytes(params[j].len());
-                        let tick = self.updates;
-                        let del = fs.transmit(
-                            src + 1,
-                            dst + 1,
-                            tick,
-                            swap_bytes,
-                            self.cfg.robust.retries,
-                            &self.stats,
-                            Some(telemetry),
-                            sctx,
-                            |dup, sent| {
-                                if !dup && sent != 0 {
-                                    telemetry.trace_instant(
-                                        SpanKind::Recv {
-                                            from: (src + 1) as u32,
-                                            bytes: swap_bytes,
-                                        },
-                                        Track::Worker((dst + 1) as u32),
-                                        TraceCtx {
-                                            trace: sctx.trace,
-                                            span: sent,
-                                        },
-                                        tick,
-                                    );
-                                }
-                            },
-                        );
-                        if !del.delivered {
-                            // Lost transfer: the destination keeps its old
-                            // discriminator.
-                            continue;
-                        }
-                    } else {
-                        self.stats
-                            .record(src + 1, dst + 1, param_bytes(params[j].len()));
+                    let bytes = param_bytes(params[j].len());
+                    let arrived = self
+                        .wire()
+                        .carry(src + 1, dst + 1, bytes, self.updates, sctx);
+                    if arrived.is_none() {
+                        // Lost transfer: the destination keeps its old
+                        // discriminator.
+                        continue;
                     }
                     self.workers[dst]
                         .as_mut()
@@ -684,32 +546,13 @@ impl AsyncMdGan {
         mut evaluator: Option<&mut Evaluator>,
     ) -> ScoreTimeline {
         let mut timeline = ScoreTimeline::new();
-        if let Some(ev) = evaluator.as_deref_mut() {
-            let span = self.telemetry.span(Phase::Eval);
-            let s = ev.evaluate(&mut self.server.gen);
-            drop(span);
-            self.telemetry.event(Event::EvalDone {
-                iter: 0,
-                is_score: s.inception_score,
-                fid: s.fid,
-            });
-            timeline.push(0, s);
-        }
-        for u in 1..=n_updates {
-            if self.step_event().is_none() {
+        for u in 0..=n_updates {
+            if u > 0 && self.step_event().is_none() {
                 break;
             }
             if let Some(ev) = evaluator.as_deref_mut() {
                 if u % eval_every.max(1) == 0 || u == n_updates {
-                    let span = self.telemetry.span(Phase::Eval);
-                    let s = ev.evaluate(&mut self.server.gen);
-                    drop(span);
-                    self.telemetry.event(Event::EvalDone {
-                        iter: u,
-                        is_score: s.inception_score,
-                        fid: s.fid,
-                    });
-                    timeline.push(u, s);
+                    ev.score_point(&mut self.server.gen, u, &self.telemetry, &mut timeline);
                 }
             }
         }
@@ -724,37 +567,11 @@ impl AsyncMdGan {
     /// Robust-mode state (per-link fault RNG) is *not* captured; resuming
     /// a lossy run restarts the link fates cold (see DESIGN.md §10).
     pub fn checkpoint(&self) -> Checkpoint {
-        let n = self.workers.len();
         let mut ck = Checkpoint::new(self.updates);
-        ck.push("generator", self.server.gen_params());
-        let g_opt = self.server.opt_state();
-        ck.push("opt_g_m", g_opt.m);
-        ck.push("opt_g_v", g_opt.v);
-        let mut adam_t = vec![0u64; 1 + n];
-        adam_t[0] = g_opt.t;
-        ck.push_u64("rng_server", self.server.rng_state_words().to_vec());
+        let gen_t = self.server.push_sections(&mut ck);
         ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
         ck.push_u64("rng_sched", self.sched_rng.state_words().to_vec());
-        let alive: Vec<u64> = self
-            .workers
-            .iter()
-            .map(|w| u64::from(w.is_some()))
-            .collect();
-        for (i, w) in self.workers.iter().enumerate() {
-            let Some(w) = w else { continue };
-            let id = i + 1;
-            ck.push(format!("disc_{id}"), w.disc_params());
-            let d_opt = w.opt_state();
-            adam_t[id] = d_opt.t;
-            ck.push(format!("opt_d_{id}_m"), d_opt.m);
-            ck.push(format!("opt_d_{id}_v"), d_opt.v);
-            ck.push_u64(
-                format!("rng_sampler_{id}"),
-                w.sampler_state_words().to_vec(),
-            );
-        }
-        ck.push_u64("adam_t", adam_t);
-        ck.push_u64("alive", alive);
+        push_workers(&mut ck, states_of(&self.workers), gen_t);
         let in_flight: Vec<u64> = self
             .in_flight
             .iter()
@@ -799,68 +616,11 @@ impl AsyncMdGan {
     /// Restores a checkpoint taken on an identically configured system.
     /// Missing or length-mismatched sections are errors, not silent skips.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
         let n = self.workers.len();
-        let gen = ck
-            .require_len("generator", self.server.gen_params_len())
-            .map_err(ckerr)?;
-        self.server.set_gen_params(gen);
-        let alive = ck.require_u64_len("alive", n).map_err(ckerr)?.to_vec();
-        let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?.to_vec();
-        let g_state = md_nn::optim::AdamState {
-            t: adam_t[0],
-            m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
-            v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
-        };
-        self.server
-            .import_opt_state(&g_state)
-            .map_err(TrainError::Checkpoint)?;
-        let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
-            let w = ck
-                .require_u64_len(name, Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            Ok(std::array::from_fn(|i| w[i]))
-        };
-        self.server.set_rng_state_words(words("rng_server")?);
-        self.swap_rng = Rng64::from_state_words(words("rng_swap")?);
-        self.sched_rng = Rng64::from_state_words(words("rng_sched")?);
-
-        // Index drives three things at once: the alive bitmap, the worker
-        // slot, and the 1-based section names.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            let id = i + 1;
-            if alive[i] == 0 {
-                self.workers[i] = None;
-                continue;
-            }
-            let Some(w) = self.workers[i].as_mut() else {
-                return Err(TrainError::Checkpoint(format!(
-                    "checkpoint has worker {id} alive but it already crashed here"
-                )));
-            };
-            let disc = ck
-                .require_len(&format!("disc_{id}"), w.disc_params_len())
-                .map_err(ckerr)?;
-            w.set_disc_params(disc);
-            let d_state = md_nn::optim::AdamState {
-                t: adam_t[id],
-                m: ck
-                    .require(&format!("opt_d_{id}_m"))
-                    .map_err(ckerr)?
-                    .to_vec(),
-                v: ck
-                    .require(&format!("opt_d_{id}_v"))
-                    .map_err(ckerr)?
-                    .to_vec(),
-            };
-            w.import_opt_state(&d_state)
-                .map_err(TrainError::Checkpoint)?;
-            let sw = ck
-                .require_u64_len(&format!("rng_sampler_{id}"), Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            w.set_sampler_state_words(std::array::from_fn(|j| sw[j]));
-        }
+        self.server.restore_sections(ck)?;
+        restore_workers(ck, &mut self.workers)?;
+        self.swap_rng = Rng64::from_state_words(ck.require_words("rng_swap").map_err(ckerr)?);
+        self.sched_rng = Rng64::from_state_words(ck.require_words("rng_sched").map_err(ckerr)?);
 
         let mask = ck.require_u64_len("in_flight", n).map_err(ckerr)?.to_vec();
         for (i, &present) in mask.iter().enumerate() {
@@ -927,7 +687,6 @@ fn push_tensor(ck: &mut Checkpoint, name: &str, t: &Tensor) {
 /// Reads a tensor stored by [`push_tensor`], validating the element count
 /// against the recorded shape.
 fn read_tensor(ck: &Checkpoint, name: &str) -> Result<Tensor, TrainError> {
-    let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
     let shape: Vec<usize> = ck
         .require_u64(&format!("{name}_shape"))
         .map_err(ckerr)?
@@ -942,15 +701,22 @@ fn read_tensor(ck: &Checkpoint, name: &str) -> Result<Tensor, TrainError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::byzantine::Attack;
     use crate::config::{GanHyper, KPolicy};
     use md_data::synthetic::mnist_like;
+    use md_simnet::ChurnPlan;
 
     fn build(acfg: AsyncConfig) -> AsyncMdGan {
+        build_with(acfg, |_| {})
+    }
+
+    /// As [`build`], with `edit` applied to the config first.
+    fn build_with(acfg: AsyncConfig, edit: impl FnOnce(&mut MdGanConfig)) -> AsyncMdGan {
         let data = mnist_like(12, 4 * 32, 1, 0.08);
         let mut rng = Rng64::seed_from_u64(4);
         let shards = data.shard_iid(4, &mut rng);
         let spec = ArchSpec::mlp_mnist_scaled(12);
-        let cfg = MdGanConfig {
+        let mut cfg = MdGanConfig {
             workers: 4,
             k: KPolicy::One,
             epochs_per_swap: 1.0,
@@ -964,6 +730,7 @@ mod tests {
             crash: Default::default(),
             ..MdGanConfig::default()
         };
+        edit(&mut cfg);
         AsyncMdGan::new(&spec, shards, cfg, acfg)
     }
 
@@ -1253,16 +1020,11 @@ mod tests {
     fn async_defense_evicts_a_freerider_immediately_on_flag() {
         use md_telemetry::Counter;
         let rec = Arc::new(Recorder::enabled());
-        let mut md = build(AsyncConfig::default());
-        md.cfg.attacks = vec![Attack::PureNoise { std: 5.0 }];
-        md.cfg.defense.enabled = true;
-        md.attack_states = resolve_attacks(&md.cfg.attacks, 4)
-            .iter()
-            .enumerate()
-            .map(|(wi, &a)| AttackState::new(a, md.cfg.seed, wi, None))
-            .collect();
-        md.forensics = FeedbackForensics::new(md.cfg.defense, 4);
-        md = md.with_telemetry(Arc::clone(&rec));
+        let mut md = build_with(AsyncConfig::default(), |c| {
+            c.attacks = vec![Attack::PureNoise { std: 5.0 }];
+            c.defense.enabled = true;
+        })
+        .with_telemetry(Arc::clone(&rec));
         for _ in 0..80 {
             if md.step_event().is_none() {
                 break;

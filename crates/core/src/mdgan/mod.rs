@@ -5,13 +5,20 @@
 //!   generation, SPLIT distribution, feedback aggregation and Adam update.
 //! * [`worker`] — the discriminator-learning procedure (§IV-C): L local
 //!   steps on `(X_r, X_d)` and the error feedback `F_n = ∂B̃(X_g)/∂x`.
+//! * `round` — Algorithm 1's server side, written once: a `Coordinator`
+//!   whose `round` spells one global iteration over a `Cluster` transport.
 //! * [`trainer`] — the deterministic sequential runtime (used by all
-//!   experiments; interaction order preserved exactly as in the paper's
-//!   emulation).
-//! * [`threaded`] — one-thread-per-node runtime over `md-simnet`, bit-for-
-//!   bit equivalent to the sequential runtime given the same seed.
+//!   experiments): the coordinator over the workers themselves, in the
+//!   interaction order of the paper's emulation.
+//! * [`threaded`] — the coordinator over one thread per node and
+//!   `md-simnet` endpoints, bit-for-bit equivalent to the sequential
+//!   runtime given the same seed.
+//! * [`asynchronous`] — §VII.1: one Adam step per arriving feedback, its
+//!   own schedule over the same server, workers, link and checkpoint
+//!   sections.
 
 pub mod asynchronous;
+pub(crate) mod round;
 pub mod server;
 pub mod threaded;
 pub mod trainer;

@@ -1,7 +1,9 @@
 //! The MD-GAN server: hosts the single generator `G` (§IV-B).
 
 use crate::arch::ArchSpec;
+use crate::checkpoint::Checkpoint;
 use crate::config::GanHyper;
+use crate::error::{ckerr, TrainError};
 use md_nn::gan::Generator;
 use md_nn::optim::{Adam, AdamState};
 use md_tensor::rng::Rng64;
@@ -211,14 +213,35 @@ impl MdServer {
         self.gen.net.set_params_flat(params);
     }
 
-    /// Adam moments of the generator optimizer (checkpointing).
-    pub fn opt_state(&self) -> AdamState {
-        self.opt_g.export_state()
+    /// Writes the server half of the checkpoint layout every MD-GAN
+    /// runtime shares — `generator`, `opt_g_m`, `opt_g_v`, `rng_server` —
+    /// and returns the Adam step count, which `adam_t` leads with.
+    pub(crate) fn push_sections(&self, ck: &mut Checkpoint) -> u64 {
+        let opt = self.opt_g.export_state();
+        ck.push("generator", self.gen_params());
+        ck.push("opt_g_m", opt.m);
+        ck.push("opt_g_v", opt.v);
+        ck.push_u64("rng_server", self.rng.state_words().to_vec());
+        opt.t
     }
 
-    /// Restores the generator optimizer's Adam moments.
-    pub fn import_opt_state(&mut self, state: &AdamState) -> Result<(), String> {
-        self.opt_g.import_state(state, &self.gen.net)
+    /// Reads back what [`push_sections`](Self::push_sections) wrote, the
+    /// step count from the head of `adam_t` (whose length
+    /// [`restore_workers`](super::worker::restore_workers) checks).
+    pub(crate) fn restore_sections(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
+        let gen = ck.require_len("generator", self.gen_params_len());
+        self.set_gen_params(gen.map_err(ckerr)?);
+        let adam_t = ck.require_u64("adam_t").map_err(ckerr)?;
+        let opt = AdamState {
+            t: adam_t.first().copied().unwrap_or(0),
+            m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
+            v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
+        };
+        self.opt_g
+            .import_state(&opt, &self.gen.net)
+            .map_err(TrainError::Checkpoint)?;
+        self.rng = Rng64::from_state_words(ck.require_words("rng_server").map_err(ckerr)?);
+        Ok(())
     }
 
     /// The generator learning rate currently in effect.
@@ -230,16 +253,6 @@ impl MdServer {
     /// after a rollback when configured to).
     pub fn set_gen_lr(&mut self, lr: f32) {
         self.opt_g.set_lr(lr);
-    }
-
-    /// Serializable noise-RNG stream position (checkpointing).
-    pub fn rng_state_words(&self) -> [u64; Rng64::STATE_WORDS] {
-        self.rng.state_words()
-    }
-
-    /// Restores the noise-RNG stream position.
-    pub fn set_rng_state_words(&mut self, words: [u64; Rng64::STATE_WORDS]) {
-        self.rng = Rng64::from_state_words(words);
     }
 }
 

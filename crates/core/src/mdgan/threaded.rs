@@ -1,43 +1,38 @@
 //! Thread-per-node MD-GAN runtime over `md-simnet`.
 //!
-//! Every worker runs on its own OS thread and communicates with the server
-//! exclusively through routed messages; the discriminator swap travels
-//! directly worker-to-worker. Given the same [`MdGanConfig`] and shards,
-//! this runtime produces **bit-for-bit** the same generator as the
-//! sequential [`MdGan`](crate::mdgan::trainer::MdGan): RNG streams are
-//! forked identically and the server sorts feedbacks by worker id before
-//! merging (an integration test asserts the equivalence).
+//! Every worker runs on its own OS thread (`worker_loop`) and talks to
+//! the server exclusively through routed messages; the discriminator swap
+//! travels directly worker-to-worker. The server is the same
+//! `Coordinator` the sequential [`MdGan`](crate::mdgan::trainer::MdGan)
+//! steps, over a `Routed` cluster: `run_threaded*` is spawn, one
+//! `round` per iteration, stop. RNG streams are forked identically and
+//! gathers are sorted by worker id, so given the same [`MdGanConfig`] and
+//! shards the two runtimes produce **bit-for-bit** the same generator (an
+//! integration test asserts it).
 //!
 //! With an active [`FaultPlan`](md_simnet::FaultPlan) (or
-//! `cfg.robust.enabled`) the runtime switches to the **robust** path:
-//! data messages go through the seeded fault layer with bounded retry,
-//! the server gathers feedbacks with a deadline and proceeds on a quorum,
-//! worker liveness is inferred from missed deadlines (no crash oracle —
-//! injected crashes are silent), and discriminator swaps are routed around
-//! suspected peers. Fates are drawn per logical message from the plan's
-//! seed, so the robust path too is bit-for-bit equivalent to the
-//! sequential trainer running the same plan.
+//! `cfg.robust.enabled`) the router carries the seeded fault layer: data
+//! messages are retried a bounded number of times, the gather has a
+//! deadline and returns on a quorum, injected crashes are silent (the
+//! worker drains its queue without answering) and a swap destination stops
+//! waiting after a timeout. Fates are drawn per logical message from the
+//! plan's seed, so this path too is bit-for-bit the sequential trainer's.
 
 use crate::arch::ArchSpec;
-use crate::byzantine::{resolve_attacks, Attack, AttackState};
+use crate::byzantine::AttackState;
 use crate::checkpoint::Checkpoint;
 use crate::config::MdGanConfig;
-use crate::defense::FeedbackForensics;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
-use crate::mdgan::server::MdServer;
-use crate::mdgan::trainer::{build_parts, swap_permutation};
-use crate::mdgan::worker::MdWorker;
+use crate::mdgan::round::{Call, Cluster, Coordinator, Order};
+use crate::mdgan::worker::{MdWorker, WorkerState};
 use crate::mdgan::MdMsg;
 use md_data::Dataset;
 use md_nn::optim::AdamState;
-use md_nn::param::{batch_bytes, param_bytes};
-use md_simnet::{
-    ChurnKind, ChurnPlan, Endpoint, FailureDetector, Liveness, Membership, Router, TrafficReport,
-    TrafficStats, SERVER,
-};
+use md_nn::param::param_bytes;
+use md_simnet::{Endpoint, Envelope, Router, TrafficReport, TrafficStats, SERVER};
 use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
-use md_tensor::rng::Rng64;
+use md_tensor::Tensor;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -331,6 +326,183 @@ pub fn run_threaded_checkpointed(
     )
 }
 
+/// The threaded runtime's [`Cluster`]: the server's endpoint, and who is
+/// still listening behind the others.
+struct Routed {
+    server_ep: Endpoint<MdMsg>,
+    /// Ground truth: the worker's thread is serving requests.
+    alive: Vec<bool>,
+    /// Workers dead at resume time were never spawned (no endpoint).
+    spawned: Vec<bool>,
+    /// Crashes are silent and gathers deadline-bounded.
+    robust: bool,
+    gather_timeout: Duration,
+    stats: Arc<TrafficStats>,
+}
+
+impl Routed {
+    /// Reliable, zero-byte control message.
+    fn tell(&self, slot: usize, msg: MdMsg, ctx: TraceCtx) {
+        self.server_ep
+            .send_ctx(slot + 1, msg, 0, ctx)
+            .expect("destination endpoint dropped");
+    }
+
+    /// Shuts everyone down. Robust mode keeps crashed workers draining
+    /// their queue, so they too need the final `Stop`.
+    fn stop_all(&self) {
+        for slot in 0..self.alive.len() {
+            if self.spawned[slot] && (self.robust || self.alive[slot]) {
+                self.tell(slot, MdMsg::Stop, TraceCtx::NONE);
+            }
+        }
+    }
+}
+
+impl Cluster for Routed {
+    fn present(&self, slot: usize) -> bool {
+        self.alive[slot]
+    }
+
+    /// Oracle mode stops the thread outright; robust mode crashes it
+    /// *silently* — the server must notice through missed deadlines.
+    fn crash(&mut self, slot: usize) {
+        self.alive[slot] = false;
+        let fate = if self.robust {
+            MdMsg::Crash
+        } else {
+            MdMsg::Stop
+        };
+        self.tell(slot, fate, TraceCtx::NONE);
+    }
+
+    fn retire(&mut self, slot: usize) {
+        self.alive[slot] = false;
+        self.tell(slot, MdMsg::Stop, TraceCtx::NONE);
+    }
+
+    fn bootstrap(&mut self, call: &Call, src: usize, dst: usize) -> u64 {
+        self.tell(src, MdMsg::DiscPull { iter: call.iter }, call.ctx);
+        let params = match self.server_ep.recv().msg {
+            MdMsg::Disc { params } => params,
+            other => panic!("server expected a bootstrap Disc, got {other:?}"),
+        };
+        let blob = crate::mdgan::bootstrap_blob(call.iter as u64, &params);
+        let blob_len = blob.len() as u64;
+        self.server_ep
+            .send_ctx(dst + 1, MdMsg::Bootstrap { blob }, blob_len, call.ctx)
+            .expect("destination endpoint dropped");
+        blob_len
+    }
+
+    fn exchange(
+        &mut self,
+        call: &Call,
+        orders: &[Order],
+        batches: &[(Tensor, Vec<usize>)],
+        quorum: usize,
+    ) -> Vec<(usize, usize, Tensor)> {
+        let iter = call.iter;
+        for o in orders {
+            let ((xg, xg_labels), (xd, xd_labels)) = (&batches[o.g_id], &batches[o.d_id]);
+            let msg = MdMsg::Batches {
+                iter,
+                g_id: o.g_id,
+                xg: xg.clone(),
+                xg_labels: xg_labels.clone(),
+                xd: xd.clone(),
+                xd_labels: xd_labels.clone(),
+            };
+            let sent = self.server_ep.send_data_ctx(
+                o.slot + 1,
+                msg,
+                o.bytes,
+                iter as u64,
+                call.retries,
+                call.ctx,
+            );
+            assert!(
+                sent.delivered || self.robust,
+                "destination endpoint dropped"
+            );
+        }
+        // Sorted by sender either way, so the server merges (and the
+        // forensics observes) in the sequential runtime's order.
+        let envelopes = if self.robust {
+            let expected: Vec<usize> = orders.iter().map(|o| o.slot + 1).collect();
+            let timeout = self.gather_timeout;
+            let gather = self.server_ep.recv_until_quorum(
+                &expected,
+                quorum,
+                timeout,
+                |e| matches!(&e.msg, MdMsg::Feedback { iter: at, .. } if *at == iter),
+            );
+            gather.envelopes
+        } else {
+            self.server_ep.recv_n_sorted(orders.len())
+        };
+        let feedback = |e: Envelope<MdMsg>| match e.msg {
+            MdMsg::Feedback { g_id, grad, .. } => (e.from - 1, g_id, grad),
+            other => panic!("server expected Feedback, got {other:?}"),
+        };
+        envelopes.into_iter().map(feedback).collect()
+    }
+
+    /// The server only names the destinations; the parameters travel
+    /// worker to worker, and nobody waits for them to land.
+    fn swap(&mut self, call: &Call, pairs: &[(usize, usize)]) {
+        for &(src, dst) in pairs {
+            let to = MdMsg::SwapTo {
+                to: dst + 1,
+                iter: call.iter,
+            };
+            self.tell(src, to, call.ctx);
+        }
+    }
+
+    /// Requests each alive worker's state over the normal message channels
+    /// (`StateRequest`/`WorkerState`) — a reply arrives only after the
+    /// worker has drained everything queued before the request (feedbacks,
+    /// in-progress swaps), so this is the post-iteration barrier state.
+    /// The gather's own zero-byte control messages are then stripped from
+    /// the traffic counters: checkpoint persistence must not perturb
+    /// traffic accounting, or a resumed run would stop being bit-identical
+    /// to an uninterrupted one.
+    fn worker_states(&self) -> Vec<Option<WorkerState>> {
+        let asked = self.alive.iter().filter(|&&a| a).count();
+        for slot in (0..self.alive.len()).filter(|&w| self.alive[w]) {
+            self.tell(slot, MdMsg::StateRequest, TraceCtx::NONE);
+        }
+        let mut states: Vec<Option<WorkerState>> = self.alive.iter().map(|_| None).collect();
+        for _ in 0..asked {
+            match self.server_ep.recv().msg {
+                MdMsg::WorkerState {
+                    id,
+                    disc,
+                    adam_t: t,
+                    opt_m: m,
+                    opt_v: v,
+                    sampler,
+                } => {
+                    let opt = AdamState { t, m, v };
+                    states[id - 1] = Some(WorkerState { disc, opt, sampler });
+                }
+                other => panic!("server expected WorkerState, got {other:?}"),
+            }
+        }
+        // Every node is quiescent now (workers answered and are blocked on
+        // their queue), so rewriting the counters races with nothing.
+        let mut traffic = self.stats.state_words();
+        let msgs_base = 1 + 2 * traffic[0] as usize + 3;
+        traffic[msgs_base] -= asked as u64; // server→worker StateRequest
+        traffic[msgs_base + 1] -= asked as u64; // worker→server WorkerState
+        self.stats
+            .load_state_words(&traffic)
+            .expect("snapshot from the same instance always loads");
+        states
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn run_threaded_inner(
     spec: &ArchSpec,
@@ -342,18 +514,6 @@ fn run_threaded_inner(
     telemetry: Arc<Recorder>,
     ckpt: Option<&ThreadedCheckpointing>,
 ) -> Result<ThreadedResult, TrainError> {
-    let object_size = shards[0].object_size();
-    let shard_size = shards[0].len();
-    let churned = !cfg.churn.is_none();
-    if churned {
-        ChurnPlan::from_events(cfg.workers, cfg.churn.events().to_vec())
-            .expect("invalid churn plan");
-    }
-    let total = cfg.total_workers();
-    let (mut server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
-    let k = cfg.k.resolve(cfg.workers);
-    let swap_interval = cfg.swap_interval(shard_size);
-    let b = cfg.hyper.batch;
     let robust = cfg.is_robust();
     if robust && ckpt.is_some() {
         return Err(TrainError::Checkpoint(
@@ -362,521 +522,87 @@ fn run_threaded_inner(
                 .into(),
         ));
     }
-    if churned && ckpt.is_some() {
+    if !cfg.churn.is_none() && ckpt.is_some() {
         return Err(TrainError::Checkpoint(
             "elastic threaded runs cannot checkpoint/resume: \
              the membership gather is not implemented"
                 .into(),
         ));
     }
-    assert!(
-        !robust
-            || cfg
-                .churn
-                .events()
-                .iter()
-                .all(|e| e.kind == ChurnKind::Crash),
-        "robust mode supports crash-only churn plans (joins and leaves need the oracle path)"
-    );
-
+    let total = cfg.total_workers();
     let mut router: Router<MdMsg> = Router::new(total).with_telemetry(Arc::clone(&telemetry));
     if robust {
         router = router.with_faults(cfg.fault.clone());
     }
-    let stats = router.stats();
     let server_ep = router.endpoint(SERVER);
     let worker_eps: Vec<Endpoint<MdMsg>> = (1..=total).map(|i| router.endpoint(i)).collect();
-
-    // Mirrors of the sequential runtime's attack/host RNG streams. The
-    // threaded runtime never draws from them, but carrying them keeps the
-    // checkpoint layout identical to `MdGan::checkpoint`, so either
-    // runtime can resume the other's files.
-    let mut attack_rng = Rng64::seed_from_u64(cfg.seed ^ 0xA77AC4);
-    let mut host_rng = Rng64::seed_from_u64(cfg.seed ^ 0x4057);
-
-    let mut workers: Vec<Option<MdWorker>> = workers.into_iter().map(Some).collect();
-    // Attack states snapshot the workers' *initial* discriminators (the
-    // pre-trained-mimicry strategy), exactly like `MdGan::new` does.
-    let attacks = resolve_attacks(&cfg.attacks, total);
-    let attack_states: Vec<Option<AttackState>> = workers
-        .iter()
-        .enumerate()
-        .map(|(wi, w)| {
-            w.as_ref().map(|worker| {
-                let snap =
-                    matches!(attacks[wi], Attack::PretrainedMimic).then(|| worker.disc_params());
-                AttackState::new(attacks[wi], cfg.seed, wi, snap)
-            })
-        })
-        .collect();
-    let mut start_iter = 0usize;
-    let mut swaps = 0usize;
-    if let Some(pol) = ckpt {
-        if pol.path.exists() {
-            let ck = Checkpoint::load(&pol.path)?;
-            restore_parts(
-                &ck,
-                &mut server,
-                &mut workers,
-                &mut swap_rng,
-                &mut attack_rng,
-                &mut host_rng,
-                &stats,
-                &mut swaps,
-            )?;
-            start_iter = ck.iteration as usize;
-            telemetry.event(Event::Resumed { iter: start_iter });
-        }
-    }
-
-    let mut timeline = ScoreTimeline::new();
-    let mut alive_mask: Vec<bool> = workers.iter().map(|w| w.is_some()).collect();
-    let spawned: Vec<bool> = alive_mask.clone();
-    // Pending joiners are spawned up front but kept out of the view until
-    // their join event fires; the membership is the source of truth.
-    let mut membership = Membership::new(cfg.workers, total);
-    let mut detector = FailureDetector::new(cfg.workers, cfg.robust.suspect_after)
-        .expect("suspect_after must be at least 1")
-        .with_eviction(cfg.robust.evict_after);
-    let gather_timeout = Duration::from_millis(cfg.robust.gather_timeout_ms);
     let worker_robust = robust.then_some(WorkerRobust {
         swap_timeout: Duration::from_millis(cfg.robust.swap_timeout_ms),
         retries: cfg.robust.retries,
     });
-    let defense_on = cfg.defense.enabled;
-    let mut forensics = FeedbackForensics::new(cfg.defense, total);
-    let mut ckpt_err: Option<TrainError> = None;
+    let gather_timeout = Duration::from_millis(cfg.robust.gather_timeout_ms);
 
+    let (mut coord, workers, attacks) =
+        Coordinator::build(spec, shards, cfg, router.stats(), Arc::clone(&telemetry));
+    let mut workers: Vec<Option<MdWorker>> = workers.into_iter().map(Some).collect();
+    if let Some(pol) = ckpt.filter(|pol| pol.path.exists()) {
+        let ck = Checkpoint::load(&pol.path)?;
+        if ck.get_u64("disc_hosts").is_some() {
+            return Err(TrainError::Checkpoint(
+                "checkpoint uses discriminator-count subsetting, \
+                 which the threaded runtime does not support"
+                    .into(),
+            ));
+        }
+        coord.restore(&ck, &mut workers)?;
+        telemetry.event(Event::Resumed {
+            iter: coord.iterations(),
+        });
+    }
+    let alive: Vec<bool> = workers.iter().map(Option::is_some).collect();
+    let mut routed = Routed {
+        server_ep,
+        spawned: alive.clone(),
+        alive,
+        robust,
+        gather_timeout,
+        stats: router.stats(),
+    };
+
+    let mut timeline = ScoreTimeline::new();
+    let mut ckpt_err: Option<TrainError> = None;
     crossbeam::thread::scope(|scope| {
-        for ((slot, ep), atk) in workers.into_iter().zip(worker_eps).zip(attack_states) {
-            let Some(worker) = slot else { continue };
-            let attack = atk.expect("alive worker slot has an attack state");
+        for ((worker, ep), attack) in workers.into_iter().zip(worker_eps).zip(attacks) {
+            let Some(worker) = worker else { continue };
             let telemetry = Arc::clone(&telemetry);
             scope.spawn(move |_| worker_loop(worker, ep, telemetry, worker_robust, attack));
         }
-
-        if start_iter == 0 {
+        let start = coord.iterations();
+        if let (0, Some(ev)) = (start, evaluator.as_deref_mut()) {
+            ev.score_point(&mut coord.server.gen, 0, &telemetry, &mut timeline);
+        }
+        for done in start + 1..=iters {
+            coord.round(&mut routed);
             if let Some(ev) = evaluator.as_deref_mut() {
-                let span = telemetry.span(Phase::Eval);
-                let s = ev.evaluate(&mut server.gen);
-                drop(span);
-                telemetry.event(Event::EvalDone {
-                    iter: 0,
-                    is_score: s.inception_score,
-                    fid: s.fid,
-                });
-                timeline.push(0, s);
-            }
-        }
-
-        for i in start_iter..iters {
-            // Root one trace per global iteration; every span and message
-            // the iteration causes links back to it (DESIGN.md §12).
-            let tick = i as u64;
-            let root = telemetry.trace_root(tick);
-            let rctx = root.ctx();
-            // Fail-stop crashes: the thread leaves the computation and its
-            // shard is gone. Oracle mode stops the thread outright; robust
-            // mode crashes it *silently* — the server must notice on its
-            // own through missed deadlines.
-            for (w, alive) in alive_mask.iter_mut().enumerate() {
-                if *alive && cfg.crash.is_crashed(w + 1, i) {
-                    *alive = false;
-                    membership.crash(w);
-                    telemetry.event(Event::WorkerFault {
-                        iter: i,
-                        worker: w + 1,
-                    });
-                    let fate = if robust { MdMsg::Crash } else { MdMsg::Stop };
-                    server_ep
-                        .send(w + 1, fate, 0)
-                        .expect("destination endpoint dropped");
+                if done % eval_every.max(1) == 0 || done == iters {
+                    ev.score_point(&mut coord.server.gen, done, &telemetry, &mut timeline);
                 }
             }
-            // Churn-plan crashes and joins fire at the start of the
-            // iteration, mirroring the sequential trainer exactly (same
-            // events, same bootstrap byte charges). Graceful leaves drain
-            // through the iteration and depart at the end.
-            if churned {
-                let evs: Vec<md_simnet::ChurnEvent> = cfg.churn.events_at(i).copied().collect();
-                for ev in &evs {
-                    let slot = ev.worker - 1;
-                    match ev.kind {
-                        ChurnKind::Crash => {
-                            if membership.apply(ev).is_ok() {
-                                alive_mask[slot] = false;
-                                telemetry.event(Event::WorkerFault {
-                                    iter: i,
-                                    worker: ev.worker,
-                                });
-                                let fate = if robust { MdMsg::Crash } else { MdMsg::Stop };
-                                server_ep
-                                    .send(ev.worker, fate, 0)
-                                    .expect("destination endpoint dropped");
-                            }
-                        }
-                        ChurnKind::Join => {
-                            membership.apply(ev).expect("validated churn plan");
-                            telemetry.event(Event::WorkerJoined {
-                                iter: i,
-                                worker: ev.worker,
-                            });
-                            // Bootstrap from the lowest-id alive worker:
-                            // pull its snapshot (charged W→C), wrap it in a
-                            // checkpoint-v2 blob, forward it to the joiner
-                            // (charged C→W at blob size).
-                            let src = membership
-                                .alive()
-                                .into_iter()
-                                .find(|&s| s != slot && alive_mask[s]);
-                            if let Some(src) = src {
-                                server_ep
-                                    .send_ctx(src + 1, MdMsg::DiscPull { iter: i }, 0, rctx)
-                                    .expect("destination endpoint dropped");
-                                let params = match server_ep.recv().msg {
-                                    MdMsg::Disc { params } => params,
-                                    other => {
-                                        panic!("server expected a bootstrap Disc, got {other:?}")
-                                    }
-                                };
-                                let blob = crate::mdgan::bootstrap_blob(i as u64, &params);
-                                let blob_len = blob.len() as u64;
-                                server_ep
-                                    .send_ctx(ev.worker, MdMsg::Bootstrap { blob }, blob_len, rctx)
-                                    .expect("destination endpoint dropped");
-                                telemetry.event(Event::BootstrapDone {
-                                    iter: i,
-                                    worker: ev.worker,
-                                    bytes: blob_len,
-                                });
-                            }
-                        }
-                        ChurnKind::Leave => {}
-                    }
-                }
-            }
-
-            let alive_now;
-            if robust {
-                // The server has no oracle: it talks to every worker it
-                // does not currently suspect (plus, on probe rounds, the
-                // suspected ones, so false suspects can rejoin).
-                let probe = cfg.robust.probe_period > 0
-                    && i.checked_rem(cfg.robust.probe_period) == Some(0);
-                let expected: Vec<usize> = (0..total)
-                    .filter(|&w| !detector.is_evicted(w) && (!detector.is_suspected(w) || probe))
-                    .collect();
-                let mut heard_count = 0;
-                if !expected.is_empty() {
-                    let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
-                    let batches = server.generate_batches(k);
-                    drop(gen_span);
-                    for &wi in &expected {
-                        let (g_id, d_id) = MdServer::assign(wi, k);
-                        server_ep.send_data_ctx(
-                            wi + 1,
-                            MdMsg::Batches {
-                                iter: i,
-                                g_id,
-                                xg: batches[g_id].0.clone(),
-                                xg_labels: batches[g_id].1.clone(),
-                                xd: batches[d_id].0.clone(),
-                                xd_labels: batches[d_id].1.clone(),
-                            },
-                            2 * batch_bytes(b, object_size),
-                            i as u64,
-                            cfg.robust.retries,
-                            rctx,
-                        );
-                    }
-                    let expected_ids: Vec<usize> = expected.iter().map(|&w| w + 1).collect();
-                    let quorum = cfg.robust.quorum(expected_ids.len());
-                    let gather = server_ep.recv_until_quorum(
-                        &expected_ids,
-                        quorum,
-                        gather_timeout,
-                        |e| matches!(&e.msg, MdMsg::Feedback { iter, .. } if *iter == i),
-                    );
-                    // Envelopes arrive sorted by sender, so the forensics
-                    // observes the exact triples the sequential trainer
-                    // builds (ascending worker slot).
-                    let feedbacks: Vec<(usize, usize, md_tensor::Tensor)> = gather
-                        .envelopes
-                        .into_iter()
-                        .map(|e| match e.msg {
-                            MdMsg::Feedback { g_id, grad, .. } => (e.from - 1, g_id, grad),
-                            other => panic!("server expected Feedback, got {other:?}"),
-                        })
-                        .collect();
-                    let mut quarantined: Vec<bool> = vec![false; feedbacks.len()];
-                    if defense_on {
-                        let items: Vec<(usize, usize, &md_tensor::Tensor)> = feedbacks
-                            .iter()
-                            .map(|(wi, g_id, f)| (*wi, *g_id, f))
-                            .collect();
-                        let verdicts = forensics.observe(&items);
-                        for (n, v) in verdicts.iter().enumerate() {
-                            quarantined[n] = v.quarantined;
-                            if v.newly_flagged {
-                                telemetry.event(Event::WorkerFlagged {
-                                    iter: i,
-                                    worker: v.worker + 1,
-                                    norm_score: f64::from(v.norm_score),
-                                    self_cos: f64::from(v.self_cos),
-                                    peer_cos: f64::from(v.peer_cos),
-                                });
-                            }
-                            if v.cleared {
-                                telemetry.event(Event::WorkerCleared {
-                                    iter: i,
-                                    worker: v.worker + 1,
-                                });
-                            }
-                        }
-                    }
-                    for &wi in &expected {
-                        let flagged = defense_on && forensics.is_flagged(wi);
-                        if gather.heard.contains(&(wi + 1)) && !flagged {
-                            if detector.heard(wi) == Liveness::Rejoined {
-                                telemetry.event(Event::WorkerRejoined {
-                                    iter: i,
-                                    worker: wi + 1,
-                                });
-                            }
-                        } else {
-                            match detector.missed(wi) {
-                                Liveness::Suspected => {
-                                    telemetry.event(Event::WorkerSuspected {
-                                        iter: i,
-                                        worker: wi + 1,
-                                    });
-                                }
-                                Liveness::Evicted => {
-                                    membership.evict(wi);
-                                    stats.retire(wi + 1);
-                                    forensics.retire(wi);
-                                    if flagged {
-                                        telemetry.event(Event::FreeriderEvicted {
-                                            iter: i,
-                                            worker: wi + 1,
-                                        });
-                                    }
-                                    telemetry.event(Event::WorkerEvicted {
-                                        iter: i,
-                                        worker: wi + 1,
-                                    });
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    heard_count = gather.heard.len();
-                    let kept: Vec<(usize, md_tensor::Tensor)> = feedbacks
-                        .into_iter()
-                        .zip(quarantined.iter())
-                        .filter(|(_, &q)| !q)
-                        .map(|((_, g_id, f), _)| (g_id, f))
-                        .collect();
-                    if gather.met_quorum && heard_count > 0 && !kept.is_empty() {
-                        let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, tick);
-                        server.apply_feedbacks_robust(&kept, kept.len(), cfg.aggregation);
-                        drop(upd_span);
-                    } else if heard_count > 0 {
-                        telemetry.event(Event::Custom {
-                            name: "quorum_missed",
-                            value: i as f64,
-                        });
-                    }
-
-                    if (i + 1) % swap_interval == 0 {
-                        let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, tick);
-                        let sctx = swap_span.ctx();
-                        // Swaps are routed around suspected peers.
-                        let candidates: Vec<usize> =
-                            (0..total).filter(|&w| !detector.is_suspected(w)).collect();
-                        if let Some(perm) =
-                            swap_permutation(cfg.swap, candidates.len(), &mut swap_rng)
-                        {
-                            for (j, &src) in candidates.iter().enumerate() {
-                                let dst = candidates[perm[j]];
-                                server_ep
-                                    .send_ctx(
-                                        src + 1,
-                                        MdMsg::SwapTo {
-                                            to: dst + 1,
-                                            iter: i,
-                                        },
-                                        0,
-                                        sctx,
-                                    )
-                                    .expect("destination endpoint dropped");
-                            }
-                            swaps += 1;
-                            telemetry.event(Event::SwapDone {
-                                iter: i,
-                                moved: candidates.len(),
-                            });
-                        }
-                        drop(swap_span);
-                    }
-                }
-                alive_now = heard_count;
-            } else {
-                let alive: Vec<usize> = (0..total)
-                    .filter(|&w| alive_mask[w] && membership.is_alive(w))
-                    .collect();
-                if !alive.is_empty() {
-                    // With churn the k-batch SPLIT re-resolves over the
-                    // current view; without it the construction-time k is
-                    // kept (bit-identical to the pre-elastic behavior).
-                    let k_now = if churned {
-                        cfg.k.resolve(alive.len())
-                    } else {
-                        k
-                    };
-                    let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
-                    let batches = server.generate_batches(k_now);
-                    drop(gen_span);
-                    for (pos, &wi) in alive.iter().enumerate() {
-                        let (g_id, d_id) = if churned {
-                            MdServer::assign(pos, k_now)
-                        } else {
-                            MdServer::assign(wi, k)
-                        };
-                        server_ep
-                            .send_ctx(
-                                wi + 1,
-                                MdMsg::Batches {
-                                    iter: i,
-                                    g_id,
-                                    xg: batches[g_id].0.clone(),
-                                    xg_labels: batches[g_id].1.clone(),
-                                    xd: batches[d_id].0.clone(),
-                                    xd_labels: batches[d_id].1.clone(),
-                                },
-                                2 * batch_bytes(b, object_size),
-                                rctx,
-                            )
-                            .expect("destination endpoint dropped");
-                    }
-                    let envs = server_ep.recv_n_sorted(alive.len());
-                    let feedbacks: Vec<(usize, md_tensor::Tensor)> = envs
-                        .into_iter()
-                        .map(|e| match e.msg {
-                            MdMsg::Feedback { g_id, grad, .. } => (g_id, grad),
-                            other => panic!("server expected Feedback, got {other:?}"),
-                        })
-                        .collect();
-                    let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, tick);
-                    server.apply_feedbacks_robust(&feedbacks, alive.len(), cfg.aggregation);
-                    drop(upd_span);
-
-                    if (i + 1) % swap_interval == 0 {
-                        let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, tick);
-                        let sctx = swap_span.ctx();
-                        if let Some(perm) = swap_permutation(cfg.swap, alive.len(), &mut swap_rng) {
-                            for (j, &src) in alive.iter().enumerate() {
-                                let dst = alive[perm[j]];
-                                server_ep
-                                    .send_ctx(
-                                        src + 1,
-                                        MdMsg::SwapTo {
-                                            to: dst + 1,
-                                            iter: i,
-                                        },
-                                        0,
-                                        sctx,
-                                    )
-                                    .expect("destination endpoint dropped");
-                            }
-                            swaps += 1;
-                            telemetry.event(Event::SwapDone {
-                                iter: i,
-                                moved: alive.len(),
-                            });
-                        }
-                        drop(swap_span);
-                    }
-                }
-                // Graceful leaves depart at the end of the iteration: the
-                // leaver already drained its batches, sent its final
-                // feedback and took part in any swap above.
-                if churned {
-                    let evs: Vec<md_simnet::ChurnEvent> = cfg.churn.events_at(i).copied().collect();
-                    for ev in evs.iter().filter(|e| e.kind == ChurnKind::Leave) {
-                        if membership.apply(ev).is_ok() {
-                            let slot = ev.worker - 1;
-                            alive_mask[slot] = false;
-                            server_ep
-                                .send(ev.worker, MdMsg::Stop, 0)
-                                .expect("destination endpoint dropped");
-                            stats.retire(ev.worker);
-                            telemetry.event(Event::WorkerLeft {
-                                iter: i,
-                                worker: ev.worker,
-                            });
-                        }
-                    }
-                }
-                alive_now = alive.len();
-            }
-            telemetry.event(Event::IterDone {
-                iter: i,
-                alive: alive_now,
-            });
-            drop(root);
-
-            if let Some(ev) = evaluator.as_deref_mut() {
-                if (i + 1) % eval_every.max(1) == 0 || i + 1 == iters {
-                    let span = telemetry.span(Phase::Eval);
-                    let s = ev.evaluate(&mut server.gen);
-                    drop(span);
-                    telemetry.event(Event::EvalDone {
-                        iter: i + 1,
-                        is_score: s.inception_score,
-                        fid: s.fid,
-                    });
-                    timeline.push(i + 1, s);
-                }
-            }
-
-            if let Some(pol) = ckpt {
-                if pol.every > 0 && (i + 1) % pol.every == 0 {
-                    let ck = gather_checkpoint(
-                        &server_ep,
-                        &server,
-                        &alive_mask,
-                        &swap_rng,
-                        &attack_rng,
-                        &host_rng,
-                        &stats,
-                        swaps,
-                        (i + 1) as u64,
-                    );
-                    match ck.save_atomic(&pol.path) {
-                        Ok(()) => telemetry.event(Event::CheckpointWritten {
-                            iter: i + 1,
-                            bytes: ck.byte_size() as u64,
-                        }),
-                        Err(e) => {
-                            ckpt_err = Some(TrainError::Io(e));
-                            break;
-                        }
+            if let Some(pol) = ckpt.filter(|pol| pol.every > 0 && done % pol.every == 0) {
+                let ck = coord.checkpoint(routed.worker_states());
+                match ck.save_atomic(&pol.path) {
+                    Ok(()) => telemetry.event(Event::CheckpointWritten {
+                        iter: done,
+                        bytes: ck.byte_size() as u64,
+                    }),
+                    Err(e) => {
+                        ckpt_err = Some(TrainError::Io(e));
+                        break;
                     }
                 }
             }
         }
-
-        // Shut everyone down. Robust mode keeps crashed workers draining
-        // their queue, so they too need the final Stop. Workers dead at
-        // resume time were never spawned (their endpoint is gone).
-        for (w, &alive) in alive_mask.iter().enumerate() {
-            if spawned[w] && (robust || alive) {
-                server_ep
-                    .send(w + 1, MdMsg::Stop, 0)
-                    .expect("destination endpoint dropped");
-            }
-        }
+        routed.stop_all();
     })
     .expect("worker thread panicked");
 
@@ -885,226 +611,10 @@ fn run_threaded_inner(
     }
     Ok(ThreadedResult {
         timeline,
-        gen_params: server.gen_params(),
-        traffic: stats.report(),
-        alive: (0..total)
-            .filter(|&w| alive_mask[w] && membership.is_alive(w))
-            .map(|w| w + 1)
-            .collect(),
+        gen_params: coord.server.gen_params(),
+        traffic: coord.stats().report(),
+        alive: coord.alive_workers(&routed),
     })
-}
-
-/// Collects the full training state into a checkpoint with exactly the
-/// sequential runtime's section layout ([`MdGan::checkpoint`]).
-///
-/// The server requests each alive worker's state over the normal message
-/// channels (`StateRequest`/`WorkerState`) — replies arrive only after the
-/// worker has drained everything queued before the request (feedbacks,
-/// in-progress swaps), so the gathered state is the post-iteration
-/// barrier state. The gather's own zero-byte control messages are then
-/// stripped from the traffic counters: checkpoint persistence must not
-/// perturb traffic accounting, or a resumed run would stop being
-/// bit-identical to an uninterrupted one.
-///
-/// [`MdGan::checkpoint`]: crate::mdgan::trainer::MdGan::checkpoint
-#[allow(clippy::too_many_arguments)]
-fn gather_checkpoint(
-    server_ep: &Endpoint<MdMsg>,
-    server: &MdServer,
-    alive_mask: &[bool],
-    swap_rng: &Rng64,
-    attack_rng: &Rng64,
-    host_rng: &Rng64,
-    stats: &TrafficStats,
-    swaps: usize,
-    iteration: u64,
-) -> Checkpoint {
-    let n = alive_mask.len();
-    let expect: Vec<usize> = (0..n).filter(|&w| alive_mask[w]).map(|w| w + 1).collect();
-    for &id in &expect {
-        server_ep
-            .send(id, MdMsg::StateRequest, 0)
-            .expect("destination endpoint dropped");
-    }
-    let mut states = Vec::with_capacity(expect.len());
-    for _ in 0..expect.len() {
-        match server_ep.recv().msg {
-            MdMsg::WorkerState {
-                id,
-                disc,
-                adam_t,
-                opt_m,
-                opt_v,
-                sampler,
-            } => states.push((id, disc, adam_t, opt_m, opt_v, sampler)),
-            other => panic!("server expected WorkerState, got {other:?}"),
-        }
-    }
-    states.sort_by_key(|s| s.0);
-
-    // Every node is quiescent now (workers answered and are blocked on
-    // their queue), so this snapshot races with nothing. Strip the
-    // gather's own 2×|alive| zero-byte control messages from the message
-    // counters, both in the snapshot and in the live stats.
-    let mut traffic = stats.state_words();
-    let nodes = traffic[0] as usize;
-    let msgs_base = 1 + 2 * nodes + 3;
-    traffic[msgs_base] -= expect.len() as u64; // server→worker StateRequest
-    traffic[msgs_base + 1] -= expect.len() as u64; // worker→server WorkerState
-    stats
-        .load_state_words(&traffic)
-        .expect("snapshot from the same instance always loads");
-
-    let mut ck = Checkpoint::new(iteration);
-    ck.push("generator", server.gen_params());
-    let g_opt = server.opt_state();
-    ck.push("opt_g_m", g_opt.m);
-    ck.push("opt_g_v", g_opt.v);
-    let mut adam_t = vec![0u64; 1 + n];
-    adam_t[0] = g_opt.t;
-    ck.push_u64("rng_server", server.rng_state_words().to_vec());
-    ck.push_u64("rng_swap", swap_rng.state_words().to_vec());
-    ck.push_u64("rng_attack", attack_rng.state_words().to_vec());
-    ck.push_u64("rng_host", host_rng.state_words().to_vec());
-    for (id, disc, t, m, v, sampler) in states {
-        ck.push(format!("disc_{id}"), disc);
-        adam_t[id] = t;
-        ck.push(format!("opt_d_{id}_m"), m);
-        ck.push(format!("opt_d_{id}_v"), v);
-        ck.push_u64(format!("rng_sampler_{id}"), sampler);
-    }
-    ck.push_u64("adam_t", adam_t);
-    ck.push_u64(
-        "alive",
-        alive_mask.iter().map(|&a| u64::from(a)).collect::<Vec<_>>(),
-    );
-    ck.push_u64("counters", vec![swaps as u64]);
-    ck.push_u64("traffic", traffic);
-    ck
-}
-
-/// Restores a checkpoint into the not-yet-spawned parts of a threaded run.
-///
-/// Mirrors [`MdGan::restore`](crate::mdgan::trainer::MdGan::restore):
-/// full (v2) checkpoints restore everything for a bit-identical replay;
-/// legacy parameter-only checkpoints restore parameters and treat workers
-/// without a `disc_n` section as crashed. Checkpoints from a sequential
-/// run using discriminator-count subsetting (`disc_hosts`) are rejected —
-/// the threaded runtime does not implement that mode.
-#[allow(clippy::too_many_arguments)]
-fn restore_parts(
-    ck: &Checkpoint,
-    server: &mut MdServer,
-    workers: &mut [Option<MdWorker>],
-    swap_rng: &mut Rng64,
-    attack_rng: &mut Rng64,
-    host_rng: &mut Rng64,
-    stats: &TrafficStats,
-    swaps: &mut usize,
-) -> Result<(), TrainError> {
-    let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
-    let n = workers.len();
-    if ck.get_u64("disc_hosts").is_some() {
-        return Err(TrainError::Checkpoint(
-            "checkpoint uses discriminator-count subsetting, \
-             which the threaded runtime does not support"
-                .into(),
-        ));
-    }
-    let gen = ck
-        .require_len("generator", server.gen_params_len())
-        .map_err(ckerr)?;
-    server.set_gen_params(gen);
-
-    if ck.get_u64("alive").is_none() {
-        // Legacy parameter-only checkpoint: discriminators restore (or
-        // the worker is treated as crashed), optimizer moments and RNG
-        // streams restart fresh. The index names the 1-based section and
-        // selects the worker slot.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            match ck.get(&format!("disc_{}", i + 1)) {
-                Some(params) => {
-                    if let Some(w) = workers[i].as_mut() {
-                        if params.len() != w.disc_params_len() {
-                            return Err(TrainError::Checkpoint(format!(
-                                "disc_{} has {} params, worker expects {}",
-                                i + 1,
-                                params.len(),
-                                w.disc_params_len()
-                            )));
-                        }
-                        w.set_disc_params(params);
-                    }
-                }
-                None => workers[i] = None,
-            }
-        }
-        return Ok(());
-    }
-
-    let alive = ck.require_u64_len("alive", n).map_err(ckerr)?.to_vec();
-    let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?.to_vec();
-    let g_state = AdamState {
-        t: adam_t[0],
-        m: ck.require("opt_g_m").map_err(ckerr)?.to_vec(),
-        v: ck.require("opt_g_v").map_err(ckerr)?.to_vec(),
-    };
-    server
-        .import_opt_state(&g_state)
-        .map_err(TrainError::Checkpoint)?;
-
-    let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
-        let w = ck
-            .require_u64_len(name, Rng64::STATE_WORDS)
-            .map_err(ckerr)?;
-        Ok(std::array::from_fn(|i| w[i]))
-    };
-    server.set_rng_state_words(words("rng_server")?);
-    *swap_rng = Rng64::from_state_words(words("rng_swap")?);
-    *attack_rng = Rng64::from_state_words(words("rng_attack")?);
-    *host_rng = Rng64::from_state_words(words("rng_host")?);
-
-    for i in 0..n {
-        let id = i + 1;
-        if alive[i] == 0 {
-            workers[i] = None;
-            continue;
-        }
-        let Some(w) = workers[i].as_mut() else {
-            return Err(TrainError::Checkpoint(format!(
-                "checkpoint has worker {id} alive but it already crashed here"
-            )));
-        };
-        let disc = ck
-            .require_len(&format!("disc_{id}"), w.disc_params_len())
-            .map_err(ckerr)?;
-        w.set_disc_params(disc);
-        let d_state = AdamState {
-            t: adam_t[id],
-            m: ck
-                .require(&format!("opt_d_{id}_m"))
-                .map_err(ckerr)?
-                .to_vec(),
-            v: ck
-                .require(&format!("opt_d_{id}_v"))
-                .map_err(ckerr)?
-                .to_vec(),
-        };
-        w.import_opt_state(&d_state)
-            .map_err(TrainError::Checkpoint)?;
-        let sw = ck
-            .require_u64_len(&format!("rng_sampler_{id}"), Rng64::STATE_WORDS)
-            .map_err(ckerr)?;
-        w.set_sampler_state_words(std::array::from_fn(|j| sw[j]));
-    }
-
-    let counters = ck.require_u64_len("counters", 1).map_err(ckerr)?;
-    *swaps = counters[0] as usize;
-    stats
-        .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
-        .map_err(TrainError::Checkpoint)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1390,7 +900,7 @@ mod tests {
 
     #[test]
     fn threaded_elastic_churn_equals_sequential_bit_for_bit() {
-        use md_simnet::{ChurnEvent, ChurnPlan};
+        use md_simnet::{ChurnEvent, ChurnKind, ChurnPlan};
         let workers = 3;
         let events = vec![
             ChurnEvent {

@@ -1,7 +1,9 @@
 //! The MD-GAN worker: hosts `D_n` and its local shard `B_n` (§IV-C).
 
 use crate::arch::ArchSpec;
+use crate::checkpoint::Checkpoint;
 use crate::config::GanHyper;
+use crate::error::{ckerr, TrainError};
 use md_data::{BatchSampler, Dataset};
 use md_nn::gan::{gen_loss, Discriminator};
 use md_nn::optim::{Adam, AdamState};
@@ -17,6 +19,84 @@ pub struct MdWorker {
     sampler: BatchSampler,
     shard: Dataset,
     hyper: GanHyper,
+}
+
+/// What a checkpoint keeps of one worker: `D_n`, its Adam moments and the
+/// shard sampler's stream position (the shard itself is rebuilt from data).
+pub struct WorkerState {
+    /// Flat discriminator parameters `θ`.
+    pub disc: Vec<f32>,
+    /// Adam step count and moments of the discriminator optimizer.
+    pub opt: AdamState,
+    /// Shard-sampler RNG stream position.
+    pub sampler: Vec<u64>,
+}
+
+/// The checkpoint state of every present worker, by slot.
+pub(crate) fn states_of(workers: &[Option<MdWorker>]) -> Vec<Option<WorkerState>> {
+    let state = |w: &Option<MdWorker>| w.as_ref().map(MdWorker::state);
+    workers.iter().map(state).collect()
+}
+
+/// Writes the worker half of the checkpoint layout every MD-GAN runtime
+/// shares: `disc_n` / `opt_d_n_{m,v}` / `rng_sampler_n` per present worker
+/// (1-based `n`), then `adam_t` (`gen_t` first) and the `alive` mask.
+pub(crate) fn push_workers(ck: &mut Checkpoint, states: Vec<Option<WorkerState>>, gen_t: u64) {
+    let mut adam_t = vec![gen_t];
+    let alive = states.iter().map(|s| u64::from(s.is_some())).collect();
+    for (i, state) in states.into_iter().enumerate() {
+        let id = i + 1;
+        adam_t.push(state.as_ref().map_or(0, |s| s.opt.t));
+        let Some(s) = state else { continue };
+        ck.push(format!("disc_{id}"), s.disc);
+        ck.push(format!("opt_d_{id}_m"), s.opt.m);
+        ck.push(format!("opt_d_{id}_v"), s.opt.v);
+        ck.push_u64(format!("rng_sampler_{id}"), s.sampler);
+    }
+    ck.push_u64("adam_t", adam_t);
+    ck.push_u64("alive", alive);
+}
+
+/// Reads back what [`push_workers`] wrote: a worker the `alive` mask marks
+/// dead is dropped here too, a live one missing any section is an error.
+pub(crate) fn restore_workers(
+    ck: &Checkpoint,
+    workers: &mut [Option<MdWorker>],
+) -> Result<(), TrainError> {
+    let n = workers.len();
+    let alive = ck.require_u64_len("alive", n).map_err(ckerr)?;
+    let adam_t = ck.require_u64_len("adam_t", 1 + n).map_err(ckerr)?;
+    for (i, slot) in workers.iter_mut().enumerate() {
+        let id = i + 1;
+        if alive[i] == 0 {
+            *slot = None;
+            continue;
+        }
+        let Some(w) = slot.as_mut() else {
+            return Err(TrainError::Checkpoint(format!(
+                "checkpoint has worker {id} alive but it already crashed here"
+            )));
+        };
+        let disc = ck.require_len(&format!("disc_{id}"), w.disc_params_len());
+        w.set_disc_params(disc.map_err(ckerr)?);
+        let opt = AdamState {
+            t: adam_t[id],
+            m: ck
+                .require(&format!("opt_d_{id}_m"))
+                .map_err(ckerr)?
+                .to_vec(),
+            v: ck
+                .require(&format!("opt_d_{id}_v"))
+                .map_err(ckerr)?
+                .to_vec(),
+        };
+        w.opt_d
+            .import_state(&opt, &w.disc.net)
+            .map_err(TrainError::Checkpoint)?;
+        let words = ck.require_words(&format!("rng_sampler_{id}"));
+        w.sampler.set_rng_state_words(words.map_err(ckerr)?);
+    }
+    Ok(())
 }
 
 impl MdWorker {
@@ -132,19 +212,18 @@ impl MdWorker {
         self.opt_d.export_state()
     }
 
-    /// Restores the discriminator optimizer's Adam moments.
-    pub fn import_opt_state(&mut self, state: &AdamState) -> Result<(), String> {
-        self.opt_d.import_state(state, &self.disc.net)
-    }
-
     /// Serializable shard-sampler RNG stream position (checkpointing).
     pub fn sampler_state_words(&self) -> [u64; Rng64::STATE_WORDS] {
         self.sampler.rng_state_words()
     }
 
-    /// Restores the shard-sampler RNG stream position.
-    pub fn set_sampler_state_words(&mut self, words: [u64; Rng64::STATE_WORDS]) {
-        self.sampler.set_rng_state_words(words);
+    /// Everything a checkpoint keeps of this worker.
+    pub fn state(&self) -> WorkerState {
+        WorkerState {
+            disc: self.disc_params(),
+            opt: self.opt_state(),
+            sampler: self.sampler_state_words().to_vec(),
+        }
     }
 
     /// The discriminator network (health scans read parameter norms).
@@ -219,7 +298,7 @@ mod tests {
 
     #[test]
     fn feedback_leaves_the_step_gradient_as_the_d_step_left_it() {
-        let (mut w, mut reference) = (worker(), TwoPassWorker::new(worker()));
+        let (mut w, mut reference) = (worker(), FullBackwardWorker::new(worker()));
         let mut rng = Rng64::seed_from_u64(5);
         let (xd, yd) = fake_batch(6, &mut rng);
         let (xg, yg) = fake_batch(6, &mut rng);
@@ -283,14 +362,29 @@ mod tests {
         assert_eq!(bits(&w.disc.net.get_grads_flat()), step_grads);
     }
 
-    /// The worker as it was before the backward pass became demand-driven:
-    /// every pass is a full `backward`, and the feedback pass is bracketed
-    /// by two `zero_grad()` sweeps that throw its parameter gradients away.
-    struct FullBackwardWorker(MdWorker);
+    /// The one naive reference: the worker written with nothing but
+    /// `zero_grad` / `forward` / `backward`. `X_r` and `X_d` go through
+    /// `D_n` one after the other, every pass is a full backward, and the
+    /// feedback pass is bracketed by two sweeps that throw its parameter
+    /// gradients away. Every shortcut `MdWorker::process` takes (demand-
+    /// driven backward, the stacked write-once D step) is checked against
+    /// this, bit for bit.
+    struct FullBackwardWorker {
+        inner: MdWorker,
+        /// The gradient the last D step handed to Adam (after clipping).
+        step_grads: Vec<f32>,
+    }
 
     impl FullBackwardWorker {
+        fn new(inner: MdWorker) -> Self {
+            FullBackwardWorker {
+                inner,
+                step_grads: Vec::new(),
+            }
+        }
+
         fn process(&mut self, xd: &Tensor, yd: &[usize], xg: &Tensor, yg: &[usize]) -> Tensor {
-            let w = &mut self.0;
+            let w = &mut self.inner;
             let (classes, aux) = (w.disc.num_classes, w.hyper.aux_weight);
             let (x_real, y_real) = w.sampler.sample(&w.shard, w.hyper.batch);
             for _ in 0..w.hyper.disc_steps.max(1) {
@@ -305,12 +399,13 @@ mod tests {
                     w.disc.net.clip_grad_norm_per_layer(w.hyper.clip_grad_norm);
                 }
                 w.opt_d.step(&mut w.disc.net);
+                self.step_grads = w.disc.net.get_grads_flat();
             }
             self.feedback(xg, yg)
         }
 
         fn feedback(&mut self, xg: &Tensor, yg: &[usize]) -> Tensor {
-            let w = &mut self.0;
+            let w = &mut self.inner;
             let logits = w.disc.forward(xg, true);
             let (_, glogits) = gen_loss(
                 &logits,
@@ -326,53 +421,11 @@ mod tests {
         }
 
         fn stale_feedback(&mut self, stale: &[f32], xg: &Tensor, yg: &[usize]) -> Tensor {
-            let live = self.0.disc_params();
-            self.0.set_disc_params(stale);
+            let live = self.inner.disc_params();
+            self.inner.set_disc_params(stale);
             let feedback = self.feedback(xg, yg);
-            self.0.set_disc_params(&live);
+            self.inner.set_disc_params(&live);
             feedback
-        }
-    }
-
-    /// The worker as it was before the stacked, write-once D step: `X_r`
-    /// and `X_d` go through `D_n` one after the other, both accumulating
-    /// into gradients that are all-zero on entry because a sweep follows
-    /// every Adam update.
-    struct TwoPassWorker {
-        inner: MdWorker,
-        /// The gradient the last D step handed to Adam (after clipping).
-        step_grads: Vec<f32>,
-    }
-
-    impl TwoPassWorker {
-        fn new(inner: MdWorker) -> Self {
-            TwoPassWorker {
-                inner,
-                step_grads: Vec::new(),
-            }
-        }
-
-        fn process(&mut self, xd: &Tensor, yd: &[usize], xg: &Tensor, yg: &[usize]) -> Tensor {
-            let w = &mut self.inner;
-            let (classes, aux) = (w.disc.num_classes, w.hyper.aux_weight);
-            let (x_real, y_real) = w.sampler.sample(&w.shard, w.hyper.batch);
-            for _ in 0..w.hyper.disc_steps.max(1) {
-                let logits_r = w.disc.forward(&x_real, true);
-                w.disc
-                    .backward_params(&disc_loss_real(&logits_r, &y_real, classes, aux).1);
-                let logits_f = w.disc.forward(xd, true);
-                w.disc
-                    .backward_params(&disc_loss_fake(&logits_f, yd, classes, aux).1);
-                if w.hyper.clip_grad_norm > 0.0 {
-                    w.disc.net.clip_grad_norm_per_layer(w.hyper.clip_grad_norm);
-                }
-                w.opt_d.step(&mut w.disc.net);
-                self.step_grads = w.disc.net.get_grads_flat();
-                w.disc.net.zero_grad();
-            }
-            let logits = w.disc.forward(xg, true);
-            let (_, glogits) = gen_loss(&logits, yg, classes, aux, w.hyper.gen_loss);
-            w.disc.backward_input(&glogits)
         }
     }
 
@@ -381,7 +434,7 @@ mod tests {
     }
 
     #[test]
-    fn stacked_write_once_worker_matches_two_pass_worker_bit_for_bit() {
+    fn worker_matches_the_naive_reference_bit_for_bit() {
         let hyper = GanHyper {
             batch: 6,
             disc_steps: 2,
@@ -399,7 +452,7 @@ mod tests {
                     let shard = mnist_like(spec.img, shard_len, 1, 0.08);
                     MdWorker::new(1, &spec, shard, hyper, &mut Rng64::seed_from_u64(2))
                 };
-                let (mut w, mut reference) = (build(), TwoPassWorker::new(build()));
+                let (mut w, mut reference) = (build(), FullBackwardWorker::new(build()));
                 let snapshot = w.disc_params();
                 let mut rng = Rng64::seed_from_u64(3);
                 let mut batch = || {
@@ -426,54 +479,10 @@ mod tests {
                     );
 
                     let s = w.stale_feedback(&snapshot, &xg, &yg);
-                    let s_ref = reference.inner.stale_feedback(&snapshot, &xg, &yg);
+                    let s_ref = reference.stale_feedback(&snapshot, &xg, &yg);
                     assert_eq!(bits(s.data()), bits(s_ref.data()), "stale F_n at {at}");
                     assert_eq!(bits(&w.disc_params()), bits(&reference.inner.disc_params()));
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn demand_driven_worker_matches_full_backward_worker_bit_for_bit() {
-        let hyper = GanHyper {
-            batch: 6,
-            disc_steps: 2,
-            clip_grad_norm: 0.5,
-            ..GanHyper::default()
-        };
-        for spec in [
-            ArchSpec::mlp_mnist_scaled(12),
-            ArchSpec::cnn_mnist_scaled(16),
-        ] {
-            let build = || {
-                let shard = mnist_like(spec.img, 64, 1, 0.08);
-                MdWorker::new(1, &spec, shard, hyper, &mut Rng64::seed_from_u64(2))
-            };
-            let (mut w, mut reference) = (build(), FullBackwardWorker(build()));
-            let snapshot = w.disc_params();
-            let mut rng = Rng64::seed_from_u64(3);
-            let mut batch = || {
-                (
-                    Tensor::randn(&[6, 1, spec.img, spec.img], &mut rng).clamp(-1.0, 1.0),
-                    (0..6).map(|i| i % 10).collect::<Vec<usize>>(),
-                )
-            };
-            for iter in 0..5 {
-                let ((xd, yd), (xg, yg)) = (batch(), batch());
-                let f = w.process(&xd, &yd, &xg, &yg);
-                let f_ref = reference.process(&xd, &yd, &xg, &yg);
-                assert_eq!(bits(f.data()), bits(f_ref.data()), "F_n at {iter}");
-                assert_eq!(
-                    bits(&w.disc_params()),
-                    bits(&reference.0.disc_params()),
-                    "θ_n after {iter}"
-                );
-
-                let s = w.stale_feedback(&snapshot, &xg, &yg);
-                let s_ref = reference.stale_feedback(&snapshot, &xg, &yg);
-                assert_eq!(bits(s.data()), bits(s_ref.data()), "stale F_n at {iter}");
-                assert_eq!(bits(&w.disc_params()), bits(&reference.0.disc_params()));
             }
         }
     }

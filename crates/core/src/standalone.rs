@@ -9,7 +9,7 @@
 use crate::arch::ArchSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::GanHyper;
-use crate::error::TrainError;
+use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
 use md_data::{BatchSampler, Dataset};
 use md_nn::gan::{gen_loss, Discriminator, Generator};
@@ -154,30 +154,13 @@ impl StandaloneGan {
         mut evaluator: Option<&mut Evaluator>,
     ) -> ScoreTimeline {
         let mut timeline = ScoreTimeline::new();
-        if let Some(ev) = evaluator.as_deref_mut() {
-            let span = self.telemetry.span(Phase::Eval);
-            let s = ev.evaluate(&mut self.gen);
-            drop(span);
-            self.telemetry.event(Event::EvalDone {
-                iter: self.iter,
-                is_score: s.inception_score,
-                fid: s.fid,
-            });
-            timeline.push(self.iter, s);
-        }
-        for i in 1..=iters {
-            self.step();
+        for i in 0..=iters {
+            if i > 0 {
+                self.step();
+            }
             if let Some(ev) = evaluator.as_deref_mut() {
                 if i % eval_every.max(1) == 0 || i == iters {
-                    let span = self.telemetry.span(Phase::Eval);
-                    let s = ev.evaluate(&mut self.gen);
-                    drop(span);
-                    self.telemetry.event(Event::EvalDone {
-                        iter: self.iter,
-                        is_score: s.inception_score,
-                        fid: s.fid,
-                    });
-                    timeline.push(self.iter, s);
+                    ev.score_point(&mut self.gen, self.iter, &self.telemetry, &mut timeline);
                 }
             }
         }
@@ -222,7 +205,6 @@ impl StandaloneGan {
     /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint).
     /// Missing or length-mismatched sections are errors, not silent skips.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let ckerr = |e: std::io::Error| TrainError::Checkpoint(e.to_string());
         let gen = ck
             .require_len("gen", self.gen.num_params())
             .map_err(ckerr)?;

@@ -18,6 +18,8 @@
 //! * [`fault::FaultPlan`] / [`fault::FaultState`] — seeded, deterministic
 //!   lossy-network injection (drops, duplication, bounded delay,
 //!   partitions) applied per data send,
+//! * [`wire::Wire`] — one logical message over one link (charged, counted,
+//!   traced, possibly lost) for runtimes that have no endpoint queues,
 //! * [`detect::FailureDetector`] — timeout-based worker suspicion (with
 //!   optional permanent eviction) for the oracle-free robust runtimes,
 //! * [`membership::ChurnPlan`] / [`membership::Membership`] — seeded
@@ -29,9 +31,11 @@ pub mod fault;
 pub mod membership;
 pub mod network;
 pub mod stats;
+pub mod wire;
 
 pub use detect::{FailureDetector, Liveness};
 pub use fault::{CrashSchedule, Delivery, Fate, FaultPlan, FaultState, Partition, PartitionScope};
 pub use membership::{ChurnEvent, ChurnKind, ChurnPlan, MemberStatus, Membership};
 pub use network::{Endpoint, Envelope, GatherResult, NodeId, Router, SendError, SERVER};
 pub use stats::{LinkClass, TrafficReport, TrafficStats};
+pub use wire::Wire;

@@ -74,9 +74,12 @@ fn main() {
     println!("\n== byzantine workers (§VII.3) ==");
     let mut attacks = vec![Attack::None; workers];
     attacks[0] = Attack::SignFlip { scale: 100.0 };
-    let mut defended = MdGan::new(&spec, shards(3), cfg.clone())
-        .with_attacks(attacks)
-        .with_aggregation(Aggregation::CoordinateMedian);
+    let byz_cfg = MdGanConfig {
+        attacks,
+        aggregation: Aggregation::CoordinateMedian,
+        ..cfg.clone()
+    };
+    let mut defended = MdGan::new(&spec, shards(3), byz_cfg);
     for _ in 0..40 {
         defended.step();
     }

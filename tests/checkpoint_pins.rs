@@ -1,0 +1,174 @@
+//! Checkpoint bytes pinned **across commits**. The resume tests elsewhere
+//! compare two runs of the same build, so a change that moved a section,
+//! a counter or an RNG draw in both runtimes at once would pass them. These
+//! hashes were recorded at the commit before `Coordinator::round` replaced
+//! the four hand-written copies of Algorithm 1's server side; a refactor of
+//! the runtimes must leave them alone.
+
+use mdgan_repro::core::byzantine::Attack;
+use mdgan_repro::core::config::{GanHyper, KPolicy, MdGanConfig, SwapPolicy};
+use mdgan_repro::core::mdgan::asynchronous::{AsyncConfig, AsyncMdGan};
+use mdgan_repro::core::mdgan::threaded::{run_threaded_checkpointed, ThreadedCheckpointing};
+use mdgan_repro::core::{ArchSpec, MdGan};
+use mdgan_repro::data::synthetic::mnist_like;
+use mdgan_repro::data::Dataset;
+use mdgan_repro::simnet::{ChurnEvent, ChurnKind, ChurnPlan, FaultPlan, MemberStatus};
+use mdgan_repro::telemetry::Recorder;
+use mdgan_repro::tensor::rng::Rng64;
+use std::sync::Arc;
+
+const IMG: usize = 12;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `m / b = 2`: a swap every second iteration, so three iterations cross one.
+fn shards(total: usize) -> Vec<Dataset> {
+    mnist_like(IMG, total * 8, 5, 0.08).shard_iid(total, &mut Rng64::seed_from_u64(5))
+}
+
+fn cfg(workers: usize) -> MdGanConfig {
+    MdGanConfig {
+        workers,
+        k: KPolicy::LogN,
+        epochs_per_swap: 1.0,
+        swap: SwapPolicy::Derangement,
+        hyper: GanHyper {
+            batch: 4,
+            ..GanHyper::default()
+        },
+        iterations: 3,
+        seed: 33,
+        ..MdGanConfig::default()
+    }
+}
+
+fn hash_after(md: &mut MdGan, iters: usize) -> u64 {
+    assert_eq!(md.swap_interval(), 2);
+    for _ in 0..iters {
+        md.step();
+    }
+    assert!(md.swaps() >= 1, "the pinned run must cross a swap");
+    fnv1a(&md.checkpoint().to_bytes())
+}
+
+#[test]
+fn plain_run() {
+    let mut md = MdGan::new(&ArchSpec::mlp_mnist_scaled(IMG), shards(4), cfg(4));
+    assert_eq!(hash_after(&mut md, 3), 17419978989815346971);
+}
+
+#[test]
+fn churned_run() {
+    let events = vec![
+        ChurnEvent {
+            iter: 1,
+            worker: 4,
+            kind: ChurnKind::Join,
+        },
+        ChurnEvent {
+            iter: 1,
+            worker: 2,
+            kind: ChurnKind::Leave,
+        },
+        ChurnEvent {
+            iter: 2,
+            worker: 1,
+            kind: ChurnKind::Crash,
+        },
+    ];
+    let mut c = cfg(3);
+    c.churn = ChurnPlan::from_events(3, events).unwrap();
+    let mut md = MdGan::new(&ArchSpec::mlp_mnist_scaled(IMG), shards(4), c);
+    assert_eq!(hash_after(&mut md, 3), 13073678897135293344);
+    assert_eq!(md.alive_workers(), vec![3, 4]);
+}
+
+/// Five relocations of two discriminators over four workers: the hosts move.
+#[test]
+fn disc_count_run() {
+    let mut md = MdGan::new(&ArchSpec::mlp_mnist_scaled(IMG), shards(4), cfg(4)).with_disc_count(2);
+    assert_eq!(hash_after(&mut md, 10), 2681911102018226282);
+    assert_eq!(md.swaps(), 5);
+}
+
+/// The lossy path with the free-rider defense on: fates, detector
+/// transitions and quarantine decisions all feed the pinned state.
+#[test]
+fn robust_run() {
+    let mut c = cfg(4);
+    c.fault = FaultPlan {
+        seed: 9,
+        drop: 0.15,
+        duplicate: 0.05,
+        delay: 0.05,
+        max_delay_ticks: 2,
+        partitions: Vec::new(),
+    };
+    c.defense.enabled = true;
+    c.attacks = vec![Attack::PureNoise { std: 5.0 }];
+    c.robust.suspect_after = 1;
+    c.robust.evict_after = 1;
+    c.robust.probe_period = 1;
+    let mut md = MdGan::new(&ArchSpec::mlp_mnist_scaled(IMG), shards(4), c);
+    assert_eq!(hash_after(&mut md, 12), 8904101171680447498);
+    let t = md.traffic();
+    assert!(
+        t.dropped_msgs > 0 && t.retries > 0,
+        "the fault plan never fired"
+    );
+    assert_eq!(md.membership().status(0), MemberStatus::Evicted);
+}
+
+/// The asynchronous runtime shares the server and worker section helpers.
+#[test]
+fn async_run() {
+    let mut c = cfg(3);
+    c.churn = ChurnPlan::from_events(
+        3,
+        vec![ChurnEvent {
+            iter: 4,
+            worker: 4,
+            kind: ChurnKind::Join,
+        }],
+    )
+    .unwrap();
+    let mut md = AsyncMdGan::new(
+        &ArchSpec::mlp_mnist_scaled(IMG),
+        shards(4),
+        c,
+        AsyncConfig::default(),
+    );
+    for _ in 0..14 {
+        md.step_event();
+    }
+    assert_eq!(fnv1a(&md.checkpoint().to_bytes()), 2177968072382733631);
+}
+
+#[test]
+fn threaded_saved_file() {
+    let dir = std::env::temp_dir().join(format!("mdgan-ckpt-pins-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let pol = ThreadedCheckpointing {
+        path: dir.join("ck.bin"),
+        every: 3,
+    };
+    let _ = std::fs::remove_file(&pol.path);
+    run_threaded_checkpointed(
+        &ArchSpec::mlp_mnist_scaled(IMG),
+        shards(4),
+        cfg(4),
+        None,
+        3,
+        1000,
+        Arc::new(Recorder::disabled()),
+        &pol,
+    )
+    .unwrap();
+    let bytes = std::fs::read(&pol.path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(fnv1a(&bytes), 1039873981493553937);
+}

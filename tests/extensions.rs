@@ -108,9 +108,8 @@ fn byzantine_minority_with_median_still_learns() {
     // have size 2, where a median cannot out-vote anyone).
     let mut byz_cfg = cfg(300);
     byz_cfg.k = KPolicy::One;
-    let mut md = MdGan::new(&spec, sh, byz_cfg)
-        .with_attacks(attacks)
-        .with_aggregation(Aggregation::CoordinateMedian);
+    (byz_cfg.attacks, byz_cfg.aggregation) = (attacks, Aggregation::CoordinateMedian);
+    let mut md = MdGan::new(&spec, sh, byz_cfg);
     let t = md.train(300, 100, Some(&mut evaluator));
     let first = t.points().first().unwrap().1.fid;
     let best = t.best_fid().unwrap();
