@@ -20,20 +20,31 @@
 //! * The sequential runtime simulates asynchrony deterministically: worker
 //!   completion order is drawn from a seeded RNG with a configurable
 //!   "speed" skew, so slow-worker staleness patterns are reproducible.
+//!
+//! Only the schedule is this module's: update-count ticks, who reports
+//! next, staleness damping, the swap cadence, leaves at the event boundary
+//! and eviction on the first flag. The population is the sequential
+//! runtime's `InProcess` — workers, attack states, fault plan — and a
+//! worker's turn, the swap-in, bootstrap-on-join, crashes, leaves and the
+//! forensics verdicts are the steps `mdgan::worker` and `mdgan::round`
+//! spell once for every runtime.
 
 use crate::arch::ArchSpec;
-use crate::byzantine::AttackState;
 use crate::checkpoint::Checkpoint;
+use crate::compression::Codec;
 use crate::config::{MdGanConfig, SwapPolicy};
 use crate::defense::FeedbackForensics;
 use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
-use crate::mdgan::round::{attack_states, build_parts, swap_permutation};
+use crate::mdgan::round::{
+    alive, arrivals, attack_states, build_parts, depart, evict, permute, verdicts, Call, Cluster,
+};
 use crate::mdgan::server::MdServer;
-use crate::mdgan::worker::{push_workers, restore_workers, states_of, MdWorker};
+use crate::mdgan::trainer::{wire, InProcess};
+use crate::mdgan::worker::{push_workers, restore_workers, Batch};
 use md_data::Dataset;
-use md_nn::param::{batch_bytes, param_bytes};
-use md_simnet::{ChurnKind, FaultState, Membership, TrafficReport, TrafficStats, Wire};
+use md_nn::param::batch_bytes;
+use md_simnet::{ChurnKind, Membership, TrafficReport, TrafficStats};
 use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -65,10 +76,8 @@ impl Default for AsyncConfig {
 struct InFlight {
     /// Generator version that produced the batches.
     version: u64,
-    xg: Tensor,
-    xg_labels: Vec<usize>,
-    xd: Tensor,
-    xd_labels: Vec<usize>,
+    xg: Batch,
+    xd: Batch,
     /// Noise that produced `xg` (for the server-side replay).
     zg: Tensor,
     /// Trace context of the dispatch that produced this unit: the worker's
@@ -103,11 +112,13 @@ impl AsyncStats {
 /// The asynchronous MD-GAN system (deterministic simulation).
 pub struct AsyncMdGan {
     server: MdServer,
-    workers: Vec<Option<MdWorker>>,
+    /// The workers, their attack states and — robust configs only — the
+    /// fault plan, whose virtual tick here is the applied-update count.
+    cluster: InProcess,
     in_flight: Vec<Option<InFlight>>,
     cfg: MdGanConfig,
     acfg: AsyncConfig,
-    stats: TrafficStats,
+    stats: Arc<TrafficStats>,
     sched_rng: Rng64,
     swap_rng: Rng64,
     version: u64,
@@ -116,17 +127,12 @@ pub struct AsyncMdGan {
     swap_interval: usize,
     object_size: usize,
     telemetry: Arc<Recorder>,
-    /// Instantiated fault plan (robust configs only). The async virtual
-    /// tick is the applied-update count.
-    fault_state: Option<FaultState>,
     /// Epoch-numbered cluster view. Churn-plan iterations are interpreted
     /// in *update* time (the async notion of a tick): an event with
     /// `iter = t` fires before the event that applies update `t`.
     membership: Membership,
     /// Index of the next unapplied churn event (events are kept sorted).
     churn_cursor: usize,
-    /// Stateful per-worker attack execution (free-rider strategies).
-    attack_states: Vec<AttackState>,
     /// Server-side free-rider forensics. The async runtime has no failure
     /// detector, so a freshly flagged worker is evicted immediately.
     forensics: FeedbackForensics,
@@ -136,25 +142,17 @@ impl AsyncMdGan {
     /// Builds the system; seeds/shards exactly like the synchronous runtime.
     pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: MdGanConfig, acfg: AsyncConfig) -> Self {
         let object_size = shards[0].object_size();
-        let shard_size = shards[0].len();
+        let swap_interval = cfg.swap_interval(shards[0].len());
         let total = cfg.total_workers();
         let (server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
         let sched_rng = swap_rng.fork(0xA51C);
-        let stats = TrafficStats::new(1 + total);
-        let swap_interval = cfg.swap_interval(shard_size);
-        let fault_state = cfg
-            .is_robust()
-            .then(|| FaultState::new(cfg.fault.clone(), 1 + total));
-        let membership = Membership::new(cfg.workers, total);
-        let attack_states = attack_states(&cfg, &workers);
-        let forensics = FeedbackForensics::new(cfg.defense, total);
+        let attacks = attack_states(&cfg, &workers);
         AsyncMdGan {
             server,
-            workers: workers.into_iter().map(Some).collect(),
+            cluster: InProcess::new(&cfg, workers, attacks),
             in_flight: (0..total).map(|_| None).collect(),
-            cfg,
             acfg,
-            stats,
+            stats: Arc::new(TrafficStats::new(1 + total)),
             sched_rng,
             swap_rng,
             version: 0,
@@ -163,11 +161,10 @@ impl AsyncMdGan {
             swap_interval,
             object_size,
             telemetry: Arc::new(Recorder::disabled()),
-            fault_state,
-            membership,
+            membership: Membership::new(cfg.workers, total),
             churn_cursor: 0,
-            attack_states,
-            forensics,
+            forensics: FeedbackForensics::new(cfg.defense, total),
+            cfg,
         }
     }
 
@@ -212,14 +209,15 @@ impl AsyncMdGan {
         self.stats.report()
     }
 
-    /// Dispatches fresh batches to a worker with no in-flight work. The
-    /// dispatched unit is stamped with `ctx` so the worker's eventual
-    /// compute links back to this dispatch.
-    fn dispatch(&mut self, wi: usize, ctx: TraceCtx) {
+    /// Dispatches fresh batches to a worker with no in-flight work, over
+    /// `call`'s link. The dispatched unit is stamped with the downlink's
+    /// context so the worker's eventual compute links back to this
+    /// dispatch.
+    fn dispatch(&mut self, wi: usize, call: &Call) {
         let tick = self.updates;
-        let _span = self
+        let _span = call
             .telemetry
-            .span_at(Phase::GenForward, Track::Server, ctx, tick);
+            .span_at(Phase::GenForward, Track::Server, call.ctx, tick);
         let b = self.cfg.hyper.batch;
         let zg = self.server.gen.sample_z(b, &mut self.sched_rng);
         let lg = self.server.gen.sample_labels(b, &mut self.sched_rng);
@@ -230,57 +228,16 @@ impl AsyncMdGan {
         let down_bytes = 2 * batch_bytes(b, self.object_size);
         // A lost dispatch leaves the worker idle until the next event
         // re-dispatches fresh batches.
-        let Some(ctx) = self.wire().carry(0, wi + 1, down_bytes, tick, ctx) else {
+        let link = wire(&self.cluster.faults, call);
+        let Some(ctx) = link.carry(0, wi + 1, down_bytes, tick, call.ctx) else {
             return;
         };
         self.in_flight[wi] = Some(InFlight {
             version: self.version,
-            xg,
-            xg_labels: lg,
-            xd,
-            xd_labels: ld,
+            xg: (xg, lg),
+            xd: (xd, ld),
             zg,
             ctx,
-        });
-    }
-
-    /// The link every data message travels; the async virtual tick is the
-    /// applied-update count.
-    fn wire(&self) -> Wire<'_> {
-        Wire {
-            stats: &self.stats,
-            faults: self.fault_state.as_ref(),
-            retries: self.cfg.robust.retries,
-            telemetry: &self.telemetry,
-        }
-    }
-
-    /// Bootstraps a joining worker from the lowest-id alive worker, with
-    /// the same byte charges as the synchronous runtimes: the snapshot
-    /// travels W→C at full parameter cost, then C→W as a checkpoint-v2
-    /// blob. The transfer is control-plane reliable (never dropped), even
-    /// on a lossy data network.
-    fn bootstrap_joiner(&mut self, t: usize, slot: usize) {
-        let src = self
-            .membership
-            .alive()
-            .into_iter()
-            .find(|&s| s != slot && self.workers[s].is_some());
-        let Some(src) = src else { return };
-        let params = self.workers[src].as_ref().unwrap().disc_params();
-        let (wire, ctx) = (self.wire().reliable(), TraceCtx::NONE);
-        wire.carry(src + 1, 0, param_bytes(params.len()), t as u64, ctx);
-        let blob = crate::mdgan::bootstrap_blob(t as u64, &params);
-        let blob_len = blob.len() as u64;
-        wire.carry(0, slot + 1, blob_len, t as u64, ctx);
-        let disc = crate::mdgan::bootstrap_disc(&blob).expect("fresh blob decodes");
-        if let Some(w) = self.workers[slot].as_mut() {
-            w.set_disc_params(&disc);
-        }
-        self.telemetry.event(Event::BootstrapDone {
-            iter: t,
-            worker: slot + 1,
-            bytes: blob_len,
         });
     }
 
@@ -310,71 +267,45 @@ impl AsyncMdGan {
     /// fresh batches. Returns the worker that reported, or `None` if all
     /// workers have crashed.
     pub fn step_event(&mut self) -> Option<usize> {
-        // Crashes keyed on update count (the async notion of time).
         let t = self.updates as usize;
-        for idx in 0..self.workers.len() {
-            if self.workers[idx].is_some() && self.cfg.crash.is_crashed(idx + 1, t) {
-                self.workers[idx] = None;
-                self.in_flight[idx] = None;
-                self.membership.crash(idx);
-                self.telemetry.event(Event::WorkerFault {
-                    iter: t,
-                    worker: idx + 1,
-                });
+        // Own handles, so what the shared steps are lent borrows nothing of
+        // `self`. Every message's virtual tick is the applied-update count.
+        let (telemetry, stats) = (Arc::clone(&self.telemetry), Arc::clone(&self.stats));
+        let retries = self.cfg.robust.retries;
+        let call = |tick: u64, ctx: TraceCtx| Call {
+            iter: tick as usize,
+            ctx,
+            stats: &stats,
+            telemetry: &telemetry,
+            retries,
+            feedback_codec: Codec::None,
+        };
+        let boundary = call(self.updates, TraceCtx::NONE);
+
+        // Crashes and churn fire once their update-time tick is reached.
+        // There is no synchronous iteration to drain through, so a graceful
+        // leave departs at the event boundary. In-flight work dies with its
+        // worker.
+        let events = self.cfg.churn.events();
+        let due = events[self.churn_cursor..].partition_point(|e| e.iter <= t);
+        let due = &events[self.churn_cursor..self.churn_cursor + due];
+        self.churn_cursor += due.len();
+        let (cluster, membership) = (&mut self.cluster, &mut self.membership);
+        arrivals(cluster, membership, &self.cfg.crash, due, &boundary);
+        for ev in due.iter().filter(|e| e.kind == ChurnKind::Leave) {
+            depart(cluster, membership, ev, &boundary);
+        }
+        for (slot, fl) in self.in_flight.iter_mut().enumerate() {
+            if !cluster.present(slot) {
+                *fl = None;
             }
         }
-        // Churn events fire once their update-time tick is reached. There
-        // is no synchronous iteration to drain through, so a graceful
-        // leave takes effect at the event boundary: the leaver's pending
-        // work is released and its traffic counters freeze.
-        let events: Vec<md_simnet::ChurnEvent> = self.cfg.churn.events().to_vec();
-        while self.churn_cursor < events.len() && events[self.churn_cursor].iter <= t {
-            let ev = events[self.churn_cursor];
-            self.churn_cursor += 1;
-            let slot = ev.worker - 1;
-            match ev.kind {
-                ChurnKind::Crash => {
-                    if self.membership.apply(&ev).is_ok() {
-                        self.workers[slot] = None;
-                        self.in_flight[slot] = None;
-                        self.telemetry.event(Event::WorkerFault {
-                            iter: t,
-                            worker: ev.worker,
-                        });
-                    }
-                }
-                ChurnKind::Join => {
-                    self.membership.apply(&ev).expect("validated churn plan");
-                    self.telemetry.event(Event::WorkerJoined {
-                        iter: t,
-                        worker: ev.worker,
-                    });
-                    self.bootstrap_joiner(t, slot);
-                }
-                ChurnKind::Leave => {
-                    if self.membership.apply(&ev).is_ok() {
-                        self.workers[slot] = None;
-                        self.in_flight[slot] = None;
-                        self.stats.retire(slot + 1);
-                        self.telemetry.event(Event::WorkerLeft {
-                            iter: t,
-                            worker: ev.worker,
-                        });
-                    }
-                }
-            }
-        }
-        let alive: Vec<usize> = (0..self.workers.len())
-            .filter(|&w| self.workers[w].is_some() && self.membership.is_alive(w))
-            .collect();
+        let alive = alive(&self.cluster, &self.membership);
         if alive.is_empty() {
             return None;
         }
 
-        // Root the event's trace on the applied-update count (the async
-        // virtual tick). A local Arc clone keeps `self` free for the
-        // `&mut self` helpers below.
-        let telemetry = Arc::clone(&self.telemetry);
+        // Root the event's trace on the applied-update count.
         let root = telemetry.trace_root(self.updates);
         let rctx = root.ctx();
 
@@ -382,7 +313,7 @@ impl AsyncMdGan {
         // leaving the worker idle for this event).
         for &wi in &alive {
             if self.in_flight[wi].is_none() {
-                self.dispatch(wi, rctx);
+                self.dispatch(wi, &call(self.updates, rctx));
             }
         }
         let ready: Vec<usize> = alive
@@ -393,33 +324,30 @@ impl AsyncMdGan {
         if ready.is_empty() {
             // Every dispatch this round was lost. The event passes with no
             // progress; the next one re-dispatches.
-            self.telemetry.event(Event::Custom {
+            telemetry.event(Event::Custom {
                 name: "async_starved",
                 value: t as f64,
             });
             return Some(alive[0]);
         }
 
-        let wi = self.next_reporter(&ready);
-        let wtrack = Track::Worker((wi + 1) as u32);
-        let fl = self.in_flight[wi].take().expect("reporter had work");
-        let worker = self.workers[wi].as_mut().expect("reporter alive");
         // The compute hangs off the dispatch that produced the unit
         // (possibly a previous event — staleness as a causal edge).
-        let fb_span = self
-            .telemetry
-            .span_at(Phase::DFeedback, wtrack, fl.ctx, self.updates);
-        let fctx = fb_span.ctx();
-        let feedback = worker.process(&fl.xd, &fl.xd_labels, &fl.xg, &fl.xg_labels);
-        let feedback = self.attack_states[wi].apply(worker, feedback, &fl.xg, &fl.xg_labels);
-        drop(fb_span);
-        self.telemetry.worker_feedback(wi + 1);
-        let up_bytes = batch_bytes(self.cfg.hyper.batch, self.object_size);
-        if self
-            .wire()
-            .carry(wi + 1, 0, up_bytes, self.updates, fctx)
-            .is_none()
-        {
+        let wi = self.next_reporter(&ready);
+        let fl = self.in_flight[wi].take().expect("reporter had work");
+        let worker = self.cluster.workers[wi].as_mut().expect("reporter alive");
+        let attack = &mut self.cluster.attacks[wi];
+        let (feedback, bytes, fctx) = worker.turn(
+            attack,
+            &fl.xd,
+            &fl.xg,
+            Codec::None,
+            &telemetry,
+            fl.ctx,
+            self.updates,
+        );
+        let link = wire(&self.cluster.faults, &boundary);
+        if link.carry(wi + 1, 0, bytes, self.updates, fctx).is_none() {
             // The feedback was lost on the wire: the local work is wasted
             // and the generator never sees it.
             return Some(wi);
@@ -430,35 +358,16 @@ impl AsyncMdGan {
         // and the sender's own history (no same-iteration peer group
         // exists, so the peer-cosine signal stays unscored). There is no
         // failure detector on this path, so a freshly flagged worker is
-        // evicted on the spot — the membership view drops it and its
-        // pending work is released.
+        // evicted on the spot. A quarantined feedback was delivered (bytes
+        // charged) but is not allowed to touch the generator.
         if self.cfg.defense.enabled {
-            let verdict = self.forensics.observe(&[(wi, 0, &feedback)])[0];
+            let (membership, forensics) = (&mut self.membership, &mut self.forensics);
+            let verdict = verdicts(forensics, &[(wi, 0, &feedback)], &boundary)[0];
             if verdict.newly_flagged {
-                self.telemetry.event(Event::WorkerFlagged {
-                    iter: t,
-                    worker: wi + 1,
-                    norm_score: f64::from(verdict.norm_score),
-                    self_cos: f64::from(verdict.self_cos),
-                    peer_cos: f64::from(verdict.peer_cos),
-                });
-                self.membership.evict(wi);
-                self.stats.retire(wi + 1);
-                self.forensics.retire(wi);
-                self.in_flight[wi] = None;
-                self.telemetry.event(Event::FreeriderEvicted {
-                    iter: t,
-                    worker: wi + 1,
-                });
-                self.telemetry.event(Event::WorkerEvicted {
-                    iter: t,
-                    worker: wi + 1,
-                });
+                evict(membership, forensics, wi, true, &boundary);
                 return Some(wi);
             }
             if verdict.quarantined {
-                // The feedback was delivered (bytes charged) but is not
-                // allowed to touch the generator.
                 return Some(wi);
             }
         }
@@ -476,16 +385,14 @@ impl AsyncMdGan {
         };
 
         if staleness > 0 {
-            self.telemetry.event(Event::StaleUpdate {
+            telemetry.event(Event::StaleUpdate {
                 iter: t,
                 worker: wi + 1,
                 staleness: staleness as usize,
             });
         }
-        let upd_span = self
-            .telemetry
-            .span_at(Phase::GUpdate, Track::Server, rctx, self.updates);
-        let _ = self.server.gen.generate(&fl.zg, &fl.xg_labels, true);
+        let upd_span = telemetry.span_at(Phase::GUpdate, Track::Server, rctx, self.updates);
+        let _ = self.server.gen.generate(&fl.zg, &fl.xg.1, true);
         self.server.gen.backward_first(&feedback.scale(scale));
         self.server.apply_external_step();
         drop(upd_span);
@@ -497,40 +404,14 @@ impl AsyncMdGan {
         if self.cfg.swap != SwapPolicy::Disabled
             && (self.updates as usize).is_multiple_of(self.swap_interval * self.cfg.workers.max(1))
         {
-            let swap_span = self
-                .telemetry
-                .span_at(Phase::Swap, Track::Server, rctx, self.updates);
-            let sctx = swap_span.ctx();
-            if let Some(perm) = swap_permutation(self.cfg.swap, alive.len(), &mut self.swap_rng) {
-                let params: Vec<Vec<f32>> = alive
-                    .iter()
-                    .map(|&w| self.workers[w].as_ref().unwrap().disc_params())
-                    .collect();
-                for (j, &src) in alive.iter().enumerate() {
-                    let dst = alive[perm[j]];
-                    let bytes = param_bytes(params[j].len());
-                    let arrived = self
-                        .wire()
-                        .carry(src + 1, dst + 1, bytes, self.updates, sctx);
-                    if arrived.is_none() {
-                        // Lost transfer: the destination keeps its old
-                        // discriminator.
-                        continue;
-                    }
-                    self.workers[dst]
-                        .as_mut()
-                        .unwrap()
-                        .set_disc_params(&params[j]);
-                    self.telemetry.worker_swap_in(dst + 1);
-                }
-                self.telemetry.event(Event::SwapDone {
-                    iter: t,
-                    moved: alive.len(),
-                });
+            let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, self.updates);
+            let swap = call(self.updates, swap_span.ctx());
+            let (policy, rng) = (self.cfg.swap, &mut self.swap_rng);
+            if let Some(moved) = permute(&mut self.cluster, &alive, policy, rng, &swap) {
+                telemetry.event(Event::SwapDone { iter: t, moved });
             }
-            drop(swap_span);
         }
-        self.telemetry.event(Event::IterDone {
+        telemetry.event(Event::IterDone {
             iter: t,
             alive: alive.len(),
         });
@@ -571,25 +452,20 @@ impl AsyncMdGan {
         let gen_t = self.server.push_sections(&mut ck);
         ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
         ck.push_u64("rng_sched", self.sched_rng.state_words().to_vec());
-        push_workers(&mut ck, states_of(&self.workers), gen_t);
+        push_workers(&mut ck, self.cluster.worker_states(), gen_t);
         let in_flight: Vec<u64> = self
             .in_flight
             .iter()
             .map(|f| u64::from(f.is_some()))
             .collect();
+        let labels = |l: &[usize]| l.iter().map(|&l| l as u64).collect();
         for (i, fl) in self.in_flight.iter().enumerate() {
             let Some(fl) = fl else { continue };
-            push_tensor(&mut ck, &format!("fl_{i}_xg"), &fl.xg);
-            push_tensor(&mut ck, &format!("fl_{i}_xd"), &fl.xd);
+            push_tensor(&mut ck, &format!("fl_{i}_xg"), &fl.xg.0);
+            push_tensor(&mut ck, &format!("fl_{i}_xd"), &fl.xd.0);
             push_tensor(&mut ck, &format!("fl_{i}_zg"), &fl.zg);
-            ck.push_u64(
-                format!("fl_{i}_lg"),
-                fl.xg_labels.iter().map(|&l| l as u64).collect(),
-            );
-            ck.push_u64(
-                format!("fl_{i}_ld"),
-                fl.xd_labels.iter().map(|&l| l as u64).collect(),
-            );
+            ck.push_u64(format!("fl_{i}_lg"), labels(&fl.xg.1));
+            ck.push_u64(format!("fl_{i}_ld"), labels(&fl.xd.1));
             ck.push_u64(format!("fl_{i}_ver"), vec![fl.version]);
         }
         ck.push_u64("in_flight", in_flight);
@@ -616,9 +492,9 @@ impl AsyncMdGan {
     /// Restores a checkpoint taken on an identically configured system.
     /// Missing or length-mismatched sections are errors, not silent skips.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let n = self.workers.len();
+        let n = self.in_flight.len();
         self.server.restore_sections(ck)?;
-        restore_workers(ck, &mut self.workers)?;
+        restore_workers(ck, &mut self.cluster.workers)?;
         self.swap_rng = Rng64::from_state_words(ck.require_words("rng_swap").map_err(ckerr)?);
         self.sched_rng = Rng64::from_state_words(ck.require_words("rng_sched").map_err(ckerr)?);
 
@@ -640,10 +516,14 @@ impl AsyncMdGan {
                 version: ck
                     .require_u64_len(&format!("fl_{i}_ver"), 1)
                     .map_err(ckerr)?[0],
-                xg: read_tensor(ck, &format!("fl_{i}_xg"))?,
-                xg_labels: labels(&format!("fl_{i}_lg"))?,
-                xd: read_tensor(ck, &format!("fl_{i}_xd"))?,
-                xd_labels: labels(&format!("fl_{i}_ld"))?,
+                xg: (
+                    read_tensor(ck, &format!("fl_{i}_xg"))?,
+                    labels(&format!("fl_{i}_lg"))?,
+                ),
+                xd: (
+                    read_tensor(ck, &format!("fl_{i}_xd"))?,
+                    labels(&format!("fl_{i}_ld"))?,
+                ),
                 zg: read_tensor(ck, &format!("fl_{i}_zg"))?,
                 ctx: TraceCtx::NONE,
             });
@@ -735,11 +615,9 @@ mod tests {
     }
 
     fn build_lossy(drop: f32, seed: u64) -> AsyncMdGan {
-        let mut md = build(AsyncConfig::default());
-        let plan = md_simnet::FaultPlan::lossy(seed, drop);
-        md.cfg.fault = plan.clone();
-        md.fault_state = Some(FaultState::new(plan, 1 + md.cfg.workers));
-        md
+        build_with(AsyncConfig::default(), |c| {
+            c.fault = md_simnet::FaultPlan::lossy(seed, drop);
+        })
     }
 
     #[test]

@@ -4,18 +4,23 @@
 //! * [`server`] — the generator-learning procedure (§IV-B): k-batch
 //!   generation, SPLIT distribution, feedback aggregation and Adam update.
 //! * [`worker`] — the discriminator-learning procedure (§IV-C): L local
-//!   steps on `(X_r, X_d)` and the error feedback `F_n = ∂B̃(X_g)/∂x`.
+//!   steps on `(X_r, X_d)` and the error feedback `F_n = ∂B̃(X_g)/∂x`;
+//!   Algorithm 1's worker side, written once — a worker's turn (compute,
+//!   attack, codec, span, tally) and a swap's receive side — which every
+//!   runtime calls, keeping only its own uplink.
 //! * `round` — Algorithm 1's server side, written once: a `Coordinator`
-//!   whose `round` spells one global iteration over a `Cluster` transport.
+//!   whose `round` spells one global iteration over a `Cluster` transport,
+//!   and the steps another schedule reuses (churn, forensics, eviction,
+//!   the permutation swap).
 //! * [`trainer`] — the deterministic sequential runtime (used by all
-//!   experiments): the coordinator over the workers themselves, in the
-//!   interaction order of the paper's emulation.
+//!   experiments): the coordinator over the workers themselves
+//!   (`InProcess`), in the interaction order of the paper's emulation.
 //! * [`threaded`] — the coordinator over one thread per node and
 //!   `md-simnet` endpoints, bit-for-bit equivalent to the sequential
 //!   runtime given the same seed.
 //! * [`asynchronous`] — §VII.1: one Adam step per arriving feedback, its
-//!   own schedule over the same server, workers, link and checkpoint
-//!   sections.
+//!   own schedule over the same server, the same `InProcess` workers and
+//!   links, the same round steps and checkpoint sections.
 
 pub mod asynchronous;
 pub(crate) mod round;

@@ -9,21 +9,27 @@
 //! sequential runtime's moves tensors in place
 //! ([`InProcess`](super::trainer::InProcess)), the threaded runtime's sends
 //! them through `md-simnet` endpoints ([`Routed`](super::threaded)).
+//!
+//! The steps a schedule other than the synchronous round reuses are free
+//! functions here — [`arrivals`] and [`depart`] (crashes, joins, leaves),
+//! [`verdicts`] and [`evict`] (the free-rider defense), [`permute`] (the
+//! swap) — so the asynchronous runtime runs them over the same
+//! `InProcess` instead of spelling them again.
 
 use crate::arch::ArchSpec;
 use crate::byzantine::{resolve_attacks, Attack, AttackState};
 use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
 use crate::config::{MdGanConfig, SwapPolicy};
-use crate::defense::FeedbackForensics;
+use crate::defense::{FeedbackForensics, Verdict};
 use crate::error::{ckerr, TrainError};
 use crate::mdgan::server::MdServer;
 use crate::mdgan::worker::{push_workers, restore_workers, MdWorker, WorkerState};
 use md_data::Dataset;
 use md_nn::param::batch_bytes;
 use md_simnet::{
-    ChurnEvent, ChurnKind, ChurnPlan, FailureDetector, Liveness, MemberStatus, Membership,
-    TrafficStats,
+    ChurnEvent, ChurnKind, ChurnPlan, CrashSchedule, FailureDetector, Liveness, MemberStatus,
+    Membership, TrafficStats,
 };
 use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
@@ -95,6 +101,157 @@ pub(crate) fn swap_permutation(
         SwapPolicy::Derangement => Some(rng.derangement(n_alive)),
         SwapPolicy::Ring => Some((0..n_alive).map(|j| (j + 1) % n_alive).collect()),
     }
+}
+
+/// Swaps the discriminators of the workers `among` along a fresh `policy`
+/// permutation (Algorithm 1 line 11); returns how many moved, or `None`
+/// when there is nothing to swap.
+pub(crate) fn permute(
+    cluster: &mut impl Cluster,
+    among: &[usize],
+    policy: SwapPolicy,
+    rng: &mut Rng64,
+    call: &Call,
+) -> Option<usize> {
+    let perm = swap_permutation(policy, among.len(), rng)?;
+    let pairs: Vec<(usize, usize)> = among
+        .iter()
+        .zip(&perm)
+        .map(|(&src, &j)| (src, among[j]))
+        .collect();
+    cluster.swap(call, &pairs);
+    Some(among.len())
+}
+
+/// Slots (0-based, ascending) whose worker exists *and* whom `membership`
+/// admits: planned joiners are built up front but stay `Pending` until
+/// their join fires.
+pub(crate) fn alive(cluster: &impl Cluster, membership: &Membership) -> Vec<usize> {
+    (0..membership.len())
+        .filter(|&w| cluster.present(w) && membership.is_alive(w))
+        .collect()
+}
+
+/// The start of tick `call.iter`, on every schedule: the crash schedule's
+/// fail-stops, then the churn plan's crashes and joins among `events`. A
+/// crashed worker's shard disappears with it (§V-B.3). A joiner
+/// bootstraps from the lowest-id alive worker or, with none, keeps its
+/// fresh deterministic init. Graceful leaves are [`depart`]'s.
+pub(crate) fn arrivals(
+    cluster: &mut impl Cluster,
+    membership: &mut Membership,
+    crash: &CrashSchedule,
+    events: &[ChurnEvent],
+    call: &Call,
+) {
+    let (iter, telemetry) = (call.iter, call.telemetry);
+    for slot in 0..membership.len() {
+        if cluster.present(slot) && crash.is_crashed(slot + 1, iter) {
+            membership.crash(slot);
+            fault(cluster, slot, call);
+        }
+    }
+    for ev in events {
+        let (slot, worker) = (ev.worker - 1, ev.worker);
+        match ev.kind {
+            ChurnKind::Crash => {
+                if membership.apply(ev).is_ok() {
+                    fault(cluster, slot, call);
+                }
+            }
+            ChurnKind::Join => {
+                membership.apply(ev).expect("validated churn plan");
+                telemetry.event(Event::WorkerJoined { iter, worker });
+                let src = alive(cluster, membership).into_iter().find(|&s| s != slot);
+                if let Some(src) = src {
+                    let bytes = cluster.bootstrap(call, src, slot);
+                    telemetry.event(Event::BootstrapDone {
+                        iter,
+                        worker,
+                        bytes,
+                    });
+                }
+            }
+            ChurnKind::Leave => {}
+        }
+    }
+}
+
+/// The ground truth changes; whether the server is told is the cluster's
+/// business.
+fn fault(cluster: &mut impl Cluster, slot: usize, call: &Call) {
+    call.telemetry.event(Event::WorkerFault {
+        iter: call.iter,
+        worker: slot + 1,
+    });
+    cluster.crash(slot);
+}
+
+/// A graceful leave: the drained worker is released and its traffic
+/// counters freeze at their last values.
+pub(crate) fn depart(
+    cluster: &mut impl Cluster,
+    membership: &mut Membership,
+    ev: &ChurnEvent,
+    call: &Call,
+) {
+    if membership.apply(ev).is_ok() {
+        cluster.retire(ev.worker - 1);
+        call.stats.retire(ev.worker);
+        call.telemetry.event(Event::WorkerLeft {
+            iter: call.iter,
+            worker: ev.worker,
+        });
+    }
+}
+
+/// Scores delivered feedbacks (`(slot, batch group, F_n)`, ascending slot)
+/// with the free-rider forensics and records each verdict that changes a
+/// worker's standing — a newly flagged worker with the scores that flagged
+/// it, a cleared one.
+pub(crate) fn verdicts(
+    forensics: &mut FeedbackForensics,
+    items: &[(usize, usize, &Tensor)],
+    call: &Call,
+) -> Vec<Verdict> {
+    let verdicts = forensics.observe(items);
+    for v in &verdicts {
+        let (iter, worker) = (call.iter, v.worker + 1);
+        if v.newly_flagged {
+            call.telemetry.event(Event::WorkerFlagged {
+                iter,
+                worker,
+                norm_score: f64::from(v.norm_score),
+                self_cos: f64::from(v.self_cos),
+                peer_cos: f64::from(v.peer_cos),
+            });
+        }
+        if v.cleared {
+            call.telemetry.event(Event::WorkerCleared { iter, worker });
+        }
+    }
+    verdicts
+}
+
+/// Permanent removal of slot `wi`: the membership view records the
+/// eviction, the peer's traffic counters freeze at their last values and
+/// the forensics drops it from the population.
+pub(crate) fn evict(
+    membership: &mut Membership,
+    forensics: &mut FeedbackForensics,
+    wi: usize,
+    freerider: bool,
+    call: &Call,
+) {
+    let (iter, worker) = (call.iter, wi + 1);
+    membership.evict(wi);
+    call.stats.retire(worker);
+    forensics.retire(wi);
+    if freerider {
+        call.telemetry
+            .event(Event::FreeriderEvicted { iter, worker });
+    }
+    call.telemetry.event(Event::WorkerEvicted { iter, worker });
 }
 
 /// One addressed worker's share of the SPLIT.
@@ -269,13 +426,8 @@ impl Coordinator {
     /// membership view admits it (planned joiners are built up front but
     /// stay `Pending` until their join fires).
     pub fn alive_workers(&self, cluster: &impl Cluster) -> Vec<usize> {
-        self.alive(cluster).into_iter().map(|w| w + 1).collect()
-    }
-
-    fn alive(&self, cluster: &impl Cluster) -> Vec<usize> {
-        (0..self.membership.len())
-            .filter(|&w| cluster.present(w) && self.membership.is_alive(w))
-            .collect()
+        let alive = alive(cluster, &self.membership);
+        alive.into_iter().map(|w| w + 1).collect()
     }
 
     /// One global iteration of Algorithm 1 over `cluster`.
@@ -305,50 +457,17 @@ impl Coordinator {
             feedback_codec,
         };
         let root = telemetry.trace_root(tick);
-        let rctx = root.ctx();
+        let rcall = call(root.ctx());
+        let rctx = rcall.ctx;
         let slots = self.membership.len();
         let churn: Vec<ChurnEvent> = self.cfg.churn.events_at(i).copied().collect();
-
-        // Fail-stop crashes take effect at the start of the iteration; the
-        // worker's data shard disappears with it (§V-B.3).
-        for slot in 0..slots {
-            if cluster.present(slot) && self.cfg.crash.is_crashed(slot + 1, i) {
-                self.membership.crash(slot);
-                self.fault(cluster, slot);
-            }
-        }
-        // So do churn-plan crashes and joins (graceful leaves drain through
-        // the iteration and depart at the end).
-        for ev in &churn {
-            let slot = ev.worker - 1;
-            match ev.kind {
-                ChurnKind::Crash => {
-                    if self.membership.apply(ev).is_ok() {
-                        self.fault(cluster, slot);
-                    }
-                }
-                ChurnKind::Join => {
-                    self.membership.apply(ev).expect("validated churn plan");
-                    self.detector.track(slot);
-                    telemetry.event(Event::WorkerJoined {
-                        iter: i,
-                        worker: ev.worker,
-                    });
-                    // From the lowest-id alive worker; with none, the joiner
-                    // keeps its fresh deterministic init.
-                    let src = self.alive(cluster).into_iter().find(|&s| s != slot);
-                    if let Some(src) = src {
-                        let bytes = cluster.bootstrap(&call(rctx), src, slot);
-                        telemetry.event(Event::BootstrapDone {
-                            iter: i,
-                            worker: ev.worker,
-                            bytes,
-                        });
-                    }
-                }
-                ChurnKind::Leave => {}
-            }
-        }
+        arrivals(
+            cluster,
+            &mut self.membership,
+            &self.cfg.crash,
+            &churn,
+            &rcall,
+        );
 
         // Who is addressed. The robust server also retries the suspected on
         // probe rounds, so false suspects can rejoin; evicted workers are
@@ -362,7 +481,7 @@ impl Coordinator {
                 .collect();
             (Vec::new(), expected)
         } else {
-            let alive = self.alive(cluster);
+            let alive = alive(cluster, &self.membership);
             let hosts = match &self.disc_hosts {
                 None => alive.clone(),
                 Some(hosts) => hosts
@@ -425,35 +544,20 @@ impl Coordinator {
             } else {
                 orders.len()
             };
-            let heard = cluster.exchange(&call(rctx), &orders, &batches, quorum);
+            let heard = cluster.exchange(&rcall, &orders, &batches, quorum);
 
             // Feedback forensics: score every gathered feedback against
             // the population, quarantine outliers of flagged workers (and
             // non-finite payloads unconditionally).
             let defense_on = self.cfg.defense.enabled;
-            let mut quarantined = vec![false; heard.len()];
-            if defense_on {
+            let quarantined: Vec<bool> = if defense_on {
                 let items: Vec<(usize, usize, &Tensor)> =
                     heard.iter().map(|(wi, g_id, f)| (*wi, *g_id, f)).collect();
-                for (n, v) in self.forensics.observe(&items).iter().enumerate() {
-                    quarantined[n] = v.quarantined;
-                    if v.newly_flagged {
-                        telemetry.event(Event::WorkerFlagged {
-                            iter: i,
-                            worker: v.worker + 1,
-                            norm_score: f64::from(v.norm_score),
-                            self_cos: f64::from(v.self_cos),
-                            peer_cos: f64::from(v.peer_cos),
-                        });
-                    }
-                    if v.cleared {
-                        telemetry.event(Event::WorkerCleared {
-                            iter: i,
-                            worker: v.worker + 1,
-                        });
-                    }
-                }
-            }
+                let verdicts = verdicts(&mut self.forensics, &items, &rcall);
+                verdicts.iter().map(|v| v.quarantined).collect()
+            } else {
+                vec![false; heard.len()]
+            };
             if robust {
                 reported = heard.len();
                 // Detector transitions, exactly once per addressed worker.
@@ -464,7 +568,7 @@ impl Coordinator {
                 for &wi in &addressed {
                     let flagged = defense_on && self.forensics.is_flagged(wi);
                     let answered = heard.iter().any(|h| h.0 == wi);
-                    self.observe_liveness(wi, answered && !flagged, flagged);
+                    self.observe_liveness(wi, answered && !flagged, flagged, &rcall);
                 }
             }
             let heard_count = heard.len();
@@ -499,34 +603,26 @@ impl Coordinator {
                         } else {
                             view
                         };
-                        swap_permutation(self.cfg.swap, among.len(), &mut self.swap_rng).map(
-                            |perm| {
-                                let pairs: Vec<(usize, usize)> = among
-                                    .iter()
-                                    .zip(&perm)
-                                    .map(|(&src, &j)| (src, among[j]))
-                                    .collect();
-                                cluster.swap(&call, &pairs);
-                                among.len()
-                            },
-                        )
+                        let (policy, rng) = (self.cfg.swap, &mut self.swap_rng);
+                        permute(cluster, &among, policy, rng, &call)
                     }
                     Some(_) if self.cfg.swap == SwapPolicy::Disabled => None,
                     // §VII.4: relocate the discriminators of the current
                     // hosts (= `addressed`) onto a fresh random subset of
-                    // the alive workers, one transfer after the other.
+                    // the alive workers — one swap, so every source ships
+                    // the `D` it holds before any of them is overwritten.
                     Some(_) => {
                         let picks = self.host_rng.sample_distinct(view.len(), addressed.len());
                         let new_hosts: Vec<usize> = picks.into_iter().map(|j| view[j]).collect();
-                        let mut moved = 0;
-                        for (&src, &dst) in addressed.iter().zip(&new_hosts) {
-                            if src != dst {
-                                cluster.swap(&call, &[(src, dst)]);
-                                moved += 1;
-                            }
-                        }
+                        let pairs: Vec<(usize, usize)> = addressed
+                            .iter()
+                            .copied()
+                            .zip(new_hosts.iter().copied())
+                            .filter(|(src, dst)| src != dst)
+                            .collect();
+                        cluster.swap(&call, &pairs);
                         self.disc_hosts = Some(new_hosts);
-                        Some(moved)
+                        Some(pairs.len())
                     }
                 };
                 if let Some(moved) = moved {
@@ -540,15 +636,7 @@ impl Coordinator {
         // drained its batches, sent its final feedback and took part in any
         // swap above before its slot is released.
         for ev in churn.iter().filter(|e| e.kind == ChurnKind::Leave) {
-            if self.membership.apply(ev).is_ok() {
-                cluster.retire(ev.worker - 1);
-                self.detector.forget(ev.worker - 1);
-                self.stats.retire(ev.worker);
-                telemetry.event(Event::WorkerLeft {
-                    iter: i,
-                    worker: ev.worker,
-                });
-            }
+            depart(cluster, &mut self.membership, ev, &rcall);
         }
         drop(root);
         self.iter += 1;
@@ -558,39 +646,22 @@ impl Coordinator {
         });
     }
 
-    /// The ground truth changes; whether the server is told is the
-    /// cluster's business.
-    fn fault(&mut self, cluster: &mut impl Cluster, slot: usize) {
-        self.telemetry.event(Event::WorkerFault {
-            iter: self.iter,
-            worker: slot + 1,
-        });
-        cluster.crash(slot);
-    }
-
     /// One detector transition for an addressed worker: `healthy` is a
     /// feedback that arrived and was not flagged.
-    fn observe_liveness(&mut self, wi: usize, healthy: bool, flagged: bool) {
+    fn observe_liveness(&mut self, wi: usize, healthy: bool, flagged: bool, call: &Call) {
         let (iter, worker) = (self.iter, wi + 1);
-        let telemetry = &self.telemetry;
         if healthy {
             if self.detector.heard(wi) == Liveness::Rejoined {
-                telemetry.event(Event::WorkerRejoined { iter, worker });
+                call.telemetry.event(Event::WorkerRejoined { iter, worker });
             }
             return;
         }
         match self.detector.missed(wi) {
-            Liveness::Suspected => telemetry.event(Event::WorkerSuspected { iter, worker }),
+            Liveness::Suspected => call
+                .telemetry
+                .event(Event::WorkerSuspected { iter, worker }),
             Liveness::Evicted => {
-                // Permanent: the membership view records the eviction and
-                // the peer's traffic counters freeze at their last values.
-                self.membership.evict(wi);
-                self.stats.retire(worker);
-                self.forensics.retire(wi);
-                if flagged {
-                    telemetry.event(Event::FreeriderEvicted { iter, worker });
-                }
-                telemetry.event(Event::WorkerEvicted { iter, worker });
+                evict(&mut self.membership, &mut self.forensics, wi, flagged, call)
             }
             _ => {}
         }

@@ -21,6 +21,7 @@
 use crate::arch::ArchSpec;
 use crate::byzantine::AttackState;
 use crate::checkpoint::Checkpoint;
+use crate::compression::Codec;
 use crate::config::MdGanConfig;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
@@ -30,8 +31,8 @@ use crate::mdgan::MdMsg;
 use md_data::Dataset;
 use md_nn::optim::AdamState;
 use md_nn::param::param_bytes;
-use md_simnet::{Endpoint, Envelope, Router, TrafficReport, TrafficStats, SERVER};
-use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
+use md_simnet::{Endpoint, Envelope, Router, TrafficReport, SERVER};
+use md_telemetry::{Event, Recorder, TraceCtx};
 use md_tensor::Tensor;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,6 +76,7 @@ fn worker_loop(
     mut attack: AttackState,
 ) {
     use std::collections::VecDeque;
+    let retries = robust.map_or(0, |r| r.retries);
     // A swap counterpart's parameters may arrive before our own SwapTo.
     let mut pending_disc: Option<Vec<f32>> = None;
     // Buffered messages keep their envelope's trace context so spans
@@ -97,38 +99,24 @@ fn worker_loop(
                 xd,
                 xd_labels,
             } => {
-                // Parent the compute span on the server's downlink send so
-                // the trace shows batch → feedback causality; the uplink
-                // send then chains off the compute span.
-                let fb_span = telemetry.span_at(
-                    Phase::DFeedback,
-                    Track::Worker(ep.id() as u32),
+                // The compute span hangs off the server's downlink send and
+                // the uplink chains off the compute span.
+                let (xd, xg) = ((xd, xd_labels), (xg, xg_labels));
+                let (grad, bytes, fctx) = worker.turn(
+                    &mut attack,
+                    &xd,
+                    &xg,
+                    Codec::None,
+                    &telemetry,
                     ctx,
                     iter as u64,
                 );
-                let fctx = fb_span.ctx();
-                let grad = worker.process(&xd, &xd_labels, &xg, &xg_labels);
-                // A byzantine worker manipulates its feedback before the
-                // send — the same per-worker attack stream the sequential
-                // runtime draws, so both stay bit-identical.
-                let grad = attack.apply(&mut worker, grad, &xg, &xg_labels);
-                drop(fb_span);
-                telemetry.worker_feedback(ep.id());
-                let bytes = (grad.len() * 4) as u64;
-                let retries = robust.map_or(0, |r| r.retries);
-                ep.send_data_ctx(
-                    SERVER,
-                    MdMsg::Feedback { iter, g_id, grad },
-                    bytes,
-                    iter as u64,
-                    retries,
-                    fctx,
-                );
+                let feedback = MdMsg::Feedback { iter, g_id, grad };
+                ep.send_data_ctx(SERVER, feedback, bytes, iter as u64, retries, fctx);
             }
             MdMsg::SwapTo { to, iter } => {
                 let params = worker.disc_params();
                 let bytes = param_bytes(params.len());
-                let retries = robust.map_or(0, |r| r.retries);
                 ep.send_data_ctx(to, MdMsg::Disc { params }, bytes, iter as u64, retries, ctx);
                 let incoming = match pending_disc.take() {
                     Some(p) => Some(p),
@@ -158,17 +146,7 @@ fn worker_loop(
                         }
                     },
                 };
-                match incoming {
-                    Some(params) => {
-                        worker.set_disc_params(&params);
-                        telemetry.worker_swap_in(ep.id());
-                    }
-                    // Timed out: keep the current discriminator.
-                    None => telemetry.event(Event::Custom {
-                        name: "swap_timeout",
-                        value: ep.id() as f64,
-                    }),
-                }
+                worker.swap_in(incoming.as_deref(), &telemetry);
             }
             MdMsg::Disc { params } => {
                 assert!(
@@ -181,18 +159,11 @@ fn worker_loop(
             MdMsg::DiscPull { iter } => {
                 // Bootstrap-on-join: ship the snapshot to the server at
                 // full parameter cost (this is real simulated traffic,
-                // unlike the zero-byte StateRequest control path).
+                // unlike the uncharged StateRequest control path).
                 let params = worker.disc_params();
                 let bytes = param_bytes(params.len());
-                let retries = robust.map_or(0, |r| r.retries);
-                ep.send_data_ctx(
-                    SERVER,
-                    MdMsg::Disc { params },
-                    bytes,
-                    iter as u64,
-                    retries,
-                    ctx,
-                );
+                let disc = MdMsg::Disc { params };
+                ep.send_data_ctx(SERVER, disc, bytes, iter as u64, retries, ctx);
             }
             MdMsg::Bootstrap { blob } => {
                 let disc = crate::mdgan::bootstrap_disc(&blob)
@@ -200,20 +171,17 @@ fn worker_loop(
                 worker.set_disc_params(&disc);
             }
             MdMsg::StateRequest => {
-                let opt = worker.opt_state();
-                ep.send(
-                    SERVER,
-                    MdMsg::WorkerState {
-                        id: ep.id(),
-                        disc: worker.disc_params(),
-                        adam_t: opt.t,
-                        opt_m: opt.m,
-                        opt_v: opt.v,
-                        sampler: worker.sampler_state_words().to_vec(),
-                    },
-                    0,
-                )
-                .expect("server endpoint dropped");
+                let WorkerState { disc, opt, sampler } = worker.state();
+                let state = MdMsg::WorkerState {
+                    id: ep.id(),
+                    disc,
+                    adam_t: opt.t,
+                    opt_m: opt.m,
+                    opt_v: opt.v,
+                    sampler,
+                };
+                ep.send_uncharged(SERVER, state)
+                    .expect("server endpoint dropped");
             }
             MdMsg::Crash => {
                 // Fail silently: keep draining (so senders never observe
@@ -337,7 +305,6 @@ struct Routed {
     /// Crashes are silent and gathers deadline-bounded.
     robust: bool,
     gather_timeout: Duration,
-    stats: Arc<TrafficStats>,
 }
 
 impl Routed {
@@ -464,14 +431,15 @@ impl Cluster for Routed {
     /// (`StateRequest`/`WorkerState`) — a reply arrives only after the
     /// worker has drained everything queued before the request (feedbacks,
     /// in-progress swaps), so this is the post-iteration barrier state.
-    /// The gather's own zero-byte control messages are then stripped from
-    /// the traffic counters: checkpoint persistence must not perturb
-    /// traffic accounting, or a resumed run would stop being bit-identical
-    /// to an uninterrupted one.
+    /// Both directions travel uncharged: checkpoint persistence must not
+    /// perturb traffic accounting, or a resumed run would stop being
+    /// bit-identical to an uninterrupted one.
     fn worker_states(&self) -> Vec<Option<WorkerState>> {
         let asked = self.alive.iter().filter(|&&a| a).count();
         for slot in (0..self.alive.len()).filter(|&w| self.alive[w]) {
-            self.tell(slot, MdMsg::StateRequest, TraceCtx::NONE);
+            self.server_ep
+                .send_uncharged(slot + 1, MdMsg::StateRequest)
+                .expect("destination endpoint dropped");
         }
         let mut states: Vec<Option<WorkerState>> = self.alive.iter().map(|_| None).collect();
         for _ in 0..asked {
@@ -490,15 +458,6 @@ impl Cluster for Routed {
                 other => panic!("server expected WorkerState, got {other:?}"),
             }
         }
-        // Every node is quiescent now (workers answered and are blocked on
-        // their queue), so rewriting the counters races with nothing.
-        let mut traffic = self.stats.state_words();
-        let msgs_base = 1 + 2 * traffic[0] as usize + 3;
-        traffic[msgs_base] -= asked as u64; // server→worker StateRequest
-        traffic[msgs_base + 1] -= asked as u64; // worker→server WorkerState
-        self.stats
-            .load_state_words(&traffic)
-            .expect("snapshot from the same instance always loads");
         states
     }
 }
@@ -566,7 +525,6 @@ fn run_threaded_inner(
         alive,
         robust,
         gather_timeout,
-        stats: router.stats(),
     };
 
     let mut timeline = ScoreTimeline::new();
@@ -623,6 +581,7 @@ mod tests {
     use crate::config::{GanHyper, KPolicy, SwapPolicy};
     use md_data::synthetic::mnist_like;
     use md_simnet::{CrashSchedule, FaultPlan};
+    use md_telemetry::Phase;
     use md_tensor::rng::Rng64;
 
     fn setup(workers: usize) -> (ArchSpec, Vec<Dataset>, MdGanConfig) {

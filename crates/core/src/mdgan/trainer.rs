@@ -22,14 +22,14 @@ use md_nn::gan::Generator;
 use md_nn::layer::Layer;
 use md_nn::param::param_bytes;
 use md_simnet::{FaultState, Membership, TrafficReport, TrafficStats, Wire};
-use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
+use md_telemetry::{Recorder, TraceCtx};
 use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
 use md_tensor::Tensor;
 use std::sync::Arc;
 
 /// One participant's share of a synchronous iteration, between the
 /// server's SPLIT and its `Δw` merge. The dispatch loop fills it in while
-/// it sends the downlinks; [`run`](Self::run) then touches only this
+/// it sends the downlinks; the worker's turn then touches only this
 /// worker's own state, so the turns of one iteration run side by side on
 /// the tensor pool and produce the same bits in any order.
 struct WorkerTurn<'a> {
@@ -42,51 +42,41 @@ struct WorkerTurn<'a> {
     reply: Option<Tensor>,
 }
 
-impl WorkerTurn<'_> {
-    /// Algorithm 1 lines 4-10 for this worker, on whichever thread calls
-    /// it: `L` discriminator steps, the error feedback, the worker's
-    /// attack (honest workers pass through) and the feedback codec, all
-    /// under one `DFeedback` span on the worker's track — then the uplink,
-    /// stamped the moment the worker finishes, so the latest server-side
-    /// arrival names the worker that really gated the update. Every link
-    /// has one sender and fates are drawn per link, so the draws do not
-    /// depend on the order across workers.
-    fn run(&mut self, batches: &[(Tensor, Vec<usize>)], codec: Codec, wire: &Wire, tick: u64) {
-        let node = self.order.slot + 1;
-        let span = wire
-            .telemetry
-            .span_at(Phase::DFeedback, Track::node(node), self.ctx, tick);
-        let ctx = span.ctx();
-        let (xd, xd_labels) = &batches[self.order.d_id];
-        let (xg, xg_labels) = &batches[self.order.g_id];
-        let honest = self.worker.process(xd, xd_labels, xg, xg_labels);
-        let sent = self.attack.apply(self.worker, honest, xg, xg_labels);
-        let (feedback, bytes) = codec.transmit(sent);
-        drop(span);
-        if wire.carry(node, 0, bytes, tick, ctx).is_some() {
-            self.reply = Some(feedback);
-        }
-    }
-}
-
-/// The sequential runtime's [`Cluster`]: the workers themselves.
+/// The workers of a runtime that keeps them in this process — the
+/// sequential [`MdGan`]'s [`Cluster`], and the population
+/// [`AsyncMdGan`](crate::mdgan::asynchronous::AsyncMdGan) schedules.
 pub(crate) struct InProcess {
     /// `None` marks a departed worker (its shard is gone with it).
-    workers: Vec<Option<MdWorker>>,
+    pub(crate) workers: Vec<Option<MdWorker>>,
     /// Stateful per-worker feedback manipulation (§VII.3): per-worker RNG
     /// streams, echo caches, stale discriminator snapshots.
-    attacks: Vec<AttackState>,
+    pub(crate) attacks: Vec<AttackState>,
     /// Instantiated fault plan; present iff the config is robust.
-    faults: Option<FaultState>,
+    pub(crate) faults: Option<FaultState>,
 }
 
 /// The link every message of `call` travels: reliable, or through `faults`.
-fn wire<'a>(faults: &'a Option<FaultState>, call: &Call<'a>) -> Wire<'a> {
+pub(crate) fn wire<'a>(faults: &'a Option<FaultState>, call: &Call<'a>) -> Wire<'a> {
     Wire {
         stats: call.stats,
         faults: faults.as_ref(),
         retries: call.retries,
         telemetry: call.telemetry,
+    }
+}
+
+impl InProcess {
+    /// Places `workers` and their `attacks`; a robust `cfg` instantiates
+    /// its fault plan over the server and every worker slot.
+    pub fn new(cfg: &MdGanConfig, workers: Vec<MdWorker>, attacks: Vec<AttackState>) -> Self {
+        let nodes = 1 + workers.len();
+        InProcess {
+            workers: workers.into_iter().map(Some).collect(),
+            attacks,
+            faults: cfg
+                .is_robust()
+                .then(|| FaultState::new(cfg.fault.clone(), nodes)),
+        }
     }
 }
 
@@ -103,6 +93,7 @@ impl Cluster for InProcess {
         self.workers[slot] = None;
     }
 
+    /// Control-plane reliable: never dropped, even on a lossy data network.
     fn bootstrap(&mut self, call: &Call, src: usize, dst: usize) -> u64 {
         let (tick, wire) = (call.iter as u64, wire(&self.faults, call).reliable());
         let params = self.workers[src]
@@ -152,16 +143,24 @@ impl Cluster for InProcess {
                 });
             }
         }
-        // Compute and uplink, side by side.
-        parallel_for_each_mut(&mut turns, PAR_THRESHOLD, |_, turn| {
-            turn.run(batches, call.feedback_codec, &wire, tick);
+        // Compute and uplink, side by side. The uplink is stamped the moment
+        // the worker finishes, so the latest server-side arrival names the
+        // worker that really gated the update. Every link has one sender
+        // and fates are drawn per link, so the draws do not depend on the
+        // order across workers.
+        parallel_for_each_mut(&mut turns, PAR_THRESHOLD, |_, t| {
+            let (o, codec, rec) = (t.order, call.feedback_codec, call.telemetry);
+            let (xd, xg) = (&batches[o.d_id], &batches[o.g_id]);
+            let (feedback, bytes, ctx) = t.worker.turn(t.attack, xd, xg, codec, rec, t.ctx, tick);
+            if wire.carry(o.slot + 1, 0, bytes, tick, ctx).is_some() {
+                t.reply = Some(feedback);
+            }
         });
         // Collect, in order.
         let mut heard = Vec::with_capacity(turns.len());
-        for turn in turns {
-            call.telemetry.worker_feedback(turn.order.slot + 1);
-            if let Some(feedback) = turn.reply {
-                heard.push((turn.order.slot, turn.order.g_id, feedback));
+        for WorkerTurn { order, reply, .. } in turns {
+            if let Some(feedback) = reply {
+                heard.push((order.slot, order.g_id, feedback));
             }
         }
         heard
@@ -175,20 +174,13 @@ impl Cluster for InProcess {
             .map(|&(src, _)| self.workers[src].as_ref().map(MdWorker::disc_params))
             .collect();
         for (&(src, dst), p) in pairs.iter().zip(&params) {
-            let Some(p) = p else { continue };
-            let arrived = wire.carry(src + 1, dst + 1, param_bytes(p.len()), tick, call.ctx);
-            // A lost transfer leaves the destination on its old parameters
-            // (a threaded destination times out waiting).
-            match (arrived, self.workers[dst].as_mut()) {
-                (Some(_), Some(w)) => {
-                    w.set_disc_params(p);
-                    call.telemetry.worker_swap_in(dst + 1);
-                }
-                (None, Some(_)) => call.telemetry.event(Event::Custom {
-                    name: "swap_timeout",
-                    value: (dst + 1) as f64,
-                }),
-                (_, None) => {}
+            let arrived = p.as_deref().filter(|p| {
+                let bytes = param_bytes(p.len());
+                wire.carry(src + 1, dst + 1, bytes, tick, call.ctx)
+                    .is_some()
+            });
+            if let Some(w) = self.workers[dst].as_mut() {
+                w.swap_in(arrived, call.telemetry);
             }
         }
     }
@@ -209,22 +201,12 @@ impl MdGan {
     /// (§VII.3) and the server-side aggregator come from `cfg.attacks` and
     /// `cfg.aggregation`.
     pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: MdGanConfig) -> Self {
-        let nodes = 1 + cfg.total_workers();
-        let faults = cfg
-            .is_robust()
-            .then(|| FaultState::new(cfg.fault.clone(), nodes));
-        let stats = Arc::new(TrafficStats::new(nodes));
+        let stats = Arc::new(TrafficStats::new(1 + cfg.total_workers()));
         let telemetry = Arc::new(Recorder::disabled());
-        let (coord, workers, attacks) = Coordinator::build(spec, shards, cfg, stats, telemetry);
-        let workers = workers.into_iter().map(Some).collect();
-        MdGan {
-            coord,
-            cluster: InProcess {
-                workers,
-                attacks,
-                faults,
-            },
-        }
+        let (coord, workers, attacks) =
+            Coordinator::build(spec, shards, cfg.clone(), stats, telemetry);
+        let cluster = InProcess::new(&cfg, workers, attacks);
+        MdGan { coord, cluster }
     }
 
     /// Attaches a telemetry recorder: phases (`gen_forward`, `d_feedback`,
@@ -413,6 +395,7 @@ mod tests {
     use md_simnet::{
         ChurnEvent, ChurnKind, ChurnPlan, CrashSchedule, FaultPlan, LinkClass, MemberStatus,
     };
+    use md_telemetry::{Event, Phase};
     use md_tensor::rng::Rng64;
 
     fn build(workers: usize, k: KPolicy, swap: SwapPolicy, crash: CrashSchedule) -> MdGan {

@@ -1,14 +1,25 @@
 //! The MD-GAN worker: hosts `D_n` and its local shard `B_n` (§IV-C).
+//!
+//! Algorithm 1's worker side is written here once: a worker's turn on one
+//! pair of generated batches and the receive side of a swap. The three
+//! runtimes call both and keep only their own uplink.
 
 use crate::arch::ArchSpec;
+use crate::byzantine::AttackState;
 use crate::checkpoint::Checkpoint;
+use crate::compression::Codec;
 use crate::config::GanHyper;
 use crate::error::{ckerr, TrainError};
 use md_data::{BatchSampler, Dataset};
 use md_nn::gan::{gen_loss, Discriminator};
 use md_nn::optim::{Adam, AdamState};
+use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
+
+/// A generated batch: the images and the labels the generator was
+/// conditioned on.
+pub(crate) type Batch = (Tensor, Vec<usize>);
 
 /// One worker's state: discriminator, optimizer, shard and sampler.
 pub struct MdWorker {
@@ -172,6 +183,49 @@ impl MdWorker {
         self.disc.backward_input(&glogits)
     }
 
+    /// One worker turn, as every runtime runs it: Algorithm 1 lines 4-10
+    /// ([`process`](Self::process)), the worker's `attack` (honest workers
+    /// pass through) and the feedback `codec`, all under one `DFeedback`
+    /// span hung off `ctx` — the downlink that delivered the batches — and
+    /// then the per-worker feedback tally. Returns what the uplink ships:
+    /// the feedback, its wire bytes and the span's context, so the send is
+    /// stamped the moment the worker finishes.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn turn(
+        &mut self,
+        attack: &mut AttackState,
+        (xd, xd_labels): &Batch,
+        (xg, xg_labels): &Batch,
+        codec: Codec,
+        telemetry: &Recorder,
+        ctx: TraceCtx,
+        tick: u64,
+    ) -> (Tensor, u64, TraceCtx) {
+        let span = telemetry.span_at(Phase::DFeedback, Track::node(self.id), ctx, tick);
+        let honest = self.process(xd, xd_labels, xg, xg_labels);
+        let (feedback, bytes) = codec.transmit(attack.apply(self, honest, xg, xg_labels));
+        let ctx = span.ctx();
+        drop(span);
+        telemetry.worker_feedback(self.id);
+        (feedback, bytes, ctx)
+    }
+
+    /// The receive side of a swap, on every runtime: install the
+    /// parameters that arrived, or — the source sent nothing or the
+    /// transfer was lost — time out and keep the current discriminator.
+    pub(crate) fn swap_in(&mut self, params: Option<&[f32]>, telemetry: &Recorder) {
+        match params {
+            Some(params) => {
+                self.set_disc_params(params);
+                telemetry.worker_swap_in(self.id);
+            }
+            None => telemetry.event(Event::Custom {
+                name: "swap_timeout",
+                value: self.id as f64,
+            }),
+        }
+    }
+
     /// Flat discriminator parameters (what a swap ships).
     pub fn disc_params(&self) -> Vec<f32> {
         self.disc.net.get_params_flat()
@@ -199,7 +253,8 @@ impl MdWorker {
         feedback
     }
 
-    /// Installs received discriminator parameters (swap receive side).
+    /// Installs received discriminator parameters (a swap's or a
+    /// bootstrap's receive side, a checkpoint restore).
     ///
     /// Only the parameters move, not the Adam moments — the optimizer
     /// state stays with the worker (see DESIGN.md §2).
@@ -207,22 +262,12 @@ impl MdWorker {
         self.disc.net.set_params_flat(params);
     }
 
-    /// Adam moments of the discriminator optimizer (checkpointing).
-    pub fn opt_state(&self) -> AdamState {
-        self.opt_d.export_state()
-    }
-
-    /// Serializable shard-sampler RNG stream position (checkpointing).
-    pub fn sampler_state_words(&self) -> [u64; Rng64::STATE_WORDS] {
-        self.sampler.rng_state_words()
-    }
-
     /// Everything a checkpoint keeps of this worker.
     pub fn state(&self) -> WorkerState {
         WorkerState {
             disc: self.disc_params(),
-            opt: self.opt_state(),
-            sampler: self.sampler_state_words().to_vec(),
+            opt: self.opt_d.export_state(),
+            sampler: self.sampler.rng_state_words().to_vec(),
         }
     }
 
@@ -485,6 +530,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn honest_turn_is_process_plus_the_tally() {
+        let (mut w, mut reference) = (worker(), worker());
+        let mut rng = Rng64::seed_from_u64(8);
+        let (xd, xg) = (fake_batch(6, &mut rng), fake_batch(6, &mut rng));
+        let rec = Recorder::enabled();
+        let mut honest = AttackState::new(crate::byzantine::Attack::None, 1, 0, None);
+        let (f, bytes, _) = w.turn(&mut honest, &xd, &xg, Codec::None, &rec, TraceCtx::NONE, 0);
+        let f_ref = reference.process(&xd.0, &xd.1, &xg.0, &xg.1);
+        assert_eq!(bits(f.data()), bits(f_ref.data()));
+        assert_eq!(bytes, 4 * f.len() as u64);
+        assert_eq!(rec.worker_stats()[1].feedbacks, 1);
+    }
+
+    #[test]
+    fn swap_in_installs_or_times_out() {
+        let (mut w, rec) = (worker(), Recorder::enabled());
+        let kept = w.disc_params();
+        w.swap_in(None, &rec);
+        assert_eq!(w.disc_params(), kept, "a timed-out swap keeps D_n");
+        let arrived = vec![0.5; kept.len()];
+        w.swap_in(Some(&arrived), &rec);
+        assert_eq!(w.disc_params(), arrived);
+        assert_eq!(rec.worker_stats()[1].swaps_in, 1);
+        let events: Vec<Event> = rec.events().into_iter().map(|e| e.event).collect();
+        let timeout = Event::Custom {
+            name: "swap_timeout",
+            value: 1.0,
+        };
+        assert_eq!(events, vec![timeout]);
     }
 
     #[test]

@@ -196,6 +196,20 @@ impl<M: Send> Endpoint<M> {
     /// this node's track and its span id rides on the envelope, linking
     /// the receiver's `recv` back to it.
     pub fn send_ctx(&self, to: NodeId, msg: M, bytes: u64, ctx: TraceCtx) -> Result<(), SendError> {
+        self.stats.record(self.id, to, bytes);
+        self.post(to, msg, bytes, ctx)
+    }
+
+    /// A control message outside the simulated network model: delivered
+    /// and seen by the telemetry like [`send`](Self::send), but never
+    /// charged to the [`TrafficStats`] — for exchanges such as a checkpoint
+    /// gather, which must not perturb the traffic a resumed run replays.
+    pub fn send_uncharged(&self, to: NodeId, msg: M) -> Result<(), SendError> {
+        self.post(to, msg, 0, TraceCtx::NONE)
+    }
+
+    /// Enqueues one reliable attempt, counted and traced but not charged.
+    fn post(&self, to: NodeId, msg: M, bytes: u64, ctx: TraceCtx) -> Result<(), SendError> {
         assert_ne!(to, self.id, "node {to} sending to itself");
         let _span = self.telemetry.as_deref().map(|t| {
             t.incr(Counter::MsgsSent, 1);
@@ -214,7 +228,6 @@ impl<M: Send> Endpoint<M> {
                 ctx.trace.saturating_sub(1),
             )
         });
-        self.stats.record(self.id, to, bytes);
         self.senders[to]
             .send(Envelope {
                 from: self.id,
@@ -447,6 +460,16 @@ mod tests {
         let r = stats.report();
         assert_eq!(r.ingress[2], 123);
         assert_eq!(r.egress[1], 123);
+    }
+
+    #[test]
+    fn uncharged_send_delivers_without_touching_traffic() {
+        let mut router: Router<u32> = Router::new(2);
+        let eps = router.all_endpoints();
+        let stats = router.stats();
+        eps[1].send_uncharged(SERVER, 7).unwrap();
+        assert_eq!(eps[SERVER].recv().msg, 7);
+        assert_eq!(stats.state_words(), TrafficStats::new(3).state_words());
     }
 
     #[test]

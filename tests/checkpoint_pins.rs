@@ -12,7 +12,9 @@ use mdgan_repro::core::mdgan::threaded::{run_threaded_checkpointed, ThreadedChec
 use mdgan_repro::core::{ArchSpec, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
 use mdgan_repro::data::Dataset;
-use mdgan_repro::simnet::{ChurnEvent, ChurnKind, ChurnPlan, FaultPlan, MemberStatus};
+use mdgan_repro::simnet::{
+    ChurnEvent, ChurnKind, ChurnPlan, CrashSchedule, FaultPlan, MemberStatus,
+};
 use mdgan_repro::telemetry::Recorder;
 use mdgan_repro::tensor::rng::Rng64;
 use std::sync::Arc;
@@ -88,10 +90,29 @@ fn churned_run() {
 }
 
 /// Five relocations of two discriminators over four workers: the hosts move.
+/// Re-recorded on purpose when relocation became one swap (every host ships
+/// the `D` it holds before any is overwritten); the old one-at-a-time
+/// transfers lost a `D` and duplicated the other.
 #[test]
 fn disc_count_run() {
     let mut md = MdGan::new(&ArchSpec::mlp_mnist_scaled(IMG), shards(4), cfg(4)).with_disc_count(2);
-    assert_eq!(hash_after(&mut md, 10), 2681911102018226282);
+    assert_eq!(hash_after(&mut md, 10), 14160895895355662061);
+    assert_eq!(md.swaps(), 5);
+}
+
+/// §VII.4 relocates the discriminators, it does not copy them: every step
+/// leaves the two hosts holding two different `D`s.
+#[test]
+fn disc_count_hosts_hold_distinct_discriminators() {
+    let mut md = MdGan::new(&ArchSpec::mlp_mnist_scaled(IMG), shards(4), cfg(4)).with_disc_count(2);
+    for step in 0..10 {
+        md.step();
+        let ck = md.checkpoint();
+        let hosts = ck.get_u64("disc_hosts").expect("hosts recorded");
+        let disc = |h: u64| ck.get(&format!("disc_{}", h + 1)).expect("host alive");
+        let same = disc(hosts[0]) == disc(hosts[1]);
+        assert!(!same, "hosts {hosts:?} share one D after step {step}");
+    }
     assert_eq!(md.swaps(), 5);
 }
 
@@ -146,6 +167,67 @@ fn async_run() {
         md.step_event();
     }
     assert_eq!(fnv1a(&md.checkpoint().to_bytes()), 2177968072382733631);
+}
+
+fn async_hash_after(c: MdGanConfig, total: usize, events: usize) -> (AsyncMdGan, u64) {
+    let spec = ArchSpec::mlp_mnist_scaled(IMG);
+    let mut md = AsyncMdGan::new(&spec, shards(total), c, AsyncConfig::default());
+    for _ in 0..events {
+        md.step_event();
+    }
+    let hash = fnv1a(&md.checkpoint().to_bytes());
+    (md, hash)
+}
+
+/// Asynchronous dispatches, feedbacks and swap transfers over lossy links.
+#[test]
+fn async_lossy_run() {
+    let mut c = cfg(4);
+    c.fault = FaultPlan {
+        seed: 9,
+        drop: 0.3,
+        duplicate: 0.05,
+        delay: 0.05,
+        max_delay_ticks: 2,
+        partitions: Vec::new(),
+    };
+    c.robust.retries = 0;
+    let (md, hash) = async_hash_after(c, 4, 40);
+    assert_eq!(hash, 18021351728914468010);
+    assert!(md.traffic().dropped_msgs > 0, "the fault plan never fired");
+}
+
+/// The asynchronous free-rider defense: flag, evict, release the slot.
+#[test]
+fn async_defended_run() {
+    let mut c = cfg(4);
+    c.defense.enabled = true;
+    c.attacks = vec![Attack::PureNoise { std: 5.0 }];
+    let (md, hash) = async_hash_after(c, 4, 40);
+    assert_eq!(hash, 6952879856425642078);
+    assert_eq!(md.membership().status(0), MemberStatus::Evicted);
+}
+
+/// An injected crash, a join and a leave, all in update time.
+#[test]
+fn async_crash_and_churn_run() {
+    let mut c = cfg(3);
+    c.crash = CrashSchedule::new(vec![(3, 2)]);
+    let events = vec![
+        ChurnEvent {
+            iter: 2,
+            worker: 4,
+            kind: ChurnKind::Join,
+        },
+        ChurnEvent {
+            iter: 6,
+            worker: 3,
+            kind: ChurnKind::Leave,
+        },
+    ];
+    c.churn = ChurnPlan::from_events(3, events).unwrap();
+    let (_, hash) = async_hash_after(c, 4, 24);
+    assert_eq!(hash, 3368381179342388364);
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! Two places where the hand-written copies of Algorithm 1's server side
-//! had drifted apart; `Coordinator::round` spells each once.
+//! Places where the hand-written copies of Algorithm 1 had drifted apart:
+//! `Coordinator::round` spells the server side once, `mdgan::worker` the
+//! worker's turn and swap-in.
 
 use mdgan_repro::core::config::{GanHyper, KPolicy, MdGanConfig, SwapPolicy};
+use mdgan_repro::core::mdgan::threaded::run_threaded_with;
 use mdgan_repro::core::{ArchSpec, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
 use mdgan_repro::simnet::CrashSchedule;
-use mdgan_repro::telemetry::{Counter, Recorder};
+use mdgan_repro::telemetry::{Counter, Event, Recorder, TimedEvent};
 use mdgan_repro::tensor::rng::Rng64;
 use std::sync::Arc;
 
@@ -50,6 +52,57 @@ fn reliable_and_lossy_arms_count_the_same_sends() {
     // 8 × (3 downlinks + 3 uplinks) + 3 swap transfers.
     assert_eq!(msgs, 51);
     assert_eq!((msgs, bytes), run(true));
+}
+
+/// A robust swap whose source crashed before anyone suspects it: the
+/// destination times out, whichever runtime carried the swap.
+#[test]
+fn swap_timeout_is_the_same_event_on_both_runtimes() {
+    let spec = ArchSpec::mlp_mnist_scaled(12);
+    // m / b = 2: iterations 1, 3 and 5 swap; worker 2 dies at 3, unsuspected.
+    let shards = mnist_like(12, 3 * 8, 1, 0.08).shard_iid(3, &mut Rng64::seed_from_u64(4));
+    let mut cfg = MdGanConfig {
+        workers: 3,
+        k: KPolicy::One,
+        epochs_per_swap: 1.0,
+        swap: SwapPolicy::Derangement,
+        hyper: GanHyper {
+            batch: 4,
+            ..GanHyper::default()
+        },
+        iterations: 6,
+        seed: 7,
+        crash: CrashSchedule::new(vec![(3, 2)]),
+        ..MdGanConfig::default()
+    };
+    cfg.robust.enabled = true;
+    cfg.robust.suspect_after = 2;
+    cfg.robust.probe_period = 0;
+    cfg.robust.gather_timeout_ms = 400;
+    cfg.robust.swap_timeout_ms = 150;
+    let timeouts = |rec: &Recorder| -> Vec<usize> {
+        let value = |e: &TimedEvent| match e.event {
+            Event::Custom {
+                name: "swap_timeout",
+                value,
+            } => Some(value as usize),
+            _ => None,
+        };
+        rec.events().iter().filter_map(value).collect()
+    };
+
+    let seq_rec = Arc::new(Recorder::enabled());
+    let mut seq =
+        MdGan::new(&spec, shards.clone(), cfg.clone()).with_telemetry(Arc::clone(&seq_rec));
+    for _ in 0..6 {
+        seq.step();
+    }
+    let thr_rec = Arc::new(Recorder::enabled());
+    let thr = run_threaded_with(&spec, shards, cfg, None, 6, 1000, Arc::clone(&thr_rec));
+
+    assert_eq!(thr.gen_params, seq.gen_params());
+    assert_eq!(timeouts(&thr_rec), vec![3]);
+    assert_eq!(timeouts(&seq_rec), timeouts(&thr_rec));
 }
 
 /// An iteration nobody can be addressed in still ends the one way.
