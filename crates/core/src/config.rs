@@ -8,7 +8,8 @@ use md_simnet::{ChurnPlan, CrashSchedule, FaultPlan};
 use serde::{Deserialize, Serialize};
 
 /// Knobs for the oracle-free robust runtimes: bounded retransmission,
-/// deadline-aware gathers, and timeout-based failure detection.
+/// quorum-gated generator updates, and failure detection from missed
+/// feedbacks.
 ///
 /// The robust path activates whenever a [`FaultPlan`] is attached or
 /// [`enabled`](RobustnessConfig::enabled) is set explicitly; otherwise the
@@ -19,11 +20,7 @@ pub struct RobustnessConfig {
     pub enabled: bool,
     /// Retransmissions per data message after a drop (stop-and-wait).
     pub retries: u32,
-    /// Server-side feedback-gather deadline per iteration.
-    pub gather_timeout_ms: u64,
-    /// Worker-side deadline for the incoming discriminator during a swap.
-    pub swap_timeout_ms: u64,
-    /// Consecutive missed feedback deadlines before a worker is suspected.
+    /// Consecutive missed feedbacks before a worker is suspected.
     pub suspect_after: u32,
     /// Probe suspected workers every this many iterations (so crashed-then
     /// -recovered or merely slow workers can rejoin); 0 disables probing.
@@ -43,8 +40,6 @@ impl Default for RobustnessConfig {
         RobustnessConfig {
             enabled: false,
             retries: 2,
-            gather_timeout_ms: 1000,
-            swap_timeout_ms: 250,
             suspect_after: 2,
             probe_period: 8,
             quorum_frac: 0.5,
@@ -161,7 +156,7 @@ pub struct MdGanConfig {
     /// perfect network.
     #[serde(skip)]
     pub fault: FaultPlan,
-    /// Robust-runtime knobs (timeouts, retries, failure detection).
+    /// Robust-runtime knobs (retries, quorum, failure detection).
     #[serde(skip)]
     pub robust: RobustnessConfig,
     /// Elastic-membership schedule (joins, graceful leaves, crashes);

@@ -1610,7 +1610,7 @@ mod tests {
                 "conservation at drop {}",
                 p.drop
             );
-            // The silent mid-run crash was detected by missed deadlines.
+            // The silent mid-run crash was detected by missed feedbacks.
             assert!(p.suspected >= 1, "drop {}", p.drop);
             assert!(p.to_csv_row().split(',').count() == 7);
         }

@@ -37,8 +37,8 @@ pub enum MdMsg {
     /// Server → worker: the two generated batches of a global iteration
     /// (`X_g` trains the generator via feedback, `X_d` trains D).
     Batches {
-        /// Global iteration these batches belong to (robust mode tags every
-        /// data message so late deliveries are detectable).
+        /// Global iteration these batches belong to (the virtual tick the
+        /// feedback is sent at).
         iter: usize,
         /// Which generated batch `X_g` came from (for feedback grouping).
         g_id: usize,
@@ -53,8 +53,6 @@ pub enum MdMsg {
     },
     /// Worker → server: the error feedback `F_n` on `X_g`.
     Feedback {
-        /// Global iteration the feedback answers (echoed from `Batches`).
-        iter: usize,
         /// Generated-batch id this feedback refers to.
         g_id: usize,
         /// `∂B̃/∂x` for every element of the batch.
@@ -98,9 +96,17 @@ pub enum MdMsg {
     /// Server → worker: crash silently (robust mode's fail-stop injection).
     ///
     /// Unlike [`Stop`](MdMsg::Stop) the worker keeps draining its queue
-    /// without answering, so its death is observable only through missed
-    /// deadlines — exactly what the failure detector must infer.
+    /// without answering, so its death is observable only through the
+    /// feedbacks it no longer sends — exactly what the failure detector
+    /// must infer.
     Crash,
+    /// Stands in for a [`Feedback`](MdMsg::Feedback) or a swap
+    /// [`Disc`](MdMsg::Disc) that will never arrive: the fault layer lost
+    /// it, or the swap source crashed. Whoever knows (the sender, which
+    /// drew the fate, or the server, which holds the ground truth) sends
+    /// it uncharged in the payload's place, so every receiver waits for an
+    /// exact count of answers and never for a clock.
+    Lost,
     /// Server → worker: ship your discriminator parameters so a joining
     /// worker can bootstrap from them. The worker answers with
     /// [`Disc`](MdMsg::Disc) charged at full parameter cost — unlike

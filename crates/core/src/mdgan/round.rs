@@ -295,15 +295,14 @@ pub(crate) trait Cluster {
     /// checkpoint-v2 blob (C→W), whose size is returned.
     fn bootstrap(&mut self, call: &Call, src: usize, dst: usize) -> u64;
     /// Ships each order its two batches, lets the workers run Algorithm 1
-    /// lines 4-10 and gathers the feedbacks — `(slot, g_id, F_n)` in
-    /// ascending slot — waiting for all of them or, past `quorum`, for a
-    /// deadline.
+    /// lines 4-10 and gathers the feedbacks that arrive — `(slot, g_id,
+    /// F_n)` in ascending slot. Lost messages and crashed workers simply
+    /// leave their slot out; whether that meets a quorum is the caller's.
     fn exchange(
         &mut self,
         call: &Call,
         orders: &[Order],
         batches: &[(Tensor, Vec<usize>)],
-        quorum: usize,
     ) -> Vec<(usize, usize, Tensor)>;
     /// Every `src` ships the discriminator it holds *now* to its `dst`.
     fn swap(&mut self, call: &Call, pairs: &[(usize, usize)]);
@@ -544,7 +543,7 @@ impl Coordinator {
             } else {
                 orders.len()
             };
-            let heard = cluster.exchange(&rcall, &orders, &batches, quorum);
+            let heard = cluster.exchange(&rcall, &orders, &batches);
 
             // Feedback forensics: score every gathered feedback against
             // the population, quarantine outliers of flagged workers (and

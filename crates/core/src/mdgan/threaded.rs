@@ -12,11 +12,16 @@
 //!
 //! With an active [`FaultPlan`](md_simnet::FaultPlan) (or
 //! `cfg.robust.enabled`) the router carries the seeded fault layer: data
-//! messages are retried a bounded number of times, the gather has a
-//! deadline and returns on a quorum, injected crashes are silent (the
-//! worker drains its queue without answering) and a swap destination stops
-//! waiting after a timeout. Fates are drawn per logical message from the
-//! plan's seed, so this path too is bit-for-bit the sequential trainer's.
+//! messages are retried a bounded number of times and injected crashes are
+//! silent (the worker drains its queue without answering). No wait here
+//! has a deadline. Every message a receiver waits for arrives exactly
+//! once, as its payload or as an uncharged [`MdMsg::Lost`]: a sender whose
+//! fate draw lost the payload sends the marker in its place, and the
+//! server, which knows who crashed, sends it for a crashed swap source.
+//! The gather therefore waits for an exact count, and a swap destination
+//! for exactly one message. Fates are drawn per logical message from the
+//! plan's seed, so this path too is bit-for-bit the sequential trainer's,
+//! however slow the host.
 
 use crate::arch::ArchSpec;
 use crate::byzantine::AttackState;
@@ -31,11 +36,10 @@ use crate::mdgan::MdMsg;
 use md_data::Dataset;
 use md_nn::optim::AdamState;
 use md_nn::param::param_bytes;
-use md_simnet::{Endpoint, Envelope, Router, TrafficReport, SERVER};
+use md_simnet::{Delivery, Endpoint, Envelope, NodeId, Router, TrafficReport, SERVER};
 use md_telemetry::{Event, Recorder, TraceCtx};
 use md_tensor::Tensor;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Outcome of a threaded run.
 pub struct ThreadedResult {
@@ -49,11 +53,14 @@ pub struct ThreadedResult {
     pub alive: Vec<usize>,
 }
 
-/// Robust-mode knobs a worker thread needs.
-#[derive(Clone, Copy)]
-struct WorkerRobust {
-    swap_timeout: Duration,
-    retries: u32,
+/// After a data send: a payload the fault layer lost for good is followed
+/// by an uncharged `Lost`, so the receiver, which waits for exactly one
+/// message, is not left waiting. Without a fault layer nothing is lost.
+fn settle(ep: &Endpoint<MdMsg>, to: NodeId, sent: Delivery) {
+    if !sent.delivered {
+        ep.send_uncharged(to, MdMsg::Lost)
+            .expect("destination endpoint dropped");
+    }
 }
 
 /// Worker-thread body: serve batch/swap/stop requests until stopped.
@@ -63,22 +70,21 @@ struct WorkerRobust {
 /// server does not wait for swaps to finish) are buffered and processed in
 /// order afterwards.
 ///
-/// In robust mode (`robust` is `Some`) the swap wait is deadline-bounded
-/// (on timeout the worker keeps its old discriminator), feedbacks and
-/// discriminators go through the fault layer, and a `Crash` message puts
-/// the worker into a silent drain loop so its death is only observable via
-/// missed deadlines.
+/// Feedbacks and discriminators go through the fault layer (when the
+/// router has one) with up to `retries` retransmissions, and a `Crash`
+/// message puts the worker into a silent drain loop so its death is only
+/// observable through the feedbacks it no longer sends.
 fn worker_loop(
     mut worker: MdWorker,
     ep: Endpoint<MdMsg>,
     telemetry: Arc<Recorder>,
-    robust: Option<WorkerRobust>,
+    retries: u32,
     mut attack: AttackState,
 ) {
     use std::collections::VecDeque;
-    let retries = robust.map_or(0, |r| r.retries);
-    // A swap counterpart's parameters may arrive before our own SwapTo.
-    let mut pending_disc: Option<Vec<f32>> = None;
+    // A swap counterpart's parameters (or its `Lost`) may arrive before
+    // our own SwapTo.
+    let mut pending_disc: Option<Option<Vec<f32>>> = None;
     // Buffered messages keep their envelope's trace context so spans
     // recorded later still link to the send that caused them.
     let mut buffered: VecDeque<(MdMsg, TraceCtx)> = VecDeque::new();
@@ -111,55 +117,47 @@ fn worker_loop(
                     ctx,
                     iter as u64,
                 );
-                let feedback = MdMsg::Feedback { iter, g_id, grad };
-                ep.send_data_ctx(SERVER, feedback, bytes, iter as u64, retries, fctx);
+                let feedback = MdMsg::Feedback { g_id, grad };
+                let sent = ep.send_data_ctx(SERVER, feedback, bytes, iter as u64, retries, fctx);
+                settle(&ep, SERVER, sent);
             }
             MdMsg::SwapTo { to, iter } => {
                 let params = worker.disc_params();
                 let bytes = param_bytes(params.len());
-                ep.send_data_ctx(to, MdMsg::Disc { params }, bytes, iter as u64, retries, ctx);
+                let disc = MdMsg::Disc { params };
+                let sent = ep.send_data_ctx(to, disc, bytes, iter as u64, retries, ctx);
+                settle(&ep, to, sent);
+                // Exactly one `Disc` or `Lost` is on its way to us.
                 let incoming = match pending_disc.take() {
-                    Some(p) => Some(p),
-                    None => match robust {
-                        // Oracle mode: the counterpart always answers.
-                        None => loop {
-                            let e = ep.recv();
-                            match e.msg {
-                                MdMsg::Disc { params } => break Some(params),
-                                other => buffered.push_back((other, e.ctx)),
-                            }
-                        },
-                        // Robust mode: the counterpart may be dead or its
-                        // parameters lost — wait at most swap_timeout.
-                        Some(rb) => {
-                            let deadline = Instant::now() + rb.swap_timeout;
-                            loop {
-                                let left = deadline.saturating_duration_since(Instant::now());
-                                match ep.recv_deadline(left) {
-                                    Some(env) => match env.msg {
-                                        MdMsg::Disc { params } => break Some(params),
-                                        other => buffered.push_back((other, env.ctx)),
-                                    },
-                                    None => break None,
-                                }
-                            }
+                    Some(p) => p,
+                    None => loop {
+                        let e = ep.recv();
+                        match e.msg {
+                            MdMsg::Disc { params } => break Some(params),
+                            MdMsg::Lost => break None,
+                            other => buffered.push_back((other, e.ctx)),
                         }
                     },
                 };
                 worker.swap_in(incoming.as_deref(), &telemetry);
             }
-            MdMsg::Disc { params } => {
+            msg @ (MdMsg::Disc { .. } | MdMsg::Lost) => {
                 assert!(
                     pending_disc.is_none(),
                     "worker {} received two swap payloads",
                     ep.id()
                 );
-                pending_disc = Some(params);
+                pending_disc = Some(match msg {
+                    MdMsg::Disc { params } => Some(params),
+                    _ => None,
+                });
             }
             MdMsg::DiscPull { iter } => {
                 // Bootstrap-on-join: ship the snapshot to the server at
                 // full parameter cost (this is real simulated traffic,
-                // unlike the uncharged StateRequest control path).
+                // unlike the uncharged StateRequest control path). Joins
+                // never run with a fault layer, so the server's wait for it
+                // needs no `Lost`.
                 let params = worker.disc_params();
                 let bytes = param_bytes(params.len());
                 let disc = MdMsg::Disc { params };
@@ -302,9 +300,8 @@ struct Routed {
     alive: Vec<bool>,
     /// Workers dead at resume time were never spawned (no endpoint).
     spawned: Vec<bool>,
-    /// Crashes are silent and gathers deadline-bounded.
+    /// Crashes are silent: the crashed keep draining their queue.
     robust: bool,
-    gather_timeout: Duration,
 }
 
 impl Routed {
@@ -332,7 +329,7 @@ impl Cluster for Routed {
     }
 
     /// Oracle mode stops the thread outright; robust mode crashes it
-    /// *silently* — the server must notice through missed deadlines.
+    /// *silently* — the server must notice through missed feedbacks.
     fn crash(&mut self, slot: usize) {
         self.alive[slot] = false;
         let fate = if self.robust {
@@ -367,9 +364,12 @@ impl Cluster for Routed {
         call: &Call,
         orders: &[Order],
         batches: &[(Tensor, Vec<usize>)],
-        quorum: usize,
     ) -> Vec<(usize, usize, Tensor)> {
         let iter = call.iter;
+        // Every alive worker whose batches arrived answers exactly once,
+        // with its feedback or the `Lost` standing in for it; a crashed
+        // one drains its batches silently.
+        let mut owed = 0;
         for o in orders {
             let ((xg, xg_labels), (xd, xd_labels)) = (&batches[o.g_id], &batches[o.d_id]);
             let msg = MdMsg::Batches {
@@ -388,42 +388,35 @@ impl Cluster for Routed {
                 call.retries,
                 call.ctx,
             );
-            assert!(
-                sent.delivered || self.robust,
-                "destination endpoint dropped"
-            );
+            owed += usize::from(sent.delivered && self.alive[o.slot]);
         }
-        // Sorted by sender either way, so the server merges (and the
-        // forensics observes) in the sequential runtime's order.
-        let envelopes = if self.robust {
-            let expected: Vec<usize> = orders.iter().map(|o| o.slot + 1).collect();
-            let timeout = self.gather_timeout;
-            let gather = self.server_ep.recv_until_quorum(
-                &expected,
-                quorum,
-                timeout,
-                |e| matches!(&e.msg, MdMsg::Feedback { iter: at, .. } if *at == iter),
-            );
-            gather.envelopes
-        } else {
-            self.server_ep.recv_n_sorted(orders.len())
-        };
+        // Sorted by sender, so the server merges (and the forensics
+        // observes) in the sequential runtime's order.
         let feedback = |e: Envelope<MdMsg>| match e.msg {
-            MdMsg::Feedback { g_id, grad, .. } => (e.from - 1, g_id, grad),
+            MdMsg::Feedback { g_id, grad } => Some((e.from - 1, g_id, grad)),
+            MdMsg::Lost => None,
             other => panic!("server expected Feedback, got {other:?}"),
         };
-        envelopes.into_iter().map(feedback).collect()
+        let answers = self.server_ep.recv_n_sorted(owed);
+        answers.into_iter().filter_map(feedback).collect()
     }
 
     /// The server only names the destinations; the parameters travel
-    /// worker to worker, and nobody waits for them to land.
+    /// worker to worker, and nobody waits for them to land. A crashed
+    /// source ships nothing, so its destination is told so right away.
     fn swap(&mut self, call: &Call, pairs: &[(usize, usize)]) {
         for &(src, dst) in pairs {
-            let to = MdMsg::SwapTo {
-                to: dst + 1,
-                iter: call.iter,
-            };
-            self.tell(src, to, call.ctx);
+            if self.alive[src] {
+                let to = MdMsg::SwapTo {
+                    to: dst + 1,
+                    iter: call.iter,
+                };
+                self.tell(src, to, call.ctx);
+            } else {
+                self.server_ep
+                    .send_uncharged(dst + 1, MdMsg::Lost)
+                    .expect("destination endpoint dropped");
+            }
         }
     }
 
@@ -495,11 +488,7 @@ fn run_threaded_inner(
     }
     let server_ep = router.endpoint(SERVER);
     let worker_eps: Vec<Endpoint<MdMsg>> = (1..=total).map(|i| router.endpoint(i)).collect();
-    let worker_robust = robust.then_some(WorkerRobust {
-        swap_timeout: Duration::from_millis(cfg.robust.swap_timeout_ms),
-        retries: cfg.robust.retries,
-    });
-    let gather_timeout = Duration::from_millis(cfg.robust.gather_timeout_ms);
+    let retries = cfg.robust.retries;
 
     let (mut coord, workers, attacks) =
         Coordinator::build(spec, shards, cfg, router.stats(), Arc::clone(&telemetry));
@@ -524,7 +513,6 @@ fn run_threaded_inner(
         spawned: alive.clone(),
         alive,
         robust,
-        gather_timeout,
     };
 
     let mut timeline = ScoreTimeline::new();
@@ -533,7 +521,7 @@ fn run_threaded_inner(
         for ((worker, ep), attack) in workers.into_iter().zip(worker_eps).zip(attacks) {
             let Some(worker) = worker else { continue };
             let telemetry = Arc::clone(&telemetry);
-            scope.spawn(move |_| worker_loop(worker, ep, telemetry, worker_robust, attack));
+            scope.spawn(move |_| worker_loop(worker, ep, telemetry, retries, attack));
         }
         let start = coord.iterations();
         if let (0, Some(ev)) = (start, evaluator.as_deref_mut()) {
@@ -604,13 +592,6 @@ mod tests {
             ..MdGanConfig::default()
         };
         (spec, shards, cfg)
-    }
-
-    /// Short timeouts keep fault tests fast; they stay far above the
-    /// per-iteration compute time so deadlines never fire spuriously.
-    fn fast_robust(cfg: &mut MdGanConfig) {
-        cfg.robust.gather_timeout_ms = 400;
-        cfg.robust.swap_timeout_ms = 150;
     }
 
     #[test]
@@ -692,7 +673,6 @@ mod tests {
         let oracle = run_threaded(&spec, shards.clone(), cfg.clone(), None, 10, 1000);
         let mut rcfg = cfg;
         rcfg.robust.enabled = true;
-        fast_robust(&mut rcfg);
         let robust = run_threaded(&spec, shards, rcfg, None, 10, 1000);
         assert_eq!(oracle.gen_params, robust.gen_params);
         assert_eq!(oracle.traffic.class_bytes, robust.traffic.class_bytes);
@@ -705,12 +685,11 @@ mod tests {
         cfg.robust.enabled = true;
         cfg.robust.suspect_after = 2;
         cfg.robust.probe_period = 0; // no probing: the dead stay suspected
-        fast_robust(&mut cfg);
         cfg.crash = CrashSchedule::new(vec![(3, 2)]);
         let rec = Arc::new(Recorder::enabled());
         let res = run_threaded_with(&spec, shards, cfg, None, 8, 1000, Arc::clone(&rec));
         assert!(res.gen_params.iter().all(|v| v.is_finite()));
-        // Two missed deadlines (iterations 3 and 4) → suspected once.
+        // Two missed feedbacks (iterations 3 and 4) → suspected once.
         assert_eq!(rec.counter(Counter::WorkersSuspected), 1);
         let suspects: Vec<usize> = rec
             .events()
@@ -915,22 +894,55 @@ mod tests {
 
     #[test]
     fn robust_mode_tolerates_total_feedback_loss() {
-        // 100% drop: no feedback ever arrives, the gather must return at
-        // its deadline every iteration and the generator stays untouched.
+        // 100% drop: no batch, feedback or swapped discriminator ever
+        // arrives. The generator stays untouched, the swap at iteration 5
+        // is lost on the wire both ways, and both runtimes agree on all of
+        // it.
         let (spec, shards, mut cfg) = setup(2);
         cfg.fault = FaultPlan::lossy(5, 1.0);
         cfg.robust.retries = 0;
-        cfg.robust.gather_timeout_ms = 120;
-        cfg.robust.swap_timeout_ms = 60;
-        cfg.robust.suspect_after = 1;
-        cfg.robust.probe_period = 2;
-        let t0 = Instant::now();
-        let res = run_threaded(&spec, shards, cfg, None, 4, 1000);
-        // 4 iterations, each bounded by one gather deadline (plus probe
-        // overhead) — nowhere near a hang.
-        assert!(t0.elapsed() < Duration::from_secs(10));
-        assert!(res.gen_params.iter().all(|v| v.is_finite()));
-        assert!(res.traffic.dropped_msgs > 0);
-        assert_eq!(res.traffic.bytes_delivered(), 0);
+        // Nobody is suspected, so both workers stay swap partners.
+        cfg.robust.suspect_after = 100;
+        let timeouts = |rec: &Recorder| -> Vec<usize> {
+            let value = |e: &md_telemetry::TimedEvent| match e.event {
+                Event::Custom {
+                    name: "swap_timeout",
+                    value,
+                } => Some(value as usize),
+                _ => None,
+            };
+            let mut ids: Vec<usize> = rec.events().iter().filter_map(value).collect();
+            ids.sort_unstable();
+            ids
+        };
+
+        let thr_rec = Arc::new(Recorder::enabled());
+        let thr = run_threaded_with(
+            &spec,
+            shards.clone(),
+            cfg.clone(),
+            None,
+            6,
+            1000,
+            Arc::clone(&thr_rec),
+        );
+        let seq_rec = Arc::new(Recorder::enabled());
+        let mut seq = crate::mdgan::trainer::MdGan::new(&spec, shards, cfg)
+            .with_telemetry(Arc::clone(&seq_rec));
+        for _ in 0..6 {
+            seq.step();
+        }
+
+        assert_eq!(seq.swaps(), 1);
+        assert_eq!(thr.gen_params, seq.gen_params());
+        // The whole report agrees once the threaded runtime's zero-byte
+        // control messages are set aside: a SwapTo and a Stop per worker.
+        let mut traffic = thr.traffic.clone();
+        traffic.class_msgs[0] -= 2 * 2;
+        assert_eq!(traffic, seq.traffic());
+        assert!(traffic.dropped_msgs > 0);
+        assert_eq!(traffic.bytes_delivered(), 0);
+        assert_eq!(timeouts(&thr_rec), vec![1, 2]);
+        assert_eq!(timeouts(&seq_rec), timeouts(&thr_rec));
     }
 }

@@ -116,7 +116,6 @@ impl Cluster for InProcess {
         call: &Call,
         orders: &[Order],
         batches: &[(Tensor, Vec<usize>)],
-        _quorum: usize,
     ) -> Vec<(usize, usize, Tensor)> {
         let (tick, wire) = (call.iter as u64, wire(&self.faults, call));
         // Disjoint `&mut` handles on every present worker and its attack

@@ -1,8 +1,8 @@
 //! Timeout-based failure detection.
 //!
 //! The MD-GAN server has no crash oracle in robust mode: the only liveness
-//! signal is whether a worker's feedback made it back before the gather
-//! deadline. [`FailureDetector`] turns that signal into a suspicion list —
+//! signal is whether a worker's feedback reached the iteration's gather.
+//! [`FailureDetector`] turns that signal into a suspicion list —
 //! suspect after `threshold` *consecutive* misses, rejoin the moment the
 //! worker is heard again. This is the classic unreliable failure detector:
 //! suspicion is a routing hint (skip the worker's downlink, keep it out of

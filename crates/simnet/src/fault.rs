@@ -107,10 +107,10 @@ pub enum Fate {
     /// Delivered after `ticks ≥ 1` virtual ticks of extra latency.
     ///
     /// One tick is one global iteration. The synchronous runtimes gather
-    /// feedbacks at a barrier and sort them by sender, so a sub-deadline
-    /// delay reorders nothing observable; it is *counted* (the message was
-    /// late on the wire) but delivered in place. Delays long enough to
-    /// matter are what the drop probability models.
+    /// exactly the answers they are owed at a barrier and sort them by
+    /// sender, so a delay reorders nothing observable; it is *counted* (the
+    /// message was late on the wire) but delivered in place. A message too
+    /// late to be useful is what the drop probability models.
     Delay {
         /// Extra latency in virtual ticks.
         ticks: u32,

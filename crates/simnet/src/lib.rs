@@ -8,8 +8,7 @@
 //!
 //! * [`network::Router`] / [`network::Endpoint`] — message passing between
 //!   one central server (node 0) and `N` workers (nodes `1..=N`) over
-//!   crossbeam channels, usable from one thread (deterministic scheduler)
-//!   or from one thread per node,
+//!   crossbeam channels, one thread per node,
 //! * [`stats::TrafficStats`] — byte-accurate ingress/egress accounting per
 //!   node and per link class (server→worker, worker→server,
 //!   worker→worker), the quantities behind Tables III/IV and Figure 2,
@@ -36,6 +35,6 @@ pub mod wire;
 pub use detect::{FailureDetector, Liveness};
 pub use fault::{CrashSchedule, Delivery, Fate, FaultPlan, FaultState, Partition, PartitionScope};
 pub use membership::{ChurnEvent, ChurnKind, ChurnPlan, MemberStatus, Membership};
-pub use network::{Endpoint, Envelope, GatherResult, NodeId, Router, SendError, SERVER};
+pub use network::{Endpoint, Envelope, NodeId, Router, SendError, SERVER};
 pub use stats::{LinkClass, TrafficReport, TrafficStats};
 pub use wire::Wire;

@@ -2,14 +2,10 @@
 //!
 //! A [`Router`] owns one unbounded crossbeam channel per node; each node
 //! claims its [`Endpoint`], which can send to any other node and receive
-//! its own messages. Every send is charged to the shared
-//! [`TrafficStats`].
-//!
-//! The same API serves both execution modes used by the experiments:
-//! * **threaded** — one OS thread per node, endpoints moved into threads;
-//! * **sequential/deterministic** — a single thread holds all endpoints and
-//!   interleaves them in a fixed order (this is how the equivalence tests
-//!   compare the two runtimes bit-for-bit).
+//! its own messages. Every charged send is recorded in the shared
+//! [`TrafficStats`]. The threaded MD-GAN runtime moves each endpoint into
+//! its node's OS thread; the sequential runtimes need no endpoints at all
+//! (they carry messages with [`Wire`](crate::Wire)).
 //!
 //! Attaching a [`FaultPlan`] (see [`Router::with_faults`]) makes
 //! [`Endpoint::send_data`] subject every data-carrying message to seeded
@@ -18,13 +14,17 @@
 //! Duplicate copies are flagged on the [`Envelope`] and silently deduped by
 //! every receive path, modelling transport-level sequence-number dedup: the
 //! application never observes them, only the counters do.
+//!
+//! Nothing here waits on a clock. A fate is drawn when a message is sent,
+//! so the sender knows at once whether it was lost, and a receiver that is
+//! owed a message can block until it (or the sender's word that it was
+//! lost) arrives.
 
 use crate::fault::{Delivery, FaultPlan, FaultState};
 use crate::stats::TrafficStats;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use md_telemetry::{Counter, Phase, Recorder, SpanKind, TraceCtx, Track};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Node identifier; [`SERVER`] is 0, workers are `1..=N`.
 pub type NodeId = usize;
@@ -69,20 +69,6 @@ impl std::fmt::Display for SendError {
 }
 
 impl std::error::Error for SendError {}
-
-/// Result of a deadline-bounded gather ([`Endpoint::recv_until_quorum`]).
-#[derive(Debug)]
-pub struct GatherResult<M> {
-    /// Accepted envelopes, sorted by sender id (at most one per expected
-    /// sender).
-    pub envelopes: Vec<Envelope<M>>,
-    /// Senders heard from, ascending.
-    pub heard: Vec<NodeId>,
-    /// Every expected sender answered before the deadline.
-    pub complete: bool,
-    /// At least `quorum` senders answered before the deadline.
-    pub met_quorum: bool,
-}
 
 /// Builds the mesh of channels for `1 + workers` nodes.
 pub struct Router<M> {
@@ -137,11 +123,6 @@ impl<M: Send> Router<M> {
         Arc::clone(&self.stats)
     }
 
-    /// The shared fault state, if a plan was attached.
-    pub fn faults(&self) -> Option<Arc<FaultState>> {
-        self.faults.clone()
-    }
-
     /// Claims the endpoint of `node`. Each endpoint can be taken once.
     ///
     /// # Panics
@@ -160,8 +141,8 @@ impl<M: Send> Router<M> {
         }
     }
 
-    /// Claims all endpoints in node order (convenience for the sequential
-    /// scheduler).
+    /// Claims all endpoints in node order, for code that drives every node
+    /// from one thread (tests and microbenchmarks).
     pub fn all_endpoints(&mut self) -> Vec<Endpoint<M>> {
         (0..self.nodes()).map(|n| self.endpoint(n)).collect()
     }
@@ -358,26 +339,6 @@ impl<M: Send> Endpoint<M> {
         }
     }
 
-    /// Receives one message, waiting at most `timeout`. `None` on deadline
-    /// (or if all senders are gone). Duplicate copies are skipped without
-    /// extending the deadline.
-    pub fn recv_deadline(&self, timeout: Duration) -> Option<Envelope<M>> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(left) {
-                Ok(e) if e.duplicate => continue,
-                Ok(e) => {
-                    self.note_recv(&e);
-                    return Some(e);
-                }
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                    return None
-                }
-            }
-        }
-    }
-
     /// Receives exactly `n` messages and returns them sorted by sender id —
     /// the deterministic gather used at synchronization barriers
     /// (the server's `GETFEEDBACKFROMWORKERS()` in Algorithm 1).
@@ -385,53 +346,6 @@ impl<M: Send> Endpoint<M> {
         let mut out: Vec<Envelope<M>> = (0..n).map(|_| self.recv()).collect();
         out.sort_by_key(|e| e.from);
         out
-    }
-
-    /// Deadline-bounded barrier gather: collects at most one accepted
-    /// envelope per sender in `expected`, returning as soon as *all*
-    /// expected senders answered or the deadline elapsed — it never blocks
-    /// past `timeout`. `met_quorum` reports whether at least `quorum`
-    /// answered.
-    ///
-    /// `accept` filters payloads (e.g. "feedback for the current
-    /// iteration"); rejected, unexpected or repeated envelopes are
-    /// discarded and counted as late ([`Counter::MsgsDelayed`]).
-    pub fn recv_until_quorum(
-        &self,
-        expected: &[NodeId],
-        quorum: usize,
-        timeout: Duration,
-        mut accept: impl FnMut(&Envelope<M>) -> bool,
-    ) -> GatherResult<M> {
-        let deadline = Instant::now() + timeout;
-        let mut envelopes: Vec<Envelope<M>> = Vec::with_capacity(expected.len());
-        while envelopes.len() < expected.len() {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let e = match self.rx.recv_timeout(left) {
-                Ok(e) => e,
-                Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => break,
-            };
-            if e.duplicate {
-                continue;
-            }
-            self.note_recv(&e);
-            let fresh = expected.contains(&e.from) && !envelopes.iter().any(|h| h.from == e.from);
-            if fresh && accept(&e) {
-                envelopes.push(e);
-            } else if let Some(t) = self.telemetry.as_deref() {
-                // Stale iteration, unexpected sender, or a second answer:
-                // the message arrived, just not when it was useful.
-                t.incr(Counter::MsgsDelayed, 1);
-            }
-        }
-        envelopes.sort_by_key(|e| e.from);
-        let heard: Vec<NodeId> = envelopes.iter().map(|e| e.from).collect();
-        GatherResult {
-            complete: heard.len() == expected.len(),
-            met_quorum: heard.len() >= quorum,
-            envelopes,
-            heard,
-        }
     }
 }
 
@@ -682,69 +596,5 @@ mod tests {
         assert!(d.delivered);
         eps[1].recv();
         assert!(rec.trace_spans().is_empty(), "NONE ctx stays untraced");
-    }
-
-    #[test]
-    fn recv_deadline_times_out() {
-        let mut router: Router<u8> = Router::new(1);
-        let eps = router.all_endpoints();
-        let t0 = Instant::now();
-        assert!(eps[1].recv_deadline(Duration::from_millis(20)).is_none());
-        assert!(t0.elapsed() >= Duration::from_millis(20));
-        eps[0].send(1, 3, 1).unwrap();
-        assert_eq!(
-            eps[1].recv_deadline(Duration::from_millis(20)).unwrap().msg,
-            3
-        );
-    }
-
-    #[test]
-    fn quorum_gather_returns_partial_set_at_deadline() {
-        let mut router: Router<u8> = Router::new(3);
-        let eps = router.all_endpoints();
-        eps[2].send(SERVER, 20, 1).unwrap();
-        eps[1].send(SERVER, 10, 1).unwrap();
-        // Worker 3 never answers; the gather must return at the deadline.
-        let t0 = Instant::now();
-        let g = eps[0].recv_until_quorum(&[1, 2, 3], 2, Duration::from_millis(50), |_| true);
-        assert!(t0.elapsed() < Duration::from_secs(2));
-        assert_eq!(g.heard, vec![1, 2]);
-        assert!(!g.complete);
-        assert!(g.met_quorum);
-        assert_eq!(
-            g.envelopes.iter().map(|e| e.msg).collect::<Vec<_>>(),
-            vec![10, 20]
-        );
-    }
-
-    #[test]
-    fn quorum_gather_returns_early_when_all_heard() {
-        let mut router: Router<u8> = Router::new(2);
-        let eps = router.all_endpoints();
-        eps[1].send(SERVER, 1, 1).unwrap();
-        eps[2].send(SERVER, 2, 1).unwrap();
-        let t0 = Instant::now();
-        let g = eps[0].recv_until_quorum(&[1, 2], 2, Duration::from_secs(30), |_| true);
-        assert!(t0.elapsed() < Duration::from_secs(5), "no deadline wait");
-        assert!(g.complete && g.met_quorum);
-        assert_eq!(g.heard, vec![1, 2]);
-    }
-
-    #[test]
-    fn quorum_gather_filters_rejected_and_unexpected() {
-        let rec = Arc::new(Recorder::enabled());
-        let mut router: Router<u8> = Router::new(3).with_telemetry(Arc::clone(&rec));
-        let eps = router.all_endpoints();
-        eps[3].send(SERVER, 99, 1).unwrap(); // unexpected sender
-        eps[1].send(SERVER, 0, 1).unwrap(); // rejected by the filter
-        eps[1].send(SERVER, 10, 1).unwrap();
-        eps[2].send(SERVER, 20, 1).unwrap();
-        let g = eps[0].recv_until_quorum(&[1, 2], 1, Duration::from_millis(200), |e| e.msg != 0);
-        assert_eq!(g.heard, vec![1, 2]);
-        assert_eq!(
-            g.envelopes.iter().map(|e| e.msg).collect::<Vec<_>>(),
-            vec![10, 20]
-        );
-        assert_eq!(rec.counter(Counter::MsgsDelayed), 2);
     }
 }

@@ -48,7 +48,7 @@ pub enum Event {
         staleness: usize,
     },
     /// The server's failure detector started suspecting a worker after
-    /// consecutive missed feedback deadlines.
+    /// consecutive missed feedbacks.
     WorkerSuspected {
         /// Iteration the suspicion was raised at.
         iter: usize,

@@ -80,8 +80,8 @@ pub enum Counter {
     MsgsDropped,
     /// Messages spuriously duplicated by the network.
     MsgsDuplicated,
-    /// Messages delivered late — injected delays plus messages a receiver
-    /// observed past their deadline (stale feedbacks).
+    /// Messages delivered late: injected delays, counted when the fate is
+    /// drawn and delivered in place.
     MsgsDelayed,
     /// Retransmission attempts after a dropped data message.
     Retries,

@@ -78,8 +78,6 @@ fn swap_timeout_is_the_same_event_on_both_runtimes() {
     cfg.robust.enabled = true;
     cfg.robust.suspect_after = 2;
     cfg.robust.probe_period = 0;
-    cfg.robust.gather_timeout_ms = 400;
-    cfg.robust.swap_timeout_ms = 150;
     let timeouts = |rec: &Recorder| -> Vec<usize> {
         let value = |e: &TimedEvent| match e.event {
             Event::Custom {

@@ -40,10 +40,6 @@ fn lossy_cfg(workers: usize, iters: usize, drop: f32, seed: u64) -> MdGanConfig 
         ..MdGanConfig::default()
     };
     cfg.fault = FaultPlan::lossy(seed ^ 0xFA17, drop);
-    // Deadlines are safety nets sized far above in-process compute so they
-    // never truncate a healthy gather (which would break determinism).
-    cfg.robust.gather_timeout_ms = 10_000;
-    cfg.robust.swap_timeout_ms = 4_000;
     cfg
 }
 
@@ -118,8 +114,6 @@ fn quorum_gather_releases_within_deadline() {
     let iters = 4;
     let mut cfg = lossy_cfg(3, iters, 1.0, 5);
     cfg.robust.retries = 0;
-    cfg.robust.gather_timeout_ms = 250;
-    cfg.robust.swap_timeout_ms = 100;
 
     let spec = ArchSpec::mlp_mnist_scaled(IMG);
     let start = Instant::now();

@@ -139,10 +139,6 @@ fn faulty_cfg(workers: usize) -> MdGanConfig {
         max_delay_ticks: 2,
         partitions: vec![Partition::node(2, 4, 6)],
     };
-    // Generous deadlines: timeouts are safety nets, not part of the fate
-    // stream, so they must never fire on a healthy in-process run.
-    cfg.robust.gather_timeout_ms = 5_000;
-    cfg.robust.swap_timeout_ms = 2_000;
     cfg
 }
 
@@ -164,7 +160,5 @@ fn equivalent_pure_drop_heavy() {
     let mut cfg = base_cfg(3);
     cfg.fault = FaultPlan::lossy(fault_seed() ^ 0xD0D0, 0.35);
     cfg.robust.retries = 1;
-    cfg.robust.gather_timeout_ms = 5_000;
-    cfg.robust.swap_timeout_ms = 2_000;
     check_equivalence(cfg, 10);
 }
