@@ -76,47 +76,60 @@ impl Layer for Relu {
 /// (DCGAN-style) conventionally use `alpha = 0.2`.
 pub struct LeakyRelu {
     alpha: f32,
-    cached_input: Option<Tensor>,
+    cache: Option<Mask>,
+}
+
+/// What the backward needs of the last forward's input: its shape, and per
+/// element whether the gradient passes unscaled: `x > 0.0` or a NaN `x`,
+/// i.e. `!(x <= 0.0)`, the rule the gradient has always followed.
+struct Mask {
+    shape: Vec<usize>,
+    pass: Vec<bool>,
 }
 
 impl LeakyRelu {
     /// Creates a LeakyReLU with the given negative slope.
     pub fn new(alpha: f32) -> Self {
-        LeakyRelu {
-            alpha,
-            cached_input: None,
-        }
+        LeakyRelu { alpha, cache: None }
     }
 }
 
 impl Layer for LeakyRelu {
+    /// One pass over `x` writes the output and the mask.
     fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
-        self.cached_input = Some(x.clone());
         let a = self.alpha;
-        x.map(|v| if v > 0.0 { v } else { a * v })
+        let mut y = workspace::take_uninit(x.len());
+        let mut pass = vec![false; x.len()];
+        for ((y, p), &v) in y.iter_mut().zip(&mut pass).zip(x.data()) {
+            *y = if v > 0.0 { v } else { a * v };
+            *p = (v > 0.0) | v.is_nan();
+        }
+        let shape = x.shape().to_vec();
+        self.cache = Some(Mask { shape, pass });
+        Tensor::new(x.shape(), y)
     }
 
+    /// One pass over the mask: `grad_out` where it passes, `alpha` times
+    /// it elsewhere.
     fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
         if !need.input() {
             return None;
         }
-        let x = self
-            .cached_input
+        let mask = self
+            .cache
             .as_ref()
             .expect("LeakyRelu::backward before forward");
-        assert_eq!(grad_out.shape(), x.shape());
+        assert_eq!(grad_out.shape(), &mask.shape[..]);
         let a = self.alpha;
-        let mut g = grad_out.clone();
-        for (gv, &xv) in g.data_mut().iter_mut().zip(x.data()) {
-            if xv <= 0.0 {
-                *gv *= a;
-            }
+        let mut g = workspace::take_uninit(grad_out.len());
+        for ((g, &p), &go) in g.iter_mut().zip(&mask.pass).zip(grad_out.data()) {
+            *g = if p { go } else { go * a };
         }
-        Some(g)
+        Some(Tensor::new(&mask.shape, g))
     }
 
     fn release_cache(&mut self) {
-        self.cached_input = None;
+        self.cache = None;
     }
 
     no_params!();
@@ -265,6 +278,43 @@ mod tests {
         assert_close(y.data(), &[-0.2, 0.0, 2.0], 1e-6);
         let g = l.backward(&Tensor::ones(&[3]));
         assert_close(g.data(), &[0.2, 0.2, 1.0], 1e-6);
+    }
+
+    /// The mask-based forward and backward against the clone-and-map rules
+    /// they replaced, bit for bit, on every pairing of special inputs and
+    /// gradients. `-1e-45` rounds to the smallest negative subnormal, and
+    /// `alpha` times it underflows to `-0.0`.
+    #[test]
+    fn leaky_relu_mask_matches_the_old_rules_on_specials() {
+        let specials = [
+            f32::NAN,
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1e-45,
+            1e-45,
+            -3.5,
+            2.0,
+        ];
+        let n = specials.len();
+        let x: Vec<f32> = specials.iter().flat_map(|&v| [v; 9]).collect();
+        let go: Vec<f32> = (0..n).flat_map(|_| specials).collect();
+        let a = 0.2f32;
+        let mut l = LeakyRelu::new(a);
+        let y = l.forward(&Tensor::new(&[n, n], x.clone()), true);
+        let g = l.backward(&Tensor::new(&[n, n], go.clone()));
+        for (i, (&xv, &gv)) in x.iter().zip(&go).enumerate() {
+            let y_old = if xv > 0.0 { xv } else { a * xv };
+            let g_old = if xv <= 0.0 { gv * a } else { gv };
+            assert_eq!(y.data()[i].to_bits(), y_old.to_bits(), "y at x = {xv}");
+            assert_eq!(
+                g.data()[i].to_bits(),
+                g_old.to_bits(),
+                "g at x = {xv}, go = {gv}"
+            );
+        }
+        assert_eq!(y.data()[5 * n].to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -89,10 +89,11 @@ impl MinibatchDiscrimination {
                         continue;
                     }
                     for f in 0..nb {
+                        // No skip when `c_ijf` underflowed to 0: a NaN or
+                        // infinite `dL/do_if` must still reach the gradient
+                        // as `0·NaN`. On finite gradients the `±0` terms
+                        // leave every sum bit for bit as it was.
                         let cv = c[(i * b + j) * nb + f];
-                        if cv == 0.0 {
-                            continue;
-                        }
                         // dL/do_if and dL/do_jf both touch c_ijf; iterate
                         // ordered pairs and attribute only the o_if term to
                         // avoid double counting (the (j,i) iteration handles
@@ -298,6 +299,25 @@ mod tests {
             1e-3,
             5e-2,
         );
+    }
+
+    /// Two rows far apart: every similarity underflows to 0, so the
+    /// similarity features are 0 — yet a NaN upstream gradient on one of
+    /// them must reach both rows' input gradients and `dT` as `0·NaN`
+    /// instead of being skipped with the zero.
+    #[test]
+    fn nan_gradient_at_an_underflowed_pair_propagates() {
+        let mut rng = Rng64::seed_from_u64(4);
+        let mut l = MinibatchDiscrimination::new(3, 2, 2, &mut rng);
+        let x = Tensor::new(&[2, 3], vec![900.0, -700.0, 800.0, -900.0, 700.0, -800.0]);
+        let y = l.forward(&x, true);
+        assert_eq!(&y.row(0)[3..], &[0.0, 0.0], "similarities must underflow");
+        let mut g = Tensor::ones(&[2, 5]);
+        g.data_mut()[3] = f32::NAN; // dL/do_{0,0}
+        let gx = l.backward(&g);
+        assert!(gx.row(0).iter().all(|v| v.is_nan()), "{:?}", gx.row(0));
+        assert!(gx.row(1).iter().all(|v| v.is_nan()), "{:?}", gx.row(1));
+        assert!(l.grads()[0].data().iter().any(|v| v.is_nan()));
     }
 
     #[test]

@@ -18,14 +18,19 @@
 //!
 //! * **the image operand, into phase planes** ([`ConvPlanes`], laid out by
 //!   [`ConvGeom`]): one pass over the `(B, C, H, W)` tensor — a row at a
-//!   time, a deinterleave at stride 2 — writes it zero-padded and split by
-//!   stride phase, so that the values one kernel tap contributes to a row
-//!   of output positions are a contiguous, always-in-bounds run. The packer
+//!   time, a fixed-length deinterleave at stride 2 — writes it zero-padded
+//!   and split by stride phase, so that the values one kernel tap
+//!   contributes to a row of output positions are a contiguous,
+//!   always-in-bounds run. Each element is written once: the zeros go only
+//!   where no pixel lands, never over the whole buffer first. The packer
 //!   then moves runs (no `iy`/`ix` arithmetic, no bounds tests, any
 //!   stride), the scatter adds runs, the weight gradient broadcasts their
-//!   elements. The pass touches about the image's size; the column matrix
-//!   it serves is `KH*KW / stride²` times larger (2.25x and 4x at the
-//!   paper's layers). The planes are **once per training step, not per
+//!   elements. Where the run width `ow` divides the GEMM's [`NR`]-wide
+//!   sliver — every layer of the paper's nets — a sliver is whole output
+//!   rows and every run has a compile-time length, so packing and scatter
+//!   move whole vectors. The pass touches about the image's size; the
+//!   column matrix it serves is `KH*KW / stride²` times larger (2.25x and
+//!   4x at the paper's layers). The planes are **once per training step, not per
 //!   call**: [`conv2d_forward_planes`] hands out the ones it built and
 //!   [`conv2d_backward_planes`] takes the weight gradient from them, so a
 //!   layer caches them in place of a clone of its input;
@@ -40,7 +45,7 @@
 //!
 //! | product | shape per call | copied for it | order kept |
 //! |---|---|---|---|
-//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` ([`gemm::gemm_with`]) | packed `W`; `cols_i` packed run by run from the planes | `k` ascending inside each sample's GEMM |
+//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` ([`gemm::gemm_with`]) | packed `W`; `cols_i` packed from the planes, whole output rows per sliver when `ow` divides `NR`, run by run otherwise | `k` ascending inside each sample's GEMM |
 //! | conv grad-input, conv-transpose forward | `b` x `col2im(Wᵀ (ckk, o) · g_i (o, ohw))` ([`gemm::gemm_scatter`]) | packed `Wᵀ` | tiles in row order; per pixel the adds arrive in `col2im`'s `(row, oy, ox)` order into zeroed planes, copied out exactly |
 //! | weight gradient (both) | **one** `gw (m, ckk) (+)= A (m, b·ohw) · Cᵀ (b·ohw, ckk)`, `A` the samples' gradients (conv) or inputs (conv-transpose) side by side, `Cᵀ` their `cols_iᵀ` stacked (`wgrad::weight_grad`) | `Aᵀ` as 16-channel slivers and `gwᵀ`, in 16x16 block transposes; `Cᵀ` is **not** copied — its elements are broadcast from the planes | seeded with `gw` or 0.0, samples ascending, positions ascending — the chain of one accumulate product per sample |
 //!
@@ -62,6 +67,34 @@ use crate::tensor::Tensor;
 use crate::workspace;
 
 mod wgrad;
+
+/// `$fast` with `$W` a constant equal to `$width` when the width is 4, 8
+/// or 16, `$general` otherwise. These are the run widths `ArchSpec`'s
+/// conv stages produce (`img = 4·2^s`, `img >= 8`: every output row and
+/// every stride-2 pixel pair count is 4, 8 or 16). Each divides [`NR`], so
+/// such an `ow` makes a packed sliver whole output rows, and a run of a
+/// constant length is moved with whole-vector loads and stores. The
+/// choice depends on the geometry alone.
+macro_rules! by_row_width {
+    ($width:expr, $W:ident => $fast:expr, _ => $general:expr) => {
+        match $width {
+            4 => {
+                const $W: usize = 4;
+                $fast
+            }
+            8 => {
+                const $W: usize = 8;
+                $fast
+            }
+            16 => {
+                const $W: usize = 16;
+                $fast
+            }
+            _ => $general,
+        }
+    };
+}
+const _: () = assert!(NR.is_multiple_of(16), "by_row_width!'s widths divide NR");
 
 /// Spatial output size of a convolution along one axis.
 ///
@@ -313,57 +346,48 @@ impl ConvGeom {
         self.stride * self.stride * self.wq()
     }
 
-    /// Copies one `(c, h, w)` image into its (zeroed) phase planes.
+    /// Writes one `(c, h, w)` image into its phase planes — **every**
+    /// element, once: the pixels, and a zero wherever no pixel lands (the
+    /// padding rows above and below the image, and the margins of each
+    /// phase row). The planes need not be zeroed first.
     fn split(&self, image: &[f32], planes: &mut [f32]) {
         let map = self.row_map();
-        self.for_each_channel(|ci, rows| {
-            let channel = &image[ci * self.h * self.w..][..self.h * self.w];
-            let rows = planes[rows].chunks_exact_mut(map.len());
-            for (src, dst) in channel.chunks_exact(self.w).zip(rows) {
-                map.deal(src, dst);
-            }
-        });
+        let len = map.len();
+        let chw = self.h * self.w;
+        for (ci, plane) in planes
+            .chunks_exact_mut((self.hp() * len).max(1))
+            .enumerate()
+        {
+            let (top, rest) = plane.split_at_mut(self.pad * len);
+            let (rows, bottom) = rest.split_at_mut(self.h * len);
+            top.fill(0.0);
+            bottom.fill(0.0);
+            map.deal(&image[ci * chw..][..chw], rows);
+            map.clear_margins(rows);
+        }
     }
 
     /// Adjoint of [`ConvGeom::split`]: copies the image pixels back out of
     /// one sample's planes (the padding is dropped).
     fn unsplit(&self, planes: &[f32], image: &mut [f32]) {
         let map = self.row_map();
-        self.for_each_channel(|ci, rows| {
-            let channel = &mut image[ci * self.h * self.w..][..self.h * self.w];
-            let rows = planes[rows].chunks_exact(map.len());
-            for (dst, src) in channel.chunks_exact_mut(self.w).zip(rows) {
-                map.collect(src, dst);
-            }
-        });
-    }
-
-    /// Calls `channel(ci, rows)` once per channel that has pixels: `rows`
-    /// is the plane range of the phase rows of its `h` image rows.
-    fn for_each_channel(&self, mut channel: impl FnMut(usize, std::ops::Range<usize>)) {
-        if self.h * self.w == 0 {
-            return;
-        }
-        let (hp, len) = (self.hp(), self.stride * self.wq());
-        for ci in 0..self.c {
-            let first = (ci * hp + self.pad) * len;
-            channel(ci, first..first + self.h * len);
+        let len = map.len();
+        let chw = self.h * self.w;
+        let planes = planes.chunks_exact((self.hp() * len).max(1));
+        for (plane, channel) in planes.zip(image.chunks_exact_mut(chw.max(1))) {
+            map.collect(&plane[self.pad * len..][..self.h * len], channel);
         }
     }
 
     /// How every image row maps onto its `stride` phase rows.
     fn row_map(&self) -> RowMap {
-        let (s, wq) = (self.stride, self.wq());
-        let lead = ((s - self.pad % s) % s).min(self.w);
-        let groups = (self.w - lead) / s;
         RowMap {
-            s,
-            wq,
-            lead,
-            groups,
-            rest: self.w - lead - groups * s,
-            q0: (self.pad + lead) / s,
-            head: self.pad % s * wq + self.pad / s,
+            s: self.stride,
+            wq: self.wq(),
+            phase0: self.pad % self.stride,
+            q0: self.pad / self.stride,
+            groups: self.w / self.stride,
+            rest: self.w % self.stride,
         }
     }
 
@@ -389,19 +413,20 @@ impl ConvGeom {
 
 /// The map between one image row and its `stride` phase rows (`wq` long
 /// each, one after the other), the same for every row of a [`ConvGeom`].
-/// The first `lead` pixels come before the first one that lands in phase
-/// 0: pixel `i` is element `head + i·wq`. Then `groups` whole groups of
-/// `stride` pixels deal one element to each phase — group `j` to element
-/// `q0 + j` of every phase row — and the `rest` (fewer than `stride`)
-/// pixels left over go to element `q0 + groups` of the first phase rows.
+/// Pixel `i = j·s + t` (`t < s`) is padded pixel `pad + i`: element
+/// `(pad + t) / s + j` of phase row `(pad + t) % s`. So the pixels of one
+/// offset `t` are one contiguous run of one phase row — `groups` elements,
+/// one more when `t < rest` — and each phase row holds exactly one such
+/// run; what lies around it is padding.
 struct RowMap {
     s: usize,
     wq: usize,
-    lead: usize,
+    /// `pad % s` and `pad / s`: the phase and element of pixel 0.
+    phase0: usize,
+    q0: usize,
+    /// `w / s` and `w % s`.
     groups: usize,
     rest: usize,
-    q0: usize,
-    head: usize,
 }
 
 impl RowMap {
@@ -410,75 +435,119 @@ impl RowMap {
         self.s * self.wq
     }
 
-    /// One image row into its phase rows. At stride 2 — every conv of the
-    /// paper's nets — the groups are a deinterleave of the row into two
-    /// runs; the general loop moves one phase's run at a time.
+    /// The run of pixel offset `t`: where its phase row starts, the run's
+    /// first element in that row, and its length.
     #[inline(always)]
-    fn deal(&self, src: &[f32], dst: &mut [f32]) {
-        let &RowMap {
-            s,
-            wq,
-            lead,
-            groups,
-            rest,
-            q0,
-            head,
-        } = self;
-        let (first, tail) = src.split_at(lead + groups * s);
-        let body = &first[lead..];
-        if s == 2 {
-            let (p0, p1) = dst.split_at_mut(wq);
-            let runs = p0[q0..].iter_mut().zip(&mut p1[q0..]);
-            for (px, (d0, d1)) in body.chunks_exact(2).zip(runs) {
-                (*d0, *d1) = (px[0], px[1]);
-            }
+    fn run(&self, t: usize) -> (usize, usize, usize) {
+        let (phase, first) = match self.phase0 + t {
+            p if p < self.s => (p, self.q0),
+            p => (p - self.s, self.q0 + 1),
+        };
+        let count = self.groups + usize::from(t < self.rest);
+        (phase * self.wq, first, count)
+    }
+
+    /// The image rows of one channel into their phase rows (`rows`, one
+    /// [`RowMap::len`] block per image row): the pixels only, see
+    /// [`RowMap::clear_margins`]. At stride 2 over rows of `2·G` pixels, `G`
+    /// a divisor of [`NR`] (every conv of the paper's nets), each row is a
+    /// fixed-length deinterleave into two runs.
+    fn deal(&self, channel: &[f32], rows: &mut [f32]) {
+        by_row_width!(self.pairs(),
+            G => self.deal_pairs::<G>(channel, rows),
+            _ => self.deal_runs(channel, rows))
+    }
+
+    /// `G` when every row is `G` pixel pairs at stride 2, otherwise 0 (no
+    /// fixed-length path).
+    fn pairs(&self) -> usize {
+        if self.s == 2 && self.rest == 0 {
+            self.groups
         } else {
-            for (ph, run) in dst.chunks_exact_mut(wq).enumerate() {
-                for (d, px) in run[q0..].iter_mut().zip(body.chunks_exact(s)) {
-                    *d = px[ph];
-                }
-            }
-        }
-        for (i, &v) in first[..lead].iter().enumerate() {
-            dst[head + i * wq] = v;
-        }
-        for (i, &v) in tail[..rest].iter().enumerate() {
-            dst[i * wq + q0 + groups] = v;
+            0
         }
     }
 
-    /// Inverse of [`RowMap::deal`]: one image row back out of its phase
-    /// rows (an interleave of two runs at stride 2).
-    #[inline(always)]
-    fn collect(&self, src: &[f32], dst: &mut [f32]) {
-        let &RowMap {
-            s,
-            wq,
-            lead,
-            groups,
-            rest,
-            q0,
-            head,
-        } = self;
-        let (first, tail) = dst.split_at_mut(lead + groups * s);
-        let (first, body) = first.split_at_mut(lead);
-        if s == 2 {
-            let runs = src[q0..wq].iter().zip(&src[wq + q0..]);
-            for (px, (&v0, &v1)) in body.chunks_exact_mut(2).zip(runs) {
-                (px[0], px[1]) = (v0, v1);
-            }
-        } else {
-            for (ph, run) in src.chunks_exact(wq).enumerate() {
-                for (px, &v) in body.chunks_exact_mut(s).zip(&run[q0..]) {
-                    px[ph] = v;
+    /// [`RowMap::deal`] one offset's run at a time, any stride.
+    fn deal_runs(&self, channel: &[f32], rows: &mut [f32]) {
+        let w = self.groups * self.s + self.rest;
+        for (y, dst) in rows.chunks_exact_mut(self.len()).enumerate() {
+            let src = &channel[y * w..][..w];
+            for t in 0..self.s {
+                let (row, first, count) = self.run(t);
+                let pixels = src.iter().skip(t).step_by(self.s);
+                for (d, &v) in dst[row + first..][..count].iter_mut().zip(pixels) {
+                    *d = v;
                 }
             }
         }
-        for (i, d) in first.iter_mut().enumerate() {
-            *d = src[head + i * wq];
+    }
+
+    /// [`RowMap::deal`] at stride 2 with `G` pixel pairs a row: the even
+    /// pixels form the run of offset 0, the odd ones that of offset 1.
+    fn deal_pairs<const G: usize>(&self, channel: &[f32], rows: &mut [f32]) {
+        let [(r0, e0, _), (r1, e1, _)] = [self.run(0), self.run(1)];
+        for (src, dst) in channel
+            .chunks_exact(2 * G)
+            .zip(rows.chunks_exact_mut(self.len()))
+        {
+            let px: &[[f32; 2]; G] = src.as_chunks().0.try_into().expect("G pairs");
+            let even: [f32; G] = std::array::from_fn(|j| px[j][0]);
+            let odd: [f32; G] = std::array::from_fn(|j| px[j][1]);
+            dst[r0 + e0..][..G].copy_from_slice(&even);
+            dst[r1 + e1..][..G].copy_from_slice(&odd);
         }
-        for (i, d) in tail[..rest].iter_mut().enumerate() {
-            *d = src[i * wq + q0 + groups];
+    }
+
+    /// Zeros what [`RowMap::deal`] leaves out of `rows`: in every phase row
+    /// the elements before and after its run — the same columns in each
+    /// image row, so each is written down all the rows at once.
+    fn clear_margins(&self, rows: &mut [f32]) {
+        for t in 0..self.s {
+            let (row, first, count) = self.run(t);
+            for col in (row..row + first).chain(row + first + count..row + self.wq) {
+                for v in rows.iter_mut().skip(col).step_by(self.len()) {
+                    *v = 0.0;
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`RowMap::deal`]: the image rows of one channel back out
+    /// of their phase rows (an interleave of two fixed-length runs at
+    /// stride 2).
+    fn collect(&self, rows: &[f32], channel: &mut [f32]) {
+        by_row_width!(self.pairs(),
+            G => self.collect_pairs::<G>(rows, channel),
+            _ => self.collect_runs(rows, channel))
+    }
+
+    /// [`RowMap::collect`] one offset's run at a time, any stride.
+    fn collect_runs(&self, rows: &[f32], channel: &mut [f32]) {
+        let w = self.groups * self.s + self.rest;
+        for (y, src) in rows.chunks_exact(self.len()).enumerate() {
+            let dst = &mut channel[y * w..][..w];
+            for t in 0..self.s {
+                let (row, first, count) = self.run(t);
+                let pixels = dst.iter_mut().skip(t).step_by(self.s);
+                for (d, &v) in pixels.zip(&src[row + first..][..count]) {
+                    *d = v;
+                }
+            }
+        }
+    }
+
+    /// [`RowMap::collect`] at stride 2 with `G` pixel pairs a row.
+    fn collect_pairs<const G: usize>(&self, rows: &[f32], channel: &mut [f32]) {
+        let [(r0, e0, _), (r1, e1, _)] = [self.run(0), self.run(1)];
+        for (src, dst) in rows
+            .chunks_exact(self.len())
+            .zip(channel.chunks_exact_mut(2 * G))
+        {
+            let even: &[f32; G] = src[r0 + e0..][..G].try_into().expect("G");
+            let odd: &[f32; G] = src[r1 + e1..][..G].try_into().expect("G");
+            let px: [[f32; 2]; G] = std::array::from_fn(|j| [even[j], odd[j]]);
+            dst.copy_from_slice(px.as_flattened());
         }
     }
 }
@@ -541,7 +610,6 @@ struct Im2colRhs<'a> {
 
 impl PackRhs for Im2colRhs<'_> {
     fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let (n, ow, oy_stride) = (self.g.ohw(), self.g.ow, self.g.oy_stride());
         // The panel's `kc` taps, shared by every sliver.
         let mut bases = [0usize; gemm::KC];
         let mut taps = self.g.taps_from(kb);
@@ -549,17 +617,52 @@ impl PackRhs for Im2colRhs<'_> {
             *base = taps.base();
             taps.advance();
         }
-        for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
-            debug_assert!(s < nc.div_ceil(NR));
+        let bases = &bases[..kc];
+        debug_assert_eq!(bp.len(), nc.div_ceil(NR) * NR * kc);
+        by_row_width!(self.g.ow,
+            OW => self.pack_rows::<OW>(bp, bases, jb),
+            _ => self.pack_runs(bp, bases, jb))
+    }
+}
+
+impl Im2colRhs<'_> {
+    /// The slivers of a panel when `OW` divides [`NR`]: a sliver starts on
+    /// an output row and is `NR / OW` whole rows (the last one of the
+    /// matrix possibly fewer), so every tap copies that many runs of
+    /// exactly `OW` values.
+    fn pack_rows<const OW: usize>(&self, bp: &mut [f32], bases: &[usize], jb: usize) {
+        let (n, oy_stride) = (self.g.ohw(), self.g.oy_stride());
+        for (s, sliver) in bp.chunks_exact_mut(bases.len() * NR).enumerate() {
+            let j0 = jb + s * NR;
+            // Whole rows: `n` and `j0` are multiples of `OW`.
+            let jw = NR.min(n - j0);
+            let first = j0 / OW * oy_stride;
+            for (dst, &base) in sliver.chunks_exact_mut(NR).zip(bases) {
+                let src = &self.planes[base + first..];
+                for (r, run) in dst[..jw].chunks_exact_mut(OW).enumerate() {
+                    run.copy_from_slice(&src[r * oy_stride..][..OW]);
+                }
+            }
+            if jw < NR {
+                for dst in sliver.chunks_exact_mut(NR) {
+                    dst[jw..].fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// The slivers of a panel for any `ow`: a sliver's positions one `oy`
+    /// row segment at a time, for every tap a straight copy of its run.
+    fn pack_runs(&self, bp: &mut [f32], bases: &[usize], jb: usize) {
+        let (n, ow, oy_stride) = (self.g.ohw(), self.g.ow, self.g.oy_stride());
+        for (s, sliver) in bp.chunks_exact_mut(bases.len() * NR).enumerate() {
             let j0 = jb + s * NR;
             let jw = NR.min(n - j0);
-            // The sliver's `jw` output positions, one `oy` row segment at a
-            // time: for every tap a straight copy of its run.
             let (mut jj, mut oy, mut ox) = (0, j0 / ow, j0 % ow);
             while jj < jw {
                 let seg = (ow - ox).min(jw - jj);
                 let run = oy * oy_stride + ox;
-                for (dst, &base) in sliver.chunks_exact_mut(NR).zip(&bases[..kc]) {
+                for (dst, &base) in sliver.chunks_exact_mut(NR).zip(bases) {
                     copy_run(&mut dst[jj..jj + seg], &self.planes[base + run..][..seg]);
                 }
                 jj += seg;
@@ -575,9 +678,9 @@ impl PackRhs for Im2colRhs<'_> {
     }
 }
 
-/// `dst.copy_from_slice(src)` for the short runs of the packers (one output
-/// row of a tap: 4 to 16 values at the paper's shapes), where a `memcpy`
-/// call costs more than the copy: four values at a time, then the rest.
+/// `dst.copy_from_slice(src)` for the short runs of the general packer (a
+/// segment of one output row of a tap), where a `memcpy` call costs more
+/// than the copy: four values at a time, then the rest.
 #[inline(always)]
 fn copy_run(dst: &mut [f32], src: &[f32]) {
     let mut d4 = dst.chunks_exact_mut(4);
@@ -618,12 +721,22 @@ fn add_run(dst: &mut [f32], src: &[f32]) {
 /// into a zeroed image. (Contributions col2im would drop land in the
 /// padding, which is never copied out.)
 fn scatter_tile(tile: &[f32], r0: usize, g: &ConvGeom, planes: &mut [f32]) {
-    let (ow, oy_stride) = (g.ow, g.oy_stride());
+    by_row_width!(g.ow,
+        OW => scatter_runs(tile, r0, g, planes, OW),
+        _ => scatter_runs(tile, r0, g, planes, g.ow))
+}
+
+/// [`scatter_tile`] with run width `ow` (`g.ow`, a constant where
+/// [`by_row_width!`] supplies one): each tap row is added into one slice of
+/// its planes, in `oh` runs of `ow` values.
+#[inline(always)]
+fn scatter_runs(tile: &[f32], r0: usize, g: &ConvGeom, planes: &mut [f32], ow: usize) {
+    let oy_stride = g.oy_stride();
     let mut taps = g.taps_from(r0);
     for trow in tile.chunks_exact(g.ohw()) {
-        let base = taps.base();
+        let dst = &mut planes[taps.base()..][..(g.oh - 1) * oy_stride + ow];
         for (oy, src) in trow.chunks_exact(ow).enumerate() {
-            add_run(&mut planes[base + oy * oy_stride..][..ow], src);
+            add_run(&mut dst[oy * oy_stride..][..ow], src);
         }
         taps.advance();
     }
@@ -654,17 +767,16 @@ impl ConvPlanes {
         Self::of(geom, b, input.data())
     }
 
-    /// One pass over a batch of `b` `(c, h, w)` images: freshly zeroed
-    /// planes, one [`ConvGeom::plane_len`] block per sample.
+    /// One pass over a batch of `b` `(c, h, w)` images, one
+    /// [`ConvGeom::plane_len`] block per sample. [`ConvGeom::split`] writes
+    /// every element, the padding's zeros included, so the buffer is drawn
+    /// as it comes and never zeroed as a whole.
     fn of(geom: ConvGeom, b: usize, images: &[f32]) -> Self {
         let chw = geom.c * geom.h * geom.w;
         assert_eq!(images.len(), b * chw, "conv planes: image batch size");
-        let mut buf = workspace::take_zeroed(b * geom.plane_len());
-        for (image, sample) in images
-            .chunks_exact(chw.max(1))
-            .zip(buf.chunks_exact_mut(geom.plane_len().max(1)))
-        {
-            geom.split(image, sample);
+        let mut buf = workspace::take_uninit(b * geom.plane_len());
+        for (bi, sample) in buf.chunks_exact_mut(geom.plane_len().max(1)).enumerate() {
+            geom.split(&images[bi * chw..][..chw], sample);
         }
         ConvPlanes { buf, b, geom }
     }
@@ -1576,6 +1688,36 @@ mod tests {
         crate::assert_close(gx1.data(), gx_ref.data(), 1e-5);
         crate::assert_close(gw.data(), gw_ref.scale(2.0).data(), 1e-4);
         crate::assert_close(gbias.data(), gb_ref.scale(2.0).data(), 1e-4);
+    }
+
+    /// `split` writes every element of the planes, padding included: laid
+    /// over NaNs they are bit for bit the planes laid over zeros — on the
+    /// fixed-length stride-2 rows and the general ones (strides 1 and 3,
+    /// odd widths, widths below the stride, pads that are not multiples of
+    /// the stride, no pixels at all).
+    #[test]
+    fn planes_overwrite_every_element_of_a_nan_buffer() {
+        let cases = [
+            (3, 32, 32, 3, 2, 1),
+            (2, 8, 8, 4, 2, 1),
+            (2, 6, 16, 5, 2, 2),
+            (2, 5, 7, 3, 2, 1),
+            (2, 4, 9, 3, 3, 2),
+            (2, 6, 5, 5, 1, 2),
+            (1, 2, 1, 3, 3, 4),
+            (2, 0, 4, 3, 2, 2),
+            (2, 3, 0, 3, 2, 2),
+        ];
+        for (c, h, w, k, s, p) in cases {
+            let g = ConvGeom::conv(c, h, w, k, k, s, p);
+            let image: Vec<f32> = (0..c * h * w).map(|i| i as f32 + 0.5).collect();
+            let mut zeroed = vec![0.0f32; g.plane_len()];
+            let mut nans = vec![f32::NAN; g.plane_len()];
+            g.split(&image, &mut zeroed);
+            g.split(&image, &mut nans);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&nans), bits(&zeroed), "{:?}", (c, h, w, k, s, p));
+        }
     }
 
     #[test]

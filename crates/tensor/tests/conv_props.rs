@@ -598,6 +598,18 @@ const CONV_EDGE_CASES: &[ConvCase] = &[
     (10, 3, 16, 32, 32, 3, 3, 2, 1),
     (10, 16, 32, 16, 16, 3, 3, 2, 1),
     (10, 32, 64, 8, 8, 3, 3, 2, 1),
+    // Run widths on both sides of the whole-row path (`ow` of 4, 8 or 16,
+    // or not): ow = 1 from an odd 3-wide image, ow = 2 from
+    // a 2-pair stride-2 row, ow = 32 from a 32-pair row; ow = 4 over only
+    // three output rows (a short last sliver), ow = 4 at stride 1, ow = 8
+    // at stride 3, and ow = 8 from 8-pair rows at an even pad.
+    (2, 2, 3, 5, 3, 3, 3, 2, 0),
+    (2, 3, 2, 7, 4, 3, 3, 2, 1),
+    (1, 2, 3, 5, 64, 3, 3, 2, 1),
+    (2, 2, 3, 6, 8, 3, 3, 2, 1),
+    (2, 2, 2, 4, 4, 3, 3, 1, 1),
+    (1, 2, 3, 9, 24, 3, 3, 3, 0),
+    (2, 2, 3, 8, 16, 5, 5, 2, 2),
 ];
 
 /// conv_transpose2d cases: `c` input channels, `o` output channels, `(h, w)`
@@ -613,6 +625,12 @@ const CONV_T_EDGE_CASES: &[ConvCase] = &[
     (10, 64, 32, 4, 4, 4, 4, 2, 1),
     (10, 32, 16, 8, 8, 4, 4, 2, 1),
     (10, 16, 3, 16, 16, 4, 4, 2, 1),
+    // Run widths 1, 2 and 32 (all run by run), and 16 at stride 1 (whole
+    // rows).
+    (2, 3, 2, 3, 1, 4, 4, 2, 1),
+    (2, 2, 3, 4, 2, 3, 3, 2, 0),
+    (1, 2, 2, 2, 32, 4, 4, 2, 1),
+    (1, 2, 2, 3, 16, 3, 3, 1, 1),
 ];
 
 fn check_conv2d_case(&(b, c, o, h, w, kh, kw, s, p): &ConvCase, seed: u64) {
