@@ -7,7 +7,7 @@ use md_nn::init::Init;
 use md_nn::layer::Layer;
 use md_nn::layers::{Conv2d, MinibatchDiscrimination};
 use md_tensor::ops::conv::{
-    conv2d_backward, conv2d_backward_need, conv2d_forward, conv_transpose2d_backward_need,
+    conv2d_backward, conv2d_backward_into, conv2d_forward, conv_transpose2d_backward_into,
     conv_transpose2d_forward,
 };
 use md_tensor::ops::Need;
@@ -100,9 +100,18 @@ fn bench_matmul_threads(c: &mut Criterion) {
     g.finish();
 }
 
-/// `conv2d_backward_need` / `conv_transpose2d_backward_need`.
-type BackwardNeed =
-    fn(&Tensor, &Tensor, &Tensor, usize, usize, Need, &mut Tensor, &mut Tensor) -> Option<Tensor>;
+/// `conv2d_backward_into` / `conv_transpose2d_backward_into`.
+type BackwardInto = fn(
+    &Tensor,
+    &Tensor,
+    &Tensor,
+    usize,
+    usize,
+    Need,
+    bool,
+    &mut Tensor,
+    &mut Tensor,
+) -> Option<Tensor>;
 
 fn bench_conv(c: &mut Criterion) {
     let mut g = c.benchmark_group("conv2d");
@@ -159,11 +168,11 @@ fn bench_conv(c: &mut Criterion) {
             let (forward, backward_need, w_shape) = if transposed {
                 let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor =
                     conv_transpose2d_forward;
-                let bwd: BackwardNeed = conv_transpose2d_backward_need;
+                let bwd: BackwardInto = conv_transpose2d_backward_into;
                 (fwd, bwd, [cin, cout, 4, 4])
             } else {
                 let fwd: fn(&Tensor, &Tensor, &Tensor, usize, usize) -> Tensor = conv2d_forward;
-                let bwd: BackwardNeed = conv2d_backward_need;
+                let bwd: BackwardInto = conv2d_backward_into;
                 (fwd, bwd, [cout, cin, 3, 3])
             };
             let x = Tensor::randn(&[batch, cin, side, side], &mut rng);
@@ -178,7 +187,7 @@ fn bench_conv(c: &mut Criterion) {
                 g.bench_function(format!("{prefix}_{name}_{mode}"), |bench| {
                     bench.iter(|| {
                         std::hint::black_box(backward_need(
-                            &x, &w, &gy, 2, 1, need, &mut gw, &mut gb,
+                            &x, &w, &gy, 2, 1, need, true, &mut gw, &mut gb,
                         ))
                     });
                 });

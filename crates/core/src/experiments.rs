@@ -377,11 +377,17 @@ fn drive_curve_resumable<G: Recoverable>(
 
     while (gan.iteration() as usize) < iters {
         let losses = gan.step_once();
-        let verdict = monitor.check_step(&losses, &gan.health_nets());
+        let mut verdict = monitor.check_step(&losses, &gan.health_nets());
+        let i = gan.iteration() as usize;
+        let persist = rec.every > 0 && i.is_multiple_of(rec.every);
+        if persist && !verdict.is_diverged() {
+            // Force a parameter scan so a silently poisoned state is never
+            // persisted as a rollback target.
+            verdict = monitor.check_now(&losses, &gan.health_nets());
+        }
         if verdict.is_diverged() {
-            let from = gan.iteration() as usize;
             telemetry.event(Event::NanDetected {
-                iter: from,
+                iter: i,
                 verdict: verdict.as_str(),
             });
             if rollbacks >= rec.max_rollbacks {
@@ -396,18 +402,17 @@ fn drive_curve_resumable<G: Recoverable>(
             }
             rollbacks += 1;
             telemetry.event(Event::Rollback {
-                iter: from,
+                iter: i,
                 to_iter: gan.iteration() as usize,
             });
             continue;
         }
 
-        let i = gan.iteration() as usize;
         if i.is_multiple_of(eval_every.max(1)) || i == iters {
             evaluator.score_point(gen_of(gan), i, telemetry, &mut timeline);
         }
 
-        if rec.every > 0 && i.is_multiple_of(rec.every) {
+        if persist {
             let ck = capture_curve_state(gan, evaluator, &timeline, label, curve_idx);
             // Only persisted state is a rollback target: rolling back to an
             // unpersisted iteration would diverge from a crash+resume replay.
@@ -1543,6 +1548,117 @@ mod tests {
         assert_eq!(tel.counter(md_telemetry::Counter::NanDetected), 3);
         assert_eq!(tel.counter(md_telemetry::Counter::Rollbacks), 2);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// FL-GAN reports no losses, so only a parameter scan sees a poisoned
+    /// worker, and the amortized scan runs every 16 steps. Poisoned one step
+    /// before the checkpoint at 5, the curve must roll back instead of
+    /// persisting the NaN, then replay into the uninterrupted curve.
+    #[test]
+    fn drive_curve_never_persists_a_poisoned_state() {
+        use crate::checkpoint::SectionData;
+        use std::cell::Cell;
+
+        struct PoisonOnce {
+            fl: FlGan,
+            at: Option<u64>,
+            non_finite_captures: Cell<usize>,
+        }
+        fn finite(ck: &Checkpoint) -> bool {
+            ck.section_names()
+                .all(|name| match ck.get_section(name).unwrap() {
+                    SectionData::F32(d) => d.iter().all(|x| x.is_finite()),
+                    SectionData::Bytes(b) if name.starts_with("worker_") => {
+                        finite(&Checkpoint::from_bytes(b).unwrap())
+                    }
+                    _ => true,
+                })
+        }
+        impl Recoverable for PoisonOnce {
+            fn iteration(&self) -> u64 {
+                self.fl.iteration()
+            }
+            fn capture(&self) -> Checkpoint {
+                let ck = self.fl.capture();
+                if !finite(&ck) {
+                    self.non_finite_captures
+                        .set(self.non_finite_captures.get() + 1);
+                }
+                ck
+            }
+            fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
+                Recoverable::restore(&mut self.fl, ck)
+            }
+            fn step_once(&mut self) -> Vec<f32> {
+                if self.at == Some(self.iteration()) {
+                    self.at = None;
+                    self.fl.poison();
+                }
+                self.fl.step_once()
+            }
+            fn health_nets(&self) -> Vec<&md_nn::layers::Sequential> {
+                self.fl.health_nets()
+            }
+            fn scale_lr(&mut self, factor: f32) {
+                self.fl.scale_lr(factor);
+            }
+        }
+
+        let scale = ExperimentScale {
+            iters: 10,
+            eval_every: 5,
+            train_n: 256,
+            test_n: 64,
+            eval_samples: 32,
+            ..ExperimentScale::quick()
+        };
+        let (train, test) = make_dataset(Family::MnistLike, &scale);
+        let spec = arch_for(Family::MnistLike, ArchKind::Mlp, scale.img);
+        let tel = Arc::new(Recorder::enabled());
+        let run = |poison_at: Option<u64>, tag: &str| {
+            let shards = train.shard_iid(2, &mut Rng64::seed_from_u64(3));
+            let cfg = FlGanConfig {
+                workers: 2,
+                epochs_per_round: 1.0,
+                hyper: GanHyper {
+                    batch: 4,
+                    ..GanHyper::default()
+                },
+                iterations: 10,
+                seed: 7,
+            };
+            let mut gan = PoisonOnce {
+                fl: FlGan::new(&spec, shards, cfg),
+                at: poison_at,
+                non_finite_captures: Cell::new(0),
+            };
+            let dir = fresh_dir(tag);
+            let rec = RecoveryConfig {
+                every: 5,
+                ..RecoveryConfig::new(&dir)
+            };
+            let mut ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+            let tl = drive_curve_resumable(
+                &mut gan,
+                |g: &mut PoisonOnce| &mut g.fl.server_gen,
+                "fl",
+                0,
+                None,
+                &mut ev,
+                10,
+                5,
+                &tel,
+                &rec,
+            )
+            .unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(gan.non_finite_captures.get(), 0, "{tag}: NaN persisted");
+            tl.to_jsonl("fl")
+        };
+        let clean = run(None, "poison-clean");
+        let poisoned = run(Some(4), "poison-once");
+        assert_eq!(tel.counter(md_telemetry::Counter::Rollbacks), 1);
+        assert_eq!(clean, poisoned);
     }
 
     #[test]

@@ -11,321 +11,95 @@ use crate::arch::ArchSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
 use crate::error::{ckerr, TrainError};
-use crate::eval::{Evaluator, ScoreTimeline};
-use crate::standalone::StandaloneGan;
+use crate::federation::{Federation, Mixing};
 use md_data::Dataset;
-use md_nn::gan::Generator;
-use md_nn::param::{average, param_bytes};
-use md_simnet::TrafficStats;
-use md_telemetry::{Counter, Event, Phase, Recorder, SpanKind, TraceCtx, Track};
-use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
+use md_nn::param::average;
+use md_simnet::ChurnPlan;
+use md_telemetry::TraceCtx;
 use md_tensor::rng::Rng64;
-use std::sync::Arc;
 
-/// The FL-GAN system: N workers plus the averaging server.
-pub struct FlGan {
-    workers: Vec<StandaloneGan>,
-    /// The server's copy of the averaged generator (scored in experiments).
-    pub server_gen: Generator,
-    server_disc_params: Vec<f32>,
-    cfg: FlGanConfig,
-    stats: TrafficStats,
-    round_interval: usize,
-    iter: usize,
-    rounds: usize,
-    telemetry: Arc<Recorder>,
+/// FedAvg: every worker uploads its `(G, D)` to the server (node 0), which
+/// averages each network and broadcasts the result back.
+pub struct FedAvg {
+    /// The server's averaged discriminator.
+    pub(crate) server_disc: Vec<f32>,
 }
 
-impl FlGan {
-    /// Builds N workers over the given shards.
-    ///
-    /// # Panics
-    /// Panics if `shards.len() != cfg.workers`.
-    pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: FlGanConfig) -> Self {
-        assert_eq!(shards.len(), cfg.workers, "one shard per worker required");
-        assert!(cfg.workers > 0, "FL-GAN needs at least one worker");
-        let mut master = Rng64::seed_from_u64(cfg.seed);
-        let shard_size = shards[0].len();
+/// The FL-GAN system: N workers plus the averaging server.
+pub type FlGan = Federation<FedAvg>;
 
-        // All workers start synchronized on the same model (the federated
-        // learning protocol synchronizes at the start of each round).
-        let mut init_rng = master.fork(0);
-        let server_gen = spec.build_generator(&mut init_rng);
-        let init_gen = server_gen.net.get_params_flat();
-        let init_disc = spec
-            .build_discriminator(&mut init_rng)
-            .net
-            .get_params_flat();
+impl Mixing for FedAvg {
+    const QUORUM: usize = 1;
+    const SERVER_STATE: bool = true;
 
-        let workers: Vec<StandaloneGan> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let mut wrng = master.fork(1 + i as u64);
-                let mut w = StandaloneGan::new(spec, shard, cfg.hyper, &mut wrng);
-                w.set_params(&init_gen, &init_disc);
-                w
-            })
-            .collect();
-
-        let round_interval = cfg.round_interval(shard_size);
-        let stats = TrafficStats::new(1 + cfg.workers);
-        FlGan {
-            workers,
-            server_gen,
-            server_disc_params: init_disc,
-            cfg,
-            stats,
-            round_interval,
-            iter: 0,
-            rounds: 0,
-            telemetry: Arc::new(Recorder::disabled()),
+    fn round(
+        fed: &mut FlGan,
+        alive: &[usize],
+        params: &[(Vec<f32>, Vec<f32>)],
+        ctx: TraceCtx,
+        tick: u64,
+    ) {
+        for (&slot, (g, d)) in alive.iter().zip(params) {
+            fed.carry(1 + slot, 0, g.len() + d.len(), ctx, tick);
         }
-    }
-
-    /// Attaches a telemetry recorder (the default is a disabled no-op one).
-    pub fn with_telemetry(mut self, recorder: Arc<Recorder>) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
-    /// The attached telemetry recorder.
-    pub fn telemetry(&self) -> &Arc<Recorder> {
-        &self.telemetry
-    }
-
-    /// The configuration this system was built with.
-    pub fn config(&self) -> &FlGanConfig {
-        &self.cfg
-    }
-
-    /// Local iterations between rounds (`m·E/b`).
-    pub fn round_interval(&self) -> usize {
-        self.round_interval
-    }
-
-    /// Completed federated-averaging rounds.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Local iterations performed (per worker).
-    pub fn iterations(&self) -> usize {
-        self.iter
-    }
-
-    /// Traffic snapshot.
-    pub fn traffic(&self) -> md_simnet::TrafficReport {
-        self.stats.report()
-    }
-
-    /// One local iteration on every worker; triggers a round when due.
-    pub fn step(&mut self) {
-        let tick = self.iter as u64;
-        let telemetry = Arc::clone(&self.telemetry);
-        let root = telemetry.trace_root(tick);
-        let rctx = root.ctx();
-        let span = telemetry.span_at(Phase::LocalTrain, Track::Server, rctx, tick);
-        // The local steps share nothing, so they run side by side.
-        parallel_for_each_mut(&mut self.workers, PAR_THRESHOLD, |i, w| {
-            w.step();
-            telemetry.worker_local_step(1 + i);
-        });
-        drop(span);
-        self.iter += 1;
-        self.telemetry.event(Event::IterDone {
-            iter: self.iter - 1,
-            alive: self.workers.len(),
-        });
-        if self.iter.is_multiple_of(self.round_interval) {
-            self.round(rctx, tick);
+        let gen = average(&params.iter().map(|(g, _)| g).collect::<Vec<_>>());
+        let disc = average(&params.iter().map(|(_, d)| d).collect::<Vec<_>>());
+        for &slot in alive {
+            fed.carry(0, 1 + slot, gen.len() + disc.len(), ctx, tick);
+            fed.workers[slot].set_params(&gen, &disc);
         }
+        fed.server_gen.net.set_params_flat(&gen);
+        fed.mixing.server_disc = disc;
+        fed.mixes += 1;
     }
 
-    /// One federated-averaging round: gather, average, broadcast.
-    fn round(&mut self, rctx: TraceCtx, tick: u64) {
-        let span = self
-            .telemetry
-            .span_at(Phase::Comm, Track::Server, rctx, tick);
-        let cctx = span.ctx();
-        let mut gens = Vec::with_capacity(self.workers.len());
-        let mut discs = Vec::with_capacity(self.workers.len());
-        for (i, w) in self.workers.iter().enumerate() {
-            let (g, d) = w.params();
-            // Worker -> server: θ + w parameters.
-            let bytes = param_bytes(g.len() + d.len());
-            self.stats.record(1 + i, 0, bytes);
-            self.telemetry.incr(Counter::MsgsSent, 1);
-            self.telemetry.incr(Counter::BytesSent, bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: 0,
-                    bytes,
-                    attempt: 1,
-                },
-                Track::Worker((1 + i) as u32),
-                cctx,
-                tick,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: (1 + i) as u32,
-                    bytes,
-                },
-                Track::Server,
-                TraceCtx {
-                    trace: cctx.trace,
-                    span: sent,
-                },
-                tick,
-            );
-            gens.push(g);
-            discs.push(d);
-        }
-        let avg_gen = average(&gens);
-        let avg_disc = average(&discs);
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            // Server -> worker: θ + w parameters.
-            let bytes = param_bytes(avg_gen.len() + avg_disc.len());
-            self.stats.record(0, 1 + i, bytes);
-            self.telemetry.incr(Counter::MsgsSent, 1);
-            self.telemetry.incr(Counter::BytesSent, bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: (1 + i) as u32,
-                    bytes,
-                    attempt: 1,
-                },
-                Track::Server,
-                cctx,
-                tick,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv { from: 0, bytes },
-                Track::Worker((1 + i) as u32),
-                TraceCtx {
-                    trace: cctx.trace,
-                    span: sent,
-                },
-                tick,
-            );
-            w.set_params(&avg_gen, &avg_disc);
-        }
-        self.server_gen.net.set_params_flat(&avg_gen);
-        self.server_disc_params = avg_disc;
-        self.rounds += 1;
-        drop(span);
-        self.telemetry.event(Event::RoundDone {
-            round: self.rounds - 1,
-        });
+    fn save(&self, ck: &mut Checkpoint) {
+        ck.push("server_disc", self.server_disc.clone());
     }
 
-    /// Runs `iters` local iterations, scoring the *server* generator every
-    /// `eval_every`.
-    pub fn train(
-        &mut self,
-        iters: usize,
-        eval_every: usize,
-        mut evaluator: Option<&mut Evaluator>,
-    ) -> ScoreTimeline {
-        let mut timeline = ScoreTimeline::new();
-        for i in 0..=iters {
-            if i > 0 {
-                self.step();
-            }
-            if let Some(ev) = evaluator.as_deref_mut() {
-                if i % eval_every.max(1) == 0 || i == iters {
-                    ev.score_point(
-                        &mut self.server_gen,
-                        self.iter,
-                        &self.telemetry,
-                        &mut timeline,
-                    );
-                }
-            }
-        }
-        timeline
-    }
-
-    /// Captures the full federated state: the server's averaged model,
-    /// every worker's complete local trainer (nested v2 checkpoint: params,
-    /// Adam moments, RNG positions), round counter and traffic counters.
-    pub fn checkpoint(&self) -> Checkpoint {
-        let mut ck = Checkpoint::new(self.iter as u64);
-        ck.push("server_gen", self.server_gen.net.get_params_flat());
-        ck.push("server_disc", self.server_disc_params.clone());
-        ck.push_u64("counters", vec![self.rounds as u64]);
-        ck.push_u64("traffic", self.stats.state_words());
-        for (i, w) in self.workers.iter().enumerate() {
-            ck.push_bytes(format!("worker_{i}"), w.checkpoint().to_bytes().to_vec());
-        }
-        ck
-    }
-
-    /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint).
-    /// Missing or length-mismatched sections are errors, not silent skips.
-    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let sg = ck
-            .require_len("server_gen", self.server_gen.num_params())
-            .map_err(ckerr)?;
+    fn load(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
         let sd = ck
-            .require_len("server_disc", self.server_disc_params.len())
+            .require_len("server_disc", self.server_disc.len())
             .map_err(ckerr)?;
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            let raw = ck.require_bytes(&format!("worker_{i}")).map_err(ckerr)?;
-            let inner = Checkpoint::from_bytes(raw)?;
-            w.restore(&inner)?;
-        }
-        self.server_gen.net.set_params_flat(sg);
-        self.server_disc_params = sd.to_vec();
-        let counters = ck.require_u64_len("counters", 1).map_err(ckerr)?;
-        self.rounds = counters[0] as usize;
-        self.stats
-            .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
-            .map_err(TrainError::Checkpoint)?;
-        self.iter = ck.iteration as usize;
+        self.server_disc = sd.to_vec();
         Ok(())
     }
 }
 
-impl crate::supervisor::Recoverable for FlGan {
-    fn iteration(&self) -> u64 {
-        self.iter as u64
-    }
-
-    fn capture(&self) -> Checkpoint {
-        self.checkpoint()
-    }
-
-    fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        FlGan::restore(self, ck)
-    }
-
-    fn step_once(&mut self) -> Vec<f32> {
-        self.step();
-        Vec::new()
-    }
-
-    fn health_nets(&self) -> Vec<&md_nn::layers::Sequential> {
-        let mut nets = vec![&self.server_gen.net];
-        for w in &self.workers {
-            nets.push(&w.gen.net);
-            nets.push(&w.disc.net);
+impl Federation<FedAvg> {
+    /// Builds N workers over the given shards, all starting from the
+    /// server's initial model (federated learning synchronizes at the
+    /// start of each round).
+    ///
+    /// # Panics
+    /// Panics if `shards.len() != cfg.workers`.
+    pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: FlGanConfig) -> Self {
+        let mut master = Rng64::seed_from_u64(cfg.seed);
+        let mut init_rng = master.fork(0);
+        let server_gen = spec.build_generator(&mut init_rng);
+        let server_disc = spec
+            .build_discriminator(&mut init_rng)
+            .net
+            .get_params_flat();
+        let mut fl = Federation::assemble(
+            spec,
+            shards,
+            cfg,
+            ChurnPlan::none(),
+            server_gen,
+            master,
+            |_| FedAvg { server_disc },
+        );
+        let gen = fl.server_gen.net.get_params_flat();
+        for w in &mut fl.workers {
+            w.set_params(&gen, &fl.mixing.server_disc);
         }
-        nets
+        fl
     }
 
-    fn scale_lr(&mut self, factor: f32) {
-        for w in &mut self.workers {
-            w.scale_lr(factor);
-        }
-    }
-
-    /// Poisons one worker's generator; the NaN propagates into the next
-    /// federated average, exercising cross-node divergence detection.
-    fn poison(&mut self) {
-        use md_nn::layer::Layer;
-        self.workers[0].gen.net.params_mut()[0].data_mut()[0] = f32::NAN;
+    /// Completed federated-averaging rounds.
+    pub fn rounds(&self) -> usize {
+        self.mixes as usize
     }
 }
 
@@ -335,6 +109,8 @@ mod tests {
     use crate::config::GanHyper;
     use md_data::synthetic::mnist_like;
     use md_nn::param::l2_distance;
+    use md_telemetry::{Counter, Event, Phase, Recorder};
+    use std::sync::Arc;
 
     fn tiny(workers: usize, batch: usize, n_per_shard: usize) -> FlGan {
         let data = mnist_like(12, workers * n_per_shard, 1, 0.08);
@@ -412,7 +188,7 @@ mod tests {
     #[test]
     fn traffic_matches_table_iii_per_round() {
         let mut fl = tiny(3, 4, 32);
-        let params = fl.server_gen.num_params() + fl.server_disc_params.len();
+        let params = fl.server_gen.num_params() + fl.mixing.server_disc.len();
         for _ in 0..fl.round_interval() {
             fl.step();
         }

@@ -18,36 +18,68 @@ use crate::arch::ArchSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
 use crate::error::{ckerr, TrainError};
-use crate::eval::{Evaluator, ScoreTimeline};
-use crate::standalone::StandaloneGan;
+use crate::federation::{Federation, Mixing};
 use md_data::Dataset;
 use md_nn::gan::Generator;
-use md_nn::param::{average, param_bytes};
-use md_simnet::{
-    ChurnEvent, ChurnKind, ChurnPlan, MemberStatus, Membership, TrafficReport, TrafficStats,
-};
-use md_telemetry::{Counter, Event, Phase, Recorder, SpanKind, TraceCtx, Track};
-use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
+use md_nn::param::average;
+use md_simnet::ChurnPlan;
+use md_telemetry::TraceCtx;
 use md_tensor::rng::Rng64;
-use std::sync::Arc;
 
-/// The decentralized gossip-GAN system.
-pub struct GossipGan {
-    workers: Vec<StandaloneGan>,
-    /// A scoring-only generator holding the current all-worker average.
-    observer_gen: Generator,
-    cfg: FlGanConfig,
-    churn: ChurnPlan,
-    membership: Membership,
-    stats: TrafficStats,
-    gossip_rng: Rng64,
-    round_interval: usize,
-    iter: usize,
-    exchanges: u64,
-    telemetry: Arc<Recorder>,
+/// Pairwise gossip averaging: each alive worker pushes its `(G, D)` to a
+/// random peer, which replaces its own pair with the average of the two.
+pub struct Gossip {
+    /// The pairing RNG: one derangement draw per round.
+    rng: Rng64,
 }
 
-impl GossipGan {
+/// The decentralized gossip-GAN system.
+pub type GossipGan = Federation<Gossip>;
+
+impl Mixing for Gossip {
+    const QUORUM: usize = 2;
+    const SERVER_STATE: bool = false;
+
+    /// Each worker picks a random peer (derangement, so everyone is in
+    /// exactly one directed exchange) and the pair averages both networks.
+    /// Each exchange moves `|w| + |θ|` floats. All exchanges use the
+    /// pre-round parameters (a synchronous gossip round, matching the
+    /// emulation methodology).
+    fn round(
+        fed: &mut GossipGan,
+        alive: &[usize],
+        params: &[(Vec<f32>, Vec<f32>)],
+        ctx: TraceCtx,
+        tick: u64,
+    ) {
+        // The derangement runs over *positions in the alive view*, so the
+        // pairing RNG consumes exactly one draw per round regardless of
+        // which slots the members occupy.
+        let perm = fed.mixing.rng.derangement(alive.len());
+        for (spos, &dpos) in perm.iter().enumerate() {
+            let (src, dst) = (alive[spos], alive[dpos]);
+            let ((sg, sd), (dg, dd)) = (&params[spos], &params[dpos]);
+            // src pushes to dst; dst's post state averages the two.
+            fed.carry(src + 1, dst + 1, sg.len() + sd.len(), ctx, tick);
+            fed.workers[dst].set_params(&average(&[sg, dg]), &average(&[sd, dd]));
+            fed.mixes += 1;
+        }
+    }
+
+    fn save(&self, ck: &mut Checkpoint) {
+        ck.push_u64("rng_gossip", self.rng.state_words().to_vec());
+    }
+
+    fn load(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
+        let words = ck
+            .require_u64_len("rng_gossip", Rng64::STATE_WORDS)
+            .map_err(ckerr)?;
+        self.rng = Rng64::from_state_words(std::array::from_fn(|i| words[i]));
+        Ok(())
+    }
+}
+
+impl Federation<Gossip> {
     /// Builds N independent local GANs (no initial synchronization — the
     /// gossip protocol has no coordinator to broadcast from).
     pub fn new(spec: &ArchSpec, shards: Vec<Dataset>, cfg: FlGanConfig) -> Self {
@@ -64,364 +96,24 @@ impl GossipGan {
         cfg: FlGanConfig,
         churn: ChurnPlan,
     ) -> Self {
-        let churn = ChurnPlan::from_events(cfg.workers, churn.events().to_vec())
-            .expect("invalid churn plan");
-        let total = churn.max_workers(cfg.workers);
-        assert_eq!(
-            shards.len(),
-            total,
-            "one shard per worker (including planned joiners) required"
-        );
-        assert!(cfg.workers > 0, "gossip GAN needs at least one worker");
         let mut master = Rng64::seed_from_u64(cfg.seed ^ 0x605517);
-        let shard_size = shards[0].len();
-        let mut obs_rng = master.fork(0);
-        let observer_gen = spec.build_generator(&mut obs_rng);
-        let workers: Vec<StandaloneGan> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let mut wrng = master.fork(1 + i as u64);
-                StandaloneGan::new(spec, shard, cfg.hyper, &mut wrng)
-            })
-            .collect();
-        let round_interval = cfg.round_interval(shard_size);
-        let stats = TrafficStats::new(1 + total);
-        let gossip_rng = master.fork(0x605);
-        let membership = Membership::new(cfg.workers, total);
-        GossipGan {
-            workers,
-            observer_gen,
-            cfg,
-            churn,
-            membership,
-            stats,
-            gossip_rng,
-            round_interval,
-            iter: 0,
-            exchanges: 0,
-            telemetry: Arc::new(Recorder::disabled()),
-        }
-    }
-
-    /// Attaches a telemetry recorder (the default is a disabled no-op one).
-    pub fn with_telemetry(mut self, recorder: Arc<Recorder>) -> Self {
-        self.telemetry = recorder;
-        self
-    }
-
-    /// The attached telemetry recorder.
-    pub fn telemetry(&self) -> &Arc<Recorder> {
-        &self.telemetry
-    }
-
-    /// The configuration this system was built with.
-    pub fn config(&self) -> &FlGanConfig {
-        &self.cfg
-    }
-
-    /// Local iterations between gossip rounds.
-    pub fn round_interval(&self) -> usize {
-        self.round_interval
+        let observer = spec.build_generator(&mut master.fork(0));
+        Federation::assemble(spec, shards, cfg, churn, observer, master, |master| {
+            Gossip {
+                rng: master.fork(0x605),
+            }
+        })
     }
 
     /// Pairwise parameter exchanges performed so far.
     pub fn exchanges(&self) -> u64 {
-        self.exchanges
+        self.mixes
     }
 
-    /// Local iterations performed (per worker).
-    pub fn iterations(&self) -> usize {
-        self.iter
-    }
-
-    /// Traffic snapshot (all of it is worker↔worker).
-    pub fn traffic(&self) -> TrafficReport {
-        self.stats.report()
-    }
-
-    /// The current membership view (epoch-numbered; all-alive when no
-    /// churn plan is attached).
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// The observer's averaged generator (refreshed lazily on evaluation).
-    /// Only currently-alive workers contribute: departed peers hold stale
-    /// parameters and pending joiners hold untrained ones.
+    /// The observer's averaged generator (refreshed on every call). Only
+    /// currently-alive workers contribute.
     pub fn observer_generator(&mut self) -> &mut Generator {
-        let gens: Vec<Vec<f32>> = self
-            .membership
-            .alive()
-            .into_iter()
-            .map(|s| self.workers[s].params().0)
-            .collect();
-        self.observer_gen.net.set_params_flat(&average(&gens));
-        &mut self.observer_gen
-    }
-
-    /// One local iteration on every alive worker; a gossip round when due.
-    /// Churn events scheduled for this iteration fire first (there is no
-    /// server to sequence them, so all kinds apply at the step boundary).
-    pub fn step(&mut self) {
-        let tick = self.iter as u64;
-        let telemetry = Arc::clone(&self.telemetry);
-        let root = telemetry.trace_root(tick);
-        let rctx = root.ctx();
-        let events: Vec<ChurnEvent> = self.churn.events_at(self.iter).copied().collect();
-        for ev in events {
-            self.apply_churn(ev);
-        }
-        let span = telemetry.span_at(Phase::LocalTrain, Track::Server, rctx, tick);
-        // The local steps share nothing, so the alive workers run side by
-        // side.
-        let mut alive: Vec<(usize, &mut StandaloneGan)> = self
-            .workers
-            .iter_mut()
-            .enumerate()
-            .filter(|(slot, _)| self.membership.is_alive(*slot))
-            .collect();
-        parallel_for_each_mut(&mut alive, PAR_THRESHOLD, |_, (slot, w)| {
-            w.step();
-            telemetry.worker_local_step(1 + *slot);
-        });
-        drop(span);
-        self.iter += 1;
-        self.telemetry.event(Event::IterDone {
-            iter: self.iter - 1,
-            alive: self.membership.alive_count(),
-        });
-        if self.iter.is_multiple_of(self.round_interval) {
-            self.gossip_round(rctx, tick);
-        }
-    }
-
-    /// Applies one membership transition. A joiner bootstraps by copying
-    /// both networks from its lowest-id alive peer — a real peer-to-peer
-    /// transfer charged at full parameter cost on the W→W link (gossip has
-    /// no server to hold a snapshot). With no alive peer the joiner keeps
-    /// its fresh deterministic initialization.
-    fn apply_churn(&mut self, ev: ChurnEvent) {
-        let slot = ev.worker - 1;
-        self.membership
-            .apply(&ev)
-            .expect("churn plan validated at construction");
-        match ev.kind {
-            ChurnKind::Crash => {
-                self.telemetry.event(Event::WorkerFault {
-                    iter: self.iter,
-                    worker: slot + 1,
-                });
-            }
-            ChurnKind::Join => {
-                self.telemetry.event(Event::WorkerJoined {
-                    iter: self.iter,
-                    worker: slot + 1,
-                });
-                if let Some(src) = self.membership.alive().into_iter().find(|&s| s != slot) {
-                    let (g, d) = self.workers[src].params();
-                    let bytes = param_bytes(g.len() + d.len());
-                    self.stats.record(src + 1, slot + 1, bytes);
-                    self.telemetry.incr(Counter::MsgsSent, 1);
-                    self.telemetry.incr(Counter::BytesSent, bytes);
-                    self.workers[slot].set_params(&g, &d);
-                    self.telemetry.event(Event::BootstrapDone {
-                        iter: self.iter,
-                        worker: slot + 1,
-                        bytes,
-                    });
-                }
-            }
-            ChurnKind::Leave => {
-                self.stats.retire(slot + 1);
-                self.telemetry.event(Event::WorkerLeft {
-                    iter: self.iter,
-                    worker: slot + 1,
-                });
-            }
-        }
-    }
-
-    /// Each worker picks a random peer (derangement, so everyone is in
-    /// exactly one directed exchange) and the pair averages both networks.
-    /// Each exchange moves `|w| + |θ|` floats in each direction.
-    fn gossip_round(&mut self, rctx: TraceCtx, tick: u64) {
-        let alive = self.membership.alive();
-        let n = alive.len();
-        if n < 2 {
-            return;
-        }
-        let span = self
-            .telemetry
-            .span_at(Phase::Comm, Track::Server, rctx, tick);
-        let cctx = span.ctx();
-        // The derangement runs over *positions in the alive view*, so the
-        // pairing RNG consumes exactly one draw per round regardless of
-        // which slots the members occupy (and is unchanged from the fixed-
-        // membership behaviour when no churn plan is attached).
-        let perm = self.gossip_rng.derangement(n);
-        // Snapshot first: all exchanges use pre-round parameters (a
-        // synchronous gossip round, matching the emulation methodology).
-        let params: Vec<(Vec<f32>, Vec<f32>)> =
-            alive.iter().map(|&s| self.workers[s].params()).collect();
-        for (spos, &dpos) in perm.iter().enumerate() {
-            let (src, dst) = (alive[spos], alive[dpos]);
-            let (sg, sd) = &params[spos];
-            let (dg, dd) = &params[dpos];
-            // src pushes to dst; dst's post state averages the two.
-            let bytes = param_bytes(sg.len() + sd.len());
-            self.stats.record(src + 1, dst + 1, bytes);
-            self.telemetry.incr(Counter::MsgsSent, 1);
-            self.telemetry.incr(Counter::BytesSent, bytes);
-            let sent = self.telemetry.trace_instant(
-                SpanKind::Send {
-                    to: (dst + 1) as u32,
-                    bytes,
-                    attempt: 1,
-                },
-                Track::Worker((src + 1) as u32),
-                cctx,
-                tick,
-            );
-            self.telemetry.trace_instant(
-                SpanKind::Recv {
-                    from: (src + 1) as u32,
-                    bytes,
-                },
-                Track::Worker((dst + 1) as u32),
-                TraceCtx {
-                    trace: cctx.trace,
-                    span: sent,
-                },
-                tick,
-            );
-            let new_gen = average(&[sg.clone(), dg.clone()]);
-            let new_disc = average(&[sd.clone(), dd.clone()]);
-            self.workers[dst].set_params(&new_gen, &new_disc);
-            self.exchanges += 1;
-        }
-        drop(span);
-        self.telemetry.event(Event::RoundDone {
-            round: (self.iter / self.round_interval) - 1,
-        });
-    }
-
-    /// Runs `iters` local iterations, scoring the averaged observer
-    /// generator every `eval_every`.
-    pub fn train(
-        &mut self,
-        iters: usize,
-        eval_every: usize,
-        mut evaluator: Option<&mut Evaluator>,
-    ) -> ScoreTimeline {
-        let telemetry = Arc::clone(&self.telemetry);
-        let mut timeline = ScoreTimeline::new();
-        for i in 0..=iters {
-            if i > 0 {
-                self.step();
-            }
-            if let Some(ev) = evaluator.as_deref_mut() {
-                if i % eval_every.max(1) == 0 || i == iters {
-                    let at = self.iter;
-                    ev.score_point(self.observer_generator(), at, &telemetry, &mut timeline);
-                }
-            }
-        }
-        timeline
-    }
-
-    /// Captures the full decentralized state: every worker's complete
-    /// local trainer (nested v2 checkpoint), the gossip pairing RNG,
-    /// exchange counter and traffic counters. The observer generator is
-    /// derived (it is recomputed on every evaluation) and not stored.
-    pub fn checkpoint(&self) -> Checkpoint {
-        let mut ck = Checkpoint::new(self.iter as u64);
-        ck.push_u64("rng_gossip", self.gossip_rng.state_words().to_vec());
-        ck.push_u64("counters", vec![self.exchanges]);
-        ck.push_u64("traffic", self.stats.state_words());
-        if !self.churn.is_none() {
-            // Membership only exists as a section when a churn plan is
-            // attached, keeping churn-free checkpoints byte-identical to
-            // the pre-elastic format.
-            ck.push_u64("membership", self.membership.state_words());
-        }
-        for (i, w) in self.workers.iter().enumerate() {
-            ck.push_bytes(format!("worker_{i}"), w.checkpoint().to_bytes().to_vec());
-        }
-        ck
-    }
-
-    /// Restores a checkpoint taken by [`checkpoint`](Self::checkpoint).
-    /// Missing or length-mismatched sections are errors, not silent skips.
-    pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        for (i, w) in self.workers.iter_mut().enumerate() {
-            let raw = ck.require_bytes(&format!("worker_{i}")).map_err(ckerr)?;
-            let inner = Checkpoint::from_bytes(raw)?;
-            w.restore(&inner)?;
-        }
-        let words = ck
-            .require_u64_len("rng_gossip", Rng64::STATE_WORDS)
-            .map_err(ckerr)?;
-        self.gossip_rng = Rng64::from_state_words(std::array::from_fn(|i| words[i]));
-        let counters = ck.require_u64_len("counters", 1).map_err(ckerr)?;
-        self.exchanges = counters[0];
-        self.stats
-            .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
-            .map_err(TrainError::Checkpoint)?;
-        if !self.churn.is_none() {
-            self.membership
-                .load_state_words(ck.require_u64("membership").map_err(ckerr)?)
-                .map_err(TrainError::Checkpoint)?;
-            // Traffic retirement is derived state: re-freeze departed slots.
-            for slot in 0..self.workers.len() {
-                if self.membership.status(slot) == MemberStatus::Left {
-                    self.stats.retire(slot + 1);
-                }
-            }
-        }
-        self.iter = ck.iteration as usize;
-        Ok(())
-    }
-}
-
-impl crate::supervisor::Recoverable for GossipGan {
-    fn iteration(&self) -> u64 {
-        self.iter as u64
-    }
-
-    fn capture(&self) -> Checkpoint {
-        self.checkpoint()
-    }
-
-    fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        GossipGan::restore(self, ck)
-    }
-
-    fn step_once(&mut self) -> Vec<f32> {
-        self.step();
-        Vec::new()
-    }
-
-    fn health_nets(&self) -> Vec<&md_nn::layers::Sequential> {
-        let mut nets = Vec::with_capacity(2 * self.workers.len());
-        for w in &self.workers {
-            nets.push(&w.gen.net);
-            nets.push(&w.disc.net);
-        }
-        nets
-    }
-
-    fn scale_lr(&mut self, factor: f32) {
-        for w in &mut self.workers {
-            w.scale_lr(factor);
-        }
-    }
-
-    /// Poisons one worker's generator; gossip averaging spreads the NaN,
-    /// exercising cross-node divergence detection.
-    fn poison(&mut self) {
-        use md_nn::layer::Layer;
-        self.workers[0].gen.net.params_mut()[0].data_mut()[0] = f32::NAN;
+        self.scored_generator()
     }
 }
 
@@ -430,8 +122,10 @@ mod tests {
     use super::*;
     use crate::config::GanHyper;
     use md_data::synthetic::mnist_like;
-    use md_nn::param::l2_distance;
-    use md_simnet::LinkClass;
+    use md_nn::param::{l2_distance, param_bytes};
+    use md_simnet::{ChurnEvent, ChurnKind, LinkClass};
+    use md_telemetry::{Counter, Event, Phase, Recorder};
+    use std::sync::Arc;
 
     fn tiny(workers: usize) -> GossipGan {
         let data = mnist_like(12, workers * 32, 1, 0.08);

@@ -16,6 +16,8 @@
 //!   update) and the workers' discriminator-learning procedure (L local
 //!   steps, error feedback `F_n`, gossip swap), in both a deterministic
 //!   sequential runtime and a thread-per-node runtime over `md-simnet`,
+//! * [`federation`] — N local GANs plus periodic averaging, written once
+//!   for the two averaging baselines below,
 //! * [`flgan`] — the paper's adaptation of federated learning to GANs
 //!   (each worker trains a full GAN; the server averages G and D every E
 //!   epochs),
@@ -41,6 +43,7 @@ pub mod defense;
 pub mod error;
 pub mod eval;
 pub mod experiments;
+pub mod federation;
 pub mod flgan;
 pub mod gossip;
 pub mod mdgan;

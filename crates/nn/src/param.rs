@@ -4,15 +4,18 @@
 //! round; these helpers implement that, plus the byte accounting used by
 //! the communication-cost experiments (Tables III/IV, Figure 2).
 
-/// Elementwise mean of several equally-long parameter vectors (FedAvg).
+/// Elementwise mean of several equally-long parameter vectors (FedAvg),
+/// summed in input order then scaled by `1/n`. Takes owned vectors or
+/// borrowed slices alike, so averaging a pair clones nothing.
 ///
 /// # Panics
 /// Panics on an empty input or mismatched lengths.
-pub fn average(vecs: &[Vec<f32>]) -> Vec<f32> {
+pub fn average<V: AsRef<[f32]>>(vecs: &[V]) -> Vec<f32> {
     assert!(!vecs.is_empty(), "average of zero parameter vectors");
-    let n = vecs[0].len();
+    let n = vecs[0].as_ref().len();
     let mut out = vec![0.0f32; n];
     for v in vecs {
+        let v = v.as_ref();
         assert_eq!(v.len(), n, "parameter vector length mismatch");
         for (o, &x) in out.iter_mut().zip(v) {
             *o += x;
@@ -21,25 +24,6 @@ pub fn average(vecs: &[Vec<f32>]) -> Vec<f32> {
     let inv = 1.0 / vecs.len() as f32;
     for o in &mut out {
         *o *= inv;
-    }
-    out
-}
-
-/// Weighted elementwise mean; weights need not sum to 1 (they are
-/// normalized). Used when worker shard sizes differ.
-pub fn weighted_average(vecs: &[Vec<f32>], weights: &[f32]) -> Vec<f32> {
-    assert_eq!(vecs.len(), weights.len(), "weights/vectors count mismatch");
-    assert!(!vecs.is_empty(), "weighted average of zero vectors");
-    let wsum: f32 = weights.iter().sum();
-    assert!(wsum > 0.0, "weights must sum to a positive value");
-    let n = vecs[0].len();
-    let mut out = vec![0.0f32; n];
-    for (v, &w) in vecs.iter().zip(weights) {
-        assert_eq!(v.len(), n, "parameter vector length mismatch");
-        let w = w / wsum;
-        for (o, &x) in out.iter_mut().zip(v) {
-            *o += w * x;
-        }
     }
     out
 }
@@ -86,20 +70,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn average_rejects_ragged_input() {
         average(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn weighted_average_normalizes() {
-        let a = vec![0.0, 0.0];
-        let b = vec![4.0, 8.0];
-        // weights 1:3 -> 0.75*b
-        assert_eq!(weighted_average(&[a, b], &[1.0, 3.0]), vec![3.0, 6.0]);
-    }
-
-    #[test]
-    fn weighted_equal_weights_matches_average() {
-        let vs = [vec![1.0, 5.0], vec![3.0, 7.0]];
-        assert_eq!(weighted_average(&vs, &[2.0, 2.0]), average(&vs));
     }
 
     #[test]

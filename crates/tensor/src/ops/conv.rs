@@ -907,69 +907,19 @@ pub fn conv2d_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let mut grad_weight = Tensor::zeros(weight.shape());
     let mut grad_bias = Tensor::zeros(&[weight.shape()[0]]);
-    let grad_input = conv2d_backward_acc(
-        input,
-        weight,
-        grad_out,
-        stride,
-        pad,
-        &mut grad_weight,
-        &mut grad_bias,
-    );
-    (grad_input, grad_weight, grad_bias)
-}
-
-/// As [`conv2d_backward`], but **accumulates** the weight and bias gradients
-/// into caller-owned tensors (`grad_weight += …`, `grad_bias += …`) and
-/// returns only the freshly allocated input gradient:
-/// [`conv2d_backward_need`] with [`Need::All`].
-pub fn conv2d_backward_acc(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    stride: usize,
-    pad: usize,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut Tensor,
-) -> Tensor {
-    conv2d_backward_need(
+    let grad_input = conv2d_backward_into(
         input,
         weight,
         grad_out,
         stride,
         pad,
         Need::All,
-        grad_weight,
-        grad_bias,
-    )
-    .expect("Need::All produces an input gradient")
-}
-
-/// The conv2d gradient, computing only what `need` names and
-/// **accumulating** the weight/bias gradients: [`conv2d_backward_into`]
-/// with `acc = true`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv2d_backward_need(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    stride: usize,
-    pad: usize,
-    need: Need,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut Tensor,
-) -> Option<Tensor> {
-    conv2d_backward_into(
-        input,
-        weight,
-        grad_out,
-        stride,
-        pad,
-        need,
         true,
-        grad_weight,
-        grad_bias,
+        &mut grad_weight,
+        &mut grad_bias,
     )
+    .expect("Need::All produces an input gradient");
+    (grad_input, grad_weight, grad_bias)
 }
 
 /// The conv2d gradient, computing only what `need` names.
@@ -1179,68 +1129,19 @@ pub fn conv_transpose2d_backward(
 ) -> (Tensor, Tensor, Tensor) {
     let mut grad_weight = Tensor::zeros(weight.shape());
     let mut grad_bias = Tensor::zeros(&[weight.shape()[1]]);
-    let grad_input = conv_transpose2d_backward_acc(
-        input,
-        weight,
-        grad_out,
-        stride,
-        pad,
-        &mut grad_weight,
-        &mut grad_bias,
-    );
-    (grad_input, grad_weight, grad_bias)
-}
-
-/// As [`conv_transpose2d_backward`], but **accumulates** the weight and bias
-/// gradients into caller-owned tensors and returns only the input gradient:
-/// [`conv_transpose2d_backward_need`] with [`Need::All`].
-pub fn conv_transpose2d_backward_acc(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    stride: usize,
-    pad: usize,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut Tensor,
-) -> Tensor {
-    conv_transpose2d_backward_need(
+    let grad_input = conv_transpose2d_backward_into(
         input,
         weight,
         grad_out,
         stride,
         pad,
         Need::All,
-        grad_weight,
-        grad_bias,
-    )
-    .expect("Need::All produces an input gradient")
-}
-
-/// The transposed-convolution gradient, computing only what `need` names
-/// and **accumulating** the weight/bias gradients:
-/// [`conv_transpose2d_backward_into`] with `acc = true`.
-#[allow(clippy::too_many_arguments)]
-pub fn conv_transpose2d_backward_need(
-    input: &Tensor,
-    weight: &Tensor,
-    grad_out: &Tensor,
-    stride: usize,
-    pad: usize,
-    need: Need,
-    grad_weight: &mut Tensor,
-    grad_bias: &mut Tensor,
-) -> Option<Tensor> {
-    conv_transpose2d_backward_into(
-        input,
-        weight,
-        grad_out,
-        stride,
-        pad,
-        need,
         true,
-        grad_weight,
-        grad_bias,
+        &mut grad_weight,
+        &mut grad_bias,
     )
+    .expect("Need::All produces an input gradient");
+    (grad_input, grad_weight, grad_bias)
 }
 
 /// The transposed-convolution gradient, computing only what `need` names —
@@ -1683,8 +1584,11 @@ mod tests {
         // Accumulating twice into non-zero grads equals 2x the fresh result.
         let mut gw = Tensor::zeros(wt.shape());
         let mut gbias = Tensor::zeros(&[3]);
-        let gx1 = conv2d_backward_acc(&x, &wt, &g, 2, 1, &mut gw, &mut gbias);
-        let _ = conv2d_backward_acc(&x, &wt, &g, 2, 1, &mut gw, &mut gbias);
+        let mut acc = || {
+            conv2d_backward_into(&x, &wt, &g, 2, 1, Need::All, true, &mut gw, &mut gbias).unwrap()
+        };
+        let gx1 = acc();
+        let _ = acc();
         crate::assert_close(gx1.data(), gx_ref.data(), 1e-5);
         crate::assert_close(gw.data(), gw_ref.scale(2.0).data(), 1e-4);
         crate::assert_close(gbias.data(), gb_ref.scale(2.0).data(), 1e-4);

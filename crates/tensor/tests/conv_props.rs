@@ -11,8 +11,8 @@
 //! materialized pipeline bit for bit.
 
 use md_tensor::ops::conv::{
-    col2im, conv2d_backward, conv2d_backward_need, conv2d_forward, conv_out_dim,
-    conv_transpose2d_backward, conv_transpose2d_backward_need, conv_transpose2d_forward,
+    col2im, conv2d_backward, conv2d_backward_into, conv2d_forward, conv_out_dim,
+    conv_transpose2d_backward, conv_transpose2d_backward_into, conv_transpose2d_forward,
     conv_transpose_out_dim, im2col,
 };
 use md_tensor::ops::matmul::{matmul_into, matmul_nt_acc_into};
@@ -376,7 +376,7 @@ proptest! {
         let ow = conv_out_dim(w, kw, s, p);
         let g = filled(&[b, o, oh, ow], seed ^ 0x33);
         assert_needs_project_the_full_pass(
-            |need, gw, gb| conv2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+            |need, gw, gb| conv2d_backward_into(&x, &wt, &g, s, p, need, true, gw, gb),
             wt.shape(),
             o,
             "conv2d",
@@ -406,7 +406,7 @@ proptest! {
         let ow = conv_transpose_out_dim(w, kw, s, p);
         let g = filled(&[b, cout, oh, ow], seed ^ 0x66);
         assert_needs_project_the_full_pass(
-            |need, gw, gb| conv_transpose2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+            |need, gw, gb| conv_transpose2d_backward_into(&x, &wt, &g, s, p, need, true, gw, gb),
             wt.shape(),
             cout,
             "conv_t",
@@ -440,13 +440,13 @@ fn need_projections_hold_across_thread_counts() {
     for threads in [1, 2, 3] {
         let _guard = scoped_max_threads(threads);
         assert_needs_project_the_full_pass(
-            |need, gw, gb| conv2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+            |need, gw, gb| conv2d_backward_into(&x, &wt, &g, s, p, need, true, gw, gb),
             wt.shape(),
             o,
             "conv2d",
         );
         assert_needs_project_the_full_pass(
-            |need, gw, gb| conv_transpose2d_backward_need(&xt, &wtt, &gt, s, p, need, gw, gb),
+            |need, gw, gb| conv_transpose2d_backward_into(&xt, &wtt, &gt, s, p, need, true, gw, gb),
             wtt.shape(),
             c,
             "conv_t",
@@ -649,7 +649,7 @@ fn check_conv2d_case(&(b, c, o, h, w, kh, kw, s, p): &ConvCase, seed: u64) {
     );
     let g = filled(got.shape(), seed ^ 0x33);
     assert_needs_match_reference(
-        |need, gw, gb| conv2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+        |need, gw, gb| conv2d_backward_into(&x, &wt, &g, s, p, need, true, gw, gb),
         |gw, gb| conv_ref_backward_from(&x, &wt, &g, s, p, gw, gb),
         wt.shape(),
         o,
@@ -667,7 +667,7 @@ fn check_conv_t_case(&(b, cin, cout, h, w, kh, kw, s, p): &ConvCase, seed: u64) 
     assert_bits_eq(&got, &want, &format!("{what} forward"));
     let g = filled(got.shape(), seed ^ 0x66);
     assert_needs_match_reference(
-        |need, gw, gb| conv_transpose2d_backward_need(&x, &wt, &g, s, p, need, gw, gb),
+        |need, gw, gb| conv_transpose2d_backward_into(&x, &wt, &g, s, p, need, true, gw, gb),
         |gw, gb| conv_t_ref_backward_from(&x, &wt, &g, s, p, gw, gb),
         wt.shape(),
         cout,
@@ -696,10 +696,7 @@ fn edge_shapes_match_materialized_bitwise_at_every_width() {
 // reads its taps from them (`ops/conv/wgrad.rs`).
 // ---------------------------------------------------------------------------
 
-use md_tensor::ops::conv::{
-    conv2d_backward_into, conv2d_backward_planes, conv2d_forward_planes,
-    conv_transpose2d_backward_into, ConvPlanes,
-};
+use md_tensor::ops::conv::{conv2d_backward_planes, conv2d_forward_planes, ConvPlanes};
 
 /// The planes hold the activation exactly (`unsplit(split(x)) == x`) and
 /// every column-matrix element read back from them is the one `im2col`
