@@ -12,7 +12,8 @@
 //! slivers of `gwᵀ`, the vector lanes run over the channels of `A`, and
 //! the tap values are **broadcast as scalars straight from the planes**
 //! ([`super::Taps::base`]` + sample·plane_len + oy·oy_stride + ox`). What
-//! is copied is the small side, in 16x16 block transposes:
+//! is copied is the small side, in 16x16 block transposes (the GEMM
+//! packers' [`transpose`]):
 //!
 //! * `Aᵀ`, once, as `[k][LANES]` slivers;
 //! * `gw` itself, into a `(ckk, m)` scratch whose rows the tiles load and
@@ -32,6 +33,7 @@
 //! `TENSOR_THREADS`.
 
 use super::ConvPlanes;
+use crate::ops::gemm::transpose::transpose;
 use crate::parallel;
 use crate::workspace;
 use std::ops::Range;
@@ -138,92 +140,6 @@ fn pack_sliver(a: &[f32], m: usize, n: usize, s: usize, k0: usize, dst: &mut [f3
         let src = &a[(bi * m + c0) * n + pos..];
         transpose(src, n, lanes, seg, &mut dst[(k - k0) * LANES..], LANES);
         k += seg;
-    }
-}
-
-/// `dst[c·ds + r] = src[r·ss + c]` for `r < rows`, `c < cols`: whole
-/// [`LANES`]-square blocks through [`transpose_block`], ragged edges
-/// element by element.
-fn transpose(src: &[f32], ss: usize, rows: usize, cols: usize, dst: &mut [f32], ds: usize) {
-    for c0 in (0..cols).step_by(LANES) {
-        for r0 in (0..rows).step_by(LANES) {
-            let (rw, cw) = (LANES.min(rows - r0), LANES.min(cols - c0));
-            let (src, dst) = (&src[r0 * ss + c0..], &mut dst[c0 * ds + r0..]);
-            if (rw, cw) == (LANES, LANES) {
-                transpose_block(src, ss, dst, ds);
-            } else {
-                for c in 0..cw {
-                    for r in 0..rw {
-                        dst[c * ds + r] = src[r * ss + c];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// One [`LANES`]-square block: `dst[c·ds + r] = src[r·ss + c]`. Portable
-/// version; the AVX-512 build replaces it with an in-register twin.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-#[inline(always)]
-fn transpose_block(src: &[f32], ss: usize, dst: &mut [f32], ds: usize) {
-    let mut blk = [[0.0f32; LANES]; LANES];
-    for (r, row) in blk.iter_mut().enumerate() {
-        row.copy_from_slice(&src[r * ss..][..LANES]);
-    }
-    for c in 0..LANES {
-        for (o, row) in dst[c * ds..][..LANES].iter_mut().zip(&blk) {
-            *o = row[c];
-        }
-    }
-}
-
-/// AVX-512 twin of the block transpose: sixteen row loads, four rounds of
-/// sixteen shuffles (32-bit and 64-bit interleaves inside the 128-bit
-/// lanes, then two rounds of lane shuffles), sixteen row stores.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-#[inline(always)]
-fn transpose_block(src: &[f32], ss: usize, dst: &mut [f32], ds: usize) {
-    use std::arch::x86_64::*;
-    use std::array::from_fn;
-    assert!(src.len() >= (LANES - 1) * ss + LANES && dst.len() >= (LANES - 1) * ds + LANES);
-    // SAFETY: row `i < LANES` is the `LANES` elements from `i·ss` of `src`
-    // (read) and from `i·ds` of `dst` (written), inside the slices by the
-    // assert above. AVX-512F is compile-time required by the cfg gate.
-    unsafe {
-        let r: [__m512; LANES] = from_fn(|i| _mm512_loadu_ps(src.as_ptr().add(i * ss)));
-        // Rows (i, i+1) interleaved: t[i] holds columns 0 1 | 4 5 | 8 9 |
-        // 12 13 of both, t[i+1] columns 2 3 | 6 7 | 10 11 | 14 15.
-        let t: [__m512; LANES] = from_fn(|i| match i % 2 {
-            0 => _mm512_unpacklo_ps(r[i], r[i + 1]),
-            _ => _mm512_unpackhi_ps(r[i - 1], r[i]),
-        });
-        // Row quads: u[4g + j] holds column j | j+4 | j+8 | j+12 of rows
-        // 4g..4g+4.
-        let u: [__m512; LANES] = from_fn(|i| {
-            let (x, y) = (i / 4 * 4 + i % 4 / 2, i / 4 * 4 + 2 + i % 4 / 2);
-            let (x, y) = (_mm512_castps_pd(t[x]), _mm512_castps_pd(t[y]));
-            _mm512_castpd_ps(match i % 2 {
-                0 => _mm512_unpacklo_pd(x, y),
-                _ => _mm512_unpackhi_pd(x, y),
-            })
-        });
-        // Row octets: v[8g + j] holds columns j%4 + (0 | 8) (j < 4) or
-        // j%4 + (4 | 12) of rows 8g..8g+8.
-        let v: [__m512; LANES] = from_fn(|i| {
-            let (x, y) = (u[i / 8 * 8 + i % 4], u[i / 8 * 8 + 4 + i % 4]);
-            match i % 8 / 4 {
-                0 => _mm512_shuffle_f32x4::<0x88>(x, y),
-                _ => _mm512_shuffle_f32x4::<0xdd>(x, y),
-            }
-        });
-        for c in 0..LANES {
-            let col = match c / 8 {
-                0 => _mm512_shuffle_f32x4::<0x88>(v[c % 8], v[8 + c % 8]),
-                _ => _mm512_shuffle_f32x4::<0xdd>(v[c % 8], v[8 + c % 8]),
-            };
-            _mm512_storeu_ps(dst.as_mut_ptr().add(c * ds), col);
-        }
     }
 }
 

@@ -24,9 +24,11 @@
 //!   batched forward) fan out even when there are few row blocks;
 //! * the shared `k` dimension is cut into panels of [`KC`] — the packed
 //!   A panel (`MC x KC`, 32 KiB) stays L1/L2-resident while it is reused
-//!   across the whole `n` extent;
-//! * the packed B panel (`KC x NC`, 256 KiB) stays L2-resident while every
-//!   row of the A panels streams over it.
+//!   across the whole `n` extent, one `MR x KC` micro-panel (8 KiB on
+//!   AVX-512) per register tile;
+//! * the packed B panel (`KC x NC`, 240 KiB) stays L2-resident while every
+//!   row of the A panels streams over it; a column of register tiles reads
+//!   the same three slivers (48 KiB) from top to bottom.
 //!
 //! # Shared packing
 //!
@@ -40,6 +42,19 @@
 //! (one tile *column* per `k` step), B panels are column *slivers* of
 //! [`NR`] = 16 columns laid out `p`-major, so the innermost loop reads both
 //! operands at stride 1 regardless of the logical [`Layout`].
+//!
+//! Each pack reads its source in storage order and writes whole vectors:
+//!
+//! * row-major B ([`SliceRhs`], `NN` / `TN`): eight rows at a time, each
+//!   read once front to back and dealt out to the slivers one 16-float
+//!   vector per row;
+//! * transposed B (`NT`) and row-major A (`NN` / `NT`): a sliver is the
+//!   transpose of 16 rows of `b`, a tile column the transpose of [`MR`]
+//!   rows of `a` — both through 16x16 in-register block transposes
+//!   (`gemm/transpose.rs`, shared with the conv weight gradient), the ragged
+//!   edges through the same blocks with masked loads and stores;
+//! * column-major A (`TN`, and conv's `Wᵀ` products): one [`MR`]-float run
+//!   per `k` step.
 //!
 //! The B-side pack is abstracted behind [`PackRhs`]: the dense slice
 //! packer ([`SliceRhs`]) is one implementation; `conv.rs` provides an
@@ -58,13 +73,19 @@
 //! cell finds its A panel differs. The dense `matmul` family keeps packing per `k` panel
 //! inside the parallel pack phase.
 //!
-//! The micro-kernel computes an [`MR`]`x`[`NR`] register tile: 8 vector
-//! accumulators (AVX2 ymm) with one broadcast fused multiply-add per
-//! operand element — no loads or stores of the output inside the `k` loop,
-//! and eight independent accumulation chains to hide the FMA latency. On
-//! x86-64 with FMA the inner loop is hand-written with `core::arch`
-//! intrinsics (the exact same operation chain, see below); elsewhere a
-//! scalar `mul_add` loop compiles to the equivalent fused code.
+//! The micro-kernel computes a register tile of [`MR`] rows over `NS`
+//! adjacent slivers — on AVX-512 8 rows x 3 slivers, 24 of the 32 zmm
+//! registers as accumulators: per `k` step three sliver loads, eight
+//! broadcasts and 24 fused multiply-adds, so the FMA ports rather than the
+//! load ports bound it, and 24 independent chains cover the FMA latency
+//! many times over. The AVX2 tile is 4 rows x 1 sliver (8 of 16 ymm). No
+//! loads or stores of the output happen inside the `k` loop: a whole tile
+//! is loaded once from `out` (unless it is the product's first `k` panel)
+//! and stored once; a ragged one (the last rows or columns) goes through a
+//! zero-padded copy. The one or two slivers a panel has left over run as a
+//! narrower tile. On x86-64 with FMA the inner loop is hand-written with
+//! `core::arch` intrinsics (the exact same operation chain, see below);
+//! elsewhere a scalar `mul_add` loop compiles to the equivalent fused code.
 //!
 //! # Determinism
 //!
@@ -116,27 +137,34 @@ use crate::parallel;
 use crate::workspace;
 
 mod skinny;
+pub(crate) mod transpose;
+
+use transpose::transpose;
+
+/// Whether this build carries the AVX-512 kernels (32 vector registers of
+/// 16 lanes) or the AVX2 / portable ones (16 registers of 8 lanes); every
+/// register-tile shape here and in `skinny` follows the register file.
+const AVX512: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"));
 
 /// Rows per parallel row block (the packed A panel is `MC x KC`).
 pub const MC: usize = 32;
 /// Shared-dimension panel length.
 pub const KC: usize = 256;
-/// Column panel width (the packed B panel is `KC x NC`).
-pub const NC: usize = 256;
-/// Register-tile width: columns per packed B sliver (two 8-wide vector
-/// registers per row on AVX2).
+/// Column panel width (the packed B panel is `KC x NC`): 15 slivers, five
+/// columns of three-sliver tiles.
+pub const NC: usize = 240;
+/// Columns per packed B sliver: one zmm, or two ymm, per row.
 pub const NR: usize = 16;
+/// Adjacent slivers one register tile covers.
+const NS: usize = if AVX512 { 3 } else { 1 };
 /// Register-tile height: rows per micro-kernel invocation, chosen so the
-/// tile holds 8 vector accumulators — eight independent fused-multiply-add
-/// dependency chains, enough to cover the FMA latency on current cores:
-/// 8x16 on AVX-512 (one zmm per row), 4x16 elsewhere (two ymm per row).
-/// The tile shape never affects results — every output element's
-/// accumulation chain is fixed by the `k` order alone.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-pub const MR: usize = 8;
-/// Register-tile height (non-AVX-512 builds): see above.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-pub const MR: usize = 4;
+/// `MR x NS·NR` tile fills the register file with accumulators — 8 x 3 zmm
+/// = 24 of 32 on AVX-512 (three sliver loads and eight broadcasts per 24
+/// fused multiply-adds), 4 x 2 ymm = 8 of 16 elsewhere. The tile shape
+/// never affects results — every output element's accumulation chain is
+/// fixed by the `k` order alone.
+pub const MR: usize = if AVX512 { 8 } else { 4 };
+const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NS * NR));
 
 /// NN products with at most this many rows skip the packed kernel: the
 /// no-pack kernel holds up to 12 rows of a column strip in registers (12 x
@@ -149,11 +177,7 @@ pub const SKINNY_M: usize = 36;
 /// NT products with at most this many rows skip the packed kernel: the
 /// no-pack kernel runs one vector lane per row, two lane blocks over each
 /// 16-row strip of `b`, so the bound is twice the lane count.
-#[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
-pub const SKINNY_NT_M: usize = 32;
-/// NT row bound (non-AVX-512 builds): see above.
-#[cfg(not(all(target_arch = "x86_64", target_feature = "avx512f")))]
-pub const SKINNY_NT_M: usize = 16;
+pub const SKINNY_NT_M: usize = if AVX512 { 32 } else { 16 };
 /// TN products with at most this many shared-dimension steps (the rank-b
 /// update `dW += xᵀ·dy`, b rows or a few stacked batches of them) skip the
 /// packed kernel; the no-pack kernel leads up to here in the sweep. It is
@@ -283,6 +307,13 @@ pub(crate) trait PackRhs: Sync {
     fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize);
 }
 
+/// Rows of a row-major B that [`SliceRhs::pack_panel`] deals out together:
+/// each sliver then takes one contiguous 512-byte run per group instead of
+/// one 64-byte row per row of B, whose write streams (one per sliver,
+/// `kc·NR` floats apart) share one L1 set (row by row measured 1.6x slower
+/// than sliver by sliver at 784 x 512; eight rows at a time 1.2x faster).
+const B_ROWS: usize = 8;
+
 /// Dense-slice [`PackRhs`]: the B operand of the `matmul` family.
 pub(crate) struct SliceRhs<'a> {
     b: &'a [f32],
@@ -311,45 +342,49 @@ impl PackRhs for SliceRhs<'_> {
     /// past `n`. The padding columns contribute only to discarded
     /// accumulator lanes.
     fn pack_panel(&self, bp: &mut [f32], kb: usize, kc: usize, jb: usize, nc: usize) {
-        let n = self.n;
-        let b = self.b;
-        let nslivers = nc.div_ceil(NR);
+        let (b, k, n) = (self.b, self.k, self.n);
         if !self.transposed {
-            // B stored row-major (k,n): read rows at stride 1, sliver by
-            // sliver.
-            for s in 0..nslivers {
-                let j0 = jb + s * NR;
-                let jw = NR.min(n - j0);
-                let sliver = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-                for p in 0..kc {
-                    let src = &b[(kb + p) * n + j0..(kb + p) * n + j0 + jw];
-                    let dst = &mut sliver[p * NR..p * NR + NR];
-                    dst[..jw].copy_from_slice(src);
-                    dst[jw..].fill(0.0);
-                }
-            }
-        } else {
-            // B = b^T with b stored (n,k): each output column is a row of
-            // `b`, contiguous in p.
-            let k = self.k;
-            for s in 0..nslivers {
-                let j0 = jb + s * NR;
-                let jw = NR.min(n - j0);
-                let sliver = &mut bp[s * kc * NR..(s + 1) * kc * NR];
-                for jj in 0..NR {
-                    if jj < jw {
-                        let src = &b[(j0 + jj) * k + kb..(j0 + jj) * k + kb + kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            sliver[p * NR + jj] = v;
-                        }
-                    } else {
-                        for p in 0..kc {
-                            sliver[p * NR + jj] = 0.0;
+            // B stored row-major (k,n): [`B_ROWS`] rows at a time, each
+            // read once, front to back, and dealt out to the slivers one
+            // vector per row.
+            for p0 in (0..kc).step_by(B_ROWS) {
+                let rows = p0..(p0 + B_ROWS).min(kc);
+                for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
+                    let (j0, jw) = (jb + s * NR, NR.min(nc - s * NR));
+                    for p in rows.clone() {
+                        let dst = &mut sliver[p * NR..][..NR];
+                        copy_run::<NR>(dst, &b[(kb + p) * n + j0..][..jw]);
+                        if jw < NR {
+                            dst[jw..].fill(0.0);
                         }
                     }
                 }
             }
+        } else {
+            // B = b^T with b stored (n,k): a sliver is the transpose of
+            // NR rows of `b`, each contiguous in p.
+            for (s, sliver) in bp.chunks_exact_mut(kc * NR).enumerate() {
+                let j0 = jb + s * NR;
+                let jw = NR.min(n - j0);
+                transpose(&b[j0 * k + kb..], k, jw, kc, sliver, NR);
+                if jw < NR {
+                    for step in sliver.chunks_exact_mut(NR) {
+                        step[jw..].fill(0.0);
+                    }
+                }
+            }
         }
+    }
+}
+
+/// `dst[..src.len()] = src` for a run of at most `W` elements: a whole
+/// `W`-element move when `src` is that long (a constant length, so vector
+/// moves and no `memcpy` call), a short copy at a ragged edge.
+#[inline(always)]
+fn copy_run<const W: usize>(dst: &mut [f32], src: &[f32]) {
+    match <&[f32; W]>::try_from(src) {
+        Ok(full) => dst[..W].copy_from_slice(full),
+        Err(_) => dst[..src.len()].copy_from_slice(src),
     }
 }
 
@@ -700,30 +735,22 @@ fn pack_a(
     k: usize,
     m: usize,
 ) {
-    let npanels = rows.div_ceil(MR);
-    for rp in 0..npanels {
+    for (rp, panel) in ap.chunks_exact_mut(kc * MR).enumerate() {
         let rvalid = MR.min(rows - rp * MR);
-        let panel = &mut ap[rp * kc * MR..(rp + 1) * kc * MR];
         if rvalid < MR {
             panel.fill(0.0);
         }
         match lhs {
-            // A stored row-major (m,k): scatter each row across the
-            // interleaved columns.
+            // A stored row-major (m,k): a tile's rows, transposed block by
+            // block into the interleaved columns.
             Lhs::RowMajor(a) => {
-                for r in 0..rvalid {
-                    let src = &a[(i0 + rp * MR + r) * k + kb..][..kc];
-                    for (d, &v) in panel[r..].iter_mut().step_by(MR).zip(src) {
-                        *d = v;
-                    }
-                }
+                transpose(&a[(i0 + rp * MR) * k + kb..], k, rvalid, kc, panel, MR);
             }
             // A = a^T with a stored (k,m): each tile column is a contiguous
             // run of `a`, one straight copy per `k` step.
             Lhs::ColMajor(a) => {
                 for (p, dst) in panel.chunks_exact_mut(MR).enumerate() {
-                    let src = &a[(kb + p) * m + i0 + rp * MR..][..rvalid];
-                    dst[..rvalid].copy_from_slice(src);
+                    copy_run::<MR>(dst, &a[(kb + p) * m + i0 + rp * MR..][..rvalid]);
                 }
             }
             Lhs::Packed(_) => unreachable!("a packed operand is never packed again"),
@@ -733,7 +760,8 @@ fn pack_a(
 
 /// Runs the register-tiled micro-kernels over one packed (A panel, B panel)
 /// pair, updating rows `i0..i0+rows`, columns `jb..jb+nc` of the row-major
-/// `(_, n)` matrix at `out`.
+/// `(_, n)` matrix at `out`: [`NS`] adjacent slivers per tile, the one or
+/// two slivers a panel has left over as a narrower tile.
 ///
 /// `out` is a raw base pointer because concurrent grid cells of the same
 /// row block write disjoint *column ranges* of the same rows — overlapping
@@ -753,100 +781,119 @@ fn macro_kernel(
     first: bool,
 ) {
     let nslivers = nc.div_ceil(NR);
-    let npanels = rows.div_ceil(MR);
-    for s in 0..nslivers {
-        let sliver = &bp[s * kc * NR..(s + 1) * kc * NR];
+    let sliver = |s: usize| &bp[s * kc * NR..][..kc * NR];
+    for s in (0..nslivers).step_by(NS) {
         let j0 = jb + s * NR;
-        let jw = NR.min(jb + nc - j0);
-        for rp in 0..npanels {
-            let rvalid = MR.min(rows - rp * MR);
-            // SAFETY: rows `i0..i0+rows`, columns `j0..j0+jw` are inside
-            // the output matrix and owned exclusively by this grid cell
-            // (see the callers' scheduling contracts).
-            unsafe {
-                micro_mr(
-                    &ap[rp * kc * MR..(rp + 1) * kc * MR],
-                    sliver,
-                    out,
-                    i0 + rp * MR,
-                    rvalid,
-                    j0,
-                    jw,
-                    n,
-                    first,
-                );
+        let jw = (NS * NR).min(jb + nc - j0);
+        // Top to bottom while the slivers stay in cache.
+        for (rp, apanel) in ap.chunks_exact(kc * MR).enumerate() {
+            let (r0, rvalid) = (i0 + rp * MR, MR.min(rows - rp * MR));
+            let mut tile: [&mut [f32]; MR] = std::array::from_fn(|r| match r < rvalid {
+                // SAFETY: rows `i0..i0+rows`, columns `jb..jb+nc` are inside
+                // the output matrix and owned exclusively by this grid cell
+                // (see the callers' scheduling contracts); the segments are
+                // distinct rows, so they do not overlap.
+                true => unsafe { std::slice::from_raw_parts_mut(out.add((r0 + r) * n + j0), jw) },
+                false => &mut [],
+            });
+            let tile = &mut tile[..rvalid];
+            match (nslivers - s).min(NS) {
+                1 => micro_tile::<1>(apanel, [sliver(s)], tile, first),
+                2 => micro_tile::<2>(apanel, [sliver(s), sliver(s + 1)], tile, first),
+                _ => {
+                    let slivers = std::array::from_fn(|t| sliver(s + t));
+                    micro_tile::<NS>(apanel, slivers, tile, first);
+                }
             }
         }
     }
 }
 
-/// Register tile: `out[r0..r0+rvalid][j0..j0+jw] (+)= A-panel · B-sliver`.
+/// Register tile: `tile (+)= A-panel · B-slivers`, `tile` the output row
+/// segments of one tile (up to [`MR`] rows of up to `S·NR` columns; read
+/// unless `first`).
 ///
 /// `apanel` is [`MR`]-interleaved (`apanel[p*MR + r]`, see [`pack_a`]) and
-/// zero-padded past `rvalid`; `sliver` is zero-padded past `jw`. Pad rows
-/// and pad lanes accumulate but are never loaded from or stored to `out`.
-///
-/// # Safety
-/// The caller must guarantee that rows `r0..r0+rvalid` crossed with
-/// columns `j0..j0+jw` of the row-major matrix at `out` (row stride `n`)
-/// are in bounds and not accessed by any other thread for the duration of
-/// the call.
-#[allow(clippy::too_many_arguments)]
+/// zero-padded past the tile's rows; the `S` slivers are adjacent and
+/// zero-padded past its columns. A whole tile is loaded and stored by the
+/// `k` loop in place; a ragged one goes through a zero-padded copy whose
+/// pad rows and lanes accumulate but are never stored.
 #[inline(always)]
-unsafe fn micro_mr(
+fn micro_tile<const S: usize>(
     apanel: &[f32],
-    sliver: &[f32],
-    out: *mut f32,
-    r0: usize,
-    rvalid: usize,
-    j0: usize,
-    jw: usize,
-    n: usize,
+    slivers: [&[f32]; S],
+    tile: &mut [&mut [f32]],
     first: bool,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
+    if tile.len() == MR && tile.iter().all(|row| row.len() == S * NR) {
+        return inner_k_loop(apanel, slivers, tile, first);
+    }
+    let mut acc = [[[0.0f32; NR]; S]; MR];
     if !first {
-        for (r, accr) in acc.iter_mut().enumerate().take(rvalid) {
-            // SAFETY: per the function contract, this row segment is in
-            // bounds and exclusively ours.
-            let orow = unsafe { std::slice::from_raw_parts(out.add((r0 + r) * n + j0), jw) };
-            accr[..jw].copy_from_slice(orow);
+        for (accr, row) in acc.iter_mut().zip(tile.iter()) {
+            for (accs, run) in accr.iter_mut().zip(row.chunks(NR)) {
+                copy_run::<NR>(accs, run);
+            }
         }
     }
-    inner_k_loop(apanel, sliver, &mut acc);
-    for (r, accr) in acc.iter().enumerate().take(rvalid) {
-        // SAFETY: as above.
-        let orow = unsafe { std::slice::from_raw_parts_mut(out.add((r0 + r) * n + j0), jw) };
-        orow.copy_from_slice(&accr[..jw]);
+    inner_k_loop(
+        apanel,
+        slivers,
+        &mut acc.each_mut().map(|accr| accr.as_flattened_mut()),
+        first,
+    );
+    for (row, accr) in tile.iter_mut().zip(&acc) {
+        for (run, accs) in row.chunks_mut(NR).zip(accr) {
+            let w = run.len();
+            copy_run::<NR>(run, &accs[..w]);
+        }
     }
 }
 
-/// The `k` loop of the micro-kernel: `acc[r][jj] <- fma(apanel[p*MR+r],
-/// sliver[p*NR+jj], acc[r][jj])` for `p` ascending. Portable scalar
-/// version; the x86-64 FMA build replaces it with an intrinsics twin that
-/// performs the *identical* chain of fused operations (`_mm256_fmadd_ps`
-/// is `f32::mul_add` per lane), so results are bitwise equal across both.
+/// The `k` loop of the micro-kernel over [`MR`] rows of at least `S·NR`
+/// columns: `tile[r][s*NR+jj] <- fma(apanel[p*MR+r], slivers[s][p*NR+jj],
+/// ..)` for `p` ascending, seeded with the tile (0.0 when `first`). Portable
+/// scalar version; the x86-64 FMA builds replace it with intrinsics twins
+/// that perform the *identical* chain of fused operations
+/// (`_mm256_fmadd_ps` / `_mm512_fmadd_ps` is `f32::mul_add` per lane), so
+/// results are bitwise equal across all three.
 #[cfg(not(all(
     target_arch = "x86_64",
     target_feature = "avx2",
     target_feature = "fma"
 )))]
 #[inline(always)]
-fn inner_k_loop(apanel: &[f32], sliver: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (avals, bv) in apanel.chunks_exact(MR).zip(sliver.chunks_exact(NR)) {
-        for r in 0..MR {
-            let ar = avals[r];
-            let accr = &mut acc[r];
-            for jj in 0..NR {
-                accr[jj] = ar.mul_add(bv[jj], accr[jj]);
+fn inner_k_loop<const S: usize>(
+    apanel: &[f32],
+    slivers: [&[f32]; S],
+    tile: &mut [&mut [f32]],
+    first: bool,
+) {
+    let mut acc = [[[0.0f32; NR]; S]; MR];
+    if !first {
+        for (accr, row) in acc.iter_mut().zip(tile.iter()) {
+            accr.as_flattened_mut().copy_from_slice(&row[..S * NR]);
+        }
+    }
+    let mut steps = slivers.map(|sliver| sliver.chunks_exact(NR));
+    for avals in apanel.chunks_exact(MR) {
+        let bv: [&[f32]; S] = std::array::from_fn(|s| steps[s].next().expect("a sliver step"));
+        for (accr, &ar) in acc.iter_mut().zip(avals) {
+            for (accs, bv) in accr.iter_mut().zip(&bv) {
+                for (v, &b) in accs.iter_mut().zip(*bv) {
+                    *v = ar.mul_add(b, *v);
+                }
             }
         }
     }
+    for (row, accr) in tile.iter_mut().zip(&acc) {
+        row[..S * NR].copy_from_slice(accr.as_flattened());
+    }
 }
 
-/// AVX2+FMA twin of the scalar `k` loop: 8 ymm accumulators (two per row),
-/// one broadcast + two fused multiply-adds per packed A element. Enabled
-/// at compile time (the workspace builds with `target-cpu=native`).
+/// AVX2+FMA twin of the scalar `k` loop: two ymm accumulators per row and
+/// sliver, one broadcast + `2·S` fused multiply-adds per packed A element.
+/// Enabled at compile time (the workspace builds with `target-cpu=native`).
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
@@ -854,69 +901,98 @@ fn inner_k_loop(apanel: &[f32], sliver: &[f32], acc: &mut [[f32; NR]; MR]) {
     not(target_feature = "avx512f")
 ))]
 #[inline(always)]
-fn inner_k_loop(apanel: &[f32], sliver: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn inner_k_loop<const S: usize>(
+    apanel: &[f32],
+    slivers: [&[f32]; S],
+    tile: &mut [&mut [f32]],
+    first: bool,
+) {
     use std::arch::x86_64::*;
     let kc = apanel.len() / MR;
-    debug_assert_eq!(sliver.len(), kc * NR);
+    assert!(tile.len() == MR && tile.iter().all(|row| row.len() >= S * NR));
+    assert!(slivers.iter().all(|sliver| sliver.len() == kc * NR));
     // SAFETY: all pointer arithmetic stays inside `apanel` (kc*MR elements),
-    // `sliver` (kc*NR elements) and `acc` (MR*NR elements); AVX2/FMA are
-    // compile-time-required by the cfg gate above.
+    // each sliver (kc*NR elements) and the first S*NR elements of each of
+    // the MR tile rows (both asserted); AVX2/FMA are compile-time-required
+    // by the cfg gate above.
     unsafe {
-        let mut vacc = [[_mm256_setzero_ps(); 2]; MR];
-        for (r, accr) in acc.iter().enumerate() {
-            vacc[r][0] = _mm256_loadu_ps(accr.as_ptr());
-            vacc[r][1] = _mm256_loadu_ps(accr.as_ptr().add(8));
+        let mut vacc = [[[_mm256_setzero_ps(); 2]; S]; MR];
+        if !first {
+            for (vr, row) in vacc.iter_mut().zip(tile.iter()) {
+                for (s, vs) in vr.iter_mut().enumerate() {
+                    *vs = [0, 8].map(|h| _mm256_loadu_ps(row.as_ptr().add(s * NR + h)));
+                }
+            }
         }
         let mut ap = apanel.as_ptr();
-        let mut bp = sliver.as_ptr();
+        let mut bp = slivers.map(|sliver| sliver.as_ptr());
         for _ in 0..kc {
-            let b0 = _mm256_loadu_ps(bp);
-            let b1 = _mm256_loadu_ps(bp.add(8));
+            let bv = bp.map(|b| [0, 8].map(|h| _mm256_loadu_ps(b.add(h))));
             for (r, vr) in vacc.iter_mut().enumerate() {
                 let ar = _mm256_broadcast_ss(&*ap.add(r));
-                vr[0] = _mm256_fmadd_ps(ar, b0, vr[0]);
-                vr[1] = _mm256_fmadd_ps(ar, b1, vr[1]);
+                for (vs, bs) in vr.iter_mut().zip(&bv) {
+                    vs[0] = _mm256_fmadd_ps(ar, bs[0], vs[0]);
+                    vs[1] = _mm256_fmadd_ps(ar, bs[1], vs[1]);
+                }
             }
             ap = ap.add(MR);
-            bp = bp.add(NR);
+            bp = bp.map(|b| b.add(NR));
         }
-        for (r, accr) in acc.iter_mut().enumerate() {
-            _mm256_storeu_ps(accr.as_mut_ptr(), vacc[r][0]);
-            _mm256_storeu_ps(accr.as_mut_ptr().add(8), vacc[r][1]);
+        for (row, vr) in tile.iter_mut().zip(&vacc) {
+            for (s, vs) in vr.iter().enumerate() {
+                _mm256_storeu_ps(row.as_mut_ptr().add(s * NR), vs[0]);
+                _mm256_storeu_ps(row.as_mut_ptr().add(s * NR + 8), vs[1]);
+            }
         }
     }
 }
 
-/// AVX-512 twin of the scalar `k` loop: 8 zmm accumulators (one [`NR`] = 16
-/// wide register per row), one broadcast + one fused multiply-add per
-/// packed A element — same fused operation chain, so bitwise-equal output.
+/// AVX-512 twin of the scalar `k` loop: `MR x S` zmm accumulators (one
+/// [`NR`] = 16 wide register per row and sliver), loaded from and stored to
+/// the tile once, `S` sliver loads and [`MR`] broadcasts per `k` step —
+/// same fused operation chain, so bitwise-equal output.
 #[cfg(all(target_arch = "x86_64", target_feature = "avx512f"))]
 #[inline(always)]
-fn inner_k_loop(apanel: &[f32], sliver: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn inner_k_loop<const S: usize>(
+    apanel: &[f32],
+    slivers: [&[f32]; S],
+    tile: &mut [&mut [f32]],
+    first: bool,
+) {
     use std::arch::x86_64::*;
     let kc = apanel.len() / MR;
-    debug_assert_eq!(sliver.len(), kc * NR);
+    assert!(tile.len() == MR && tile.iter().all(|row| row.len() >= S * NR));
+    assert!(slivers.iter().all(|sliver| sliver.len() == kc * NR));
     // SAFETY: all pointer arithmetic stays inside `apanel` (kc*MR elements),
-    // `sliver` (kc*NR elements) and `acc` (MR*NR elements); AVX-512 is
-    // compile-time-required by the cfg gate above.
+    // each sliver (kc*NR elements) and the first S*NR elements of each of
+    // the MR tile rows (both asserted); AVX-512 is compile-time-required by
+    // the cfg gate above.
     unsafe {
-        let mut vacc = [_mm512_setzero_ps(); MR];
-        for (r, accr) in acc.iter().enumerate() {
-            vacc[r] = _mm512_loadu_ps(accr.as_ptr());
+        let mut vacc = [[_mm512_setzero_ps(); S]; MR];
+        if !first {
+            for (vr, row) in vacc.iter_mut().zip(tile.iter()) {
+                for (s, vs) in vr.iter_mut().enumerate() {
+                    *vs = _mm512_loadu_ps(row.as_ptr().add(s * NR));
+                }
+            }
         }
         let mut ap = apanel.as_ptr();
-        let mut bp = sliver.as_ptr();
+        let mut bp = slivers.map(|sliver| sliver.as_ptr());
         for _ in 0..kc {
-            let b0 = _mm512_loadu_ps(bp);
+            let bv = bp.map(|b| _mm512_loadu_ps(b));
             for (r, vr) in vacc.iter_mut().enumerate() {
                 let ar = _mm512_set1_ps(*ap.add(r));
-                *vr = _mm512_fmadd_ps(ar, b0, *vr);
+                for (vs, &b) in vr.iter_mut().zip(&bv) {
+                    *vs = _mm512_fmadd_ps(ar, b, *vs);
+                }
             }
             ap = ap.add(MR);
-            bp = bp.add(NR);
+            bp = bp.map(|b| b.add(NR));
         }
-        for (r, accr) in acc.iter_mut().enumerate() {
-            _mm512_storeu_ps(accr.as_mut_ptr(), vacc[r]);
+        for (row, vr) in tile.iter_mut().zip(&vacc) {
+            for (s, &vs) in vr.iter().enumerate() {
+                _mm512_storeu_ps(row.as_mut_ptr().add(s * NR), vs);
+            }
         }
     }
 }
@@ -956,24 +1032,58 @@ mod tests {
         (0..len).map(|_| rng.normal()).collect()
     }
 
+    /// The in-order `mul_add` chain of every output element, starting from
+    /// `seed` — [`naive_gemm`] with a starting value.
+    fn naive_seeded(layout: Layout, a: &[f32], b: &[f32], seed: &[f32], k: usize) -> Vec<f32> {
+        let (m, n) = (a.len() / k, b.len() / k);
+        let mut out = seed.to_vec();
+        for (i, row) in out.chunks_exact_mut(n).enumerate() {
+            for (j, s) in row.iter_mut().enumerate() {
+                for p in 0..k {
+                    let av = match layout {
+                        Layout::NN | Layout::NT => a[i * k + p],
+                        Layout::TN => a[p * m + i],
+                    };
+                    let bv = match layout {
+                        Layout::NN | Layout::TN => b[p * n + j],
+                        Layout::NT => b[j * k + p],
+                    };
+                    *s = av.mul_add(bv, *s);
+                }
+            }
+        }
+        out
+    }
+
+    /// The dense entry and the packed driver (forced, whatever the shape),
+    /// overwriting (`out` starts as NaN) and accumulating (into random
+    /// values), against the in-order reference.
     fn check_bitwise(layout: Layout, m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = Rng64::seed_from_u64(seed);
-        let (a_len, b_len) = match layout {
-            Layout::NN => (m * k, k * n),
-            Layout::NT => (m * k, n * k),
-            Layout::TN => (k * m, k * n),
+        let a = randv(m * k, &mut rng);
+        let b = randv(k * n, &mut rng);
+        let seed_out = randv(m * n, &mut rng);
+        let lhs = match layout {
+            Layout::TN => Lhs::ColMajor(&a),
+            _ => Lhs::RowMajor(&a),
         };
-        let a = randv(a_len, &mut rng);
-        let b = randv(b_len, &mut rng);
-        let mut out = vec![f32::NAN; m * n]; // must be fully overwritten
-        gemm_into(layout, &a, &b, &mut out, m, k, n);
-        let want = naive_gemm(layout, &a, &b, m, k, n);
-        for (i, (x, y)) in out.iter().zip(&want).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{layout:?} ({m},{k},{n}) element {i}: {x} vs {y}"
-            );
+        let rhs = SliceRhs::new(&b, layout == Layout::NT, k, n);
+        for acc in [false, true] {
+            let (start, chain_seed) = match acc {
+                true => (seed_out.clone(), seed_out.clone()),
+                false => (vec![f32::NAN; m * n], vec![0.0; m * n]),
+            };
+            let want = naive_seeded(layout, &a, &b, &chain_seed, k);
+            if !acc {
+                assert_bits_eq(&want, &naive_gemm(layout, &a, &b, m, k, n), "reference");
+            }
+            let what = format!("{layout:?} ({m},{k},{n}) acc={acc}");
+            let mut got = start.clone();
+            gemm(layout, &a, &b, &mut got, m, k, n, acc);
+            assert_bits_eq(&got, &want, &what);
+            let mut got = start;
+            gemm_with(lhs, &rhs, &mut got, m, k, n, acc);
+            assert_bits_eq(&got, &want, &format!("{what} packed"));
         }
     }
 
@@ -981,7 +1091,12 @@ mod tests {
     fn bitwise_matches_naive_across_edges() {
         // Hits every edge: tile-exact, sub-tile, row/col remainders,
         // multi-KC, multi-NC, multi-MC, and wide (multi-NC with a single
-        // row block — the new NC-parallel dimension).
+        // row block — the NC-parallel dimension). Then the edges of the
+        // multi-sliver register tile (8 rows x 3 slivers on AVX-512): one
+        // whole tile column (n = 48), one or two slivers left over (n = 784
+        // ends on a 4-sliver panel, n = 80 has 5), a ragged last sliver
+        // (n = 50, 75), fewer rows than MR and rows not a multiple of it,
+        // and a last k panel whose length is not a multiple of 16 (k = 271).
         for (i, &(m, k, n)) in [
             (1, 1, 1),
             (4, 8, 8),
@@ -992,6 +1107,11 @@ mod tests {
             (37, 257, 261),
             (8, 64, 600),
             (70, 300, 300),
+            (5, 271, 48),
+            (100, 271, 50),
+            (29, 40, 784),
+            (60, 33, 80),
+            (9, 17, 75),
         ]
         .iter()
         .enumerate()
@@ -1091,30 +1211,31 @@ mod tests {
     #[test]
     fn scatter_matches_materialized_product() {
         // gemm_scatter must hand out the exact rows of A x B, in ascending
-        // row-block order, each exactly once.
+        // row-block order, each exactly once: multi-MC, multi-KC, multi-NC,
+        // then the register tile's edges (rows not a multiple of MR, a last
+        // k panel of 15, two leftover slivers, a ragged one).
         let mut rng = Rng64::seed_from_u64(77);
-        let (m, k, n) = (70, 300, 300); // multi-MC, multi-KC, multi-NC
-        let a = randv(m * k, &mut rng);
-        let b = randv(k * n, &mut rng);
-        let want = naive_gemm(Layout::NN, &a, &b, m, k, n);
-        let mut got = vec![f32::NAN; m * n];
-        let mut next_row = 0usize;
-        gemm_scatter(
-            Lhs::RowMajor(&a),
-            &SliceRhs::new(&b, false, k, n),
-            m,
-            k,
-            n,
-            |tile, i0, rows| {
-                assert_eq!(i0, next_row, "row blocks must arrive in order");
-                assert_eq!(tile.len(), rows * n);
-                got[i0 * n..(i0 + rows) * n].copy_from_slice(tile);
-                next_row = i0 + rows;
-            },
-        );
-        assert_eq!(next_row, m);
-        for (i, (x, y)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "element {i}: {x} vs {y}");
+        for (m, k, n) in [(70, 300, 300), (29, 271, 80), (100, 271, 50)] {
+            let a = randv(m * k, &mut rng);
+            let b = randv(k * n, &mut rng);
+            let want = naive_gemm(Layout::NN, &a, &b, m, k, n);
+            let mut got = vec![f32::NAN; m * n];
+            let mut next_row = 0usize;
+            gemm_scatter(
+                Lhs::RowMajor(&a),
+                &SliceRhs::new(&b, false, k, n),
+                m,
+                k,
+                n,
+                |tile, i0, rows| {
+                    assert_eq!(i0, next_row, "row blocks must arrive in order");
+                    assert_eq!(tile.len(), rows * n);
+                    got[i0 * n..(i0 + rows) * n].copy_from_slice(tile);
+                    next_row = i0 + rows;
+                },
+            );
+            assert_eq!(next_row, m);
+            assert_bits_eq(&got, &want, &format!("({m},{k},{n})"));
         }
     }
 
@@ -1150,26 +1271,28 @@ mod tests {
     #[test]
     fn prepacked_lhs_matches_packing_per_call() {
         // The same operands through `Lhs::Packed` and through the drivers'
-        // own pack phase: multi-MC, multi-KC, multi-NC, both storage
-        // orders, overwrite and accumulate, and the scatter driver.
+        // own pack phase: multi-MC, multi-KC, multi-NC, then the register
+        // tile's edges; both storage orders, overwrite and accumulate, and
+        // the scatter driver.
         let mut rng = Rng64::seed_from_u64(17);
-        let (m, k, n) = (70, 300, 300);
-        let a = randv(m * k, &mut rng);
-        let b = randv(k * n, &mut rng);
-        let seed_out = randv(m * n, &mut rng);
-        let rhs = SliceRhs::new(&b, false, k, n);
-        for lhs in [Lhs::RowMajor(&a), Lhs::ColMajor(&a)] {
-            let packed = PackedLhs::new(lhs, m, k);
-            for acc in [false, true] {
-                let mut want = seed_out.clone();
-                gemm_with(lhs, &rhs, &mut want, m, k, n, acc);
-                let mut got = seed_out.clone();
-                gemm_with(Lhs::Packed(&packed), &rhs, &mut got, m, k, n, acc);
-                assert_bits_eq(&got, &want, &format!("gemm_with acc={acc}"));
+        for (m, k, n) in [(70, 300, 300), (29, 271, 80), (100, 271, 50)] {
+            let a = randv(m * k, &mut rng);
+            let b = randv(k * n, &mut rng);
+            let seed_out = randv(m * n, &mut rng);
+            let rhs = SliceRhs::new(&b, false, k, n);
+            for lhs in [Lhs::RowMajor(&a), Lhs::ColMajor(&a)] {
+                let packed = PackedLhs::new(lhs, m, k);
+                for acc in [false, true] {
+                    let mut want = seed_out.clone();
+                    gemm_with(lhs, &rhs, &mut want, m, k, n, acc);
+                    let mut got = seed_out.clone();
+                    gemm_with(Lhs::Packed(&packed), &rhs, &mut got, m, k, n, acc);
+                    assert_bits_eq(&got, &want, &format!("({m},{k},{n}) gemm_with acc={acc}"));
+                }
+                let want = scatter_rows(lhs, &rhs, m, k, n);
+                let got = scatter_rows(Lhs::Packed(&packed), &rhs, m, k, n);
+                assert_bits_eq(&got, &want, &format!("({m},{k},{n}) gemm_scatter"));
             }
-            let want = scatter_rows(lhs, &rhs, m, k, n);
-            let got = scatter_rows(Lhs::Packed(&packed), &rhs, m, k, n);
-            assert_bits_eq(&got, &want, "gemm_scatter");
         }
     }
 

@@ -24,17 +24,12 @@
 //! driver produce. They are serial; [`super::gemm`] selects them from the
 //! shape alone (see [`SKINNY_M`], [`SKINNY_NT_M`], [`super::SKINNY_K`]).
 
-use super::{SKINNY_M, SKINNY_NT_M};
+use super::{AVX512, SKINNY_M, SKINNY_NT_M};
 use crate::workspace;
 
 /// What the three kernels share: `(a, b, out, m, k, n, acc)` with the
 /// operand layouts of their [`super::Layout`] and `m, k, n >= 1`.
 pub(super) type Kernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, bool);
-
-/// Whether this build carries the AVX-512 twins (32 vector registers of 16
-/// lanes) or the portable kernels, whose tile shapes are sized for 16
-/// registers of 8 lanes.
-const AVX512: bool = cfg!(all(target_arch = "x86_64", target_feature = "avx512f"));
 
 /// `f32` lanes of the vector register the tile shapes are sized for.
 const LANES: usize = if AVX512 { 16 } else { 8 };
