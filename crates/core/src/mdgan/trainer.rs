@@ -16,7 +16,7 @@ use crate::config::MdGanConfig;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
 use crate::mdgan::round::{Call, Cluster, Coordinator, Order};
-use crate::mdgan::worker::{states_of, MdWorker, WorkerState};
+use crate::mdgan::worker::{relocate_discs, states_of, MdWorker, WorkerState};
 use md_data::Dataset;
 use md_nn::gan::Generator;
 use md_nn::layer::Layer;
@@ -165,23 +165,28 @@ impl Cluster for InProcess {
         heard
     }
 
+    /// The transfers' fates and the receive sides' tallies run in pair
+    /// order; then the parameter tensors move, not a copy of them
+    /// ([`relocate_discs`]).
     fn swap(&mut self, call: &Call, pairs: &[(usize, usize)]) {
         let (tick, wire) = (call.iter as u64, wire(&self.faults, call));
-        // Pre-swap snapshots; a crashed source sends nothing.
-        let params: Vec<Option<Vec<f32>>> = pairs
-            .iter()
-            .map(|&(src, _)| self.workers[src].as_ref().map(MdWorker::disc_params))
-            .collect();
-        for (&(src, dst), p) in pairs.iter().zip(&params) {
-            let arrived = p.as_deref().filter(|p| {
-                let bytes = param_bytes(p.len());
+        let mut to = vec![None; self.workers.len()];
+        for &(src, dst) in pairs {
+            // A crashed source sends nothing.
+            let sent = self.workers[src].as_ref().map(MdWorker::disc_params_len);
+            let arrived = sent.is_some_and(|len| {
+                let bytes = param_bytes(len);
                 wire.carry(src + 1, dst + 1, bytes, tick, call.ctx)
                     .is_some()
             });
-            if let Some(w) = self.workers[dst].as_mut() {
-                w.swap_in(arrived, call.telemetry);
+            if let Some(w) = self.workers[dst].as_ref() {
+                w.tally_swap_in(arrived, call.telemetry);
+                if arrived {
+                    assert!(to[src].replace(dst).is_none(), "slot {src} sent twice");
+                }
             }
         }
+        relocate_discs(&mut self.workers, to);
     }
 
     fn worker_states(&self) -> Vec<Option<WorkerState>> {

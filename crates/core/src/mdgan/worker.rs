@@ -12,6 +12,7 @@ use crate::config::GanHyper;
 use crate::error::{ckerr, TrainError};
 use md_data::{BatchSampler, Dataset};
 use md_nn::gan::{gen_loss, Discriminator};
+use md_nn::layers::Sequential;
 use md_nn::optim::{Adam, AdamState};
 use md_telemetry::{Event, Phase, Recorder, TraceCtx, Track};
 use md_tensor::rng::Rng64;
@@ -21,7 +22,10 @@ use md_tensor::Tensor;
 /// conditioned on.
 pub(crate) type Batch = (Tensor, Vec<usize>);
 
-/// One worker's state: discriminator, optimizer, shard and sampler.
+/// One worker's state: discriminator, optimizer, shard and sampler. That
+/// is all it holds between iterations: the discriminator's gradients exist
+/// only inside [`MdWorker::process`], from the D step's backward to its
+/// Adam update, in buffers drawn from and handed back to the workspace.
 pub struct MdWorker {
     /// 1-based worker id (node id in the simulated cluster).
     pub id: usize,
@@ -66,6 +70,54 @@ pub(crate) fn push_workers(ck: &mut Checkpoint, states: Vec<Option<WorkerState>>
     }
     ck.push_u64("adam_t", adam_t);
     ck.push_u64("alive", alive);
+}
+
+/// The moves of a swap whose fates are drawn: `to[src] = Some(dst)` when
+/// the discriminator `src` held before the swap arrives at `dst` (both
+/// present, each slot at most once on either side). The parameter tensors
+/// change hands along each cycle. A chain starts at a worker nothing
+/// arrives at (its own transfer in was lost, its source crashed, or it is
+/// no destination), which keeps the parameters it also sent: the one hop
+/// that copies, into the receiving worker's own buffers. Every worker ends
+/// with exactly the parameters a snapshot-and-install swap leaves.
+pub(crate) fn relocate_discs(workers: &mut [Option<MdWorker>], mut to: Vec<Option<usize>>) {
+    let mut overwritten = vec![false; to.len()];
+    for &dst in to.iter().flatten() {
+        assert!(!overwritten[dst], "two discriminators sent to slot {dst}");
+        overwritten[dst] = true;
+    }
+    fn nets(workers: &mut [Option<MdWorker>], a: usize, b: usize) -> [&mut Sequential; 2] {
+        let pair = workers
+            .get_disjoint_mut([a, b])
+            .expect("a move joins two slots");
+        pair.map(|w| &mut w.as_mut().expect("a move joins present workers").disc.net)
+    }
+    // Chains, each from its far end: every hop a swap but the first, which
+    // copies, so the start keeps its own.
+    for start in 0..to.len() {
+        if overwritten[start] || to[start].is_none() {
+            continue;
+        }
+        let chain: Vec<usize> = std::iter::successors(Some(start), |&s| to[s]).collect();
+        for hop in chain[1..].windows(2).rev() {
+            let [a, b] = nets(workers, hop[0], hop[1]);
+            a.swap_params(b);
+        }
+        let [a, b] = nets(workers, chain[0], chain[1]);
+        b.copy_params_from(a);
+        for s in chain {
+            to[s] = None;
+        }
+    }
+    // What is left are cycles: each rotates through its first member.
+    for start in 0..to.len() {
+        let mut next = to[start].take();
+        while let Some(dst) = next.filter(|&d| d != start) {
+            let [a, b] = nets(workers, start, dst);
+            a.swap_params(b);
+            next = to[dst].take();
+        }
+    }
 }
 
 /// Reads back what [`push_workers`] wrote: a worker the `alive` mask marks
@@ -155,6 +207,20 @@ impl MdWorker {
         xg: &Tensor,
         xg_labels: &[usize],
     ) -> Tensor {
+        self.process_observed(xd, xd_labels, xg, xg_labels, |_| {})
+    }
+
+    /// [`MdWorker::process`], showing `at_step` the discriminator each time
+    /// a D step has left its gradient for the optimizer: the one moment a
+    /// step gradient exists (the step releases it).
+    fn process_observed(
+        &mut self,
+        xd: &Tensor,
+        xd_labels: &[usize],
+        xg: &Tensor,
+        xg_labels: &[usize],
+        mut at_step: impl FnMut(&Sequential),
+    ) -> Tensor {
         let b = self.hyper.batch;
         let classes = self.disc.num_classes;
         let aux = self.hyper.aux_weight;
@@ -172,6 +238,7 @@ impl MdWorker {
                     .net
                     .clip_grad_norm_per_layer(self.hyper.clip_grad_norm);
             }
+            at_step(&self.disc.net);
             self.opt_d.step(&mut self.disc.net);
         }
 
@@ -214,15 +281,22 @@ impl MdWorker {
     /// parameters that arrived, or — the source sent nothing or the
     /// transfer was lost — time out and keep the current discriminator.
     pub(crate) fn swap_in(&mut self, params: Option<&[f32]>, telemetry: &Recorder) {
-        match params {
-            Some(params) => {
-                self.set_disc_params(params);
-                telemetry.worker_swap_in(self.id);
-            }
-            None => telemetry.event(Event::Custom {
+        if let Some(params) = params {
+            self.set_disc_params(params);
+        }
+        self.tally_swap_in(params.is_some(), telemetry);
+    }
+
+    /// What the receive side of a swap records: the install, or the
+    /// timeout when nothing `arrived`.
+    pub(crate) fn tally_swap_in(&self, arrived: bool, telemetry: &Recorder) {
+        if arrived {
+            telemetry.worker_swap_in(self.id);
+        } else {
+            telemetry.event(Event::Custom {
                 name: "swap_timeout",
                 value: self.id as f64,
-            }),
+            });
         }
     }
 
@@ -347,17 +421,20 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(5);
         let (xd, yd) = fake_batch(6, &mut rng);
         let (xg, yg) = fake_batch(6, &mut rng);
-        w.process(&xd, &yd, &xg, &yg);
+        let mut step_grads = Vec::new();
+        w.process_observed(&xd, &yd, &xg, &yg, |net| {
+            step_grads.push(bits(&net.get_grads_flat()));
+        });
         reference.process(&xd, &yd, &xg, &yg);
-        // The buffers hold the D step's gradient, which the feedback pass of
-        // `process` did not touch...
-        let step_grads = bits(&w.disc.net.get_grads_flat());
-        assert_eq!(step_grads, bits(&reference.step_grads));
-        assert!(reference.step_grads.iter().any(|&g| g != 0.0));
-        // ... and neither does one more feedback pass.
+        // The optimizer consumed the D step's gradient...
+        assert_eq!(step_grads, reference.step_grads_bits());
+        assert!(reference.step_grads[0].iter().any(|&g| g != 0.0));
+        // ... and released it: the feedback pass of `process` drew no
+        // gradient buffer, and neither does one more feedback pass.
+        assert!(w.disc.net.grads().is_empty(), "D_n holds a gradient");
         let live = w.disc_params();
         w.stale_feedback(&live, &xg, &yg);
-        assert_eq!(bits(&w.disc.net.get_grads_flat()), step_grads);
+        assert!(w.disc.net.grads().is_empty(), "D_n holds a gradient");
     }
 
     #[test]
@@ -393,18 +470,23 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(6);
         let (xd, yd) = fake_batch(6, &mut rng);
         let (xg, yg) = fake_batch(6, &mut rng);
-        w.process(&xd, &yd, &xg, &yg); // live D moves off the snapshot
+        // Live D moves off the snapshot, on a gradient read at the step.
+        let mut step_grads = Vec::new();
+        w.process_observed(&xd, &yd, &xg, &yg, |net| {
+            step_grads = net.get_grads_flat();
+        });
+        assert!(step_grads.iter().any(|&g| g != 0.0));
         let live = w.disc_params();
         assert_ne!(live, snapshot);
         let f_stale = w.stale_feedback(&snapshot, &xg, &yg);
         assert_eq!(w.disc_params(), live, "live parameters must be restored");
         assert_eq!(f_stale.shape(), &[6, 1, 12, 12]);
         assert!(f_stale.all_finite());
+        assert!(w.disc.net.grads().is_empty(), "D_n holds a gradient");
         // The frozen snapshot answers differently than the live model.
-        let step_grads = bits(&w.disc.net.get_grads_flat());
         let f_live = w.stale_feedback(&live, &xg, &yg);
         assert_ne!(f_stale.data(), f_live.data());
-        assert_eq!(bits(&w.disc.net.get_grads_flat()), step_grads);
+        assert!(w.disc.net.grads().is_empty(), "D_n holds a gradient");
     }
 
     /// The one naive reference: the worker written with nothing but
@@ -416,8 +498,9 @@ mod tests {
     /// this, bit for bit.
     struct FullBackwardWorker {
         inner: MdWorker,
-        /// The gradient the last D step handed to Adam (after clipping).
-        step_grads: Vec<f32>,
+        /// The gradients the D steps of the last `process` handed to Adam
+        /// (after clipping), in step order.
+        step_grads: Vec<Vec<f32>>,
     }
 
     impl FullBackwardWorker {
@@ -432,6 +515,7 @@ mod tests {
             let w = &mut self.inner;
             let (classes, aux) = (w.disc.num_classes, w.hyper.aux_weight);
             let (x_real, y_real) = w.sampler.sample(&w.shard, w.hyper.batch);
+            self.step_grads.clear();
             for _ in 0..w.hyper.disc_steps.max(1) {
                 w.disc.net.zero_grad();
                 let logits_r = w.disc.forward(&x_real, true);
@@ -443,8 +527,8 @@ mod tests {
                 if w.hyper.clip_grad_norm > 0.0 {
                     w.disc.net.clip_grad_norm_per_layer(w.hyper.clip_grad_norm);
                 }
+                self.step_grads.push(w.disc.net.get_grads_flat());
                 w.opt_d.step(&mut w.disc.net);
-                self.step_grads = w.disc.net.get_grads_flat();
             }
             self.feedback(xg, yg)
         }
@@ -471,6 +555,10 @@ mod tests {
             let feedback = self.feedback(xg, yg);
             self.inner.set_disc_params(&live);
             feedback
+        }
+
+        fn step_grads_bits(&self) -> Vec<Vec<u32>> {
+            self.step_grads.iter().map(|g| bits(g)).collect()
         }
     }
 
@@ -509,7 +597,10 @@ mod tests {
                 for iter in 0..5 {
                     let at = format!("iteration {iter}, shard of {shard_len}");
                     let ((xd, yd), (xg, yg)) = (batch(), batch());
-                    let f = w.process(&xd, &yd, &xg, &yg);
+                    let mut step_grads = Vec::new();
+                    let f = w.process_observed(&xd, &yd, &xg, &yg, |net| {
+                        step_grads.push(bits(&net.get_grads_flat()));
+                    });
                     let f_ref = reference.process(&xd, &yd, &xg, &yg);
                     assert_eq!(bits(f.data()), bits(f_ref.data()), "F_n at {at}");
                     assert_eq!(
@@ -518,15 +609,17 @@ mod tests {
                         "θ_n after {at}"
                     );
                     assert_eq!(
-                        bits(&w.disc.net.get_grads_flat()),
-                        bits(&reference.step_grads),
-                        "step gradient after {at}"
+                        step_grads,
+                        reference.step_grads_bits(),
+                        "step gradients at {at}"
                     );
+                    assert!(w.disc.net.grads().is_empty(), "gradient held after {at}");
 
                     let s = w.stale_feedback(&snapshot, &xg, &yg);
                     let s_ref = reference.stale_feedback(&snapshot, &xg, &yg);
                     assert_eq!(bits(s.data()), bits(s_ref.data()), "stale F_n at {at}");
                     assert_eq!(bits(&w.disc_params()), bits(&reference.inner.disc_params()));
+                    assert!(w.disc.net.grads().is_empty(), "gradient held after {at}");
                 }
             }
         }

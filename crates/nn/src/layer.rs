@@ -1,7 +1,56 @@
 //! The [`Layer`] trait: the unit of composition for all networks.
 
 pub use md_tensor::ops::Need;
-use md_tensor::Tensor;
+use md_tensor::{workspace, Tensor};
+
+/// Where a layer keeps one parameter's gradient. The gradient exists only
+/// from the backward that writes it to the optimizer step that reads it;
+/// the rest of the time the slot is empty and reads as zeros.
+///
+/// Layers are built with every slot empty. A gradient call draws its buffer
+/// from the process-wide workspace with [`GradSlot::draw`], and
+/// [`Layer::release_grads`] — which the optimizers call after their update
+/// and [`Layer::zero_grad`] spells — hands it back. So a network between
+/// steps holds its parameters and nothing else, and one gradient set per
+/// concurrently stepping thread circulates on the shelf, whichever network
+/// it belongs to at the moment.
+#[derive(Default)]
+pub struct GradSlot(Option<Tensor>);
+
+impl GradSlot {
+    /// The buffer a gradient call writes into, of the parameter's `shape`:
+    /// the one the slot holds, else one drawn from the workspace — zeroed
+    /// when the call accumulates (`acc`, the empty slot's zeros), with
+    /// arbitrary contents when it overwrites every element.
+    pub fn draw(&mut self, shape: &[usize], acc: bool) -> &mut Tensor {
+        let g = self.0.get_or_insert_with(|| {
+            let n = shape.iter().product();
+            let data = if acc {
+                workspace::take_zeroed(n)
+            } else {
+                workspace::take_uninit(n)
+            };
+            Tensor::new(shape, data)
+        });
+        debug_assert_eq!(g.shape(), shape, "gradient slot shape drift");
+        g
+    }
+
+    /// The gradient, or `None` when the slot is empty (all zeros).
+    pub fn get(&self) -> Option<&Tensor> {
+        self.0.as_ref()
+    }
+
+    /// Mutable access to a held gradient; an empty slot stays empty.
+    pub fn get_mut(&mut self) -> Option<&mut Tensor> {
+        self.0.as_mut()
+    }
+
+    /// Hands the buffer back to the workspace; the slot reads as zeros.
+    pub fn release(&mut self) {
+        self.0 = None;
+    }
+}
 
 /// A differentiable module with owned parameters and cached activations.
 ///
@@ -12,8 +61,8 @@ use md_tensor::Tensor;
 /// * [`Layer::backprop`] is the layer's one gradient implementation. The
 ///   caller says what it will read with a [`Need`]:
 ///   - [`Need::All`] *accumulates* into the layer's parameter gradients
-///     (callers reset them with [`Layer::zero_grad`]) and returns
-///     `∂L/∂input`;
+///     (an empty [`GradSlot`] accumulates from zeros; callers reset them
+///     with [`Layer::zero_grad`]) and returns `∂L/∂input`;
 ///   - [`Need::Input`] returns `∂L/∂input` and neither reads nor writes the
 ///     parameter gradients;
 ///   - [`Need::Params`] accumulates the parameter gradients and returns
@@ -104,32 +153,62 @@ pub trait Layer: Send {
         self.backprop(grad_out, Need::Params);
     }
 
-    /// Immutable views of the parameter tensors (possibly empty).
-    fn params(&self) -> Vec<&Tensor>;
+    /// Immutable views of the parameter tensors. Parameter-free layers keep
+    /// the empty default.
+    fn params(&self) -> Vec<&Tensor> {
+        vec![]
+    }
 
     /// Mutable views of the parameter tensors, in the same order.
-    fn params_mut(&mut self) -> Vec<&mut Tensor>;
-
-    /// Immutable views of the accumulated parameter gradients, aligned with
-    /// [`Layer::params`].
-    fn grads(&self) -> Vec<&Tensor>;
-
-    /// Mutable views of the accumulated parameter gradients, aligned with
-    /// [`Layer::grads`] — used by gradient clipping. Parameter-free layers
-    /// keep the empty default.
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+    fn params_mut(&mut self) -> Vec<&mut Tensor> {
         vec![]
     }
 
-    /// Each parameter (mutable) next to its accumulated gradient, in
+    /// The gradient slots, aligned with [`Layer::params`]. Parameter-free
+    /// layers keep the empty default.
+    fn grad_slots(&self) -> Vec<&GradSlot> {
+        vec![]
+    }
+
+    /// Each parameter (mutable) next to its gradient slot, in
     /// [`Layer::params`] order — what an optimizer step walks, with no copy
     /// of either. Parameter-free layers keep the empty default.
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
         vec![]
     }
 
-    /// Resets all accumulated parameter gradients to zero.
-    fn zero_grad(&mut self);
+    /// The parameter gradients the layer holds, in [`Layer::params`] order:
+    /// all of them after a gradient call that computed them, none once
+    /// they have been released (an optimizer step, [`Layer::zero_grad`]).
+    fn grads(&self) -> Vec<&Tensor> {
+        self.grad_slots()
+            .into_iter()
+            .filter_map(GradSlot::get)
+            .collect()
+    }
+
+    /// Mutable views of the parameter gradients, aligned with
+    /// [`Layer::params`]: an empty slot is drawn zero-filled first, so each
+    /// view starts from what the slot read as.
+    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
+        self.params_and_grads()
+            .into_iter()
+            .map(|(p, g)| g.draw(p.shape(), true))
+            .collect()
+    }
+
+    /// Hands every gradient buffer back to the workspace; the gradients
+    /// read as zeros until the next gradient call draws them again.
+    fn release_grads(&mut self) {
+        for (_, g) in self.params_and_grads() {
+            g.release();
+        }
+    }
+
+    /// Resets all parameter gradients to zero — by releasing them.
+    fn zero_grad(&mut self) {
+        self.release_grads();
+    }
 
     /// Human-readable layer name for debugging and summaries.
     fn name(&self) -> String;

@@ -9,21 +9,6 @@ use md_tensor::Tensor;
 /// [`md_tensor::parallel::PAR_THRESHOLD`] counts.
 const TANH_COST: usize = 64;
 
-macro_rules! no_params {
-    () => {
-        fn params(&self) -> Vec<&Tensor> {
-            vec![]
-        }
-        fn params_mut(&mut self) -> Vec<&mut Tensor> {
-            vec![]
-        }
-        fn grads(&self) -> Vec<&Tensor> {
-            vec![]
-        }
-        fn zero_grad(&mut self) {}
-    };
-}
-
 /// Rectified linear unit: `max(0, x)`.
 #[derive(Default)]
 pub struct Relu {
@@ -64,8 +49,6 @@ impl Layer for Relu {
     fn release_cache(&mut self) {
         self.cached_input = None;
     }
-
-    no_params!();
 
     fn name(&self) -> String {
         "ReLU".into()
@@ -132,8 +115,6 @@ impl Layer for LeakyRelu {
         self.cache = None;
     }
 
-    no_params!();
-
     fn name(&self) -> String {
         format!("LeakyReLU({})", self.alpha)
     }
@@ -189,8 +170,6 @@ impl Layer for Tanh {
     fn release_cache(&mut self) {
         self.cached_output = None;
     }
-
-    no_params!();
 
     fn name(&self) -> String {
         "Tanh".into()
@@ -249,8 +228,6 @@ impl Layer for Sigmoid {
     fn release_cache(&mut self) {
         self.cached_output = None;
     }
-
-    no_params!();
 
     fn name(&self) -> String {
         "Sigmoid".into()

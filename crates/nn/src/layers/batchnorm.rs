@@ -1,7 +1,7 @@
 //! Batch normalization for dense `(B, F)` and convolutional `(B, C, H, W)`
 //! activations (per-feature / per-channel statistics).
 
-use crate::layer::{Layer, Need};
+use crate::layer::{GradSlot, Layer, Need};
 use md_tensor::workspace;
 use md_tensor::Tensor;
 
@@ -13,8 +13,8 @@ use md_tensor::Tensor;
 pub struct BatchNorm {
     gamma: Tensor,
     beta: Tensor,
-    grad_gamma: Tensor,
-    grad_beta: Tensor,
+    grad_gamma: GradSlot,
+    grad_beta: GradSlot,
     running_mean: Vec<f32>,
     running_var: Vec<f32>,
     momentum: f32,
@@ -39,8 +39,8 @@ impl BatchNorm {
         BatchNorm {
             gamma: Tensor::ones(&[features]),
             beta: Tensor::zeros(&[features]),
-            grad_gamma: Tensor::zeros(&[features]),
-            grad_beta: Tensor::zeros(&[features]),
+            grad_gamma: GradSlot::default(),
+            grad_beta: GradSlot::default(),
             running_mean: vec![0.0; features],
             running_var: vec![1.0; features],
             momentum: 0.9,
@@ -95,7 +95,7 @@ impl BatchNorm {
     }
 
     /// The one gradient body: `acc` adds the parameter gradients to what
-    /// the buffers hold, `!acc` adds them to zero.
+    /// the slots hold (zeros when empty), `!acc` adds them to zero.
     fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let cache = self
             .cache
@@ -118,12 +118,18 @@ impl BatchNorm {
         let mut gx = need.input().then(|| workspace::take_uninit(grad_out.len()));
         let dy = grad_out.data();
         let xh = cache.xhat.data();
-        if need.params() && !acc {
-            // `features` values each: filled, then accumulated group by
-            // group below, so a sum of -0.0 lands as it does after a sweep.
-            self.grad_gamma.fill(0.0);
-            self.grad_beta.fill(0.0);
-        }
+        let mut grads = need.params().then(|| {
+            let gg = self.grad_gamma.draw(self.gamma.shape(), acc).data_mut();
+            let gb = self.grad_beta.draw(self.beta.shape(), acc).data_mut();
+            if !acc {
+                // `features` values each: filled, then accumulated group by
+                // group below, so a sum of -0.0 lands as it does after a
+                // sweep.
+                gg.fill(0.0);
+                gb.fill(0.0);
+            }
+            (gg, gb)
+        });
 
         for g in 0..cache.groups {
             let batch = g * b..(g + 1) * b;
@@ -141,9 +147,9 @@ impl BatchNorm {
                         sum_dy_xhat += dy[i] * xh[i];
                     });
                 }
-                if need.params() {
-                    self.grad_gamma.data_mut()[c] += sum_dy_xhat;
-                    self.grad_beta.data_mut()[c] += sum_dy;
+                if let Some((gg, gb)) = &mut grads {
+                    gg[c] += sum_dy_xhat;
+                    gb[c] += sum_dy;
                 }
 
                 let Some(gxd) = &mut gx else { continue };
@@ -244,24 +250,15 @@ impl Layer for BatchNorm {
         vec![&mut self.gamma, &mut self.beta]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grad_slots(&self) -> Vec<&GradSlot> {
         vec![&self.grad_gamma, &self.grad_beta]
     }
 
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_gamma, &mut self.grad_beta]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
         vec![
-            (&mut self.gamma, &self.grad_gamma),
-            (&mut self.beta, &self.grad_beta),
+            (&mut self.gamma, &mut self.grad_gamma),
+            (&mut self.beta, &mut self.grad_beta),
         ]
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_gamma.fill(0.0);
-        self.grad_beta.fill(0.0);
     }
 
     fn name(&self) -> String {

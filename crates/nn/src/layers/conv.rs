@@ -1,10 +1,11 @@
 //! Convolution layers wrapping the `md-tensor` kernels.
 
 use crate::init::{conv_fans, Init};
-use crate::layer::{Layer, Need};
+use crate::layer::{GradSlot, Layer, Need};
 use md_tensor::ops::conv::{
-    conv2d_backward_planes, conv2d_forward_planes, conv_out_dim, conv_transpose2d_backward_into,
-    conv_transpose2d_forward, conv_transpose_out_dim, ConvPlanes,
+    conv2d_backward_input_planes, conv2d_backward_planes, conv2d_forward_planes, conv_out_dim,
+    conv_transpose2d_backward_input, conv_transpose2d_backward_into, conv_transpose2d_forward,
+    conv_transpose_out_dim, ConvPlanes,
 };
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -13,8 +14,8 @@ use md_tensor::Tensor;
 pub struct Conv2d {
     weight: Tensor, // (out_c, in_c, k, k)
     bias: Tensor,   // (out_c,)
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    grad_weight: GradSlot,
+    grad_bias: GradSlot,
     /// The input of the last forward pass as the kernels read it: the
     /// phase planes that pass built, kept for the weight gradient.
     planes: Option<ConvPlanes>,
@@ -40,8 +41,8 @@ impl Conv2d {
         Conv2d {
             weight: init.sample(&[out_c, in_c, kernel, kernel], fan_in, fan_out, rng),
             bias: Tensor::zeros(&[out_c]),
-            grad_weight: Tensor::zeros(&[out_c, in_c, kernel, kernel]),
-            grad_bias: Tensor::zeros(&[out_c]),
+            grad_weight: GradSlot::default(),
+            grad_bias: GradSlot::default(),
             planes: None,
             in_c,
             out_c,
@@ -60,22 +61,24 @@ impl Conv2d {
     }
 
     /// The one gradient body: `acc` adds the parameter gradients to what
-    /// the buffers hold, `!acc` writes them.
+    /// the slots hold (zeros when empty), `!acc` writes them.
     fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let planes = self
             .planes
             .as_ref()
             .expect("Conv2d::backward before forward");
-        // Straight into the layer's gradient tensors — no per-step gradient
-        // allocation or extra add pass.
+        if !need.params() {
+            return Some(conv2d_backward_input_planes(planes, &self.weight, grad_out));
+        }
+        // Straight into the slots' buffers — no extra add pass.
         conv2d_backward_planes(
             planes,
             &self.weight,
             grad_out,
             need,
             acc,
-            &mut self.grad_weight,
-            &mut self.grad_bias,
+            self.grad_weight.draw(self.weight.shape(), acc),
+            self.grad_bias.draw(self.bias.shape(), acc),
         )
     }
 }
@@ -111,24 +114,15 @@ impl Layer for Conv2d {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grad_slots(&self) -> Vec<&GradSlot> {
         vec![&self.grad_weight, &self.grad_bias]
     }
 
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weight, &mut self.grad_bias]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
         vec![
-            (&mut self.weight, &self.grad_weight),
-            (&mut self.bias, &self.grad_bias),
+            (&mut self.weight, &mut self.grad_weight),
+            (&mut self.bias, &mut self.grad_bias),
         ]
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
     }
 
     fn name(&self) -> String {
@@ -147,8 +141,8 @@ impl Layer for Conv2d {
 pub struct ConvTranspose2d {
     weight: Tensor, // (in_c, out_c, k, k)
     bias: Tensor,   // (out_c,)
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    grad_weight: GradSlot,
+    grad_bias: GradSlot,
     cached_input: Option<Tensor>,
     in_c: usize,
     out_c: usize,
@@ -172,8 +166,8 @@ impl ConvTranspose2d {
         ConvTranspose2d {
             weight: init.sample(&[in_c, out_c, kernel, kernel], fan_in, fan_out, rng),
             bias: Tensor::zeros(&[out_c]),
-            grad_weight: Tensor::zeros(&[in_c, out_c, kernel, kernel]),
-            grad_bias: Tensor::zeros(&[out_c]),
+            grad_weight: GradSlot::default(),
+            grad_bias: GradSlot::default(),
             cached_input: None,
             in_c,
             out_c,
@@ -192,22 +186,26 @@ impl ConvTranspose2d {
     }
 
     /// The one gradient body: `acc` adds the parameter gradients to what
-    /// the buffers hold, `!acc` writes them.
+    /// the slots hold (zeros when empty), `!acc` writes them.
     fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let x = self
             .cached_input
             .as_ref()
             .expect("ConvTranspose2d::backward before forward");
+        let (w, s, p) = (&self.weight, self.stride, self.pad);
+        if !need.params() {
+            return Some(conv_transpose2d_backward_input(x, w, grad_out, s, p));
+        }
         conv_transpose2d_backward_into(
             x,
-            &self.weight,
+            w,
             grad_out,
-            self.stride,
-            self.pad,
+            s,
+            p,
             need,
             acc,
-            &mut self.grad_weight,
-            &mut self.grad_bias,
+            self.grad_weight.draw(w.shape(), acc),
+            self.grad_bias.draw(self.bias.shape(), acc),
         )
     }
 }
@@ -242,24 +240,15 @@ impl Layer for ConvTranspose2d {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grad_slots(&self) -> Vec<&GradSlot> {
         vec![&self.grad_weight, &self.grad_bias]
     }
 
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weight, &mut self.grad_bias]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
         vec![
-            (&mut self.weight, &self.grad_weight),
-            (&mut self.bias, &self.grad_bias),
+            (&mut self.weight, &mut self.grad_weight),
+            (&mut self.bias, &mut self.grad_bias),
         ]
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
     }
 
     fn name(&self) -> String {

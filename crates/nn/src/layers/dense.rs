@@ -1,7 +1,7 @@
 //! Fully-connected layer.
 
 use crate::init::Init;
-use crate::layer::{Layer, Need};
+use crate::layer::{GradSlot, Layer, Need};
 use md_tensor::ops::matmul::{matmul_tn_acc_into, matmul_tn_into};
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
@@ -10,8 +10,8 @@ use md_tensor::Tensor;
 pub struct Dense {
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
+    grad_weight: GradSlot,
+    grad_bias: GradSlot,
     cached_input: Option<Tensor>,
     in_features: usize,
     out_features: usize,
@@ -24,8 +24,8 @@ impl Dense {
         Dense {
             weight: init.sample(&[in_features, out_features], in_features, out_features, rng),
             bias: Tensor::zeros(&[out_features]),
-            grad_weight: Tensor::zeros(&[in_features, out_features]),
-            grad_bias: Tensor::zeros(&[out_features]),
+            grad_weight: GradSlot::default(),
+            grad_bias: GradSlot::default(),
             cached_input: None,
             in_features,
             out_features,
@@ -43,7 +43,7 @@ impl Dense {
     }
 
     /// The one gradient body: `acc` adds the parameter gradients to what
-    /// the buffers hold, `!acc` writes them.
+    /// the slots hold (zeros when empty), `!acc` writes them.
     fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let x = self
             .cached_input
@@ -65,18 +65,18 @@ impl Dense {
             } else {
                 matmul_tn_into
             };
-            if !acc {
-                self.grad_bias.fill(0.0);
-            }
             tn(
                 x.data(),
                 grad_out.data(),
-                self.grad_weight.data_mut(),
+                self.grad_weight.draw(self.weight.shape(), acc).data_mut(),
                 self.in_features,
                 batch,
                 self.out_features,
             );
-            let gb = self.grad_bias.data_mut();
+            let gb = self.grad_bias.draw(self.bias.shape(), acc).data_mut();
+            if !acc {
+                gb.fill(0.0);
+            }
             for row in grad_out.data().chunks_exact(self.out_features) {
                 for (b, &g) in gb.iter_mut().zip(row) {
                     *b += g;
@@ -124,24 +124,15 @@ impl Layer for Dense {
         vec![&mut self.weight, &mut self.bias]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grad_slots(&self) -> Vec<&GradSlot> {
         vec![&self.grad_weight, &self.grad_bias]
     }
 
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_weight, &mut self.grad_bias]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
         vec![
-            (&mut self.weight, &self.grad_weight),
-            (&mut self.bias, &self.grad_bias),
+            (&mut self.weight, &mut self.grad_weight),
+            (&mut self.bias, &mut self.grad_bias),
         ]
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_weight.fill(0.0);
-        self.grad_bias.fill(0.0);
     }
 
     fn name(&self) -> String {
@@ -194,8 +185,10 @@ mod tests {
         layer.backward(&g);
         let second = layer.grads()[0].clone();
         assert_close(second.data(), first.scale(2.0).data(), 1e-5);
+        // Zeroing hands the buffers back; the gradient then reads as zeros.
         layer.zero_grad();
-        assert!(layer.grads()[0].data().iter().all(|&v| v == 0.0));
+        assert!(layer.grads().is_empty());
+        assert!(layer.grads_mut()[0].data().iter().all(|&v| v == 0.0));
     }
 
     #[test]

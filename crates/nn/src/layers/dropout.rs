@@ -61,20 +61,6 @@ impl Layer for Dropout {
         })
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn zero_grad(&mut self) {}
-
     fn name(&self) -> String {
         format!("Dropout({})", self.p)
     }

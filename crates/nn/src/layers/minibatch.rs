@@ -13,7 +13,7 @@
 //! is compared with the rows of its own batch only.
 
 use crate::init::Init;
-use crate::layer::{Layer, Need};
+use crate::layer::{GradSlot, Layer, Need};
 use md_tensor::ops::matmul::matmul_tn_into;
 use md_tensor::rng::Rng64;
 use md_tensor::workspace;
@@ -22,7 +22,7 @@ use md_tensor::Tensor;
 /// The minibatch-discrimination layer.
 pub struct MinibatchDiscrimination {
     t: Tensor, // (A, nb*nc)
-    grad_t: Tensor,
+    grad_t: GradSlot,
     in_features: usize,
     nb: usize,
     nc: usize,
@@ -41,7 +41,7 @@ impl MinibatchDiscrimination {
     pub fn new(in_features: usize, nb: usize, nc: usize, rng: &mut Rng64) -> Self {
         MinibatchDiscrimination {
             t: Init::XavierUniform.sample(&[in_features, nb * nc], in_features, nb * nc, rng),
-            grad_t: Tensor::zeros(&[in_features, nb * nc]),
+            grad_t: GradSlot::default(),
             in_features,
             nb,
             nc,
@@ -55,7 +55,7 @@ impl MinibatchDiscrimination {
     }
 
     /// The one gradient body: `acc` adds the parameter gradient to what the
-    /// buffer holds, `!acc` writes it.
+    /// slot holds (zeros when empty), `!acc` writes it.
     fn gradient(&mut self, grad_out: &Tensor, need: Need, acc: bool) -> Option<Tensor> {
         let cache = self
             .cache
@@ -124,16 +124,17 @@ impl MinibatchDiscrimination {
         // one chain over all the rows. A zero-seeded product holds no -0.0,
         // so the first may be written in place of being added to zeros.
         if need.params() {
+            let grad_t = self.grad_t.draw(self.t.shape(), acc);
             for g in 0..cache.groups {
                 let xg = &cache.x.data()[g * b * a..(g + 1) * b * a];
                 let gmg = &gm.data()[g * b * nb * nc..(g + 1) * b * nb * nc];
                 if g == 0 && !acc {
-                    matmul_tn_into(xg, gmg, self.grad_t.data_mut(), a, b, nb * nc);
+                    matmul_tn_into(xg, gmg, grad_t.data_mut(), a, b, nb * nc);
                 } else {
                     let mut product =
-                        Tensor::new(self.grad_t.shape(), workspace::take_uninit(a * nb * nc));
+                        Tensor::new(grad_t.shape(), workspace::take_uninit(a * nb * nc));
                     matmul_tn_into(xg, gmg, product.data_mut(), a, b, nb * nc);
-                    self.grad_t.add_assign(&product);
+                    grad_t.add_assign(&product);
                 }
             }
         }
@@ -229,20 +230,12 @@ impl Layer for MinibatchDiscrimination {
         vec![&mut self.t]
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
+    fn grad_slots(&self) -> Vec<&GradSlot> {
         vec![&self.grad_t]
     }
 
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![&mut self.grad_t]
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
-        vec![(&mut self.t, &self.grad_t)]
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_t.fill(0.0);
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
+        vec![(&mut self.t, &mut self.grad_t)]
     }
 
     fn name(&self) -> String {

@@ -49,20 +49,6 @@ impl Layer for Reshape {
         Some(grad_out.reshape(shape))
     }
 
-    fn params(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn zero_grad(&mut self) {}
-
     fn name(&self) -> String {
         format!("Reshape(B, {:?})", self.target)
     }
@@ -99,20 +85,6 @@ impl Layer for Flatten {
             .expect("Flatten::backward before forward");
         Some(grad_out.reshape(shape))
     }
-
-    fn params(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Tensor> {
-        vec![]
-    }
-
-    fn grads(&self) -> Vec<&Tensor> {
-        vec![]
-    }
-
-    fn zero_grad(&mut self) {}
 
     fn name(&self) -> String {
         "Flatten".into()

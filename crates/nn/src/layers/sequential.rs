@@ -2,7 +2,7 @@
 //! [`Layer`], plus the flat-parameter utilities that power MD-GAN's
 //! discriminator swap and FL-GAN's federated averaging.
 
-use crate::layer::{Layer, Need};
+use crate::layer::{GradSlot, Layer, Need};
 use md_tensor::Tensor;
 use std::borrow::Cow;
 
@@ -96,13 +96,46 @@ impl Sequential {
         }
     }
 
+    /// Exchanges every parameter tensor with `other`'s, an identically
+    /// shaped network: a discriminator swap as a move. The tensors
+    /// [`Sequential::set_params_flat`] writes change hands and no element is
+    /// copied; everything else (gradient slots, caches, BatchNorm running
+    /// statistics) stays where it is.
+    ///
+    /// # Panics
+    /// Panics if the parameter layouts differ.
+    pub fn swap_params(&mut self, other: &mut Sequential) {
+        let (mine, theirs) = (self.params_mut(), other.params_mut());
+        assert_eq!(mine.len(), theirs.len(), "swap_params: layouts differ");
+        for (a, b) in mine.into_iter().zip(theirs) {
+            assert_eq!(a.shape(), b.shape(), "swap_params: shapes differ");
+            std::mem::swap(a, b);
+        }
+    }
+
+    /// Copies `other`'s parameters into this network's tensors, in place:
+    /// [`Sequential::set_params_flat`] from an identically shaped network
+    /// instead of a flat vector.
+    ///
+    /// # Panics
+    /// Panics if the parameter layouts differ.
+    pub fn copy_params_from(&mut self, other: &Sequential) {
+        let (mine, theirs) = (self.params_mut(), other.params());
+        assert_eq!(mine.len(), theirs.len(), "copy_params_from: layouts differ");
+        for (a, b) in mine.into_iter().zip(theirs) {
+            assert_eq!(a.shape(), b.shape(), "copy_params_from: shapes differ");
+            a.data_mut().copy_from_slice(b.data());
+        }
+    }
+
     /// Serializes all accumulated gradients into one flat vector, aligned
-    /// with [`Sequential::get_params_flat`].
+    /// with [`Sequential::get_params_flat`]; an empty slot reads as zeros.
     pub fn get_grads_flat(&self) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.num_params());
-        for l in &self.layers {
-            for g in l.grads() {
-                out.extend_from_slice(g.data());
+        for (p, g) in self.params().into_iter().zip(self.grad_slots()) {
+            match g.get() {
+                Some(g) => out.extend_from_slice(g.data()),
+                None => out.resize(out.len() + p.len(), 0.0),
             }
         }
         out
@@ -113,6 +146,7 @@ impl Sequential {
     /// rescaled without muting the others). Returns how many layers were
     /// clipped. Layers whose gradients contain NaN/Inf are left untouched
     /// (rescaling cannot repair them; the health monitor must catch them).
+    /// An empty slot is zeros: it adds nothing to the norm and stays empty.
     pub fn clip_grad_norm_per_layer(&mut self, max_norm: f32) -> usize {
         assert!(max_norm > 0.0, "clip_grad_norm_per_layer({max_norm})");
         let mut clipped = 0;
@@ -130,8 +164,8 @@ impl Sequential {
             let norm = sq.sqrt() as f32;
             if finite && norm > max_norm {
                 let scale = max_norm / norm;
-                for g in l.grads_mut() {
-                    for v in g.data_mut() {
+                for (_, g) in l.params_and_grads() {
+                    for v in g.get_mut().into_iter().flat_map(Tensor::data_mut) {
                         *v *= scale;
                     }
                 }
@@ -156,15 +190,19 @@ impl Sequential {
 
     /// Applies `update` to every (index, parameter, its accumulated gradient)
     /// triple in [`Layer::params`] order — the bridge the optimizers use.
-    /// Both tensors are borrowed in place from the layer that owns them.
-    pub fn visit_params_and_grads(&mut self, mut update: impl FnMut(usize, &mut Tensor, &Tensor)) {
+    /// Both tensors are borrowed in place from the layer that owns them; the
+    /// gradient is `None` where the slot is empty (zeros).
+    pub fn visit_params_and_grads(
+        &mut self,
+        mut update: impl FnMut(usize, &mut Tensor, Option<&Tensor>),
+    ) {
         debug_assert_eq!(
             self.params_and_grads().len(),
             self.params().len(),
             "a layer pairs up a different number of tensors than it owns"
         );
         for (idx, (p, g)) in self.params_and_grads().into_iter().enumerate() {
-            update(idx, p, g);
+            update(idx, p, g.get());
         }
     }
 
@@ -243,24 +281,20 @@ impl Layer for Sequential {
             .collect()
     }
 
-    fn grads(&self) -> Vec<&Tensor> {
-        self.layers.iter().flat_map(|l| l.grads()).collect()
+    fn grad_slots(&self) -> Vec<&GradSlot> {
+        self.layers.iter().flat_map(|l| l.grad_slots()).collect()
     }
 
-    fn grads_mut(&mut self) -> Vec<&mut Tensor> {
-        self.layers.iter_mut().flat_map(|l| l.grads_mut()).collect()
-    }
-
-    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &Tensor)> {
+    fn params_and_grads(&mut self) -> Vec<(&mut Tensor, &mut GradSlot)> {
         self.layers
             .iter_mut()
             .flat_map(|l| l.params_and_grads())
             .collect()
     }
 
-    fn zero_grad(&mut self) {
+    fn release_grads(&mut self) {
         for l in &mut self.layers {
-            l.zero_grad();
+            l.release_grads();
         }
     }
 
@@ -315,6 +349,17 @@ mod tests {
         let y1 = net.forward(&x, false);
         let y2 = net2.forward(&x, false);
         assert_close(y1.data(), y2.data(), 1e-6);
+    }
+
+    #[test]
+    fn swap_and_copy_move_exactly_the_flat_parameters() {
+        let mut rng = Rng64::seed_from_u64(9);
+        let (mut a, mut b) = (mlp(&mut rng), mlp(&mut rng));
+        let (pa, pb) = (a.get_params_flat(), b.get_params_flat());
+        a.swap_params(&mut b);
+        assert_eq!((a.get_params_flat(), b.get_params_flat()), (pb.clone(), pa));
+        b.copy_params_from(&a);
+        assert_eq!((a.get_params_flat(), b.get_params_flat()), (pb.clone(), pb));
     }
 
     #[test]

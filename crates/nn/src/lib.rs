@@ -36,7 +36,7 @@ pub mod optim;
 pub mod param;
 
 pub use health::{HealthConfig, HealthMonitor, HealthVerdict};
-pub use layer::{Layer, Need};
+pub use layer::{GradSlot, Layer, Need};
 pub use layers::Sequential;
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use crate::layer::Layer;
 use crate::layers::Sequential;
 use md_tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::iter;
 
 /// Hyper-parameters of the Adam optimizer.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -194,10 +195,9 @@ impl Adam {
         Ok(())
     }
 
-    /// Applies one Adam update using the gradients accumulated in `net`.
-    ///
-    /// Does **not** zero the gradients — callers own that (they may want to
-    /// inspect or accumulate across micro-batches first).
+    /// Applies one Adam update using the gradients accumulated in `net`
+    /// (a layer that got none steps on zeros), then releases them
+    /// ([`Layer::release_grads`]): the step is where a gradient ends.
     pub fn step(&mut self, net: &mut Sequential) {
         self.t += 1;
         let t = self.t as i32;
@@ -215,21 +215,24 @@ impl Adam {
                 p.shape(),
                 "Adam state shape drift at param {idx}"
             );
-            let md = m[idx].data_mut();
-            let vd = v[idx].data_mut();
-            for ((pv, &gv), (mv, vv)) in p
-                .data_mut()
-                .iter_mut()
-                .zip(g.data())
-                .zip(md.iter_mut().zip(vd.iter_mut()))
-            {
+            let update = |((pv, gv), (mv, vv)): ((&mut f32, f32), (&mut f32, &mut f32))| {
                 *mv = cfg.beta1 * *mv + (1.0 - cfg.beta1) * gv;
                 *vv = cfg.beta2 * *vv + (1.0 - cfg.beta2) * gv * gv;
                 let mhat = *mv / bc1;
                 let vhat = *vv / bc2;
                 *pv -= cfg.lr * mhat / (vhat.sqrt() + cfg.eps);
+            };
+            let moments = m[idx].data_mut().iter_mut().zip(v[idx].data_mut());
+            let p = p.data_mut().iter_mut();
+            match g {
+                Some(g) => p
+                    .zip(g.data().iter().copied())
+                    .zip(moments)
+                    .for_each(update),
+                None => p.zip(iter::repeat(0.0)).zip(moments).for_each(update),
             }
         });
+        net.release_grads();
     }
 }
 
@@ -250,7 +253,8 @@ impl Sgd {
         }
     }
 
-    /// Applies one update using the gradients accumulated in `net`.
+    /// Applies one update using the gradients accumulated in `net` (a layer
+    /// that got none steps on zeros), then releases them.
     pub fn step(&mut self, net: &mut Sequential) {
         let (lr, mom) = (self.lr, self.momentum);
         let vel = &mut self.velocity;
@@ -258,12 +262,17 @@ impl Sgd {
             if vel.len() <= idx {
                 vel.push(Tensor::zeros(p.shape()));
             }
-            let vd = vel[idx].data_mut();
-            for ((pv, &gv), vv) in p.data_mut().iter_mut().zip(g.data()).zip(vd.iter_mut()) {
+            let update = |((pv, gv), vv): ((&mut f32, f32), &mut f32)| {
                 *vv = mom * *vv + gv;
                 *pv -= lr * *vv;
+            };
+            let (p, vd) = (p.data_mut().iter_mut(), vel[idx].data_mut());
+            match g {
+                Some(g) => p.zip(g.data().iter().copied()).zip(vd).for_each(update),
+                None => p.zip(iter::repeat(0.0)).zip(vd).for_each(update),
             }
         });
+        net.release_grads();
     }
 }
 
@@ -336,6 +345,12 @@ mod tests {
         let y = net.forward(&x, true);
         net.zero_grad();
         net.backward(&Tensor::ones(y.shape()));
+        // The gradient as the step consumes it: the step releases it.
+        let grads = net.get_grads_flat();
+        assert!(
+            grads.iter().any(|g| g.abs() > 1e-6),
+            "no gradient to step on"
+        );
         let mut adam = Adam::new(AdamConfig {
             lr: 0.01,
             eps: 0.0,
@@ -343,7 +358,6 @@ mod tests {
         });
         adam.step(&mut net);
         let after = net.get_params_flat();
-        let grads = net.get_grads_flat();
         for ((b, a), g) in before.iter().zip(&after).zip(&grads) {
             if g.abs() > 1e-6 {
                 assert!(

@@ -983,6 +983,29 @@ pub fn conv2d_backward_planes(
         .then(|| conv2d_input_grad(&geom, planes.b, weight, grad_out))
 }
 
+/// [`conv2d_backward_planes`] under [`Need::Input`], for a caller that
+/// holds no parameter-gradient tensors to pass: `∂L/∂input` alone, bit for
+/// bit what the other needs return.
+pub fn conv2d_backward_input_planes(
+    planes: &ConvPlanes,
+    weight: &Tensor,
+    grad_out: &Tensor,
+) -> Tensor {
+    check_conv2d_operands(&planes.geom, planes.b, weight, grad_out);
+    conv2d_input_grad(&planes.geom, planes.b, weight, grad_out)
+}
+
+/// The shape contract of the conv2d gradient operands.
+fn check_conv2d_operands(geom: &ConvGeom, b: usize, weight: &Tensor, grad_out: &Tensor) {
+    let (o, wc, kh, kw) = dims4(weight, "conv2d weight");
+    assert_eq!(geom.c, wc, "conv2d channel mismatch");
+    assert_eq!((geom.kh, geom.kw), (kh, kw), "conv2d kernel size mismatch");
+    let (gb, go, oh, ow) = dims4(grad_out, "conv2d grad_out");
+    assert_eq!(gb, b, "conv2d grad batch mismatch");
+    assert_eq!(go, o, "conv2d grad channel mismatch");
+    assert_eq!((oh, ow), (geom.oh, geom.ow), "conv2d grad size mismatch");
+}
+
 /// The shape contract of the conv2d gradient entry points.
 fn check_conv2d_grads(
     geom: &ConvGeom,
@@ -992,13 +1015,8 @@ fn check_conv2d_grads(
     grad_weight: &Tensor,
     grad_bias: &Tensor,
 ) {
-    let (o, wc, kh, kw) = dims4(weight, "conv2d weight");
-    assert_eq!(geom.c, wc, "conv2d channel mismatch");
-    assert_eq!((geom.kh, geom.kw), (kh, kw), "conv2d kernel size mismatch");
-    let (gb, go, oh, ow) = dims4(grad_out, "conv2d grad_out");
-    assert_eq!(gb, b, "conv2d grad batch mismatch");
-    assert_eq!(go, o, "conv2d grad channel mismatch");
-    assert_eq!((oh, ow), (geom.oh, geom.ow), "conv2d grad size mismatch");
+    check_conv2d_operands(geom, b, weight, grad_out);
+    let o = weight.shape()[0];
     assert_eq!(
         grad_weight.shape(),
         weight.shape(),
@@ -1160,17 +1178,49 @@ pub fn conv_transpose2d_backward_into(
     grad_weight: &mut Tensor,
     grad_bias: &mut Tensor,
 ) -> Option<Tensor> {
+    let grads = need.params().then_some((acc, grad_weight, grad_bias));
+    conv_transpose2d_gradient(input, weight, grad_out, stride, pad, need.input(), grads)
+}
+
+/// [`conv_transpose2d_backward_into`] under [`Need::Input`], for a caller
+/// that holds no parameter-gradient tensors to pass: `∂L/∂input` alone,
+/// bit for bit what the other needs return.
+pub fn conv_transpose2d_backward_input(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+) -> Tensor {
+    conv_transpose2d_gradient(input, weight, grad_out, stride, pad, true, None)
+        .expect("the input gradient was asked for")
+}
+
+/// The one transposed-convolution gradient body: the input gradient iff
+/// `input_grad`, the parameter gradients into `grads` — `(acc, weight,
+/// bias)` — when given.
+fn conv_transpose2d_gradient(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    stride: usize,
+    pad: usize,
+    input_grad: bool,
+    grads: Option<(bool, &mut Tensor, &mut Tensor)>,
+) -> Option<Tensor> {
     let (b, cin, h, w) = dims4(input, "conv_t input");
     let (_, cout, kh, kw) = dims4(weight, "conv_t weight");
     let (gb, gcout, oh, ow) = dims4(grad_out, "conv_t grad_out");
     assert_eq!(gb, b, "conv_t grad batch mismatch");
     assert_eq!(gcout, cout, "conv_t grad channel mismatch");
-    assert_eq!(
-        grad_weight.shape(),
-        weight.shape(),
-        "conv_t grad_weight shape mismatch"
-    );
-    assert_eq!(grad_bias.len(), cout, "conv_t grad_bias size mismatch");
+    if let Some((_, grad_weight, grad_bias)) = &grads {
+        assert_eq!(
+            grad_weight.shape(),
+            weight.shape(),
+            "conv_t grad_weight shape mismatch"
+        );
+        assert_eq!(grad_bias.len(), cout, "conv_t grad_bias size mismatch");
+    }
 
     // dL/dcols = im2col(dL/dout) over the adjoint conv geometry, read from
     // the planes of grad_out instead of materialized: one layout pass
@@ -1180,7 +1230,7 @@ pub fn conv_transpose2d_backward_into(
     let (ckk, hw) = (geom.ckk(), h * w);
     let planes = ConvPlanes::of(geom, b, grad_out.data());
 
-    let grad_input = need.input().then(|| {
+    let grad_input = input_grad.then(|| {
         // dL/dx = W2 (cin, ckk) x gcols (ckk, hw) per sample, straight into
         // place (fully overwritten), the weights packed once for the batch.
         let packed_w = PackedLhs::new(Lhs::RowMajor(weight.data()), cin, ckk);
@@ -1195,7 +1245,7 @@ pub fn conv_transpose2d_backward_into(
         Tensor::new(input.shape(), grad_input)
     });
 
-    if need.params() {
+    if let Some((acc, grad_weight, grad_bias)) = grads {
         // dL/dW2 (cin, ckk) (+)= [x_0 | x_1 | …] (cin, b*hw) x
         // [gcols_0^T; gcols_1^T; …] (b*hw, ckk), as in `conv2d_param_grads`.
         wgrad::weight_grad(&planes, input.data(), cin, grad_weight.data_mut(), acc);
