@@ -81,18 +81,21 @@ impl Dataset {
     }
 
     /// Splits off the last `n_test` samples as a test set (the generators
-    /// shuffle, so a suffix split is unbiased).
-    pub fn split_test(mut self, n_test: usize) -> (Dataset, Dataset) {
+    /// shuffle, so a suffix split is unbiased). The train set keeps the
+    /// prefix in this dataset's own buffer; only the test suffix is copied.
+    pub fn split_test(self, n_test: usize) -> (Dataset, Dataset) {
         assert!(n_test < self.len(), "test split larger than dataset");
         let n_train = self.len() - n_test;
         let test_idx: Vec<usize> = (n_train..self.len()).collect();
         let (test_imgs, test_labels) = self.batch(&test_idx);
-        let train_idx: Vec<usize> = (0..n_train).collect();
-        let (train_imgs, train_labels) = self.batch(&train_idx);
+        let (c, h, w) = self.image_shape();
+        let mut data = self.images.into_data();
+        data.truncate(n_train * c * h * w);
+        let mut labels = self.labels;
+        labels.truncate(n_train);
         let k = self.num_classes;
-        self.labels.clear();
         (
-            Dataset::new(train_imgs, train_labels, k),
+            Dataset::new(Tensor::new(&[n_train, c, h, w], data), labels, k),
             Dataset::new(test_imgs, test_labels, k),
         )
     }
@@ -246,6 +249,27 @@ mod tests {
         assert_eq!(train.len(), 7);
         assert_eq!(test.len(), 3);
         assert_eq!(train.num_classes(), 2);
+    }
+
+    #[test]
+    fn split_test_matches_gathered_prefix_and_suffix() {
+        for (d, n_test) in [
+            (toy(11, 3), 5),
+            (crate::synthetic::cifar_like(8, 9, 1, 0.08), 3),
+        ] {
+            let n = d.len();
+            let n_train = n - n_test;
+            let (want_train, want_train_labels) = d.batch(&(0..n_train).collect::<Vec<_>>());
+            let (want_test, want_test_labels) = d.batch(&(n_train..n).collect::<Vec<_>>());
+            let (train, test) = d.split_test(n_test);
+            assert_eq!(train.images().shape(), want_train.shape());
+            assert_eq!(test.images().shape(), want_test.shape());
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(train.images()), bits(&want_train));
+            assert_eq!(bits(test.images()), bits(&want_test));
+            assert_eq!(train.labels(), want_train_labels);
+            assert_eq!(test.labels(), want_test_labels);
+        }
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! distribution, and a classifier can be trained on it to compute
 //! MNIST-Score / Inception-Score / FID analogues.
 //!
-//! Pixel values are in `[-1, 1]` (tanh range).
+//! Pixel values are in `[-1, 1]` (tanh range). Image buffers are drawn
+//! from the workspace shelf ([`md_tensor::workspace`]), where a dropped
+//! dataset's buffer went, so a run that builds one dataset after another
+//! reuses one buffer instead of holding a dead one per build.
 
 use crate::dataset::Dataset;
 use md_tensor::rng::Rng64;
-use md_tensor::Tensor;
+use md_tensor::{workspace, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Which synthetic family to generate.
@@ -127,7 +130,7 @@ const SEGMENTS: [[bool; 7]; 10] = [
 pub fn mnist_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
     assert!(img >= 8, "mnist_like needs img >= 8");
     let mut rng = Rng64::seed_from_u64(seed ^ 0x004D_4E49_5354);
-    let mut data = vec![-1.0f32; n * img * img];
+    let mut data = workspace::take_filled(n * img * img, -1.0);
     let mut labels = Vec::with_capacity(n);
 
     for s in 0..n {
@@ -183,7 +186,8 @@ pub fn cifar_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
     assert!(img >= 8, "cifar_like needs img >= 8");
     let mut rng = Rng64::seed_from_u64(seed ^ 0x00C1_FA12);
     let hw = img * img;
-    let mut data = vec![0.0f32; n * 3 * hw];
+    // Every element is written below.
+    let mut data = workspace::take_uninit(n * 3 * hw);
     let mut labels = Vec::with_capacity(n);
 
     for s in 0..n {
@@ -239,7 +243,8 @@ pub fn celeba_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
     assert!(img >= 16, "celeba_like needs img >= 16");
     let mut rng = Rng64::seed_from_u64(seed ^ 0x00CE_1EBA);
     let hw = img * img;
-    let mut data = vec![0.0f32; n * 3 * hw];
+    // Every element is written below.
+    let mut data = workspace::take_uninit(n * 3 * hw);
     let mut labels = Vec::with_capacity(n);
 
     for s in 0..n {
