@@ -43,6 +43,7 @@
 //! runtimes — which present identical bytes in identical order — make
 //! identical decisions, preserving the bit-identity contract.
 
+use md_tensor::math;
 use md_tensor::Tensor;
 
 /// Knobs of the server-side free-rider defense.
@@ -198,7 +199,8 @@ impl FeedbackForensics {
         // (a running view, so a thin probe round still has a population).
         for (k, &(wi, _, f)) in items.iter().enumerate() {
             if finite[k] {
-                self.tracks[wi].last_ln_norm = Some(norm(f.data()).max(1e-30).ln() as f32);
+                let n = norm(f.data()).clamp(1e-30, f64::from(f32::MAX)) as f32;
+                self.tracks[wi].last_ln_norm = Some(math::ln(n));
             }
         }
         let ln_norms: Vec<f32> = self.tracks.iter().filter_map(|t| t.last_ln_norm).collect();

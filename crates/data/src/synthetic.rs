@@ -14,7 +14,7 @@
 
 use crate::dataset::Dataset;
 use md_tensor::rng::Rng64;
-use md_tensor::{workspace, Tensor};
+use md_tensor::{math, workspace, Tensor};
 use serde::{Deserialize, Serialize};
 
 /// Which synthetic family to generate.
@@ -132,6 +132,8 @@ pub fn mnist_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
     let mut rng = Rng64::seed_from_u64(seed ^ 0x004D_4E49_5354);
     let mut data = workspace::take_filled(n * img * img, -1.0);
     let mut labels = Vec::with_capacity(n);
+    // One sample's pixel noise, drawn as a batch.
+    let mut noise = workspace::take_uninit(img * img);
 
     for s in 0..n {
         let digit = rng.below(10);
@@ -172,10 +174,12 @@ pub fn mnist_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
                 }
             }
         }
-        for v in canvas.iter_mut() {
-            *v = (*v + noise_std * rng.normal()).clamp(-1.0, 1.0);
+        rng.fill_normal(&mut noise);
+        for (v, &z) in canvas.iter_mut().zip(&noise) {
+            *v = (*v + noise_std * z).clamp(-1.0, 1.0);
         }
     }
+    workspace::recycle(noise);
     Dataset::new(Tensor::new(&[n, 1, img, img], data), labels, 10)
 }
 
@@ -189,6 +193,11 @@ pub fn cifar_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
     // Every element is written below.
     let mut data = workspace::take_uninit(n * 3 * hw);
     let mut labels = Vec::with_capacity(n);
+    // One sample's pixel noise (three values per pixel, in pixel order), then
+    // one row of wave and one row of blob values.
+    let mut scratch = workspace::take_uninit(3 * hw + 2 * img);
+    let (noise, rows) = scratch.split_at_mut(3 * hw);
+    let (wave, blob) = rows.split_at_mut(img);
 
     for s in 0..n {
         let class = rng.below(10);
@@ -201,36 +210,42 @@ pub fn cifar_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
         let blob_y = rng.uniform() * img as f32;
         let blob_r = img as f32 * (0.15 + 0.1 * rng.uniform());
         let blob_gain = 0.5 + 0.3 * rng.uniform();
+        rng.fill_normal(noise);
 
-        let (ct, st) = (theta.cos(), theta.sin());
+        let (st, ct) = math::sin_cos(theta);
         for y in 0..img {
-            for x in 0..img {
+            for (x, (w, b)) in wave.iter_mut().zip(blob.iter_mut()).enumerate() {
                 let u = (x as f32 * ct + y as f32 * st) / img as f32;
-                let wave = (2.0 * std::f32::consts::PI * freq * u + phase).sin();
+                *w = 2.0 * std::f32::consts::PI * freq * u + phase;
                 let dx = x as f32 - blob_x;
                 let dy = y as f32 - blob_y;
-                let blob = blob_gain * (-(dx * dx + dy * dy) / (blob_r * blob_r)).exp();
-                let base = 0.5 * wave + blob;
+                *b = -(dx * dx + dy * dy) / (blob_r * blob_r);
+            }
+            math::sin_slice(wave);
+            math::exp_slice(blob);
+            let z = &noise[3 * y * img..3 * (y + 1) * img];
+            for (x, ((&w, &b), z)) in wave.iter().zip(&*blob).zip(z.chunks_exact(3)).enumerate() {
+                let base = 0.5 * w + blob_gain * b;
                 let idx = s * 3 * hw + y * img + x;
-                data[idx] =
-                    (hr * base + 0.2 * hr - 0.1 + noise_std * rng.normal()).clamp(-1.0, 1.0);
-                data[idx + hw] =
-                    (hg * base + 0.2 * hg - 0.1 + noise_std * rng.normal()).clamp(-1.0, 1.0);
+                data[idx] = (hr * base + 0.2 * hr - 0.1 + noise_std * z[0]).clamp(-1.0, 1.0);
+                data[idx + hw] = (hg * base + 0.2 * hg - 0.1 + noise_std * z[1]).clamp(-1.0, 1.0);
                 data[idx + 2 * hw] =
-                    (hb * base + 0.2 * hb - 0.1 + noise_std * rng.normal()).clamp(-1.0, 1.0);
+                    (hb * base + 0.2 * hb - 0.1 + noise_std * z[2]).clamp(-1.0, 1.0);
             }
         }
     }
+    workspace::recycle(scratch);
     Dataset::new(Tensor::new(&[n, 3, img, img], data), labels, 10)
 }
 
 /// A crude but distinct hue per class.
 fn class_hue(class: usize) -> (f32, f32, f32) {
     let t = class as f32 / 10.0 * 2.0 * std::f32::consts::PI;
+    let cos = |a: f32| math::sin_cos(a).1;
     (
-        0.6 + 0.4 * t.cos(),
-        0.6 + 0.4 * (t + 2.1).cos(),
-        0.6 + 0.4 * (t + 4.2).cos(),
+        0.6 + 0.4 * cos(t),
+        0.6 + 0.4 * cos(t + 2.1),
+        0.6 + 0.4 * cos(t + 4.2),
     )
 }
 
@@ -246,6 +261,8 @@ pub fn celeba_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
     // Every element is written below.
     let mut data = workspace::take_uninit(n * 3 * hw);
     let mut labels = Vec::with_capacity(n);
+    // One sample's pixel noise, three values per pixel in pixel order.
+    let mut noise = workspace::take_uninit(3 * hw);
 
     for s in 0..n {
         let skin_dark = rng.uniform() < 0.5;
@@ -271,6 +288,7 @@ pub fn celeba_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
         let eye_dx = rx * 0.45;
         let mouth_dy = ry * 0.45;
         let mouth_w = rx * 0.6;
+        rng.fill_normal(&mut noise);
 
         for y in 0..img {
             for x in 0..img {
@@ -304,12 +322,14 @@ pub fn celeba_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
                     }
                 }
                 let idx = s * 3 * hw + y * img + x;
-                data[idx] = (r + noise_std * rng.normal()).clamp(-1.0, 1.0);
-                data[idx + hw] = (g + noise_std * rng.normal()).clamp(-1.0, 1.0);
-                data[idx + 2 * hw] = (b + noise_std * rng.normal()).clamp(-1.0, 1.0);
+                let z = &noise[3 * (y * img + x)..];
+                data[idx] = (r + noise_std * z[0]).clamp(-1.0, 1.0);
+                data[idx + hw] = (g + noise_std * z[1]).clamp(-1.0, 1.0);
+                data[idx + 2 * hw] = (b + noise_std * z[2]).clamp(-1.0, 1.0);
             }
         }
     }
+    workspace::recycle(noise);
     Dataset::new(Tensor::new(&[n, 3, img, img], data), labels, 4)
 }
 

@@ -3,6 +3,7 @@
 
 use crate::classifier::Scorer;
 use crate::linalg::{matmul, mean_and_cov, sqrtm_psd, trace};
+use md_tensor::math;
 use md_tensor::Tensor;
 
 /// A pair of GAN quality scores, as reported in every figure of the paper.
@@ -45,12 +46,12 @@ pub fn inception_score(probs: &Tensor, splits: usize) -> f64 {
             for (&p, &m) in probs.row(i).iter().zip(&marginal) {
                 let p = p as f64;
                 if p > 1e-12 && m > 1e-12 {
-                    kl += p * (p / m).ln();
+                    kl += p * f64::from(math::ln((p / m) as f32));
                 }
             }
             kl_sum += kl;
         }
-        scores.push((kl_sum / count).exp());
+        scores.push(f64::from(math::exp((kl_sum / count) as f32)));
     }
     scores.iter().sum::<f64>() / splits as f64
 }

@@ -25,6 +25,7 @@ use crate::layer::{Layer, Need};
 use crate::layers::sigmoid;
 use crate::layers::Sequential;
 use crate::loss::softmax_cross_entropy;
+use md_tensor::math;
 use md_tensor::rng::Rng64;
 use md_tensor::workspace;
 use md_tensor::Tensor;
@@ -305,7 +306,7 @@ fn disc_loss_side(
     let mut loss = 0.0f32;
     for (g, &s) in src_grad.iter_mut().zip(&src) {
         // Stable BCE-with-logits toward `source_target`.
-        loss += s.max(0.0) - s * source_target + (1.0 + (-s.abs()).exp()).ln();
+        loss += s.max(0.0) - s * source_target + math::ln(1.0 + math::exp(-s.abs()));
         *g = (sigmoid(s) - source_target) / b;
     }
     loss /= b;
@@ -351,14 +352,14 @@ pub fn gen_loss(
             GenLossMode::Minimax => {
                 // log(1 - σ(s)) = -s - ln(1 + e^{-s}) computed stably:
                 // = -(max(s,0) + ln(1 + e^{-|s|}))... derive via -softplus(s).
-                let softplus = s.max(0.0) + (1.0 + (-s.abs()).exp()).ln();
+                let softplus = s.max(0.0) + math::ln(1.0 + math::exp(-s.abs()));
                 loss += -softplus / b * 1.0;
                 loss += 0.0; // (kept explicit: J = mean log(1-σ) = mean(-softplus(s)))
                 *g = -p / b;
             }
             GenLossMode::NonSaturating => {
                 // -log σ(s) = softplus(-s)
-                let softplus_neg = (-s).max(0.0) + (1.0 + (-s.abs()).exp()).ln();
+                let softplus_neg = (-s).max(0.0) + math::ln(1.0 + math::exp(-s.abs()));
                 loss += softplus_neg / b;
                 *g = (p - 1.0) / b;
             }

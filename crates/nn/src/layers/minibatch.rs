@@ -14,6 +14,7 @@
 
 use crate::init::Init;
 use crate::layer::{GradSlot, Layer, Need};
+use md_tensor::math;
 use md_tensor::ops::matmul::matmul_tn_into;
 use md_tensor::rng::Rng64;
 use md_tensor::workspace;
@@ -187,7 +188,7 @@ impl Layer for MinibatchDiscrimination {
                         let mi = &md[i * nb * nc + f * nc..i * nb * nc + (f + 1) * nc];
                         let mj = &md[j * nb * nc + f * nc..j * nb * nc + (f + 1) * nc];
                         let l1: f32 = mi.iter().zip(mj).map(|(a, b)| (a - b).abs()).sum();
-                        let cv = (-l1).exp();
+                        let cv = math::exp(-l1);
                         c[(i * b + j) * nb + f] = cv;
                         o[i * nb + f] += cv;
                     }

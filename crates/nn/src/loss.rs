@@ -5,6 +5,7 @@
 //! gradients.
 
 use crate::layers::sigmoid;
+use md_tensor::math;
 use md_tensor::Tensor;
 
 /// Binary cross-entropy on logits with mean reduction.
@@ -23,7 +24,7 @@ pub fn bce_with_logits(logits: &Tensor, targets: &Tensor) -> (f32, Tensor) {
         .iter_mut()
         .zip(logits.data().iter().zip(targets.data()))
     {
-        loss += s.max(0.0) - s * t + (1.0 + (-s.abs()).exp()).ln();
+        loss += s.max(0.0) - s * t + math::ln(1.0 + math::exp(-s.abs()));
         *g = (sigmoid(s) - t) / n;
     }
     (loss / n, grad)
@@ -38,7 +39,7 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     assert_eq!(labels.len(), b, "label count mismatch");
     let log_probs = logits.log_softmax_rows();
     let mut loss = 0.0f32;
-    let mut grad = log_probs.exp(); // softmax
+    let mut grad = log_probs.map(math::exp); // softmax
     for (i, &y) in labels.iter().enumerate() {
         assert!(y < c, "label {y} out of range for {c} classes");
         loss -= log_probs.at(&[i, y]);

@@ -11,7 +11,9 @@
 //!   with analytic gradients for inputs, weights and biases,
 //! * reductions (sum/mean/max/argmax, per-axis variants),
 //! * seeded RNG helpers (uniform, Box–Muller normal) so every experiment in
-//!   the repository is reproducible bit-for-bit.
+//!   the repository is reproducible bit-for-bit,
+//! * owned `exp` / `ln` / `tanh` / `sin_cos` ([`math`]), so those bits do not
+//!   depend on the host's libm.
 //!
 //! The design intentionally favours clarity and testability over raw speed:
 //! all tensors are contiguous, ops allocate their outputs, and hot kernels
@@ -22,6 +24,7 @@
 //! bitwise identical for any thread count (see [`parallel`] and the
 //! `TENSOR_THREADS` override).
 
+pub mod math;
 pub mod ops;
 pub mod parallel;
 pub mod pool;

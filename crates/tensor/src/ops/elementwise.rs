@@ -1,6 +1,7 @@
 //! Elementwise arithmetic with broadcasting, unary maps, and the in-place
 //! update primitives used by the optimizers.
 
+use crate::math;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use crate::workspace;
@@ -159,12 +160,12 @@ impl Tensor {
 
     /// Elementwise natural exponential.
     pub fn exp(&self) -> Tensor {
-        self.map(f32::exp)
+        self.map(math::exp)
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Tensor {
-        self.map(f32::ln)
+        self.map(math::ln)
     }
 
     /// Elementwise square root.

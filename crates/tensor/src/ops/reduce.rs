@@ -1,6 +1,7 @@
 //! Reductions: global and per-axis sums/means/maxima, argmax, softmax and
 //! log-sum-exp (numerically stable), used by losses and metrics.
 
+use crate::math;
 use crate::tensor::Tensor;
 use crate::workspace;
 
@@ -122,11 +123,11 @@ impl Tensor {
             let row = &self.data()[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let orow = &mut out[i * n..(i + 1) * n];
-            let mut z = 0.0f32;
             for (o, &v) in orow.iter_mut().zip(row) {
-                *o = (v - mx).exp();
-                z += *o;
+                *o = v - mx;
             }
+            math::exp_slice(orow);
+            let z: f32 = orow.iter().fold(0.0, |z, &o| z + o);
             for o in orow.iter_mut() {
                 *o /= z;
             }
@@ -142,8 +143,13 @@ impl Tensor {
         for i in 0..m {
             let row = &self.data()[i * n..(i + 1) * n];
             let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let lse = mx + row.iter().map(|&v| (v - mx).exp()).sum::<f32>().ln();
-            for (o, &v) in out[i * n..(i + 1) * n].iter_mut().zip(row) {
+            let orow = &mut out[i * n..(i + 1) * n];
+            for (o, &v) in orow.iter_mut().zip(row) {
+                *o = v - mx;
+            }
+            math::exp_slice(orow);
+            let lse = mx + math::ln(orow.iter().sum::<f32>());
+            for (o, &v) in orow.iter_mut().zip(row) {
                 *o = v - lse;
             }
         }

@@ -6,6 +6,7 @@
 //! bit-for-bit reproducible — a property several integration tests rely on
 //! (e.g. threaded vs sequential MD-GAN equivalence).
 
+use crate::math;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -93,13 +94,57 @@ impl Rng64 {
         if let Some(z) = self.spare_normal.take() {
             return z;
         }
-        // u1 in (0,1] to keep ln() finite.
+        let (u1, theta) = self.box_muller_inputs();
+        let r = (-2.0 * math::ln(u1)).sqrt();
+        let (sin, cos) = math::sin_cos(theta);
+        self.spare_normal = Some(r * sin);
+        r * cos
+    }
+
+    /// The two draws of one Box–Muller pair: `u1` in `(0, 1]` (so its `ln`
+    /// is finite) and the angle `2π·u2`.
+    #[inline]
+    fn box_muller_inputs(&mut self) -> (f32, f32) {
         let u1: f32 = 1.0 - self.inner.gen::<f32>();
         let u2: f32 = self.inner.gen::<f32>();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f32::consts::PI * u2;
-        self.spare_normal = Some(r * theta.sin());
-        r * theta.cos()
+        (u1, 2.0 * std::f32::consts::PI * u2)
+    }
+
+    /// Fills `out` with exactly the values, in order, that `out.len()`
+    /// calls of [`Rng64::normal`] would return, and leaves the same state
+    /// behind (spare included). The uniforms are drawn in the same order;
+    /// `ln`, `sqrt` and `sin_cos` then run lane-wise over blocks of pairs.
+    pub fn fill_normal(&mut self, out: &mut [f32]) {
+        const PAIRS: usize = 64;
+        let mut out = out;
+        if out.is_empty() {
+            return;
+        }
+        if let Some(z) = self.spare_normal.take() {
+            out[0] = z;
+            out = &mut out[1..];
+        }
+        let (body, tail) = out.split_at_mut(out.len() & !1);
+        let (mut r, mut sin, mut cos) = ([0.0f32; PAIRS], [0.0f32; PAIRS], [0.0f32; PAIRS]);
+        for block in body.chunks_mut(2 * PAIRS) {
+            let n = block.len() / 2;
+            let (r, sin, cos) = (&mut r[..n], &mut sin[..n], &mut cos[..n]);
+            for (u1, theta) in r.iter_mut().zip(sin.iter_mut()) {
+                (*u1, *theta) = self.box_muller_inputs();
+            }
+            math::ln_slice(r);
+            for v in r.iter_mut() {
+                *v = (-2.0 * *v).sqrt();
+            }
+            math::sin_cos_slice(sin, cos);
+            for (((pair, &r), &s), &c) in block.chunks_exact_mut(2).zip(&*r).zip(&*sin).zip(&*cos) {
+                pair[0] = r * c;
+                pair[1] = r * s;
+            }
+        }
+        if let [last] = tail {
+            *last = self.normal();
+        }
     }
 
     /// Normal sample with the given mean and standard deviation.
@@ -200,6 +245,33 @@ mod tests {
         let mut b = Rng64::from_state_words(w);
         let mut a2 = Rng64::seed_from_u64(3);
         assert_eq!(a2.normal().to_bits(), b.normal().to_bits());
+    }
+
+    /// The batch entry against repeated `normal()` calls: every length
+    /// from 0 to 300 (odd and even, across the 128-value blocks), from a
+    /// fresh generator and from one with a pending spare, then the same
+    /// state words and the same next draws.
+    #[test]
+    fn fill_normal_matches_repeated_normal() {
+        for spare in [false, true] {
+            for len in 0..=300 {
+                let mut a = Rng64::seed_from_u64(len as u64 ^ 0x5eed);
+                if spare {
+                    a.normal();
+                }
+                let mut b = a.clone();
+                let mut batch = vec![f32::NAN; len];
+                a.fill_normal(&mut batch);
+                let single: Vec<f32> = (0..len).map(|_| b.normal()).collect();
+                assert_eq!(
+                    batch.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "len {len}, spare {spare}"
+                );
+                assert_eq!(a.state_words(), b.state_words(), "len {len}, spare {spare}");
+                assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+            }
+        }
     }
 
     #[test]

@@ -92,10 +92,8 @@ impl Tensor {
     pub fn randn(shape: &[usize], rng: &mut Rng64) -> Self {
         let shape = Shape::new(shape);
         let n = shape.numel();
-        let mut data = workspace::take_raw(n);
-        for _ in 0..n {
-            data.push(rng.normal());
-        }
+        let mut data = workspace::take_uninit(n);
+        rng.fill_normal(&mut data);
         Tensor { shape, data }
     }
 

@@ -2,9 +2,10 @@
 //! over N local GANs) and gossip GAN (pairwise averaging, also under
 //! churn). The in-crate tests compare two runs of the same build; these
 //! constants were recorded before the baselines shared one federation
-//! core, so a refactor that moved a seed, an RNG draw, a checkpoint
-//! section, a byte charge or a traced transfer fails here. They hold at
-//! every `TENSOR_THREADS` width.
+//! core (and re-recorded once when the transcendentals moved from the host
+//! libm to `md_tensor::math`), so a refactor that moved a seed, an RNG
+//! draw, a checkpoint section, a byte charge or a traced transfer fails
+//! here. They hold at every `TENSOR_THREADS` width.
 
 use mdgan_repro::core::config::{FlGanConfig, GanHyper};
 use mdgan_repro::core::flgan::FlGan;
@@ -160,8 +161,8 @@ const PAIR: u64 = 308_332;
 fn flgan_run() {
     let rec = Arc::new(Recorder::traced());
     let o = flgan(Arc::clone(&rec));
-    assert_eq!(o.checkpoint, 2125778006564797834);
-    assert_eq!(o.gen, 7537697360041569853);
+    assert_eq!(o.checkpoint, 11891820581850321474);
+    assert_eq!(o.gen, 15765613117799412513);
     let per_node = 2 * PAIR;
     assert_eq!(
         o.traffic,
@@ -187,8 +188,8 @@ fn flgan_run() {
 fn gossip_run() {
     let rec = Arc::new(Recorder::traced());
     let o = plain_gossip(Arc::clone(&rec));
-    assert_eq!(o.checkpoint, 349085565340280465);
-    assert_eq!(o.gen, 16632049827152417033);
+    assert_eq!(o.checkpoint, 11097367341166654191);
+    assert_eq!(o.gen, 19910859617893923);
     let per_node = 2 * PAIR;
     assert_eq!(
         o.traffic,
@@ -219,8 +220,8 @@ fn gossip_run() {
 #[test]
 fn elastic_gossip_run() {
     let o = elastic_gossip(Arc::new(Recorder::disabled()));
-    assert_eq!(o.checkpoint, 15421204553460413375);
-    assert_eq!(o.gen, 18392080648380662285);
+    assert_eq!(o.checkpoint, 6191229373277660671);
+    assert_eq!(o.gen, 3497790876695498985);
     assert_eq!(
         o.traffic,
         report(
