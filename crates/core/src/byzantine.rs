@@ -11,6 +11,9 @@
 //! coordinate-wise robust aggregators the server can use in place of the
 //! plain average.
 
+use crate::checkpoint::Checkpoint;
+use crate::error::{ckerr, TrainError};
+use crate::mdgan::worker::MdWorker;
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -104,12 +107,14 @@ pub fn resolve_attacks(attacks: &[Attack], total: usize) -> Vec<Attack> {
 /// all three runtimes apply manipulations identically and independently
 /// of iteration order.
 ///
-/// The RNG stream is derived from the master seed and the worker's slot
-/// alone — worker `i` draws the same noise sequence whether the runtime
-/// visits workers sequentially, on threads, or in async completion order.
+/// A turn's noise stream is keyed by the master seed, the worker's slot and
+/// the worker's discriminator step count — worker `i` draws the same noise
+/// whether the runtime visits workers sequentially, on threads, or in async
+/// completion order, and a resumed run draws what an uninterrupted one does.
 pub struct AttackState {
     attack: Attack,
-    rng: Rng64,
+    key: u64,
+    slot: u64,
     /// [`Attack::DelayedEcho`]'s recorded feedback (first one computed).
     echo: Option<Tensor>,
     /// [`Attack::PretrainedMimic`]'s frozen discriminator snapshot.
@@ -121,10 +126,10 @@ impl AttackState {
     /// be the worker's initial discriminator parameters when the attack is
     /// [`Attack::PretrainedMimic`]; it is ignored otherwise.
     pub fn new(attack: Attack, master_seed: u64, wi: usize, stale_disc: Option<Vec<f32>>) -> Self {
-        let salt = (wi as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         AttackState {
             attack,
-            rng: Rng64::seed_from_u64(master_seed ^ 0xA77AC4 ^ salt),
+            key: master_seed ^ 0xA77AC4,
+            slot: wi as u64,
             echo: None,
             stale_disc: match attack {
                 Attack::PretrainedMimic => {
@@ -146,7 +151,7 @@ impl AttackState {
     /// stale discriminator). Honest workers pass through untouched.
     pub fn apply(
         &mut self,
-        worker: &mut crate::mdgan::worker::MdWorker,
+        worker: &mut MdWorker,
         honest: Tensor,
         xg: &Tensor,
         xg_labels: &[usize],
@@ -154,9 +159,11 @@ impl AttackState {
         match self.attack {
             Attack::None => honest,
             Attack::SignFlip { .. } | Attack::RandomNoise { .. } | Attack::Inflate { .. } => {
-                self.attack.apply(&honest, &mut self.rng)
+                self.attack.apply(&honest, &mut self.stream(worker))
             }
-            Attack::PureNoise { std } => Tensor::randn(honest.shape(), &mut self.rng).scale(std),
+            Attack::PureNoise { std } => {
+                Tensor::randn(honest.shape(), &mut self.stream(worker)).scale(std)
+            }
             Attack::DelayedEcho => self.echo.get_or_insert(honest).clone(),
             Attack::PretrainedMimic => {
                 let stale = self.stale_disc.as_ref().expect("mimic snapshot present");
@@ -164,6 +171,45 @@ impl AttackState {
             }
         }
     }
+
+    /// [`Attack::DelayedEcho`]'s recorded feedback, once there is one.
+    pub(crate) fn echo(&self) -> Option<&Tensor> {
+        self.echo.as_ref()
+    }
+
+    /// The noise stream of `worker`'s current turn.
+    fn stream(&self, worker: &MdWorker) -> Rng64 {
+        Rng64::keyed(self.key, self.slot, worker.d_steps())
+    }
+}
+
+/// Writes what the attack states carry between turns besides their
+/// configuration: each [`Attack::DelayedEcho`] attacker's recorded feedback
+/// ([`AttackState::echo`], by slot), as `echo_n` (1-based slot `n`), once
+/// it has recorded one.
+pub(crate) fn push_echoes<'a>(
+    ck: &mut Checkpoint,
+    echoes: impl IntoIterator<Item = Option<&'a Tensor>>,
+) {
+    for (i, echo) in echoes.into_iter().enumerate() {
+        if let Some(echo) = echo {
+            ck.push_tensor(&format!("echo_{}", i + 1), echo);
+        }
+    }
+}
+
+/// Reads back what [`push_echoes`] wrote: a slot without a section has
+/// recorded nothing yet.
+pub(crate) fn restore_echoes(
+    ck: &Checkpoint,
+    attacks: &mut [AttackState],
+) -> Result<(), TrainError> {
+    for (i, a) in attacks.iter_mut().enumerate() {
+        let name = format!("echo_{}", i + 1);
+        let echo = ck.get(&name).map(|_| ck.require_tensor(&name));
+        a.echo = echo.transpose().map_err(ckerr)?;
+    }
+    Ok(())
 }
 
 /// How the server merges the feedbacks of the workers sharing one
@@ -246,6 +292,18 @@ impl Aggregation {
         }
     }
 }
+
+/// One of each [`Attack`] variant, for tests that must hold under all.
+#[cfg(test)]
+pub(crate) const EVERY_ATTACK: [Attack; 7] = [
+    Attack::None,
+    Attack::SignFlip { scale: 1.0 },
+    Attack::RandomNoise { std: 1.0 },
+    Attack::Inflate { factor: 4.0 },
+    Attack::PureNoise { std: 1.0 },
+    Attack::DelayedEcho,
+    Attack::PretrainedMimic,
+];
 
 #[cfg(test)]
 mod tests {
@@ -376,16 +434,16 @@ mod tests {
     }
 
     #[test]
-    fn attack_state_rng_is_per_worker_and_order_independent() {
+    fn attack_streams_are_per_slot_and_per_step() {
         let f = t(&[0.5, -0.5, 0.25]);
-        let draw = |wi: usize| {
-            let mut s = AttackState::new(Attack::PureNoise { std: 1.0 }, 42, wi, None);
-            Attack::PureNoise { std: 1.0 }
-                .apply(&f, &mut s.rng)
-                .into_data()
+        let draw = |wi: usize, step: u64| {
+            let s = AttackState::new(Attack::PureNoise { std: 1.0 }, 42, wi, None);
+            let mut rng = Rng64::keyed(s.key, s.slot, step);
+            s.attack.apply(&f, &mut rng).into_data()
         };
-        assert_eq!(draw(0), draw(0), "same slot, same stream");
-        assert_ne!(draw(0), draw(1), "distinct slots, distinct streams");
+        assert_eq!(draw(0, 3), draw(0, 3), "same slot and step, same stream");
+        assert_ne!(draw(0, 3), draw(1, 3), "distinct slots, distinct streams");
+        assert_ne!(draw(0, 3), draw(0, 4), "distinct steps, distinct streams");
     }
 
     #[test]

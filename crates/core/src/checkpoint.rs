@@ -18,6 +18,7 @@
 //! bytes, per the kind tag); the CRC covers name, kind, length and payload.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use md_tensor::Tensor;
 use std::fs;
 use std::io;
 use std::io::Write;
@@ -174,7 +175,7 @@ impl Checkpoint {
         self.push_section(name.into(), SectionData::F32(data));
     }
 
-    /// Appends a u64 section (RNG states, counters, masks).
+    /// Appends a u64 section (counters, masks, shapes).
     ///
     /// # Panics
     /// Panics on a duplicate section name.
@@ -274,11 +275,24 @@ impl Checkpoint {
         Ok(d)
     }
 
-    /// A u64 section that must exist with exactly `N` words, as an array
-    /// (an RNG stream position, say).
-    pub fn require_words<const N: usize>(&self, name: &str) -> io::Result<[u64; N]> {
-        let d = self.require_u64_len(name, N)?;
-        Ok(std::array::from_fn(|i| d[i]))
+    /// Stores a tensor as an f32 section plus a `{name}_shape` u64
+    /// companion.
+    pub fn push_tensor(&mut self, name: &str, t: &Tensor) {
+        self.push(name, t.data().to_vec());
+        let shape = t.shape().iter().map(|&d| d as u64).collect();
+        self.push_u64(format!("{name}_shape"), shape);
+    }
+
+    /// A tensor stored by [`push_tensor`](Self::push_tensor), its element
+    /// count checked against the recorded shape.
+    pub fn require_tensor(&self, name: &str) -> io::Result<Tensor> {
+        let shape: Vec<usize> = self
+            .require_u64(&format!("{name}_shape"))?
+            .iter()
+            .map(|&d| d as usize)
+            .collect();
+        let data = self.require_len(name, shape.iter().product())?;
+        Ok(Tensor::new(&shape, data.to_vec()))
     }
 
     /// A byte section that must exist.
@@ -539,7 +553,7 @@ mod tests {
 
     fn sample_v2() -> Checkpoint {
         let mut c = sample();
-        c.push_u64("rng_server", vec![1, u64::MAX, 0, 42, 7]);
+        c.push_u64("words", vec![1, u64::MAX, 0, 42, 7]);
         c.push_u64("counters", vec![1234, 5]);
         c.push_bytes("timeline", b"{\"iter\":0}\n{\"iter\":50}\n".to_vec());
         c
@@ -611,17 +625,14 @@ mod tests {
         let c = sample_v2();
         let parsed = Checkpoint::from_bytes(&c.to_bytes()).unwrap();
         assert_eq!(parsed, c);
-        assert_eq!(
-            parsed.get_u64("rng_server"),
-            Some(&[1, u64::MAX, 0, 42, 7][..])
-        );
+        assert_eq!(parsed.get_u64("words"), Some(&[1, u64::MAX, 0, 42, 7][..]));
         assert_eq!(parsed.get_u64("counters"), Some(&[1234, 5][..]));
         assert_eq!(
             parsed.get_bytes("timeline"),
             Some(&b"{\"iter\":0}\n{\"iter\":50}\n"[..])
         );
         // Typed getters do not cross kinds.
-        assert!(parsed.get("rng_server").is_none());
+        assert!(parsed.get("words").is_none());
         assert!(parsed.get_u64("generator").is_none());
         assert!(parsed.get_bytes("generator").is_none());
     }
@@ -755,8 +766,8 @@ mod tests {
         assert!(c.require("nope").is_err());
         assert!(c.require_len("generator", 4).is_err());
         assert!(c.require_u64("nope").is_err());
-        assert!(c.require_u64_len("rng_server", 5).is_ok());
-        assert!(c.require_u64_len("rng_server", 4).is_err());
+        assert!(c.require_u64_len("words", 5).is_ok());
+        assert!(c.require_u64_len("words", 4).is_err());
         assert!(c.require_bytes("timeline").is_ok());
         assert!(c.require_bytes("generator").is_err(), "wrong kind accepted");
     }

@@ -4,8 +4,9 @@
 //! iterations using a sample of 500 generated data", with the FID computed
 //! "using a batch of the same size from the test dataset". The
 //! [`Evaluator`] reproduces exactly that: it owns the trained scorer
-//! classifier, a fixed test sample, and a private RNG stream for the
-//! evaluation noise.
+//! classifier, a fixed test sample, and the key of the evaluation noise,
+//! which is drawn per scored iteration — every competitor scored at the
+//! same iteration by the same evaluator sees the same noise.
 
 use md_data::Dataset;
 use md_metrics::classifier::{Scorer, ScorerConfig};
@@ -20,7 +21,9 @@ pub struct Evaluator {
     scorer: Scorer,
     real_features: Tensor,
     sample_n: usize,
-    rng: Rng64,
+    /// Key of the evaluation-noise streams: the noise of the point at
+    /// iteration `i` comes from stream `(key, 0, i)`.
+    key: u64,
 }
 
 impl Evaluator {
@@ -48,7 +51,7 @@ impl Evaluator {
             scorer,
             real_features,
             sample_n: n,
-            rng,
+            key: rng.next_u64(),
         }
     }
 
@@ -58,15 +61,24 @@ impl Evaluator {
         self.scorer.accuracy_on(data)
     }
 
-    /// Scores a generator: samples `sample_n` images (fresh noise, uniform
-    /// labels when conditional) and computes IS and FID.
+    /// Scores a generator with the evaluation noise of iteration 0: see
+    /// [`evaluate_at`](Self::evaluate_at).
+    pub fn evaluate(&mut self, gen: &mut Generator) -> GanScores {
+        self.evaluate_at(gen, 0)
+    }
+
+    /// Scores a generator at iteration `iter`: samples `sample_n` images
+    /// (that iteration's noise, uniform labels when conditional) and
+    /// computes IS and FID. The same evaluator, generator and `iter` give
+    /// the same scores.
     ///
     /// Generation runs in training mode so BatchNorm uses the large
     /// evaluation batch's statistics — early running statistics would
     /// otherwise dominate the scores.
-    pub fn evaluate(&mut self, gen: &mut Generator) -> GanScores {
-        let z = gen.sample_z(self.sample_n, &mut self.rng);
-        let labels = gen.sample_labels(self.sample_n, &mut self.rng);
+    pub fn evaluate_at(&mut self, gen: &mut Generator, iter: usize) -> GanScores {
+        let mut rng = Rng64::keyed(self.key, 0, iter as u64);
+        let z = gen.sample_z(self.sample_n, &mut rng);
+        let labels = gen.sample_labels(self.sample_n, &mut rng);
         let images = gen.generate(&z, &labels, true);
         let (fake_feats, fake_probs) = self.scorer.features_and_probs(&images);
         GanScores {
@@ -86,7 +98,7 @@ impl Evaluator {
         timeline: &mut ScoreTimeline,
     ) {
         let span = telemetry.span(Phase::Eval);
-        let s = self.evaluate(gen);
+        let s = self.evaluate_at(gen, iter);
         drop(span);
         telemetry.event(Event::EvalDone {
             iter,
@@ -99,20 +111,6 @@ impl Evaluator {
     /// Number of samples used per evaluation.
     pub fn sample_n(&self) -> usize {
         self.sample_n
-    }
-
-    /// The evaluation-noise RNG stream position. Together with
-    /// [`set_rng_state_words`](Self::set_rng_state_words) this makes
-    /// experiments resumable: an evaluator rebuilt from the same data and
-    /// seed, fast-forwarded to a saved position, produces bit-identical
-    /// scores from there on.
-    pub fn rng_state_words(&self) -> [u64; Rng64::STATE_WORDS] {
-        self.rng.state_words()
-    }
-
-    /// Restores the evaluation-noise RNG stream position.
-    pub fn set_rng_state_words(&mut self, words: [u64; Rng64::STATE_WORDS]) {
-        self.rng = Rng64::from_state_words(words);
     }
 }
 
@@ -308,16 +306,17 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_rng_state_roundtrip_makes_scores_repeatable() {
+    fn evaluation_noise_is_keyed_by_iteration() {
         let (mut ev, _) = quick_eval();
         let spec = ArchSpec::mlp_mnist_scaled(12);
         let mut g = spec.build_generator(&mut Rng64::seed_from_u64(2));
-        let saved = ev.rng_state_words();
-        let a = ev.evaluate(&mut g);
-        ev.set_rng_state_words(saved);
-        let b = ev.evaluate(&mut g);
+        let a = ev.evaluate_at(&mut g, 7);
+        let other = ev.evaluate_at(&mut g, 8);
+        let b = ev.evaluate_at(&mut g, 7);
         assert_eq!(a.inception_score, b.inception_score);
         assert_eq!(a.fid, b.fid);
+        assert_ne!(a.fid, other.fid, "neighbouring iterations share noise");
+        assert_eq!(ev.evaluate(&mut g).fid, ev.evaluate_at(&mut g, 0).fid);
     }
 
     #[test]

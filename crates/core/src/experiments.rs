@@ -265,7 +265,6 @@ impl RecoveryConfig {
 /// own [`Recoverable::capture`] state. Restore paths ignore unknown
 /// sections, so the extras are invisible to the competitor itself.
 const SEC_CURVE: &str = "exp_curve";
-const SEC_EVAL_RNG: &str = "exp_eval_rng";
 const SEC_TIMELINE: &str = "exp_timeline";
 
 /// Crash-consistent small-file write: temp file + fsync + atomic rename.
@@ -280,60 +279,27 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     std::fs::rename(&tmp, path)
 }
 
-/// A completed curve on disk: the exact-roundtrip JSONL timeline plus one
-/// trailing metadata line with the evaluator's RNG position *after* the
-/// curve — the next curve must resume the shared evaluator stream there.
-/// [`ScoreTimeline::from_jsonl`] skips the metadata line (no score fields).
-fn curve_doc(label: &str, timeline: &ScoreTimeline, evaluator: &Evaluator) -> String {
-    let words = evaluator
-        .rng_state_words()
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("{}{{\"eval_rng\":\"{words}\"}}\n", timeline.to_jsonl(label))
-}
-
-fn parse_eval_rng(text: &str) -> Option<[u64; Rng64::STATE_WORDS]> {
-    let tag = "\"eval_rng\":\"";
-    let start = text.rfind(tag)? + tag.len();
-    let end = text[start..].find('"')? + start;
-    let mut out = [0u64; Rng64::STATE_WORDS];
-    let mut n = 0;
-    for (i, part) in text[start..end].split(',').enumerate() {
-        if i >= out.len() {
-            return None;
-        }
-        out[i] = part.parse().ok()?;
-        n = i + 1;
-    }
-    (n == out.len()).then_some(out)
-}
-
 fn capture_curve_state<G: Recoverable>(
     gan: &G,
-    evaluator: &Evaluator,
     timeline: &ScoreTimeline,
     label: &str,
     curve_idx: usize,
 ) -> Checkpoint {
     let mut ck = gan.capture();
     ck.push_u64(SEC_CURVE, vec![curve_idx as u64]);
-    ck.push_u64(SEC_EVAL_RNG, evaluator.rng_state_words().to_vec());
     ck.push_bytes(SEC_TIMELINE, timeline.to_jsonl(label).into_bytes());
     ck
 }
 
-/// Restores gan + evaluator RNG + partial timeline from a curve
-/// checkpoint (used both for cross-process resume and in-memory rollback).
+/// Restores gan + partial timeline from a curve checkpoint (used both for
+/// cross-process resume and in-memory rollback). The evaluation noise is
+/// keyed by the iteration, so the evaluator carries nothing to restore.
 fn restore_curve_state<G: Recoverable>(
     gan: &mut G,
-    evaluator: &mut Evaluator,
     timeline: &mut ScoreTimeline,
     ck: &Checkpoint,
 ) -> Result<(), TrainError> {
     gan.restore(ck)?;
-    evaluator.set_rng_state_words(ck.require_words(SEC_EVAL_RNG).map_err(ckerr)?);
     let text = ck.require_bytes(SEC_TIMELINE).map_err(ckerr)?;
     let text = std::str::from_utf8(text)
         .map_err(|e| TrainError::Checkpoint(format!("{SEC_TIMELINE} is not UTF-8: {e}")))?;
@@ -362,7 +328,7 @@ fn drive_curve_resumable<G: Recoverable>(
     let mut timeline = ScoreTimeline::new();
 
     if let Some(ck) = pending {
-        restore_curve_state(gan, evaluator, &mut timeline, ck)?;
+        restore_curve_state(gan, &mut timeline, ck)?;
         telemetry.event(Event::Resumed {
             iter: gan.iteration() as usize,
         });
@@ -373,7 +339,7 @@ fn drive_curve_resumable<G: Recoverable>(
 
     let mut monitor = HealthMonitor::new(rec.health);
     let mut rollbacks = 0u32;
-    let mut last_good = capture_curve_state(gan, evaluator, &timeline, label, curve_idx);
+    let mut last_good = capture_curve_state(gan, &timeline, label, curve_idx);
 
     while (gan.iteration() as usize) < iters {
         let losses = gan.step_once();
@@ -396,7 +362,7 @@ fn drive_curve_resumable<G: Recoverable>(
                     last: verdict.as_str().to_string(),
                 });
             }
-            restore_curve_state(gan, evaluator, &mut timeline, &last_good)?;
+            restore_curve_state(gan, &mut timeline, &last_good)?;
             if rec.lr_drop != 1.0 {
                 gan.scale_lr(rec.lr_drop);
             }
@@ -413,7 +379,7 @@ fn drive_curve_resumable<G: Recoverable>(
         }
 
         if persist {
-            let ck = capture_curve_state(gan, evaluator, &timeline, label, curve_idx);
+            let ck = capture_curve_state(gan, &timeline, label, curve_idx);
             // Only persisted state is a rollback target: rolling back to an
             // unpersisted iteration would diverge from a crash+resume replay.
             ck.save_atomic(&current)?;
@@ -427,18 +393,17 @@ fn drive_curve_resumable<G: Recoverable>(
     Ok(timeline)
 }
 
-/// Seals a completed curve: writes its JSONL (with the evaluator RNG
-/// trailer) atomically, then drops the in-progress checkpoint. A crash
-/// between the two writes leaves both files; resume prefers the sealed
-/// curve and discards the stale checkpoint.
+/// Seals a completed curve: writes its exact-roundtrip JSONL timeline
+/// atomically, then drops the in-progress checkpoint. A crash between the
+/// two writes leaves both files; resume prefers the sealed curve and
+/// discards the stale checkpoint.
 fn finish_curve(
     dir: &Path,
     curve_idx: usize,
     label: &str,
     timeline: &ScoreTimeline,
-    evaluator: &Evaluator,
 ) -> Result<(), TrainError> {
-    let doc = curve_doc(label, timeline, evaluator);
+    let doc = timeline.to_jsonl(label);
     write_atomic(
         &dir.join(format!("curve_{curve_idx}.jsonl")),
         doc.as_bytes(),
@@ -484,11 +449,10 @@ pub fn run_convergence_resumable(
     let mut results: Vec<CurveResult> = Vec::new();
     let mut curve_idx = 0usize;
 
-    // Reloads a completed curve from disk (restoring the evaluator RNG to
-    // its post-curve position) or reports that the curve must be trained.
+    // Reloads a completed curve from disk or reports that the curve must be
+    // trained.
     let load_done = |curve_idx: usize,
                      label: &str,
-                     evaluator: &mut Evaluator,
                      pending: &mut Option<Checkpoint>|
      -> Result<Option<CurveResult>, TrainError> {
         let file = rec.dir.join(format!("curve_{curve_idx}.jsonl"));
@@ -496,10 +460,6 @@ pub fn run_convergence_resumable(
             return Ok(None);
         }
         let text = std::fs::read_to_string(&file)?;
-        let words = parse_eval_rng(&text).ok_or_else(|| {
-            TrainError::Checkpoint(format!("{} has no eval_rng trailer", file.display()))
-        })?;
-        evaluator.set_rng_state_words(words);
         if pending_curve == Some(curve_idx) {
             // Crash hit between sealing this curve and dropping its
             // checkpoint — the sealed curve wins.
@@ -515,7 +475,7 @@ pub fn run_convergence_resumable(
     // Standalone, both batch sizes.
     for b in [cfg.b_small, cfg.b_large] {
         let label = format!("standalone b={b}");
-        if let Some(done) = load_done(curve_idx, &label, &mut evaluator, &mut pending)? {
+        if let Some(done) = load_done(curve_idx, &label, &mut pending)? {
             results.push(done);
         } else {
             let hyper = GanHyper {
@@ -540,7 +500,7 @@ pub fn run_convergence_resumable(
                 telemetry,
                 rec,
             )?;
-            finish_curve(&rec.dir, curve_idx, &label, &timeline, &evaluator)?;
+            finish_curve(&rec.dir, curve_idx, &label, &timeline)?;
             results.push(CurveResult {
                 label,
                 timeline,
@@ -553,7 +513,7 @@ pub fn run_convergence_resumable(
     // FL-GAN, both batch sizes (E = 1, as in the paper).
     for b in [cfg.b_small, cfg.b_large] {
         let label = format!("FL-GAN b={b}");
-        if let Some(done) = load_done(curve_idx, &label, &mut evaluator, &mut pending)? {
+        if let Some(done) = load_done(curve_idx, &label, &mut pending)? {
             results.push(done);
         } else {
             let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0xF1);
@@ -584,7 +544,7 @@ pub fn run_convergence_resumable(
                 telemetry,
                 rec,
             )?;
-            finish_curve(&rec.dir, curve_idx, &label, &timeline, &evaluator)?;
+            finish_curve(&rec.dir, curve_idx, &label, &timeline)?;
             results.push(CurveResult {
                 label,
                 timeline,
@@ -597,7 +557,7 @@ pub fn run_convergence_resumable(
     // MD-GAN, k = 1 and k = ⌊log N⌋ (b = b_small, as in the paper).
     for (k, klabel) in [(KPolicy::One, "k=1"), (KPolicy::LogN, "k=log(N)")] {
         let label = format!("MD-GAN {klabel} b={}", cfg.b_small);
-        if let Some(done) = load_done(curve_idx, &label, &mut evaluator, &mut pending)? {
+        if let Some(done) = load_done(curve_idx, &label, &mut pending)? {
             results.push(done);
         } else {
             let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x3D);
@@ -632,7 +592,7 @@ pub fn run_convergence_resumable(
                 telemetry,
                 rec,
             )?;
-            finish_curve(&rec.dir, curve_idx, &label, &timeline, &evaluator)?;
+            finish_curve(&rec.dir, curve_idx, &label, &timeline)?;
             results.push(CurveResult {
                 label,
                 timeline,
@@ -1394,8 +1354,7 @@ mod tests {
         let reference = run_convergence_resumable(cfg, &tel, &rec).unwrap();
 
         // Simulate a crash after curve 2 completed: later curves vanish,
-        // the rerun must retrain 3..5 with the evaluator RNG restored from
-        // curve 2's trailer.
+        // the rerun must retrain 3..5 with the same evaluation noise.
         for i in 3..6 {
             std::fs::remove_file(dir.join(format!("curve_{i}.jsonl"))).unwrap();
         }
@@ -1486,7 +1445,6 @@ mod tests {
 
         assert_eq!(full_tl.to_jsonl("s"), resumed_tl.to_jsonl("s"));
         assert_eq!(full_gan.params(), gan2.params());
-        assert_eq!(full_ev.rng_state_words(), ev2.rng_state_words());
         assert!(tel.counter(md_telemetry::Counter::ResumeCount) >= 1);
         let _ = std::fs::remove_dir_all(&full_dir);
         let _ = std::fs::remove_dir_all(&dir);

@@ -47,13 +47,6 @@ pub trait Mixing: Sized {
         ctx: TraceCtx,
         tick: u64,
     );
-
-    /// Appends the rule's head checkpoint sections (after `server_gen`
-    /// when that is state).
-    fn save(&self, ck: &mut Checkpoint);
-
-    /// Restores what [`save`](Self::save) wrote.
-    fn load(&mut self, ck: &Checkpoint) -> Result<(), TrainError>;
 }
 
 /// N local GANs plus periodic averaging; see [`crate::flgan::FlGan`] and
@@ -309,17 +302,16 @@ impl<M: Mixing> Federation<M> {
         timeline
     }
 
-    /// Captures the full state: the rule's head (the server's averaged
-    /// model, or the gossip pairing RNG), the mix counter, the traffic
+    /// Captures the full state: the server's averaged generator (FL-GAN),
+    /// the mix counter (which keys gossip's pairing draws), the traffic
     /// counters, the membership view when churn is planned, and every
     /// worker's complete local trainer (nested v2 checkpoint: params, Adam
-    /// moments, RNG positions).
+    /// moments, iteration).
     pub fn checkpoint(&self) -> Checkpoint {
         let mut ck = Checkpoint::new(self.iter as u64);
         if M::SERVER_STATE {
             ck.push("server_gen", self.server_gen.net.get_params_flat());
         }
-        self.mixing.save(&mut ck);
         ck.push_u64("counters", vec![self.mixes]);
         ck.push_u64("traffic", self.stats.state_words());
         if !self.churn.is_none() {
@@ -343,7 +335,6 @@ impl<M: Mixing> Federation<M> {
                 .map_err(ckerr)?;
             self.server_gen.net.set_params_flat(sg);
         }
-        self.mixing.load(ck)?;
         self.mixes = ck.require_u64_len("counters", 1).map_err(ckerr)?[0];
         self.stats
             .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)

@@ -8,9 +8,7 @@
 //! generator on the central server".
 
 use crate::arch::ArchSpec;
-use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
-use crate::error::{ckerr, TrainError};
 use crate::federation::{Federation, Mixing};
 use md_data::Dataset;
 use md_nn::param::average;
@@ -19,11 +17,10 @@ use md_telemetry::TraceCtx;
 use md_tensor::rng::Rng64;
 
 /// FedAvg: every worker uploads its `(G, D)` to the server (node 0), which
-/// averages each network and broadcasts the result back.
-pub struct FedAvg {
-    /// The server's averaged discriminator.
-    pub(crate) server_disc: Vec<f32>,
-}
+/// averages each network and broadcasts the result back. The averaged
+/// generator is the federation's `server_gen`; the averaged discriminator
+/// lives on in the workers it is broadcast to.
+pub struct FedAvg;
 
 /// The FL-GAN system: N workers plus the averaging server.
 pub type FlGan = Federation<FedAvg>;
@@ -49,20 +46,7 @@ impl Mixing for FedAvg {
             fed.workers[slot].set_params(&gen, &disc);
         }
         fed.server_gen.net.set_params_flat(&gen);
-        fed.mixing.server_disc = disc;
         fed.mixes += 1;
-    }
-
-    fn save(&self, ck: &mut Checkpoint) {
-        ck.push("server_disc", self.server_disc.clone());
-    }
-
-    fn load(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let sd = ck
-            .require_len("server_disc", self.server_disc.len())
-            .map_err(ckerr)?;
-        self.server_disc = sd.to_vec();
-        Ok(())
     }
 }
 
@@ -88,11 +72,11 @@ impl Federation<FedAvg> {
             ChurnPlan::none(),
             server_gen,
             master,
-            |_| FedAvg { server_disc },
+            |_| FedAvg,
         );
         let gen = fl.server_gen.net.get_params_flat();
         for w in &mut fl.workers {
-            w.set_params(&gen, &fl.mixing.server_disc);
+            w.set_params(&gen, &server_disc);
         }
         fl
     }
@@ -106,6 +90,7 @@ impl Federation<FedAvg> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::config::GanHyper;
     use md_data::synthetic::mnist_like;
     use md_nn::param::l2_distance;
@@ -188,7 +173,7 @@ mod tests {
     #[test]
     fn traffic_matches_table_iii_per_round() {
         let mut fl = tiny(3, 4, 32);
-        let params = fl.server_gen.num_params() + fl.mixing.server_disc.len();
+        let params = fl.server_gen.num_params() + fl.workers[0].disc.num_params();
         for _ in 0..fl.round_interval() {
             fl.step();
         }

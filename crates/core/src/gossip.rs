@@ -15,9 +15,7 @@
 //! worker generators (an external observer's view).
 
 use crate::arch::ArchSpec;
-use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
-use crate::error::{ckerr, TrainError};
 use crate::federation::{Federation, Mixing};
 use md_data::Dataset;
 use md_nn::gan::Generator;
@@ -29,8 +27,9 @@ use md_tensor::rng::Rng64;
 /// Pairwise gossip averaging: each alive worker pushes its `(G, D)` to a
 /// random peer, which replaces its own pair with the average of the two.
 pub struct Gossip {
-    /// The pairing RNG: one derangement draw per round.
-    rng: Rng64,
+    /// Key of the pairing streams: a round draws one derangement from
+    /// stream `(key, 0, exchanges so far)`.
+    key: u64,
 }
 
 /// The decentralized gossip-GAN system.
@@ -53,9 +52,9 @@ impl Mixing for Gossip {
         tick: u64,
     ) {
         // The derangement runs over *positions in the alive view*, so the
-        // pairing RNG consumes exactly one draw per round regardless of
-        // which slots the members occupy.
-        let perm = fed.mixing.rng.derangement(alive.len());
+        // pairing does not depend on which slots the members occupy. Each
+        // round adds at least two exchanges, so no two share a stream.
+        let perm = Rng64::keyed(fed.mixing.key, 0, fed.mixes).derangement(alive.len());
         for (spos, &dpos) in perm.iter().enumerate() {
             let (src, dst) = (alive[spos], alive[dpos]);
             let ((sg, sd), (dg, dd)) = (&params[spos], &params[dpos]);
@@ -64,18 +63,6 @@ impl Mixing for Gossip {
             fed.workers[dst].set_params(&average(&[sg, dg]), &average(&[sd, dd]));
             fed.mixes += 1;
         }
-    }
-
-    fn save(&self, ck: &mut Checkpoint) {
-        ck.push_u64("rng_gossip", self.rng.state_words().to_vec());
-    }
-
-    fn load(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        let words = ck
-            .require_u64_len("rng_gossip", Rng64::STATE_WORDS)
-            .map_err(ckerr)?;
-        self.rng = Rng64::from_state_words(std::array::from_fn(|i| words[i]));
-        Ok(())
     }
 }
 
@@ -100,7 +87,7 @@ impl Federation<Gossip> {
         let observer = spec.build_generator(&mut master.fork(0));
         Federation::assemble(spec, shards, cfg, churn, observer, master, |master| {
             Gossip {
-                rng: master.fork(0x605),
+                key: master.next_u64(),
             }
         })
     }
@@ -120,6 +107,7 @@ impl Federation<Gossip> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use crate::config::GanHyper;
     use md_data::synthetic::mnist_like;
     use md_nn::param::{l2_distance, param_bytes};

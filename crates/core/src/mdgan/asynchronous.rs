@@ -18,8 +18,9 @@
 //!   staleness-aware factor `1/(1 + staleness)^damping` (the standard
 //!   staleness-aware async-SGD rule of Zhang et al. \[14\]).
 //! * The sequential runtime simulates asynchrony deterministically: worker
-//!   completion order is drawn from a seeded RNG with a configurable
-//!   "speed" skew, so slow-worker staleness patterns are reproducible.
+//!   completion order is drawn from a stream keyed by the event count,
+//!   with a configurable "speed" skew, so slow-worker staleness patterns
+//!   are reproducible.
 //!
 //! Only the schedule is this module's: update-count ticks, who reports
 //! next, staleness damping, the swap cadence, leaves at the event boundary
@@ -30,6 +31,7 @@
 //! spell once for every runtime.
 
 use crate::arch::ArchSpec;
+use crate::byzantine::{push_echoes, restore_echoes};
 use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
 use crate::config::{MdGanConfig, SwapPolicy};
@@ -38,6 +40,7 @@ use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
 use crate::mdgan::round::{
     alive, arrivals, attack_states, build_parts, depart, evict, permute, verdicts, Call, Cluster,
+    SCHED_STREAM, SWAP_STREAM,
 };
 use crate::mdgan::server::MdServer;
 use crate::mdgan::trainer::{wire, InProcess};
@@ -119,10 +122,14 @@ pub struct AsyncMdGan {
     cfg: MdGanConfig,
     acfg: AsyncConfig,
     stats: Arc<TrafficStats>,
-    sched_rng: Rng64,
-    swap_rng: Rng64,
+    /// Key of the scheduler streams (refills and the reporter pick),
+    /// stepped by `events`, and of the swap streams, stepped by `updates`.
+    key: u64,
     version: u64,
     updates: u64,
+    /// Events that reached the scheduler, applied or not: a starved, lost
+    /// or quarantined event moves no update count but must not replay.
+    events: u64,
     async_stats: AsyncStats,
     swap_interval: usize,
     object_size: usize,
@@ -144,8 +151,7 @@ impl AsyncMdGan {
         let object_size = shards[0].object_size();
         let swap_interval = cfg.swap_interval(shards[0].len());
         let total = cfg.total_workers();
-        let (server, workers, mut swap_rng) = build_parts(spec, shards, &cfg);
-        let sched_rng = swap_rng.fork(0xA51C);
+        let (server, workers, key) = build_parts(spec, shards, &cfg);
         let attacks = attack_states(&cfg, &workers);
         AsyncMdGan {
             server,
@@ -153,10 +159,10 @@ impl AsyncMdGan {
             in_flight: (0..total).map(|_| None).collect(),
             acfg,
             stats: Arc::new(TrafficStats::new(1 + total)),
-            sched_rng,
-            swap_rng,
+            key,
             version: 0,
             updates: 0,
+            events: 0,
             async_stats: AsyncStats::default(),
             swap_interval,
             object_size,
@@ -209,21 +215,21 @@ impl AsyncMdGan {
         self.stats.report()
     }
 
-    /// Dispatches fresh batches to a worker with no in-flight work, over
-    /// `call`'s link. The dispatched unit is stamped with the downlink's
-    /// context so the worker's eventual compute links back to this
-    /// dispatch.
-    fn dispatch(&mut self, wi: usize, call: &Call) {
+    /// Dispatches fresh batches, drawn from `sched`, to a worker with no
+    /// in-flight work, over `call`'s link. The dispatched unit is stamped
+    /// with the downlink's context so the worker's eventual compute links
+    /// back to this dispatch.
+    fn dispatch(&mut self, wi: usize, call: &Call, sched: &mut Rng64) {
         let tick = self.updates;
         let _span = call
             .telemetry
             .span_at(Phase::GenForward, Track::Server, call.ctx, tick);
         let b = self.cfg.hyper.batch;
-        let zg = self.server.gen.sample_z(b, &mut self.sched_rng);
-        let lg = self.server.gen.sample_labels(b, &mut self.sched_rng);
+        let zg = self.server.gen.sample_z(b, sched);
+        let lg = self.server.gen.sample_labels(b, sched);
         let xg = self.server.gen.generate(&zg, &lg, true);
-        let zd = self.server.gen.sample_z(b, &mut self.sched_rng);
-        let ld = self.server.gen.sample_labels(b, &mut self.sched_rng);
+        let zd = self.server.gen.sample_z(b, sched);
+        let ld = self.server.gen.sample_labels(b, sched);
         let xd = self.server.gen.generate(&zd, &ld, true);
         let down_bytes = 2 * batch_bytes(b, self.object_size);
         // A lost dispatch leaves the worker idle until the next event
@@ -241,18 +247,23 @@ impl AsyncMdGan {
         });
     }
 
+    /// The scheduler stream the next event draws from.
+    fn sched_stream(&self) -> Rng64 {
+        Rng64::keyed(self.key, SCHED_STREAM, self.events)
+    }
+
     /// Picks which alive worker reports next. With `speed_skew = s`, the
     /// weight of the j-th alive worker is `(1-s)^j` — low ids finish first
     /// in expectation, so high ids accumulate staleness.
-    fn next_reporter(&mut self, alive: &[usize]) -> usize {
+    fn next_reporter(&self, alive: &[usize], sched: &mut Rng64) -> usize {
         debug_assert!(!alive.is_empty());
         let s = self.acfg.speed_skew.clamp(0.0, 0.95);
         if s == 0.0 || alive.len() == 1 {
-            return alive[self.sched_rng.below(alive.len())];
+            return alive[sched.below(alive.len())];
         }
         let weights: Vec<f32> = (0..alive.len()).map(|j| (1.0 - s).powi(j as i32)).collect();
         let total: f32 = weights.iter().sum();
-        let mut draw = self.sched_rng.uniform() * total;
+        let mut draw = sched.uniform() * total;
         for (j, &w) in weights.iter().enumerate() {
             if draw < w {
                 return alive[j];
@@ -310,10 +321,13 @@ impl AsyncMdGan {
         let rctx = root.ctx();
 
         // Fill idle workers (on a lossy network a dispatch may be dropped,
-        // leaving the worker idle for this event).
+        // leaving the worker idle for this event). The refills and the pick
+        // draw in order from the event's one scheduler stream.
+        let mut sched = self.sched_stream();
+        self.events += 1;
         for &wi in &alive {
             if self.in_flight[wi].is_none() {
-                self.dispatch(wi, &call(self.updates, rctx));
+                self.dispatch(wi, &call(self.updates, rctx), &mut sched);
             }
         }
         let ready: Vec<usize> = alive
@@ -333,7 +347,7 @@ impl AsyncMdGan {
 
         // The compute hangs off the dispatch that produced the unit
         // (possibly a previous event — staleness as a causal edge).
-        let wi = self.next_reporter(&ready);
+        let wi = self.next_reporter(&ready, &mut sched);
         let fl = self.in_flight[wi].take().expect("reporter had work");
         let worker = self.cluster.workers[wi].as_mut().expect("reporter alive");
         let attack = &mut self.cluster.attacks[wi];
@@ -406,8 +420,8 @@ impl AsyncMdGan {
         {
             let swap_span = telemetry.span_at(Phase::Swap, Track::Server, rctx, self.updates);
             let swap = call(self.updates, swap_span.ctx());
-            let (policy, rng) = (self.cfg.swap, &mut self.swap_rng);
-            if let Some(moved) = permute(&mut self.cluster, &alive, policy, rng, &swap) {
+            let rng = &mut Rng64::keyed(self.key, SWAP_STREAM, self.updates);
+            if let Some(moved) = permute(&mut self.cluster, &alive, self.cfg.swap, rng, &swap) {
                 telemetry.event(Event::SwapDone { iter: t, moved });
             }
         }
@@ -441,17 +455,17 @@ impl AsyncMdGan {
     }
 
     /// Captures the full asynchronous state — including every worker's
-    /// *in-flight* batch (its tensors, labels and generator version), since
-    /// a dispatched batch has already consumed scheduler-RNG draws and
-    /// dropping it would desynchronize the resumed run.
+    /// *in-flight* batch (its tensors, labels and generator version), which
+    /// an older generator produced and no counter can regenerate — and the
+    /// echo attackers' recorded feedbacks. No stream position is saved:
+    /// the scheduler streams are keyed by the event count and the swap
+    /// streams by the update count, both in `counters`.
     ///
     /// Robust-mode state (per-link fault RNG) is *not* captured; resuming
     /// a lossy run restarts the link fates cold (see DESIGN.md §10).
     pub fn checkpoint(&self) -> Checkpoint {
         let mut ck = Checkpoint::new(self.updates);
         let gen_t = self.server.push_sections(&mut ck);
-        ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
-        ck.push_u64("rng_sched", self.sched_rng.state_words().to_vec());
         push_workers(&mut ck, self.cluster.worker_states(), gen_t);
         let in_flight: Vec<u64> = self
             .in_flight
@@ -461,9 +475,9 @@ impl AsyncMdGan {
         let labels = |l: &[usize]| l.iter().map(|&l| l as u64).collect();
         for (i, fl) in self.in_flight.iter().enumerate() {
             let Some(fl) = fl else { continue };
-            push_tensor(&mut ck, &format!("fl_{i}_xg"), &fl.xg.0);
-            push_tensor(&mut ck, &format!("fl_{i}_xd"), &fl.xd.0);
-            push_tensor(&mut ck, &format!("fl_{i}_zg"), &fl.zg);
+            ck.push_tensor(&format!("fl_{i}_xg"), &fl.xg.0);
+            ck.push_tensor(&format!("fl_{i}_xd"), &fl.xd.0);
+            ck.push_tensor(&format!("fl_{i}_zg"), &fl.zg);
             ck.push_u64(format!("fl_{i}_lg"), labels(&fl.xg.1));
             ck.push_u64(format!("fl_{i}_ld"), labels(&fl.xd.1));
             ck.push_u64(format!("fl_{i}_ver"), vec![fl.version]);
@@ -477,6 +491,7 @@ impl AsyncMdGan {
                 self.async_stats.updates,
                 self.async_stats.staleness_sum,
                 self.async_stats.staleness_max,
+                self.events,
             ],
         );
         ck.push_u64("traffic", self.stats.state_words());
@@ -486,6 +501,7 @@ impl AsyncMdGan {
             ck.push_u64("membership", self.membership.state_words());
             ck.push_u64("churn_cursor", vec![self.churn_cursor as u64]);
         }
+        push_echoes(&mut ck, self.cluster.echoes());
         ck
     }
 
@@ -495,8 +511,7 @@ impl AsyncMdGan {
         let n = self.in_flight.len();
         self.server.restore_sections(ck)?;
         restore_workers(ck, &mut self.cluster.workers)?;
-        self.swap_rng = Rng64::from_state_words(ck.require_words("rng_swap").map_err(ckerr)?);
-        self.sched_rng = Rng64::from_state_words(ck.require_words("rng_sched").map_err(ckerr)?);
+        restore_echoes(ck, &mut self.cluster.attacks)?;
 
         let mask = ck.require_u64_len("in_flight", n).map_err(ckerr)?.to_vec();
         for (i, &present) in mask.iter().enumerate() {
@@ -505,31 +520,28 @@ impl AsyncMdGan {
                 continue;
             }
             let labels = |name: &str| -> Result<Vec<usize>, TrainError> {
-                Ok(ck
-                    .require_u64(name)
-                    .map_err(ckerr)?
-                    .iter()
-                    .map(|&l| l as usize)
-                    .collect())
+                let words = ck.require_u64(name).map_err(ckerr)?;
+                Ok(words.iter().map(|&l| l as usize).collect())
             };
+            let tensor = |name: &str| ck.require_tensor(name).map_err(ckerr);
             self.in_flight[i] = Some(InFlight {
                 version: ck
                     .require_u64_len(&format!("fl_{i}_ver"), 1)
                     .map_err(ckerr)?[0],
                 xg: (
-                    read_tensor(ck, &format!("fl_{i}_xg"))?,
+                    tensor(&format!("fl_{i}_xg"))?,
                     labels(&format!("fl_{i}_lg"))?,
                 ),
                 xd: (
-                    read_tensor(ck, &format!("fl_{i}_xd"))?,
+                    tensor(&format!("fl_{i}_xd"))?,
                     labels(&format!("fl_{i}_ld"))?,
                 ),
-                zg: read_tensor(ck, &format!("fl_{i}_zg"))?,
+                zg: tensor(&format!("fl_{i}_zg"))?,
                 ctx: TraceCtx::NONE,
             });
         }
 
-        let counters = ck.require_u64_len("counters", 5).map_err(ckerr)?;
+        let counters = ck.require_u64_len("counters", 6).map_err(ckerr)?;
         self.version = counters[0];
         self.updates = counters[1];
         self.async_stats = AsyncStats {
@@ -537,6 +549,7 @@ impl AsyncMdGan {
             staleness_sum: counters[3],
             staleness_max: counters[4],
         };
+        self.events = counters[5];
         self.stats
             .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)
             .map_err(TrainError::Checkpoint)?;
@@ -553,29 +566,6 @@ impl AsyncMdGan {
         }
         Ok(())
     }
-}
-
-/// Stores a tensor as a data section plus a `{name}_shape` companion.
-fn push_tensor(ck: &mut Checkpoint, name: &str, t: &Tensor) {
-    ck.push(name.to_string(), t.data().to_vec());
-    ck.push_u64(
-        format!("{name}_shape"),
-        t.shape().iter().map(|&d| d as u64).collect(),
-    );
-}
-
-/// Reads a tensor stored by [`push_tensor`], validating the element count
-/// against the recorded shape.
-fn read_tensor(ck: &Checkpoint, name: &str) -> Result<Tensor, TrainError> {
-    let shape: Vec<usize> = ck
-        .require_u64(&format!("{name}_shape"))
-        .map_err(ckerr)?
-        .iter()
-        .map(|&d| d as usize)
-        .collect();
-    let expect: usize = shape.iter().product();
-    let data = ck.require_len(name, expect).map_err(ckerr)?;
-    Ok(Tensor::new(&shape, data.to_vec()))
 }
 
 #[cfg(test)]
@@ -715,29 +705,39 @@ mod tests {
 
     #[test]
     fn resume_from_checkpoint_is_bit_identical() {
-        // In-flight batches consumed scheduler-RNG draws before the cut,
-        // so this passes only if they are captured and restored exactly.
-        let mut full = build(AsyncConfig::default());
+        for attack in crate::byzantine::EVERY_ATTACK {
+            assert_resume_is_bit_identical(attack);
+        }
+    }
+
+    /// Resume ≡ uninterrupted with worker 1 running `attack`: 20 events
+    /// against 12, a checkpoint through the wire format, a fresh system
+    /// restoring it and the remaining 8. The in-flight batches were drawn
+    /// by older generators, so this passes only if they are captured and
+    /// restored exactly.
+    fn assert_resume_is_bit_identical(attack: Attack) {
+        let mk = || build_with(AsyncConfig::default(), |c| c.attacks = vec![attack]);
+        let mut full = mk();
         for _ in 0..20 {
             full.step_event();
         }
 
-        let mut first = build(AsyncConfig::default());
+        let mut first = mk();
         for _ in 0..12 {
             first.step_event();
         }
         let bytes = first.checkpoint().to_bytes();
         drop(first);
 
-        let mut resumed = build(AsyncConfig::default());
-        resumed
-            .restore(&Checkpoint::from_bytes(&bytes).unwrap())
-            .unwrap();
+        let mut resumed = mk();
+        let ck = Checkpoint::from_bytes(&bytes).unwrap();
+        assert!(ck.section_names().all(|n| !n.starts_with("rng")));
+        resumed.restore(&ck).unwrap();
         assert_eq!(resumed.updates(), 12);
         for _ in 0..8 {
             resumed.step_event();
         }
-        assert_eq!(resumed.gen_params(), full.gen_params());
+        assert_eq!(resumed.gen_params(), full.gen_params(), "{attack:?}");
         assert_eq!(resumed.traffic(), full.traffic());
         let (a, b) = (resumed.async_stats(), full.async_stats());
         assert_eq!(a.updates, b.updates);
@@ -772,6 +772,33 @@ mod tests {
             "conservation"
         );
         assert!(p1.iter().all(|v| v.is_finite()));
+    }
+
+    /// An event that applies no update — here a feedback lost on the
+    /// uplink — still moves the scheduler on: the next event draws its
+    /// refills and its reporter from a fresh stream, so the worker whose
+    /// feedback was lost is neither re-sent the batch it just answered nor
+    /// re-picked by the same draw.
+    #[test]
+    fn a_lost_feedback_does_not_replay_the_next_event() {
+        let mut md = build_lossy(0.3, 9);
+        md.cfg.robust.retries = 0;
+        let mut lost = 0;
+        for _ in 0..40 {
+            let (updates, before) = (md.updates(), md.traffic());
+            let stream = md.sched_stream().next_u64();
+            let Some(wi) = md.step_event() else { break };
+            let after = md.traffic();
+            if md.updates() == updates
+                && after.egress[wi + 1] > before.egress[wi + 1]
+                && after.ingress[0] == before.ingress[0]
+            {
+                lost += 1;
+                assert!(md.in_flight[wi].is_none(), "the lost unit is spent");
+                assert_ne!(md.sched_stream().next_u64(), stream, "event replayed");
+            }
+        }
+        assert!(lost > 0, "a 30% uplink drop must lose a feedback");
     }
 
     #[test]

@@ -90,8 +90,9 @@ pub enum MdMsg {
         opt_m: Vec<f32>,
         /// Adam second moments.
         opt_v: Vec<f32>,
-        /// Shard-sampler RNG stream position.
-        sampler: Vec<u64>,
+        /// The worker's recorded [`DelayedEcho`](crate::byzantine::Attack::DelayedEcho)
+        /// feedback, once it has one.
+        echo: Option<Tensor>,
     },
     /// Server → worker: crash silently (robust mode's fail-stop injection).
     ///

@@ -36,14 +36,21 @@ use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
 use std::sync::Arc;
 
-/// Builds the server, the workers and the swap RNG from one master seed.
-/// Shared by every runtime so all are bit-for-bit identical given the same
-/// config.
+/// Streams under the schedule's key (see [`build_parts`]): the swap
+/// permutations, the §VII.4 host draws and the asynchronous runtime's
+/// refills and reporter picks.
+pub(crate) const SWAP_STREAM: u64 = 1;
+const HOST_STREAM: u64 = 2;
+pub(crate) const SCHED_STREAM: u64 = 3;
+
+/// Builds the server, the workers and the key of the schedule's streams
+/// (swaps, hosts, the async scheduler) from one master seed. Shared by
+/// every runtime so all are bit-for-bit identical given the same config.
 pub(crate) fn build_parts(
     spec: &ArchSpec,
     shards: Vec<Dataset>,
     cfg: &MdGanConfig,
-) -> (MdServer, Vec<MdWorker>, Rng64) {
+) -> (MdServer, Vec<MdWorker>, u64) {
     // With an elastic plan the joiners' workers (and shards) are built up
     // front with their canonical RNG forks, so a joiner's fresh init is
     // bit-identical across runtimes regardless of when it joins.
@@ -68,8 +75,7 @@ pub(crate) fn build_parts(
             MdWorker::new(i + 1, spec, shard, cfg.hyper, &mut wrng)
         })
         .collect();
-    let swap_rng = master.fork(0x5A3A9);
-    (server, workers, swap_rng)
+    (server, workers, master.next_u64())
 }
 
 /// One [`AttackState`] per worker slot, from `cfg.attacks`. Call before
@@ -306,8 +312,6 @@ pub(crate) trait Cluster {
     ) -> Vec<(usize, usize, Tensor)>;
     /// Every `src` ships the discriminator it holds *now* to its `dst`.
     fn swap(&mut self, call: &Call, pairs: &[(usize, usize)]);
-    /// Every present worker's checkpoint state, at an iteration boundary.
-    fn worker_states(&self) -> Vec<Option<WorkerState>>;
 }
 
 /// The server of Algorithm 1.
@@ -317,8 +321,9 @@ pub(crate) struct Coordinator {
     k: usize,
     swap_interval: usize,
     object_size: usize,
-    swap_rng: Rng64,
-    host_rng: Rng64,
+    /// Key of the swap streams (step: `swaps`) and the host streams (step:
+    /// `iter`).
+    key: u64,
     /// Epoch-numbered cluster view; tracks churn-plan joins/leaves/crashes
     /// and robust-mode evictions. With churn disabled it never changes.
     membership: Membership,
@@ -352,7 +357,7 @@ impl Coordinator {
     ) -> (Self, Vec<MdWorker>, Vec<AttackState>) {
         let object_size = shards[0].object_size();
         let swap_interval = cfg.swap_interval(shards[0].len());
-        let (server, workers, swap_rng) = build_parts(spec, shards, &cfg);
+        let (server, workers, key) = build_parts(spec, shards, &cfg);
         let attacks = attack_states(&cfg, &workers);
         let total = workers.len();
         let coord = Coordinator {
@@ -360,8 +365,7 @@ impl Coordinator {
             k: cfg.k.resolve(cfg.workers),
             swap_interval,
             object_size,
-            swap_rng,
-            host_rng: Rng64::seed_from_u64(cfg.seed ^ 0x4057),
+            key,
             membership: Membership::new(cfg.workers, total),
             detector: FailureDetector::new(cfg.workers, cfg.robust.suspect_after)
                 .expect("suspect_after must be at least 1")
@@ -512,7 +516,7 @@ impl Coordinator {
             let gen_span = telemetry.span_at(Phase::GenForward, Track::Server, rctx, tick);
             let (batches, wire_bytes): (Vec<(Tensor, Vec<usize>)>, Vec<u64>) = self
                 .server
-                .generate_batches(k_now)
+                .generate_batches(k_now, tick)
                 .into_iter()
                 .map(|(imgs, labels)| {
                     let (imgs, bytes) = self.batch_codec.transmit(imgs);
@@ -602,8 +606,8 @@ impl Coordinator {
                         } else {
                             view
                         };
-                        let (policy, rng) = (self.cfg.swap, &mut self.swap_rng);
-                        permute(cluster, &among, policy, rng, &call)
+                        let rng = &mut Rng64::keyed(self.key, SWAP_STREAM, self.swaps as u64);
+                        permute(cluster, &among, self.cfg.swap, rng, &call)
                     }
                     Some(_) if self.cfg.swap == SwapPolicy::Disabled => None,
                     // §VII.4: relocate the discriminators of the current
@@ -611,7 +615,8 @@ impl Coordinator {
                     // the alive workers — one swap, so every source ships
                     // the `D` it holds before any of them is overwritten.
                     Some(_) => {
-                        let picks = self.host_rng.sample_distinct(view.len(), addressed.len());
+                        let picks = Rng64::keyed(self.key, HOST_STREAM, tick)
+                            .sample_distinct(view.len(), addressed.len());
                         let new_hosts: Vec<usize> = picks.into_iter().map(|j| view[j]).collect();
                         let pairs: Vec<(usize, usize)> = addressed
                             .iter()
@@ -683,10 +688,11 @@ impl Coordinator {
     }
 
     /// Captures a full training checkpoint (format v2) around the workers'
-    /// `states`: generator and alive discriminators *plus* Adam moments,
-    /// every RNG stream position, the alive mask, counters and traffic
-    /// totals — everything either synchronous runtime needs for a
-    /// bit-identical resume, in one layout both read.
+    /// `states`: generator and alive discriminators *plus* Adam moments, the
+    /// alive mask, counters and traffic totals — everything either
+    /// synchronous runtime needs for a bit-identical resume, in one layout
+    /// both read. No stream position is saved: every draw is keyed by a
+    /// counter stored here (Adam step counts, `swaps`, the iteration).
     ///
     /// Robust-mode state (failure detector, per-link fault RNG) is *not*
     /// captured; resuming a robust run restarts the detector cold (see
@@ -694,12 +700,6 @@ impl Coordinator {
     pub fn checkpoint(&self, states: Vec<Option<WorkerState>>) -> Checkpoint {
         let mut ck = Checkpoint::new(self.iter as u64);
         let gen_t = self.server.push_sections(&mut ck);
-        ck.push_u64("rng_swap", self.swap_rng.state_words().to_vec());
-        // A stream no runtime has drawn from since attacks got per-worker
-        // streams; the section stays so the bytes do.
-        let attack_rng = Rng64::seed_from_u64(self.cfg.seed ^ 0xA77AC4);
-        ck.push_u64("rng_attack", attack_rng.state_words().to_vec());
-        ck.push_u64("rng_host", self.host_rng.state_words().to_vec());
         push_workers(&mut ck, states, gen_t);
         ck.push_u64("counters", vec![self.swaps as u64]);
         ck.push_u64("traffic", self.stats.state_words());
@@ -716,10 +716,10 @@ impl Coordinator {
 
     /// Restores a checkpoint taken on an identically configured system
     /// into this server and the (not yet placed) `workers`: parameters,
-    /// optimizer moments, RNG positions, the alive mask (workers dead at
-    /// capture time are dropped here too), counters and traffic totals; a
-    /// resumed run then replays bit-for-bit. Missing or length-mismatched
-    /// sections are errors, not silent skips.
+    /// optimizer moments, the alive mask (workers dead at capture time are
+    /// dropped here too), counters and traffic totals; a resumed run then
+    /// replays bit-for-bit. Missing or length-mismatched sections are
+    /// errors, not silent skips.
     pub fn restore(
         &mut self,
         ck: &Checkpoint,
@@ -727,8 +727,6 @@ impl Coordinator {
     ) -> Result<(), TrainError> {
         self.server.restore_sections(ck)?;
         restore_workers(ck, workers)?;
-        self.swap_rng = Rng64::from_state_words(ck.require_words("rng_swap").map_err(ckerr)?);
-        self.host_rng = Rng64::from_state_words(ck.require_words("rng_host").map_err(ckerr)?);
         self.swaps = ck.require_u64_len("counters", 1).map_err(ckerr)?[0] as usize;
         self.stats
             .load_state_words(ck.require_u64("traffic").map_err(ckerr)?)

@@ -15,7 +15,9 @@ pub struct MdServer {
     pub gen: Generator,
     opt_g: Adam,
     hyper: GanHyper,
-    rng: Rng64,
+    /// Key of the noise streams: iteration `tick`'s noise and labels come
+    /// from stream `(key, 0, tick)`.
+    key: u64,
     /// Batches in the stack the generator last ran forward on — the `k` of
     /// the latest [`MdServer::generate_batches`], whose activations `gen`
     /// still holds for the backward pass.
@@ -30,24 +32,26 @@ impl MdServer {
             gen,
             opt_g: Adam::new(hyper.adam_g),
             hyper,
-            rng: rng.fork(0x5E12),
+            key: rng.next_u64(),
             stacked: 0,
         }
     }
 
     /// Algorithm 1, server lines 27-32: generates `k` batches
-    /// `K = {X(1), ..., X(k)}` of size `b`. The noise and labels are drawn
-    /// batch by batch and run through the generator as one `k·b`-row stack,
-    /// whose activations stay in `gen` until the feedbacks arrive.
+    /// `K = {X(1), ..., X(k)}` of size `b` for global iteration `tick`. The
+    /// noise and labels are drawn batch by batch from the iteration's
+    /// stream and run through the generator as one `k·b`-row stack, whose
+    /// activations stay in `gen` until the feedbacks arrive.
     ///
     /// Returns the generated images (and their conditioning labels) per
     /// batch.
-    pub fn generate_batches(&mut self, k: usize) -> Vec<(Tensor, Vec<usize>)> {
+    pub fn generate_batches(&mut self, k: usize, tick: u64) -> Vec<(Tensor, Vec<usize>)> {
         assert!(k >= 1, "k must be at least 1");
+        let mut rng = self.noise_stream(tick);
         let (zs, labels): (Vec<Tensor>, Vec<Vec<usize>>) = (0..k)
             .map(|_| {
-                let z = self.gen.sample_z(self.hyper.batch, &mut self.rng);
-                (z, self.gen.sample_labels(self.hyper.batch, &mut self.rng))
+                let z = self.gen.sample_z(self.hyper.batch, &mut rng);
+                (z, self.gen.sample_labels(self.hyper.batch, &mut rng))
             })
             .unzip();
         let imgs = self
@@ -55,6 +59,12 @@ impl MdServer {
             .generate_stacked(&Tensor::concat0(&zs), &labels.concat(), k, true);
         self.stacked = k;
         imgs.into_split0(k).into_iter().zip(labels).collect()
+    }
+
+    /// The stream of iteration `tick`. Not the Adam step count: an
+    /// iteration that misses its quorum steps no Adam.
+    fn noise_stream(&self, tick: u64) -> Rng64 {
+        Rng64::keyed(self.key, 0, tick)
     }
 
     /// The paper's SPLIT: worker `n` (0-based) with `k` batches receives
@@ -214,14 +224,13 @@ impl MdServer {
     }
 
     /// Writes the server half of the checkpoint layout every MD-GAN
-    /// runtime shares — `generator`, `opt_g_m`, `opt_g_v`, `rng_server` —
-    /// and returns the Adam step count, which `adam_t` leads with.
+    /// runtime shares — `generator`, `opt_g_m`, `opt_g_v` — and returns the
+    /// Adam step count, which `adam_t` leads with.
     pub(crate) fn push_sections(&self, ck: &mut Checkpoint) -> u64 {
         let opt = self.opt_g.export_state();
         ck.push("generator", self.gen_params());
         ck.push("opt_g_m", opt.m);
         ck.push("opt_g_v", opt.v);
-        ck.push_u64("rng_server", self.rng.state_words().to_vec());
         opt.t
     }
 
@@ -239,9 +248,7 @@ impl MdServer {
         };
         self.opt_g
             .import_state(&opt, &self.gen.net)
-            .map_err(TrainError::Checkpoint)?;
-        self.rng = Rng64::from_state_words(ck.require_words("rng_server").map_err(ckerr)?);
-        Ok(())
+            .map_err(TrainError::Checkpoint)
     }
 
     /// The generator learning rate currently in effect.
@@ -279,7 +286,7 @@ mod tests {
     #[test]
     fn generate_batches_produces_k_batches() {
         let mut s = server();
-        let batches = s.generate_batches(3);
+        let batches = s.generate_batches(3, 0);
         assert_eq!(batches.len(), 3);
         for (imgs, labels) in &batches {
             assert_eq!(imgs.shape(), &[4, 1, 12, 12]);
@@ -365,7 +372,7 @@ mod tests {
     #[test]
     fn apply_feedbacks_moves_generator() {
         let mut s = server();
-        let batches = s.generate_batches(2);
+        let batches = s.generate_batches(2, 0);
         let before = s.gen_params();
         let mut rng = Rng64::seed_from_u64(3);
         let f0 = Tensor::randn(batches[0].0.shape(), &mut rng).scale(0.01);
@@ -377,7 +384,7 @@ mod tests {
     #[test]
     fn empty_feedbacks_are_a_noop_update() {
         let mut s = server();
-        s.generate_batches(1);
+        s.generate_batches(1, 0);
         let before = s.gen_params();
         s.apply_feedbacks(&[], 1);
         assert_eq!(before, s.gen_params());
@@ -394,11 +401,11 @@ mod tests {
         sum.add_assign(&fb);
 
         let mut s1 = server();
-        s1.generate_batches(1);
+        s1.generate_batches(1, 0);
         s1.apply_feedbacks(&[(0, fa.clone()), (0, fb.clone())], 2);
 
         let mut s2 = server();
-        s2.generate_batches(1);
+        s2.generate_batches(1, 0);
         s2.apply_feedbacks(&[(0, sum)], 2);
 
         assert_eq!(s1.gen_params(), s2.gen_params());
@@ -412,11 +419,11 @@ mod tests {
         let f = Tensor::randn(&[4, 1, 12, 12], &mut rng).scale(0.01);
 
         let mut s1 = server();
-        s1.generate_batches(1);
+        s1.generate_batches(1, 0);
         s1.apply_feedbacks(&[(0, f.clone())], 1);
 
         let mut s2 = server();
-        s2.generate_batches(1);
+        s2.generate_batches(1, 0);
         s2.apply_feedbacks(&[(0, f)], 2);
 
         assert_ne!(s1.gen_params(), s2.gen_params());
@@ -426,7 +433,7 @@ mod tests {
     #[should_panic(expected = "unknown batch")]
     fn rejects_feedback_for_missing_batch() {
         let mut s = server();
-        s.generate_batches(1);
+        s.generate_batches(1, 0);
         let f = Tensor::zeros(&[4, 1, 12, 12]);
         s.apply_feedbacks(&[(3, f)], 1);
     }
@@ -435,7 +442,7 @@ mod tests {
     #[should_panic(expected = "is not one batch of the")]
     fn rejects_feedback_of_another_shape() {
         let mut s = server();
-        s.generate_batches(2);
+        s.generate_batches(2, 0);
         let fs = [
             (0, Tensor::zeros(&[4, 1, 12, 12])),
             (1, Tensor::zeros(&[4, 1, 12, 6])),
@@ -459,13 +466,14 @@ mod tests {
     }
 
     impl ReplayServer {
-        fn generate_batches(&mut self, k: usize) -> Vec<(Tensor, Vec<usize>)> {
+        fn generate_batches(&mut self, k: usize, tick: u64) -> Vec<(Tensor, Vec<usize>)> {
             let s = &mut self.inner;
             self.pending.clear();
             let mut out = Vec::with_capacity(k);
+            let mut rng = s.noise_stream(tick);
             for _ in 0..k {
-                let z = s.gen.sample_z(s.hyper.batch, &mut s.rng);
-                let labels = s.gen.sample_labels(s.hyper.batch, &mut s.rng);
+                let z = s.gen.sample_z(s.hyper.batch, &mut rng);
+                let labels = s.gen.sample_labels(s.hyper.batch, &mut rng);
                 let imgs = s.gen.generate(&z, &labels, true);
                 self.pending.push((z, labels.clone()));
                 out.push((imgs, labels));
@@ -569,8 +577,8 @@ mod tests {
                         // one-sided trim leaves something of.
                         let workers: Vec<usize> = (0..3 * k).collect();
                         for iter in 0..3 {
-                            let got = stacked.generate_batches(k);
-                            let want = replay.generate_batches(k);
+                            let got = stacked.generate_batches(k, iter);
+                            let want = replay.generate_batches(k, iter);
                             assert_eq!(got.len(), k, "{case}");
                             for (j, ((gi, gl), (wi, wl))) in got.iter().zip(&want).enumerate() {
                                 assert_eq!(gi.shape(), wi.shape(), "{case}: batch {j} shape");
@@ -607,9 +615,9 @@ mod tests {
         ] {
             let (mut stacked, mut replay) = server_pair(&spec, 4);
             let mut rng = Rng64::seed_from_u64(9);
-            for _ in 0..3 {
-                let shape = stacked.generate_batches(2)[0].0.shape().to_vec();
-                replay.generate_batches(2);
+            for tick in 0..3 {
+                let shape = stacked.generate_batches(2, tick)[0].0.shape().to_vec();
+                replay.generate_batches(2, tick);
                 let fs = feedbacks_from(&[0, 2], 2, &shape, &mut rng);
                 assert!(fs.iter().all(|(g_id, _)| *g_id == 0));
                 stacked.apply_feedbacks(&fs, 2);

@@ -24,7 +24,7 @@
 //! however slow the host.
 
 use crate::arch::ArchSpec;
-use crate::byzantine::AttackState;
+use crate::byzantine::{push_echoes, restore_echoes, AttackState};
 use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
 use crate::config::MdGanConfig;
@@ -169,14 +169,14 @@ fn worker_loop(
                 worker.set_disc_params(&disc);
             }
             MdMsg::StateRequest => {
-                let WorkerState { disc, opt, sampler } = worker.state();
+                let WorkerState { disc, opt } = worker.state();
                 let state = MdMsg::WorkerState {
                     id: ep.id(),
                     disc,
                     adam_t: opt.t,
                     opt_m: opt.m,
                     opt_v: opt.v,
-                    sampler,
+                    echo: attack.echo().cloned(),
                 };
                 ep.send_uncharged(SERVER, state)
                     .expect("server endpoint dropped");
@@ -312,6 +312,42 @@ impl Routed {
             .expect("destination endpoint dropped");
     }
 
+    /// Requests each alive worker's state and recorded echo over the normal
+    /// message channels (`StateRequest`/`WorkerState`) — a reply arrives
+    /// only after the worker has drained everything queued before the
+    /// request (feedbacks, in-progress swaps), so this is the
+    /// post-iteration barrier state. Both directions travel uncharged:
+    /// checkpoint persistence must not perturb traffic accounting, or a
+    /// resumed run would stop being bit-identical to an uninterrupted one.
+    fn worker_states(&self) -> (Vec<Option<WorkerState>>, Vec<Option<Tensor>>) {
+        let asked = self.alive.iter().filter(|&&a| a).count();
+        for slot in (0..self.alive.len()).filter(|&w| self.alive[w]) {
+            self.server_ep
+                .send_uncharged(slot + 1, MdMsg::StateRequest)
+                .expect("destination endpoint dropped");
+        }
+        let mut states: Vec<Option<WorkerState>> = self.alive.iter().map(|_| None).collect();
+        let mut echoes: Vec<Option<Tensor>> = self.alive.iter().map(|_| None).collect();
+        for _ in 0..asked {
+            match self.server_ep.recv().msg {
+                MdMsg::WorkerState {
+                    id,
+                    disc,
+                    adam_t: t,
+                    opt_m: m,
+                    opt_v: v,
+                    echo,
+                } => {
+                    let opt = AdamState { t, m, v };
+                    states[id - 1] = Some(WorkerState { disc, opt });
+                    echoes[id - 1] = echo;
+                }
+                other => panic!("server expected WorkerState, got {other:?}"),
+            }
+        }
+        (states, echoes)
+    }
+
     /// Shuts everyone down. Robust mode keeps crashed workers draining
     /// their queue, so they too need the final `Stop`.
     fn stop_all(&self) {
@@ -419,40 +455,6 @@ impl Cluster for Routed {
             }
         }
     }
-
-    /// Requests each alive worker's state over the normal message channels
-    /// (`StateRequest`/`WorkerState`) — a reply arrives only after the
-    /// worker has drained everything queued before the request (feedbacks,
-    /// in-progress swaps), so this is the post-iteration barrier state.
-    /// Both directions travel uncharged: checkpoint persistence must not
-    /// perturb traffic accounting, or a resumed run would stop being
-    /// bit-identical to an uninterrupted one.
-    fn worker_states(&self) -> Vec<Option<WorkerState>> {
-        let asked = self.alive.iter().filter(|&&a| a).count();
-        for slot in (0..self.alive.len()).filter(|&w| self.alive[w]) {
-            self.server_ep
-                .send_uncharged(slot + 1, MdMsg::StateRequest)
-                .expect("destination endpoint dropped");
-        }
-        let mut states: Vec<Option<WorkerState>> = self.alive.iter().map(|_| None).collect();
-        for _ in 0..asked {
-            match self.server_ep.recv().msg {
-                MdMsg::WorkerState {
-                    id,
-                    disc,
-                    adam_t: t,
-                    opt_m: m,
-                    opt_v: v,
-                    sampler,
-                } => {
-                    let opt = AdamState { t, m, v };
-                    states[id - 1] = Some(WorkerState { disc, opt, sampler });
-                }
-                other => panic!("server expected WorkerState, got {other:?}"),
-            }
-        }
-        states
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -490,7 +492,7 @@ fn run_threaded_inner(
     let worker_eps: Vec<Endpoint<MdMsg>> = (1..=total).map(|i| router.endpoint(i)).collect();
     let retries = cfg.robust.retries;
 
-    let (mut coord, workers, attacks) =
+    let (mut coord, workers, mut attacks) =
         Coordinator::build(spec, shards, cfg, router.stats(), Arc::clone(&telemetry));
     let mut workers: Vec<Option<MdWorker>> = workers.into_iter().map(Some).collect();
     if let Some(pol) = ckpt.filter(|pol| pol.path.exists()) {
@@ -503,6 +505,7 @@ fn run_threaded_inner(
             ));
         }
         coord.restore(&ck, &mut workers)?;
+        restore_echoes(&ck, &mut attacks)?;
         telemetry.event(Event::Resumed {
             iter: coord.iterations(),
         });
@@ -535,7 +538,9 @@ fn run_threaded_inner(
                 }
             }
             if let Some(pol) = ckpt.filter(|pol| pol.every > 0 && done % pol.every == 0) {
-                let ck = coord.checkpoint(routed.worker_states());
+                let (states, echoes) = routed.worker_states();
+                let mut ck = coord.checkpoint(states);
+                push_echoes(&mut ck, echoes.iter().map(Option::as_ref));
                 match ck.save_atomic(&pol.path) {
                     Ok(()) => telemetry.event(Event::CheckpointWritten {
                         iter: done,
@@ -812,6 +817,54 @@ mod tests {
             "threaded resume of a sequential checkpoint diverged"
         );
 
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A `DelayedEcho` attacker's recorded feedback crosses every resume:
+    /// threaded → threaded, threaded → sequential and sequential →
+    /// threaded all end on the uninterrupted generator.
+    #[test]
+    fn resume_keeps_a_delayed_echo_across_runtimes() {
+        use crate::byzantine::Attack;
+        let (spec, shards, mut cfg) = setup(3);
+        cfg.attacks = vec![Attack::DelayedEcho];
+        let path = temp_ckpt_path("echo");
+        let _ = std::fs::remove_file(&path);
+        let full = run_threaded(&spec, shards.clone(), cfg.clone(), None, 10, 1000);
+        let resume = |iters: usize, every: usize| {
+            let pol = ThreadedCheckpointing {
+                path: path.clone(),
+                every,
+            };
+            let (shards, cfg) = (shards.clone(), cfg.clone());
+            let rec = Arc::new(Recorder::disabled());
+            run_threaded_checkpointed(&spec, shards, cfg, None, iters, 1000, rec, &pol).unwrap()
+        };
+
+        resume(8, 4);
+        let ck = Checkpoint::load(&path).unwrap();
+        assert!(
+            ck.get("echo_1").is_some(),
+            "the threaded gather dropped the echo"
+        );
+        assert_eq!(resume(10, 0).gen_params, full.gen_params, "threaded resume");
+        let mut seq = crate::mdgan::trainer::MdGan::new(&spec, shards.clone(), cfg.clone());
+        seq.restore(&ck).unwrap();
+        for _ in 8..10 {
+            seq.step();
+        }
+        assert_eq!(seq.gen_params(), full.gen_params, "sequential resume");
+
+        let mut seq = crate::mdgan::trainer::MdGan::new(&spec, shards.clone(), cfg.clone());
+        for _ in 0..6 {
+            seq.step();
+        }
+        seq.checkpoint().save_atomic(&path).unwrap();
+        assert_eq!(
+            resume(10, 0).gen_params,
+            full.gen_params,
+            "threaded from sequential"
+        );
         let _ = std::fs::remove_file(&path);
     }
 

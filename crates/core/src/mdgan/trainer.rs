@@ -9,14 +9,14 @@
 //! through the seeded fault layer when the config is robust.
 
 use crate::arch::ArchSpec;
-use crate::byzantine::AttackState;
+use crate::byzantine::{push_echoes, restore_echoes, AttackState};
 use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
 use crate::config::MdGanConfig;
 use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
 use crate::mdgan::round::{Call, Cluster, Coordinator, Order};
-use crate::mdgan::worker::{relocate_discs, states_of, MdWorker, WorkerState};
+use crate::mdgan::worker::{relocate_discs, MdWorker, WorkerState};
 use md_data::Dataset;
 use md_nn::gan::Generator;
 use md_nn::layer::Layer;
@@ -77,6 +77,21 @@ impl InProcess {
                 .is_robust()
                 .then(|| FaultState::new(cfg.fault.clone(), nodes)),
         }
+    }
+
+    /// Every present worker's checkpoint state, at an iteration boundary.
+    pub(crate) fn worker_states(&self) -> Vec<Option<WorkerState>> {
+        let state = |w: &Option<MdWorker>| w.as_ref().map(MdWorker::state);
+        self.workers.iter().map(state).collect()
+    }
+
+    /// Every present worker's recorded echo (see
+    /// [`push_echoes`](crate::byzantine::push_echoes)), by slot.
+    pub(crate) fn echoes(&self) -> impl Iterator<Item = Option<&Tensor>> {
+        let present = self.workers.iter().map(Option::is_some);
+        present
+            .zip(&self.attacks)
+            .map(|(p, a)| a.echo().filter(|_| p))
     }
 }
 
@@ -188,10 +203,6 @@ impl Cluster for InProcess {
         }
         relocate_discs(&mut self.workers, to);
     }
-
-    fn worker_states(&self) -> Vec<Option<WorkerState>> {
-        states_of(&self.workers)
-    }
 }
 
 /// The MD-GAN system (sequential runtime).
@@ -297,23 +308,28 @@ impl MdGan {
     }
 
     /// Captures a full training checkpoint (format v2): generator and
-    /// alive discriminators *plus* Adam moments, every RNG stream
-    /// position, the alive mask, counters and traffic totals — everything
-    /// a bit-identical resume needs. The threaded runtime writes and reads
-    /// the same layout, so either resumes the other's files.
+    /// alive discriminators *plus* Adam moments, the alive mask, counters,
+    /// traffic totals and the echo attackers' recorded feedbacks —
+    /// everything a bit-identical resume needs. Every random draw is keyed
+    /// by a counter among them, so no stream position is saved. The
+    /// threaded runtime writes and reads the same layout, so either resumes
+    /// the other's files.
     ///
     /// Robust-mode state (failure detector, per-link fault RNG) is *not*
     /// captured; resuming a robust run restarts the detector cold (see
     /// DESIGN.md §10).
     pub fn checkpoint(&self) -> Checkpoint {
-        self.coord.checkpoint(self.cluster.worker_states())
+        let mut ck = self.coord.checkpoint(self.cluster.worker_states());
+        push_echoes(&mut ck, self.cluster.echoes());
+        ck
     }
 
     /// Restores a checkpoint taken on an identically configured system; a
     /// resumed run then replays bit-for-bit. Missing or length-mismatched
     /// sections — a parameter-only file included — are errors.
     pub fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
-        self.coord.restore(ck, &mut self.cluster.workers)
+        self.coord.restore(ck, &mut self.cluster.workers)?;
+        restore_echoes(ck, &mut self.cluster.attacks)
     }
 
     /// One global iteration of Algorithm 1. In robust mode (a fault plan,
@@ -705,9 +721,10 @@ mod tests {
         for name in ["generator", "disc_1", "disc_2", "disc_3"] {
             assert!(ck.get(name).is_some(), "missing {name}");
         }
-        for name in ["rng_server", "rng_swap", "alive", "adam_t", "traffic"] {
+        for name in ["counters", "alive", "adam_t", "traffic"] {
             assert!(ck.get_u64(name).is_some(), "missing {name}");
         }
+        assert!(ck.section_names().all(|n| !n.starts_with("rng")));
         let snapshot = md.gen_params();
         for _ in 0..3 {
             md.step();
@@ -723,38 +740,119 @@ mod tests {
 
     #[test]
     fn resume_from_checkpoint_is_bit_identical() {
-        // Uninterrupted reference: 9 iterations (crossing the swap at 8).
+        for attack in crate::byzantine::EVERY_ATTACK {
+            assert_resume_is_bit_identical(attack);
+        }
+    }
+
+    /// Resume ≡ uninterrupted with worker 1 running `attack`: 9 iterations
+    /// (crossing the swap at 8) against 5, a checkpoint through the wire
+    /// format, a fresh system restoring it and the remaining 4.
+    fn assert_resume_is_bit_identical(attack: Attack) {
         let mk = || {
-            build(
+            build_with(
                 3,
                 KPolicy::LogN,
                 SwapPolicy::Derangement,
                 CrashSchedule::none(),
+                |c| c.attacks = vec![attack],
             )
         };
         let mut full = mk();
         for _ in 0..9 {
             full.step();
         }
-        // Interrupted run: 5 iterations, checkpoint, then a *fresh* system
-        // restores it and finishes the remaining 4.
         let mut first = mk();
         for _ in 0..5 {
             first.step();
         }
         let ck = Checkpoint::from_bytes(&first.checkpoint().to_bytes()).unwrap();
         drop(first);
+        assert!(
+            ck.section_names().all(|n| !n.starts_with("rng")),
+            "{attack:?}: a stream position was saved"
+        );
         let mut resumed = mk();
         resumed.restore(&ck).unwrap();
         assert_eq!(resumed.iterations(), 5);
         for _ in 0..4 {
             resumed.step();
         }
-        assert_eq!(resumed.gen_params(), full.gen_params());
+        assert_eq!(resumed.gen_params(), full.gen_params(), "{attack:?}");
         assert_eq!(resumed.swaps(), full.swaps());
         assert_eq!(resumed.traffic(), full.traffic());
         let discs = |md: &MdGan| -> Vec<Vec<f32>> { (0..3).map(|i| disc(md, i)).collect() };
-        assert_eq!(discs(&resumed), discs(&full));
+        assert_eq!(discs(&resumed), discs(&full), "{attack:?}");
+    }
+
+    /// The sequential cluster, recording the bits of the batches each
+    /// exchange ships.
+    struct Recording<'a> {
+        inner: &'a mut InProcess,
+        shipped: Vec<Vec<u32>>,
+    }
+
+    impl Cluster for Recording<'_> {
+        fn present(&self, slot: usize) -> bool {
+            self.inner.present(slot)
+        }
+        fn crash(&mut self, slot: usize) {
+            self.inner.crash(slot)
+        }
+        fn retire(&mut self, slot: usize) {
+            self.inner.retire(slot)
+        }
+        fn bootstrap(&mut self, call: &Call, src: usize, dst: usize) -> u64 {
+            self.inner.bootstrap(call, src, dst)
+        }
+        fn exchange(
+            &mut self,
+            call: &Call,
+            orders: &[Order],
+            batches: &[(Tensor, Vec<usize>)],
+        ) -> Vec<(usize, usize, Tensor)> {
+            let bits = batches
+                .iter()
+                .flat_map(|(x, _)| x.data().iter().map(|v| v.to_bits()));
+            self.shipped.push(bits.collect());
+            self.inner.exchange(call, orders, batches)
+        }
+        fn swap(&mut self, call: &Call, pairs: &[(usize, usize)]) {
+            self.inner.swap(call, pairs)
+        }
+    }
+
+    /// Robust mode awaiting every feedback, worker 1 silently crashed from
+    /// iteration 1: iterations miss their quorum and step no Adam, and the
+    /// iteration after each must still ship fresh batches.
+    #[test]
+    fn a_missed_quorum_still_draws_fresh_batches() {
+        let crash = CrashSchedule::new(vec![(1, 1)]);
+        let mut md = build_with(3, KPolicy::One, SwapPolicy::Disabled, crash, |c| {
+            c.robust.enabled = true;
+            c.robust.quorum_frac = 1.0;
+        });
+        let mut rec = Recording {
+            inner: &mut md.cluster,
+            shipped: Vec::new(),
+        };
+        let mut stepped = Vec::new();
+        for _ in 0..6 {
+            let before = md.coord.server.gen_params();
+            md.coord.round(&mut rec);
+            stepped.push(md.coord.server.gen_params() != before);
+        }
+        assert_eq!(rec.shipped.len(), 6);
+        let missed: Vec<usize> = (0..5).filter(|&i| !stepped[i]).collect();
+        assert!(!missed.is_empty(), "a silent crash must miss a quorum");
+        for i in missed {
+            assert_ne!(
+                rec.shipped[i + 1],
+                rec.shipped[i],
+                "iteration {} replayed",
+                i + 1
+            );
+        }
     }
 
     #[test]

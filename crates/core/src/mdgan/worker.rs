@@ -10,7 +10,7 @@ use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
 use crate::config::GanHyper;
 use crate::error::{ckerr, TrainError};
-use md_data::{BatchSampler, Dataset};
+use md_data::Dataset;
 use md_nn::gan::{gen_loss, Discriminator};
 use md_nn::layers::Sequential;
 use md_nn::optim::{Adam, AdamState};
@@ -22,39 +22,35 @@ use md_tensor::Tensor;
 /// conditioned on.
 pub(crate) type Batch = (Tensor, Vec<usize>);
 
-/// One worker's state: discriminator, optimizer, shard and sampler. That
-/// is all it holds between iterations: the discriminator's gradients exist
-/// only inside [`MdWorker::process`], from the D step's backward to its
-/// Adam update, in buffers drawn from and handed back to the workspace.
+/// One worker's state: discriminator, optimizer, shard and the key of its
+/// sampling streams. That is all it holds between iterations: the
+/// discriminator's gradients exist only inside [`MdWorker::process`], from
+/// the D step's backward to its Adam update, in buffers drawn from and
+/// handed back to the workspace.
 pub struct MdWorker {
     /// 1-based worker id (node id in the simulated cluster).
     pub id: usize,
     disc: Discriminator,
     opt_d: Adam,
-    sampler: BatchSampler,
+    /// Key of the shard-sampling streams: the stream of a turn is
+    /// `(key, id, opt_d step count)`. The optimizer stays with the worker
+    /// across a swap, so no two turns share one.
+    key: u64,
     shard: Dataset,
     hyper: GanHyper,
 }
 
-/// What a checkpoint keeps of one worker: `D_n`, its Adam moments and the
-/// shard sampler's stream position (the shard itself is rebuilt from data).
+/// What a checkpoint keeps of one worker: `D_n` and its Adam state (the
+/// shard is rebuilt from data, and the Adam step count keys the sampler).
 pub struct WorkerState {
     /// Flat discriminator parameters `θ`.
     pub disc: Vec<f32>,
     /// Adam step count and moments of the discriminator optimizer.
     pub opt: AdamState,
-    /// Shard-sampler RNG stream position.
-    pub sampler: Vec<u64>,
-}
-
-/// The checkpoint state of every present worker, by slot.
-pub(crate) fn states_of(workers: &[Option<MdWorker>]) -> Vec<Option<WorkerState>> {
-    let state = |w: &Option<MdWorker>| w.as_ref().map(MdWorker::state);
-    workers.iter().map(state).collect()
 }
 
 /// Writes the worker half of the checkpoint layout every MD-GAN runtime
-/// shares: `disc_n` / `opt_d_n_{m,v}` / `rng_sampler_n` per present worker
+/// shares: `disc_n` / `opt_d_n_{m,v}` per present worker
 /// (1-based `n`), then `adam_t` (`gen_t` first) and the `alive` mask.
 pub(crate) fn push_workers(ck: &mut Checkpoint, states: Vec<Option<WorkerState>>, gen_t: u64) {
     let mut adam_t = vec![gen_t];
@@ -66,7 +62,6 @@ pub(crate) fn push_workers(ck: &mut Checkpoint, states: Vec<Option<WorkerState>>
         ck.push(format!("disc_{id}"), s.disc);
         ck.push(format!("opt_d_{id}_m"), s.opt.m);
         ck.push(format!("opt_d_{id}_v"), s.opt.v);
-        ck.push_u64(format!("rng_sampler_{id}"), s.sampler);
     }
     ck.push_u64("adam_t", adam_t);
     ck.push_u64("alive", alive);
@@ -156,8 +151,6 @@ pub(crate) fn restore_workers(
         w.opt_d
             .import_state(&opt, &w.disc.net)
             .map_err(TrainError::Checkpoint)?;
-        let words = ck.require_words(&format!("rng_sampler_{id}"));
-        w.sampler.set_rng_state_words(words.map_err(ckerr)?);
     }
     Ok(())
 }
@@ -176,12 +169,11 @@ impl MdWorker {
         rng: &mut Rng64,
     ) -> Self {
         let disc = spec.build_discriminator(rng);
-        let sampler = BatchSampler::new(rng);
         MdWorker {
             id,
             disc,
             opt_d: Adam::new(hyper.adam_d),
-            sampler,
+            key: rng.next_u64(),
             shard,
             hyper,
         }
@@ -226,7 +218,7 @@ impl MdWorker {
         let aux = self.hyper.aux_weight;
 
         // X(r) <- SAMPLES(B_n, b)
-        let (x_real, y_real) = self.sampler.sample(&self.shard, b);
+        let (x_real, y_real) = self.shard.sample(b, &mut self.sampling_stream());
 
         for _ in 0..self.hyper.disc_steps.max(1) {
             // Nobody reads ∂L/∂image of a training batch: one pass over
@@ -300,6 +292,17 @@ impl MdWorker {
         }
     }
 
+    /// This turn's shard-sampling stream.
+    fn sampling_stream(&self) -> Rng64 {
+        Rng64::keyed(self.key, self.id as u64, self.opt_d.steps())
+    }
+
+    /// Discriminator optimizer steps taken so far: the step counter an
+    /// attacker's stream is keyed by.
+    pub(crate) fn d_steps(&self) -> u64 {
+        self.opt_d.steps()
+    }
+
     /// Flat discriminator parameters (what a swap ships).
     pub fn disc_params(&self) -> Vec<f32> {
         self.disc.net.get_params_flat()
@@ -341,7 +344,6 @@ impl MdWorker {
         WorkerState {
             disc: self.disc_params(),
             opt: self.opt_d.export_state(),
-            sampler: self.sampler.rng_state_words().to_vec(),
         }
     }
 
@@ -514,7 +516,7 @@ mod tests {
         fn process(&mut self, xd: &Tensor, yd: &[usize], xg: &Tensor, yg: &[usize]) -> Tensor {
             let w = &mut self.inner;
             let (classes, aux) = (w.disc.num_classes, w.hyper.aux_weight);
-            let (x_real, y_real) = w.sampler.sample(&w.shard, w.hyper.batch);
+            let (x_real, y_real) = w.shard.sample(w.hyper.batch, &mut w.sampling_stream());
             self.step_grads.clear();
             for _ in 0..w.hyper.disc_steps.max(1) {
                 w.disc.net.zero_grad();

@@ -11,7 +11,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::GanHyper;
 use crate::error::{ckerr, TrainError};
 use crate::eval::{Evaluator, ScoreTimeline};
-use md_data::{BatchSampler, Dataset};
+use md_data::Dataset;
 use md_nn::gan::{gen_loss, Discriminator, Generator};
 use md_nn::layer::Layer;
 use md_nn::optim::{Adam, AdamState};
@@ -36,9 +36,10 @@ pub struct StandaloneGan {
     pub disc: Discriminator,
     opt_g: Adam,
     opt_d: Adam,
-    sampler: BatchSampler,
     hyper: GanHyper,
-    rng: Rng64,
+    /// Key of the per-iteration streams: iteration `i` samples its real
+    /// batch, noise and labels, in that order, from stream `(key, 0, i)`.
+    key: u64,
     data: Dataset,
     iter: usize,
     telemetry: Arc<Recorder>,
@@ -51,15 +52,13 @@ impl StandaloneGan {
     pub fn new(spec: &ArchSpec, data: Dataset, hyper: GanHyper, rng: &mut Rng64) -> Self {
         let gen = spec.build_generator(rng);
         let disc = spec.build_discriminator(rng);
-        let sampler = BatchSampler::new(rng);
         StandaloneGan {
             gen,
             disc,
             opt_g: Adam::new(hyper.adam_g),
             opt_d: Adam::new(hyper.adam_d),
-            sampler,
             hyper,
-            rng: rng.fork(0x57A2),
+            key: rng.next_u64(),
             data,
             iter: 0,
             telemetry: Arc::new(Recorder::disabled()),
@@ -100,9 +99,10 @@ impl StandaloneGan {
 
         // Fixed batches for the L discriminator iterations (Algorithm 1
         // reuses X(d) and X(r) across the L local steps).
-        let (x_real, y_real) = self.sampler.sample(&self.data, b);
-        let z = self.gen.sample_z(b, &mut self.rng);
-        let y_fake = self.gen.sample_labels(b, &mut self.rng);
+        let mut rng = Rng64::keyed(self.key, 0, tick);
+        let (x_real, y_real) = self.data.sample(b, &mut rng);
+        let z = self.gen.sample_z(b, &mut rng);
+        let y_fake = self.gen.sample_labels(b, &mut rng);
         let x_fake = self.gen.generate(&z, &y_fake, true);
 
         let mut disc_loss_acc = 0.0;
@@ -183,8 +183,8 @@ impl StandaloneGan {
     }
 
     /// Captures a full training checkpoint (format v2): both networks,
-    /// both optimizers' Adam moments and both RNG stream positions, so a
-    /// resumed run replays bit-for-bit.
+    /// both optimizers' Adam moments and the iteration, which keys every
+    /// draw, so a resumed run replays bit-for-bit.
     pub fn checkpoint(&self) -> Checkpoint {
         let mut ck = Checkpoint::new(self.iter as u64);
         let (g, d) = self.params();
@@ -197,8 +197,6 @@ impl StandaloneGan {
         ck.push("opt_g_v", go.v);
         ck.push("opt_d_m", dopt.m);
         ck.push("opt_d_v", dopt.v);
-        ck.push_u64("rng", self.rng.state_words().to_vec());
-        ck.push_u64("rng_sampler", self.sampler.rng_state_words().to_vec());
         ck
     }
 
@@ -230,14 +228,6 @@ impl StandaloneGan {
         self.opt_d
             .import_state(&dopt, &self.disc.net)
             .map_err(TrainError::Checkpoint)?;
-        let words = |name: &str| -> Result<[u64; Rng64::STATE_WORDS], TrainError> {
-            let w = ck
-                .require_u64_len(name, Rng64::STATE_WORDS)
-                .map_err(ckerr)?;
-            Ok(std::array::from_fn(|i| w[i]))
-        };
-        self.rng = Rng64::from_state_words(words("rng")?);
-        self.sampler.set_rng_state_words(words("rng_sampler")?);
         self.iter = ck.iteration as usize;
         Ok(())
     }

@@ -9,8 +9,9 @@
 //!   disk, never a torn file.
 //! * **Resume** — if the configured checkpoint path already exists when
 //!   [`TrainSupervisor::run`] starts, training resumes from it and the
-//!   remainder of the run is bit-identical to an uninterrupted run (all
-//!   RNG stream positions and optimizer moments are part of the state).
+//!   remainder of the run is bit-identical to an uninterrupted run (the
+//!   optimizer moments and the step counters that key every random draw
+//!   are part of the state).
 //! * **Rollback** — when the [`HealthMonitor`] flags a NaN/Inf or an
 //!   exploded magnitude, the supervisor restores the last *good* state
 //!   (health-verified at capture time via
@@ -39,7 +40,7 @@ pub trait Recoverable {
     fn iteration(&self) -> u64;
 
     /// Full training state as a checkpoint (parameters, optimizer moments,
-    /// RNG stream positions, counters).
+    /// counters).
     fn capture(&self) -> Checkpoint;
 
     /// Restores a previously captured state.
@@ -255,12 +256,12 @@ mod tests {
     use md_tensor::rng::Rng64;
 
     /// A tiny deterministic "trainer": one Dense layer whose single
-    /// tracked scalar is bumped by an RNG draw each step. Captures params
-    /// + RNG into a real Checkpoint, so restore semantics mirror the real
-    ///   runtimes.
+    /// tracked scalar is bumped by a draw keyed by the iteration each step.
+    /// Captures params into a real Checkpoint, so restore semantics mirror
+    /// the real runtimes.
     struct Toy {
         net: Sequential,
-        rng: Rng64,
+        key: u64,
         iter: u64,
         lr: f32,
         poisoned: bool,
@@ -271,7 +272,7 @@ mod tests {
             let mut rng = Rng64::seed_from_u64(9);
             Toy {
                 net: Sequential::new().push(Dense::new(2, 2, Init::XavierUniform, &mut rng)),
-                rng: rng.fork(1),
+                key: rng.next_u64(),
                 iter: 0,
                 lr: 1.0,
                 poisoned: false,
@@ -286,16 +287,11 @@ mod tests {
         fn capture(&self) -> Checkpoint {
             let mut ck = Checkpoint::new(self.iter);
             ck.push("params", self.net.get_params_flat());
-            ck.push_u64("rng", self.rng.state_words().to_vec());
             ck
         }
         fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
             let params = ck.require("params")?;
             self.net.set_params_flat(params);
-            let words = ck.require_u64_len("rng", Rng64::STATE_WORDS)?;
-            let mut arr = [0u64; Rng64::STATE_WORDS];
-            arr.copy_from_slice(words);
-            self.rng = Rng64::from_state_words(arr);
             self.iter = ck.iteration;
             self.poisoned = false;
             Ok(())
@@ -304,7 +300,7 @@ mod tests {
             if self.poisoned {
                 self.net.params_mut()[0].data_mut()[0] = f32::NAN;
             }
-            let bump = self.rng.uniform() * 0.01;
+            let bump = Rng64::keyed(self.key, 0, self.iter).uniform() * 0.01;
             self.net.params_mut()[0].data_mut()[0] += bump;
             self.iter += 1;
             let loss = if self.poisoned { f32::NAN } else { 0.5 };

@@ -164,6 +164,13 @@ impl Dataset {
             .collect()
     }
 
+    /// `SAMPLES(B, b)`: `b` distinct samples (capped at the dataset size),
+    /// drawn from `rng`.
+    pub fn sample(&self, b: usize, rng: &mut Rng64) -> (Tensor, Vec<usize>) {
+        let idx = rng.sample_distinct(self.len(), b.min(self.len()));
+        self.batch(&idx)
+    }
+
     /// Per-class sample counts (for balance checks).
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.num_classes];
@@ -192,21 +199,7 @@ impl BatchSampler {
 
     /// Samples a batch of size `b` (capped at the dataset size).
     pub fn sample(&mut self, data: &Dataset, b: usize) -> (Tensor, Vec<usize>) {
-        let b = b.min(data.len());
-        let idx = self.rng.sample_distinct(data.len(), b);
-        data.batch(&idx)
-    }
-
-    /// Serializable RNG stream position (for checkpointing).
-    pub fn rng_state_words(&self) -> [u64; Rng64::STATE_WORDS] {
-        self.rng.state_words()
-    }
-
-    /// Restores the RNG stream position captured by [`rng_state_words`].
-    ///
-    /// [`rng_state_words`]: BatchSampler::rng_state_words
-    pub fn set_rng_state_words(&mut self, words: [u64; Rng64::STATE_WORDS]) {
-        self.rng = Rng64::from_state_words(words);
+        data.sample(b, &mut self.rng)
     }
 }
 

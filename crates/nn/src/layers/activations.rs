@@ -17,7 +17,7 @@ const TANH_COST: usize = 80;
 /// Rectified linear unit: `max(0, x)`.
 #[derive(Default)]
 pub struct Relu {
-    cache: Option<Mask>,
+    mask: Option<Mask>,
 }
 
 impl Relu {
@@ -30,15 +30,9 @@ impl Relu {
 impl Layer for Relu {
     /// One pass over `x` writes the output and the mask.
     fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
-        let mut y = workspace::take_uninit(x.len());
-        let mut pass = vec![false; x.len()];
-        for ((y, p), &v) in y.iter_mut().zip(&mut pass).zip(x.data()) {
-            *y = v.max(0.0);
-            *p = (v > 0.0) | v.is_nan();
-        }
-        let shape = x.shape().to_vec();
-        self.cache = Some(Mask { shape, pass });
-        Tensor::new(x.shape(), y)
+        let (y, mask) = Mask::forward(x, |v| v.max(0.0));
+        self.mask = Some(mask);
+        y
     }
 
     /// One pass over the mask: `grad_out` where it passes, zero elsewhere.
@@ -46,17 +40,12 @@ impl Layer for Relu {
         if !need.input() {
             return None;
         }
-        let mask = self.cache.as_ref().expect("Relu::backward before forward");
-        assert_eq!(grad_out.shape(), &mask.shape[..]);
-        let mut g = workspace::take_uninit(grad_out.len());
-        for ((g, &p), &go) in g.iter_mut().zip(&mask.pass).zip(grad_out.data()) {
-            *g = if p { go } else { 0.0 };
-        }
-        Some(Tensor::new(&mask.shape, g))
+        let mask = self.mask.as_ref().expect("Relu::backward before forward");
+        Some(mask.select(grad_out, |_| 0.0))
     }
 
     fn release_cache(&mut self) {
-        self.cache = None;
+        self.mask = None;
     }
 
     fn name(&self) -> String {
@@ -68,22 +57,62 @@ impl Layer for Relu {
 /// (DCGAN-style) conventionally use `alpha = 0.2`.
 pub struct LeakyRelu {
     alpha: f32,
-    cache: Option<Mask>,
+    mask: Option<Mask>,
 }
 
 /// What the backward of [`Relu`] or [`LeakyRelu`] needs of the last
 /// forward's input: its shape, and per element whether the gradient passes
-/// unscaled: `x > 0.0` or a NaN `x`, i.e. `!(x <= 0.0)`, the rule the
-/// gradient has always followed.
+/// unscaled — `x > 0.0` or a NaN `x`, i.e. `!(x <= 0.0)`, the rule the
+/// gradient has always followed. Element `i` is bit `i % 32` of word
+/// `i / 32`, a word kept as the bit pattern of a workspace `f32` that no
+/// float operation touches, so a forward allocates nothing once the shelf
+/// is warm and the mask is a thirty-second of the input.
 struct Mask {
     shape: Vec<usize>,
-    pass: Vec<bool>,
+    bits: Tensor,
+}
+
+impl Mask {
+    /// One pass over `x` writes `f(x)` and the mask.
+    fn forward(x: &Tensor, f: impl Fn(f32) -> f32) -> (Tensor, Mask) {
+        let mut y = workspace::take_uninit(x.len());
+        let mut bits = workspace::take_uninit(x.len().div_ceil(32));
+        let rows = y.chunks_mut(32).zip(x.data().chunks(32));
+        for ((ys, xs), word) in rows.zip(&mut bits) {
+            let mut w = 0u32;
+            for (j, (y, &v)) in ys.iter_mut().zip(xs).enumerate() {
+                *y = f(v);
+                w |= u32::from((v > 0.0) | v.is_nan()) << j;
+            }
+            *word = f32::from_bits(w);
+        }
+        let mask = Mask {
+            shape: x.shape().to_vec(),
+            bits: Tensor::new(&[bits.len()], bits),
+        };
+        (Tensor::new(x.shape(), y), mask)
+    }
+
+    /// One pass over the mask: `grad_out` where it passes, `other(grad_out)`
+    /// elsewhere.
+    fn select(&self, grad_out: &Tensor, other: impl Fn(f32) -> f32) -> Tensor {
+        assert_eq!(grad_out.shape(), &self.shape[..]);
+        let mut g = workspace::take_uninit(grad_out.len());
+        let rows = g.chunks_mut(32).zip(grad_out.data().chunks(32));
+        for ((gs, gos), word) in rows.zip(self.bits.data()) {
+            let w = word.to_bits();
+            for (j, (g, &go)) in gs.iter_mut().zip(gos).enumerate() {
+                *g = if (w >> j) & 1 != 0 { go } else { other(go) };
+            }
+        }
+        Tensor::new(&self.shape, g)
+    }
 }
 
 impl LeakyRelu {
     /// Creates a LeakyReLU with the given negative slope.
     pub fn new(alpha: f32) -> Self {
-        LeakyRelu { alpha, cache: None }
+        LeakyRelu { alpha, mask: None }
     }
 }
 
@@ -91,15 +120,9 @@ impl Layer for LeakyRelu {
     /// One pass over `x` writes the output and the mask.
     fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
         let a = self.alpha;
-        let mut y = workspace::take_uninit(x.len());
-        let mut pass = vec![false; x.len()];
-        for ((y, p), &v) in y.iter_mut().zip(&mut pass).zip(x.data()) {
-            *y = if v > 0.0 { v } else { a * v };
-            *p = (v > 0.0) | v.is_nan();
-        }
-        let shape = x.shape().to_vec();
-        self.cache = Some(Mask { shape, pass });
-        Tensor::new(x.shape(), y)
+        let (y, mask) = Mask::forward(x, |v| if v > 0.0 { v } else { a * v });
+        self.mask = Some(mask);
+        y
     }
 
     /// One pass over the mask: `grad_out` where it passes, `alpha` times
@@ -109,20 +132,15 @@ impl Layer for LeakyRelu {
             return None;
         }
         let mask = self
-            .cache
+            .mask
             .as_ref()
             .expect("LeakyRelu::backward before forward");
-        assert_eq!(grad_out.shape(), &mask.shape[..]);
         let a = self.alpha;
-        let mut g = workspace::take_uninit(grad_out.len());
-        for ((g, &p), &go) in g.iter_mut().zip(&mask.pass).zip(grad_out.data()) {
-            *g = if p { go } else { go * a };
-        }
-        Some(Tensor::new(&mask.shape, g))
+        Some(mask.select(grad_out, |go| go * a))
     }
 
     fn release_cache(&mut self) {
-        self.cache = None;
+        self.mask = None;
     }
 
     fn name(&self) -> String {
@@ -288,8 +306,16 @@ mod tests {
         let n = specials.len();
         let x: Vec<f32> = specials.iter().flat_map(|&v| [v; 9]).collect();
         let go: Vec<f32> = (0..n).flat_map(|_| specials).collect();
+        // Output, mask and gradient come from the workspace shelf: offer
+        // it NaN-filled buffers, so an element a pass left unwritten shows.
+        let dirty_shelf = || {
+            for _ in 0..4 {
+                workspace::recycle(vec![f32::NAN; n * n]);
+            }
+        };
         let a = 0.2f32;
         let mut l = LeakyRelu::new(a);
+        dirty_shelf();
         let y = l.forward(&Tensor::new(&[n, n], x.clone()), true);
         let g = l.backward(&Tensor::new(&[n, n], go.clone()));
         for (i, (&xv, &gv)) in x.iter().zip(&go).enumerate() {
@@ -305,6 +331,7 @@ mod tests {
         assert_eq!(y.data()[5 * n].to_bits(), (-0.0f32).to_bits());
 
         let mut l = Relu::new();
+        dirty_shelf();
         let y = l.forward(&Tensor::new(&[n, n], x.clone()), true);
         let g = l.backward(&Tensor::new(&[n, n], go.clone()));
         for (i, (&xv, &gv)) in x.iter().zip(&go).enumerate() {

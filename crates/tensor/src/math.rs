@@ -30,7 +30,7 @@
 //! The `*_slice` entry points run the same `#[inline(always)]` body over a
 //! slice in a plain loop, which LLVM vectorizes (the f64 steps take half the
 //! lanes of the vector width): the lane-wise result *is* the scalar result,
-//! bit for bit, with no `unsafe` and no second copy of the code.
+//! bit for bit, in safe code and with no second copy of it.
 
 /// `1.5 · 2⁵²`. For `|t| < 2⁵¹`, `(t + ROUND) - ROUND` is `t` rounded to the
 /// nearest integer, and the low bits of `(t + ROUND).to_bits()` hold that

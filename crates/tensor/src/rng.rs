@@ -4,11 +4,23 @@
 //! dataset synthesis, batch sampling, swap permutations, crash schedules)
 //! draws from an explicitly seeded [`Rng64`], so whole training runs are
 //! bit-for-bit reproducible — a property several integration tests rely on
-//! (e.g. threaded vs sequential MD-GAN equivalence).
+//! (e.g. threaded vs sequential MD-GAN equivalence). Construction draws
+//! (weight init, datasets, shard splits) run on forks of one master stream;
+//! draws made while training come from [`Rng64::keyed`] streams, opened per
+//! step, so no checkpoint carries a stream position.
 
 use crate::math;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+
+/// One SplitMix64 step from `z`: a bijection of `u64`, so distinct inputs
+/// give distinct outputs.
+fn splitmix64(z: u64) -> u64 {
+    let z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// A seeded RNG with the handful of draws the workspace needs.
 ///
@@ -37,34 +49,15 @@ impl Rng64 {
         Rng64::seed_from_u64(s)
     }
 
-    /// Number of words in the serialized state (see [`Rng64::state_words`]).
-    pub const STATE_WORDS: usize = 5;
-
-    /// Serializes the full generator state into five `u64` words: the four
-    /// xoshiro256++ state words plus one word encoding the cached Box–Muller
-    /// spare sample (`1 << 32 | f32 bits` when present, `0` when absent).
-    ///
-    /// A generator rebuilt with [`Rng64::from_state_words`] continues the
-    /// exact stream — this is what makes checkpoint/resume bit-identical.
-    pub fn state_words(&self) -> [u64; Self::STATE_WORDS] {
-        let s = self.inner.state();
-        let spare = match self.spare_normal {
-            Some(z) => (1u64 << 32) | u64::from(z.to_bits()),
-            None => 0,
-        };
-        [s[0], s[1], s[2], s[3], spare]
-    }
-
-    /// Rebuilds a generator from [`Rng64::state_words`] output.
-    pub fn from_state_words(w: [u64; Self::STATE_WORDS]) -> Self {
-        Rng64 {
-            inner: StdRng::from_state([w[0], w[1], w[2], w[3]]),
-            spare_normal: if w[4] >> 32 != 0 {
-                Some(f32::from_bits(w[4] as u32))
-            } else {
-                None
-            },
-        }
+    /// The stream `step` of `stream` under `key`: the xoshiro256++ body
+    /// seeded from SplitMix64 of the three words. A draw made while
+    /// training is then a pure function of (run key, stream, step), the
+    /// counter-based scheme of Salmon et al., "Parallel Random Numbers: As
+    /// Easy as 1, 2, 3" (SC '11): a holder keeps its key, opens one stream
+    /// per step from a counter the checkpoint already carries and draws
+    /// from it in order, so no stream position is ever saved.
+    pub fn keyed(key: u64, stream: u64, step: u64) -> Self {
+        Rng64::seed_from_u64(splitmix64(splitmix64(splitmix64(key) ^ stream) ^ step))
     }
 
     /// Uniform f32 in `[0, 1)`.
@@ -220,37 +213,41 @@ mod tests {
         assert_ne!(a, b);
     }
 
+    /// The same (key, stream, step) opens the same stream; changing any one
+    /// word by one, or trading stream for step, opens another.
     #[test]
-    fn state_roundtrip_continues_every_stream() {
-        let mut a = Rng64::seed_from_u64(77);
-        // Consume an odd number of normals so the Box–Muller spare is
-        // cached — the trickiest part of the state to carry across.
-        for _ in 0..7 {
-            a.normal();
+    fn keyed_streams_are_pure_and_distinct() {
+        let draws = |key, stream, step| -> Vec<u64> {
+            let mut rng = Rng64::keyed(key, stream, step);
+            (0..16).map(|_| rng.next_u64()).collect()
+        };
+        let base = draws(7, 3, 11);
+        assert_eq!(base, draws(7, 3, 11));
+        for other in [
+            (6, 3, 11),
+            (8, 3, 11),
+            (7, 2, 11),
+            (7, 4, 11),
+            (7, 3, 10),
+            (7, 3, 12),
+            (7, 11, 3),
+        ] {
+            let d = draws(other.0, other.1, other.2);
+            assert_ne!(d[0], base[0], "{other:?}");
+            assert_ne!(d, base, "{other:?}");
         }
-        let mut b = Rng64::from_state_words(a.state_words());
-        for _ in 0..32 {
-            assert_eq!(a.normal().to_bits(), b.normal().to_bits());
-            assert_eq!(a.next_u64(), b.next_u64());
-            assert_eq!(a.uniform().to_bits(), b.uniform().to_bits());
-        }
-        assert_eq!(a.permutation(17), b.permutation(17));
-    }
-
-    #[test]
-    fn state_words_capture_absent_spare() {
-        let a = Rng64::seed_from_u64(3);
-        let w = a.state_words();
-        assert_eq!(w[4], 0, "fresh rng has no cached spare normal");
-        let mut b = Rng64::from_state_words(w);
-        let mut a2 = Rng64::seed_from_u64(3);
-        assert_eq!(a2.normal().to_bits(), b.normal().to_bits());
+        let mut a = Rng64::keyed(1, 2, 3);
+        let mut b = Rng64::keyed(1, 2, 3);
+        let (mut x, mut y) = (vec![0.0; 33], vec![0.0; 33]);
+        a.fill_normal(&mut x);
+        b.fill_normal(&mut y);
+        assert_eq!(x, y);
     }
 
     /// The batch entry against repeated `normal()` calls: every length
     /// from 0 to 300 (odd and even, across the 128-value blocks), from a
     /// fresh generator and from one with a pending spare, then the same
-    /// state words and the same next draws.
+    /// next draws (the spare included).
     #[test]
     fn fill_normal_matches_repeated_normal() {
         for spare in [false, true] {
@@ -268,8 +265,10 @@ mod tests {
                     single.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     "len {len}, spare {spare}"
                 );
-                assert_eq!(a.state_words(), b.state_words(), "len {len}, spare {spare}");
-                assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+                for _ in 0..3 {
+                    assert_eq!(a.normal().to_bits(), b.normal().to_bits());
+                }
+                assert_eq!(a.next_u64(), b.next_u64(), "len {len}, spare {spare}");
             }
         }
     }

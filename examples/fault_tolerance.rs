@@ -51,7 +51,7 @@ fn main() {
     let mut next_eval = 0usize;
     for i in 0..=iters {
         if i == next_eval {
-            let s = evaluator.evaluate(md.generator_mut());
+            let s = evaluator.evaluate_at(md.generator_mut(), i);
             println!(
                 "  {i:5} | {:5} | {:7.3} | {:7.2}",
                 md.alive_workers().len(),

@@ -146,13 +146,16 @@ fn batchnorm_running_statistics_take_one_step_per_generated_batch() {
     assert_eq!(md.k(), 2);
 
     // Bystanders with the server's parameters, fresh running statistics
-    // (which no checkpoint carries) and the server's noise stream.
-    let ck = md.checkpoint();
-    let words: [u64; Rng64::STATE_WORDS] = ck.get_u64("rng_server").unwrap().try_into().unwrap();
+    // (which no checkpoint carries) and the server's noise stream: stream
+    // (key, 0, iteration 0), the key drawn after the generator's init from
+    // the master seed's first fork.
+    let mut server_rng = Rng64::seed_from_u64(cfg().seed).fork(0);
+    spec.build_generator(&mut server_rng);
+    let key = server_rng.next_u64();
     let bystander = |passes_per_batch: usize| {
         let mut g = spec.build_generator(&mut Rng64::seed_from_u64(0));
         g.net.set_params_flat(&md.gen_params());
-        let mut noise = Rng64::from_state_words(words);
+        let mut noise = Rng64::keyed(key, 0, 0);
         for _ in 0..md.k() {
             let z = g.sample_z(BATCH, &mut noise);
             let labels = g.sample_labels(BATCH, &mut noise);
