@@ -1,6 +1,7 @@
 //! Micro-benchmarks of the tensor kernels every training step is built on:
-//! matmul, conv2d forward/backward, conv-transpose2d, and the minibatch-
-//! discrimination layer.
+//! matmul (square, the paper's layer shapes and the discriminator heads'
+//! narrow products), conv2d forward/backward, conv-transpose2d, and the
+//! minibatch-discrimination layer.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use md_nn::init::Init;
@@ -76,6 +77,36 @@ fn bench_matmul_variants(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("tn", m), &m, |bench, _| {
             bench.iter(|| std::hint::black_box(x.matmul_tn(&gy)));
         });
+    }
+    g.finish();
+}
+
+fn bench_matmul_heads(c: &mut Criterion) {
+    // The discriminator's narrow products at one and two b = 10 batches,
+    // where the no-pack kernels' reorders of the small operand weigh most:
+    // the CNN D's minibatch-discrimination forward (1024 -> 32) and input
+    // gradient, its 11-logit head (1032 -> 11) both ways, and the MLP D's
+    // first layer (784 -> 512) both ways. Each is named by its layout and
+    // the weight's `rows_cols`: `nn` is `x·W`, `nt` is `dy·Wᵀ`.
+    let mut g = c.benchmark_group("matmul_heads");
+    g.sample_size(10)
+        .measurement_time(Duration::from_secs(1))
+        .warm_up_time(Duration::from_millis(200));
+    let mut rng = Rng64::seed_from_u64(8);
+    let mbd = Tensor::randn(&[1024, 32], &mut rng);
+    let head = Tensor::randn(&[1032, 11], &mut rng);
+    let w = Tensor::randn(&[784, 512], &mut rng);
+    for &m in &[10usize, 20] {
+        for (name, wt) in [("1024_32", &mbd), ("1032_11", &head), ("784_512", &w)] {
+            let x = Tensor::randn(&[m, wt.shape()[0]], &mut rng);
+            let gy = Tensor::randn(&[m, wt.shape()[1]], &mut rng);
+            g.bench_with_input(BenchmarkId::new(format!("nn_{name}"), m), &m, |bench, _| {
+                bench.iter(|| std::hint::black_box(x.matmul(wt)));
+            });
+            g.bench_with_input(BenchmarkId::new(format!("nt_{name}"), m), &m, |bench, _| {
+                bench.iter(|| std::hint::black_box(gy.matmul_nt(wt)));
+            });
+        }
     }
     g.finish();
 }
@@ -263,6 +294,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_matmul_variants,
+    bench_matmul_heads,
     bench_matmul_threads,
     bench_conv,
     bench_minibatch_disc,

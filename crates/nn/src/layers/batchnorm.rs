@@ -27,7 +27,7 @@ pub struct BatchNorm {
 struct BnCache {
     xhat: Tensor,
     /// `inv_std[g * features + c]` of batch `g`, channel `c`.
-    inv_std: Vec<f32>,
+    inv_std: Tensor,
     input_shape: Vec<usize>,
     groups: usize,
     train: bool,
@@ -135,7 +135,7 @@ impl BatchNorm {
             let batch = g * b..(g + 1) * b;
             for c in 0..c_total {
                 let ga = self.gamma.data()[c];
-                let inv_std = cache.inv_std[g * c_total + c];
+                let inv_std = cache.inv_std.data()[g * c_total + c];
 
                 // The two sums are the parameter gradients and, in training
                 // mode, also terms of dx; eval-mode dx alone needs neither.
@@ -183,10 +183,10 @@ impl Layer for BatchNorm {
         let b = rows / groups;
         let c_total = self.features;
         let m = (b * hw) as f32;
-        // Every element of both is written below.
+        // Every element of all three is written below.
         let mut y = workspace::take_uninit(x.len());
         let mut xhat = workspace::take_uninit(x.len());
-        let mut inv_stds = vec![0.0f32; groups * c_total];
+        let mut inv_stds = workspace::take_uninit(groups * c_total);
         let xd = x.data();
 
         for g in 0..groups {
@@ -222,7 +222,7 @@ impl Layer for BatchNorm {
         }
         self.cache = Some(BnCache {
             xhat: Tensor::new(x.shape(), xhat),
-            inv_std: inv_stds,
+            inv_std: Tensor::new(&[groups * c_total], inv_stds),
             input_shape: x.shape().to_vec(),
             groups,
             train,

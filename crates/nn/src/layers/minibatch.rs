@@ -32,8 +32,8 @@ pub struct MinibatchDiscrimination {
 
 struct Cache {
     x: Tensor,
-    m: Tensor,   // (groups*B, nb*nc)
-    c: Vec<f32>, // batch g, rows i and j of it: c[((g*b + i)*b + j)*nb + f]
+    m: Tensor, // (groups*B, nb*nc)
+    c: Tensor, // batch g, rows i and j of it: c[((g*b + i)*b + j)*nb + f]
     groups: usize,
 }
 
@@ -72,16 +72,16 @@ impl MinibatchDiscrimination {
         );
 
         // The similarity-feature half of the incoming gradient.
-        let mut go = vec![0.0f32; rows * nb];
+        let mut go = workspace::take_raw(rows * nb);
         for i in 0..rows {
-            go[i * nb..(i + 1) * nb].copy_from_slice(&grad_out.row(i)[a..]);
+            go.extend_from_slice(&grad_out.row(i)[a..]);
         }
 
         // dL/dM: for every unordered pair contribution, batch by batch.
         let mut gm = workspace::take_zeroed(rows * nb * nc);
         for g in 0..cache.groups {
             let md = &cache.m.data()[g * b * nb * nc..(g + 1) * b * nb * nc];
-            let c = &cache.c[g * b * b * nb..(g + 1) * b * b * nb];
+            let c = &cache.c.data()[g * b * b * nb..(g + 1) * b * b * nb];
             let go = &go[g * b * nb..(g + 1) * b * nb];
             let gm = &mut gm[g * b * nb * nc..(g + 1) * b * nb * nc];
             for i in 0..b {
@@ -118,6 +118,7 @@ impl MinibatchDiscrimination {
                 }
             }
         }
+        workspace::recycle(go);
         let gm = Tensor::new(&[rows, nb * nc], gm);
 
         // dL/dT (+)= x^T · gm, one zero-seeded product per batch added in
@@ -173,8 +174,8 @@ impl Layer for MinibatchDiscrimination {
 
         // c_ijf = exp(-L1(M_if, M_jf)); o_if = sum_{j != i} c_ijf, `i` and
         // `j` rows of the same batch.
-        let mut c = vec![0.0f32; groups * b * b * nb];
-        let mut o = vec![0.0f32; rows * nb];
+        let mut c = workspace::take_zeroed(groups * b * b * nb);
+        let mut o = workspace::take_zeroed(rows * nb);
         for g in 0..groups {
             let md = &m.data()[g * b * nb * nc..(g + 1) * b * nb * nc];
             let c = &mut c[g * b * b * nb..(g + 1) * b * b * nb];
@@ -202,10 +203,11 @@ impl Layer for MinibatchDiscrimination {
             out.extend_from_slice(x.row(i));
             out.extend_from_slice(&o[i * nb..(i + 1) * nb]);
         }
+        workspace::recycle(o);
         self.cache = Some(Cache {
             x: x.clone(),
             m,
-            c,
+            c: Tensor::new(&[groups * b * b * nb], c),
             groups,
         });
         Tensor::new(&[rows, self.in_features + nb], out)

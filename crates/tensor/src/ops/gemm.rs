@@ -1063,23 +1063,30 @@ mod tests {
         let a = randv(m * k, &mut rng);
         let b = randv(k * n, &mut rng);
         let seed_out = randv(m * n, &mut rng);
+        check_operands(layout, [&a, &b, &seed_out], m, k, n);
+    }
+
+    /// [`check_bitwise`] on given operands; `seed_out` seeds the
+    /// accumulating call.
+    fn check_operands(layout: Layout, ops: [&[f32]; 3], m: usize, k: usize, n: usize) {
+        let [a, b, seed_out] = ops;
         let lhs = match layout {
-            Layout::TN => Lhs::ColMajor(&a),
-            _ => Lhs::RowMajor(&a),
+            Layout::TN => Lhs::ColMajor(a),
+            _ => Lhs::RowMajor(a),
         };
-        let rhs = SliceRhs::new(&b, layout == Layout::NT, k, n);
+        let rhs = SliceRhs::new(b, layout == Layout::NT, k, n);
         for acc in [false, true] {
             let (start, chain_seed) = match acc {
-                true => (seed_out.clone(), seed_out.clone()),
+                true => (seed_out.to_vec(), seed_out.to_vec()),
                 false => (vec![f32::NAN; m * n], vec![0.0; m * n]),
             };
-            let want = naive_seeded(layout, &a, &b, &chain_seed, k);
+            let want = naive_seeded(layout, a, b, &chain_seed, k);
             if !acc {
-                assert_bits_eq(&want, &naive_gemm(layout, &a, &b, m, k, n), "reference");
+                assert_bits_eq(&want, &naive_gemm(layout, a, b, m, k, n), "reference");
             }
             let what = format!("{layout:?} ({m},{k},{n}) acc={acc}");
             let mut got = start.clone();
-            gemm(layout, &a, &b, &mut got, m, k, n, acc);
+            gemm(layout, a, b, &mut got, m, k, n, acc);
             assert_bits_eq(&got, &want, &what);
             let mut got = start;
             gemm_with(lhs, &rhs, &mut got, m, k, n, acc);
@@ -1169,23 +1176,46 @@ mod tests {
                     let a = randv(m * k, &mut rng);
                     let b = randv(k * n, &mut rng);
                     let seed_out = randv(m * n, &mut rng);
-                    let lhs = match layout {
-                        Layout::TN => Lhs::ColMajor(&a),
-                        _ => Lhs::RowMajor(&a),
-                    };
-                    let rhs = SliceRhs::new(&b, layout == Layout::NT, k, n);
-                    for acc in [false, true] {
-                        let what = format!("{layout:?} ({m},{k},{n}) acc={acc}");
-                        let mut got = seed_out.clone();
-                        gemm(layout, &a, &b, &mut got, m, k, n, acc);
-                        let mut packed = seed_out.clone();
-                        gemm_with(lhs, &rhs, &mut packed, m, k, n, acc);
-                        assert_bits_eq(&got, &packed, &what);
-                        if !acc {
-                            assert_bits_eq(&got, &naive_gemm(layout, &a, &b, m, k, n), &what);
-                        }
-                    }
+                    check_operands(layout, [&a, &b, &seed_out], m, k, n);
                 }
+            }
+        }
+
+        // The discriminator heads' products at one to a few b = 10
+        // batches: short-k NT (the minibatch-discrimination and logit
+        // input gradients, k = 32 / 11 against 1024- to 1032-wide
+        // features) and narrow-n NN (their forwards). Row counts straddle
+        // the lane block and the NN tile. Row 0 of `a` is all signed zeros,
+        // one element of `a` and one of `b` are NaN and the accumulated
+        // `out` holds -0.0 and NaN, so every value the small operand's
+        // reorders move must arrive bit for bit.
+        const ROWS: [usize; 6] = [1, 10, 16, 17, 20, 32];
+        let mut shapes = Vec::new();
+        for k in [11, 32] {
+            for n in [512, 1024, 1032] {
+                shapes.push((Layout::NT, k, n));
+            }
+        }
+        for n in [11, 32] {
+            for k in [1024, 1032] {
+                shapes.push((Layout::NN, k, n));
+            }
+        }
+        for (layout, k, n) in shapes {
+            for m in ROWS {
+                let mut a = randv(m * k, &mut rng);
+                let mut b = randv(k * n, &mut rng);
+                let mut seed_out = randv(m * n, &mut rng);
+                for (p, v) in a[..k].iter_mut().enumerate() {
+                    *v = if p % 2 == 0 { -0.0 } else { 0.0 };
+                }
+                a[(m - 1) * k + k / 2] = f32::NAN;
+                b[k * n / 3] = f32::NAN;
+                for v in seed_out.iter_mut().step_by(5) {
+                    *v = -0.0;
+                }
+                seed_out[m * n / 2] = f32::NAN;
+                check_operands(layout, [&a, &b, &seed_out], m, k, n);
             }
         }
     }

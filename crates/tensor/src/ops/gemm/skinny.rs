@@ -13,6 +13,13 @@
 //!   each stored row of `b` contiguously, as broadcast scalars;
 //! * [`gemm_tn`] walks `out` tile by tile with `a` and `b` read in place.
 //!
+//! Every reorder of the small operand goes through the 16x16 block
+//! transpose of `gemm/transpose.rs` that the packers use, never an element
+//! at a time: NN's `p`-major interleave of A, NT's lane-block transpose of
+//! A, and the NT strip's seed from `out` and its write-back. At the
+//! discriminator heads' shapes (k = 32 or n = 11 beside a 1024-wide side)
+//! those reorders are a large share of the work.
+//!
 //! A few stacked batches (the server's `k·b` rows at b = 10) are more rows
 //! than one register tile holds. NN and NT then run two or three tiles
 //! over each piece of `b` while it is still in cache, so the large operand
@@ -24,6 +31,7 @@
 //! driver produce. They are serial; [`super::gemm`] selects them from the
 //! shape alone (see [`SKINNY_M`], [`SKINNY_NT_M`], [`super::SKINNY_K`]).
 
+use super::transpose::transpose;
 use super::{AVX512, SKINNY_M, SKINNY_NT_M};
 use crate::workspace;
 
@@ -81,7 +89,7 @@ fn lane_mask(w: usize) -> std::arch::x86_64::__mmask16 {
 /// `out (m,n) (+)= a (m,k) · b (k,n)`, meant for `1 <= m <= SKINNY_M`.
 ///
 /// The rows are cut into `ceil(m / NN_M)` tiles of near-equal height. Each
-/// tile's rows of `a` are interleaved `p`-major into one `m·k` workspace
+/// tile's rows of `a` are transposed `p`-major into one `m·k` workspace
 /// buffer (`ap[r0*k + p*mt + i] = a[(r0+i)*k + p]` for the `mt`-row tile
 /// starting at row `r0`). `b` is walked [`NN_KP`] rows at a time with
 /// `out` carrying the partial sums from panel to panel (an exact `f32`
@@ -105,12 +113,7 @@ pub(super) fn gemm_nn(
     let mut ap = workspace::take_uninit(m * k);
     for t in 0..tiles {
         let (r0, mt) = tile(t);
-        let (at, apt) = (&a[r0 * k..(r0 + mt) * k], &mut ap[r0 * k..(r0 + mt) * k]);
-        for (i, arow) in at.chunks_exact(k).enumerate() {
-            for (p, &v) in arow.iter().enumerate() {
-                apt[p * mt + i] = v;
-            }
-        }
+        transpose(&a[r0 * k..], k, mt, k, &mut ap[r0 * k..], mt);
     }
     for p0 in (0..k).step_by(NN_KP) {
         let kp = NN_KP.min(k - p0);
@@ -275,11 +278,9 @@ pub(super) fn gemm_nt(
     if !m.is_multiple_of(LANES) {
         at[(blocks - 1) * k * LANES..].fill(0.0);
     }
-    for (i, arow) in a.chunks_exact(k).enumerate() {
-        let atb = &mut at[i / LANES * k * LANES..];
-        for (p, &v) in arow.iter().enumerate() {
-            atb[p * LANES + i % LANES] = v;
-        }
+    for (blk, atb) in at.chunks_exact_mut(k * LANES).enumerate() {
+        let r0 = blk * LANES;
+        transpose(&a[r0 * k..], k, LANES.min(m - r0), k, atb, LANES);
     }
     for j0 in (0..n).step_by(NT_COLS) {
         let jw = NT_COLS.min(n - j0);
@@ -295,6 +296,8 @@ pub(super) fn gemm_nt(
 /// One NT strip: output columns `j0..j0+jw` — [`NT_COLS`] stored rows of
 /// `b` in flight, each read front to back as broadcast scalars. A short
 /// last strip re-reads its final row in the unused slots and drops them.
+/// The `m x jw` corner of `out` is one block: transposed into the
+/// accumulators when seeding, transposed back when storing.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn nt_strip(
@@ -310,18 +313,10 @@ fn nt_strip(
 ) {
     let mut t = [[0.0f32; LANES]; NT_COLS];
     if acc {
-        for (jj, tc) in t.iter_mut().enumerate().take(jw) {
-            for (i, tv) in tc.iter_mut().enumerate().take(m) {
-                *tv = out[i * n + j0 + jj];
-            }
-        }
+        transpose(&out[j0..], n, m, jw, t.as_flattened_mut(), LANES);
     }
     nt_k_loop(at, b, k, j0, jw, &mut t);
-    for (jj, tc) in t.iter().enumerate().take(jw) {
-        for (i, &tv) in tc.iter().enumerate().take(m) {
-            out[i * n + j0 + jj] = tv;
-        }
-    }
+    transpose(t.as_flattened(), LANES, jw, m, &mut out[j0..], n);
 }
 
 /// The `k` loop of the NT strip: `t[jj][i] <- fma(at[p*LANES + i],

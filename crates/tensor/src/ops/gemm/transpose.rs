@@ -1,7 +1,8 @@
-//! Out-of-place block transposes, the copy both packers that change an
-//! operand's storage order are made of: the GEMM's transposed-B slivers and
-//! row-major A panels, and the conv weight gradient's `Aᵀ` slivers and
-//! `gwᵀ` scratch (`conv/wgrad.rs`).
+//! Out-of-place block transposes, the one copy in the crate that changes
+//! an operand's storage order: the GEMM's transposed-B slivers and
+//! row-major A panels, the no-pack kernels' interleaved small operand and
+//! NT strip tiles (`gemm/skinny.rs`), the conv weight gradient's `Aᵀ`
+//! slivers and `gwᵀ` scratch (`conv/wgrad.rs`), and [`crate::Tensor::t`].
 //!
 //! A matrix is walked in [`BLOCK`]-square blocks; each block is moved by
 //! [`transpose_block`], which on AVX-512 is sixteen row loads, a shuffle

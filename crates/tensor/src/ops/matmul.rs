@@ -8,7 +8,6 @@
 //! allocation-free entry points used by `conv2d` and the `md-nn` layers.
 
 use crate::ops::gemm::{self, Layout};
-use crate::parallel;
 use crate::tensor::Tensor;
 use crate::workspace;
 
@@ -48,15 +47,9 @@ impl Tensor {
     pub fn t(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "t() requires a 2-D tensor");
         let (m, n) = (self.shape()[0], self.shape()[1]);
-        let src = self.data();
         let mut out = workspace::take_uninit(m * n);
-        // One output row (length m) per source column, each written in
-        // full; a pure copy, so the result is thread-count independent.
-        parallel::parallel_for_chunks(&mut out, n, m, |j, orow| {
-            for (i, o) in orow.iter_mut().enumerate() {
-                *o = src[i * n + j];
-            }
-        });
+        // The GEMM packers' block transpose writes every element.
+        gemm::transpose::transpose(self.data(), n, m, n, &mut out, m);
         Tensor::new(&[n, m], out)
     }
 
