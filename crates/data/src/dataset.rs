@@ -2,13 +2,22 @@
 
 use md_tensor::rng::Rng64;
 use md_tensor::Tensor;
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// A labelled image dataset: images `(N, C, H, W)` with values in `[-1, 1]`
 /// and one integer label per image.
+///
+/// The images live once, in a storage tensor shared by every dataset cut
+/// from it; a dataset is the list of storage rows it covers plus one label
+/// per row. Sharding, splitting and cloning copy no pixel (the paper's
+/// `B = ∪ B_n` holds each image once); [`Dataset::batch`] gathers through
+/// the row list.
 #[derive(Clone, Debug)]
 pub struct Dataset {
-    images: Tensor,
-    labels: Vec<usize>,
+    storage: Arc<Tensor>,
+    rows: Arc<[usize]>,
+    labels: Arc<[usize]>,
     num_classes: usize,
 }
 
@@ -30,9 +39,21 @@ impl Dataset {
             "label out of range"
         );
         Dataset {
-            images,
-            labels,
+            rows: (0..labels.len()).collect(),
+            storage: Arc::new(images),
+            labels: labels.into(),
             num_classes,
+        }
+    }
+
+    /// The samples at `indices` of this dataset, as a view of the same
+    /// storage.
+    fn view(&self, indices: &[usize]) -> Dataset {
+        Dataset {
+            storage: Arc::clone(&self.storage),
+            rows: indices.iter().map(|&i| self.rows[i]).collect(),
+            labels: indices.iter().map(|&i| self.labels[i]).collect(),
+            num_classes: self.num_classes,
         }
     }
 
@@ -48,7 +69,7 @@ impl Dataset {
 
     /// Per-sample shape `(C, H, W)`.
     pub fn image_shape(&self) -> (usize, usize, usize) {
-        let s = self.images.shape();
+        let s = self.storage.shape();
         (s[1], s[2], s[3])
     }
 
@@ -63,9 +84,16 @@ impl Dataset {
         self.num_classes
     }
 
-    /// All images as one tensor.
-    pub fn images(&self) -> &Tensor {
-        &self.images
+    /// All images as one tensor: borrowed when this dataset covers its
+    /// storage whole and in order, gathered otherwise.
+    pub fn images(&self) -> Cow<'_, Tensor> {
+        let whole = self.rows.len() == self.storage.shape()[0]
+            && self.rows.iter().enumerate().all(|(i, &r)| i == r);
+        if whole {
+            Cow::Borrowed(&self.storage)
+        } else {
+            Cow::Owned(self.storage.gather_rows(self.rows.iter().copied()))
+        }
     }
 
     /// All labels.
@@ -75,45 +103,35 @@ impl Dataset {
 
     /// Copies samples at `indices` into a `(b, C, H, W)` batch.
     pub fn batch(&self, indices: &[usize]) -> (Tensor, Vec<usize>) {
-        let images = self.images.gather_rows(indices);
+        let images = self
+            .storage
+            .gather_rows(indices.iter().map(|&i| self.rows[i]));
         let labels = indices.iter().map(|&i| self.labels[i]).collect();
         (images, labels)
     }
 
     /// Splits off the last `n_test` samples as a test set (the generators
-    /// shuffle, so a suffix split is unbiased). The train set keeps the
-    /// prefix in this dataset's own buffer; only the test suffix is copied.
+    /// shuffle, so a suffix split is unbiased). Both halves are views of
+    /// this dataset's storage.
     pub fn split_test(self, n_test: usize) -> (Dataset, Dataset) {
         assert!(n_test < self.len(), "test split larger than dataset");
         let n_train = self.len() - n_test;
-        let test_idx: Vec<usize> = (n_train..self.len()).collect();
-        let (test_imgs, test_labels) = self.batch(&test_idx);
-        let (c, h, w) = self.image_shape();
-        let mut data = self.images.into_data();
-        data.truncate(n_train * c * h * w);
-        let mut labels = self.labels;
-        labels.truncate(n_train);
-        let k = self.num_classes;
-        (
-            Dataset::new(Tensor::new(&[n_train, c, h, w], data), labels, k),
-            Dataset::new(test_imgs, test_labels, k),
-        )
+        let idx: Vec<usize> = (0..self.len()).collect();
+        (self.view(&idx[..n_train]), self.view(&idx[n_train..]))
     }
 
     /// Shuffles and splits the dataset into `n` equal i.i.d. shards — the
     /// paper's `B = ∪_{n=1..N} B_n` with `|B_n| = m = |B|/N` (any remainder
-    /// samples are dropped so shards stay equal-sized).
+    /// samples are dropped so shards stay equal-sized). Each shard is a
+    /// view of this dataset's storage.
     pub fn shard_iid(&self, n: usize, rng: &mut Rng64) -> Vec<Dataset> {
         assert!(n > 0, "cannot shard over zero workers");
         let m = self.len() / n;
         assert!(m > 0, "dataset of {} too small for {n} shards", self.len());
         let perm = rng.permutation(self.len());
-        (0..n)
-            .map(|w| {
-                let idx = &perm[w * m..(w + 1) * m];
-                let (imgs, labels) = self.batch(idx);
-                Dataset::new(imgs, labels, self.num_classes)
-            })
+        perm.chunks_exact(m)
+            .take(n)
+            .map(|idx| self.view(idx))
             .collect()
     }
 
@@ -155,13 +173,7 @@ impl Dataset {
                 assignment[w].extend_from_slice(chunk);
             }
         }
-        assignment
-            .into_iter()
-            .map(|idx| {
-                let (imgs, labels) = self.batch(&idx);
-                Dataset::new(imgs, labels, self.num_classes)
-            })
-            .collect()
+        assignment.iter().map(|idx| self.view(idx)).collect()
     }
 
     /// `SAMPLES(B, b)`: `b` distinct samples (capped at the dataset size),
@@ -174,7 +186,7 @@ impl Dataset {
     /// Per-class sample counts (for balance checks).
     pub fn class_histogram(&self) -> Vec<usize> {
         let mut h = vec![0usize; self.num_classes];
-        for &l in &self.labels {
+        for &l in self.labels.iter() {
             h[l] += 1;
         }
         h
@@ -258,8 +270,8 @@ mod tests {
             assert_eq!(train.images().shape(), want_train.shape());
             assert_eq!(test.images().shape(), want_test.shape());
             let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(train.images()), bits(&want_train));
-            assert_eq!(bits(test.images()), bits(&want_test));
+            assert_eq!(bits(&train.images()), bits(&want_train));
+            assert_eq!(bits(&test.images()), bits(&want_test));
             assert_eq!(train.labels(), want_train_labels);
             assert_eq!(test.labels(), want_test_labels);
         }
@@ -375,6 +387,75 @@ mod tests {
         let (a, _) = s.sample(&d, 8);
         let (b, _) = s.sample(&d, 8);
         assert_ne!(a.data(), b.data());
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fnv(h: &mut u64, words: impl IntoIterator<Item = u64>) {
+        for w in words {
+            for byte in w.to_le_bytes() {
+                *h = (*h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+
+    /// Hashes a cut's images and labels, two `sample` draws from it, and the
+    /// caller's next draw after the cut.
+    fn fold(h: &mut u64, cut: &Dataset, rng: &mut Rng64) {
+        fnv(h, [cut.len() as u64]);
+        fnv(h, cut.images().data().iter().map(|v| v.to_bits() as u64));
+        fnv(h, cut.labels().iter().map(|&l| l as u64));
+        let mut draw = Rng64::seed_from_u64(cut.len() as u64);
+        for b in [3, 5] {
+            let (imgs, labels) = cut.sample(b, &mut draw);
+            fnv(h, imgs.data().iter().map(|v| v.to_bits() as u64));
+            fnv(h, labels.into_iter().map(|l| l as u64));
+        }
+        fnv(h, [rng.next_u64()]);
+    }
+
+    /// Every cut of a 1-channel and a 3-channel generated set, pinned by
+    /// hash: `shard_iid` with and without a remainder, `shard_label_skew`
+    /// at three skews and both halves of `split_test`. A change to how a
+    /// dataset stores or cuts its rows must leave these bits alone.
+    #[test]
+    fn cuts_are_pinned() {
+        let sets = [
+            (
+                crate::synthetic::mnist_like(12, 23, 5, 0.08),
+                0x04d7_4a96_796f_d304,
+            ),
+            (
+                crate::synthetic::cifar_like(8, 23, 6, 0.08),
+                0x52c0_be27_a0e9_26cb,
+            ),
+        ];
+        let mut got = Vec::new();
+        for (d, want) in sets {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for n in [1, 3, 10] {
+                let mut rng = Rng64::seed_from_u64(11 + n as u64);
+                for shard in d.shard_iid(n, &mut rng) {
+                    fold(&mut h, &shard, &mut rng);
+                }
+            }
+            for skew in [0.0, 0.5, 1.0] {
+                let mut rng = Rng64::seed_from_u64(21);
+                for shard in d.shard_label_skew(3, skew, &mut rng) {
+                    fold(&mut h, &shard, &mut rng);
+                }
+            }
+            let mut rng = Rng64::seed_from_u64(31);
+            let (train, test) = d.split_test(7);
+            fold(&mut h, &train, &mut rng);
+            fold(&mut h, &test, &mut rng);
+            got.push((h, want));
+        }
+        for (i, &(h, want)) in got.iter().enumerate() {
+            assert_eq!(
+                h, want,
+                "set {i}: cut hash {h:#018x}, recorded {want:#018x}"
+            );
+        }
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl Scorer {
     /// Classification accuracy on a dataset (sanity metric for the scorer
     /// itself).
     pub fn accuracy_on(&mut self, data: &Dataset) -> f32 {
-        let feats = self.trunk.forward(data.images(), false);
+        let feats = self.trunk.forward(&data.images(), false);
         let logits = self.head.forward(&feats, false);
         accuracy(&logits, data.labels())
     }
@@ -154,7 +154,7 @@ mod tests {
             ..ScorerConfig::default()
         };
         let mut scorer = Scorer::train(&data, cfg, &mut rng);
-        let (feats, probs) = scorer.features_and_probs(data.images());
+        let (feats, probs) = scorer.features_and_probs(&data.images());
         assert_eq!(feats.shape(), &[200, 32]);
         assert_eq!(probs.shape(), &[200, 10]);
         for i in 0..200 {
@@ -172,8 +172,8 @@ mod tests {
         };
         let mut s1 = Scorer::train(&data, cfg, &mut Rng64::seed_from_u64(5));
         let mut s2 = Scorer::train(&data, cfg, &mut Rng64::seed_from_u64(5));
-        let (f1, _) = s1.features_and_probs(data.images());
-        let (f2, _) = s2.features_and_probs(data.images());
+        let (f1, _) = s1.features_and_probs(&data.images());
+        let (f2, _) = s2.features_and_probs(&data.images());
         assert_eq!(f1.data(), f2.data());
     }
 }

@@ -314,16 +314,18 @@ impl Tensor {
             .collect()
     }
 
-    /// Gathers rows (axis-0 slices) at the given indices into a new tensor.
-    pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
+    /// Gathers rows (axis-0 slices) at the given indices, in order, into a
+    /// new tensor.
+    pub fn gather_rows(&self, indices: impl ExactSizeIterator<Item = usize>) -> Tensor {
         assert!(self.ndim() >= 1);
         let stride: usize = self.shape()[1..].iter().product();
-        let mut data = workspace::take_raw(indices.len() * stride);
-        for &i in indices {
+        let rows = indices.len();
+        let mut data = workspace::take_raw(rows * stride);
+        for i in indices {
             assert!(i < self.shape()[0], "gather index {i} out of bounds");
             data.extend_from_slice(&self.data[i * stride..(i + 1) * stride]);
         }
-        let mut dims = vec![indices.len()];
+        let mut dims = vec![rows];
         dims.extend_from_slice(&self.shape()[1..]);
         Tensor::new(&dims, data)
     }
@@ -441,7 +443,7 @@ mod tests {
     #[test]
     fn gather_rows_selects() {
         let t = Tensor::arange(6).into_reshape(&[3, 2]);
-        let g = t.gather_rows(&[2, 0, 2]);
+        let g = t.gather_rows([2, 0, 2].into_iter());
         assert_eq!(g.shape(), &[3, 2]);
         assert_eq!(g.data(), &[4.0, 5.0, 0.0, 1.0, 4.0, 5.0]);
     }

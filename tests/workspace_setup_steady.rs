@@ -2,11 +2,13 @@
 //! paper's CNN setting: N = 10 workers, b = 10, `ArchSpec::cnn_cifar_scaled(32)`
 //! on one thread (the `cnn_b10_seq` benchmark workload's set-up at a small
 //! shard size). A set-up generates the CIFAR-like dataset, shards it, drops
-//! the full dataset and builds the trainer; then everything is dropped. No
-//! training step runs, so no training buffer can absorb the dropped dataset:
-//! only the next dataset can. The dataset's image buffer is drawn from the
-//! shelf, so once a set-up has shelved every buffer a set-up needs, later
-//! set-ups must leave the shelf exactly as large as they found it.
+//! the full dataset and builds the trainer; then everything is dropped. The
+//! shards are views of the dataset's image buffer, so that buffer lives
+//! until its shards are dropped with the trainer. No training step runs, so
+//! no training buffer can absorb the shelved image buffer: only the next
+//! dataset can. The dataset's image buffer is drawn from the shelf, so once
+//! a set-up has shelved every buffer a set-up needs, later set-ups must
+//! leave the shelf exactly as large as they found it.
 //!
 //! This file deliberately holds a **single** test: the workspace counters
 //! are process-global, and a concurrently running test in the same binary
