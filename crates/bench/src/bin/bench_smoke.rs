@@ -122,7 +122,7 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn main() {
+fn main() -> Result<(), mdgan_core::TrainError> {
     let args = Args::parse();
     let sizes: Vec<usize> = vec![256, 384, 512];
     let thread_counts: Vec<usize> = vec![1, 2, 4, 8];
@@ -139,7 +139,7 @@ fn main() {
 
     // 1. GEMM thread sweep. The scalar baseline runs once at 1 thread per
     // size; the packed kernel runs at every thread count. Best GFLOP/s
-    // feeds the /metrics gauge.
+    // goes into the run record.
     let mut rng = Rng64::seed_from_u64(42);
     let mut matmul_rows = String::new();
     let mut best_gflops = 0.0f64;
@@ -200,7 +200,6 @@ fn main() {
         );
         sweep.push((n, by_threads));
     }
-    md_bench::record_gemm_gflops(best_gflops);
     // The CI soft floor: packed GFLOP/s at 4 threads vs 1 thread at n=512.
     let scaling_512 = sweep
         .iter()
@@ -358,6 +357,7 @@ fn main() {
             .with_metric("gemm_scaling_4t_over_1t", scaling_512)
             .with_metric("train_sec_per_iter", train_s / train_iters.max(1) as f64),
         &rec,
-    );
+    )?;
     md_bench::print_pool_stats();
+    Ok(())
 }

@@ -222,6 +222,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
                 .build(),
         )
         .with_scores(points);
-    emit_run_record(run_record, &recorder);
+    emit_run_record(run_record, &recorder)?;
     Ok(())
 }

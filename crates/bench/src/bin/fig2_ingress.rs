@@ -103,6 +103,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
         "\nShape check: FL-GAN ingress is constant in b; MD-GAN grows linearly\n\
          and overtakes FL-GAN at a few hundred images — matching Figure 2."
     );
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
     Ok(())
 }

@@ -132,6 +132,6 @@ fn main() -> Result<(), TrainError> {
             );
         }
     }
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
     Ok(())
 }

@@ -101,6 +101,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
     let record = RunRecord::new("fig4_scalability")
         .with_config_json(config)
         .with_scores(scores);
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
     Ok(())
 }

@@ -18,13 +18,12 @@
 //! trace-event JSON per drop rate under `results/traces/` (open in
 //! Perfetto / chrome://tracing) and prints the critical-path analysis:
 //! which worker's feedback gated each generator update, per-worker slack,
-//! and how much wall-clock the retries on the gating uplink cost. With
-//! `--expose [addr]` (or `METRICS_ADDR`) a live Prometheus-style endpoint
-//! serves the run's counters, histograms and pool gauges while it trains.
+//! and how much wall-clock the retries on the gating uplink cost. Both run
+//! records then carry a `trace` line (spans captured and dropped).
 
 use md_bench::{
     emit_run_record, emit_trace_spans, install_pool_trace_hook, print_table,
-    recorder_from_env_traced, serve_metrics, write_csv, Args,
+    recorder_from_env_traced, write_csv, Args,
 };
 use md_data::synthetic::Family;
 use md_telemetry::{json, RunRecord};
@@ -61,8 +60,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
     let traced = args.has("trace");
     let recorder = recorder_from_env_traced(traced);
     install_pool_trace_hook(&recorder);
-    // Keep the handle alive for the whole run; it shuts down on drop.
-    let _metrics = serve_metrics(&recorder, &args);
     let curves = run_faults_with(family, arch, scale, workers, &recorder);
 
     let mut csv = String::new();
@@ -112,7 +109,7 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             );
         }
     }
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
 
     // Lossy-network variant: the same figure on the robust runtime, one run
     // per drop rate (each with a mid-run crash the server must detect by
@@ -211,6 +208,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             )
             .with_metric(format!("suspected[drop={}]", p.drop), p.suspected as f64);
     }
-    emit_run_record(lossy_record, &recorder);
+    emit_run_record(lossy_record, &recorder)?;
     Ok(())
 }

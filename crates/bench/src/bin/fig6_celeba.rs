@@ -73,6 +73,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             );
         }
     }
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
     Ok(())
 }

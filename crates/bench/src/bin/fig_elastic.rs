@@ -13,7 +13,7 @@
 //! counts and the surviving cluster size. Writes
 //! `results/fig_elastic_<family>.csv`.
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, serve_metrics, write_csv, Args};
+use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
 use md_data::synthetic::Family;
 use md_telemetry::{json, Counter, RunRecord};
 use mdgan_core::arch::ArchKind;
@@ -74,7 +74,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
          (churn seed {churn_seed}) at {scale:?}"
     );
     let recorder = recorder_from_env();
-    let _metrics = serve_metrics(&recorder, &args);
     let points = run_elastic_with(family, arch, scale, &workers, &rates, churn_seed, &recorder);
 
     let mut csv = String::new();
@@ -137,6 +136,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             recorder.counter(Counter::WorkersLeft) as f64,
         )
         .with_metric("bootstraps", recorder.counter(Counter::Bootstraps) as f64);
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
     Ok(())
 }

@@ -14,7 +14,7 @@
 //! flagged/evicted and the surviving cluster size. Writes
 //! `results/fig_freerider_<family>.csv`.
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, serve_metrics, write_csv, Args};
+use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
 use md_data::synthetic::Family;
 use md_telemetry::{json, Counter, RunRecord};
 use mdgan_core::arch::ArchKind;
@@ -69,7 +69,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
          fracs {fracs:?} (N={workers}, defended off/on) at {scale:?}"
     );
     let recorder = recorder_from_env();
-    let _metrics = serve_metrics(&recorder, &args);
     let points = run_freerider_with(family, arch, scale, workers, &fracs, &strategies, &recorder);
 
     let mut csv = String::new();
@@ -143,6 +142,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             "freeriders_evicted",
             recorder.counter(Counter::FreeridersEvicted) as f64,
         );
-    emit_run_record(record, &recorder);
+    emit_run_record(record, &recorder)?;
     Ok(())
 }

@@ -5,7 +5,6 @@
 //! (see DESIGN.md §4 for the full index) and accepts `--key value` flags to
 //! scale between "seconds" and "paper scale".
 
-use md_telemetry::expose::{Gauge, MetricsServer};
 use md_telemetry::{
     CriticalPathReport, PoolCounters, Recorder, RunRecord, Verbosity, WorkspaceCounters,
 };
@@ -162,94 +161,6 @@ pub fn install_pool_trace_hook(rec: &Arc<Recorder>) {
     })));
 }
 
-/// Best measured GEMM throughput of this process, as f64 bits (0 = never
-/// measured). Written by [`record_gemm_gflops`], read by the
-/// `mdgan_gemm_gflops` gauge.
-static GEMM_GFLOPS_BITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Records a measured GEMM throughput sample (GFLOP/s) so the live
-/// `/metrics` endpoint can expose it via the `mdgan_gemm_gflops` gauge.
-/// Keeps the maximum seen so a slow warmup sample can't shadow the real
-/// steady-state figure.
-pub fn record_gemm_gflops(gflops: f64) {
-    use std::sync::atomic::Ordering;
-    let mut cur = GEMM_GFLOPS_BITS.load(Ordering::Relaxed);
-    loop {
-        if f64::from_bits(cur) >= gflops {
-            return;
-        }
-        match GEMM_GFLOPS_BITS.compare_exchange_weak(
-            cur,
-            gflops.to_bits(),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
-/// The pool/workspace gauges every binary registers on its live metrics
-/// endpoint (scraped fresh per request, so mid-run values are current).
-pub fn metrics_gauges() -> Vec<Gauge> {
-    vec![
-        Gauge::new(
-            "mdgan_gemm_gflops",
-            "Best GEMM throughput measured by this process (GFLOP/s).",
-            || f64::from_bits(GEMM_GFLOPS_BITS.load(std::sync::atomic::Ordering::Relaxed)),
-        ),
-        Gauge::new(
-            "mdgan_pool_threads",
-            "md-tensor pool workers alive.",
-            || pool_counters().pool_size as f64,
-        ),
-        Gauge::new(
-            "mdgan_pool_jobs_total",
-            "Parallel jobs dispatched to the md-tensor pool.",
-            || pool_counters().jobs as f64,
-        ),
-        Gauge::new(
-            "mdgan_pool_busy_seconds_total",
-            "Cumulative pool-worker busy time.",
-            || pool_counters().busy_ns as f64 / 1e9,
-        ),
-        Gauge::new(
-            "mdgan_workspace_hits_total",
-            "Tensor workspace buffer reuses.",
-            || workspace_counters().ws_hits as f64,
-        ),
-        Gauge::new(
-            "mdgan_workspace_misses_total",
-            "Tensor workspace buffer allocations.",
-            || workspace_counters().ws_misses as f64,
-        ),
-        Gauge::new(
-            "mdgan_workspace_recycled_bytes_total",
-            "Bytes served from recycled workspace buffers.",
-            || workspace_counters().ws_bytes_recycled as f64,
-        ),
-    ]
-}
-
-/// Spawns the live introspection endpoint when asked: the binary's
-/// `--expose [addr]` flag wins (bare `--expose` means `127.0.0.1:9464`),
-/// else the `METRICS_ADDR` environment variable. Keep the returned handle
-/// alive for the duration of the run; it shuts down on drop.
-pub fn serve_metrics(rec: &Arc<Recorder>, args: &Args) -> Option<MetricsServer> {
-    let addr = if args.has("expose") {
-        let v = args.get_str("expose", "true");
-        Some(if v == "true" {
-            "127.0.0.1:9464".to_string()
-        } else {
-            v
-        })
-    } else {
-        None
-    };
-    md_telemetry::expose::serve_if_configured(rec, addr.as_deref(), metrics_gauges())
-}
-
 /// Exports the recorder's captured spans as a Chrome trace-event JSON under
 /// `results/traces/<name>.trace.json` (loadable in Perfetto or
 /// chrome://tracing) and returns the critical-path analysis derived from
@@ -335,18 +246,18 @@ pub fn print_pool_stats() {
 /// echoes the path, and prints the recorder's end-of-run table (or JSONL)
 /// when the `TELEMETRY` environment knob asks for it. The md-tensor pool
 /// and workspace counters are sampled here so every run record carries
-/// `"pool"` and `"workspace"` lines.
-pub fn emit_run_record(record: RunRecord, rec: &Recorder) {
+/// `"pool"` and `"workspace"` lines. The record is a run's only
+/// observable, so failing to write it fails the run, as [`write_csv`] does.
+pub fn emit_run_record(record: RunRecord, rec: &Recorder) -> Result<(), mdgan_core::TrainError> {
     let record = record
         .with_pool_counters(pool_counters())
         .with_workspace_counters(workspace_counters());
-    match record.write_jsonl("results", rec) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write run record: {e}"),
-    }
+    let path = record.write_jsonl("results", rec)?;
+    println!("wrote {}", path.display());
     if Verbosity::from_env() != Verbosity::Off {
         rec.finish();
     }
+    Ok(())
 }
 
 /// Column-stacks label/value pairs into `[String; 2]` rows (small helper
@@ -424,18 +335,6 @@ mod tests {
             .to_jsonl(&rec);
         assert!(text.contains(r#""type":"workspace""#));
         assert!(text.contains(r#""ws_hits""#));
-    }
-
-    #[test]
-    fn gemm_gflops_gauge_keeps_the_maximum() {
-        record_gemm_gflops(12.5);
-        record_gemm_gflops(7.0); // slower sample must not shadow the best
-        let gauges = metrics_gauges();
-        let g = gauges
-            .iter()
-            .find(|g| g.name == "mdgan_gemm_gflops")
-            .expect("gemm gauge registered");
-        assert!((g.read)()[0].1 >= 12.5);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Zero-dependency observability for the MD-GAN runtimes: lock-cheap
 //! recording on the hot path, structured export at the end of a run.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. **[`Recorder`]** — atomic counters, RAII [`Span`] timers feeding
 //!    log-bucketed duration [`Histogram`]s (p50/p90/p99/max), safe to share
@@ -12,15 +12,15 @@
 //! 2. **[`Event`]** — typed run events (`IterDone`, `SwapDone`,
 //!    `WorkerFault`, `EvalDone`, `StaleUpdate`, …) retained in a bounded
 //!    ring buffer and exportable as JSONL.
-//! 3. **[`RunRecord`]** — an end-of-run artifact bundling config, score
-//!    timeline, traffic report, per-phase histograms and per-worker stats,
-//!    written as JSONL under `results/`.
-//!
-//! PR 6 adds a fourth layer, **causal tracing** ([`trace`]): per-iteration
-//! trace/span ids propagated through message envelopes, per-thread span
-//! buffers, a Chrome-trace exporter ([`export`]), a critical-path
-//! extractor ([`CriticalPathReport`]) and a live Prometheus-style
-//! introspection endpoint ([`expose`]).
+//! 3. **Causal tracing** ([`trace`]) — per-iteration trace/span ids
+//!    propagated through message envelopes, per-thread span buffers, a
+//!    Chrome-trace exporter ([`export`]) and a critical-path extractor
+//!    ([`CriticalPathReport`]).
+//! 4. **[`RunRecord`]** — the end-of-run artifact bundling config, score
+//!    timeline, traffic report, per-phase histograms, per-worker stats,
+//!    retained events and span-capture tallies, written as JSONL under
+//!    `results/`. A run's counters, phases and detector decisions are
+//!    read from this record after the run ends; nothing serves them live.
 //!
 //! Verbosity is controlled by the `TELEMETRY` environment variable
 //! (see [`Verbosity::from_env`], the canonical tier table):
@@ -44,7 +44,6 @@
 
 mod event;
 pub mod export;
-pub mod expose;
 mod hist;
 pub mod json;
 mod record;

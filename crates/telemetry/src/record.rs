@@ -2,9 +2,10 @@
 //!
 //! One record bundles everything needed to understand a run after the
 //! fact — config, score timeline, traffic, per-phase histograms,
-//! per-worker tallies and the retained event history — and serializes as
-//! JSONL (one self-describing object per line, `type`-tagged) so files
-//! stream through standard tooling.
+//! per-worker tallies, the retained event history and, when tracing is
+//! on, the span-capture tally — and serializes as JSONL (one
+//! self-describing object per line, `type`-tagged) so files stream
+//! through standard tooling.
 
 use crate::json::{self, Object};
 use crate::recorder::{Counter, Phase, Recorder};
@@ -294,6 +295,16 @@ impl RunRecord {
             );
         }
 
+        if rec.trace_enabled() {
+            lines.push(
+                Object::new()
+                    .field_str("type", "trace")
+                    .field_u64("spans", rec.trace_span_count())
+                    .field_u64("dropped", rec.trace_spans_dropped())
+                    .build(),
+            );
+        }
+
         for e in rec.events() {
             lines.push(e.to_json());
         }
@@ -447,6 +458,23 @@ mod tests {
         let text = RunRecord::new("idle").to_jsonl(&rec);
         assert!(!text.contains(r#""type":"phase""#));
         assert!(text.contains(r#""type":"counters""#));
+    }
+
+    #[test]
+    fn trace_line_counts_captured_and_dropped_spans() {
+        let traced = Recorder::traced();
+        for iter in 0..3 {
+            let _root = traced.trace_root(iter);
+        }
+        let text = RunRecord::new("traced").to_jsonl(&traced);
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains(r#""type":"trace""#))
+            .collect();
+        assert_eq!(lines, [r#"{"type":"trace","spans":3,"dropped":0}"#]);
+        // No line at all when span capture is off.
+        let text = RunRecord::new("untraced").to_jsonl(&busy_recorder());
+        assert!(!text.contains(r#""type":"trace""#));
     }
 
     #[test]

@@ -462,6 +462,11 @@ impl Recorder {
         self.tracer.collect()
     }
 
+    /// Number of captured spans, without copying them out.
+    pub fn trace_span_count(&self) -> u64 {
+        self.tracer.len()
+    }
+
     /// Spans discarded because the capture cap was reached.
     pub fn trace_spans_dropped(&self) -> u64 {
         self.tracer.dropped()
