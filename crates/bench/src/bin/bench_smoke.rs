@@ -122,7 +122,7 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let sizes: Vec<usize> = vec![256, 384, 512];
     let thread_counts: Vec<usize> = vec![1, 2, 4, 8];

@@ -32,7 +32,7 @@ use mdgan_core::mdgan::trainer::MdGan;
 use mdgan_core::ArchSpec;
 use std::sync::Arc;
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let iters = args.get("iters", 300usize);
     let eval_every = args.get("eval-every", iters.max(4) / 4);

@@ -14,7 +14,7 @@ use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args}
 use md_telemetry::{json, RunRecord};
 use mdgan_core::complexity::{SysParams, D_CIFAR, D_MNIST, PAPER_CNN_CIFAR, PAPER_CNN_MNIST};
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let n = args.get("n", 10usize);
     let bmax = args.get("bmax", 10_000usize);

@@ -26,9 +26,8 @@ use mdgan_core::experiments::{
     run_convergence_resumable, run_convergence_with, ConvergenceConfig, ExperimentScale,
     RecoveryConfig,
 };
-use mdgan_core::TrainError;
 
-fn main() -> Result<(), TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let family = match args.get_str("family", "mnist").as_str() {
         "mnist" => Family::MnistLike,

@@ -15,7 +15,7 @@ use md_data::synthetic::Family;
 use md_telemetry::{json, RunRecord, ScorePoint};
 use mdgan_core::experiments::{run_scalability_with, ExperimentScale, WorkloadMode};
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let ns: Vec<usize> = args
         .get_str("ns", "1,4,10,25")

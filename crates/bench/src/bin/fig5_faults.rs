@@ -19,7 +19,8 @@
 //! Perfetto / chrome://tracing) and prints the critical-path analysis:
 //! which worker's feedback gated each generator update, per-worker slack,
 //! and how much wall-clock the retries on the gating uplink cost. Both run
-//! records then carry a `trace` line (spans captured and dropped).
+//! records then carry a `trace` line (spans captured and dropped). Each
+//! record has its own recorder, so each counts its own runs only.
 
 use md_bench::{
     emit_run_record, emit_trace_spans, install_pool_trace_hook, print_table,
@@ -32,7 +33,7 @@ use mdgan_core::experiments::{
     run_faults_with, run_lossy_faults_with, ExperimentScale, LossyPoint,
 };
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let fam_str = args.get_str("family", "mnist");
     let family = match fam_str.as_str() {
@@ -129,15 +130,27 @@ fn main() -> Result<(), mdgan_core::TrainError> {
     let fault_seed = args.get("fault-seed", 7u64);
 
     eprintln!("running lossy-network sweep over drops {drops:?} (fault seed {fault_seed})");
-    let points = run_lossy_faults_with(family, arch, scale, workers, &drops, fault_seed, &recorder);
+    // The sweep records into its own recorder, so its run record counts the
+    // sweep alone and not the crash curves above.
+    let lossy_recorder = recorder_from_env_traced(traced);
+    install_pool_trace_hook(&lossy_recorder);
+    let points = run_lossy_faults_with(
+        family,
+        arch,
+        scale,
+        workers,
+        &drops,
+        fault_seed,
+        &lossy_recorder,
+    );
 
     // Per-drop trace export: one recorder captured the whole sweep, so each
     // point's spans are isolated by its recorder-clock window (trace ids are
     // per-iteration and repeat between runs).
     let mut critical = None;
     if traced {
-        let all_spans = recorder.trace_spans();
-        let dropped_spans = recorder.trace_spans_dropped();
+        let all_spans = lossy_recorder.trace_spans();
+        let dropped_spans = lossy_recorder.trace_spans_dropped();
         if dropped_spans > 0 {
             eprintln!("trace: ring overflow dropped {dropped_spans} spans; traces are partial");
         }
@@ -149,7 +162,7 @@ fn main() -> Result<(), mdgan_core::TrainError> {
                 .copied()
                 .collect();
             let name = format!("fig5_lossy_{fam_str}_drop{}", p.drop);
-            if let Some(report) = emit_trace_spans(&name, &spans) {
+            if let Some(report) = emit_trace_spans(&name, &spans)? {
                 println!("\n-- drop {:.0}% --", p.drop * 100.0);
                 print!("{}", report.render_table());
                 critical = Some(report);
@@ -208,6 +221,6 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             )
             .with_metric(format!("suspected[drop={}]", p.drop), p.suspected as f64);
     }
-    emit_run_record(lossy_record, &recorder)?;
+    emit_run_record(lossy_record, &lossy_recorder)?;
     Ok(())
 }

@@ -12,7 +12,7 @@ use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args}
 use md_telemetry::{json, RunRecord};
 use mdgan_core::experiments::{run_celeba_with, ExperimentScale};
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let scale = ExperimentScale {
         img: args.get("img", 16usize),

@@ -20,7 +20,7 @@ use md_telemetry::{json, Counter, RunRecord};
 use mdgan_core::arch::ArchKind;
 use mdgan_core::experiments::{run_freerider_with, ExperimentScale, FreeriderPoint};
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let fam_str = args.get_str("family", "mnist");
     let family = match fam_str.as_str() {

@@ -12,7 +12,7 @@ use mdgan_core::complexity::{
     SysParams, D_CIFAR, D_MNIST, PAPER_CNN_CIFAR, PAPER_CNN_MNIST, PAPER_MLP_MNIST,
 };
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let n = args.get("n", 10usize);
     let b = args.get("b", 10usize);
@@ -100,5 +100,5 @@ fn main() -> Result<(), mdgan_core::TrainError> {
         "\nPaper claim: MD-GAN removes ~half the computation from workers\n\
          (grey rows of Table II) — the ratio column above shows (|w|+|θ|)/|θ|."
     );
-    emit_run_record(record, &recorder)
+    Ok(emit_run_record(record, &recorder)?)
 }

@@ -10,7 +10,7 @@ use md_bench::{emit_run_record, fmt_mb, print_table, recorder_from_env, Args};
 use md_telemetry::{json, RunRecord};
 use mdgan_core::complexity::{SysParams, D_CIFAR, D_MNIST, PAPER_CNN_CIFAR, PAPER_CNN_MNIST};
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let n = args.get("n", 10usize);
     let b = args.get("b", 10usize);
@@ -99,5 +99,5 @@ fn main() -> Result<(), mdgan_core::TrainError> {
         .with_metric("mdgan_w2w_bytes", p.mdgan_w2w_bytes() as f64)
         .with_metric("flgan_rounds", p.flgan_rounds() as f64)
         .with_metric("mdgan_swaps", p.mdgan_swaps() as f64);
-    emit_run_record(record, &recorder)
+    Ok(emit_run_record(record, &recorder)?)
 }

@@ -19,7 +19,7 @@ use mdgan_core::mdgan::trainer::MdGan;
 use mdgan_core::ArchSpec;
 use std::sync::Arc;
 
-fn main() -> Result<(), mdgan_core::TrainError> {
+fn main() -> Result<(), md_bench::BinError> {
     let args = Args::parse();
     let n = args.get("n", 10usize);
     let sim_iters = args.get("sim-iters", 3usize);
@@ -184,5 +184,5 @@ fn main() -> Result<(), mdgan_core::TrainError> {
             "flgan_c2w_bytes",
             fl.traffic().bytes(LinkClass::ServerToWorker) as f64,
         );
-    emit_run_record(record, &recorder)
+    Ok(emit_run_record(record, &recorder)?)
 }

@@ -6,10 +6,11 @@
 //! scale between "seconds" and "paper scale".
 
 use md_telemetry::{
-    CriticalPathReport, PoolCounters, Recorder, RunRecord, Verbosity, WorkspaceCounters,
+    export, CriticalPathReport, PoolCounters, Recorder, RunRecord, Verbosity, WorkspaceCounters,
 };
+use mdgan_core::TrainError;
 use std::collections::BTreeMap;
-use std::fmt::Display;
+use std::fmt::{self, Display};
 use std::fs;
 use std::path::Path;
 use std::sync::Arc;
@@ -112,15 +113,33 @@ pub fn print_table<const W: usize>(title: &str, header: [&str; W], rows: &[[Stri
     }
 }
 
+/// The error a bench binary's `main` returns. Rust prints a returned
+/// error's `Debug` form, so this one's is the wrapped [`TrainError`]'s
+/// one-line `Display` ("cannot write results/…: Not a directory …").
+pub struct BinError(TrainError);
+
+impl From<TrainError> for BinError {
+    fn from(e: TrainError) -> Self {
+        BinError(e)
+    }
+}
+
+impl fmt::Debug for BinError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0, f)
+    }
+}
+
 /// Writes a CSV file under `results/`, creating the directory as needed,
-/// and echoes the path. I/O failures surface as
-/// [`TrainError`](mdgan_core::TrainError) so the binaries exit non-zero
-/// with a diagnostic instead of panicking mid-run.
-pub fn write_csv(name: &str, header: &str, body: &str) -> Result<(), mdgan_core::TrainError> {
+/// and echoes the path. A failure is a [`TrainError::Write`] naming the
+/// file, so the binaries exit non-zero with a diagnostic instead of
+/// panicking mid-run.
+pub fn write_csv(name: &str, header: &str, body: &str) -> Result<(), TrainError> {
     let dir = Path::new("results");
-    fs::create_dir_all(dir)?;
     let path = dir.join(name);
-    fs::write(&path, format!("{header}\n{body}"))?;
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(&path, format!("{header}\n{body}")))
+        .map_err(TrainError::writing(&path))?;
     println!("wrote {}", path.display());
     Ok(())
 }
@@ -161,36 +180,25 @@ pub fn install_pool_trace_hook(rec: &Arc<Recorder>) {
     })));
 }
 
-/// Exports the recorder's captured spans as a Chrome trace-event JSON under
+/// Exports `spans` as a Chrome trace-event JSON under
 /// `results/traces/<name>.trace.json` (loadable in Perfetto or
 /// chrome://tracing) and returns the critical-path analysis derived from
-/// the same spans. `None` when tracing was off or captured nothing.
-pub fn emit_trace(name: &str, rec: &Recorder) -> Option<CriticalPathReport> {
-    if !rec.trace_enabled() {
-        return None;
-    }
-    let dropped = rec.trace_spans_dropped();
-    if dropped > 0 {
-        eprintln!("trace: ring overflow dropped {dropped} spans; the trace is partial");
-    }
-    emit_trace_spans(name, &rec.trace_spans())
-}
-
-/// [`emit_trace`] over an explicit span slice — used when one recorder
-/// captured several runs back to back and the caller has already windowed
-/// the dump down to a single run's spans.
+/// the same spans; `None` when there are no spans. The caller windows the
+/// recorder's dump down to one run's spans when one recorder captured
+/// several runs back to back. A trace that cannot be written fails the
+/// run, as [`write_csv`] does.
 pub fn emit_trace_spans(
     name: &str,
     spans: &[md_telemetry::SpanRecord],
-) -> Option<CriticalPathReport> {
+) -> Result<Option<CriticalPathReport>, TrainError> {
     if spans.is_empty() {
-        return None;
+        return Ok(None);
     }
-    match md_telemetry::export::write_chrome_trace(Path::new("results/traces"), name, spans) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write trace: {e}"),
-    }
-    Some(CriticalPathReport::from_spans(spans))
+    let dir = Path::new("results/traces");
+    let path = export::write_chrome_trace(dir, name, spans)
+        .map_err(TrainError::writing(export::chrome_trace_path(dir, name)))?;
+    println!("wrote {}", path.display());
+    Ok(Some(CriticalPathReport::from_spans(spans)))
 }
 
 /// Samples the md-tensor worker-pool counters into the telemetry-neutral
@@ -248,11 +256,13 @@ pub fn print_pool_stats() {
 /// and workspace counters are sampled here so every run record carries
 /// `"pool"` and `"workspace"` lines. The record is a run's only
 /// observable, so failing to write it fails the run, as [`write_csv`] does.
-pub fn emit_run_record(record: RunRecord, rec: &Recorder) -> Result<(), mdgan_core::TrainError> {
+pub fn emit_run_record(record: RunRecord, rec: &Recorder) -> Result<(), TrainError> {
     let record = record
         .with_pool_counters(pool_counters())
         .with_workspace_counters(workspace_counters());
-    let path = record.write_jsonl("results", rec)?;
+    let path = record
+        .write_jsonl("results", rec)
+        .map_err(TrainError::writing(record.jsonl_path("results")))?;
     println!("wrote {}", path.display());
     if Verbosity::from_env() != Verbosity::Off {
         rec.finish();

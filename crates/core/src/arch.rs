@@ -11,14 +11,40 @@
 //! faithful* models; `width` scales the layer widths (the paper uses 512
 //! for the MLP and 16..512 filter ramps for the CNNs).
 
+use md_data::Dataset;
 use md_nn::gan::{Discriminator, Generator};
 use md_nn::init::Init;
 use md_nn::layers::{
     BatchNorm, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyRelu, MinibatchDiscrimination, Relu,
     Reshape, Sequential, Tanh,
 };
+use md_tensor::parallel::{parallel_for_each_mut, PAR_THRESHOLD};
 use md_tensor::rng::Rng64;
 use serde::{Deserialize, Serialize};
+
+/// Builds one value per shard, slot `i` as `build(i, shard, fork)` with
+/// `fork = master.fork(1 + i)`. Every fork is drawn first, in slot order,
+/// and a constructor draws only from its own fork, so `master` is left where
+/// a slot-by-slot build would leave it and the slots can be built across the
+/// pool (at width 1, the plain loop) without moving a bit.
+pub(crate) fn build_slots<T: Send>(
+    shards: Vec<Dataset>,
+    master: &mut Rng64,
+    build: impl Fn(usize, Dataset, &mut Rng64) -> T + Sync,
+) -> Vec<T> {
+    let mut slots: Vec<_> = shards
+        .into_iter()
+        .enumerate()
+        .map(|(i, shard)| (Some(shard), master.fork(1 + i as u64), None))
+        .collect();
+    parallel_for_each_mut(&mut slots, PAR_THRESHOLD, |i, (shard, rng, built)| {
+        *built = shard.take().map(|shard| build(i, shard, rng));
+    });
+    slots
+        .into_iter()
+        .map(|(_, _, built)| built.expect("every slot is built"))
+        .collect()
+}
 
 /// Which architecture family to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]

@@ -1,18 +1,28 @@
-//! [`TrainError`]: the error type of the recovery subsystem.
+//! [`TrainError`]: the error type of the recovery subsystem and of the
+//! files a run writes.
 //!
-//! Checkpoint I/O, restore-time validation and supervisor outcomes all
-//! surface through one typed error instead of `unwrap()` calls, so the
-//! bench binaries (and any embedding program) can report failures and
-//! decide whether to retry.
+//! Checkpoint I/O, restore-time validation, supervisor outcomes and failed
+//! output writes all surface through one typed error instead of `unwrap()`
+//! calls, so the bench binaries (and any embedding program) can report
+//! failures and decide whether to retry.
 
 use std::fmt;
 use std::io;
+use std::path::PathBuf;
 
-/// Errors produced while checkpointing, restoring or supervising training.
+/// Errors produced while checkpointing, restoring or supervising training,
+/// or writing a run's output files.
 #[derive(Debug)]
 pub enum TrainError {
     /// Filesystem or wire-format failure (checkpoint read/write/parse).
     Io(io::Error),
+    /// An output file (a CSV, a run record, a trace) could not be written.
+    Write {
+        /// The file that was being written.
+        path: PathBuf,
+        /// Why it failed.
+        source: io::Error,
+    },
     /// A checkpoint parsed fine but does not match the run it is being
     /// restored into (missing section, wrong length, wrong worker count…).
     Checkpoint(String),
@@ -36,6 +46,9 @@ impl fmt::Display for TrainError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrainError::Io(e) => write!(f, "checkpoint i/o: {e}"),
+            TrainError::Write { path, source } => {
+                write!(f, "cannot write {}: {source}", path.display())
+            }
             TrainError::Checkpoint(msg) => write!(f, "checkpoint mismatch: {msg}"),
             TrainError::Diverged { iter, reason } => {
                 write!(f, "training diverged at iteration {iter}: {reason}")
@@ -50,9 +63,18 @@ impl fmt::Display for TrainError {
 impl std::error::Error for TrainError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            TrainError::Io(e) => Some(e),
+            TrainError::Io(e) | TrainError::Write { source: e, .. } => Some(e),
             _ => None,
         }
+    }
+}
+
+impl TrainError {
+    /// For `.map_err`: turns the failure to write `path` into
+    /// [`TrainError::Write`].
+    pub fn writing(path: impl Into<PathBuf>) -> impl FnOnce(io::Error) -> TrainError {
+        let path = path.into();
+        move |source| TrainError::Write { path, source }
     }
 }
 
@@ -76,6 +98,11 @@ mod tests {
     fn display_is_informative() {
         let e = TrainError::from(io::Error::new(io::ErrorKind::NotFound, "gone"));
         assert!(e.to_string().contains("gone"));
+        let e = TrainError::writing("results/fig5_mnist.csv")(io::Error::other("read-only"));
+        assert_eq!(
+            e.to_string(),
+            "cannot write results/fig5_mnist.csv: read-only"
+        );
         let e = TrainError::Checkpoint("disc_3 missing".into());
         assert!(e.to_string().contains("disc_3"));
         let e = TrainError::Diverged {
@@ -95,6 +122,9 @@ mod tests {
         use std::error::Error as _;
         let e = TrainError::from(io::Error::other("disk"));
         assert!(e.source().is_some());
+        assert!(TrainError::writing("x")(io::Error::other("disk"))
+            .source()
+            .is_some());
         assert!(TrainError::Checkpoint("x".into()).source().is_none());
     }
 }

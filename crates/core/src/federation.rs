@@ -9,7 +9,7 @@
 //! transfer goes through [`Wire`], so it is charged, counted and traced the
 //! way MD-GAN's messages are.
 
-use crate::arch::ArchSpec;
+use crate::arch::{build_slots, ArchSpec};
 use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
 use crate::error::{ckerr, TrainError};
@@ -94,13 +94,9 @@ impl<M: Mixing> Federation<M> {
             "one shard per worker (including planned joiners) required"
         );
         let round_interval = cfg.round_interval(shards[0].len());
-        let workers = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                StandaloneGan::new(spec, shard, cfg.hyper, &mut master.fork(1 + i as u64))
-            })
-            .collect();
+        let workers = build_slots(shards, &mut master, |_, shard, rng| {
+            StandaloneGan::new(spec, shard, cfg.hyper, rng)
+        });
         Federation {
             workers,
             server_gen,

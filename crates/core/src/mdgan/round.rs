@@ -16,7 +16,7 @@
 //! swap) — so the asynchronous runtime runs them over the same
 //! `InProcess` instead of spelling them again.
 
-use crate::arch::ArchSpec;
+use crate::arch::{build_slots, ArchSpec};
 use crate::byzantine::{resolve_attacks, Attack, AttackState};
 use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
@@ -67,14 +67,9 @@ pub(crate) fn build_parts(
     let mut master = Rng64::seed_from_u64(cfg.seed);
     let mut srv_rng = master.fork(0);
     let server = MdServer::new(spec, cfg.hyper, &mut srv_rng);
-    let workers = shards
-        .into_iter()
-        .enumerate()
-        .map(|(i, shard)| {
-            let mut wrng = master.fork(1 + i as u64);
-            MdWorker::new(i + 1, spec, shard, cfg.hyper, &mut wrng)
-        })
-        .collect();
+    let workers = build_slots(shards, &mut master, |i, shard, rng| {
+        MdWorker::new(i + 1, spec, shard, cfg.hyper, rng)
+    });
     (server, workers, master.next_u64())
 }
 

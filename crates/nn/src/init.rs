@@ -28,14 +28,18 @@ impl Init {
                 let a = (6.0 / (fan_in + fan_out) as f32).sqrt();
                 Tensor::rand_uniform(shape, -a, a, rng)
             }
-            Init::HeNormal => {
-                let std = (2.0 / fan_in as f32).sqrt();
-                Tensor::randn(shape, rng).scale(std)
-            }
-            Init::Dcgan => Tensor::randn(shape, rng).scale(0.02),
+            Init::HeNormal => normal(shape, (2.0 / fan_in as f32).sqrt(), rng),
+            Init::Dcgan => normal(shape, 0.02, rng),
             Init::Zeros => Tensor::zeros(shape),
         }
     }
+}
+
+/// `N(0, std)` samples, scaled in place.
+fn normal(shape: &[usize], std: f32, rng: &mut Rng64) -> Tensor {
+    let mut t = Tensor::randn(shape, rng);
+    t.scale_inplace(std);
+    t
 }
 
 /// Fan-in/fan-out of a conv kernel `(out_c, in_c, kh, kw)`.

@@ -182,7 +182,13 @@ fn stem(name: &str) -> String {
         .collect()
 }
 
-/// Writes `spans` as `<dir>/<name>.trace.json`, creating `dir` (e.g.
+/// Where [`write_chrome_trace`] puts the trace named `name` under `dir`:
+/// `<dir>/<name>.trace.json`, the name sanitized into a filename stem.
+pub fn chrome_trace_path(dir: &Path, name: &str) -> PathBuf {
+    dir.join(format!("{}.trace.json", stem(name)))
+}
+
+/// Writes `spans` to [`chrome_trace_path`], creating `dir` (e.g.
 /// `results/traces`) as needed. Returns the written path.
 pub fn write_chrome_trace(
     dir: &Path,
@@ -190,7 +196,7 @@ pub fn write_chrome_trace(
     spans: &[SpanRecord],
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
-    let path = dir.join(format!("{}.trace.json", stem(name)));
+    let path = chrome_trace_path(dir, name);
     let mut f = std::fs::File::create(&path)?;
     f.write_all(chrome_trace_json(spans).as_bytes())?;
     Ok(path)

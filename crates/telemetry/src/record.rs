@@ -11,7 +11,7 @@ use crate::json::{self, Object};
 use crate::recorder::{Counter, Phase, Recorder};
 use crate::trace::CriticalPathReport;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// One evaluation point on the score timeline.
 #[derive(Clone, Debug, PartialEq)]
@@ -323,16 +323,17 @@ impl RunRecord {
         out
     }
 
-    /// Writes the record to `<dir>/<name>.telemetry.jsonl`, creating `dir`
-    /// if needed, and returns the path written.
-    pub fn write_jsonl(
-        &self,
-        dir: impl AsRef<Path>,
-        rec: &Recorder,
-    ) -> std::io::Result<std::path::PathBuf> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.telemetry.jsonl", self.name));
+    /// Where [`RunRecord::write_jsonl`] puts the record under `dir`:
+    /// `<dir>/<name>.telemetry.jsonl`.
+    pub fn jsonl_path(&self, dir: impl AsRef<Path>) -> PathBuf {
+        dir.as_ref().join(format!("{}.telemetry.jsonl", self.name))
+    }
+
+    /// Writes the record to [`RunRecord::jsonl_path`], creating `dir` if
+    /// needed, and returns the path written.
+    pub fn write_jsonl(&self, dir: impl AsRef<Path>, rec: &Recorder) -> std::io::Result<PathBuf> {
+        std::fs::create_dir_all(dir.as_ref())?;
+        let path = self.jsonl_path(dir);
         let mut f = std::fs::File::create(&path)?;
         f.write_all(self.to_jsonl(rec).as_bytes())?;
         Ok(path)

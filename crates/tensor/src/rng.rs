@@ -103,6 +103,27 @@ impl Rng64 {
         (u1, 2.0 * std::f32::consts::PI * u2)
     }
 
+    /// Fills `out` with `lo + (hi - lo) * u` for `out.len()` successive
+    /// [`Rng64::uniform`] draws `u`, in order, and leaves the same state
+    /// behind. The draws go into a block of raw integers first, so the
+    /// generator's loop carries no float work; the scaling then runs
+    /// lane-wise.
+    pub fn fill_uniform(&mut self, out: &mut [f32], lo: f32, hi: f32) {
+        const BLOCK: usize = 256;
+        // `uniform`'s conversion: the top 24 bits of `next_u32`, over 2^24.
+        let unit = 1.0 / (1u32 << 24) as f32;
+        let mut bits = [0u32; BLOCK];
+        for block in out.chunks_mut(BLOCK) {
+            let bits = &mut bits[..block.len()];
+            for b in bits.iter_mut() {
+                *b = self.inner.next_u32() >> 8;
+            }
+            for (x, &b) in block.iter_mut().zip(&*bits) {
+                *x = lo + (hi - lo) * (b as f32 * unit);
+            }
+        }
+    }
+
     /// Fills `out` with exactly the values, in order, that `out.len()`
     /// calls of [`Rng64::normal`] would return, and leaves the same state
     /// behind (spare included). The uniforms are drawn in the same order;

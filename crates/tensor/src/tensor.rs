@@ -97,14 +97,12 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// Uniform samples in `[lo, hi)`.
+    /// Uniform samples in `[lo, hi)`, drawn in element order straight into
+    /// a sized buffer.
     pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng64) -> Self {
         let shape = Shape::new(shape);
-        let n = shape.numel();
-        let mut data = workspace::take_raw(n);
-        for _ in 0..n {
-            data.push(lo + (hi - lo) * rng.uniform());
-        }
+        let mut data = workspace::take_uninit(shape.numel());
+        rng.fill_uniform(&mut data, lo, hi);
         Tensor { shape, data }
     }
 
@@ -395,6 +393,24 @@ mod tests {
         let mut rng = Rng64::seed_from_u64(3);
         let t = Tensor::rand_uniform(&[256], -2.0, 5.0, &mut rng);
         assert!(t.data().iter().all(|&x| (-2.0..5.0).contains(&x)));
+    }
+
+    #[test]
+    fn rand_uniform_is_successive_scaled_draws() {
+        for shape in [&[5][..], &[37, 29]] {
+            // A NaN-filled buffer on the shelf: every element must be drawn.
+            drop(Tensor::full(shape, f32::NAN));
+            let (lo, hi) = (-0.3f32, 0.7f32);
+            let mut rng = Rng64::seed_from_u64(11);
+            let mut want_rng = Rng64::seed_from_u64(11);
+            let t = Tensor::rand_uniform(shape, lo, hi, &mut rng);
+            let want: Vec<u32> = (0..t.len())
+                .map(|_| (lo + (hi - lo) * want_rng.uniform()).to_bits())
+                .collect();
+            let got: Vec<u32> = t.data().iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "shape {shape:?}");
+            assert_eq!(rng.next_u64(), want_rng.next_u64(), "stream left elsewhere");
+        }
     }
 
     #[test]
