@@ -123,11 +123,11 @@ fn time_best(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
+    let args = Args::parse(&["train-warmup", "train-iters", "out"])?;
     let sizes: Vec<usize> = vec![256, 384, 512];
     let thread_counts: Vec<usize> = vec![1, 2, 4, 8];
-    let train_warmup: usize = args.get("train-warmup", 3usize);
-    let train_iters: usize = args.get("train-iters", 12usize);
+    let train_warmup: usize = args.get("train-warmup", 3usize)?;
+    let train_iters: usize = args.get("train-iters", 12usize)?;
     let out_path = if args.has("out") {
         args.get_str("out", "results/BENCH_PR10.json")
     } else {

@@ -29,17 +29,18 @@ use mdgan_core::eval::Evaluator;
 use mdgan_core::gossip::GossipGan;
 use mdgan_core::mdgan::asynchronous::{AsyncConfig, AsyncMdGan};
 use mdgan_core::mdgan::trainer::MdGan;
+use mdgan_core::supervisor::train_curve;
 use mdgan_core::ArchSpec;
 use std::sync::Arc;
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let iters = args.get("iters", 300usize);
-    let eval_every = args.get("eval-every", iters.max(4) / 4);
-    let img = args.get("img", 16usize);
-    let train_n = args.get("train", 2048usize);
-    let workers = args.get("workers", 10usize);
-    let seed = args.get("seed", 42u64);
+    let args = Args::parse(&["iters", "eval-every", "img", "train", "workers", "seed"])?;
+    let iters = args.get("iters", 300usize)?;
+    let eval_every = args.get("eval-every", iters.max(4) / 4)?;
+    let img = args.get("img", 16usize)?;
+    let train_n = args.get("train", 2048usize)?;
+    let workers = args.get("workers", 10usize)?;
+    let seed = args.get("seed", 42u64)?;
 
     let data = mnist_like(img, train_n + 512, seed, 0.08);
     let (train, test) = data.split_test(512);
@@ -89,7 +90,7 @@ fn main() -> Result<(), md_bench::BinError> {
     // --- 1. synchronous baseline vs asynchronous (equal update budgets).
     eprintln!("[1/5] sync vs async...");
     let mut sync = MdGan::new(&spec, shards(1), cfg(1)).with_telemetry(Arc::clone(&recorder));
-    let t = sync.train(iters, eval_every, Some(&mut evaluator));
+    let t = train_curve(&mut sync, iters, eval_every, &mut evaluator, &recorder)?;
     record("sync MD-GAN", &t, mb(sync.traffic().total_bytes()));
 
     for (label, acfg) in [
@@ -145,7 +146,7 @@ fn main() -> Result<(), md_bench::BinError> {
         let mut md = MdGan::new(&spec, shards(1), cfg(1))
             .with_codecs(batch, feedback)
             .with_telemetry(Arc::clone(&recorder));
-        let t = md.train(iters, eval_every, Some(&mut evaluator));
+        let t = train_curve(&mut md, iters, eval_every, &mut evaluator, &recorder)?;
         record(label, &t, mb(md.traffic().total_bytes()));
     }
 
@@ -166,7 +167,7 @@ fn main() -> Result<(), md_bench::BinError> {
             ..cfg(2)
         };
         let mut md = MdGan::new(&spec, shards(2), byz_cfg).with_telemetry(Arc::clone(&recorder));
-        let t = md.train(iters, eval_every, Some(&mut evaluator));
+        let t = train_curve(&mut md, iters, eval_every, &mut evaluator, &recorder)?;
         record(&format!("{label} ({n_evil}/{workers} evil)"), &t, -1.0);
     }
 
@@ -175,7 +176,7 @@ fn main() -> Result<(), md_bench::BinError> {
     let mut md = MdGan::new(&spec, shards(3), cfg(3))
         .with_disc_count((workers / 2).max(1))
         .with_telemetry(Arc::clone(&recorder));
-    let t = md.train(iters, eval_every, Some(&mut evaluator));
+    let t = train_curve(&mut md, iters, eval_every, &mut evaluator, &recorder)?;
     record(
         &format!("MD-GAN {}/{} discriminators", (workers / 2).max(1), workers),
         &t,
@@ -186,7 +187,7 @@ fn main() -> Result<(), md_bench::BinError> {
         let mut rng = Rng64::seed_from_u64(seed ^ 4);
         let sh = train.shard_label_skew(workers, skew, &mut rng);
         let mut md = MdGan::new(&spec, sh, cfg(4)).with_telemetry(Arc::clone(&recorder));
-        let t = md.train(iters, eval_every, Some(&mut evaluator));
+        let t = train_curve(&mut md, iters, eval_every, &mut evaluator, &recorder)?;
         record(&format!("MD-GAN non-iid skew={skew}"), &t, -1.0);
     }
 
@@ -200,7 +201,7 @@ fn main() -> Result<(), md_bench::BinError> {
         seed: seed ^ 5,
     };
     let mut gg = GossipGan::new(&spec, shards(5), fl_cfg).with_telemetry(Arc::clone(&recorder));
-    let t = gg.train(iters, eval_every, Some(&mut evaluator));
+    let t = train_curve(&mut gg, iters, eval_every, &mut evaluator, &recorder)?;
     record("gossip GAN [24]", &t, mb(gg.traffic().total_bytes()));
 
     write_csv("ext_perspectives.csv", "label,iter,is,fid", &csv)?;

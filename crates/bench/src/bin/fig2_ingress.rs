@@ -15,9 +15,9 @@ use md_telemetry::{json, RunRecord};
 use mdgan_core::complexity::{SysParams, D_CIFAR, D_MNIST, PAPER_CNN_CIFAR, PAPER_CNN_MNIST};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let n = args.get("n", 10usize);
-    let bmax = args.get("bmax", 10_000usize);
+    let args = Args::parse(&["n", "bmax"])?;
+    let n = args.get("n", 10usize)?;
+    let bmax = args.get("bmax", 10_000usize)?;
 
     let mut csv = String::new();
     let mut crossovers = Vec::new();

@@ -8,86 +8,77 @@
 //!     --family mnist --arch mlp --iters 2000 --img 16 --train 4096
 //! ```
 //!
-//! With `--ckpt-dir <dir>` the run checkpoints crash-consistently every
-//! `--ckpt-every` iterations and `--resume <dir>` (an alias) picks an
-//! interrupted run back up **bit-identically**; `--max-abs-loss`,
+//! With `--ckpt-dir <dir>` each curve checkpoints crash-consistently every
+//! `--ckpt-every` iterations (`<dir>/curve_<i>.ckpt`, sealed as
+//! `<dir>/curve_<i>.jsonl` when complete) and `--resume <dir>` (an alias)
+//! picks an interrupted run back up **bit-identically**; `--max-abs-loss`,
 //! `--max-abs-param`, `--max-rollbacks` and `--lr-drop` tune the
 //! NaN/divergence guard that rolls a diverged curve back to its last good
 //! checkpoint.
 //!
 //! Writes `results/fig3_<family>_<arch>.csv` and prints the final scores.
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
-use md_data::synthetic::Family;
+use md_bench::{
+    emit_run_record, print_table, recorder_from_env, with_curves, write_csv, Args, ARCHS, FAMILIES,
+};
 use md_nn::HealthConfig;
 use md_telemetry::{json, RunRecord};
-use mdgan_core::arch::ArchKind;
-use mdgan_core::experiments::{
-    run_convergence_resumable, run_convergence_with, ConvergenceConfig, ExperimentScale,
-    RecoveryConfig,
-};
+use mdgan_core::experiments::{run_convergence, ConvergenceConfig, CurveResult};
+use mdgan_core::SupervisorConfig;
+use std::path::PathBuf;
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let family = match args.get_str("family", "mnist").as_str() {
-        "mnist" => Family::MnistLike,
-        "cifar" => Family::CifarLike,
-        other => panic!("unknown family {other:?} (use mnist|cifar)"),
-    };
-    let arch = match args.get_str("arch", "mlp").as_str() {
-        "mlp" => ArchKind::Mlp,
-        "cnn" => ArchKind::Cnn,
-        other => panic!("unknown arch {other:?} (use mlp|cnn)"),
-    };
-    let scale = ExperimentScale {
-        img: args.get("img", 16usize),
-        train_n: args.get("train", 2048usize),
-        test_n: args.get("test", 512usize),
-        iters: args.get("iters", 600usize),
-        eval_every: args.get("eval-every", 50usize),
-        eval_samples: args.get("eval-samples", 256usize),
-        seed: args.get("seed", 42u64),
-    };
+    let args = Args::parse_figure(&[
+        "family",
+        "arch",
+        "workers",
+        "b-small",
+        "b-large",
+        "ckpt-dir",
+        "resume",
+        "ckpt-every",
+        "max-abs-loss",
+        "max-abs-param",
+        "max-rollbacks",
+        "lr-drop",
+    ])?;
+    let family = args.choice("family", "mnist", FAMILIES)?;
+    let arch = args.choice("arch", "mlp", ARCHS)?;
+    let scale = args.scale(600, 50, 42)?;
     let cfg = ConvergenceConfig {
-        workers: args.get("workers", 10usize),
-        b_small: args.get("b-small", 10usize),
-        b_large: args.get("b-large", 100usize),
+        workers: args.get("workers", 10usize)?,
+        b_small: args.get("b-small", 10usize)?,
+        b_large: args.get("b-large", 100usize)?,
         ..ConvergenceConfig::new(family, arch, scale)
     };
 
-    eprintln!("running Figure 3 panel: {family:?} / {arch:?} at {scale:?}");
-    let recorder = recorder_from_env();
-    // `--resume` is an alias for `--ckpt-dir`: the resumable runner always
+    // `--resume` is an alias for `--ckpt-dir`: a checkpointed run always
     // continues from whatever progress the directory already holds.
     let ckpt_dir = ["ckpt-dir", "resume"]
         .iter()
         .find(|k| args.has(k))
-        .map(|k| args.get_str(k, ""));
-    let curves = match ckpt_dir {
-        Some(dir) => {
-            let defaults = HealthConfig::default();
-            let rec_cfg = RecoveryConfig {
-                every: args.get("ckpt-every", 50usize),
-                health: HealthConfig {
-                    max_abs_loss: args.get("max-abs-loss", defaults.max_abs_loss),
-                    max_abs_param: args.get("max-abs-param", defaults.max_abs_param),
-                    ..defaults
-                },
-                max_rollbacks: args.get("max-rollbacks", 3u32),
-                lr_drop: args.get("lr-drop", 1.0f32),
-                ..RecoveryConfig::new(dir)
-            };
-            run_convergence_resumable(cfg, &recorder, &rec_cfg)?
-        }
-        None => run_convergence_with(cfg, &recorder),
+        .map(|k| PathBuf::from(args.get_str(k, "")));
+    let defaults = HealthConfig::default();
+    let policy = SupervisorConfig {
+        ckpt_path: None,
+        ckpt_every: args.get("ckpt-every", 50u64)?,
+        health: HealthConfig {
+            max_abs_loss: args.get("max-abs-loss", defaults.max_abs_loss)?,
+            max_abs_param: args.get("max-abs-param", defaults.max_abs_param)?,
+            ..defaults
+        },
+        max_rollbacks: args.get("max-rollbacks", 3u32)?,
+        lr_drop: args.get("lr-drop", 1.0f32)?,
     };
+
+    eprintln!("running Figure 3 panel: {family:?} / {arch:?} at {scale:?}");
+    let recorder = recorder_from_env();
+    let recovery = ckpt_dir.as_deref().map(|dir| (dir, &policy));
+    let curves = run_convergence(cfg, &recorder, recovery)?;
 
     let fam = args.get_str("family", "mnist");
     let arc = args.get_str("arch", "mlp");
-    let mut csv = String::new();
-    for c in &curves {
-        csv.push_str(&c.to_csv());
-    }
+    let csv: String = curves.iter().map(CurveResult::to_csv).collect();
     write_csv(&format!("fig3_{fam}_{arc}.csv"), "label,iter,is,fid", &csv)?;
 
     let rows: Vec<[String; 4]> = curves
@@ -121,16 +112,10 @@ fn main() -> Result<(), md_bench::BinError> {
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .build();
-    let mut record = RunRecord::new(format!("fig3_{fam}_{arc}")).with_config_json(config);
-    for c in &curves {
-        record = record.with_scores_appended(c.timeline.score_points(&c.label));
-        if let Some(t) = &c.traffic {
-            record = record.with_metric(
-                format!("traffic_bytes[{}]", c.label),
-                t.total_bytes() as f64,
-            );
-        }
-    }
+    let record = with_curves(
+        RunRecord::new(format!("fig3_{fam}_{arc}")).with_config_json(config),
+        &curves,
+    );
     emit_run_record(record, &recorder)?;
     Ok(())
 }

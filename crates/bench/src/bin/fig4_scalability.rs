@@ -13,29 +13,17 @@
 use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
 use md_data::synthetic::Family;
 use md_telemetry::{json, RunRecord, ScorePoint};
-use mdgan_core::experiments::{run_scalability_with, ExperimentScale, WorkloadMode};
+use mdgan_core::experiments::{run_scalability, WorkloadMode};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let ns: Vec<usize> = args
-        .get_str("ns", "1,4,10,25")
-        .split(',')
-        .map(|s| s.trim().parse().expect("bad --ns entry"))
-        .collect();
-    let scale = ExperimentScale {
-        img: args.get("img", 16usize),
-        train_n: args.get("train", 2048usize),
-        test_n: args.get("test", 512usize),
-        iters: args.get("iters", 400usize),
-        eval_every: args.get("eval-every", 50usize),
-        eval_samples: args.get("eval-samples", 256usize),
-        seed: args.get("seed", 42u64),
-    };
-    let base_b = args.get("b", 10usize);
+    let args = Args::parse_figure(&["ns", "b"])?;
+    let ns: Vec<usize> = args.get_list("ns", "1,4,10,25")?;
+    let scale = args.scale(400, 50, 42)?;
+    let base_b = args.get("b", 10usize)?;
 
     eprintln!("running Figure 4 over N = {ns:?} at {scale:?}");
     let recorder = recorder_from_env();
-    let points = run_scalability_with(Family::MnistLike, scale, &ns, base_b, &recorder);
+    let points = run_scalability(Family::MnistLike, scale, &ns, base_b, &recorder)?;
 
     let mut csv = String::new();
     let mut rows = Vec::new();

@@ -24,49 +24,31 @@
 
 use md_bench::{
     emit_run_record, emit_trace_spans, install_pool_trace_hook, print_table,
-    recorder_from_env_traced, write_csv, Args,
+    recorder_from_env_traced, with_curves, write_csv, Args, ARCHS, FAMILIES,
 };
-use md_data::synthetic::Family;
 use md_telemetry::{json, RunRecord};
-use mdgan_core::arch::ArchKind;
-use mdgan_core::experiments::{
-    run_faults_with, run_lossy_faults_with, ExperimentScale, LossyPoint,
-};
+use mdgan_core::experiments::{run_faults, run_lossy_faults, CurveResult, LossyPoint};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
+    let args = Args::parse_figure(&["family", "arch", "workers", "trace", "drops", "fault-seed"])?;
     let fam_str = args.get_str("family", "mnist");
-    let family = match fam_str.as_str() {
-        "mnist" => Family::MnistLike,
-        "cifar" => Family::CifarLike,
-        other => panic!("unknown family {other:?} (use mnist|cifar)"),
+    let family = args.choice("family", "mnist", FAMILIES)?;
+    let arch = args.choice("arch", "mlp", ARCHS)?;
+    let workers = args.get("workers", 10usize)?;
+    let scale = args.scale(400, 40, 42)?;
+    let drops: Vec<f32> = match args.get_str("drops", "").as_str() {
+        "none" => Vec::new(),
+        _ => args.get_list("drops", "0,0.05,0.1,0.2")?,
     };
-    let arch = match args.get_str("arch", "mlp").as_str() {
-        "mlp" => ArchKind::Mlp,
-        "cnn" => ArchKind::Cnn,
-        other => panic!("unknown arch {other:?} (use mlp|cnn)"),
-    };
-    let workers = args.get("workers", 10usize);
-    let scale = ExperimentScale {
-        img: args.get("img", 16usize),
-        train_n: args.get("train", 2048usize),
-        test_n: args.get("test", 512usize),
-        iters: args.get("iters", 400usize),
-        eval_every: args.get("eval-every", 40usize),
-        eval_samples: args.get("eval-samples", 256usize),
-        seed: args.get("seed", 42u64),
-    };
+    let fault_seed = args.get("fault-seed", 7u64)?;
 
     eprintln!("running Figure 5 ({fam_str}) with {workers} workers at {scale:?}");
     let traced = args.has("trace");
     let recorder = recorder_from_env_traced(traced);
     install_pool_trace_hook(&recorder);
-    let curves = run_faults_with(family, arch, scale, workers, &recorder);
+    let curves = run_faults(family, arch, scale, workers, &recorder)?;
 
-    let mut csv = String::new();
-    for c in &curves {
-        csv.push_str(&c.to_csv());
-    }
+    let csv: String = curves.iter().map(CurveResult::to_csv).collect();
     write_csv(&format!("fig5_{fam_str}.csv"), "label,iter,is,fid", &csv)?;
 
     let rows: Vec<[String; 3]> = curves
@@ -100,41 +82,25 @@ fn main() -> Result<(), md_bench::BinError> {
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .build();
-    let mut record = RunRecord::new(format!("fig5_{fam_str}")).with_config_json(config);
-    for c in &curves {
-        record = record.with_scores_appended(c.timeline.score_points(&c.label));
-        if let Some(t) = &c.traffic {
-            record = record.with_metric(
-                format!("traffic_bytes[{}]", c.label),
-                t.total_bytes() as f64,
-            );
-        }
-    }
+    let record = with_curves(
+        RunRecord::new(format!("fig5_{fam_str}")).with_config_json(config),
+        &curves,
+    );
     emit_run_record(record, &recorder)?;
 
     // Lossy-network variant: the same figure on the robust runtime, one run
     // per drop rate (each with a mid-run crash the server must detect by
     // itself), producing a degradation curve instead of a score timeline.
-    let drops_str = args.get_str("drops", "0,0.05,0.1,0.2");
-    if drops_str == "none" {
+    if drops.is_empty() {
         return Ok(());
     }
-    let drops: Vec<f32> = drops_str
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("bad --drops entry {s:?}"))
-        })
-        .collect();
-    let fault_seed = args.get("fault-seed", 7u64);
 
     eprintln!("running lossy-network sweep over drops {drops:?} (fault seed {fault_seed})");
     // The sweep records into its own recorder, so its run record counts the
     // sweep alone and not the crash curves above.
     let lossy_recorder = recorder_from_env_traced(traced);
     install_pool_trace_hook(&lossy_recorder);
-    let points = run_lossy_faults_with(
+    let points = run_lossy_faults(
         family,
         arch,
         scale,
@@ -142,7 +108,7 @@ fn main() -> Result<(), md_bench::BinError> {
         &drops,
         fault_seed,
         &lossy_recorder,
-    );
+    )?;
 
     // Per-drop trace export: one recorder captured the whole sweep, so each
     // point's spans are isolated by its recorder-clock window (trace ids are

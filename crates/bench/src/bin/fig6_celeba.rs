@@ -8,32 +8,21 @@
 //!
 //! Writes `results/fig6_celeba.csv`.
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
+use md_bench::{emit_run_record, print_table, recorder_from_env, with_curves, write_csv, Args};
 use md_telemetry::{json, RunRecord};
-use mdgan_core::experiments::{run_celeba_with, ExperimentScale};
+use mdgan_core::experiments::{run_celeba, CurveResult};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let scale = ExperimentScale {
-        img: args.get("img", 16usize),
-        train_n: args.get("train", 2048usize),
-        test_n: args.get("test", 512usize),
-        iters: args.get("iters", 300usize),
-        eval_every: args.get("eval-every", 30usize),
-        eval_samples: args.get("eval-samples", 256usize),
-        seed: args.get("seed", 42u64),
-    };
+    let args = Args::parse_figure(&["b"])?;
+    let scale = args.scale(300, 30, 42)?;
     // The paper's 200-vs-40 ratio; scaled default 50-vs-10.
-    let b_large = args.get("b", 50usize);
+    let b_large = args.get("b", 50usize)?;
 
     eprintln!("running Figure 6 (CelebA-like) at {scale:?}, b_large={b_large}");
     let recorder = recorder_from_env();
-    let curves = run_celeba_with(scale, b_large, &recorder);
+    let curves = run_celeba(scale, b_large, &recorder)?;
 
-    let mut csv = String::new();
-    for c in &curves {
-        csv.push_str(&c.to_csv());
-    }
+    let csv: String = curves.iter().map(CurveResult::to_csv).collect();
     write_csv("fig6_celeba.csv", "label,iter,is,fid", &csv)?;
 
     let rows: Vec<[String; 3]> = curves
@@ -63,16 +52,10 @@ fn main() -> Result<(), md_bench::BinError> {
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .build();
-    let mut record = RunRecord::new("fig6_celeba").with_config_json(config);
-    for c in &curves {
-        record = record.with_scores_appended(c.timeline.score_points(&c.label));
-        if let Some(t) = &c.traffic {
-            record = record.with_metric(
-                format!("traffic_bytes[{}]", c.label),
-                t.total_bytes() as f64,
-            );
-        }
-    }
+    let record = with_curves(
+        RunRecord::new("fig6_celeba").with_config_json(config),
+        &curves,
+    );
     emit_run_record(record, &recorder)?;
     Ok(())
 }

@@ -13,43 +13,17 @@
 //! counts and the surviving cluster size. Writes
 //! `results/fig_elastic_<family>.csv`.
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
-use md_data::synthetic::Family;
+use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args, ARCHS, FAMILIES};
 use md_telemetry::{json, Counter, RunRecord};
-use mdgan_core::arch::ArchKind;
-use mdgan_core::experiments::{run_elastic_with, ElasticPoint, ExperimentScale};
+use mdgan_core::experiments::{run_elastic, ElasticPoint};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
+    let args = Args::parse_figure(&["family", "arch", "workers", "rates", "churn-seed"])?;
     let fam_str = args.get_str("family", "mnist");
-    let family = match fam_str.as_str() {
-        "mnist" => Family::MnistLike,
-        "cifar" => Family::CifarLike,
-        other => panic!("unknown family {other:?} (use mnist|cifar)"),
-    };
-    let arch = match args.get_str("arch", "mlp").as_str() {
-        "mlp" => ArchKind::Mlp,
-        "cnn" => ArchKind::Cnn,
-        other => panic!("unknown arch {other:?} (use mlp|cnn)"),
-    };
-    let workers: Vec<usize> = args
-        .get_str("workers", "4,8,16")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("bad --workers entry {s:?}"))
-        })
-        .collect();
-    let rates: Vec<f64> = args
-        .get_str("rates", "0,0.02,0.05,0.1")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("bad --rates entry {s:?}"))
-        })
-        .collect();
+    let family = args.choice("family", "mnist", FAMILIES)?;
+    let arch = args.choice("arch", "mlp", ARCHS)?;
+    let workers: Vec<usize> = args.get_list("workers", "4,8,16")?;
+    let rates: Vec<f64> = args.get_list("rates", "0,0.02,0.05,0.1")?;
     // The sweep's churn seed; the CHURN_SEED environment variable (the CI
     // matrix knob shared with the integration tests) overrides the default.
     let churn_seed = args.get(
@@ -58,23 +32,15 @@ fn main() -> Result<(), md_bench::BinError> {
             .ok()
             .and_then(|s| s.parse().ok())
             .unwrap_or(7u64),
-    );
-    let scale = ExperimentScale {
-        img: args.get("img", 16usize),
-        train_n: args.get("train", 2048usize),
-        test_n: args.get("test", 512usize),
-        iters: args.get("iters", 400usize),
-        eval_every: args.get("eval-every", 40usize),
-        eval_samples: args.get("eval-samples", 256usize),
-        seed: args.get("seed", 42u64),
-    };
+    )?;
+    let scale = args.scale(400, 40, 42)?;
 
     eprintln!(
         "running elastic sweep ({fam_str}) over workers {workers:?} × rates {rates:?} \
          (churn seed {churn_seed}) at {scale:?}"
     );
     let recorder = recorder_from_env();
-    let points = run_elastic_with(family, arch, scale, &workers, &rates, churn_seed, &recorder);
+    let points = run_elastic(family, arch, scale, &workers, &rates, churn_seed, &recorder)?;
 
     let mut csv = String::new();
     for p in &points {

@@ -14,62 +14,40 @@
 //! flagged/evicted and the surviving cluster size. Writes
 //! `results/fig_freerider_<family>.csv`.
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
-use md_data::synthetic::Family;
+use md_bench::{
+    emit_run_record, print_table, recorder_from_env, write_csv, Args, BinError, ARCHS, FAMILIES,
+};
 use md_telemetry::{json, Counter, RunRecord};
-use mdgan_core::arch::ArchKind;
-use mdgan_core::experiments::{run_freerider_with, ExperimentScale, FreeriderPoint};
+use mdgan_core::experiments::{freerider_attack, run_freerider, FreeriderPoint};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
+    let args = Args::parse_figure(&["family", "arch", "workers", "fracs", "strategies"])?;
     let fam_str = args.get_str("family", "mnist");
-    let family = match fam_str.as_str() {
-        "mnist" => Family::MnistLike,
-        "cifar" => Family::CifarLike,
-        other => panic!("unknown family {other:?} (use mnist|cifar)"),
-    };
-    let arch = match args.get_str("arch", "mlp").as_str() {
-        "mlp" => ArchKind::Mlp,
-        "cnn" => ArchKind::Cnn,
-        other => panic!("unknown arch {other:?} (use mlp|cnn)"),
-    };
-    let workers: usize = args.get("workers", 5usize);
-    let fracs: Vec<f32> = args
-        .get_str("fracs", "0.1,0.2,0.3")
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("bad --fracs entry {s:?}"))
-        })
-        .collect();
+    let family = args.choice("family", "mnist", FAMILIES)?;
+    let arch = args.choice("arch", "mlp", ARCHS)?;
+    let workers: usize = args.get("workers", 5usize)?;
+    let fracs: Vec<f32> = args.get_list("fracs", "0.1,0.2,0.3")?;
     let strategies_str = args.get_str("strategies", "noise,echo,mimic");
     let strategies: Vec<&str> = strategies_str.split(',').map(str::trim).collect();
+    for s in &strategies {
+        freerider_attack(s)
+            .map_err(|e| BinError::Usage(format!("bad value for --strategies: {e}")))?;
+    }
     // The sweep's master seed; the FREERIDER_SEED environment variable (the
     // CI matrix knob shared with the integration tests) overrides the
     // default.
-    let scale = ExperimentScale {
-        img: args.get("img", 16usize),
-        train_n: args.get("train", 2048usize),
-        test_n: args.get("test", 512usize),
-        iters: args.get("iters", 400usize),
-        eval_every: args.get("eval-every", 40usize),
-        eval_samples: args.get("eval-samples", 256usize),
-        seed: args.get(
-            "seed",
-            std::env::var("FREERIDER_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(42u64),
-        ),
-    };
+    let seed = std::env::var("FREERIDER_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42u64);
+    let scale = args.scale(400, 40, seed)?;
 
     eprintln!(
         "running free-rider sweep ({fam_str}) over strategies {strategies:?} × \
          fracs {fracs:?} (N={workers}, defended off/on) at {scale:?}"
     );
     let recorder = recorder_from_env();
-    let points = run_freerider_with(family, arch, scale, workers, &fracs, &strategies, &recorder);
+    let points = run_freerider(family, arch, scale, workers, &fracs, &strategies, &recorder)?;
 
     let mut csv = String::new();
     for p in &points {

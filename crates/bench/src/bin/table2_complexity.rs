@@ -13,11 +13,11 @@ use mdgan_core::complexity::{
 };
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let n = args.get("n", 10usize);
-    let b = args.get("b", 10usize);
-    let iters = args.get("iters", 50_000usize);
-    let e = args.get("e", 1.0f64);
+    let args = Args::parse(&["n", "b", "iters", "e"])?;
+    let n = args.get("n", 10usize)?;
+    let b = args.get("b", 10usize)?;
+    let iters = args.get("iters", 50_000usize)?;
+    let e = args.get("e", 1.0f64)?;
 
     println!("Table II — computation & memory complexity (FL-GAN vs MD-GAN)");
     println!("parameters: N={n}, b={b}, I={iters}, E={e}, k=⌊log N⌋");

@@ -11,17 +11,20 @@ use md_telemetry::{json, RunRecord};
 use mdgan_core::complexity::{SysParams, D_CIFAR, D_MNIST, PAPER_CNN_CIFAR, PAPER_CNN_MNIST};
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let n = args.get("n", 10usize);
-    let b = args.get("b", 10usize);
-    let iters = args.get("iters", 50_000usize);
+    let args = Args::parse(&["n", "b", "iters", "dataset"])?;
+    let n = args.get("n", 10usize)?;
+    let b = args.get("b", 10usize)?;
+    let iters = args.get("iters", 50_000usize)?;
     let dataset = args.get_str("dataset", "cifar");
 
-    let (d, model, total) = match dataset.as_str() {
-        "mnist" => (D_MNIST, PAPER_CNN_MNIST, 60_000usize),
-        "cifar" => (D_CIFAR, PAPER_CNN_CIFAR, 50_000),
-        other => panic!("unknown dataset {other:?} (use mnist|cifar)"),
-    };
+    let (d, model, total) = args.choice(
+        "dataset",
+        "cifar",
+        &[
+            ("mnist", (D_MNIST, PAPER_CNN_MNIST, 60_000usize)),
+            ("cifar", (D_CIFAR, PAPER_CNN_CIFAR, 50_000)),
+        ],
+    )?;
     let p = SysParams {
         n,
         b,

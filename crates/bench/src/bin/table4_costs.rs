@@ -20,9 +20,9 @@ use mdgan_core::ArchSpec;
 use std::sync::Arc;
 
 fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse();
-    let n = args.get("n", 10usize);
-    let sim_iters = args.get("sim-iters", 3usize);
+    let args = Args::parse(&["n", "sim-iters"])?;
+    let n = args.get("n", 10usize)?;
+    let sim_iters = args.get("sim-iters", 3usize)?;
 
     println!("Table IV — communication costs, CIFAR10 experiment, N={n}");
     println!("(closed-form values use the paper's CNN parameter counts; the");

@@ -103,7 +103,10 @@ fn check_file(path: &Path) -> Result<(usize, usize), String> {
 }
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse(&["dir"]).unwrap_or_else(|e| {
+        eprintln!("trace_check: {e:?}");
+        std::process::exit(2);
+    });
     let dir = PathBuf::from(args.get_str("dir", "results/traces"));
     let mut files: Vec<PathBuf> = match std::fs::read_dir(&dir) {
         Ok(rd) => rd

@@ -5,9 +5,12 @@
 //! (see DESIGN.md §4 for the full index) and accepts `--key value` flags to
 //! scale between "seconds" and "paper scale".
 
+use md_data::synthetic::Family;
 use md_telemetry::{
     export, CriticalPathReport, PoolCounters, Recorder, RunRecord, Verbosity, WorkspaceCounters,
 };
+use mdgan_core::arch::ArchKind;
+use mdgan_core::experiments::{CurveResult, ExperimentScale};
 use mdgan_core::TrainError;
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
@@ -16,47 +19,123 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// A minimal `--key value` argument parser (no external crates by design).
+///
+/// Every input error is a [`BinError`] naming the flag, returned before a
+/// binary sets anything up: an unknown flag, a bare word, a value that does
+/// not parse, a choice outside its list. The message for an unknown flag
+/// (`--help` among them) lists the flags the binary takes.
 #[derive(Debug, Default)]
 pub struct Args {
     flags: BTreeMap<String, String>,
 }
 
 impl Args {
-    /// Parses `std::env::args()`, panicking on malformed flags.
-    pub fn parse() -> Self {
-        Self::from_iter(std::env::args().skip(1))
+    /// Parses `std::env::args()` against the flags the binary takes.
+    pub fn parse(known: &[&str]) -> Result<Self, BinError> {
+        Self::from_iter(std::env::args().skip(1), known)
+    }
+
+    /// Parses a figure binary's command line: the [`ExperimentScale`] flags
+    /// of [`scale`](Self::scale) plus `extra`.
+    pub fn parse_figure(extra: &[&str]) -> Result<Self, BinError> {
+        Self::parse(&[&SCALE_FLAGS[..], extra].concat())
     }
 
     /// Parses an explicit iterator (testable).
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(args: impl IntoIterator<Item = String>) -> Self {
+    pub fn from_iter(
+        args: impl IntoIterator<Item = String>,
+        known: &[&str],
+    ) -> Result<Self, BinError> {
         let mut flags = BTreeMap::new();
         let mut iter = args.into_iter().peekable();
         while let Some(arg) = iter.next() {
             let key = arg
                 .strip_prefix("--")
-                .unwrap_or_else(|| panic!("expected --flag, got {arg:?}"))
+                .ok_or_else(|| BinError::Usage(format!("expected --flag, got {arg:?}")))?
                 .to_string();
+            if !known.contains(&key.as_str()) {
+                return Err(BinError::Usage(format!(
+                    "unknown flag --{key} (flags: --{})",
+                    known.join(" --")
+                )));
+            }
             let value = match iter.peek() {
                 Some(v) if !v.starts_with("--") => iter.next().unwrap(),
                 _ => "true".to_string(), // boolean flag
             };
             flags.insert(key, value);
         }
-        Args { flags }
+        Ok(Args { flags })
     }
 
     /// Returns the flag value parsed as `T`, or `default`.
-    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, BinError>
     where
-        T::Err: std::fmt::Debug,
+        T::Err: Display,
     {
         match self.flags.get(key) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|e| panic!("bad value for --{key}: {v:?} ({e:?})")),
-            None => default,
+            Some(v) => v.parse().map_err(|e| bad_value(key, v, e)),
+            None => Ok(default),
         }
+    }
+
+    /// Returns the flag's comma-separated list (or `default`'s), each entry
+    /// parsed as `T`.
+    pub fn get_list<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: &str,
+    ) -> Result<Vec<T>, BinError>
+    where
+        T::Err: Display,
+    {
+        self.get_str(key, default)
+            .split(',')
+            .map(|s| s.trim().parse().map_err(|e| bad_value(key, s, e)))
+            .collect()
+    }
+
+    /// Returns the value paired with the flag's name in `choices`, or the
+    /// one paired with `default` when the flag is absent.
+    pub fn choice<T: Copy>(
+        &self,
+        key: &str,
+        default: &str,
+        choices: &[(&str, T)],
+    ) -> Result<T, BinError> {
+        let name = self.get_str(key, default);
+        choices
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| {
+                let names: Vec<&str> = choices.iter().map(|(n, _)| *n).collect();
+                BinError::Usage(format!(
+                    "bad value for --{key}: {name:?} (use {})",
+                    names.join("|")
+                ))
+            })
+    }
+
+    /// The run's scale from `--img` (16), `--train` (2048), `--test` (512),
+    /// `--iters`, `--eval-every`, `--eval-samples` (256) and `--seed`: the
+    /// defaults in brackets or given.
+    pub fn scale(
+        &self,
+        iters: usize,
+        eval_every: usize,
+        seed: u64,
+    ) -> Result<ExperimentScale, BinError> {
+        Ok(ExperimentScale {
+            img: self.get("img", 16)?,
+            train_n: self.get("train", 2048)?,
+            test_n: self.get("test", 512)?,
+            iters: self.get("iters", iters)?,
+            eval_every: self.get("eval-every", eval_every)?,
+            eval_samples: self.get("eval-samples", 256)?,
+            seed: self.get("seed", seed)?,
+        })
     }
 
     /// Returns the raw string flag, or `default`.
@@ -72,6 +151,27 @@ impl Args {
         self.flags.contains_key(key)
     }
 }
+
+const SCALE_FLAGS: [&str; 7] = [
+    "img",
+    "train",
+    "test",
+    "iters",
+    "eval-every",
+    "eval-samples",
+    "seed",
+];
+
+fn bad_value(key: &str, value: &str, e: impl Display) -> BinError {
+    BinError::Usage(format!("bad value for --{key}: {value:?} ({e})"))
+}
+
+/// The dataset families a figure panel can use, for [`Args::choice`].
+pub const FAMILIES: &[(&str, Family)] =
+    &[("mnist", Family::MnistLike), ("cifar", Family::CifarLike)];
+
+/// The architectures a figure panel can use, for [`Args::choice`].
+pub const ARCHS: &[(&str, ArchKind)] = &[("mlp", ArchKind::Mlp), ("cnn", ArchKind::Cnn)];
 
 /// Formats a byte count the way the paper's Table IV does (MiB, printed as
 /// "MB").
@@ -114,19 +214,28 @@ pub fn print_table<const W: usize>(title: &str, header: [&str; W], rows: &[[Stri
 }
 
 /// The error a bench binary's `main` returns. Rust prints a returned
-/// error's `Debug` form, so this one's is the wrapped [`TrainError`]'s
-/// one-line `Display` ("cannot write results/…: Not a directory …").
-pub struct BinError(TrainError);
+/// error's `Debug` form, so this one's is a one-line message: the wrapped
+/// [`TrainError`]'s `Display` ("cannot write results/…: Not a directory …")
+/// or the command-line mistake, naming the flag.
+pub enum BinError {
+    /// The run failed.
+    Train(TrainError),
+    /// The command line asked for something the binary does not take.
+    Usage(String),
+}
 
 impl From<TrainError> for BinError {
     fn from(e: TrainError) -> Self {
-        BinError(e)
+        BinError::Train(e)
     }
 }
 
 impl fmt::Debug for BinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&self.0, f)
+        match self {
+            BinError::Train(e) => fmt::Display::fmt(e, f),
+            BinError::Usage(msg) => f.write_str(msg),
+        }
     }
 }
 
@@ -270,6 +379,21 @@ pub fn emit_run_record(record: RunRecord, rec: &Recorder) -> Result<(), TrainErr
     Ok(())
 }
 
+/// Adds every curve's score timeline to `record`, and the traffic total of
+/// each distributed competitor as a `traffic_bytes[<label>]` metric.
+pub fn with_curves(mut record: RunRecord, curves: &[CurveResult]) -> RunRecord {
+    for c in curves {
+        record = record.with_scores_appended(c.timeline.score_points(&c.label));
+        if let Some(t) = &c.traffic {
+            record = record.with_metric(
+                format!("traffic_bytes[{}]", c.label),
+                t.total_bytes() as f64,
+            );
+        }
+    }
+    record
+}
+
 /// Column-stacks label/value pairs into `[String; 2]` rows (small helper
 /// for two-column tables).
 pub fn kv_rows<V: Display>(pairs: &[(&str, V)]) -> Vec<[String; 2]> {
@@ -283,27 +407,48 @@ pub fn kv_rows<V: Display>(pairs: &[(&str, V)]) -> Vec<[String; 2]> {
 mod tests {
     use super::*;
 
+    fn args(argv: &[&str]) -> Result<Args, BinError> {
+        let known = ["iters", "family", "full", "missing", "drops"];
+        Args::from_iter(argv.iter().map(|s| s.to_string()), &known)
+    }
+
+    fn usage(r: Result<impl fmt::Debug, BinError>) -> String {
+        match r {
+            Err(BinError::Usage(msg)) => msg,
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_key_value_flags() {
-        let a = Args::from_iter(["--iters", "100", "--family", "mnist"].map(String::from));
-        assert_eq!(a.get("iters", 0usize), 100);
+        let a = args(&["--iters", "100", "--family", "mnist"]).unwrap();
+        assert_eq!(a.get("iters", 0usize).unwrap(), 100);
         assert_eq!(a.get_str("family", "cifar"), "mnist");
-        assert_eq!(a.get("missing", 7usize), 7);
+        assert_eq!(a.get("missing", 7usize).unwrap(), 7);
+        assert_eq!(
+            a.choice("family", "cifar", FAMILIES).unwrap(),
+            Family::MnistLike
+        );
     }
 
     #[test]
     fn boolean_flags() {
-        let a = Args::from_iter(["--full", "--iters", "5"].map(String::from));
+        let a = args(&["--full", "--iters", "5"]).unwrap();
         assert!(a.has("full"));
-        assert!(a.get("full", false));
-        assert_eq!(a.get("iters", 0usize), 5);
+        assert!(a.get("full", false).unwrap());
+        assert_eq!(a.get("iters", 0usize).unwrap(), 5);
     }
 
     #[test]
-    #[should_panic(expected = "bad value")]
-    fn rejects_unparsable_values() {
-        let a = Args::from_iter(["--iters", "ten"].map(String::from));
-        a.get("iters", 0usize);
+    fn input_errors_name_the_flag() {
+        let a = args(&["--iters", "ten", "--family", "mnsit", "--drops", "0.1,x"]).unwrap();
+        assert!(usage(a.get("iters", 0usize)).starts_with("bad value for --iters: \"ten\""));
+        assert!(usage(a.choice("family", "mnist", FAMILIES)).contains("--family: \"mnsit\""));
+        assert!(usage(a.get_list::<f32>("drops", "0")).contains("--drops: \"x\""));
+        assert!(
+            usage(args(&["--bogus-flag", "7", "--help"])).starts_with("unknown flag --bogus-flag")
+        );
+        assert!(usage(args(&["iters"])).contains("expected --flag"));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! must leave every byte as it was. The outputs are the same for any
 //! `TENSOR_THREADS`.
 //!
-//! Input errors: an unknown flag, a malformed value or an unknown choice
-//! exits non-zero, names the flag on stderr, and writes nothing.
+//! Input errors: an unknown flag (`--help` too, whose message lists the
+//! flags), a malformed value or an unknown choice exits non-zero, names the
+//! flag on stderr, and writes nothing.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -170,4 +171,52 @@ fn ext_perspectives_is_pinned() {
     ];
     let h = pinned("ext", bin, &args, &["ext_perspectives.csv"]);
     assert_eq!(h, [12916576742813580083, 2497088150269734598]);
+}
+
+/// Runs `bin` with `args` in a fresh directory and checks that it failed on
+/// its command line: a non-zero exit without a panic, one `Error:` line
+/// naming `flag`, and no `results/` written.
+fn rejects(tag: &str, bin: &str, args: &[&str], flag: &str) {
+    let dir = workdir(tag);
+    let out = run(bin, &dir, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{tag} exited 0; stderr:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{tag} panicked:\n{stderr}");
+    let errors: Vec<&str> = stderr.lines().filter(|l| l.starts_with("Error:")).collect();
+    assert!(
+        errors.len() == 1 && errors[0].contains(flag),
+        "{tag}: expected one Error line naming {flag}; stderr:\n{stderr}"
+    );
+    assert!(!dir.join("results").exists(), "{tag} wrote results/");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn unknown_flags_are_rejected_even_beside_help() {
+    rejects(
+        "bogus",
+        FIG3,
+        &["--bogus-flag", "7", "--help"],
+        "--bogus-flag",
+    );
+    rejects("help", FIG3, &["--help"], "--ckpt-every");
+}
+
+#[test]
+fn malformed_values_are_rejected() {
+    rejects("family", FIG3, &["--family", "mnsit"], "--family");
+    rejects("iters", FIG3, &["--iters", "two"], "--iters");
+    let fig5 = env!("CARGO_BIN_EXE_fig5_faults");
+    rejects("drops", fig5, &["--drops", "0.1,lots"], "--drops");
+}
+
+#[test]
+fn unknown_strategies_are_rejected_before_set_up() {
+    let bin = env!("CARGO_BIN_EXE_fig_freerider");
+    rejects(
+        "strategies",
+        bin,
+        &["--strategies", "nosie"],
+        "--strategies",
+    );
 }

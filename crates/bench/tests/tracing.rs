@@ -10,7 +10,7 @@ use md_telemetry::{
     export::write_chrome_trace, CriticalPathReport, Recorder, SpanKind, Track, Verbosity,
 };
 use mdgan_core::arch::ArchKind;
-use mdgan_core::experiments::{run_lossy_faults_with, ExperimentScale, LossyPoint};
+use mdgan_core::experiments::{run_lossy_faults, ExperimentScale, LossyPoint};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,7 +31,7 @@ fn smoke_scale() -> ExperimentScale {
 
 fn traced_run(workers: usize, drop: f32) -> (Vec<LossyPoint>, Arc<Recorder>) {
     let rec = Arc::new(Recorder::traced());
-    let points = run_lossy_faults_with(
+    let points = run_lossy_faults(
         Family::MnistLike,
         ArchKind::Mlp,
         smoke_scale(),
@@ -39,7 +39,8 @@ fn traced_run(workers: usize, drop: f32) -> (Vec<LossyPoint>, Arc<Recorder>) {
         &[drop],
         7,
         &rec,
-    );
+    )
+    .unwrap();
     (points, rec)
 }
 
@@ -185,7 +186,7 @@ fn critical_path_names_a_gating_worker_per_iteration() {
 #[test]
 fn tracing_does_not_perturb_training() {
     let quiet = Arc::new(Recorder::with_verbosity(Verbosity::Off));
-    let plain = run_lossy_faults_with(
+    let plain = run_lossy_faults(
         Family::MnistLike,
         ArchKind::Mlp,
         smoke_scale(),
@@ -193,7 +194,8 @@ fn tracing_does_not_perturb_training() {
         &[0.1],
         7,
         &quiet,
-    );
+    )
+    .unwrap();
     let (traced, rec) = traced_run(3, 0.1);
     assert!(!rec.trace_spans().is_empty());
     assert_eq!(
@@ -209,7 +211,7 @@ fn tracing_does_not_perturb_training() {
 fn disabled_recorder_captures_no_spans() {
     let rec = Arc::new(Recorder::with_verbosity(Verbosity::Jsonl));
     assert!(!rec.trace_enabled());
-    let _ = run_lossy_faults_with(
+    let _ = run_lossy_faults(
         Family::MnistLike,
         ArchKind::Mlp,
         smoke_scale(),
@@ -217,7 +219,8 @@ fn disabled_recorder_captures_no_spans() {
         &[0.0],
         7,
         &rec,
-    );
+    )
+    .unwrap();
     assert!(
         rec.trace_spans().is_empty(),
         "sub-trace verbosity must not buffer spans"
@@ -233,7 +236,7 @@ fn disabled_recorder_captures_no_spans() {
 fn traced_wallclock_overhead_is_bounded() {
     let run = |rec: &Arc<Recorder>| {
         let t0 = Instant::now();
-        let _ = run_lossy_faults_with(
+        let _ = run_lossy_faults(
             Family::MnistLike,
             ArchKind::Mlp,
             smoke_scale(),
@@ -241,7 +244,8 @@ fn traced_wallclock_overhead_is_bounded() {
             &[0.05],
             7,
             rec,
-        );
+        )
+        .unwrap();
         t0.elapsed().as_secs_f64()
     };
     let quiet = Arc::new(Recorder::with_verbosity(Verbosity::Off));

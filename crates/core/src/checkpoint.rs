@@ -489,42 +489,9 @@ impl Checkpoint {
         fs::write(path, self.to_bytes())
     }
 
-    /// Writes the checkpoint crash-consistently: the bytes go to a sibling
-    /// temp file which is fsynced and then atomically renamed over `path`
-    /// (and the parent directory fsynced, where the platform allows it).
-    /// A crash at any point leaves either the old checkpoint or the new
-    /// one — never a torn file.
+    /// Writes the checkpoint crash-consistently through [`write_atomic`].
     pub fn save_atomic(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let file_name = path
-            .file_name()
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("checkpoint path {path:?} has no file name"),
-                )
-            })?
-            .to_string_lossy();
-        let dir = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => Path::new(".").to_path_buf(),
-        };
-        let tmp = dir.join(format!(".{file_name}.tmp"));
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        if let Err(e) = fs::rename(&tmp, path) {
-            let _ = fs::remove_file(&tmp);
-            return Err(e);
-        }
-        // Make the rename itself durable. Directory fsync is best-effort:
-        // not every filesystem supports opening a directory for sync.
-        if let Ok(d) = fs::File::open(&dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads a checkpoint from a file.
@@ -537,6 +504,42 @@ impl Checkpoint {
     pub fn byte_size(&self) -> usize {
         self.to_bytes().len()
     }
+}
+
+/// Writes `bytes` to `path` crash-consistently: they go to a sibling temp
+/// file which is fsynced and then atomically renamed over `path` (and the
+/// parent directory fsynced, where the platform allows it). A crash at any
+/// point leaves either the old file or the new one, never a torn file.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let file_name = path
+        .file_name()
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("path {path:?} has no file name"),
+            )
+        })?
+        .to_string_lossy();
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+        _ => Path::new(".").to_path_buf(),
+    };
+    let tmp = dir.join(format!(".{file_name}.tmp"));
+    {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+    }
+    if let Err(e) = fs::rename(&tmp, path) {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
+    }
+    // Make the rename itself durable. Directory fsync is best-effort:
+    // not every filesystem supports opening a directory for sync.
+    if let Ok(d) = fs::File::open(&dir) {
+        let _ = d.sync_all();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -40,6 +40,9 @@ pub enum TrainError {
         /// The last failure.
         last: String,
     },
+    /// A run was asked for something that does not exist (an unknown
+    /// strategy name, say). Reported before any set-up.
+    Config(String),
 }
 
 impl fmt::Display for TrainError {
@@ -56,6 +59,7 @@ impl fmt::Display for TrainError {
             TrainError::RetriesExhausted { attempts, last } => {
                 write!(f, "recovery gave up after {attempts} rollbacks: {last}")
             }
+            TrainError::Config(msg) => f.write_str(msg),
         }
     }
 }

@@ -2,29 +2,31 @@
 //!
 //! The `md-bench` binaries are thin CLI wrappers around these functions;
 //! integration tests run them at reduced scale. Every runner is fully
-//! deterministic given its [`ExperimentScale::seed`].
+//! deterministic given its [`ExperimentScale::seed`], and every curve it
+//! draws is trained and scored by the one supervised loop
+//! ([`TrainSupervisor::run_scored`]), so a numeric divergence rolls back
+//! or ends in a typed [`TrainError`], never in a scored NaN.
 
 use crate::arch::{ArchKind, ArchSpec};
 use crate::byzantine::Attack;
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::write_atomic;
 use crate::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
-use crate::error::{ckerr, TrainError};
+use crate::error::TrainError;
 use crate::eval::{Evaluator, ScoreTimeline};
+use crate::federation::{Federation, Mixing};
 use crate::flgan::FlGan;
 use crate::mdgan::trainer::MdGan;
 use crate::standalone::StandaloneGan;
-use crate::supervisor::Recoverable;
+use crate::supervisor::{train_curve, Recoverable, SupervisorConfig, TrainSupervisor};
 use md_data::synthetic::{DataSpec, Family};
 use md_data::Dataset;
 use md_metrics::scores::GanScores;
-use md_nn::gan::Generator;
 use md_nn::optim::AdamConfig;
-use md_nn::{HealthConfig, HealthMonitor};
 use md_simnet::{CrashSchedule, TrafficReport};
-use md_telemetry::{Event, Recorder};
+use md_telemetry::Recorder;
 use md_tensor::rng::Rng64;
 use serde::{Deserialize, Serialize};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Knobs that scale an experiment between "CI seconds" and "paper scale".
@@ -113,6 +115,110 @@ fn arch_for(family: Family, kind: ArchKind, img: usize) -> ArchSpec {
     }
 }
 
+/// A figure competitor: a trainee the supervisor drives, plus the traffic
+/// it moved (distributed competitors only).
+trait Competitor: Recoverable {
+    fn traffic(&self) -> Option<TrafficReport>;
+}
+
+impl Competitor for StandaloneGan {
+    fn traffic(&self) -> Option<TrafficReport> {
+        None
+    }
+}
+
+impl<M: Mixing> Competitor for Federation<M> {
+    fn traffic(&self) -> Option<TrafficReport> {
+        Some(Federation::traffic(self))
+    }
+}
+
+impl Competitor for MdGan {
+    fn traffic(&self) -> Option<TrafficReport> {
+        Some(MdGan::traffic(self))
+    }
+}
+
+/// One curve of a figure's lineup: its label and how to build its
+/// competitor. A competitor is built only when its curve is trained.
+type Entry<'a> = (String, Box<dyn FnOnce() -> Box<dyn Competitor> + 'a>);
+
+fn entry<'a, C: Competitor + 'static>(label: String, build: impl FnOnce() -> C + 'a) -> Entry<'a> {
+    (
+        label,
+        Box::new(move || Box::new(build()) as Box<dyn Competitor>),
+    )
+}
+
+/// A figure's shared set-up: the training split, the architecture, and the
+/// evaluator that scores every curve on the same test sample.
+fn setup(
+    family: Family,
+    kind: ArchKind,
+    scale: &ExperimentScale,
+) -> (Dataset, ArchSpec, Evaluator) {
+    let (train, test) = make_dataset(family, scale);
+    let spec = arch_for(family, kind, scale.img);
+    let evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    (train, spec, evaluator)
+}
+
+/// Trains and scores every curve of `lineup` in order.
+///
+/// With a recovery directory, curve `i` checkpoints to `curve_<i>.ckpt` under
+/// `policy` and, once complete, is sealed as `curve_<i>.jsonl` (its exact
+/// timeline) before the checkpoint is dropped. A rerun reloads sealed curves,
+/// which carry `traffic: None` because byte accounting does not survive the
+/// process, and resumes the first unsealed one from its checkpoint. A sealed
+/// curve always wins over a checkpoint left beside it.
+fn run_lineup(
+    lineup: Vec<Entry<'_>>,
+    scale: &ExperimentScale,
+    evaluator: &mut Evaluator,
+    telemetry: &Arc<Recorder>,
+    recovery: Option<(&Path, &SupervisorConfig)>,
+) -> Result<Vec<CurveResult>, TrainError> {
+    let mut curves = Vec::with_capacity(lineup.len());
+    for (i, (label, build)) in lineup.into_iter().enumerate() {
+        let (cfg, sealed) = match recovery {
+            Some((dir, policy)) => (
+                SupervisorConfig {
+                    ckpt_path: Some(dir.join(format!("curve_{i}.ckpt"))),
+                    ..policy.clone()
+                },
+                Some(dir.join(format!("curve_{i}.jsonl"))),
+            ),
+            None => (SupervisorConfig::in_memory(), None),
+        };
+        if let Some(sealed) = sealed.as_ref().filter(|p| p.exists()) {
+            let timeline = ScoreTimeline::from_jsonl(&std::fs::read_to_string(sealed)?);
+            curves.push(CurveResult {
+                label,
+                timeline,
+                traffic: None,
+            });
+            continue;
+        }
+        let mut gan = build();
+        let (_, timeline) = TrainSupervisor::new(cfg.clone())
+            .with_telemetry(Arc::clone(telemetry))
+            .run_scored(&mut *gan, scale.iters as u64, evaluator, scale.eval_every)?;
+        if let (Some(sealed), Some(ckpt)) = (sealed, cfg.ckpt_path) {
+            write_atomic(&sealed, timeline.to_jsonl(&label).as_bytes())?;
+            match std::fs::remove_file(ckpt) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(e.into()),
+                _ => {}
+            }
+        }
+        curves.push(CurveResult {
+            traffic: gan.traffic(),
+            label,
+            timeline,
+        });
+    }
+    Ok(curves)
+}
+
 /// Configuration of the Figure 3 convergence comparison.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvergenceConfig {
@@ -146,377 +252,44 @@ impl ConvergenceConfig {
 
 /// Figure 3: standalone (b small/large), FL-GAN (b small/large) and
 /// MD-GAN (k=1 / k=⌊log N⌋), all scored on the same test sample with the
-/// same scorer.
-pub fn run_convergence(cfg: ConvergenceConfig) -> Vec<CurveResult> {
-    run_convergence_with(cfg, &Arc::new(Recorder::disabled()))
-}
-
-/// [`run_convergence`] with every competitor attached to `telemetry`, so
-/// phase histograms and per-worker tallies aggregate over the whole figure.
-pub fn run_convergence_with(cfg: ConvergenceConfig, telemetry: &Arc<Recorder>) -> Vec<CurveResult> {
-    let (train, test) = make_dataset(cfg.family, &cfg.scale);
-    let spec = arch_for(cfg.family, cfg.arch, cfg.scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, cfg.scale.eval_samples, cfg.scale.seed);
-    let mut results = Vec::new();
-
-    // Standalone, both batch sizes.
-    for b in [cfg.b_small, cfg.b_large] {
-        let hyper = GanHyper {
-            batch: b,
-            ..GanHyper::default()
-        };
-        let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x57D);
-        let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
-            .with_telemetry(Arc::clone(telemetry));
-        let timeline = gan.train(cfg.scale.iters, cfg.scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("standalone b={b}"),
-            timeline,
-            traffic: None,
-        });
-    }
-
-    // FL-GAN, both batch sizes (E = 1, as in the paper).
-    for b in [cfg.b_small, cfg.b_large] {
-        let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0xF1);
-        let shards = train.shard_iid(cfg.workers, &mut rng);
-        let fl_cfg = FlGanConfig {
-            workers: cfg.workers,
-            epochs_per_round: 1.0,
-            hyper: GanHyper {
-                batch: b,
-                ..GanHyper::default()
-            },
-            iterations: cfg.scale.iters,
-            seed: cfg.scale.seed ^ 0xF1F1,
-        };
-        let mut fl = FlGan::new(&spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry));
-        let timeline = fl.train(cfg.scale.iters, cfg.scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("FL-GAN b={b}"),
-            timeline,
-            traffic: Some(fl.traffic()),
-        });
-    }
-
-    // MD-GAN, k = 1 and k = ⌊log N⌋ (b = b_small, as in the paper).
-    for (k, klabel) in [(KPolicy::One, "k=1"), (KPolicy::LogN, "k=log(N)")] {
-        let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x3D);
-        let shards = train.shard_iid(cfg.workers, &mut rng);
-        let md_cfg = MdGanConfig {
-            workers: cfg.workers,
-            k,
-            epochs_per_swap: 1.0,
-            swap: SwapPolicy::Derangement,
-            hyper: GanHyper {
-                batch: cfg.b_small,
-                ..GanHyper::default()
-            },
-            iterations: cfg.scale.iters,
-            seed: cfg.scale.seed ^ 0x3D3D,
-            crash: CrashSchedule::none(),
-            ..MdGanConfig::default()
-        };
-        let mut md = MdGan::new(&spec, shards, md_cfg).with_telemetry(Arc::clone(telemetry));
-        let timeline = md.train(cfg.scale.iters, cfg.scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("MD-GAN {klabel} b={}", cfg.b_small),
-            timeline,
-            traffic: Some(md.traffic()),
-        });
-    }
-    results
-}
-
-/// Recovery policy for [`run_convergence_resumable`]: where to persist
-/// progress, how often, and how to react to numeric divergence.
-#[derive(Clone, Debug)]
-pub struct RecoveryConfig {
-    /// Directory holding `current.ckpt` plus one `curve_<idx>.jsonl` per
-    /// completed curve.
-    pub dir: PathBuf,
-    /// Checkpoint the in-progress curve every this many iterations
-    /// (`0` = resume-only: read existing state, never write checkpoints).
-    pub every: usize,
-    /// Divergence thresholds for the per-step health check.
-    pub health: HealthConfig,
-    /// Rollbacks allowed per curve before giving up with
-    /// [`TrainError::RetriesExhausted`].
-    pub max_rollbacks: u32,
-    /// Learning-rate factor applied after each rollback (`1.0` = keep LR).
-    pub lr_drop: f32,
-}
-
-impl RecoveryConfig {
-    /// Defaults: checkpoint every 50 iterations, default health
-    /// thresholds, 3 rollbacks, no LR drop.
-    pub fn new(dir: impl Into<PathBuf>) -> Self {
-        RecoveryConfig {
-            dir: dir.into(),
-            every: 50,
-            health: HealthConfig::default(),
-            max_rollbacks: 3,
-            lr_drop: 1.0,
-        }
-    }
-}
-
-/// Checkpoint sections the experiment layer adds on top of a competitor's
-/// own [`Recoverable::capture`] state. Restore paths ignore unknown
-/// sections, so the extras are invisible to the competitor itself.
-const SEC_CURVE: &str = "exp_curve";
-const SEC_TIMELINE: &str = "exp_timeline";
-
-/// Crash-consistent small-file write: temp file + fsync + atomic rename.
-fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let tmp = path.with_extension("tmp");
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
-}
-
-fn capture_curve_state<G: Recoverable>(
-    gan: &G,
-    timeline: &ScoreTimeline,
-    label: &str,
-    curve_idx: usize,
-) -> Checkpoint {
-    let mut ck = gan.capture();
-    ck.push_u64(SEC_CURVE, vec![curve_idx as u64]);
-    ck.push_bytes(SEC_TIMELINE, timeline.to_jsonl(label).into_bytes());
-    ck
-}
-
-/// Restores gan + partial timeline from a curve checkpoint (used both for
-/// cross-process resume and in-memory rollback). The evaluation noise is
-/// keyed by the iteration, so the evaluator carries nothing to restore.
-fn restore_curve_state<G: Recoverable>(
-    gan: &mut G,
-    timeline: &mut ScoreTimeline,
-    ck: &Checkpoint,
-) -> Result<(), TrainError> {
-    gan.restore(ck)?;
-    let text = ck.require_bytes(SEC_TIMELINE).map_err(ckerr)?;
-    let text = std::str::from_utf8(text)
-        .map_err(|e| TrainError::Checkpoint(format!("{SEC_TIMELINE} is not UTF-8: {e}")))?;
-    *timeline = ScoreTimeline::from_jsonl(text);
-    Ok(())
-}
-
-/// Drives one curve to completion under checkpointing and health
-/// supervision, mirroring the competitors' `train()` schedule exactly
-/// (initial eval, then eval at `i % eval_every == 0 || i == iters`) so a
-/// resumed run stays bit-identical to an uninterrupted one.
-#[allow(clippy::too_many_arguments)]
-fn drive_curve_resumable<G: Recoverable>(
-    gan: &mut G,
-    gen_of: fn(&mut G) -> &mut Generator,
-    label: &str,
-    curve_idx: usize,
-    pending: Option<&Checkpoint>,
-    evaluator: &mut Evaluator,
-    iters: usize,
-    eval_every: usize,
-    telemetry: &Arc<Recorder>,
-    rec: &RecoveryConfig,
-) -> Result<ScoreTimeline, TrainError> {
-    let current = rec.dir.join("current.ckpt");
-    let mut timeline = ScoreTimeline::new();
-
-    if let Some(ck) = pending {
-        restore_curve_state(gan, &mut timeline, ck)?;
-        telemetry.event(Event::Resumed {
-            iter: gan.iteration() as usize,
-        });
-    } else {
-        let at = gan.iteration() as usize;
-        evaluator.score_point(gen_of(gan), at, telemetry, &mut timeline);
-    }
-
-    let mut monitor = HealthMonitor::new(rec.health);
-    let mut rollbacks = 0u32;
-    let mut last_good = capture_curve_state(gan, &timeline, label, curve_idx);
-
-    while (gan.iteration() as usize) < iters {
-        let losses = gan.step_once();
-        let mut verdict = monitor.check_step(&losses, &gan.health_nets());
-        let i = gan.iteration() as usize;
-        let persist = rec.every > 0 && i.is_multiple_of(rec.every);
-        if persist && !verdict.is_diverged() {
-            // Force a parameter scan so a silently poisoned state is never
-            // persisted as a rollback target.
-            verdict = monitor.check_now(&losses, &gan.health_nets());
-        }
-        if verdict.is_diverged() {
-            telemetry.event(Event::NanDetected {
-                iter: i,
-                verdict: verdict.as_str(),
-            });
-            if rollbacks >= rec.max_rollbacks {
-                return Err(TrainError::RetriesExhausted {
-                    attempts: rollbacks,
-                    last: verdict.as_str().to_string(),
-                });
-            }
-            restore_curve_state(gan, &mut timeline, &last_good)?;
-            if rec.lr_drop != 1.0 {
-                gan.scale_lr(rec.lr_drop);
-            }
-            rollbacks += 1;
-            telemetry.event(Event::Rollback {
-                iter: i,
-                to_iter: gan.iteration() as usize,
-            });
-            continue;
-        }
-
-        if i.is_multiple_of(eval_every.max(1)) || i == iters {
-            evaluator.score_point(gen_of(gan), i, telemetry, &mut timeline);
-        }
-
-        if persist {
-            let ck = capture_curve_state(gan, &timeline, label, curve_idx);
-            // Only persisted state is a rollback target: rolling back to an
-            // unpersisted iteration would diverge from a crash+resume replay.
-            ck.save_atomic(&current)?;
-            telemetry.event(Event::CheckpointWritten {
-                iter: i,
-                bytes: ck.byte_size() as u64,
-            });
-            last_good = ck;
-        }
-    }
-    Ok(timeline)
-}
-
-/// Seals a completed curve: writes its exact-roundtrip JSONL timeline
-/// atomically, then drops the in-progress checkpoint. A crash between the
-/// two writes leaves both files; resume prefers the sealed curve and
-/// discards the stale checkpoint.
-fn finish_curve(
-    dir: &Path,
-    curve_idx: usize,
-    label: &str,
-    timeline: &ScoreTimeline,
-) -> Result<(), TrainError> {
-    let doc = timeline.to_jsonl(label);
-    write_atomic(
-        &dir.join(format!("curve_{curve_idx}.jsonl")),
-        doc.as_bytes(),
-    )?;
-    match std::fs::remove_file(dir.join("current.ckpt")) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(TrainError::Io(e)),
-    }
-}
-
-/// [`run_convergence_with`] under crash-consistent checkpointing: progress
-/// persists in `rec.dir` and a re-invocation after a crash (or SIGKILL)
-/// resumes where it stopped, producing **bit-identical** timelines to the
-/// uninterrupted run. Numeric divergence rolls the in-progress curve back
-/// to its last persisted checkpoint (at most `rec.max_rollbacks` times).
+/// same scorer, every competitor attached to `telemetry` so phase histograms
+/// and per-worker tallies aggregate over the whole figure.
 ///
-/// Curves completed in an earlier process are reloaded from their exact
-/// JSONL and carry `traffic: None` — byte accounting does not survive the
-/// process boundary.
-pub fn run_convergence_resumable(
+/// `recovery` names a directory and the supervision policy for a
+/// crash-consistent run: curve `i` checkpoints to `curve_<i>.ckpt` and is
+/// sealed as `curve_<i>.jsonl`, and a re-invocation after a crash (or
+/// SIGKILL) reloads the sealed curves (without their traffic) and resumes
+/// the first unsealed one, producing **bit-identical** timelines. Without
+/// it every curve trains in memory.
+pub fn run_convergence(
     cfg: ConvergenceConfig,
     telemetry: &Arc<Recorder>,
-    rec: &RecoveryConfig,
+    recovery: Option<(&Path, &SupervisorConfig)>,
 ) -> Result<Vec<CurveResult>, TrainError> {
-    std::fs::create_dir_all(&rec.dir)?;
-    let (train, test) = make_dataset(cfg.family, &cfg.scale);
-    let spec = arch_for(cfg.family, cfg.arch, cfg.scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, cfg.scale.eval_samples, cfg.scale.seed);
-
-    let current = rec.dir.join("current.ckpt");
-    let mut pending = if current.exists() {
-        Some(Checkpoint::load(&current)?)
-    } else {
-        None
-    };
-    let pending_curve = pending
-        .as_ref()
-        .and_then(|ck| ck.get_u64(SEC_CURVE))
-        .and_then(|w| w.first().copied())
-        .map(|w| w as usize);
-
-    let mut results: Vec<CurveResult> = Vec::new();
-    let mut curve_idx = 0usize;
-
-    // Reloads a completed curve from disk or reports that the curve must be
-    // trained.
-    let load_done = |curve_idx: usize,
-                     label: &str,
-                     pending: &mut Option<Checkpoint>|
-     -> Result<Option<CurveResult>, TrainError> {
-        let file = rec.dir.join(format!("curve_{curve_idx}.jsonl"));
-        if !file.exists() {
-            return Ok(None);
-        }
-        let text = std::fs::read_to_string(&file)?;
-        if pending_curve == Some(curve_idx) {
-            // Crash hit between sealing this curve and dropping its
-            // checkpoint — the sealed curve wins.
-            *pending = None;
-        }
-        Ok(Some(CurveResult {
-            label: label.to_string(),
-            timeline: ScoreTimeline::from_jsonl(&text),
-            traffic: None,
-        }))
-    };
+    if let Some((dir, _)) = recovery {
+        std::fs::create_dir_all(dir)?;
+    }
+    let (train, spec, mut evaluator) = setup(cfg.family, cfg.arch, &cfg.scale);
+    let (train, spec, seed, iters) = (&train, &spec, cfg.scale.seed, cfg.scale.iters);
+    let mut lineup = Vec::new();
 
     // Standalone, both batch sizes.
     for b in [cfg.b_small, cfg.b_large] {
-        let label = format!("standalone b={b}");
-        if let Some(done) = load_done(curve_idx, &label, &mut pending)? {
-            results.push(done);
-        } else {
+        lineup.push(entry(format!("standalone b={b}"), move || {
             let hyper = GanHyper {
                 batch: b,
                 ..GanHyper::default()
             };
-            let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x57D);
-            let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
-                .with_telemetry(Arc::clone(telemetry));
-            let this_pending = (pending_curve == Some(curve_idx))
-                .then(|| pending.take())
-                .flatten();
-            let timeline = drive_curve_resumable(
-                &mut gan,
-                |g: &mut StandaloneGan| &mut g.gen,
-                &label,
-                curve_idx,
-                this_pending.as_ref(),
-                &mut evaluator,
-                cfg.scale.iters,
-                cfg.scale.eval_every,
-                telemetry,
-                rec,
-            )?;
-            finish_curve(&rec.dir, curve_idx, &label, &timeline)?;
-            results.push(CurveResult {
-                label,
-                timeline,
-                traffic: None,
-            });
-        }
-        curve_idx += 1;
+            let mut rng = Rng64::seed_from_u64(seed ^ 0x57D);
+            StandaloneGan::new(spec, train.clone(), hyper, &mut rng)
+                .with_telemetry(Arc::clone(telemetry))
+        }));
     }
 
     // FL-GAN, both batch sizes (E = 1, as in the paper).
     for b in [cfg.b_small, cfg.b_large] {
-        let label = format!("FL-GAN b={b}");
-        if let Some(done) = load_done(curve_idx, &label, &mut pending)? {
-            results.push(done);
-        } else {
-            let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0xF1);
+        lineup.push(entry(format!("FL-GAN b={b}"), move || {
+            let mut rng = Rng64::seed_from_u64(seed ^ 0xF1);
             let shards = train.shard_iid(cfg.workers, &mut rng);
             let fl_cfg = FlGanConfig {
                 workers: cfg.workers,
@@ -525,83 +298,39 @@ pub fn run_convergence_resumable(
                     batch: b,
                     ..GanHyper::default()
                 },
-                iterations: cfg.scale.iters,
-                seed: cfg.scale.seed ^ 0xF1F1,
+                iterations: iters,
+                seed: seed ^ 0xF1F1,
             };
-            let mut fl = FlGan::new(&spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry));
-            let this_pending = (pending_curve == Some(curve_idx))
-                .then(|| pending.take())
-                .flatten();
-            let timeline = drive_curve_resumable(
-                &mut fl,
-                |g: &mut FlGan| &mut g.server_gen,
-                &label,
-                curve_idx,
-                this_pending.as_ref(),
-                &mut evaluator,
-                cfg.scale.iters,
-                cfg.scale.eval_every,
-                telemetry,
-                rec,
-            )?;
-            finish_curve(&rec.dir, curve_idx, &label, &timeline)?;
-            results.push(CurveResult {
-                label,
-                timeline,
-                traffic: Some(fl.traffic()),
-            });
-        }
-        curve_idx += 1;
+            FlGan::new(spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry))
+        }));
     }
 
     // MD-GAN, k = 1 and k = ⌊log N⌋ (b = b_small, as in the paper).
     for (k, klabel) in [(KPolicy::One, "k=1"), (KPolicy::LogN, "k=log(N)")] {
-        let label = format!("MD-GAN {klabel} b={}", cfg.b_small);
-        if let Some(done) = load_done(curve_idx, &label, &mut pending)? {
-            results.push(done);
-        } else {
-            let mut rng = Rng64::seed_from_u64(cfg.scale.seed ^ 0x3D);
-            let shards = train.shard_iid(cfg.workers, &mut rng);
-            let md_cfg = MdGanConfig {
-                workers: cfg.workers,
-                k,
-                epochs_per_swap: 1.0,
-                swap: SwapPolicy::Derangement,
-                hyper: GanHyper {
-                    batch: cfg.b_small,
-                    ..GanHyper::default()
-                },
-                iterations: cfg.scale.iters,
-                seed: cfg.scale.seed ^ 0x3D3D,
-                crash: CrashSchedule::none(),
-                ..MdGanConfig::default()
-            };
-            let mut md = MdGan::new(&spec, shards, md_cfg).with_telemetry(Arc::clone(telemetry));
-            let this_pending = (pending_curve == Some(curve_idx))
-                .then(|| pending.take())
-                .flatten();
-            let timeline = drive_curve_resumable(
-                &mut md,
-                |g: &mut MdGan| g.generator_mut(),
-                &label,
-                curve_idx,
-                this_pending.as_ref(),
-                &mut evaluator,
-                cfg.scale.iters,
-                cfg.scale.eval_every,
-                telemetry,
-                rec,
-            )?;
-            finish_curve(&rec.dir, curve_idx, &label, &timeline)?;
-            results.push(CurveResult {
-                label,
-                timeline,
-                traffic: Some(md.traffic()),
-            });
-        }
-        curve_idx += 1;
+        lineup.push(entry(
+            format!("MD-GAN {klabel} b={}", cfg.b_small),
+            move || {
+                let mut rng = Rng64::seed_from_u64(seed ^ 0x3D);
+                let shards = train.shard_iid(cfg.workers, &mut rng);
+                let md_cfg = MdGanConfig {
+                    workers: cfg.workers,
+                    k,
+                    epochs_per_swap: 1.0,
+                    swap: SwapPolicy::Derangement,
+                    hyper: GanHyper {
+                        batch: cfg.b_small,
+                        ..GanHyper::default()
+                    },
+                    iterations: iters,
+                    seed: seed ^ 0x3D3D,
+                    crash: CrashSchedule::none(),
+                    ..MdGanConfig::default()
+                };
+                MdGan::new(spec, shards, md_cfg).with_telemetry(Arc::clone(telemetry))
+            },
+        ));
     }
-    Ok(results)
+    run_lineup(lineup, &cfg.scale, &mut evaluator, telemetry, recovery)
 }
 
 /// Which quantity Figure 4 holds constant while `N` grows.
@@ -629,28 +358,16 @@ pub struct ScalabilityPoint {
 }
 
 /// Figure 4: final MD-GAN scores as a function of `N`, with/without
-/// swapping, under both workload regimes. The dataset is fixed, so local
-/// shards shrink as `|B|/N`.
+/// swapping, under both workload regimes, every run attached to
+/// `telemetry`. The dataset is fixed, so local shards shrink as `|B|/N`.
 pub fn run_scalability(
     family: Family,
     scale: ExperimentScale,
     ns: &[usize],
     base_b: usize,
-) -> Vec<ScalabilityPoint> {
-    run_scalability_with(family, scale, ns, base_b, &Arc::new(Recorder::disabled()))
-}
-
-/// [`run_scalability`] with every MD-GAN run attached to `telemetry`.
-pub fn run_scalability_with(
-    family: Family,
-    scale: ExperimentScale,
-    ns: &[usize],
-    base_b: usize,
     telemetry: &Arc<Recorder>,
-) -> Vec<ScalabilityPoint> {
-    let (train, test) = make_dataset(family, &scale);
-    let spec = arch_for(family, ArchKind::Mlp, scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+) -> Result<Vec<ScalabilityPoint>, TrainError> {
+    let (train, spec, mut evaluator) = setup(family, ArchKind::Mlp, &scale);
     let base_n = ns.first().copied().unwrap_or(1).max(1);
     let mut out = Vec::new();
     for &n in ns {
@@ -681,7 +398,13 @@ pub fn run_scalability_with(
                     ..MdGanConfig::default()
                 };
                 let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
-                let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+                let timeline = train_curve(
+                    &mut md,
+                    scale.iters,
+                    scale.eval_every,
+                    &mut evaluator,
+                    telemetry,
+                )?;
                 out.push(ScalabilityPoint {
                     n,
                     swap,
@@ -692,91 +415,66 @@ pub fn run_scalability_with(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Figure 5: MD-GAN under the crash pattern (one worker every `I/N`
-/// iterations) vs the non-crashing run vs the standalone baselines.
+/// iterations) vs the non-crashing run vs the standalone baselines, every
+/// competitor attached to `telemetry`, whose fault tallies then mirror the
+/// crash schedule.
 pub fn run_faults(
     family: Family,
     arch: ArchKind,
     scale: ExperimentScale,
     workers: usize,
-) -> Vec<CurveResult> {
-    run_faults_with(
-        family,
-        arch,
-        scale,
-        workers,
-        &Arc::new(Recorder::disabled()),
-    )
-}
-
-/// [`run_faults`] with every competitor attached to `telemetry` — the
-/// recorder's fault tallies then mirror the crash schedule.
-pub fn run_faults_with(
-    family: Family,
-    arch: ArchKind,
-    scale: ExperimentScale,
-    workers: usize,
     telemetry: &Arc<Recorder>,
-) -> Vec<CurveResult> {
-    let (train, test) = make_dataset(family, &scale);
-    let spec = arch_for(family, arch, scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
-    let mut results = Vec::new();
-
+) -> Result<Vec<CurveResult>, TrainError> {
+    let (train, spec, mut evaluator) = setup(family, arch, &scale);
+    let (train, spec) = (&train, &spec);
+    let mut lineup = Vec::new();
     for b in [10usize, 100] {
-        let hyper = GanHyper {
-            batch: b,
-            ..GanHyper::default()
-        };
-        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x57D);
-        let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
-            .with_telemetry(Arc::clone(telemetry));
-        let timeline = gan.train(scale.iters, scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("standalone b={b}"),
-            timeline,
-            traffic: None,
-        });
-    }
-
-    for crash in [false, true] {
-        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0xC4A5);
-        let shards = train.shard_iid(workers, &mut rng);
-        let schedule = if crash {
-            CrashSchedule::every_quantile(scale.iters, workers, &mut rng)
-        } else {
-            CrashSchedule::none()
-        };
-        let cfg = MdGanConfig {
-            workers,
-            k: KPolicy::LogN,
-            epochs_per_swap: 1.0,
-            swap: SwapPolicy::Derangement,
-            hyper: GanHyper {
-                batch: 10,
+        lineup.push(entry(format!("standalone b={b}"), move || {
+            let hyper = GanHyper {
+                batch: b,
                 ..GanHyper::default()
-            },
-            iterations: scale.iters,
-            seed: scale.seed ^ 0xC4,
-            crash: schedule,
-            ..MdGanConfig::default()
-        };
-        let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
-        let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: if crash {
-                "MD-GAN with crashes".into()
-            } else {
-                "MD-GAN no crash".into()
-            },
-            timeline,
-            traffic: Some(md.traffic()),
-        });
+            };
+            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x57D);
+            StandaloneGan::new(spec, train.clone(), hyper, &mut rng)
+                .with_telemetry(Arc::clone(telemetry))
+        }));
     }
-    results
+    for crash in [false, true] {
+        let label = if crash {
+            "MD-GAN with crashes"
+        } else {
+            "MD-GAN no crash"
+        };
+        lineup.push(entry(label.into(), move || {
+            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0xC4A5);
+            let shards = train.shard_iid(workers, &mut rng);
+            let schedule = if crash {
+                CrashSchedule::every_quantile(scale.iters, workers, &mut rng)
+            } else {
+                CrashSchedule::none()
+            };
+            let cfg = MdGanConfig {
+                workers,
+                k: KPolicy::LogN,
+                epochs_per_swap: 1.0,
+                swap: SwapPolicy::Derangement,
+                hyper: GanHyper {
+                    batch: 10,
+                    ..GanHyper::default()
+                },
+                iterations: scale.iters,
+                seed: scale.seed ^ 0xC4,
+                crash: schedule,
+                ..MdGanConfig::default()
+            };
+            MdGan::new(spec, shards, cfg).with_telemetry(Arc::clone(telemetry))
+        }));
+    }
+    run_lineup(lineup, &scale, &mut evaluator, telemetry, None)
 }
 
 /// One point of the lossy-network degradation sweep.
@@ -821,6 +519,9 @@ impl LossyPoint {
 /// Figure 5 extension: MD-GAN on the robust (oracle-free) runtime under a
 /// seeded lossy network, one run per drop rate, each with one mid-run
 /// worker crash. Returns the degradation curve (final scores vs drop rate).
+/// Every run is attached to `telemetry`, which then accumulates
+/// drop/duplicate/retry/suspect counters across the whole sweep.
+#[allow(clippy::too_many_arguments)]
 pub fn run_lossy_faults(
     family: Family,
     arch: ArchKind,
@@ -828,35 +529,10 @@ pub fn run_lossy_faults(
     workers: usize,
     drops: &[f32],
     fault_seed: u64,
-) -> Vec<LossyPoint> {
-    run_lossy_faults_with(
-        family,
-        arch,
-        scale,
-        workers,
-        drops,
-        fault_seed,
-        &Arc::new(Recorder::disabled()),
-    )
-}
-
-/// [`run_lossy_faults`] with every run attached to `telemetry`; the
-/// recorder then accumulates drop/duplicate/retry/suspect counters across
-/// the whole sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn run_lossy_faults_with(
-    family: Family,
-    arch: ArchKind,
-    scale: ExperimentScale,
-    workers: usize,
-    drops: &[f32],
-    fault_seed: u64,
     telemetry: &Arc<Recorder>,
-) -> Vec<LossyPoint> {
+) -> Result<Vec<LossyPoint>, TrainError> {
     use md_simnet::FaultPlan;
-    let (train, test) = make_dataset(family, &scale);
-    let spec = arch_for(family, arch, scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let (train, spec, mut evaluator) = setup(family, arch, &scale);
     let mut out = Vec::new();
     for &drop in drops {
         let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x10551);
@@ -882,7 +558,13 @@ pub fn run_lossy_faults_with(
         let suspected_before = telemetry.counter(md_telemetry::Counter::WorkersSuspected);
         let window_start = telemetry.elapsed_ns();
         let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
-        let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+        let timeline = train_curve(
+            &mut md,
+            scale.iters,
+            scale.eval_every,
+            &mut evaluator,
+            telemetry,
+        )?;
         out.push(LossyPoint {
             drop,
             final_scores: timeline.final_scores(3).expect("timeline has points"),
@@ -892,7 +574,7 @@ pub fn run_lossy_faults_with(
             trace_window: (window_start, telemetry.elapsed_ns()),
         });
     }
-    out
+    Ok(out)
 }
 
 /// One point of the elastic-membership degradation sweep.
@@ -944,7 +626,10 @@ impl ElasticPoint {
 /// under seeded churn, one run per (cluster size × churn rate) cell. Each
 /// run draws its own [`ChurnPlan`](md_simnet::ChurnPlan) from `churn_seed`
 /// with equal join/leave/crash rates; the returned degradation grid shows
-/// final scores against how much of the cluster turned over.
+/// final scores against how much of the cluster turned over. Every run is
+/// attached to `telemetry`, which then accumulates
+/// join/leave/eviction/bootstrap counters across the whole sweep.
+#[allow(clippy::too_many_arguments)]
 pub fn run_elastic(
     family: Family,
     arch: ArchKind,
@@ -952,35 +637,10 @@ pub fn run_elastic(
     workers: &[usize],
     churn_rates: &[f64],
     churn_seed: u64,
-) -> Vec<ElasticPoint> {
-    run_elastic_with(
-        family,
-        arch,
-        scale,
-        workers,
-        churn_rates,
-        churn_seed,
-        &Arc::new(Recorder::disabled()),
-    )
-}
-
-/// [`run_elastic`] with every run attached to `telemetry`; the recorder
-/// then accumulates join/leave/eviction/bootstrap counters across the
-/// whole sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn run_elastic_with(
-    family: Family,
-    arch: ArchKind,
-    scale: ExperimentScale,
-    workers: &[usize],
-    churn_rates: &[f64],
-    churn_seed: u64,
     telemetry: &Arc<Recorder>,
-) -> Vec<ElasticPoint> {
+) -> Result<Vec<ElasticPoint>, TrainError> {
     use md_simnet::{ChurnKind, ChurnPlan};
-    let (train, test) = make_dataset(family, &scale);
-    let spec = arch_for(family, arch, scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let (train, spec, mut evaluator) = setup(family, arch, &scale);
     let mut out = Vec::new();
     for &n in workers {
         for &rate in churn_rates {
@@ -1008,7 +668,13 @@ pub fn run_elastic_with(
                 ..MdGanConfig::default()
             };
             let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
-            let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+            let timeline = train_curve(
+                &mut md,
+                scale.iters,
+                scale.eval_every,
+                &mut evaluator,
+                telemetry,
+            )?;
             out.push(ElasticPoint {
                 workers: n,
                 churn_rate: rate,
@@ -1021,27 +687,20 @@ pub fn run_elastic_with(
             });
         }
     }
-    out
+    Ok(out)
 }
 
 /// Figure 6: the CelebA-like validation. Standalone and FL-GAN use
 /// `b_large` with the paper's baseline Adam settings; MD-GAN uses
 /// `b_large / 5` with its own settings (the paper's 200 vs 40), over
-/// `N ∈ {1, 5}`.
-pub fn run_celeba(scale: ExperimentScale, b_large: usize) -> Vec<CurveResult> {
-    run_celeba_with(scale, b_large, &Arc::new(Recorder::disabled()))
-}
-
-/// [`run_celeba`] with every competitor attached to `telemetry`.
-pub fn run_celeba_with(
+/// `N ∈ {1, 5}`. Every competitor is attached to `telemetry`.
+pub fn run_celeba(
     scale: ExperimentScale,
     b_large: usize,
     telemetry: &Arc<Recorder>,
-) -> Vec<CurveResult> {
-    let (train, test) = make_dataset(Family::CelebaLike, &scale);
-    let spec = arch_for(Family::CelebaLike, ArchKind::Cnn, scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
-    let mut results = Vec::new();
+) -> Result<Vec<CurveResult>, TrainError> {
+    let (train, spec, mut evaluator) = setup(Family::CelebaLike, ArchKind::Cnn, &scale);
+    let (train, spec) = (&train, &spec);
     let b_md = (b_large / 5).max(1);
 
     // CelebA GANs are unconditional in the paper.
@@ -1053,67 +712,51 @@ pub fn run_celeba_with(
         ..GanHyper::default()
     };
 
-    {
+    let mut lineup = vec![entry(format!("standalone b={b_large}"), move || {
         let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6A);
-        let mut gan = StandaloneGan::new(&spec, train.clone(), base_hyper, &mut rng)
-            .with_telemetry(Arc::clone(telemetry));
-        let timeline = gan.train(scale.iters, scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("standalone b={b_large}"),
-            timeline,
-            traffic: None,
-        });
-    }
-
+        StandaloneGan::new(spec, train.clone(), base_hyper, &mut rng)
+            .with_telemetry(Arc::clone(telemetry))
+    })];
     for n in [1usize, 5] {
-        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6B ^ (n as u64));
-        let shards = train.shard_iid(n, &mut rng);
-        let fl_cfg = FlGanConfig {
-            workers: n,
-            epochs_per_round: 1.0,
-            hyper: base_hyper,
-            iterations: scale.iters,
-            seed: scale.seed ^ 0x6B0 ^ (n as u64),
-        };
-        let mut fl = FlGan::new(&spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry));
-        let timeline = fl.train(scale.iters, scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("FL-GAN N={n} b={b_large}"),
-            timeline,
-            traffic: Some(fl.traffic()),
-        });
+        lineup.push(entry(format!("FL-GAN N={n} b={b_large}"), move || {
+            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6B ^ (n as u64));
+            let shards = train.shard_iid(n, &mut rng);
+            let fl_cfg = FlGanConfig {
+                workers: n,
+                epochs_per_round: 1.0,
+                hyper: base_hyper,
+                iterations: scale.iters,
+                seed: scale.seed ^ 0x6B0 ^ (n as u64),
+            };
+            FlGan::new(spec, shards, fl_cfg).with_telemetry(Arc::clone(telemetry))
+        }));
     }
-
     for n in [1usize, 5] {
-        let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6C ^ (n as u64));
-        let shards = train.shard_iid(n, &mut rng);
-        let md_hyper = GanHyper {
-            batch: b_md,
-            aux_weight: 0.0,
-            adam_g: AdamConfig::mdgan_celeba_generator(),
-            adam_d: AdamConfig::mdgan_celeba_discriminator(),
-            ..GanHyper::default()
-        };
-        let cfg = MdGanConfig {
-            workers: n,
-            k: KPolicy::LogN,
-            epochs_per_swap: 1.0,
-            swap: SwapPolicy::Derangement,
-            hyper: md_hyper,
-            iterations: scale.iters,
-            seed: scale.seed ^ 0x6C0 ^ (n as u64),
-            crash: CrashSchedule::none(),
-            ..MdGanConfig::default()
-        };
-        let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
-        let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
-        results.push(CurveResult {
-            label: format!("MD-GAN N={n} b={b_md}"),
-            timeline,
-            traffic: Some(md.traffic()),
-        });
+        lineup.push(entry(format!("MD-GAN N={n} b={b_md}"), move || {
+            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x6C ^ (n as u64));
+            let shards = train.shard_iid(n, &mut rng);
+            let md_hyper = GanHyper {
+                batch: b_md,
+                aux_weight: 0.0,
+                adam_g: AdamConfig::mdgan_celeba_generator(),
+                adam_d: AdamConfig::mdgan_celeba_discriminator(),
+                ..GanHyper::default()
+            };
+            let cfg = MdGanConfig {
+                workers: n,
+                k: KPolicy::LogN,
+                epochs_per_swap: 1.0,
+                swap: SwapPolicy::Derangement,
+                hyper: md_hyper,
+                iterations: scale.iters,
+                seed: scale.seed ^ 0x6C0 ^ (n as u64),
+                crash: CrashSchedule::none(),
+                ..MdGanConfig::default()
+            };
+            MdGan::new(spec, shards, cfg).with_telemetry(Arc::clone(telemetry))
+        }));
     }
-    results
+    run_lineup(lineup, &scale, &mut evaluator, telemetry, None)
 }
 
 /// One cell of the free-rider degradation/defense grid.
@@ -1161,14 +804,17 @@ impl FreeriderPoint {
     }
 }
 
-/// Maps a sweep strategy name to its [`Attack`]. Panics on unknown names so
-/// CLI typos fail loudly instead of silently running an honest baseline.
-pub fn freerider_attack(strategy: &str) -> Attack {
+/// Maps a sweep strategy name to its [`Attack`]. An unknown name is a
+/// [`TrainError::Config`], so a typo fails loudly instead of silently
+/// running an honest baseline.
+pub fn freerider_attack(strategy: &str) -> Result<Attack, TrainError> {
     match strategy {
-        "noise" => Attack::PureNoise { std: 5.0 },
-        "echo" => Attack::DelayedEcho,
-        "mimic" => Attack::PretrainedMimic,
-        other => panic!("unknown free-rider strategy {other:?} (want noise|echo|mimic)"),
+        "noise" => Ok(Attack::PureNoise { std: 5.0 }),
+        "echo" => Ok(Attack::DelayedEcho),
+        "mimic" => Ok(Attack::PretrainedMimic),
+        other => Err(TrainError::Config(format!(
+            "unknown free-rider strategy {other:?} (want noise|echo|mimic)"
+        ))),
     }
 }
 
@@ -1176,7 +822,10 @@ pub fn freerider_attack(strategy: &str) -> Attack {
 /// (strategy × fraction × defense on/off) cell. The first `round(frac·N)`
 /// slots run the attack; defended cells route feedbacks through the
 /// forensics so flagged free-riders graduate into membership eviction,
-/// undefended cells take the attack at face value.
+/// undefended cells take the attack at face value. Every run is attached to
+/// `telemetry`, which then accumulates flag/clear/eviction counters across
+/// the whole sweep. Strategy names are checked before any set-up.
+#[allow(clippy::too_many_arguments)]
 pub fn run_freerider(
     family: Family,
     arch: ArchKind,
@@ -1184,37 +833,16 @@ pub fn run_freerider(
     workers: usize,
     fracs: &[f32],
     strategies: &[&str],
-) -> Vec<FreeriderPoint> {
-    run_freerider_with(
-        family,
-        arch,
-        scale,
-        workers,
-        fracs,
-        strategies,
-        &Arc::new(Recorder::disabled()),
-    )
-}
-
-/// [`run_freerider`] with every run attached to `telemetry`; the recorder
-/// then accumulates flag/clear/eviction counters across the whole sweep.
-#[allow(clippy::too_many_arguments)]
-pub fn run_freerider_with(
-    family: Family,
-    arch: ArchKind,
-    scale: ExperimentScale,
-    workers: usize,
-    fracs: &[f32],
-    strategies: &[&str],
     telemetry: &Arc<Recorder>,
-) -> Vec<FreeriderPoint> {
+) -> Result<Vec<FreeriderPoint>, TrainError> {
     use md_telemetry::Counter;
-    let (train, test) = make_dataset(family, &scale);
-    let spec = arch_for(family, arch, scale.img);
-    let mut evaluator = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+    let attacks = strategies
+        .iter()
+        .map(|s| freerider_attack(s))
+        .collect::<Result<Vec<_>, _>>()?;
+    let (train, spec, mut evaluator) = setup(family, arch, &scale);
     let mut out = Vec::new();
-    for &strategy in strategies {
-        let attack = freerider_attack(strategy);
+    for (&strategy, attack) in strategies.iter().zip(attacks) {
         for &frac in fracs {
             // Round (not ceil): the forensics' population medians break
             // down at 50% contamination, and ceil would turn "30% of 4"
@@ -1246,7 +874,13 @@ pub fn run_freerider_with(
                 let flagged_before = telemetry.counter(Counter::WorkersFlagged);
                 let evicted_before = telemetry.counter(Counter::FreeridersEvicted);
                 let mut md = MdGan::new(&spec, shards, cfg).with_telemetry(Arc::clone(telemetry));
-                let timeline = md.train(scale.iters, scale.eval_every, Some(&mut evaluator));
+                let timeline = train_curve(
+                    &mut md,
+                    scale.iters,
+                    scale.eval_every,
+                    &mut evaluator,
+                    telemetry,
+                )?;
                 out.push(FreeriderPoint {
                     workers,
                     strategy: strategy.to_string(),
@@ -1260,12 +894,14 @@ pub fn run_freerider_with(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
+    use std::path::PathBuf;
 
     #[test]
     fn convergence_produces_six_curves() {
@@ -1275,7 +911,7 @@ mod tests {
             b_large: 8,
             ..ConvergenceConfig::new(Family::MnistLike, ArchKind::Mlp, ExperimentScale::quick())
         };
-        let curves = run_convergence(cfg);
+        let curves = run_convergence(cfg, &Arc::new(Recorder::disabled()), None).unwrap();
         assert_eq!(curves.len(), 6);
         for c in &curves {
             assert!(!c.timeline.is_empty(), "{} has no points", c.label);
@@ -1318,47 +954,61 @@ mod tests {
         curves.iter().map(|c| c.to_csv()).collect()
     }
 
+    fn every(n: u64) -> SupervisorConfig {
+        SupervisorConfig {
+            ckpt_every: n,
+            ..SupervisorConfig::default()
+        }
+    }
+
+    /// A small split, its MLP and an evaluator, for single-curve tests.
+    fn small_setup(iters: usize, eval_every: usize) -> (Dataset, ArchSpec, Evaluator) {
+        let scale = ExperimentScale {
+            iters,
+            eval_every,
+            train_n: 256,
+            test_n: 64,
+            eval_samples: 32,
+            ..ExperimentScale::quick()
+        };
+        setup(Family::MnistLike, ArchKind::Mlp, &scale)
+    }
+
     #[test]
-    fn resumable_runner_matches_plain_run_convergence() {
+    fn resumable_convergence_matches_the_in_memory_run() {
         let cfg = tiny_convergence();
-        let plain = run_convergence(cfg);
+        let plain = run_convergence(cfg, &Arc::new(Recorder::disabled()), None).unwrap();
 
         let dir = fresh_dir("plain-vs-resumable");
-        let rec = RecoveryConfig {
-            every: 2,
-            ..RecoveryConfig::new(&dir)
-        };
         let tel = Arc::new(Recorder::enabled());
-        let resumable = run_convergence_resumable(cfg, &tel, &rec).unwrap();
+        let resumable = run_convergence(cfg, &tel, Some((&dir, &every(2)))).unwrap();
 
         assert_eq!(csvs(&plain), csvs(&resumable));
         assert!(tel.counter(md_telemetry::Counter::CheckpointsWritten) > 0);
         assert_eq!(tel.counter(md_telemetry::Counter::ResumeCount), 0);
-        // All six curves sealed, nothing left in flight.
+        // All six curves sealed, no checkpoint left behind.
         for i in 0..6 {
             assert!(dir.join(format!("curve_{i}.jsonl")).exists());
+            assert!(!dir.join(format!("curve_{i}.ckpt")).exists());
         }
-        assert!(!dir.join("current.ckpt").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn resumable_runner_resumes_between_curves_bit_identically() {
+    fn resumable_convergence_resumes_between_curves_bit_identically() {
         let cfg = tiny_convergence();
         let dir = fresh_dir("between-curves");
-        let rec = RecoveryConfig {
-            every: 2,
-            ..RecoveryConfig::new(&dir)
-        };
         let tel = Arc::new(Recorder::disabled());
-        let reference = run_convergence_resumable(cfg, &tel, &rec).unwrap();
+        let reference = run_convergence(cfg, &tel, Some((&dir, &every(2)))).unwrap();
 
         // Simulate a crash after curve 2 completed: later curves vanish,
-        // the rerun must retrain 3..5 with the same evaluation noise.
+        // the rerun must retrain 3..5 with the same evaluation noise. A
+        // stale checkpoint beside a sealed curve loses to the seal.
         for i in 3..6 {
             std::fs::remove_file(dir.join(format!("curve_{i}.jsonl"))).unwrap();
         }
-        let resumed = run_convergence_resumable(cfg, &tel, &rec).unwrap();
+        std::fs::write(dir.join("curve_1.ckpt"), b"stale").unwrap();
+        let resumed = run_convergence(cfg, &tel, Some((&dir, &every(2)))).unwrap();
         assert_eq!(csvs(&reference), csvs(&resumed));
         // Reloaded completed curves drop their traffic reports.
         assert!(resumed[2].traffic.is_none());
@@ -1370,79 +1020,43 @@ mod tests {
     }
 
     #[test]
-    fn drive_curve_resumes_mid_curve_bit_identically() {
-        let scale = ExperimentScale {
-            iters: 10,
-            eval_every: 5,
-            train_n: 256,
-            test_n: 64,
-            eval_samples: 32,
-            ..ExperimentScale::quick()
-        };
-        let (train, test) = make_dataset(Family::MnistLike, &scale);
-        let spec = arch_for(Family::MnistLike, ArchKind::Mlp, scale.img);
-        let hyper = GanHyper {
-            batch: 4,
-            ..GanHyper::default()
-        };
-        let tel = Arc::new(Recorder::enabled());
+    fn scored_curve_resumes_mid_curve_bit_identically() {
+        let (train, spec, _) = small_setup(10, 5);
         let make_gan = || {
-            let mut rng = Rng64::seed_from_u64(scale.seed ^ 0x57D);
+            let hyper = GanHyper {
+                batch: 4,
+                ..GanHyper::default()
+            };
+            let mut rng = Rng64::seed_from_u64(42 ^ 0x57D);
             StandaloneGan::new(&spec, train.clone(), hyper, &mut rng)
         };
-        let gen_of: fn(&mut StandaloneGan) -> &mut Generator = |g| &mut g.gen;
+        let tel = Arc::new(Recorder::enabled());
+        let run = |gan: &mut StandaloneGan, path: &Path, target: u64| {
+            let (_, _, mut ev) = small_setup(10, 5);
+            TrainSupervisor::new(SupervisorConfig {
+                ckpt_path: Some(path.to_path_buf()),
+                ..every(3)
+            })
+            .with_telemetry(Arc::clone(&tel))
+            .run_scored(gan, target, &mut ev, 5)
+            .unwrap()
+        };
 
         // Uninterrupted reference: 10 iterations in one process.
-        let full_dir = fresh_dir("drive-full");
-        let full_rec = RecoveryConfig {
-            every: 3,
-            ..RecoveryConfig::new(&full_dir)
-        };
-        let mut full_ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
+        let full_dir = fresh_dir("curve-full");
         let mut full_gan = make_gan();
-        let full_tl = drive_curve_resumable(
-            &mut full_gan,
-            gen_of,
-            "s",
-            0,
-            None,
-            &mut full_ev,
-            10,
-            5,
-            &tel,
-            &full_rec,
-        )
-        .unwrap();
+        let (_, full_tl) = run(&mut full_gan, &full_dir.join("c.ckpt"), 10);
 
         // "Killed" run: stops after iteration 7; the last durable
         // checkpoint is at iteration 6, so the resume replays 7..10.
-        let dir = fresh_dir("drive-killed");
-        let rec = RecoveryConfig {
-            every: 3,
-            ..RecoveryConfig::new(&dir)
-        };
-        let mut ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
-        let mut gan = make_gan();
-        drive_curve_resumable(&mut gan, gen_of, "s", 0, None, &mut ev, 7, 5, &tel, &rec).unwrap();
-        let pending = Checkpoint::load(dir.join("current.ckpt")).unwrap();
-        assert_eq!(pending.iteration, 6);
+        let dir = fresh_dir("curve-killed");
+        let path = dir.join("c.ckpt");
+        run(&mut make_gan(), &path, 7);
+        assert_eq!(Checkpoint::load(&path).unwrap().iteration, 6);
 
-        let mut ev2 = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
         let mut gan2 = make_gan();
-        let resumed_tl = drive_curve_resumable(
-            &mut gan2,
-            gen_of,
-            "s",
-            0,
-            Some(&pending),
-            &mut ev2,
-            10,
-            5,
-            &tel,
-            &rec,
-        )
-        .unwrap();
-
+        let (report, resumed_tl) = run(&mut gan2, &path, 10);
+        assert_eq!(report.resumed_from, Some(6));
         assert_eq!(full_tl.to_jsonl("s"), resumed_tl.to_jsonl("s"));
         assert_eq!(full_gan.params(), gan2.params());
         assert!(tel.counter(md_telemetry::Counter::ResumeCount) >= 1);
@@ -1451,61 +1065,35 @@ mod tests {
     }
 
     #[test]
-    fn drive_curve_rolls_back_then_exhausts_retries() {
-        let scale = ExperimentScale {
-            iters: 6,
-            eval_every: 3,
-            train_n: 256,
-            test_n: 64,
-            eval_samples: 32,
-            ..ExperimentScale::quick()
-        };
-        let (train, test) = make_dataset(Family::MnistLike, &scale);
-        let spec = arch_for(Family::MnistLike, ArchKind::Mlp, scale.img);
-        let dir = fresh_dir("drive-diverge");
+    fn scored_curve_rolls_back_then_exhausts_retries() {
+        let (train, spec, mut ev) = small_setup(6, 3);
         // A loss threshold of 0 makes every step count as exploded.
-        let rec = RecoveryConfig {
-            every: 2,
+        let policy = SupervisorConfig {
             health: md_nn::HealthConfig {
                 max_abs_loss: 0.0,
                 ..md_nn::HealthConfig::default()
             },
             max_rollbacks: 2,
             lr_drop: 0.5,
-            ..RecoveryConfig::new(&dir)
+            ..every(2)
         };
         let tel = Arc::new(Recorder::enabled());
-        let mut ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
-        let mut rng = Rng64::seed_from_u64(scale.seed);
-        let mut gan = StandaloneGan::new(
-            &spec,
-            train.clone(),
-            GanHyper {
-                batch: 4,
-                ..GanHyper::default()
-            },
-            &mut rng,
-        );
-        let err = drive_curve_resumable(
-            &mut gan,
-            |g: &mut StandaloneGan| &mut g.gen,
-            "s",
-            0,
-            None,
-            &mut ev,
-            6,
-            3,
-            &tel,
-            &rec,
-        )
-        .unwrap_err();
+        let mut rng = Rng64::seed_from_u64(42);
+        let hyper = GanHyper {
+            batch: 4,
+            ..GanHyper::default()
+        };
+        let mut gan = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng);
+        let err = TrainSupervisor::new(policy)
+            .with_telemetry(Arc::clone(&tel))
+            .run_scored(&mut gan, 6, &mut ev, 3)
+            .unwrap_err();
         assert!(matches!(
             err,
             TrainError::RetriesExhausted { attempts: 2, .. }
         ));
         assert_eq!(tel.counter(md_telemetry::Counter::NanDetected), 3);
         assert_eq!(tel.counter(md_telemetry::Counter::Rollbacks), 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// FL-GAN reports no losses, so only a parameter scan sees a poisoned
@@ -1513,8 +1101,9 @@ mod tests {
     /// before the checkpoint at 5, the curve must roll back instead of
     /// persisting the NaN, then replay into the uninterrupted curve.
     #[test]
-    fn drive_curve_never_persists_a_poisoned_state() {
-        use crate::checkpoint::SectionData;
+    fn scored_curve_never_persists_a_poisoned_state() {
+        use crate::checkpoint::{Checkpoint, SectionData};
+        use md_nn::gan::Generator;
         use std::cell::Cell;
 
         struct PoisonOnce {
@@ -1560,18 +1149,12 @@ mod tests {
             fn scale_lr(&mut self, factor: f32) {
                 self.fl.scale_lr(factor);
             }
+            fn scored_generator(&mut self) -> &mut Generator {
+                self.fl.scored_generator()
+            }
         }
 
-        let scale = ExperimentScale {
-            iters: 10,
-            eval_every: 5,
-            train_n: 256,
-            test_n: 64,
-            eval_samples: 32,
-            ..ExperimentScale::quick()
-        };
-        let (train, test) = make_dataset(Family::MnistLike, &scale);
-        let spec = arch_for(Family::MnistLike, ArchKind::Mlp, scale.img);
+        let (train, spec, _) = small_setup(10, 5);
         let tel = Arc::new(Recorder::enabled());
         let run = |poison_at: Option<u64>, tag: &str| {
             let shards = train.shard_iid(2, &mut Rng64::seed_from_u64(3));
@@ -1591,23 +1174,13 @@ mod tests {
                 non_finite_captures: Cell::new(0),
             };
             let dir = fresh_dir(tag);
-            let rec = RecoveryConfig {
-                every: 5,
-                ..RecoveryConfig::new(&dir)
-            };
-            let mut ev = Evaluator::new(&train, &test, scale.eval_samples, scale.seed);
-            let tl = drive_curve_resumable(
-                &mut gan,
-                |g: &mut PoisonOnce| &mut g.fl.server_gen,
-                "fl",
-                0,
-                None,
-                &mut ev,
-                10,
-                5,
-                &tel,
-                &rec,
-            )
+            let (_, _, mut ev) = small_setup(10, 5);
+            let (_, tl) = TrainSupervisor::new(SupervisorConfig {
+                ckpt_path: Some(dir.join("fl.ckpt")),
+                ..every(5)
+            })
+            .with_telemetry(Arc::clone(&tel))
+            .run_scored(&mut gan, 10, &mut ev, 5)
             .unwrap();
             let _ = std::fs::remove_dir_all(&dir);
             assert_eq!(gan.non_finite_captures.get(), 0, "{tag}: NaN persisted");
@@ -1619,12 +1192,48 @@ mod tests {
         assert_eq!(clean, poisoned);
     }
 
+    /// MD-GAN reports no losses either. A generator poisoned just before an
+    /// evaluation step that is not a checkpoint step must be caught by the
+    /// scan before scoring (the scorer's eigensolver panics on NaN), rolled
+    /// back, and replayed into the clean curve.
+    #[test]
+    fn poisoned_generator_is_never_scored() {
+        let (train, spec, _) = small_setup(8, 3);
+        let run = |inject: Option<u64>| {
+            let shards = train.shard_iid(3, &mut Rng64::seed_from_u64(5));
+            let cfg = MdGanConfig {
+                workers: 3,
+                hyper: GanHyper {
+                    batch: 4,
+                    ..GanHyper::default()
+                },
+                iterations: 8,
+                ..MdGanConfig::default()
+            };
+            let mut md = MdGan::new(&spec, shards, cfg);
+            let (_, _, mut ev) = small_setup(8, 3);
+            let tel = Arc::new(Recorder::enabled());
+            let mut sup = TrainSupervisor::new(every(4)).with_telemetry(Arc::clone(&tel));
+            // Poisoned before stepping iteration 2 → 3: scored at 3, the
+            // checkpoints are at 4 and 8.
+            sup.inject_nan_at = inject;
+            let (report, tl) = sup.run_scored(&mut md, 8, &mut ev, 3).unwrap();
+            (report.rollbacks, tl.to_jsonl("md"), md.gen_params())
+        };
+        let (clean_rollbacks, clean_tl, clean_gen) = run(None);
+        let (rollbacks, tl, gen) = run(Some(2));
+        assert_eq!((clean_rollbacks, rollbacks), (0, 1));
+        assert_eq!(tl, clean_tl);
+        assert_eq!(gen, clean_gen);
+    }
+
     #[test]
     fn scalability_covers_modes_and_swap() {
         let mut scale = ExperimentScale::quick();
         scale.iters = 10;
         scale.eval_every = 5;
-        let points = run_scalability(Family::MnistLike, scale, &[2, 4], 4);
+        let tel = Arc::new(Recorder::disabled());
+        let points = run_scalability(Family::MnistLike, scale, &[2, 4], 4, &tel).unwrap();
         assert_eq!(points.len(), 8); // 2 n × 2 modes × 2 swap
                                      // Constant-server mode shrinks b as N grows.
         let cs4 = points
@@ -1647,7 +1256,7 @@ mod tests {
         scale.iters = 13;
         scale.eval_every = 6;
         let rec = Arc::new(Recorder::enabled());
-        let curves = run_faults_with(Family::MnistLike, ArchKind::Mlp, scale, 3, &rec);
+        let curves = run_faults(Family::MnistLike, ArchKind::Mlp, scale, 3, &rec).unwrap();
         assert_eq!(curves.len(), 4);
         let crash_curve = curves.iter().find(|c| c.label.contains("crashes")).unwrap();
         assert!(!crash_curve.timeline.is_empty());
@@ -1666,7 +1275,7 @@ mod tests {
         scale.iters = 8;
         scale.eval_every = 4;
         let rec = Arc::new(Recorder::enabled());
-        let points = run_lossy_faults_with(
+        let points = run_lossy_faults(
             Family::MnistLike,
             ArchKind::Mlp,
             scale,
@@ -1674,7 +1283,8 @@ mod tests {
             &[0.0, 0.3],
             7,
             &rec,
-        );
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         for p in &points {
             assert!(p.final_scores.fid.is_finite(), "drop {}", p.drop);
@@ -1700,7 +1310,7 @@ mod tests {
         scale.iters = 10;
         scale.eval_every = 5;
         let rec = Arc::new(Recorder::enabled());
-        let points = run_elastic_with(
+        let points = run_elastic(
             Family::MnistLike,
             ArchKind::Mlp,
             scale,
@@ -1708,7 +1318,8 @@ mod tests {
             &[0.0, 0.25],
             7,
             &rec,
-        );
+        )
+        .unwrap();
         assert_eq!(points.len(), 4);
         for p in &points {
             assert!(
@@ -1744,7 +1355,7 @@ mod tests {
         scale.iters = 20;
         scale.eval_every = 10;
         let rec = Arc::new(Recorder::enabled());
-        let points = run_freerider_with(
+        let points = run_freerider(
             Family::MnistLike,
             ArchKind::Mlp,
             scale,
@@ -1752,7 +1363,8 @@ mod tests {
             &[0.25],
             &["noise"],
             &rec,
-        );
+        )
+        .unwrap();
         assert_eq!(points.len(), 2, "defended off/on for one cell");
         let undefended = &points[0];
         let defended = &points[1];
@@ -1773,8 +1385,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown free-rider strategy")]
     fn freerider_attack_rejects_typos() {
-        freerider_attack("nois");
+        let err = freerider_attack("nois").unwrap_err();
+        assert!(err.to_string().contains("unknown free-rider strategy"));
+        let tel = Arc::new(Recorder::disabled());
+        let scale = ExperimentScale::quick();
+        let run = run_freerider(
+            Family::MnistLike,
+            ArchKind::Mlp,
+            scale,
+            4,
+            &[0.25],
+            &["nois"],
+            &tel,
+        );
+        assert!(matches!(run, Err(TrainError::Config(_))));
     }
 }

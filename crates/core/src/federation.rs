@@ -13,7 +13,6 @@ use crate::arch::{build_slots, ArchSpec};
 use crate::checkpoint::Checkpoint;
 use crate::config::FlGanConfig;
 use crate::error::{ckerr, TrainError};
-use crate::eval::{Evaluator, ScoreTimeline};
 use crate::standalone::StandaloneGan;
 use md_data::Dataset;
 use md_nn::gan::Generator;
@@ -257,47 +256,6 @@ impl<M: Mixing> Federation<M> {
         }
     }
 
-    /// The generator the experiments score: `server_gen`, first refreshed
-    /// to the alive workers' average when it is an observer's view. Departed
-    /// peers hold stale parameters and pending joiners untrained ones, so
-    /// only alive workers contribute.
-    pub(crate) fn scored_generator(&mut self) -> &mut Generator {
-        if !M::SERVER_STATE {
-            let gens: Vec<Vec<f32>> = self
-                .membership
-                .alive()
-                .into_iter()
-                .map(|s| self.workers[s].gen.net.get_params_flat())
-                .collect();
-            self.server_gen.net.set_params_flat(&average(&gens));
-        }
-        &mut self.server_gen
-    }
-
-    /// Runs `iters` local iterations, scoring the server (or observer)
-    /// generator every `eval_every`.
-    pub fn train(
-        &mut self,
-        iters: usize,
-        eval_every: usize,
-        mut evaluator: Option<&mut Evaluator>,
-    ) -> ScoreTimeline {
-        let telemetry = Arc::clone(&self.telemetry);
-        let mut timeline = ScoreTimeline::new();
-        for i in 0..=iters {
-            if i > 0 {
-                self.step();
-            }
-            if let Some(ev) = evaluator.as_deref_mut() {
-                if i % eval_every.max(1) == 0 || i == iters {
-                    let at = self.iter;
-                    ev.score_point(self.scored_generator(), at, &telemetry, &mut timeline);
-                }
-            }
-        }
-        timeline
-    }
-
     /// Captures the full state: the server's averaged generator (FL-GAN),
     /// the mix counter (which keys gossip's pairing draws), the traffic
     /// counters, the membership view when churn is planned, and every
@@ -389,6 +347,22 @@ impl<M: Mixing> crate::supervisor::Recoverable for Federation<M> {
         for w in &mut self.workers {
             w.scale_lr(factor);
         }
+    }
+
+    /// `server_gen`, first refreshed to the alive workers' average when it
+    /// is an observer's view. Departed peers hold stale parameters and
+    /// pending joiners untrained ones, so only alive workers contribute.
+    fn scored_generator(&mut self) -> &mut Generator {
+        if !M::SERVER_STATE {
+            let gens: Vec<Vec<f32>> = self
+                .membership
+                .alive()
+                .into_iter()
+                .map(|s| self.workers[s].gen.net.get_params_flat())
+                .collect();
+            self.server_gen.net.set_params_flat(&average(&gens));
+        }
+        &mut self.server_gen
     }
 
     /// Poisons one worker's generator; the next average spreads the NaN,

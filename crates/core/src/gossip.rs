@@ -100,7 +100,7 @@ impl Federation<Gossip> {
     /// The observer's averaged generator (refreshed on every call). Only
     /// currently-alive workers contribute.
     pub fn observer_generator(&mut self) -> &mut Generator {
-        self.scored_generator()
+        crate::supervisor::Recoverable::scored_generator(self)
     }
 }
 

@@ -55,4 +55,6 @@ pub use config::{GanHyper, KPolicy, MdGanConfig, SwapPolicy};
 pub use error::TrainError;
 pub use eval::{Evaluator, ScoreTimeline};
 pub use mdgan::trainer::MdGan;
-pub use supervisor::{Recoverable, SupervisorConfig, SupervisorReport, TrainSupervisor};
+pub use supervisor::{
+    train_curve, Recoverable, SupervisorConfig, SupervisorReport, TrainSupervisor,
+};

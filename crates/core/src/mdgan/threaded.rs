@@ -204,9 +204,10 @@ fn worker_loop(
 
 /// Runs MD-GAN with one thread per worker.
 ///
-/// Mirrors [`MdGan::train`](crate::mdgan::trainer::MdGan::train): trains for
-/// `iters` global iterations, scoring every `eval_every` when an evaluator
-/// is supplied.
+/// Trains for `iters` global iterations and, when an evaluator is
+/// supplied, scores on the schedule of a sequential
+/// [`train_curve`](crate::supervisor::train_curve) (the start, every
+/// `eval_every`, the end), without its health checks.
 pub fn run_threaded(
     spec: &ArchSpec,
     shards: Vec<Dataset>,

@@ -14,7 +14,6 @@ use crate::checkpoint::Checkpoint;
 use crate::compression::Codec;
 use crate::config::MdGanConfig;
 use crate::error::TrainError;
-use crate::eval::{Evaluator, ScoreTimeline};
 use crate::mdgan::round::{Call, Cluster, Coordinator, Order};
 use crate::mdgan::worker::{relocate_discs, MdWorker, WorkerState};
 use md_data::Dataset;
@@ -338,29 +337,6 @@ impl MdGan {
     pub fn step(&mut self) {
         self.coord.round(&mut self.cluster);
     }
-
-    /// Runs `iters` iterations, scoring the server generator every
-    /// `eval_every` (iteration 0 included when an evaluator is given).
-    pub fn train(
-        &mut self,
-        iters: usize,
-        eval_every: usize,
-        mut evaluator: Option<&mut Evaluator>,
-    ) -> ScoreTimeline {
-        let mut timeline = ScoreTimeline::new();
-        for i in 0..=iters {
-            if i > 0 {
-                self.step();
-            }
-            if let Some(ev) = evaluator.as_deref_mut() {
-                if i % eval_every.max(1) == 0 || i == iters {
-                    let (at, coord) = (self.iterations(), &mut self.coord);
-                    ev.score_point(&mut coord.server.gen, at, &coord.telemetry, &mut timeline);
-                }
-            }
-        }
-        timeline
-    }
 }
 
 impl crate::supervisor::Recoverable for MdGan {
@@ -395,6 +371,10 @@ impl crate::supervisor::Recoverable for MdGan {
         for w in self.cluster.workers.iter_mut().flatten() {
             w.scale_lr(factor);
         }
+    }
+
+    fn scored_generator(&mut self) -> &mut Generator {
+        self.generator_mut()
     }
 
     /// Corrupts one generator weight. The poison is outside the

@@ -10,7 +10,6 @@ use crate::arch::ArchSpec;
 use crate::checkpoint::Checkpoint;
 use crate::config::GanHyper;
 use crate::error::{ckerr, TrainError};
-use crate::eval::{Evaluator, ScoreTimeline};
 use md_data::Dataset;
 use md_nn::gan::{gen_loss, Discriminator, Generator};
 use md_nn::layer::Layer;
@@ -145,28 +144,6 @@ impl StandaloneGan {
         }
     }
 
-    /// Runs `iters` iterations, scoring every `eval_every` (when an
-    /// evaluator is supplied; iteration 0 is also scored).
-    pub fn train(
-        &mut self,
-        iters: usize,
-        eval_every: usize,
-        mut evaluator: Option<&mut Evaluator>,
-    ) -> ScoreTimeline {
-        let mut timeline = ScoreTimeline::new();
-        for i in 0..=iters {
-            if i > 0 {
-                self.step();
-            }
-            if let Some(ev) = evaluator.as_deref_mut() {
-                if i % eval_every.max(1) == 0 || i == iters {
-                    ev.score_point(&mut self.gen, self.iter, &self.telemetry, &mut timeline);
-                }
-            }
-        }
-        timeline
-    }
-
     /// Flat parameters of both networks, for FL-GAN averaging:
     /// `(generator, discriminator)`.
     pub fn params(&self) -> (Vec<f32>, Vec<f32>) {
@@ -263,6 +240,10 @@ impl crate::supervisor::Recoverable for StandaloneGan {
 
     fn scale_lr(&mut self, factor: f32) {
         StandaloneGan::scale_lr(self, factor)
+    }
+
+    fn scored_generator(&mut self) -> &mut Generator {
+        &mut self.gen
     }
 
     /// Corrupts one generator weight (test hook for the detection →

@@ -1,7 +1,10 @@
 //! Training-health supervision: run → detect → rollback/resume.
 //!
 //! The [`TrainSupervisor`] wraps any [`Recoverable`] runtime and drives it
-//! to a target iteration while watching for divergence. Its contract:
+//! to a target iteration while watching for divergence. Its loop is the one
+//! code path that steps a competitor: [`TrainSupervisor::run_scored`] (and
+//! [`train_curve`], its in-memory form) also scores the generator, which is
+//! how every curve of Figures 3-6 is made. Its contract:
 //!
 //! * **Crash consistency** — checkpoints are written with
 //!   [`Checkpoint::save_atomic`] (temp file + fsync + rename), so a SIGKILL
@@ -18,23 +21,37 @@
 //!   [`HealthMonitor::check_now`]), optionally drops the learning rate,
 //!   records the event, and retries — up to
 //!   [`SupervisorConfig::max_rollbacks`] times.
+//! * **Scoring** — a scored run evaluates the generator at its first
+//!   iteration (unless it resumed), every `eval_every` iterations and at the
+//!   target, always after a forced parameter scan of that very state: a
+//!   non-finite generator rolls back instead of reaching the scorer. The
+//!   checkpoints of a scored run carry the partial [`ScoreTimeline`], so a
+//!   resumed curve continues it bit-identically.
 //!
 //! See DESIGN.md §10 for the recovery model.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use md_nn::gan::Generator;
 use md_nn::layers::Sequential;
 use md_nn::{HealthConfig, HealthMonitor};
 use md_telemetry::{Event, Recorder};
 
 use crate::checkpoint::Checkpoint;
-use crate::error::TrainError;
+use crate::error::{ckerr, TrainError};
+use crate::eval::{Evaluator, ScoreTimeline};
 
-/// A training runtime the supervisor can drive, snapshot and roll back.
+/// Checkpoint section holding a scored run's partial timeline (JSONL, exact
+/// round trip). The runtimes' restore paths ignore it.
+const SEC_TIMELINE: &str = "score_timeline";
+
+/// A training runtime the supervisor can drive, snapshot, roll back and
+/// score.
 ///
-/// Implemented by [`MdGan`](crate::mdgan::trainer::MdGan) and
-/// [`StandaloneGan`](crate::standalone::StandaloneGan).
+/// Implemented by [`MdGan`](crate::mdgan::trainer::MdGan),
+/// [`StandaloneGan`](crate::standalone::StandaloneGan) and
+/// [`Federation`](crate::federation::Federation) (FL-GAN and gossip GAN).
 pub trait Recoverable {
     /// Iterations completed so far.
     fn iteration(&self) -> u64;
@@ -56,6 +73,9 @@ pub trait Recoverable {
 
     /// Scales every learning rate by `factor` (the post-rollback LR drop).
     fn scale_lr(&mut self, factor: f32);
+
+    /// The generator a score timeline measures.
+    fn scored_generator(&mut self) -> &mut Generator;
 
     /// Test hook: corrupts the live state with a NaN so the detection →
     /// rollback path can be exercised. The corruption must live *outside*
@@ -84,6 +104,17 @@ pub struct SupervisorConfig {
     pub health: HealthConfig,
 }
 
+impl SupervisorConfig {
+    /// Nothing persisted and no periodic capture: rollback returns to the
+    /// run's start state. What [`train_curve`] runs under.
+    pub fn in_memory() -> Self {
+        SupervisorConfig {
+            ckpt_every: 0,
+            ..SupervisorConfig::default()
+        }
+    }
+}
+
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
@@ -99,9 +130,8 @@ impl Default for SupervisorConfig {
 /// What a supervised run did.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SupervisorReport {
-    /// Iterations actually stepped (excluding replayed ones... no:
-    /// including every step taken, so a run with one rollback counts the
-    /// replayed stretch twice).
+    /// Steps taken, replays included: a run with one rollback counts the
+    /// replayed stretch twice.
     pub steps_taken: u64,
     /// Rollbacks performed.
     pub rollbacks: u32,
@@ -154,23 +184,61 @@ impl TrainSupervisor {
         trainee: &mut dyn Recoverable,
         target_iters: u64,
     ) -> Result<SupervisorReport, TrainError> {
+        self.drive(trainee, target_iters, None)
+            .map(|(report, _)| report)
+    }
+
+    /// As [`run`](Self::run), scoring [`Recoverable::scored_generator`] with
+    /// `evaluator` at the first iteration (unless the run resumed), every
+    /// `eval_every` iterations and at `target_iters`. Each checkpoint
+    /// carries the timeline so far, so a resumed or rolled-back run
+    /// continues it.
+    pub fn run_scored(
+        &mut self,
+        trainee: &mut dyn Recoverable,
+        target_iters: u64,
+        evaluator: &mut Evaluator,
+        eval_every: usize,
+    ) -> Result<(SupervisorReport, ScoreTimeline), TrainError> {
+        self.drive(trainee, target_iters, Some((evaluator, eval_every)))
+    }
+
+    /// The one loop behind [`run`](Self::run) and
+    /// [`run_scored`](Self::run_scored).
+    fn drive(
+        &mut self,
+        trainee: &mut dyn Recoverable,
+        target_iters: u64,
+        mut scoring: Option<(&mut Evaluator, usize)>,
+    ) -> Result<(SupervisorReport, ScoreTimeline), TrainError> {
         let mut report = SupervisorReport::default();
+        let mut timeline = ScoreTimeline::new();
+        let scored = scoring.is_some();
 
         // Resume when a checkpoint is already on disk.
         if let Some(path) = &self.cfg.ckpt_path {
             if path.exists() {
                 let ck = Checkpoint::load(path)?;
-                trainee.restore(&ck)?;
+                restore(trainee, scored.then_some(&mut timeline), &ck)?;
                 report.resumed_from = Some(trainee.iteration());
                 self.telemetry.event(Event::Resumed {
                     iter: trainee.iteration() as usize,
                 });
             }
         }
+        if let (Some((evaluator, _)), None) = (scoring.as_mut(), report.resumed_from) {
+            let at = trainee.iteration() as usize;
+            evaluator.score_point(
+                trainee.scored_generator(),
+                at,
+                &self.telemetry,
+                &mut timeline,
+            );
+        }
 
         let mut monitor = HealthMonitor::new(self.cfg.health);
         // Rollback always has a target: the (verified-good) start state.
-        let mut last_good = trainee.capture();
+        let mut last_good = capture(trainee, scored.then_some(&timeline));
 
         while trainee.iteration() < target_iters {
             let iter = trainee.iteration();
@@ -181,70 +249,103 @@ impl TrainSupervisor {
 
             let losses = trainee.step_once();
             report.steps_taken += 1;
-            let verdict = monitor.check_step(&losses, &trainee.health_nets());
+            let iter = trainee.iteration();
+            let persist = self.cfg.ckpt_every > 0 && iter.is_multiple_of(self.cfg.ckpt_every);
+            let score = scoring.as_ref().is_some_and(|&(_, every)| {
+                iter.is_multiple_of(every.max(1) as u64) || iter == target_iters
+            });
+            let mut verdict = monitor.check_step(&losses, &trainee.health_nets());
+            if (persist || score) && !verdict.is_diverged() {
+                // Force a parameter scan: a poisoned state is neither scored
+                // nor recorded as "good".
+                verdict = monitor.check_now(&losses, &trainee.health_nets());
+            }
             if verdict.is_diverged() {
+                let reason = verdict.as_str();
                 self.telemetry.event(Event::NanDetected {
-                    iter: trainee.iteration() as usize,
-                    verdict: verdict.as_str(),
+                    iter: iter as usize,
+                    verdict: reason,
                 });
-                self.rollback(trainee, &last_good, &mut report, verdict.as_str())?;
+                if report.rollbacks >= self.cfg.max_rollbacks {
+                    return Err(TrainError::RetriesExhausted {
+                        attempts: report.rollbacks,
+                        last: reason.to_string(),
+                    });
+                }
+                restore(trainee, scored.then_some(&mut timeline), &last_good)?;
+                if self.cfg.lr_drop != 1.0 {
+                    trainee.scale_lr(self.cfg.lr_drop);
+                }
+                report.rollbacks += 1;
+                self.telemetry.event(Event::Rollback {
+                    iter: iter as usize,
+                    to_iter: trainee.iteration() as usize,
+                });
                 continue;
             }
 
-            let due =
-                self.cfg.ckpt_every > 0 && trainee.iteration().is_multiple_of(self.cfg.ckpt_every);
-            if due {
-                // Force a parameter scan so a silently poisoned state is
-                // never recorded as "good".
-                let now = monitor.check_now(&losses, &trainee.health_nets());
-                if now.is_diverged() {
-                    self.telemetry.event(Event::NanDetected {
-                        iter: trainee.iteration() as usize,
-                        verdict: now.as_str(),
-                    });
-                    self.rollback(trainee, &last_good, &mut report, now.as_str())?;
-                    continue;
-                }
-                let ck = trainee.capture();
+            if let (Some((evaluator, _)), true) = (scoring.as_mut(), score) {
+                let gen = trainee.scored_generator();
+                evaluator.score_point(gen, iter as usize, &self.telemetry, &mut timeline);
+            }
+            if persist {
+                let ck = capture(trainee, scored.then_some(&timeline));
                 if let Some(path) = &self.cfg.ckpt_path {
                     ck.save_atomic(path)?;
                 }
                 self.telemetry.event(Event::CheckpointWritten {
-                    iter: trainee.iteration() as usize,
+                    iter: iter as usize,
                     bytes: ck.byte_size() as u64,
                 });
                 report.checkpoints_written += 1;
                 last_good = ck;
             }
         }
-        Ok(report)
+        Ok((report, timeline))
     }
+}
 
-    fn rollback(
-        &self,
-        trainee: &mut dyn Recoverable,
-        last_good: &Checkpoint,
-        report: &mut SupervisorReport,
-        reason: &str,
-    ) -> Result<(), TrainError> {
-        if report.rollbacks >= self.cfg.max_rollbacks {
-            return Err(TrainError::RetriesExhausted {
-                attempts: report.rollbacks,
-                last: reason.to_string(),
-            });
-        }
-        let from = trainee.iteration();
-        trainee.restore(last_good)?;
-        if self.cfg.lr_drop != 1.0 {
-            trainee.scale_lr(self.cfg.lr_drop);
-        }
-        report.rollbacks += 1;
-        self.telemetry.event(Event::Rollback {
-            iter: from as usize,
-            to_iter: trainee.iteration() as usize,
-        });
-        Ok(())
+/// The trainee's state, plus the timeline so far when the run is scored.
+fn capture(trainee: &dyn Recoverable, timeline: Option<&ScoreTimeline>) -> Checkpoint {
+    let mut ck = trainee.capture();
+    if let Some(t) = timeline {
+        ck.push_bytes(SEC_TIMELINE, t.to_jsonl("").into_bytes());
     }
+    ck
+}
+
+/// Restores the trainee from `ck`, and `timeline` too when given.
+fn restore(
+    trainee: &mut dyn Recoverable,
+    timeline: Option<&mut ScoreTimeline>,
+    ck: &Checkpoint,
+) -> Result<(), TrainError> {
+    trainee.restore(ck)?;
+    if let Some(timeline) = timeline {
+        let text = ck.require_bytes(SEC_TIMELINE).map_err(ckerr)?;
+        let text = std::str::from_utf8(text)
+            .map_err(|e| TrainError::Checkpoint(format!("{SEC_TIMELINE} is not UTF-8: {e}")))?;
+        *timeline = ScoreTimeline::from_jsonl(text);
+    }
+    Ok(())
+}
+
+/// Trains `trainee` to `iters` iterations and scores it every `eval_every`:
+/// one curve of a figure. Rollback targets stay in memory (only the start
+/// state, as nothing is checkpointed), so a divergence replays the curve
+/// from its start and a persistent one ends in
+/// [`TrainError::RetriesExhausted`].
+pub fn train_curve(
+    trainee: &mut dyn Recoverable,
+    iters: usize,
+    eval_every: usize,
+    evaluator: &mut Evaluator,
+    telemetry: &Arc<Recorder>,
+) -> Result<ScoreTimeline, TrainError> {
+    TrainSupervisor::new(SupervisorConfig::in_memory())
+        .with_telemetry(Arc::clone(telemetry))
+        .run_scored(trainee, iters as u64, evaluator, eval_every)
+        .map(|(_, timeline)| timeline)
 }
 
 #[cfg(test)]
@@ -260,7 +361,7 @@ mod tests {
     /// Captures params into a real Checkpoint, so restore semantics mirror
     /// the real runtimes.
     struct Toy {
-        net: Sequential,
+        gen: Generator,
         key: u64,
         iter: u64,
         lr: f32,
@@ -271,7 +372,11 @@ mod tests {
         fn new() -> Self {
             let mut rng = Rng64::seed_from_u64(9);
             Toy {
-                net: Sequential::new().push(Dense::new(2, 2, Init::XavierUniform, &mut rng)),
+                gen: Generator::new(
+                    Sequential::new().push(Dense::new(2, 2, Init::XavierUniform, &mut rng)),
+                    2,
+                    0,
+                ),
                 key: rng.next_u64(),
                 iter: 0,
                 lr: 1.0,
@@ -286,31 +391,34 @@ mod tests {
         }
         fn capture(&self) -> Checkpoint {
             let mut ck = Checkpoint::new(self.iter);
-            ck.push("params", self.net.get_params_flat());
+            ck.push("params", self.gen.net.get_params_flat());
             ck
         }
         fn restore(&mut self, ck: &Checkpoint) -> Result<(), TrainError> {
             let params = ck.require("params")?;
-            self.net.set_params_flat(params);
+            self.gen.net.set_params_flat(params);
             self.iter = ck.iteration;
             self.poisoned = false;
             Ok(())
         }
         fn step_once(&mut self) -> Vec<f32> {
             if self.poisoned {
-                self.net.params_mut()[0].data_mut()[0] = f32::NAN;
+                self.gen.net.params_mut()[0].data_mut()[0] = f32::NAN;
             }
             let bump = Rng64::keyed(self.key, 0, self.iter).uniform() * 0.01;
-            self.net.params_mut()[0].data_mut()[0] += bump;
+            self.gen.net.params_mut()[0].data_mut()[0] += bump;
             self.iter += 1;
             let loss = if self.poisoned { f32::NAN } else { 0.5 };
             vec![loss]
         }
         fn health_nets(&self) -> Vec<&Sequential> {
-            vec![&self.net]
+            vec![&self.gen.net]
         }
         fn scale_lr(&mut self, factor: f32) {
             self.lr *= factor;
+        }
+        fn scored_generator(&mut self) -> &mut Generator {
+            &mut self.gen
         }
         fn poison(&mut self) {
             self.poisoned = true;
@@ -318,7 +426,7 @@ mod tests {
     }
 
     fn final_params(toy: &Toy) -> Vec<f32> {
-        toy.net.get_params_flat()
+        toy.gen.net.get_params_flat()
     }
 
     #[test]
@@ -391,6 +499,9 @@ mod tests {
             }
             fn scale_lr(&mut self, factor: f32) {
                 self.0.scale_lr(factor)
+            }
+            fn scored_generator(&mut self) -> &mut Generator {
+                self.0.scored_generator()
             }
         }
         let mut t = AlwaysNan(Toy::new());

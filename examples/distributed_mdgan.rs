@@ -10,12 +10,15 @@
 //! ```
 
 use mdgan_repro::core::config::{GanHyper, KPolicy, MdGanConfig, SwapPolicy};
-use mdgan_repro::core::{ArchSpec, Evaluator, MdGan};
+use mdgan_repro::core::{train_curve, ArchSpec, Evaluator, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
 use mdgan_repro::simnet::LinkClass;
+use mdgan_repro::telemetry::Recorder;
 use mdgan_repro::tensor::rng::Rng64;
+use std::sync::Arc;
 
 fn main() {
+    let silent = Arc::new(Recorder::disabled());
     let workers = 10usize;
     let img = 16usize;
     println!("generating data and sharding i.i.d. over {workers} workers...");
@@ -51,7 +54,8 @@ fn main() {
         md.swap_interval()
     );
 
-    let timeline = md.train(400, 50, Some(&mut evaluator));
+    let timeline =
+        train_curve(&mut md, 400, 50, &mut evaluator, &silent).expect("training diverged");
     println!("\n   iter |    MS ↑ |   FID ↓");
     for (it, s) in timeline.points() {
         println!("  {it:5} | {:7.3} | {:7.2}", s.inception_score, s.fid);

@@ -9,11 +9,14 @@
 use mdgan_repro::core::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
 use mdgan_repro::core::flgan::FlGan;
 use mdgan_repro::core::standalone::StandaloneGan;
-use mdgan_repro::core::{ArchSpec, Evaluator, MdGan};
+use mdgan_repro::core::{train_curve, ArchSpec, Evaluator, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
+use mdgan_repro::telemetry::Recorder;
 use mdgan_repro::tensor::rng::Rng64;
+use std::sync::Arc;
 
 fn main() {
+    let silent = Arc::new(Recorder::disabled());
     let workers = 10usize;
     let iters = 400usize;
     let img = 16usize;
@@ -32,7 +35,8 @@ fn main() {
     // Standalone (sees the whole dataset).
     let mut rng = Rng64::seed_from_u64(1);
     let mut sa = StandaloneGan::new(&spec, train.clone(), hyper, &mut rng);
-    let t = sa.train(iters, iters / 4, Some(&mut evaluator));
+    let t =
+        train_curve(&mut sa, iters, iters / 4, &mut evaluator, &silent).expect("training diverged");
     report("standalone b=10", &t, None);
 
     // FL-GAN.
@@ -49,7 +53,8 @@ fn main() {
             seed: 3,
         },
     );
-    let t = fl.train(iters, iters / 4, Some(&mut evaluator));
+    let t =
+        train_curve(&mut fl, iters, iters / 4, &mut evaluator, &silent).expect("training diverged");
     let fl_mb = fl.traffic().total_bytes() as f64 / (1024.0 * 1024.0);
     report("FL-GAN b=10", &t, Some(fl_mb));
 
@@ -71,7 +76,8 @@ fn main() {
             ..MdGanConfig::default()
         },
     );
-    let t = md.train(iters, iters / 4, Some(&mut evaluator));
+    let t =
+        train_curve(&mut md, iters, iters / 4, &mut evaluator, &silent).expect("training diverged");
     let md_mb = md.traffic().total_bytes() as f64 / (1024.0 * 1024.0);
     report("MD-GAN k=log(N) b=10", &t, Some(md_mb));
 

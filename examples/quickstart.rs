@@ -8,12 +8,15 @@
 use mdgan_repro::core::config::GanHyper;
 use mdgan_repro::core::experiments::ExperimentScale;
 use mdgan_repro::core::standalone::StandaloneGan;
-use mdgan_repro::core::{ArchSpec, Evaluator};
+use mdgan_repro::core::{train_curve, ArchSpec, Evaluator};
 use mdgan_repro::data::synthetic::mnist_like;
+use mdgan_repro::telemetry::Recorder;
 use mdgan_repro::tensor::rng::Rng64;
 use mdgan_repro::tensor::Tensor;
+use std::sync::Arc;
 
 fn main() {
+    let silent = Arc::new(Recorder::disabled());
     let scale = ExperimentScale::quick();
     let img = 16usize;
     println!("generating a synthetic MNIST-like dataset (16x16, 10 classes)...");
@@ -40,7 +43,8 @@ fn main() {
     );
 
     println!("\ntraining a standalone ACGAN for 600 iterations...");
-    let timeline = gan.train(600, 100, Some(&mut evaluator));
+    let timeline =
+        train_curve(&mut gan, 600, 100, &mut evaluator, &silent).expect("training diverged");
     println!("\n   iter |    IS ↑ |   FID ↓");
     for (it, s) in timeline.points() {
         println!("  {it:5} | {:7.3} | {:7.2}", s.inception_score, s.fid);

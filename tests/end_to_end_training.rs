@@ -5,10 +5,16 @@
 use mdgan_repro::core::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
 use mdgan_repro::core::flgan::FlGan;
 use mdgan_repro::core::standalone::StandaloneGan;
-use mdgan_repro::core::{ArchSpec, Evaluator, MdGan};
+use mdgan_repro::core::{train_curve, ArchSpec, Evaluator, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
 use mdgan_repro::data::Dataset;
+use mdgan_repro::telemetry::Recorder;
 use mdgan_repro::tensor::rng::Rng64;
+use std::sync::Arc;
+
+fn off() -> Arc<Recorder> {
+    Arc::new(Recorder::disabled())
+}
 
 const IMG: usize = 12;
 const ITERS: usize = 300;
@@ -50,7 +56,7 @@ fn standalone_gan_learns() {
         },
         &mut rng,
     );
-    let timeline = gan.train(ITERS, 50, Some(&mut evaluator));
+    let timeline = train_curve(&mut gan, ITERS, 50, &mut evaluator, &off()).unwrap();
     assert_learned("standalone", &timeline);
 }
 
@@ -74,7 +80,7 @@ fn mdgan_learns_across_workers() {
         ..MdGanConfig::default()
     };
     let mut md = MdGan::new(&spec, shards, cfg);
-    let timeline = md.train(ITERS, 50, Some(&mut evaluator));
+    let timeline = train_curve(&mut md, ITERS, 50, &mut evaluator, &off()).unwrap();
     assert_learned("MD-GAN", &timeline);
     // The distributed run also paid a communication bill.
     assert!(md.traffic().total_bytes() > 0);
@@ -96,7 +102,7 @@ fn flgan_learns_across_workers() {
         seed: 5,
     };
     let mut fl = FlGan::new(&spec, shards, cfg);
-    let timeline = fl.train(ITERS, 50, Some(&mut evaluator));
+    let timeline = train_curve(&mut fl, ITERS, 50, &mut evaluator, &off()).unwrap();
     assert_learned("FL-GAN", &timeline);
 }
 
@@ -121,7 +127,7 @@ fn mdgan_with_crashes_keeps_training() {
         ..MdGanConfig::default()
     };
     let mut md = MdGan::new(&spec, shards, cfg);
-    let timeline = md.train(ITERS, 50, Some(&mut evaluator));
+    let timeline = train_curve(&mut md, ITERS, 50, &mut evaluator, &off()).unwrap();
     assert_eq!(md.alive_workers(), vec![2, 4]);
     assert_learned("MD-GAN with crashes", &timeline);
 }

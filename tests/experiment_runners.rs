@@ -7,6 +7,12 @@ use mdgan_repro::core::experiments::{
     WorkloadMode,
 };
 use mdgan_repro::data::synthetic::Family;
+use mdgan_repro::telemetry::Recorder;
+use std::sync::Arc;
+
+fn off() -> Arc<Recorder> {
+    Arc::new(Recorder::disabled())
+}
 
 fn tiny_scale() -> ExperimentScale {
     ExperimentScale {
@@ -28,8 +34,8 @@ fn convergence_runner_is_deterministic() {
         b_large: 8,
         ..ConvergenceConfig::new(Family::MnistLike, ArchKind::Mlp, tiny_scale())
     };
-    let a = run_convergence(cfg);
-    let b = run_convergence(cfg);
+    let a = run_convergence(cfg, &off(), None).unwrap();
+    let b = run_convergence(cfg, &off(), None).unwrap();
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.label, y.label);
@@ -54,7 +60,7 @@ fn convergence_runner_cifar_cnn_panel() {
         b_large: 6,
         ..ConvergenceConfig::new(Family::CifarLike, ArchKind::Cnn, scale)
     };
-    let curves = run_convergence(cfg);
+    let curves = run_convergence(cfg, &off(), None).unwrap();
     assert_eq!(curves.len(), 6);
     for c in &curves {
         let (_, s) = c.timeline.last().unwrap();
@@ -64,7 +70,7 @@ fn convergence_runner_cifar_cnn_panel() {
 
 #[test]
 fn scalability_runner_shapes() {
-    let points = run_scalability(Family::MnistLike, tiny_scale(), &[2, 4], 4);
+    let points = run_scalability(Family::MnistLike, tiny_scale(), &[2, 4], 4, &off()).unwrap();
     assert_eq!(points.len(), 8);
     for p in &points {
         assert!(p.final_scores.fid.is_finite());
@@ -77,7 +83,7 @@ fn scalability_runner_shapes() {
 
 #[test]
 fn faults_runner_produces_four_curves() {
-    let curves = run_faults(Family::MnistLike, ArchKind::Mlp, tiny_scale(), 3);
+    let curves = run_faults(Family::MnistLike, ArchKind::Mlp, tiny_scale(), 3, &off()).unwrap();
     let labels: Vec<&str> = curves.iter().map(|c| c.label.as_str()).collect();
     assert!(labels.contains(&"MD-GAN with crashes"));
     assert!(labels.contains(&"MD-GAN no crash"));
@@ -90,7 +96,7 @@ fn celeba_runner_covers_all_competitors() {
     scale.img = 16; // celeba generator needs >= 16
     scale.iters = 4;
     scale.eval_every = 2;
-    let curves = run_celeba(scale, 10);
+    let curves = run_celeba(scale, 10, &off()).unwrap();
     // standalone + FL-GAN {1,5} + MD-GAN {1,5}
     assert_eq!(curves.len(), 5);
     assert!(curves.iter().any(|c| c.label.starts_with("standalone")));

@@ -6,10 +6,16 @@ use mdgan_repro::core::compression::Codec;
 use mdgan_repro::core::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
 use mdgan_repro::core::gossip::GossipGan;
 use mdgan_repro::core::mdgan::asynchronous::{AsyncConfig, AsyncMdGan};
-use mdgan_repro::core::{ArchSpec, Evaluator, MdGan};
+use mdgan_repro::core::{train_curve, ArchSpec, Evaluator, MdGan};
 use mdgan_repro::data::synthetic::mnist_like;
 use mdgan_repro::data::Dataset;
+use mdgan_repro::telemetry::Recorder;
 use mdgan_repro::tensor::rng::Rng64;
+use std::sync::Arc;
+
+fn off() -> Arc<Recorder> {
+    Arc::new(Recorder::disabled())
+}
 
 const IMG: usize = 12;
 const WORKERS: usize = 4;
@@ -70,11 +76,11 @@ fn compressed_training_learns_with_a_fraction_of_the_traffic() {
     let spec = ArchSpec::mlp_mnist_scaled(IMG);
 
     let mut plain = MdGan::new(&spec, sh.clone(), cfg(300));
-    let plain_t = plain.train(300, 100, Some(&mut evaluator));
+    let plain_t = train_curve(&mut plain, 300, 100, &mut evaluator, &off()).unwrap();
 
     let mut coded = MdGan::new(&spec, sh, cfg(300))
         .with_codecs(Codec::Quantize8, Codec::TopKQuantize8 { frac: 0.25 });
-    let coded_t = coded.train(300, 100, Some(&mut evaluator));
+    let coded_t = train_curve(&mut coded, 300, 100, &mut evaluator, &off()).unwrap();
 
     // Traffic shrinks by > 2.5x overall.
     // (swap messages stay uncompressed, so the overall ratio is below the
@@ -110,7 +116,7 @@ fn byzantine_minority_with_median_still_learns() {
     byz_cfg.k = KPolicy::One;
     (byz_cfg.attacks, byz_cfg.aggregation) = (attacks, Aggregation::CoordinateMedian);
     let mut md = MdGan::new(&spec, sh, byz_cfg);
-    let t = md.train(300, 100, Some(&mut evaluator));
+    let t = train_curve(&mut md, 300, 100, &mut evaluator, &off()).unwrap();
     let first = t.points().first().unwrap().1.fid;
     let best = t.best_fid().unwrap();
     assert!(

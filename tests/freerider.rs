@@ -7,7 +7,7 @@
 
 use mdgan_repro::core::byzantine::Attack;
 use mdgan_repro::core::config::{GanHyper, KPolicy, MdGanConfig, SwapPolicy};
-use mdgan_repro::core::experiments::{run_freerider_with, ExperimentScale};
+use mdgan_repro::core::experiments::{run_freerider, ExperimentScale};
 use mdgan_repro::core::mdgan::threaded::run_threaded;
 use mdgan_repro::core::{ArchSpec, MdGan};
 use mdgan_repro::data::synthetic::{mnist_like, Family};
@@ -154,7 +154,7 @@ fn defense_restores_fid_under_30pct_freeriders() {
         eval_samples: 64,
         seed: freerider_seed(),
     };
-    let points = run_freerider_with(
+    let points = run_freerider(
         Family::MnistLike,
         mdgan_repro::core::arch::ArchKind::Mlp,
         scale,
@@ -162,7 +162,8 @@ fn defense_restores_fid_under_30pct_freeriders() {
         &[0.3],
         &["noise"],
         &Arc::new(Recorder::enabled()),
-    );
+    )
+    .unwrap();
     assert_eq!(points.len(), 2);
     let (undefended, defended) = (&points[0], &points[1]);
     assert!(!undefended.defended && defended.defended);
