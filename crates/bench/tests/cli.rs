@@ -1,7 +1,7 @@
-//! The figure binaries at their command line.
+//! The figure and table binaries at their command line.
 //!
 //! Pins: each binary runs a small panel in a fresh directory, and the bytes
-//! of every CSV it writes, plus the final-score table it prints, hash to
+//! of every CSV it writes, plus the tables it prints, hash to
 //! recorded FNV-1a constants. Rewiring the runners behind these binaries
 //! must leave every byte as it was. The outputs are the same for any
 //! `TENSOR_THREADS`.
@@ -75,6 +75,10 @@ fn pinned(tag: &str, bin: &str, args: &[&str], csvs: &[&str]) -> Vec<u64> {
         })
         .collect();
     let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        !stdout.contains("MISMATCH"),
+        "{tag} cross-check failed:\n{stdout}"
+    );
     let table: String = stdout
         .lines()
         .filter(|l| l.starts_with("=== ") || l.starts_with('|'))
@@ -171,6 +175,34 @@ fn ext_perspectives_is_pinned() {
     ];
     let h = pinned("ext", bin, &args, &["ext_perspectives.csv"]);
     assert_eq!(h, [12916576742813580083, 2497088150269734598]);
+}
+
+#[test]
+fn fig2_is_pinned() {
+    let bin = env!("CARGO_BIN_EXE_fig2_ingress");
+    let h = pinned("fig2", bin, &[], &["fig2_ingress.csv"]);
+    assert_eq!(h, [9724286991285285969, 13402038164225555865]);
+}
+
+#[test]
+fn table2_is_pinned() {
+    let h = pinned("table2", env!("CARGO_BIN_EXE_table2_complexity"), &[], &[]);
+    assert_eq!(h, [582774722267724130]);
+}
+
+#[test]
+fn table3_is_pinned() {
+    let h = pinned("table3", env!("CARGO_BIN_EXE_table3_comms"), &[], &[]);
+    assert_eq!(h, [18383759062292403328]);
+}
+
+#[test]
+fn table4_is_pinned() {
+    // The closed-form table is at paper scale whatever `--n`; the small
+    // simulator cross-check must print no MISMATCH.
+    let args = ["--n", "2", "--sim-iters", "1"];
+    let h = pinned("table4", env!("CARGO_BIN_EXE_table4_costs"), &args, &[]);
+    assert_eq!(h, [7289511294374258168]);
 }
 
 /// Runs `bin` with `args` in a fresh directory and checks that it failed on
