@@ -349,7 +349,7 @@ fn main() -> Result<(), md_bench::BinError> {
     println!("wrote {out_path}");
 
     // Telemetry run record with the pool + workspace counter lines.
-    let rec = md_bench::recorder_from_env();
+    let rec = md_bench::recorder_from_env(false);
     md_bench::emit_run_record(
         md_telemetry::RunRecord::new("bench_smoke")
             .with_metric("ws_miss_delta", miss_delta as f64)

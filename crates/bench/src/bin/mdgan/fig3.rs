@@ -1,10 +1,10 @@
-//! Regenerates **Figure 3**: MNIST-score / Inception-score (higher better)
-//! and FID (lower better) vs iterations for the six competitors —
-//! standalone (b=10/100), FL-GAN (b=10/100), MD-GAN (k=1 / k=⌊log N⌋) —
-//! on one (family, architecture) panel per invocation.
+//! `mdgan fig3` regenerates **Figure 3**: MNIST-score / Inception-score
+//! (higher better) and FID (lower better) vs iterations for the six
+//! competitors — standalone (b=10/100), FL-GAN (b=10/100), MD-GAN (k=1 /
+//! k=⌊log N⌋) — on one (family, architecture) panel per invocation.
 //!
 //! ```text
-//! cargo run --release -p md-bench --bin fig3_convergence -- \
+//! cargo run --release -p md-bench --bin mdgan -- fig3 \
 //!     --family mnist --arch mlp --iters 2000 --img 16 --train 4096
 //! ```
 //!
@@ -18,33 +18,17 @@
 //!
 //! Writes `results/fig3_<family>_<arch>.csv` and prints the final scores.
 
-use md_bench::{
-    emit_run_record, print_table, recorder_from_env, with_curves, write_csv, Args, ARCHS, FAMILIES,
-};
+use crate::{emit_curves, final_scores, panel, write_curves};
+use md_bench::{print_table, recorder_from_env, Args, BinError};
 use md_nn::HealthConfig;
-use md_telemetry::{json, RunRecord};
-use mdgan_core::experiments::{run_convergence, ConvergenceConfig, CurveResult};
+use md_telemetry::json;
+use mdgan_core::experiments::{run_convergence, ConvergenceConfig};
 use mdgan_core::SupervisorConfig;
 use std::path::PathBuf;
 
-fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse_figure(&[
-        "family",
-        "arch",
-        "workers",
-        "b-small",
-        "b-large",
-        "ckpt-dir",
-        "resume",
-        "ckpt-every",
-        "max-abs-loss",
-        "max-abs-param",
-        "max-rollbacks",
-        "lr-drop",
-    ])?;
-    let family = args.choice("family", "mnist", FAMILIES)?;
-    let arch = args.choice("arch", "mlp", ARCHS)?;
-    let scale = args.scale(600, 50, 42)?;
+pub fn run(args: &Args) -> Result<(), BinError> {
+    let (fam, (family, arch)) = panel(args)?;
+    let scale = args.scale((family, arch), 600, 50, 42)?;
     let cfg = ConvergenceConfig {
         workers: args.get("workers", 10usize)?,
         b_small: args.get("b-small", 10usize)?,
@@ -72,28 +56,21 @@ fn main() -> Result<(), md_bench::BinError> {
     };
 
     eprintln!("running Figure 3 panel: {family:?} / {arch:?} at {scale:?}");
-    let recorder = recorder_from_env();
+    let recorder = recorder_from_env(false);
     let recovery = ckpt_dir.as_deref().map(|dir| (dir, &policy));
     let curves = run_convergence(cfg, &recorder, recovery)?;
 
-    let fam = args.get_str("family", "mnist");
     let arc = args.get_str("arch", "mlp");
-    let csv: String = curves.iter().map(CurveResult::to_csv).collect();
-    write_csv(&format!("fig3_{fam}_{arc}.csv"), "label,iter,is,fid", &csv)?;
-
+    let name = format!("fig3_{fam}_{arc}");
+    write_curves(&name, &curves)?;
     let rows: Vec<[String; 4]> = curves
         .iter()
         .map(|c| {
-            let f = c.timeline.final_scores(3).unwrap();
-            [
-                c.label.clone(),
-                format!("{:.3}", f.inception_score),
-                format!("{:.2}", f.fid),
-                c.traffic
-                    .as_ref()
-                    .map(|t| format!("{:.1} MB", t.total_bytes() as f64 / (1024.0 * 1024.0)))
-                    .unwrap_or_else(|| "-".into()),
-            ]
+            let [label, is, fid] = final_scores(c);
+            let traffic = c.traffic.as_ref().map_or("-".into(), |t| {
+                format!("{:.1} MB", t.total_bytes() as f64 / (1024.0 * 1024.0))
+            });
+            [label, is, fid, traffic]
         })
         .collect();
     print_table(
@@ -112,10 +89,5 @@ fn main() -> Result<(), md_bench::BinError> {
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .build();
-    let record = with_curves(
-        RunRecord::new(format!("fig3_{fam}_{arc}")).with_config_json(config),
-        &curves,
-    );
-    emit_run_record(record, &recorder)?;
-    Ok(())
+    Ok(emit_curves(&name, config, &curves, &recorder)?)
 }

@@ -1,10 +1,10 @@
-//! Regenerates **Figure 5**: MD-GAN under fail-stop worker crashes (one
-//! worker — with its data shard — dies every `I/N` iterations, so all are
-//! gone by the end), compared to the crash-free run and the standalone
-//! baselines.
+//! `mdgan fig5` regenerates **Figure 5**: MD-GAN under fail-stop worker
+//! crashes (one worker — with its data shard — dies every `I/N`
+//! iterations, so all are gone by the end), compared to the crash-free run
+//! and the standalone baselines.
 //!
 //! ```text
-//! cargo run --release -p md-bench --bin fig5_faults -- \
+//! cargo run --release -p md-bench --bin mdgan -- fig5 \
 //!     --family mnist --iters 800 --workers 10
 //! ```
 //!
@@ -22,48 +22,35 @@
 //! records then carry a `trace` line (spans captured and dropped). Each
 //! record has its own recorder, so each counts its own runs only.
 
+use crate::{emit_curves, final_scores, panel, write_curves};
 use md_bench::{
-    emit_run_record, emit_trace_spans, install_pool_trace_hook, print_table,
-    recorder_from_env_traced, with_curves, write_csv, Args, ARCHS, FAMILIES,
+    emit_run_record, emit_trace_spans, install_pool_trace_hook, print_table, recorder_from_env,
+    write_csv, Args, BinError,
 };
 use md_telemetry::{json, RunRecord};
-use mdgan_core::experiments::{run_faults, run_lossy_faults, CurveResult, LossyPoint};
+use mdgan_core::experiments::{run_faults, run_lossy_faults, LossyPoint};
 
-fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse_figure(&["family", "arch", "workers", "trace", "drops", "fault-seed"])?;
-    let fam_str = args.get_str("family", "mnist");
-    let family = args.choice("family", "mnist", FAMILIES)?;
-    let arch = args.choice("arch", "mlp", ARCHS)?;
+pub fn run(args: &Args) -> Result<(), BinError> {
+    let (fam, (family, arch)) = panel(args)?;
     let workers = args.get("workers", 10usize)?;
-    let scale = args.scale(400, 40, 42)?;
+    let scale = args.scale((family, arch), 400, 40, 42)?;
     let drops: Vec<f32> = match args.get_str("drops", "").as_str() {
         "none" => Vec::new(),
         _ => args.get_list("drops", "0,0.05,0.1,0.2")?,
     };
     let fault_seed = args.get("fault-seed", 7u64)?;
 
-    eprintln!("running Figure 5 ({fam_str}) with {workers} workers at {scale:?}");
+    eprintln!("running Figure 5 ({fam}) with {workers} workers at {scale:?}");
     let traced = args.has("trace");
-    let recorder = recorder_from_env_traced(traced);
+    let recorder = recorder_from_env(traced);
     install_pool_trace_hook(&recorder);
     let curves = run_faults(family, arch, scale, workers, &recorder)?;
 
-    let csv: String = curves.iter().map(CurveResult::to_csv).collect();
-    write_csv(&format!("fig5_{fam_str}.csv"), "label,iter,is,fid", &csv)?;
-
-    let rows: Vec<[String; 3]> = curves
-        .iter()
-        .map(|c| {
-            let f = c.timeline.final_scores(3).unwrap();
-            [
-                c.label.clone(),
-                format!("{:.3}", f.inception_score),
-                format!("{:.2}", f.fid),
-            ]
-        })
-        .collect();
+    let name = format!("fig5_{fam}");
+    write_curves(&name, &curves)?;
+    let rows: Vec<[String; 3]> = curves.iter().map(final_scores).collect();
     print_table(
-        &format!("Figure 5 ({fam_str}) — final scores with crash faults (IS ↑, FID ↓)"),
+        &format!("Figure 5 ({fam}) — final scores with crash faults (IS ↑, FID ↓)"),
         ["competitor", "IS", "FID"],
         &rows,
     );
@@ -77,16 +64,12 @@ fn main() -> Result<(), md_bench::BinError> {
     // mirror the crash schedule) and per-curve traffic totals.
     let config = json::Object::new()
         .field_str("figure", "fig5")
-        .field_str("family", &fam_str)
+        .field_str("family", &fam)
         .field_u64("workers", workers as u64)
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .build();
-    let record = with_curves(
-        RunRecord::new(format!("fig5_{fam_str}")).with_config_json(config),
-        &curves,
-    );
-    emit_run_record(record, &recorder)?;
+    emit_curves(&name, config, &curves, &recorder)?;
 
     // Lossy-network variant: the same figure on the robust runtime, one run
     // per drop rate (each with a mid-run crash the server must detect by
@@ -98,7 +81,7 @@ fn main() -> Result<(), md_bench::BinError> {
     eprintln!("running lossy-network sweep over drops {drops:?} (fault seed {fault_seed})");
     // The sweep records into its own recorder, so its run record counts the
     // sweep alone and not the crash curves above.
-    let lossy_recorder = recorder_from_env_traced(traced);
+    let lossy_recorder = recorder_from_env(traced);
     install_pool_trace_hook(&lossy_recorder);
     let points = run_lossy_faults(
         family,
@@ -127,7 +110,7 @@ fn main() -> Result<(), md_bench::BinError> {
                 .filter(|s| s.t0_ns >= t0 && s.t0_ns <= t1)
                 .copied()
                 .collect();
-            let name = format!("fig5_lossy_{fam_str}_drop{}", p.drop);
+            let name = format!("fig5_lossy_{fam}_drop{}", p.drop);
             if let Some(report) = emit_trace_spans(&name, &spans)? {
                 println!("\n-- drop {:.0}% --", p.drop * 100.0);
                 print!("{}", report.render_table());
@@ -136,12 +119,9 @@ fn main() -> Result<(), md_bench::BinError> {
         }
     }
 
-    let mut csv = String::new();
-    for p in &points {
-        csv.push_str(&p.to_csv_row());
-    }
+    let csv: String = points.iter().map(LossyPoint::to_csv_row).collect();
     write_csv(
-        &format!("fig5_lossy_{fam_str}.csv"),
+        &format!("fig5_lossy_{fam}.csv"),
         LossyPoint::csv_header().trim_end(),
         &csv,
     )?;
@@ -159,21 +139,21 @@ fn main() -> Result<(), md_bench::BinError> {
         })
         .collect();
     print_table(
-        &format!("Figure 5 lossy ({fam_str}) — degradation vs drop rate (IS ↑, FID ↓)"),
+        &format!("Figure 5 lossy ({fam}) — degradation vs drop rate (IS ↑, FID ↓)"),
         ["drop", "IS", "FID", "retries", "suspected"],
         &rows,
     );
 
     let lossy_config = json::Object::new()
         .field_str("figure", "fig5_lossy")
-        .field_str("family", &fam_str)
+        .field_str("family", &fam)
         .field_u64("workers", workers as u64)
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .field_u64("fault_seed", fault_seed)
         .build();
     let mut lossy_record =
-        RunRecord::new(format!("fig5_lossy_{fam_str}")).with_config_json(lossy_config);
+        RunRecord::new(format!("fig5_lossy_{fam}")).with_config_json(lossy_config);
     if let Some(report) = critical {
         // The critical-path analysis of the sweep's last (lossiest) point.
         lossy_record = lossy_record.with_critical_path(report);
@@ -187,6 +167,5 @@ fn main() -> Result<(), md_bench::BinError> {
             )
             .with_metric(format!("suspected[drop={}]", p.drop), p.suspected as f64);
     }
-    emit_run_record(lossy_record, &lossy_recorder)?;
-    Ok(())
+    Ok(emit_run_record(lossy_record, &lossy_recorder)?)
 }

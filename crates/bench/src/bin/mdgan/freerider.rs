@@ -1,30 +1,27 @@
-//! Free-rider degradation/defense sweep: MD-GAN under data-free workers
-//! that fabricate plausible feedbacks (pure noise, delayed echo of their
-//! own previous feedback, or a pre-trained-discriminator mimic), with the
-//! server-side feedback-forensics defense toggled per cell.
+//! `mdgan freerider`: the free-rider degradation/defense sweep, MD-GAN
+//! under data-free workers that fabricate plausible feedbacks (pure noise,
+//! delayed echo of their own previous feedback, or a
+//! pre-trained-discriminator mimic), with the server-side
+//! feedback-forensics defense toggled per cell.
 //!
 //! ```text
-//! cargo run --release -p md-bench --bin fig_freerider -- \
+//! cargo run --release -p md-bench --bin mdgan -- freerider \
 //!     --family mnist --iters 400 --workers 5 \
 //!     --fracs 0.1,0.2,0.3 --strategies noise,echo,mimic
 //! ```
 //!
 //! Each (strategy × fraction) cell runs twice — undefended, then with the
 //! forensics enabled — and reports final scores, how many workers were
-//! flagged/evicted and the surviving cluster size. Writes
-//! `results/fig_freerider_<family>.csv`.
+//! flagged/evicted and the surviving cluster size. `--seed` (default 42)
+//! is the sweep's master seed. Writes `results/fig_freerider_<family>.csv`.
 
-use md_bench::{
-    emit_run_record, print_table, recorder_from_env, write_csv, Args, BinError, ARCHS, FAMILIES,
-};
+use crate::{panel, with_counters};
+use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args, BinError};
 use md_telemetry::{json, Counter, RunRecord};
 use mdgan_core::experiments::{freerider_attack, run_freerider, FreeriderPoint};
 
-fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse_figure(&["family", "arch", "workers", "fracs", "strategies"])?;
-    let fam_str = args.get_str("family", "mnist");
-    let family = args.choice("family", "mnist", FAMILIES)?;
-    let arch = args.choice("arch", "mlp", ARCHS)?;
+pub fn run(args: &Args) -> Result<(), BinError> {
+    let (fam, (family, arch)) = panel(args)?;
     let workers: usize = args.get("workers", 5usize)?;
     let fracs: Vec<f32> = args.get_list("fracs", "0.1,0.2,0.3")?;
     let strategies_str = args.get_str("strategies", "noise,echo,mimic");
@@ -33,28 +30,18 @@ fn main() -> Result<(), md_bench::BinError> {
         freerider_attack(s)
             .map_err(|e| BinError::Usage(format!("bad value for --strategies: {e}")))?;
     }
-    // The sweep's master seed; the FREERIDER_SEED environment variable (the
-    // CI matrix knob shared with the integration tests) overrides the
-    // default.
-    let seed = std::env::var("FREERIDER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42u64);
-    let scale = args.scale(400, 40, seed)?;
+    let scale = args.scale((family, arch), 400, 40, 42)?;
 
     eprintln!(
-        "running free-rider sweep ({fam_str}) over strategies {strategies:?} × \
+        "running free-rider sweep ({fam}) over strategies {strategies:?} × \
          fracs {fracs:?} (N={workers}, defended off/on) at {scale:?}"
     );
-    let recorder = recorder_from_env();
+    let recorder = recorder_from_env(false);
     let points = run_freerider(family, arch, scale, workers, &fracs, &strategies, &recorder)?;
 
-    let mut csv = String::new();
-    for p in &points {
-        csv.push_str(&p.to_csv_row());
-    }
+    let csv: String = points.iter().map(FreeriderPoint::to_csv_row).collect();
     write_csv(
-        &format!("fig_freerider_{fam_str}.csv"),
+        &format!("fig_freerider_{fam}.csv"),
         FreeriderPoint::csv_header().trim_end(),
         &csv,
     )?;
@@ -74,7 +61,7 @@ fn main() -> Result<(), md_bench::BinError> {
         })
         .collect();
     print_table(
-        &format!("Free-riders ({fam_str}, N={workers}) — degradation vs defense (FID ↓)"),
+        &format!("Free-riders ({fam}, N={workers}) — degradation vs defense (FID ↓)"),
         [
             "attack", "frac", "defense", "flagged", "evicted", "alive", "FID",
         ],
@@ -91,13 +78,13 @@ fn main() -> Result<(), md_bench::BinError> {
 
     let config = json::Object::new()
         .field_str("figure", "fig_freerider")
-        .field_str("family", &fam_str)
+        .field_str("family", &fam)
         .field_str("strategies", &strategies_str)
         .field_u64("workers", workers as u64)
         .field_u64("iterations", scale.iters as u64)
         .field_u64("seed", scale.seed)
         .build();
-    let mut record = RunRecord::new(format!("fig_freerider_{fam_str}")).with_config_json(config);
+    let mut record = RunRecord::new(format!("fig_freerider_{fam}")).with_config_json(config);
     for p in &points {
         record = record.with_metric(
             format!(
@@ -107,19 +94,11 @@ fn main() -> Result<(), md_bench::BinError> {
             p.final_scores.fid,
         );
     }
-    record = record
-        .with_metric(
-            "workers_flagged",
-            recorder.counter(Counter::WorkersFlagged) as f64,
-        )
-        .with_metric(
-            "workers_cleared",
-            recorder.counter(Counter::WorkersCleared) as f64,
-        )
-        .with_metric(
-            "freeriders_evicted",
-            recorder.counter(Counter::FreeridersEvicted) as f64,
-        );
-    emit_run_record(record, &recorder)?;
-    Ok(())
+    let counters = [
+        ("workers_flagged", Counter::WorkersFlagged),
+        ("workers_cleared", Counter::WorkersCleared),
+        ("freeriders_evicted", Counter::FreeridersEvicted),
+    ];
+    let record = with_counters(record, &recorder, &counters);
+    Ok(emit_run_record(record, &recorder)?)
 }

@@ -1,6 +1,6 @@
-//! Exercises the paper's §VII "perspectives", which this repository
-//! implements as working extensions (no table/figure in the paper —
-//! reported as forward-looking experiments in EXPERIMENTS.md):
+//! `mdgan perspectives` exercises the paper's §VII "perspectives", which
+//! this repository implements as working extensions (no table/figure in the
+//! paper — reported as forward-looking experiments in EXPERIMENTS.md):
 //!
 //! 1. **Asynchronous MD-GAN** (§VII.1): per-feedback generator updates with
 //!    staleness-aware damping, vs the synchronous runtime, at equal
@@ -15,13 +15,14 @@
 //!    motivated MD-GAN.
 //!
 //! ```text
-//! cargo run --release -p md-bench --bin ext_perspectives -- --iters 300
+//! cargo run --release -p md-bench --bin mdgan -- perspectives --iters 300
 //! ```
 
-use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args};
-use md_data::synthetic::mnist_like;
+use md_bench::{emit_run_record, print_table, recorder_from_env, write_csv, Args, BinError};
+use md_data::synthetic::{mnist_like, Family};
 use md_telemetry::{json, RunRecord, ScorePoint};
 use md_tensor::rng::Rng64;
+use mdgan_core::arch::ArchKind;
 use mdgan_core::byzantine::{Aggregation, Attack};
 use mdgan_core::compression::Codec;
 use mdgan_core::config::{FlGanConfig, GanHyper, KPolicy, MdGanConfig, SwapPolicy};
@@ -33,11 +34,10 @@ use mdgan_core::supervisor::train_curve;
 use mdgan_core::ArchSpec;
 use std::sync::Arc;
 
-fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse(&["iters", "eval-every", "img", "train", "workers", "seed"])?;
+pub fn run(args: &Args) -> Result<(), BinError> {
     let iters = args.get("iters", 300usize)?;
     let eval_every = args.get("eval-every", iters.max(4) / 4)?;
-    let img = args.get("img", 16usize)?;
+    let img = args.img(Family::MnistLike, ArchKind::Mlp)?;
     let train_n = args.get("train", 2048usize)?;
     let workers = args.get("workers", 10usize)?;
     let seed = args.get("seed", 42u64)?;
@@ -58,7 +58,6 @@ fn main() -> Result<(), md_bench::BinError> {
         hyper,
         iterations: iters,
         seed: seed ^ seed_x,
-        crash: Default::default(),
         ..MdGanConfig::default()
     };
     let shards = |seed_x: u64| {
@@ -66,7 +65,7 @@ fn main() -> Result<(), md_bench::BinError> {
         train.shard_iid(workers, &mut rng)
     };
 
-    let recorder = recorder_from_env();
+    let recorder = recorder_from_env(false);
     let mut rows: Vec<[String; 4]> = Vec::new();
     let mut csv = String::new();
     let mut points: Vec<ScorePoint> = Vec::new();
@@ -223,6 +222,5 @@ fn main() -> Result<(), md_bench::BinError> {
                 .build(),
         )
         .with_scores(points);
-    emit_run_record(run_record, &recorder)?;
-    Ok(())
+    Ok(emit_run_record(run_record, &recorder)?)
 }

@@ -1,78 +1,66 @@
-//! Regenerates **Table III**: per-communication sizes and communication
-//! counts for every link type, FL-GAN vs MD-GAN (symbolically evaluated
-//! with the paper's parameters).
+//! `mdgan table3` regenerates **Table III**: per-communication sizes and
+//! communication counts for every link type, FL-GAN vs MD-GAN
+//! (symbolically evaluated with the paper's parameters).
 //!
 //! ```text
-//! cargo run -p md-bench --bin table3_comms [-- --n 10 --b 10 --dataset cifar]
+//! cargo run -p md-bench --bin mdgan -- table3 [--n 10 --b 10 --dataset cifar]
 //! ```
 
-use md_bench::{emit_run_record, fmt_mb, print_table, recorder_from_env, Args};
+use crate::{CNN_CIFAR, CNN_MNIST};
+use md_bench::{emit_run_record, fmt_mb, print_table, recorder_from_env, Args, BinError};
 use md_telemetry::{json, RunRecord};
-use mdgan_core::complexity::{SysParams, D_CIFAR, D_MNIST, PAPER_CNN_CIFAR, PAPER_CNN_MNIST};
+use mdgan_core::complexity::SysParams;
 
-fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse(&["n", "b", "iters", "dataset"])?;
+pub fn run(args: &Args) -> Result<(), BinError> {
     let n = args.get("n", 10usize)?;
     let b = args.get("b", 10usize)?;
     let iters = args.get("iters", 50_000usize)?;
     let dataset = args.get_str("dataset", "cifar");
-
-    let (d, model, total) = args.choice(
+    let paper = args.choice(
         "dataset",
         "cifar",
-        &[
-            ("mnist", (D_MNIST, PAPER_CNN_MNIST, 60_000usize)),
-            ("cifar", (D_CIFAR, PAPER_CNN_CIFAR, 50_000)),
-        ],
+        &[("mnist", CNN_MNIST), ("cifar", CNN_CIFAR)],
     )?;
-    let p = SysParams {
-        n,
-        b,
-        d,
-        k: (n as f64).log2().floor().max(1.0) as usize,
-        m: total / n,
-        e: 1.0,
-        iters,
-        model,
-    };
+    let p = SysParams::log_n(n, b, paper, 1.0, iters);
 
     println!("Table III — communication complexities ({dataset}, N={n}, b={b}, I={iters})");
+    let row = |link: &str, fl: String, md: String| [link.to_string(), fl, md];
     let rows = vec![
-        [
-            "C→W (C)".to_string(),
+        row(
+            "C→W (C)",
             format!("N(θ+w) = {}", fmt_mb(p.flgan_c2w_server_bytes())),
             format!("2bdN = {}", fmt_mb(p.mdgan_c2w_server_bytes())),
-        ],
-        [
-            "C→W (W)".to_string(),
+        ),
+        row(
+            "C→W (W)",
             format!("θ+w = {}", fmt_mb(p.flgan_c2w_worker_bytes())),
             format!("2bd = {}", fmt_mb(p.mdgan_c2w_worker_bytes())),
-        ],
-        [
-            "W→C (W)".to_string(),
+        ),
+        row(
+            "W→C (W)",
             format!("θ+w = {}", fmt_mb(p.flgan_w2c_worker_bytes())),
             format!("bd = {}", fmt_mb(p.mdgan_w2c_worker_bytes())),
-        ],
-        [
-            "W→C (C)".to_string(),
+        ),
+        row(
+            "W→C (C)",
             format!("N(θ+w) = {}", fmt_mb(p.flgan_c2w_server_bytes())),
             format!("bdN = {}", fmt_mb(p.mdgan_w2c_server_bytes())),
-        ],
-        [
-            "Total # C↔W".to_string(),
+        ),
+        row(
+            "Total # C↔W",
             format!("Ib/(mE) = {}", p.flgan_rounds()),
             format!("I = {}", p.mdgan_rounds()),
-        ],
-        [
-            "W→W (W)".to_string(),
+        ),
+        row(
+            "W→W (W)",
             "-".to_string(),
             format!("θ = {}", fmt_mb(p.mdgan_w2w_bytes())),
-        ],
-        [
-            "Total # W↔W".to_string(),
+        ),
+        row(
+            "Total # W↔W",
             "-".to_string(),
             format!("Ib/(mE) = {}", p.mdgan_swaps()),
-        ],
+        ),
     ];
     print_table(
         "per-communication sizes and counts",
@@ -84,7 +72,7 @@ fn main() -> Result<(), md_bench::BinError> {
          traffic accounting in md-simnet (cross-checked by integration tests)."
     );
 
-    let recorder = recorder_from_env();
+    let recorder = recorder_from_env(false);
     let record = RunRecord::new("table3_comms")
         .with_config_json(
             json::Object::new()

@@ -1,13 +1,14 @@
-//! Regenerates **Table IV**: communication costs of the CIFAR10 experiment
-//! with 10 workers, for b = 10 and b = 100 — from the closed-form model
-//! *and* cross-checked against the byte-accurate simulator by actually
-//! running a few MD-GAN and FL-GAN iterations and extrapolating.
+//! `mdgan table4` regenerates **Table IV**: communication costs of the
+//! CIFAR10 experiment with 10 workers, for b = 10 and b = 100 — from the
+//! closed-form model *and* cross-checked against the byte-accurate
+//! simulator by actually running a few MD-GAN and FL-GAN iterations. A
+//! simulator byte count that differs from its formula fails the run.
 //!
 //! ```text
-//! cargo run --release -p md-bench --bin table4_costs
+//! cargo run --release -p md-bench --bin mdgan -- table4
 //! ```
 
-use md_bench::{emit_run_record, fmt_mb, print_table, recorder_from_env, Args};
+use md_bench::{emit_run_record, fmt_mb, print_table, recorder_from_env, Args, BinError};
 use md_data::synthetic::DataSpec;
 use md_simnet::LinkClass;
 use md_telemetry::{json, RunRecord};
@@ -19,8 +20,7 @@ use mdgan_core::mdgan::trainer::MdGan;
 use mdgan_core::ArchSpec;
 use std::sync::Arc;
 
-fn main() -> Result<(), md_bench::BinError> {
-    let args = Args::parse(&["n", "sim-iters"])?;
+pub fn run(args: &Args) -> Result<(), BinError> {
     let n = args.get("n", 10usize)?;
     let sim_iters = args.get("sim-iters", 3usize)?;
 
@@ -33,41 +33,36 @@ fn main() -> Result<(), md_bench::BinError> {
     let mut rows = Vec::new();
     for b in [10usize, 100] {
         let p = SysParams::table_iv_cifar(b);
-        rows.push([
-            format!("C→W (C), b={b}"),
+        let mut row = |quantity: &str, fl: String, md: String| {
+            rows.push([format!("{quantity}, b={b}"), fl, md]);
+        };
+        row(
+            "C→W (C)",
             fmt_mb(p.flgan_c2w_server_bytes()),
             fmt_mb(p.mdgan_c2w_server_bytes()),
-        ]);
-        rows.push([
-            format!("C→W (W), b={b}"),
+        );
+        row(
+            "C→W (W)",
             fmt_mb(p.flgan_c2w_worker_bytes()),
             fmt_mb(p.mdgan_c2w_worker_bytes()),
-        ]);
-        rows.push([
-            format!("W→C (W), b={b}"),
+        );
+        row(
+            "W→C (W)",
             fmt_mb(p.flgan_w2c_worker_bytes()),
             fmt_mb(p.mdgan_w2c_worker_bytes()),
-        ]);
-        rows.push([
-            format!("W→C (C), b={b}"),
+        );
+        row(
+            "W→C (C)",
             fmt_mb(p.flgan_c2w_server_bytes()),
             fmt_mb(p.mdgan_w2c_server_bytes()),
-        ]);
-        rows.push([
-            format!("Total # C↔W, b={b}"),
+        );
+        row(
+            "Total # C↔W",
             p.flgan_rounds().to_string(),
             p.mdgan_rounds().to_string(),
-        ]);
-        rows.push([
-            format!("W→W (W), b={b}"),
-            "-".to_string(),
-            fmt_mb(p.mdgan_w2w_bytes()),
-        ]);
-        rows.push([
-            format!("Total # W↔W, b={b}"),
-            "-".to_string(),
-            p.mdgan_swaps().to_string(),
-        ]);
+        );
+        row("W→W (W)", "-".to_string(), fmt_mb(p.mdgan_w2w_bytes()));
+        row("Total # W↔W", "-".to_string(), p.mdgan_swaps().to_string());
     }
     print_table(
         "closed-form (paper-scale CNN/CIFAR10)",
@@ -94,10 +89,9 @@ fn main() -> Result<(), md_bench::BinError> {
         },
         iterations: sim_iters,
         seed: 2,
-        crash: Default::default(),
         ..MdGanConfig::default()
     };
-    let recorder = recorder_from_env();
+    let recorder = recorder_from_env(false);
     let mut md = MdGan::new(&spec, shards.clone(), md_cfg).with_telemetry(Arc::clone(&recorder));
     for _ in 0..sim_iters {
         md.step();
@@ -107,26 +101,10 @@ fn main() -> Result<(), md_bench::BinError> {
     let expect_c2w = 2 * (b as u64) * d * (n as u64) * 4 * sim_iters as u64;
     let expect_w2c = (b as u64) * d * (n as u64) * 4 * sim_iters as u64;
     println!("\nMD-GAN simulator check ({sim_iters} iterations, img={img}):");
-    println!(
-        "  C→W measured {} vs formula {}  [{}]",
-        r.bytes(LinkClass::ServerToWorker),
-        expect_c2w,
-        if r.bytes(LinkClass::ServerToWorker) == expect_c2w {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
-    println!(
-        "  W→C measured {} vs formula {}  [{}]",
-        r.bytes(LinkClass::WorkerToServer),
-        expect_w2c,
-        if r.bytes(LinkClass::WorkerToServer) == expect_w2c {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    let md_c2w = r.bytes(LinkClass::ServerToWorker);
+    let md_w2c = r.bytes(LinkClass::WorkerToServer);
+    cross_check("C→W", "", md_c2w, expect_c2w)?;
+    cross_check("W→C", "", md_w2c, expect_w2c)?;
 
     let fl_cfg = FlGanConfig {
         workers: n,
@@ -143,23 +121,13 @@ fn main() -> Result<(), md_bench::BinError> {
     for _ in 0..rounds_to_run {
         fl.step();
     }
-    let r = fl.traffic();
     let params = (fl.server_gen.num_params()
-        + ArchSpec::cnn_cifar_scaled(img)
+        + spec
             .build_discriminator(&mut Rng64::seed_from_u64(0))
             .num_params()) as u64;
-    let expect = (n as u64) * params * 4;
+    let fl_c2w = fl.traffic().bytes(LinkClass::ServerToWorker);
     println!("\nFL-GAN simulator check (1 round = {rounds_to_run} iterations, img={img}):");
-    println!(
-        "  C→W measured {} vs formula N(θ+w) = {}  [{}]",
-        r.bytes(LinkClass::ServerToWorker),
-        expect,
-        if r.bytes(LinkClass::ServerToWorker) == expect {
-            "OK"
-        } else {
-            "MISMATCH"
-        }
-    );
+    cross_check("C→W", "N(θ+w) = ", fl_c2w, (n as u64) * params * 4)?;
 
     // Run record: measured simulator bytes (the cross-check inputs) plus
     // the phase histograms of both short runs.
@@ -172,17 +140,24 @@ fn main() -> Result<(), md_bench::BinError> {
                 .field_u64("img", img as u64)
                 .build(),
         )
-        .with_metric(
-            "mdgan_c2w_bytes",
-            md.traffic().bytes(LinkClass::ServerToWorker) as f64,
-        )
-        .with_metric(
-            "mdgan_w2c_bytes",
-            md.traffic().bytes(LinkClass::WorkerToServer) as f64,
-        )
-        .with_metric(
-            "flgan_c2w_bytes",
-            fl.traffic().bytes(LinkClass::ServerToWorker) as f64,
-        );
+        .with_metric("mdgan_c2w_bytes", md_c2w as f64)
+        .with_metric("mdgan_w2c_bytes", md_w2c as f64)
+        .with_metric("flgan_c2w_bytes", fl_c2w as f64);
     Ok(emit_run_record(record, &recorder)?)
+}
+
+/// Prints the bytes the simulator moved over `link` beside what its
+/// `formula` gives, and fails the run when they differ.
+fn cross_check(link: &str, formula: &str, measured: u64, expected: u64) -> Result<(), BinError> {
+    let verdict = if measured == expected {
+        "OK"
+    } else {
+        "MISMATCH"
+    };
+    let line = format!("{link} measured {measured} vs formula {formula}{expected}");
+    println!("  {line}  [{verdict}]");
+    if measured != expected {
+        return Err(BinError::Mismatch(format!("Table IV cross-check: {line}")));
+    }
+    Ok(())
 }

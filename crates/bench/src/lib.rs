@@ -1,16 +1,16 @@
-//! Shared helpers for the experiment harness binaries: a dependency-free
-//! CLI flag parser, table pretty-printing, and CSV output.
+//! Shared helpers for the experiment harness: a dependency-free CLI flag
+//! parser, table pretty-printing, CSV output and run records.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper
-//! (see DESIGN.md §4 for the full index) and accepts `--key value` flags to
-//! scale between "seconds" and "paper scale".
+//! Each subcommand of the `mdgan` binary regenerates one table or figure of
+//! the paper (see DESIGN.md §4 for the full index) and accepts
+//! `--key value` flags to scale between "seconds" and "paper scale".
 
 use md_data::synthetic::Family;
 use md_telemetry::{
     export, CriticalPathReport, PoolCounters, Recorder, RunRecord, Verbosity, WorkspaceCounters,
 };
 use mdgan_core::arch::ArchKind;
-use mdgan_core::experiments::{CurveResult, ExperimentScale};
+use mdgan_core::experiments::{self, ExperimentScale};
 use mdgan_core::TrainError;
 use std::collections::BTreeMap;
 use std::fmt::{self, Display};
@@ -33,12 +33,6 @@ impl Args {
     /// Parses `std::env::args()` against the flags the binary takes.
     pub fn parse(known: &[&str]) -> Result<Self, BinError> {
         Self::from_iter(std::env::args().skip(1), known)
-    }
-
-    /// Parses a figure binary's command line: the [`ExperimentScale`] flags
-    /// of [`scale`](Self::scale) plus `extra`.
-    pub fn parse_figure(extra: &[&str]) -> Result<Self, BinError> {
-        Self::parse(&[&SCALE_FLAGS[..], extra].concat())
     }
 
     /// Parses an explicit iterator (testable).
@@ -118,17 +112,27 @@ impl Args {
             })
     }
 
-    /// The run's scale from `--img` (16), `--train` (2048), `--test` (512),
-    /// `--iters`, `--eval-every`, `--eval-samples` (256) and `--seed`: the
-    /// defaults in brackets or given.
+    /// `--img` (16), checked against a `family` panel on `kind` networks.
+    pub fn img(&self, family: Family, kind: ArchKind) -> Result<usize, BinError> {
+        let img = self.get("img", 16)?;
+        experiments::check_img(family, kind, img)
+            .map_err(|e| bad_value("img", &img.to_string(), e))?;
+        Ok(img)
+    }
+
+    /// The scale of a `family` panel on `kind` networks from `--img` (see
+    /// [`img`](Self::img)), `--train` (2048), `--test` (512), `--iters`,
+    /// `--eval-every`, `--eval-samples` (256) and `--seed`: the defaults in
+    /// brackets or given.
     pub fn scale(
         &self,
+        (family, kind): (Family, ArchKind),
         iters: usize,
         eval_every: usize,
         seed: u64,
     ) -> Result<ExperimentScale, BinError> {
         Ok(ExperimentScale {
-            img: self.get("img", 16)?,
+            img: self.img(family, kind)?,
             train_n: self.get("train", 2048)?,
             test_n: self.get("test", 512)?,
             iters: self.get("iters", iters)?,
@@ -152,7 +156,8 @@ impl Args {
     }
 }
 
-const SCALE_FLAGS: [&str; 7] = [
+/// The flags [`Args::scale`] reads.
+pub const SCALE_FLAGS: &[&str] = &[
     "img",
     "train",
     "test",
@@ -215,13 +220,15 @@ pub fn print_table<const W: usize>(title: &str, header: [&str; W], rows: &[[Stri
 
 /// The error a bench binary's `main` returns. Rust prints a returned
 /// error's `Debug` form, so this one's is a one-line message: the wrapped
-/// [`TrainError`]'s `Display` ("cannot write results/…: Not a directory …")
-/// or the command-line mistake, naming the flag.
+/// [`TrainError`]'s `Display` ("cannot write results/…: Not a directory …"),
+/// the command-line mistake, naming the flag, or the disagreement.
 pub enum BinError {
     /// The run failed.
     Train(TrainError),
     /// The command line asked for something the binary does not take.
     Usage(String),
+    /// Two computations of one quantity disagree.
+    Mismatch(String),
 }
 
 impl From<TrainError> for BinError {
@@ -234,7 +241,7 @@ impl fmt::Debug for BinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BinError::Train(e) => fmt::Display::fmt(e, f),
-            BinError::Usage(msg) => f.write_str(msg),
+            BinError::Usage(msg) | BinError::Mismatch(msg) => f.write_str(msg),
         }
     }
 }
@@ -253,25 +260,18 @@ pub fn write_csv(name: &str, header: &str, body: &str) -> Result<(), TrainError>
     Ok(())
 }
 
-/// Builds the shared per-binary telemetry recorder: it always records (so
-/// the run record written next to the CSVs is complete) and the `TELEMETRY`
-/// environment knob only controls end-of-run *printing* — see
-/// [`emit_run_record`].
-pub fn recorder_from_env() -> Arc<Recorder> {
-    Arc::new(Recorder::with_verbosity(
-        Verbosity::from_env().max(Verbosity::Table),
-    ))
-}
-
-/// As [`recorder_from_env`], but `force_trace` (a binary's `--trace` flag)
-/// raises the verbosity to [`Verbosity::Trace`] regardless of the
-/// `TELEMETRY` environment knob, so causal span capture is on.
-pub fn recorder_from_env_traced(force_trace: bool) -> Arc<Recorder> {
-    let mut v = Verbosity::from_env().max(Verbosity::Table);
-    if force_trace {
-        v = v.max(Verbosity::Trace);
-    }
-    Arc::new(Recorder::with_verbosity(v))
+/// Builds a run's telemetry recorder: it always records (so the run record
+/// written next to the CSVs is complete) and the `TELEMETRY` environment
+/// knob only controls end-of-run *printing* — see [`emit_run_record`].
+/// `trace` (a `--trace` flag) raises the verbosity to [`Verbosity::Trace`]
+/// whatever `TELEMETRY` says, so causal span capture is on.
+pub fn recorder_from_env(trace: bool) -> Arc<Recorder> {
+    let floor = if trace {
+        Verbosity::Trace
+    } else {
+        Verbosity::Table
+    };
+    Arc::new(Recorder::with_verbosity(Verbosity::from_env().max(floor)))
 }
 
 /// Mirrors md-tensor pool-worker activity onto `rec`'s trace timeline
@@ -379,30 +379,6 @@ pub fn emit_run_record(record: RunRecord, rec: &Recorder) -> Result<(), TrainErr
     Ok(())
 }
 
-/// Adds every curve's score timeline to `record`, and the traffic total of
-/// each distributed competitor as a `traffic_bytes[<label>]` metric.
-pub fn with_curves(mut record: RunRecord, curves: &[CurveResult]) -> RunRecord {
-    for c in curves {
-        record = record.with_scores_appended(c.timeline.score_points(&c.label));
-        if let Some(t) = &c.traffic {
-            record = record.with_metric(
-                format!("traffic_bytes[{}]", c.label),
-                t.total_bytes() as f64,
-            );
-        }
-    }
-    record
-}
-
-/// Column-stacks label/value pairs into `[String; 2]` rows (small helper
-/// for two-column tables).
-pub fn kv_rows<V: Display>(pairs: &[(&str, V)]) -> Vec<[String; 2]> {
-    pairs
-        .iter()
-        .map(|(k, v)| [k.to_string(), v.to_string()])
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,7 +429,7 @@ mod tests {
 
     #[test]
     fn env_recorder_always_records() {
-        let rec = recorder_from_env();
+        let rec = recorder_from_env(false);
         {
             let _s = rec.span(md_telemetry::Phase::Comm);
         }
@@ -468,7 +444,7 @@ mod tests {
         let p = pool_counters();
         assert!(p.seq_jobs > 0);
         // ...and the counters render as a "pool" JSONL line.
-        let rec = recorder_from_env();
+        let rec = recorder_from_env(false);
         let text = md_telemetry::RunRecord::new("pooltest")
             .with_pool_counters(p)
             .to_jsonl(&rec);
@@ -484,7 +460,7 @@ mod tests {
         let w = workspace_counters();
         assert!(w.ws_hits + w.ws_misses > 0);
         // ...and check they render as a "workspace" JSONL line.
-        let rec = recorder_from_env();
+        let rec = recorder_from_env(false);
         let text = md_telemetry::RunRecord::new("wstest")
             .with_workspace_counters(w)
             .to_jsonl(&rec);

@@ -1,4 +1,4 @@
-//! Kill-and-resume acceptance for the `fig3_convergence` binary: a run
+//! Kill-and-resume acceptance for `mdgan fig3`: a run
 //! SIGKILLed mid-flight and resumed from its recovery directory must
 //! produce a final metrics CSV byte-identical to an uninterrupted run.
 
@@ -6,10 +6,11 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-const BIN: &str = env!("CARGO_BIN_EXE_fig3_convergence");
+const BIN: &str = env!("CARGO_BIN_EXE_mdgan");
 
 /// Tiny panel: seconds per full run, several checkpoints along the way.
 const ARGS: &[&str] = &[
+    "fig3",
     "--family",
     "mnist",
     "--arch",
@@ -47,8 +48,8 @@ fn run_to_completion(dir: &Path, extra: &[&str]) {
         .args(extra)
         .current_dir(dir)
         .status()
-        .expect("spawn fig3_convergence");
-    assert!(status.success(), "fig3_convergence failed in {dir:?}");
+        .expect("spawn mdgan fig3");
+    assert!(status.success(), "mdgan fig3 failed in {dir:?}");
 }
 
 fn read_csv(dir: &Path) -> String {
@@ -73,7 +74,7 @@ fn sigkill_mid_run_then_resume_matches_uninterrupted_csv() {
         .args(["--ckpt-dir", &ckpt_flag, "--ckpt-every", "2"])
         .current_dir(&kill_dir)
         .spawn()
-        .expect("spawn checkpointed fig3_convergence");
+        .expect("spawn checkpointed mdgan fig3");
     let deadline = Instant::now() + Duration::from_secs(300);
     loop {
         let progressed = std::fs::read_dir(&ckpt_dir)

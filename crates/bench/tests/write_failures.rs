@@ -1,7 +1,7 @@
-//! A bench binary that cannot write one of its outputs fails the run: it
-//! exits non-zero and says, on one line, which file it could not write.
-//! Each case runs a binary in a fresh directory where an output directory
-//! is a plain file.
+//! A bench subcommand that cannot write one of its outputs fails the run:
+//! it exits non-zero and says, on one line, which file it could not write.
+//! Each case runs `mdgan` in a fresh directory where an output directory is
+//! a plain file.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -44,13 +44,14 @@ fn assert_failed_naming(out: &Output, file: &str) {
 
 #[test]
 fn table3_fails_when_results_is_a_file() {
-    let out = run_blocked(env!("CARGO_BIN_EXE_table3_comms"), &[], "results");
+    let out = run_blocked(env!("CARGO_BIN_EXE_mdgan"), &["table3"], "results");
     assert_failed_naming(&out, "results/table3_comms.telemetry.jsonl");
 }
 
 #[test]
 fn traced_fig5_fails_when_its_trace_cannot_be_written() {
     let args = [
+        "fig5",
         "--family",
         "mnist",
         "--img",
@@ -71,6 +72,6 @@ fn traced_fig5_fails_when_its_trace_cannot_be_written() {
         "0.1",
         "--trace",
     ];
-    let out = run_blocked(env!("CARGO_BIN_EXE_fig5_faults"), &args, "results/traces");
+    let out = run_blocked(env!("CARGO_BIN_EXE_mdgan"), &args, "results/traces");
     assert_failed_naming(&out, "results/traces/fig5_lossy_mnist_drop0.1.trace.json");
 }

@@ -11,6 +11,7 @@
 //! faithful* models; `width` scales the layer widths (the paper uses 512
 //! for the MLP and 16..512 filter ramps for the CNNs).
 
+use crate::error::TrainError;
 use md_data::Dataset;
 use md_nn::gan::{Discriminator, Generator};
 use md_nn::init::Init;
@@ -188,13 +189,25 @@ impl ArchSpec {
             .push(Dense::new(w, 1 + self.classes, Init::XavierUniform, rng))
     }
 
+    /// Checks that the networks can be built at `img`: a CNN needs
+    /// `img = 4 · 2^s` with `s ≥ 1`, an MLP takes any size.
+    pub fn check_img(&self) -> Result<(), TrainError> {
+        let img = self.img;
+        if self.kind == ArchKind::Cnn
+            && !(img >= 8 && img.is_multiple_of(4) && (img / 4).is_power_of_two())
+        {
+            return Err(TrainError::Config(format!(
+                "CNN architectures need img = 4 * 2^s, got {img}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Number of stride-2 stages between 4x4 and the target resolution.
     fn cnn_stages(&self) -> usize {
-        assert!(
-            self.img >= 8 && self.img.is_multiple_of(4) && (self.img / 4).is_power_of_two(),
-            "CNN architectures need img = 4 * 2^s, got {}",
-            self.img
-        );
+        if let Err(e) = self.check_img() {
+            panic!("{e}");
+        }
         (self.img / 4).trailing_zeros() as usize
     }
 

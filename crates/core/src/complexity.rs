@@ -9,6 +9,7 @@
 //! runtime's traffic accounting (which the integration tests cross-check
 //! against these formulas).
 
+use crate::config::KPolicy;
 use serde::{Deserialize, Serialize};
 
 /// Parameter counts of one GAN: `(|w|, |θ|)`.
@@ -82,6 +83,28 @@ impl SysParams {
             e: 1.0,
             iters: 50_000,
             model: PAPER_CNN_CIFAR,
+        }
+    }
+
+    /// `n` workers splitting a training set of `dataset` objects of `d`
+    /// floats (m = dataset / n), each iteration generating k = ⌊log N⌋
+    /// batches ([`KPolicy::LogN`]).
+    pub fn log_n(
+        n: usize,
+        b: usize,
+        (d, model, dataset): (usize, ModelSize, usize),
+        e: f64,
+        iters: usize,
+    ) -> Self {
+        SysParams {
+            n,
+            b,
+            d,
+            k: KPolicy::LogN.resolve(n),
+            m: dataset / n,
+            e,
+            iters,
+            model,
         }
     }
 
@@ -248,6 +271,15 @@ mod tests {
 
     fn cifar10() -> SysParams {
         SysParams::table_iv_cifar(10)
+    }
+
+    #[test]
+    fn log_n_takes_k_from_the_policy_and_m_from_the_split() {
+        for (n, k) in [(1, 1), (2, 1), (7, 2), (10, 3), (64, 6)] {
+            let p = SysParams::log_n(n, 10, (D_CIFAR, PAPER_CNN_CIFAR, 50_000), 1.0, 9);
+            assert_eq!((p.k, p.m), (k, 50_000 / n));
+            assert_eq!((p.n, p.b, p.d, p.iters), (n, 10, D_CIFAR, 9));
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Reusable experiment runners — one per figure of §V.
 //!
-//! The `md-bench` binaries are thin CLI wrappers around these functions;
-//! integration tests run them at reduced scale. Every runner is fully
-//! deterministic given its [`ExperimentScale::seed`], and every curve it
-//! draws is trained and scored by the one supervised loop
+//! The `md-bench` crate's `mdgan` subcommands are thin CLI wrappers around
+//! these functions; integration tests run them at reduced scale. Every
+//! runner is fully deterministic given its [`ExperimentScale::seed`], and
+//! every curve it draws is trained and scored by the one supervised loop
 //! ([`TrainSupervisor::run_scored`]), so a numeric divergence rolls back
 //! or ends in a typed [`TrainError`], never in a scored NaN.
 
@@ -61,19 +61,6 @@ impl ExperimentScale {
             seed: 42,
         }
     }
-
-    /// The default scaled-down experiment (minutes on a laptop).
-    pub fn scaled() -> Self {
-        ExperimentScale {
-            img: 16,
-            train_n: 4096,
-            test_n: 512,
-            iters: 2000,
-            eval_every: 100,
-            eval_samples: 256,
-            seed: 42,
-        }
-    }
 }
 
 /// One labelled curve of a figure.
@@ -113,6 +100,13 @@ fn arch_for(family: Family, kind: ArchKind, img: usize) -> ArchSpec {
         (Family::CifarLike, ArchKind::Cnn) => ArchSpec::cnn_cifar_scaled(img),
         (Family::CelebaLike, _) => ArchSpec::cnn_celeba_scaled(img),
     }
+}
+
+/// Checks that a `family` panel on `kind` networks can be drawn and built at
+/// `img`, by the rules the data generator and the builder assert.
+pub fn check_img(family: Family, kind: ArchKind, img: usize) -> Result<(), TrainError> {
+    family.check_img(img).map_err(TrainError::Config)?;
+    arch_for(family, kind, img).check_img()
 }
 
 /// A figure competitor: a trainee the supervisor drives, plus the traffic
@@ -902,6 +896,26 @@ mod tests {
     use super::*;
     use crate::checkpoint::Checkpoint;
     use std::path::PathBuf;
+
+    #[test]
+    fn check_img_applies_the_data_and_architecture_rules() {
+        use Family::*;
+        for (family, kind, img) in [
+            (MnistLike, ArchKind::Mlp, 8),
+            (CifarLike, ArchKind::Cnn, 16),
+        ] {
+            assert!(check_img(family, kind, img).is_ok());
+        }
+        for (family, kind, img, why) in [
+            (MnistLike, ArchKind::Mlp, 4, "mnist_like needs img >= 8"),
+            (CelebaLike, ArchKind::Mlp, 8, "celeba_like needs img >= 16"),
+            (CifarLike, ArchKind::Cnn, 20, "img = 4 * 2^s"),
+            (CelebaLike, ArchKind::Cnn, 24, "img = 4 * 2^s"),
+        ] {
+            let err = check_img(family, kind, img).unwrap_err().to_string();
+            assert!(err.contains(why), "{family:?}/{kind:?} at {img}: {err}");
+        }
+    }
 
     #[test]
     fn convergence_produces_six_curves() {

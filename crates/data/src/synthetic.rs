@@ -29,6 +29,22 @@ pub enum Family {
     CelebaLike,
 }
 
+impl Family {
+    /// Checks that the family can draw `img`-sided images: digits and
+    /// textures need 8 pixels, faces 16.
+    pub fn check_img(self, img: usize) -> Result<(), String> {
+        let (name, min) = match self {
+            Family::MnistLike => ("mnist_like", 8),
+            Family::CifarLike => ("cifar_like", 8),
+            Family::CelebaLike => ("celeba_like", 16),
+        };
+        if img < min {
+            return Err(format!("{name} needs img >= {min}, got {img}"));
+        }
+        Ok(())
+    }
+}
+
 /// Full description of a synthetic dataset.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DataSpec {
@@ -128,7 +144,9 @@ const SEGMENTS: [[bool; 7]; 10] = [
 /// MNIST stand-in: grayscale seven-segment "digits" with per-sample jitter,
 /// stroke-intensity variation and Gaussian noise. 10 classes.
 pub fn mnist_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
-    assert!(img >= 8, "mnist_like needs img >= 8");
+    Family::MnistLike
+        .check_img(img)
+        .unwrap_or_else(|e| panic!("{e}"));
     let mut rng = Rng64::seed_from_u64(seed ^ 0x004D_4E49_5354);
     let mut data = workspace::take_filled(n * img * img, -1.0);
     let mut labels = Vec::with_capacity(n);
@@ -187,7 +205,9 @@ pub fn mnist_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
 /// frequency and hue are class-determined, with random phase, a random
 /// bright blob, and Gaussian noise. 10 classes.
 pub fn cifar_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
-    assert!(img >= 8, "cifar_like needs img >= 8");
+    Family::CifarLike
+        .check_img(img)
+        .unwrap_or_else(|e| panic!("{e}"));
     let mut rng = Rng64::seed_from_u64(seed ^ 0x00C1_FA12);
     let hw = img * img;
     // Every element is written below.
@@ -255,7 +275,9 @@ fn class_hue(class: usize) -> (f32, f32, f32) {
 /// GAN itself trains unconditionally on these, exactly as the paper's
 /// CelebA GAN has a single output neuron.
 pub fn celeba_like(img: usize, n: usize, seed: u64, noise_std: f32) -> Dataset {
-    assert!(img >= 16, "celeba_like needs img >= 16");
+    Family::CelebaLike
+        .check_img(img)
+        .unwrap_or_else(|e| panic!("{e}"));
     let mut rng = Rng64::seed_from_u64(seed ^ 0x00CE_1EBA);
     let hw = img * img;
     // Every element is written below.

@@ -84,7 +84,7 @@ fn main() {
     println!(
         "\nworker-side compute: MD-GAN trains only D per worker (≈half of\n\
          FL-GAN's G+D), the paper's headline — see Table II and\n\
-         `cargo run -p md-bench --bin table2_complexity`."
+         `cargo run -p md-bench --bin mdgan -- table2`."
     );
 }
 
