@@ -110,8 +110,8 @@ pub fn run(args: &Args) -> Result<(), BinError> {
                 .filter(|s| s.t0_ns >= t0 && s.t0_ns <= t1)
                 .copied()
                 .collect();
-            let name = format!("fig5_lossy_{fam}_drop{}", p.drop);
-            if let Some(report) = emit_trace_spans(&name, &spans)? {
+            let trace = format!("fig5_lossy_{fam}_drop{}", p.drop);
+            if let Some(report) = emit_trace_spans(&trace, &spans)? {
                 println!("\n-- drop {:.0}% --", p.drop * 100.0);
                 print!("{}", report.render_table());
                 critical = Some(report);
