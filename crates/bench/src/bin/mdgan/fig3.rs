@@ -10,11 +10,11 @@
 //!
 //! With `--ckpt-dir <dir>` each curve checkpoints crash-consistently every
 //! `--ckpt-every` iterations (`<dir>/curve_<i>.ckpt`, sealed as
-//! `<dir>/curve_<i>.jsonl` when complete) and `--resume <dir>` (an alias)
-//! picks an interrupted run back up **bit-identically**; `--max-abs-loss`,
-//! `--max-abs-param`, `--max-rollbacks` and `--lr-drop` tune the
-//! NaN/divergence guard that rolls a diverged curve back to its last good
-//! checkpoint.
+//! `<dir>/curve_<i>.jsonl` when complete), and re-running with the same
+//! `--ckpt-dir` picks an interrupted run back up **bit-identically**;
+//! `--max-abs-loss`, `--max-abs-param`, `--max-rollbacks` and `--lr-drop`
+//! tune the NaN/divergence guard that rolls a diverged curve back to its
+//! last good checkpoint.
 //!
 //! Writes `results/fig3_<family>_<arch>.csv` and prints the final scores.
 
@@ -36,12 +36,11 @@ pub fn run(args: &Args) -> Result<(), BinError> {
         ..ConvergenceConfig::new(family, arch, scale)
     };
 
-    // `--resume` is an alias for `--ckpt-dir`: a checkpointed run always
-    // continues from whatever progress the directory already holds.
-    let ckpt_dir = ["ckpt-dir", "resume"]
-        .iter()
-        .find(|k| args.has(k))
-        .map(|k| PathBuf::from(args.get_str(k, "")));
+    // A checkpointed run always continues from whatever progress the
+    // directory already holds.
+    let ckpt_dir = args
+        .has("ckpt-dir")
+        .then(|| PathBuf::from(args.get_str("ckpt-dir", "")));
     let defaults = HealthConfig::default();
     let policy = SupervisorConfig {
         ckpt_path: None,

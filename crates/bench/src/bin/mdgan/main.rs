@@ -55,7 +55,6 @@ const SUBS: [Sub; 11] = [
                 "b-small",
                 "b-large",
                 "ckpt-dir",
-                "resume",
                 "ckpt-every",
                 "max-abs-loss",
                 "max-abs-param",

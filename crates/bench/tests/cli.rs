@@ -240,6 +240,7 @@ fn unknown_flags_are_rejected_even_beside_help() {
         "--bogus-flag",
     );
     rejects("help", &["fig3", "--help"], "--ckpt-every");
+    rejects("resume", &["fig3", "--resume", "x"], "--resume");
 }
 
 #[test]

@@ -89,7 +89,7 @@ fn sigkill_mid_run_then_resume_matches_uninterrupted_csv() {
     let _ = child.wait();
 
     // Resume from the same recovery directory and run to completion.
-    run_to_completion(&kill_dir, &["--resume", &ckpt_flag]);
+    run_to_completion(&kill_dir, &["--ckpt-dir", &ckpt_flag]);
     let resumed = read_csv(&kill_dir);
     assert_eq!(
         reference, resumed,

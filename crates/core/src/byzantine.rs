@@ -72,19 +72,6 @@ impl Attack {
             Attack::Inflate { factor } => feedback.scale(factor),
         }
     }
-
-    /// True for the honest case.
-    pub fn is_honest(&self) -> bool {
-        matches!(self, Attack::None)
-    }
-
-    /// True for the stateful free-rider strategies of arXiv:2201.09967.
-    pub fn is_freerider(&self) -> bool {
-        matches!(
-            self,
-            Attack::PureNoise { .. } | Attack::DelayedEcho | Attack::PretrainedMimic
-        )
-    }
 }
 
 /// Pads a configured attack list to the full worker universe (planned
@@ -409,15 +396,6 @@ mod tests {
                 m.data()
             );
         }
-    }
-
-    #[test]
-    fn freerider_attacks_classified() {
-        assert!(Attack::PureNoise { std: 1.0 }.is_freerider());
-        assert!(Attack::DelayedEcho.is_freerider());
-        assert!(Attack::PretrainedMimic.is_freerider());
-        assert!(!Attack::None.is_freerider());
-        assert!(!Attack::SignFlip { scale: 1.0 }.is_freerider());
     }
 
     #[test]

@@ -483,12 +483,6 @@ impl Checkpoint {
         Ok(data)
     }
 
-    /// Writes the checkpoint to a file (non-atomic; prefer
-    /// [`Checkpoint::save_atomic`] for anything a crash may interrupt).
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        fs::write(path, self.to_bytes())
-    }
-
     /// Writes the checkpoint crash-consistently through [`write_atomic`].
     pub fn save_atomic(&self, path: impl AsRef<Path>) -> io::Result<()> {
         write_atomic(path.as_ref(), &self.to_bytes())
@@ -646,7 +640,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mdgan_ckpt_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("test.ckpt");
-        c.save(&path).unwrap();
+        c.save_atomic(&path).unwrap();
         let loaded = Checkpoint::load(&path).unwrap();
         assert_eq!(loaded, c);
         std::fs::remove_file(&path).ok();

@@ -308,40 +308,6 @@ impl FlGanConfig {
     }
 }
 
-/// Standalone (single-server) GAN configuration (§V-A.d).
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct StandaloneConfig {
-    /// Shared GAN hyper-parameters.
-    pub hyper: GanHyper,
-    /// Total iterations `I`.
-    pub iterations: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl Default for StandaloneConfig {
-    fn default() -> Self {
-        StandaloneConfig {
-            hyper: GanHyper::default(),
-            iterations: 1000,
-            seed: 0,
-        }
-    }
-}
-
-impl StandaloneConfig {
-    /// Renders the configuration as one JSON object, for embedding in a
-    /// telemetry [`RunRecord`](md_telemetry::RunRecord).
-    pub fn to_json(&self) -> String {
-        md_telemetry::json::Object::new()
-            .field_str("system", "standalone")
-            .field_raw("hyper", &self.hyper.to_json())
-            .field_u64("iterations", self.iterations as u64)
-            .field_u64("seed", self.seed)
-            .build()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -393,9 +359,7 @@ mod tests {
         assert!(md.contains(r#""hyper":{"batch":10,"#));
         let fl = FlGanConfig::default().to_json();
         assert!(fl.contains(r#""system":"fl-gan""#));
-        let sa = StandaloneConfig::default().to_json();
-        assert!(sa.contains(r#""system":"standalone""#));
-        for j in [md, fl, sa] {
+        for j in [md, fl] {
             assert!(j.starts_with('{') && j.ends_with('}'));
         }
     }

@@ -1,7 +1,6 @@
 //! Inception Score (a.k.a. MNIST Score with a dataset-specific classifier)
 //! and Fréchet Inception Distance.
 
-use crate::classifier::Scorer;
 use crate::linalg::{matmul, mean_and_cov, sqrtm_psd, trace};
 use md_tensor::math;
 use md_tensor::Tensor;
@@ -85,18 +84,6 @@ pub fn fid(real_feats: &Tensor, fake_feats: &Tensor) -> f64 {
     let sqrt_inner = sqrtm_psd(&inner_sym, d);
 
     mean_term + trace(&cov_r, d) + trace(&cov_g, d) - 2.0 * trace(&sqrt_inner, d)
-}
-
-/// Convenience: scores a batch of generated images against a batch of real
-/// (test) images with a trained scorer — the quantity the paper plots every
-/// 1,000 iterations on 500 samples.
-pub fn score_samples(scorer: &mut Scorer, generated: &Tensor, real: &Tensor) -> GanScores {
-    let (fake_feats, fake_probs) = scorer.features_and_probs(generated);
-    let (real_feats, _) = scorer.features_and_probs(real);
-    GanScores {
-        inception_score: inception_score(&fake_probs, 1),
-        fid: fid(&real_feats, &fake_feats),
-    }
 }
 
 #[cfg(test)]

@@ -450,6 +450,34 @@ mod tests {
         assert!(g_fake.data().iter().all(|&g| g > 0.0));
     }
 
+    /// The source-logit BCE of every D step: its analytic gradient matches a
+    /// central difference, and loss and gradient stay finite at ±100, where
+    /// one of the two logits is confidently wrong (loss 100 / 2 = 50).
+    #[test]
+    fn disc_loss_gradient_matches_numeric_and_is_stable() {
+        let mut rng = Rng64::seed_from_u64(1);
+        let logits = Tensor::randn(&[6, 1], &mut rng);
+        let eps = 1e-3;
+        for side in [disc_loss_real, disc_loss_fake] {
+            let loss = |l: &Tensor| side(l, &[], 0, 0.0).0;
+            let (_, grad) = side(&logits, &[], 0, 0.0);
+            let numeric: Vec<f32> = (0..logits.len())
+                .map(|i| {
+                    let (mut xp, mut xm) = (logits.clone(), logits.clone());
+                    xp.data_mut()[i] += eps;
+                    xm.data_mut()[i] -= eps;
+                    (loss(&xp) - loss(&xm)) / (2.0 * eps)
+                })
+                .collect();
+            assert_close(grad.data(), &numeric, 1e-2);
+
+            let extreme = Tensor::new(&[2, 1], vec![100.0, -100.0]);
+            let (loss, grad) = side(&extreme, &[], 0, 0.0);
+            assert!((loss - 50.0).abs() < 1e-3, "loss {loss}");
+            assert!(grad.all_finite());
+        }
+    }
+
     #[test]
     fn minimax_gradient_matches_paper_derivative() {
         // dJ/ds for J = mean log(1-σ(s)) is -σ(s)/b.

@@ -56,14 +56,6 @@ impl HealthVerdict {
         *self != HealthVerdict::Healthy
     }
 
-    /// True iff the problem is a NaN/Inf (as opposed to a finite explosion).
-    pub fn is_non_finite(&self) -> bool {
-        matches!(
-            self,
-            HealthVerdict::NonFiniteLoss | HealthVerdict::NonFiniteParams
-        )
-    }
-
     /// Short stable label for telemetry.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -199,7 +191,7 @@ mod tests {
         let mut hm = HealthMonitor::default();
         let v = hm.check_step(&[0.5, f32::NAN], &[&n]);
         assert_eq!(v, HealthVerdict::NonFiniteLoss);
-        assert!(v.is_diverged() && v.is_non_finite());
+        assert!(v.is_diverged());
         assert_eq!(hm.divergences(), 1);
     }
 

@@ -1,4 +1,5 @@
-//! Parameter-free activation layers: ReLU, LeakyReLU, Tanh, Sigmoid.
+//! Parameter-free activation layers: ReLU, LeakyReLU, Tanh, and the scalar
+//! sigmoid the GAN losses use.
 
 use crate::layer::{Layer, Need};
 use md_tensor::math;
@@ -204,20 +205,6 @@ impl Layer for Tanh {
     }
 }
 
-/// Logistic sigmoid. GAN losses in this workspace operate on logits, so this
-/// layer appears mainly in tests and in the scorer classifier.
-#[derive(Default)]
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a Sigmoid layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Numerically stable scalar sigmoid: `e^{-|x|}` never overflows.
 #[inline]
 pub fn sigmoid(x: f32) -> f32 {
@@ -227,38 +214,6 @@ pub fn sigmoid(x: f32) -> f32 {
     } else {
         let e = math::exp(x);
         e / (1.0 + e)
-    }
-}
-
-impl Layer for Sigmoid {
-    fn forward_stacked(&mut self, x: &Tensor, _groups: usize, _train: bool) -> Tensor {
-        let y = x.map(sigmoid);
-        self.cached_output = Some(y.clone());
-        y
-    }
-
-    fn backprop(&mut self, grad_out: &Tensor, need: Need) -> Option<Tensor> {
-        if !need.input() {
-            return None;
-        }
-        let y = self
-            .cached_output
-            .as_ref()
-            .expect("Sigmoid::backward before forward");
-        assert_eq!(grad_out.shape(), y.shape());
-        let mut g = workspace::take_uninit(y.len());
-        for ((g, &go), &yv) in g.iter_mut().zip(grad_out.data()).zip(y.data()) {
-            *g = go * (yv * (1.0 - yv));
-        }
-        Some(Tensor::new(y.shape(), g))
-    }
-
-    fn release_cache(&mut self) {
-        self.cached_output = None;
-    }
-
-    fn name(&self) -> String {
-        "Sigmoid".into()
     }
 }
 
@@ -371,6 +326,5 @@ mod tests {
         // LeakyReLU is differentiable almost everywhere; randn inputs avoid 0.
         crate::gradcheck::check_layer(|_| Box::new(LeakyRelu::new(0.2)), &[2, 5], 1e-3, 2e-2);
         crate::gradcheck::check_layer(|_| Box::new(Tanh::new()), &[2, 5], 1e-3, 2e-2);
-        crate::gradcheck::check_layer(|_| Box::new(Sigmoid::new()), &[2, 5], 1e-3, 2e-2);
     }
 }

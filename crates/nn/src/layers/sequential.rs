@@ -44,16 +44,6 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// A short human-readable summary: layer names and parameter count.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        for l in &self.layers {
-            s.push_str(&format!("{} [{} params]\n", l.name(), l.num_params()));
-        }
-        s.push_str(&format!("total parameters: {}", self.num_params()));
-        s
-    }
-
     // ------------------------------------------------ flat parameter vector
 
     /// Serializes all parameters into one flat `Vec<f32>` (layer order,
@@ -442,14 +432,5 @@ mod tests {
         assert!(net.params_finite_max_abs().is_some());
         net.params_mut()[0].data_mut()[0] = f32::INFINITY;
         assert_eq!(net.params_finite_max_abs(), None);
-    }
-
-    #[test]
-    fn summary_mentions_layers() {
-        let mut rng = Rng64::seed_from_u64(5);
-        let net = mlp(&mut rng);
-        let s = net.summary();
-        assert!(s.contains("Dense(4→8)"));
-        assert!(s.contains("total parameters"));
     }
 }

@@ -8,16 +8,16 @@
 //!   parameter access),
 //! * layers: [`Dense`](layers::Dense), [`Conv2d`](layers::Conv2d),
 //!   [`ConvTranspose2d`](layers::ConvTranspose2d),
-//!   [`BatchNorm`](layers::BatchNorm), activations, [`Dropout`](layers::Dropout),
+//!   [`BatchNorm`](layers::BatchNorm), activations,
 //!   [`Reshape`](layers::Reshape) and the minibatch-discrimination layer of
 //!   Salimans et al. (the paper's discriminators use it),
 //! * [`Sequential`](layers::Sequential) containers with flat parameter
 //!   (de)serialization — the primitive behind MD-GAN's discriminator swap
 //!   and FL-GAN's federated averaging,
-//! * losses: BCE-with-logits, softmax cross-entropy, and the exact GAN
-//!   objectives of the paper (`J_disc`, `J_gen`) in [`gan`],
-//! * optimizers: [`Sgd`](optim::Sgd) and [`Adam`](optim::Adam) (the paper
-//!   trains everything with Adam).
+//! * losses: softmax cross-entropy, and the exact GAN objectives of the
+//!   paper (`J_disc`, `J_gen`, BCE on the source logit) in [`gan`],
+//! * the [`Adam`](optim::Adam) optimizer (the paper trains everything with
+//!   Adam).
 //!
 //! Every layer has one gradient routine, [`Layer::backprop`](layer::Layer),
 //! which can accumulate parameter gradients *and* return the gradient with

@@ -4,31 +4,8 @@
 //! `(loss_value, ∂loss/∂logits)` so training code never re-derives
 //! gradients.
 
-use crate::layers::sigmoid;
 use md_tensor::math;
 use md_tensor::Tensor;
-
-/// Binary cross-entropy on logits with mean reduction.
-///
-/// `logits` and `targets` must have identical shapes; targets in `[0, 1]`.
-/// Uses the numerically stable formulation
-/// `max(s,0) - s*t + ln(1 + e^{-|s|})`.
-pub fn bce_with_logits(logits: &Tensor, targets: &Tensor) -> (f32, Tensor) {
-    assert_eq!(logits.shape(), targets.shape(), "bce shape mismatch");
-    let n = logits.len() as f32;
-    assert!(n > 0.0, "bce on empty tensor");
-    let mut loss = 0.0f32;
-    let mut grad = logits.clone();
-    for (g, (&s, &t)) in grad
-        .data_mut()
-        .iter_mut()
-        .zip(logits.data().iter().zip(targets.data()))
-    {
-        loss += s.max(0.0) - s * t + math::ln(1.0 + math::exp(-s.abs()));
-        *g = (sigmoid(s) - t) / n;
-    }
-    (loss / n, grad)
-}
 
 /// Softmax cross-entropy on logits with integer class labels, mean reduction.
 ///
@@ -86,35 +63,6 @@ mod tests {
             g.data_mut()[i] = (f(&xp) - f(&xm)) / (2.0 * eps);
         }
         g
-    }
-
-    #[test]
-    fn bce_known_values() {
-        // s = 0 => p = 0.5: loss = -ln(0.5) regardless of target.
-        let logits = Tensor::zeros(&[2]);
-        let targets = Tensor::new(&[2], vec![0.0, 1.0]);
-        let (loss, _) = bce_with_logits(&logits, &targets);
-        assert!((loss - 0.5f32.ln().abs()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn bce_gradient_matches_numeric() {
-        let mut rng = Rng64::seed_from_u64(1);
-        let logits = Tensor::randn(&[6], &mut rng);
-        let targets = Tensor::new(&[6], vec![1.0, 0.0, 1.0, 0.0, 0.5, 1.0]);
-        let (_, grad) = bce_with_logits(&logits, &targets);
-        let num = numeric_grad(|l| bce_with_logits(l, &targets).0, &logits, 1e-3);
-        assert_close(grad.data(), num.data(), 1e-2);
-    }
-
-    #[test]
-    fn bce_stable_at_extreme_logits() {
-        let logits = Tensor::new(&[2], vec![100.0, -100.0]);
-        let targets = Tensor::new(&[2], vec![1.0, 0.0]);
-        let (loss, grad) = bce_with_logits(&logits, &targets);
-        assert!(loss.is_finite());
-        assert!(loss < 1e-6);
-        assert!(grad.all_finite());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Optimizers: SGD (with momentum) and Adam.
+//! The Adam optimizer.
 //!
 //! The paper trains every competitor with Adam \[16\]; its CelebA experiment
 //! gives MD-GAN and the baselines *different* Adam hyper-parameters, which
@@ -236,46 +236,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update using the gradients accumulated in `net` (a layer
-    /// that got none steps on zeros), then releases them.
-    pub fn step(&mut self, net: &mut Sequential) {
-        let (lr, mom) = (self.lr, self.momentum);
-        let vel = &mut self.velocity;
-        net.visit_params_and_grads(|idx, p, g| {
-            if vel.len() <= idx {
-                vel.push(Tensor::zeros(p.shape()));
-            }
-            let update = |((pv, gv), vv): ((&mut f32, f32), &mut f32)| {
-                *vv = mom * *vv + gv;
-                *pv -= lr * *vv;
-            };
-            let (p, vd) = (p.data_mut().iter_mut(), vel[idx].data_mut());
-            match g {
-                Some(g) => p.zip(g.data().iter().copied()).zip(vd).for_each(update),
-                None => p.zip(iter::repeat(0.0)).zip(vd).for_each(update),
-            }
-        });
-        net.release_grads();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,14 +284,6 @@ mod tests {
         });
         let (first, last) = fit(&mut |n| adam.step(n), &mut rng);
         assert!(last < 0.05 * first, "loss {first} -> {last}");
-    }
-
-    #[test]
-    fn sgd_fits_linear_regression() {
-        let mut rng = Rng64::seed_from_u64(2);
-        let mut sgd = Sgd::new(0.05, 0.9);
-        let (first, last) = fit(&mut |n| sgd.step(n), &mut rng);
-        assert!(last < 0.1 * first, "loss {first} -> {last}");
     }
 
     #[test]

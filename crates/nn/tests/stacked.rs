@@ -1,8 +1,7 @@
 //! `forward_stacked(x, g, train)` followed by one gradient call is, bit for
 //! bit, `g` single-batch forwards each followed by its own accumulating
-//! gradient call, in batch order: outputs, `dx`, parameter gradients,
-//! BatchNorm's running statistics and Dropout's masks (seen through the
-//! outputs and `dx` of a non-zero input).
+//! gradient call, in batch order: outputs, `dx`, parameter gradients and
+//! BatchNorm's running statistics.
 //!
 //! Checked for every layer type and a CNN generator and a CNN discriminator
 //! `Sequential`, for g in {1, 2, 3, 5} under each [`Need`], at 1, 2 and 3
@@ -14,8 +13,8 @@
 
 use md_nn::init::Init;
 use md_nn::layers::{
-    BatchNorm, Conv2d, ConvTranspose2d, Dense, Dropout, Flatten, LeakyRelu,
-    MinibatchDiscrimination, Relu, Reshape, Sequential, Sigmoid, Tanh,
+    BatchNorm, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyRelu, MinibatchDiscrimination, Relu,
+    Reshape, Sequential, Tanh,
 };
 use md_nn::{Layer, Need};
 use md_tensor::parallel::scoped_max_threads;
@@ -118,7 +117,6 @@ fn cnn_generator(rng: &mut Rng64) -> Sequential {
         .push(Reshape::new(&[16, 4, 4]))
         .push(BatchNorm::new(16))
         .push(Relu::new())
-        .push(Dropout::new(0.25, rng))
         .push(ConvTranspose2d::new(16, 8, 4, 2, 1, Init::Dcgan, rng))
         .push(BatchNorm::new(8))
         .push(Relu::new())
@@ -191,13 +189,6 @@ fn a_stack_is_bitwise_its_batches_one_after_the_other() {
                 train,
                 running_stats,
             );
-            check(
-                &t(&format!("Dropout train={train}")),
-                |rng| Dropout::new(0.4, rng),
-                &[3, 17],
-                train,
-                no_state,
-            );
         }
         // Similarities, `dx` and one `xᵀ·gm` product per batch: a row never
         // meets a row of another batch.
@@ -224,7 +215,6 @@ fn a_stack_is_bitwise_its_batches_one_after_the_other() {
             no_state,
         );
         check(&t("Tanh"), |_| Tanh::new(), &[3, 7], true, no_state);
-        check(&t("Sigmoid"), |_| Sigmoid::new(), &[3, 7], true, no_state);
         check(
             &t("Reshape"),
             |_| Reshape::new(&[2, 3, 2]),
@@ -271,8 +261,8 @@ fn a_stack_is_bitwise_its_batches_one_after_the_other() {
             no_state,
         );
 
-        // A whole generator: Dense, BatchNorm over (B,C,H,W), Dropout and
-        // both conv-transpose layouts behind one `groups` argument.
+        // A whole generator: Dense, BatchNorm over (B,C,H,W) and both
+        // conv-transpose layouts behind one `groups` argument.
         check(&t("CNN generator"), cnn_generator, &[5, 42], true, no_state);
         // A whole discriminator, as the D learning step stacks it: conv,
         // minibatch discrimination and the dense head.

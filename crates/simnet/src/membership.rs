@@ -306,11 +306,6 @@ impl Membership {
         Membership { status, epoch: 0 }
     }
 
-    /// The view a run of `initial` workers under `plan` starts from.
-    pub fn for_plan(initial: usize, plan: &ChurnPlan) -> Self {
-        Membership::new(initial, plan.max_workers(initial))
-    }
-
     /// Total slots (alive or not).
     pub fn len(&self) -> usize {
         self.status.len()
@@ -496,7 +491,7 @@ mod tests {
         // The generated schedule must be self-consistent: replay it.
         let reparsed = ChurnPlan::from_events(8, a.events().to_vec()).unwrap();
         assert_eq!(reparsed.events(), a.events());
-        let mut m = Membership::for_plan(8, &a);
+        let mut m = Membership::new(8, a.max_workers(8));
         for iter in 0..64 {
             for ev in a.events().iter().filter(|e| e.iter == iter) {
                 m.apply(ev).unwrap();

@@ -318,45 +318,6 @@ impl TrafficReport {
         self.ingress[0]
     }
 
-    /// Difference report: `self - earlier` (for per-iteration measurements).
-    ///
-    /// Saturates at zero instead of panicking: under relaxed concurrent
-    /// recording, a later snapshot can transiently lag an earlier one on
-    /// individual counters, and callers may also pass baselines from a
-    /// different (restarted) stats instance.
-    pub fn since(&self, earlier: &TrafficReport) -> TrafficReport {
-        TrafficReport {
-            ingress: self
-                .ingress
-                .iter()
-                .zip(&earlier.ingress)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            egress: self
-                .egress
-                .iter()
-                .zip(&earlier.egress)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            class_bytes: [
-                self.class_bytes[0].saturating_sub(earlier.class_bytes[0]),
-                self.class_bytes[1].saturating_sub(earlier.class_bytes[1]),
-                self.class_bytes[2].saturating_sub(earlier.class_bytes[2]),
-            ],
-            class_msgs: [
-                self.class_msgs[0].saturating_sub(earlier.class_msgs[0]),
-                self.class_msgs[1].saturating_sub(earlier.class_msgs[1]),
-                self.class_msgs[2].saturating_sub(earlier.class_msgs[2]),
-            ],
-            dropped_msgs: self.dropped_msgs.saturating_sub(earlier.dropped_msgs),
-            dropped_bytes: self.dropped_bytes.saturating_sub(earlier.dropped_bytes),
-            dup_msgs: self.dup_msgs.saturating_sub(earlier.dup_msgs),
-            dup_bytes: self.dup_bytes.saturating_sub(earlier.dup_bytes),
-            delayed_msgs: self.delayed_msgs.saturating_sub(earlier.delayed_msgs),
-            retries: self.retries.saturating_sub(earlier.retries),
-        }
-    }
-
     /// Converts to the dependency-neutral summary md-telemetry's
     /// `RunRecord` embeds.
     pub fn telemetry_summary(&self) -> md_telemetry::TrafficSummary {
@@ -430,34 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn since_computes_deltas() {
-        let s = TrafficStats::new(2);
-        s.record(0, 1, 5);
-        let before = s.report();
-        s.record(0, 1, 11);
-        let delta = s.report().since(&before);
-        assert_eq!(delta.ingress[1], 11);
-        assert_eq!(delta.msgs(LinkClass::ServerToWorker), 1);
-    }
-
-    #[test]
-    fn since_saturates_instead_of_underflowing() {
-        // Baseline from a *different* (busier) stats instance: every
-        // counter in `earlier` exceeds `self`'s.
-        let busy = TrafficStats::new(2);
-        busy.record(0, 1, 100);
-        busy.record(1, 0, 100);
-        let earlier = busy.report();
-        let fresh = TrafficStats::new(2);
-        fresh.record(0, 1, 30);
-        let delta = fresh.report().since(&earlier);
-        assert_eq!(delta.ingress, vec![0, 0]);
-        assert_eq!(delta.egress, vec![0, 0]);
-        assert_eq!(delta.class_bytes, [0, 0, 0]);
-        assert_eq!(delta.class_msgs, [0, 0, 0]);
-    }
-
-    #[test]
     fn telemetry_summary_mirrors_report() {
         let s = TrafficStats::new(3);
         s.record(0, 1, 10);
@@ -500,20 +433,6 @@ mod tests {
         assert_eq!(r.retries, 1);
         assert_eq!(r.delayed_msgs, 1);
         assert_eq!(r.msgs(LinkClass::ServerToWorker), 2, "both attempts sent");
-    }
-
-    #[test]
-    fn since_covers_fault_counters() {
-        let s = TrafficStats::new(2);
-        s.record_attempt(0, 1, 10);
-        s.record_dropped(10);
-        let before = s.report();
-        s.record_retry();
-        s.record_duplicated(4);
-        let d = s.report().since(&before);
-        assert_eq!(d.dropped_bytes, 0);
-        assert_eq!(d.retries, 1);
-        assert_eq!(d.dup_bytes, 4);
     }
 
     #[test]

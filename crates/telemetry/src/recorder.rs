@@ -472,13 +472,6 @@ impl Recorder {
         self.tracer.dropped()
     }
 
-    /// Records an externally measured duration into `phase`.
-    pub fn record_duration(&self, phase: Phase, d: Duration) {
-        if self.enabled {
-            self.phases[phase.index()].record(d.as_nanos() as u64);
-        }
-    }
-
     /// Adds `n` to a counter.
     pub fn incr(&self, counter: Counter, n: u64) {
         if self.enabled {

@@ -1,5 +1,5 @@
-//! Elementwise arithmetic with broadcasting, unary maps, and the in-place
-//! update primitives used by the optimizers.
+//! Elementwise arithmetic with broadcasting, unary maps, and in-place
+//! updates.
 
 use crate::math;
 use crate::shape::Shape;
@@ -80,11 +80,6 @@ impl Tensor {
         broadcast_zip(self, other, |a, b| a * b)
     }
 
-    /// Elementwise division with broadcasting.
-    pub fn div(&self, other: &Tensor) -> Tensor {
-        broadcast_zip(self, other, |a, b| a / b)
-    }
-
     /// Elementwise maximum with broadcasting.
     pub fn maximum(&self, other: &Tensor) -> Tensor {
         broadcast_zip(self, other, |a, b| a.max(b))
@@ -100,11 +95,6 @@ impl Tensor {
         self.map(|x| x * s)
     }
 
-    /// Elementwise negation.
-    pub fn neg(&self) -> Tensor {
-        self.map(|x| -x)
-    }
-
     /// Applies `f` to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut data = workspace::take_raw(self.len());
@@ -112,35 +102,11 @@ impl Tensor {
         Tensor::new(self.shape(), data)
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in self.data_mut() {
-            *v = f(*v);
-        }
-    }
-
     /// In-place `self += other` (shapes must match exactly).
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape(), other.shape(), "add_assign shape mismatch");
         for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
             *a += b;
-        }
-    }
-
-    /// In-place `self -= other` (shapes must match exactly).
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "sub_assign shape mismatch");
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a -= b;
-        }
-    }
-
-    /// In-place `self += alpha * other` — the BLAS `axpy` primitive used by
-    /// SGD and gradient accumulation.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
-        for (a, &b) in self.data_mut().iter_mut().zip(other.data()) {
-            *a += alpha * b;
         }
     }
 
@@ -269,20 +235,11 @@ mod tests {
     }
 
     #[test]
-    fn sub_mul_div() {
+    fn sub_and_mul() {
         let a = Tensor::new(&[3], vec![4.0, 9.0, 16.0]);
         let b = Tensor::new(&[3], vec![2.0, 3.0, 4.0]);
         assert_eq!(a.sub(&b).data(), &[2.0, 6.0, 12.0]);
         assert_eq!(a.mul(&b).data(), &[8.0, 27.0, 64.0]);
-        assert_eq!(a.div(&b).data(), &[2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn axpy_updates_in_place() {
-        let mut a = Tensor::new(&[3], vec![1.0, 2.0, 3.0]);
-        let g = Tensor::new(&[3], vec![10.0, 10.0, 10.0]);
-        a.axpy(-0.1, &g);
-        assert_close(a.data(), &[0.0, 1.0, 2.0], 1e-6);
     }
 
     #[test]
@@ -290,7 +247,6 @@ mod tests {
         let a = Tensor::new(&[2], vec![1.0, 4.0]);
         assert_eq!(a.sqrt().data(), &[1.0, 2.0]);
         assert_eq!(a.square().data(), &[1.0, 16.0]);
-        assert_eq!(a.neg().data(), &[-1.0, -4.0]);
         assert_close(a.exp().data(), &[1.0f32.exp(), 4.0f32.exp()], 1e-6);
     }
 

@@ -79,23 +79,6 @@ impl Tensor {
         Tensor::new(&self.shape()[1..], out)
     }
 
-    /// Means over axis 0.
-    pub fn mean_axis0(&self) -> Tensor {
-        let n0 = self.shape()[0].max(1);
-        self.sum_axis0().scale(1.0 / n0 as f32)
-    }
-
-    /// Row sums of a 2-D tensor: `(m, n) -> (m,)`.
-    pub fn sum_axis1(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "sum_axis1 requires 2-D");
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = workspace::take_raw(m);
-        for i in 0..m {
-            out.push(self.data()[i * n..(i + 1) * n].iter().sum());
-        }
-        Tensor::new(&[m], out)
-    }
-
     /// Per-row argmax of a 2-D tensor — used for classifier predictions.
     pub fn argmax_rows(&self) -> Vec<usize> {
         assert_eq!(self.ndim(), 2, "argmax_rows requires 2-D");
@@ -218,13 +201,6 @@ mod tests {
     fn sum_axis0_collapses_batch() {
         let t = Tensor::new(&[2, 3], vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]);
         assert_eq!(t.sum_axis0().data(), &[11.0, 22.0, 33.0]);
-        assert_close(t.mean_axis0().data(), &[5.5, 11.0, 16.5], 1e-6);
-    }
-
-    #[test]
-    fn sum_axis1_row_sums() {
-        let t = Tensor::new(&[2, 3], vec![1.0, 2.0, 3.0, 10.0, 20.0, 30.0]);
-        assert_eq!(t.sum_axis1().data(), &[6.0, 60.0]);
     }
 
     #[test]

@@ -161,12 +161,6 @@ impl Rng64 {
         }
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    #[inline]
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
-        mean + std * self.normal()
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -351,14 +345,5 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 4);
         assert!(s.iter().all(|&x| x < 10));
-    }
-
-    #[test]
-    fn normal_with_scales_and_shifts() {
-        let mut rng = Rng64::seed_from_u64(23);
-        let n = 10_000;
-        let xs: Vec<f32> = (0..n).map(|_| rng.normal_with(3.0, 0.5)).collect();
-        let mean = xs.iter().sum::<f32>() / n as f32;
-        assert!((mean - 3.0).abs() < 0.05, "mean {mean}");
     }
 }

@@ -98,22 +98,6 @@ impl Shape {
         }
         Some(Shape(out))
     }
-
-    /// Returns true if this shape can broadcast *to* `target` (i.e. this
-    /// tensor can be expanded, without copying semantics, to `target`).
-    pub fn broadcasts_to(&self, target: &Shape) -> bool {
-        if self.ndim() > target.ndim() {
-            return false;
-        }
-        let pad = target.ndim() - self.ndim();
-        for i in 0..self.ndim() {
-            let d = self.0[i];
-            if d != target.0[i + pad] && d != 1 {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 impl fmt::Debug for Shape {
@@ -210,13 +194,5 @@ mod tests {
         let a = Shape::new(&[2, 3]);
         let b = Shape::new(&[4, 3]);
         assert_eq!(Shape::broadcast(&a, &b), None);
-    }
-
-    #[test]
-    fn broadcasts_to_checks_direction() {
-        assert!(Shape::new(&[1, 3]).broadcasts_to(&Shape::new(&[5, 3])));
-        assert!(Shape::new(&[3]).broadcasts_to(&Shape::new(&[5, 3])));
-        assert!(!Shape::new(&[5, 3]).broadcasts_to(&Shape::new(&[3])));
-        assert!(!Shape::new(&[2, 3]).broadcasts_to(&Shape::new(&[5, 3])));
     }
 }

@@ -110,7 +110,7 @@ fn main() {
     }
     let ck = md.checkpoint();
     let path = std::env::temp_dir().join("mdgan_tour.ckpt");
-    ck.save(&path).expect("save checkpoint");
+    ck.save_atomic(&path).expect("save checkpoint");
     println!(
         "saved {} sections ({} bytes) at iteration {}",
         ck.num_sections(),

@@ -184,7 +184,7 @@ fn checkpoint_survives_disk_roundtrip_mid_training() {
     }
     let ck = md.checkpoint();
     let path = std::env::temp_dir().join("mdgan_integration.ckpt");
-    ck.save(&path).unwrap();
+    ck.save_atomic(&path).unwrap();
     let loaded = Checkpoint::load(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(loaded, ck);
