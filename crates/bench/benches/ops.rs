@@ -58,8 +58,8 @@ fn bench_matmul_variants(c: &mut Criterion) {
     // the MLP discriminator's first layer (784 -> 512) and the two layouts
     // its backward pass issues, over the row count — one b = 10 batch up to
     // a few of them stacked. The no-pack kernels take the small counts, the
-    // packed kernel the rest. EXPERIMENTS.md has this table run once as
-    // shipped and once with the bounds at 0.
+    // packed kernel the rest. DESIGN.md §11 ("More rows than a tile") has
+    // what it read as shipped and with the bounds at 0.
     let mut g = c.benchmark_group("matmul_paper_784x512");
     g.sample_size(10)
         .measurement_time(Duration::from_secs(1))

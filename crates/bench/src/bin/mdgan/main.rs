@@ -1,7 +1,8 @@
 //! `mdgan <subcommand> [--flag value …]` regenerates one table or figure of
 //! the paper per subcommand (DESIGN.md §4 is the index), plus the §VII
-//! perspectives. Each subcommand's flags scale it between "seconds" and
-//! "paper scale":
+//! perspectives; `report` renders the repo benchmark's trajectory into
+//! EXPERIMENTS.md. Each figure subcommand's flags scale it between
+//! "seconds" and "paper scale":
 //!
 //! ```text
 //! cargo run --release -p md-bench --bin mdgan -- fig3 --family mnist --iters 2000
@@ -18,6 +19,7 @@ mod fig5;
 mod fig6;
 mod freerider;
 mod perspectives;
+mod report;
 mod table2;
 mod table3;
 mod table4;
@@ -44,7 +46,7 @@ type Sub = (
 const PANEL: &[&str] = &["family", "arch", "workers"];
 
 /// Every subcommand, dispatched on its name.
-const SUBS: [Sub; 11] = [
+const SUBS: [Sub; 12] = [
     ("fig2", &[&["n", "bmax"]], fig2::run),
     (
         "fig3",
@@ -89,6 +91,7 @@ const SUBS: [Sub; 11] = [
         &[&["iters", "eval-every", "img", "train", "workers", "seed"]],
         perspectives::run,
     ),
+    ("report", &[], report::run),
 ];
 
 fn main() -> Result<(), BinError> {

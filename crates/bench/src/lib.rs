@@ -49,10 +49,11 @@ impl Args {
                 .ok_or_else(|| BinError::Usage(format!("expected --flag, got {arg:?}")))?
                 .to_string();
             if !known.contains(&key.as_str()) {
-                return Err(BinError::Usage(format!(
-                    "unknown flag --{key} (flags: --{})",
-                    known.join(" --")
-                )));
+                let takes = match known {
+                    [] => "it takes none".to_string(),
+                    _ => format!("flags: --{}", known.join(" --")),
+                };
+                return Err(BinError::Usage(format!("unknown flag --{key} ({takes})")));
             }
             let value = match iter.peek() {
                 Some(v) if !v.starts_with("--") => iter.next().unwrap(),

@@ -241,6 +241,7 @@ fn unknown_flags_are_rejected_even_beside_help() {
     );
     rejects("help", &["fig3", "--help"], "--ckpt-every");
     rejects("resume", &["fig3", "--resume", "x"], "--resume");
+    rejects("report", &["report", "--x", "1"], "--x");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! MNIST, CIFAR10 and CelebA (see DESIGN.md §3 for the substitution
 //! rationale), plus the distributed-dataset plumbing of the paper's setup:
 //!
-//! * [`Dataset`](dataset::Dataset) — images `(N, C, H, W)` in `[-1, 1]`
+//! * [`Dataset`] — images `(N, C, H, W)` in `[-1, 1]`
 //!   with integer labels,
 //! * i.i.d. equal sharding over `N` workers (`B = ∪ B_n`, paper §III.a),
 //! * seeded random batch sampling (`X_r ← SAMPLES(B_n, b)`, Algorithm 1).

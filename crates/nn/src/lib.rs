@@ -4,14 +4,14 @@
 //! built on [`md_tensor`]. It provides everything the MD-GAN reproduction
 //! needs to train ACGAN generators and discriminators:
 //!
-//! * the object-safe [`Layer`](layer::Layer) trait (forward / backward /
+//! * the object-safe [`Layer`] trait (forward / backward /
 //!   parameter access),
 //! * layers: [`Dense`](layers::Dense), [`Conv2d`](layers::Conv2d),
 //!   [`ConvTranspose2d`](layers::ConvTranspose2d),
 //!   [`BatchNorm`](layers::BatchNorm), activations,
 //!   [`Reshape`](layers::Reshape) and the minibatch-discrimination layer of
 //!   Salimans et al. (the paper's discriminators use it),
-//! * [`Sequential`](layers::Sequential) containers with flat parameter
+//! * [`Sequential`] containers with flat parameter
 //!   (de)serialization — the primitive behind MD-GAN's discriminator swap
 //!   and FL-GAN's federated averaging,
 //! * losses: softmax cross-entropy, and the exact GAN objectives of the

@@ -7,17 +7,17 @@
 //! * conv-transpose2d weights: `(C_in, C_out, KH, KW)` (PyTorch convention)
 //!
 //! Every path is an im2col-style product whose `(C*KH*KW, OH*OW)` column
-//! matrix is **never materialized**: the [`Im2colRhs`] packer implements
-//! [`gemm::PackRhs`] and writes convolution patches straight into the
+//! matrix is **never materialized**: the `Im2colRhs` packer implements
+//! `gemm::PackRhs` and writes convolution patches straight into the
 //! GEMM's packed sliver format, the transposed / grad-input paths fuse
-//! `col2im` into the GEMM epilogue via [`gemm::gemm_scatter`] (each
+//! `col2im` into the GEMM epilogue via `gemm::gemm_scatter` (each
 //! finished row-block tile is accumulated and discarded), and the weight
 //! gradient reads its column values in place (`wgrad`). What is copied,
 //! once, is what every sample of the batch shares or what turns the inner
 //! loops into straight copies and broadcasts:
 //!
 //! * **the image operand, into phase planes** ([`ConvPlanes`], laid out by
-//!   [`ConvGeom`]): one pass over the `(B, C, H, W)` tensor — a row at a
+//!   `ConvGeom`): one pass over the `(B, C, H, W)` tensor — a row at a
 //!   time, a fixed-length deinterleave at stride 2 — writes it zero-padded
 //!   and split by stride phase, so that the values one kernel tap
 //!   contributes to a row of output positions are a contiguous,
@@ -34,7 +34,7 @@
 //!   call**: [`conv2d_forward_planes`] hands out the ones it built and
 //!   [`conv2d_backward_planes`] takes the weight gradient from them, so a
 //!   layer caches them in place of a clone of its input;
-//! * **the weights, into packed panels** ([`PackedLhs`]): the per-sample
+//! * **the weights, into packed panels** (`PackedLhs`): the per-sample
 //!   products of a call all multiply by the same weights, so their
 //!   `MR`-interleaved panels are built once and shared (read-only, also
 //!   across the threads of a batch-parallel forward) instead of once per
@@ -45,8 +45,8 @@
 //!
 //! | product | shape per call | copied for it | order kept |
 //! |---|---|---|---|
-//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` ([`gemm::gemm_with`]) | packed `W`; `cols_i` packed from the planes, whole output rows per sliver when `ow` divides `NR`, run by run otherwise | `k` ascending inside each sample's GEMM |
-//! | conv grad-input, conv-transpose forward | `b` x `col2im(Wᵀ (ckk, o) · g_i (o, ohw))` ([`gemm::gemm_scatter`]) | packed `Wᵀ` | tiles in row order; per pixel the adds arrive in `col2im`'s `(row, oy, ox)` order into zeroed planes, copied out exactly |
+//! | conv forward, conv-transpose grad-input | `b` x `W (o, ckk) · cols_i (ckk, ohw)` (`gemm::gemm_with`) | packed `W`; `cols_i` packed from the planes, whole output rows per sliver when `ow` divides `NR`, run by run otherwise | `k` ascending inside each sample's GEMM |
+//! | conv grad-input, conv-transpose forward | `b` x `col2im(Wᵀ (ckk, o) · g_i (o, ohw))` (`gemm::gemm_scatter`) | packed `Wᵀ` | tiles in row order; per pixel the adds arrive in `col2im`'s `(row, oy, ox)` order into zeroed planes, copied out exactly |
 //! | weight gradient (both) | **one** `gw (m, ckk) (+)= A (m, b·ohw) · Cᵀ (b·ohw, ckk)`, `A` the samples' gradients (conv) or inputs (conv-transpose) side by side, `Cᵀ` their `cols_iᵀ` stacked (`wgrad::weight_grad`) | `Aᵀ` as 16-channel slivers and `gwᵀ`, in 16x16 block transposes; `Cᵀ` is **not** copied — its elements are broadcast from the planes | seeded with `gw` or 0.0, samples ascending, positions ascending — the chain of one accumulate product per sample |
 //!
 //! The reference [`im2col`] / [`col2im`] functions remain as the spec:
@@ -743,7 +743,7 @@ fn scatter_runs(tile: &[f32], r0: usize, g: &ConvGeom, planes: &mut [f32], ow: u
 }
 
 /// The zero-padded stride-phase planes of a `(b, c, h, w)` activation (see
-/// [`ConvGeom`]'s "Phase planes"): the one copy of the image operand every
+/// `ConvGeom`'s "Phase planes"): the one copy of the image operand every
 /// product of a conv layer reads. [`conv2d_forward_planes`] builds them for
 /// its own GEMMs and hands them out, so a training layer keeps *them* —
 /// not a clone of its input — and [`conv2d_backward_planes`] takes the

@@ -2,7 +2,7 @@
 //! `matmul`, `matmul_nt`, `matmul_tn` and the implicit im2col GEMMs inside
 //! `conv2d` / `conv_transpose2d` all lower to [`gemm_into`] /
 //! [`gemm_acc_into`] with a [`Layout`] tag, or to the `pub(crate)`
-//! [`gemm_with`] / [`gemm_scatter`] drivers with a custom [`PackRhs`]
+//! `gemm_with` / `gemm_scatter` drivers with a custom `PackRhs`
 //! operand (conv forward and both input gradients).
 //!
 //! The drivers run the packed, cache-blocked micro-kernel described below.
@@ -45,7 +45,7 @@
 //!
 //! Each pack reads its source in storage order and writes whole vectors:
 //!
-//! * row-major B ([`SliceRhs`], `NN` / `TN`): eight rows at a time, each
+//! * row-major B (`SliceRhs`, `NN` / `TN`): eight rows at a time, each
 //!   read once front to back and dealt out to the slivers one 16-float
 //!   vector per row;
 //! * transposed B (`NT`) and row-major A (`NN` / `NT`): a sliver is the
@@ -56,17 +56,17 @@
 //! * column-major A (`TN`, and conv's `Wᵀ` products): one [`MR`]-float run
 //!   per `k` step.
 //!
-//! The B-side pack is abstracted behind [`PackRhs`]: the dense slice
-//! packer ([`SliceRhs`]) is one implementation; `conv.rs` provides an
+//! The B-side pack is abstracted behind `PackRhs`: the dense slice
+//! packer (`SliceRhs`) is one implementation; `conv.rs` provides an
 //! im2col packer that writes convolution patches straight into the packed
 //! sliver format (implicit GEMM — the full column matrix never exists in
 //! memory). The conv weight gradient, whose transposed column matrix cost
 //! more to pack than to multiply, no longer comes here: it is a direct
 //! product in `conv/wgrad.rs`.
 //!
-//! The A side is an [`Lhs`]: a dense slice in either storage order, or
-//! panels packed ahead of the call ([`PackedLhs`] through
-//! [`Lhs::Packed`]). A caller that multiplies many right-hand sides by one
+//! The A side is an `Lhs`: a dense slice in either storage order, or
+//! panels packed ahead of the call (`PackedLhs` through
+//! `Lhs::Packed`). A caller that multiplies many right-hand sides by one
 //! left operand — a conv layer's weights against each sample of the batch
 //! — packs it once; the drivers then skip their A pack and read those
 //! panels in place. It is the same compute grid either way: only where a
@@ -117,7 +117,7 @@
 //!
 //! Packing buffers come from [`crate::workspace::take_uninit`] — **one**
 //! buffer per call holding the `ceil(m/MC)` A slots followed by the
-//! `ceil(n/NC)` B slots (and, for [`gemm_scatter`], the row-block tile),
+//! `ceil(n/NC)` B slots (and, for `gemm_scatter`, the row-block tile),
 //! recycled on return. Slots are sized from the product, not from the
 //! blocking constants: `min(MC, m)` rows by `min(KC, k)` steps for A,
 //! `min(NC, n)` columns for B — a conv sample with 16 columns asks for a
@@ -170,9 +170,9 @@ const _: () = assert!(MC.is_multiple_of(MR) && NC.is_multiple_of(NS * NR));
 /// no-pack kernel holds up to 12 rows of a column strip in registers (12 x
 /// 2 zmm of 32, 12 x 1 ymm of 16) and streams `b` in place, and runs up to
 /// three such tiles over each 32-row panel of `b` while it is in cache. 36
-/// rows cover three stacked b = 10 batches; the crossover sweep in
-/// EXPERIMENTS.md has it ahead of the packed kernel at every `m` up to
-/// there.
+/// rows cover three stacked b = 10 batches; the crossover sweep (DESIGN.md
+/// §11, "More rows than a tile") has it ahead of the packed kernel at every
+/// `m` up to there.
 pub const SKINNY_M: usize = 36;
 /// NT products with at most this many rows skip the packed kernel: the
 /// no-pack kernel runs one vector lane per row, two lane blocks over each
